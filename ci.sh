@@ -22,6 +22,32 @@ run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 run cargo test --workspace --doc -q
 
+# Doc-path gate: a backticked name of a source, script, data or doc file
+# in the documentation must name a tracked file — in full, or as the
+# tail of its path (`benches/incremental.rs`, `fission.rs`). Placeholders
+# (`<workload>.json`, globs, absolute and variable paths) are not names.
+# ROADMAP.md, CHANGES.md and ISSUE.md are history and plans — they name
+# files that are gone or not yet written — and PAPER*.md / SNIPPETS.md
+# quote other repositories.
+echo
+echo "==> doc-path check"
+# Files the documented commands and the daemon write at run time.
+RUNTIME_FILES="result.json failed.json metrics_inc.txt metrics_full.txt"
+TRACKED="$(git ls-files --cached --others --exclude-standard)"
+DOC_PATHS_OK=1
+for doc in README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md benchmark/README.md; do
+    while IFS= read -r path; do
+        case "$path" in
+        /* | *'<'* | *'*'* | *'$'* | *'{'* | *…*) continue ;;
+        esac
+        case " $RUNTIME_FILES " in *" $path "*) continue ;; esac
+        grep -q -x -e "$path" -e ".*/$path" <<<"$TRACKED" && continue
+        echo "$doc: \`$path\` names no tracked file"
+        DOC_PATHS_OK=0
+    done < <(grep -o '`[^` ]*\.\(rs\|sh\|json\|csv\|txt\|md\)`' "$doc" | tr -d '`' | sort -u)
+done
+[ "$DOC_PATHS_OK" = 1 ] || exit 1
+
 # The determinism harness must hold regardless of how the test runner
 # itself schedules tests.
 run env RUST_TEST_THREADS=1 cargo test -q --test parallel_search
@@ -62,6 +88,13 @@ run cargo test -q --test serve_observability
 # untouched-node count).
 run env RUST_TEST_THREADS=1 cargo test -q --test cow_graph
 run cargo test -q --test cow_graph
+
+# Fission overlay: the region-linear overlay must build, node for node
+# and edge list for edge list, the graph the algorithm it replaced
+# built (kept as an oracle under tests/overlay_identity/) — the WL
+# hash, the DP's tie-breaks and so every search trajectory hang on it.
+run env RUST_TEST_THREADS=1 cargo test -q --test overlay_identity
+run cargo test -q --test overlay_identity
 
 # Incremental evaluation: every delta-scheduled / delta-profiled /
 # cache-served candidate must be bit-identical to a from-scratch
@@ -185,6 +218,20 @@ test -s "$OBS_DIR/metrics.txt" || { echo "metrics snapshot is empty"; exit 1; }
 grep -q "magis_core_expansions" "$OBS_DIR/metrics.txt" \
     || { echo "metrics snapshot is missing core counters"; exit 1; }
 rm -rf "$OBS_DIR"
+
+# Benchmark smoke: one short traced run of the overlay-heavy and of the
+# overlay-free workload. The traced replay checks every staged candidate
+# bit-equal to `MState::from_applied`; the last line of a run is its
+# result object and says whether every check held.
+for workload in bert_full unet_small; do
+    echo
+    echo "==> benchmark smoke ($workload)"
+    BENCH_OUT="$(mktemp -d)"
+    benchmark/run.sh --workload "$workload" --seed 1 --seconds 3 --trace 1 --out "$BENCH_OUT" \
+        | tail -n 1 | grep -q '"correct":true' \
+        || { echo "benchmark smoke: $workload did not end with \"correct\":true"; exit 1; }
+    rm -rf "$BENCH_OUT"
+done
 
 # Overhead guard: with tracing disabled, the always-on instrumentation
 # must stay within 5% (+ noise floor) of a fully suppressed run.

@@ -546,6 +546,7 @@ fn print_summary(seed_cost: (u64, f64), res: &OptimizeResult) {
     );
     row("time: transform", secs(s.trans_time));
     row("time: sched + sim", secs(s.sched_sim_time));
+    row("time:   overlay build", format!("{}  (part of sched + sim)", secs(s.overlay_time)));
     row("time: hash / filter", secs(s.hash_time));
     row("time: eval wall", secs(s.eval_wall_time));
     row("panics sandboxed", s.panicked.to_string());

@@ -50,7 +50,7 @@ impl DimGraph {
             if !n.op.in_dim_graph() || n.op.is_input() {
                 continue;
             }
-            let input_metas: Vec<_> = n.inputs().iter().map(|&u| g.node(u).meta.clone()).collect();
+            let input_metas: Vec<_> = n.inputs().iter().map(|&u| &g.node(u).meta).collect();
             let links = n.op.input_dim_links(&input_metas, &n.meta);
             for (slot, &u) in n.inputs().iter().enumerate() {
                 if !g.node(u).op.in_dim_graph() {

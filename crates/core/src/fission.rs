@@ -21,10 +21,10 @@
 //!   examples).
 
 use magis_graph::algo::topo::topo_order_of;
-use magis_graph::algo::{is_convex, is_weakly_connected};
+use magis_graph::algo::{is_convex, is_weakly_connected, BitSet};
 use magis_graph::graph::{Graph, NodeId};
-use magis_graph::{GraphTxn, GraphView};
 use magis_graph::op::{DimLink, MergeKind, OpKind};
+use magis_graph::{GraphTxn, GraphView, TensorMeta};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -110,22 +110,50 @@ pub struct OverlayInfo {
     pub merges: Vec<NodeId>,
 }
 
-impl FissionSpec {
-    /// Validates the spec against `g` (`parts` may be 1 for a
-    /// candidate that has not been enabled yet — structural checks
-    /// still apply).
+/// What one region means in one graph: everything the two application
+/// modes need, gathered in a single pass over the region. Only exists
+/// for a valid spec — [`RegionFacts::compute`] *is* the validation.
+#[derive(Debug, Clone)]
+pub struct RegionFacts {
+    /// Every region input (ascending), with the axis it must be sliced
+    /// along, or `None` if it is shared by all parts.
+    pub slice_axes: BTreeMap<NodeId, Option<usize>>,
+    /// Total sliding-window halo accumulated along the split axis
+    /// (extension E1): the sum over region operators of the overlap
+    /// their windows need at part boundaries. Zero for batch/head
+    /// splits; `Σ (k−1)` for chains of stride-1 convolutions.
+    pub halo: u64,
+    /// Region outputs (ascending): nodes of `S` read from outside `S`,
+    /// or read by nobody.
+    pub outputs: Vec<NodeId>,
+    /// The region's topological entry: its smallest node without a
+    /// predecessor inside `S`.
+    pub entry: NodeId,
+    /// Dense membership marks of `S`, by slot (unset for any node added
+    /// to the graph later).
+    in_set: BitSet,
+}
+
+impl RegionFacts {
+    /// Validates `spec` against `g` and gathers the region's facts.
+    /// Membership tests run on dense marks over raw edge lists (every
+    /// verdict is indifferent to edge multiplicity and order); each
+    /// node's dimension links are computed once, from borrowed metas.
     ///
     /// # Errors
     ///
-    /// Returns the first violated F-Trans constraint.
-    pub fn validate<G: GraphView>(&self, g: &G) -> Result<(), FissionError> {
-        if self.set.is_empty()
-            || self.dims.len() != self.set.len()
-            || !self.dims.keys().all(|v| self.set.contains(v))
-        {
+    /// Returns the first violated F-Trans constraint, in the order:
+    /// coverage; liveness and operator kind per node; connectivity;
+    /// convexity; each node's own dimension; each internal edge;
+    /// agreement on input slice axes.
+    pub fn compute<G: GraphView>(g: &G, spec: &FissionSpec) -> Result<Self, FissionError> {
+        let (set, dims) = (&spec.set, &spec.dims);
+        // Both are sorted, so equal length + pairwise equal = same keys.
+        if set.is_empty() || dims.len() != set.len() || !dims.keys().eq(set) {
             return Err(FissionError::BadCoverage);
         }
-        for &v in &self.set {
+        let mut dim_of = vec![0i32; g.capacity()];
+        for (&v, &d) in dims {
             if !g.contains(v) {
                 return Err(FissionError::DeadNode(v));
             }
@@ -135,24 +163,25 @@ impl FissionSpec {
             ) {
                 return Err(FissionError::ForbiddenOp(v));
             }
+            dim_of[v.index()] = d;
         }
-        if !is_weakly_connected(g, &self.set) {
+        let in_set = BitSet::of_nodes(g.capacity(), set);
+        let inside = |u: &NodeId| in_set.contains(u.index());
+        if !is_weakly_connected(g, *set.first().expect("non-empty"), &in_set, set.len()) {
             return Err(FissionError::NotConnected);
         }
-        if !is_convex(g, &self.set) {
+        if !is_convex(g, set.iter().copied(), &in_set) {
             return Err(FissionError::NotConvex);
         }
-        for (&v, &d) in &self.dims {
+        for (&v, &d) in dims {
             let n = g.node(v);
             if d > 0 {
                 let axis = (d - 1) as usize;
-                if axis >= n.meta.shape.rank()
-                    || !n.op.splittable_output_dims(&n.meta)[axis]
-                {
+                if axis >= n.meta.shape.rank() || !n.op.splittable_output_dims(&n.meta)[axis] {
                     return Err(FissionError::UnsplittableDim(v, d));
                 }
                 let extent = n.meta.shape.dim(axis);
-                if extent < self.parts.max(2) {
+                if extent < spec.parts.max(2) {
                     return Err(FissionError::ExtentTooSmall(v, extent));
                 }
             } else {
@@ -160,137 +189,122 @@ impl FissionSpec {
                 if r >= n.op.num_reduce_axes() {
                     return Err(FissionError::UnsplittableDim(v, d));
                 }
-                if g.suc(v).iter().any(|s| self.set.contains(s)) {
+                if n.succs().iter().any(inside) {
                     return Err(FissionError::InteriorReduce(v));
                 }
             }
         }
-        // Constraint 3: every internal edge must be covered by a D-edge
-        // between the chosen dims.
-        for &v in &self.set {
+        let mut slice_axes: BTreeMap<NodeId, Option<usize>> = BTreeMap::new();
+        // An edge violation at a later node outranks an ambiguous input
+        // found earlier, so the ambiguity is only reported at the end.
+        let mut ambiguous = None;
+        let mut halo = 0u64;
+        let mut outputs = Vec::new();
+        let mut entry = None;
+        for (&v, &d) in dims {
             let node = g.node(v);
+            if entry.is_none() && !node.inputs().iter().chain(node.keepalive()).any(inside) {
+                entry = Some(v);
+            }
+            if node.succs().is_empty() || !node.succs().iter().all(inside) {
+                outputs.push(v);
+            }
             if node.op.is_input() {
                 continue;
             }
-            let metas: Vec<_> =
-                node.inputs().iter().map(|&u| g.node(u).meta.clone()).collect();
+            let metas: Vec<&TensorMeta> = node.inputs().iter().map(|&u| &g.node(u).meta).collect();
             let links = node.op.input_dim_links(&metas, &node.meta);
-            for (slot, &u) in node.inputs().iter().enumerate() {
-                if !self.set.contains(&u) {
-                    continue;
-                }
-                let du = self.dims[&u];
-                if du < 0 {
-                    return Err(FissionError::InteriorReduce(u));
-                }
-                let covered = match links[slot].get((du - 1) as usize) {
-                    Some(l) => match self.dims[&v] {
-                        d if d > 0 => l.spatial_dim() == Some((d - 1) as usize),
-                        d => *l == DimLink::Reduce((-d - 1) as usize),
-                    },
-                    None => false,
-                };
-                if !covered {
-                    return Err(FissionError::UncoveredEdge(u, v));
-                }
-            }
-        }
-        // Input slice axes must be unambiguous.
-        self.input_slice_axes(g)?;
-        Ok(())
-    }
-
-    /// For each region input: the axis it must be sliced along, or
-    /// `None` if shared.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FissionError::AmbiguousInputSlice`] when consumers
-    /// disagree.
-    pub fn input_slice_axes<G: GraphView>(
-        &self,
-        g: &G,
-    ) -> Result<BTreeMap<NodeId, Option<usize>>, FissionError> {
-        let mut out: BTreeMap<NodeId, Option<usize>> = BTreeMap::new();
-        for &v in &self.set {
-            let node = g.node(v);
-            if node.op.is_input() {
-                continue;
-            }
-            let metas: Vec<_> =
-                node.inputs().iter().map(|&u| g.node(u).meta.clone()).collect();
-            let links = node.op.input_dim_links(&metas, &node.meta);
-            let matches_selected = |l: &DimLink| match self.dims[&v] {
+            let selected = |l: &DimLink| match d {
                 d if d > 0 => l.spatial_dim() == Some((d - 1) as usize),
                 d => *l == DimLink::Reduce((-d - 1) as usize),
             };
             for (slot, &u) in node.inputs().iter().enumerate() {
-                if self.set.contains(&u) {
-                    continue;
-                }
-                // Weights/labels are never sliced (no D-Graph vertices).
-                let axis = if g.node(u).op.in_dim_graph() {
-                    links[slot].iter().position(matches_selected)
-                } else {
-                    None
-                };
-                match out.get(&u) {
-                    None => {
-                        out.insert(u, axis);
+                if inside(&u) {
+                    // Constraint 3: every internal edge must be covered
+                    // by a D-edge between the chosen dims.
+                    let du = dim_of[u.index()];
+                    if du < 0 {
+                        return Err(FissionError::InteriorReduce(u));
                     }
-                    Some(&prev) if prev == axis => {}
+                    if !links[slot].get((du - 1) as usize).is_some_and(selected) {
+                        return Err(FissionError::UncoveredEdge(u, v));
+                    }
+                } else if ambiguous.is_none() {
+                    // Weights/labels are never sliced (no D-Graph vertices).
+                    let sliceable = g.node(u).op.in_dim_graph();
+                    let axis = links[slot].iter().position(selected).filter(|_| sliceable);
                     // One consumer slices, another shares, or axes
                     // differ: slicing is ambiguous.
-                    Some(_) => return Err(FissionError::AmbiguousInputSlice(u)),
+                    if *slice_axes.entry(u).or_insert(axis) != axis {
+                        ambiguous = Some(u);
+                    }
                 }
             }
+            if d > 0 {
+                halo += links
+                    .iter()
+                    .flatten()
+                    .filter_map(|l| match *l {
+                        DimLink::Windowed { dim, halo } if dim == (d - 1) as usize => Some(halo),
+                        _ => None,
+                    })
+                    .max()
+                    .unwrap_or(0);
+            }
         }
-        Ok(out)
+        if let Some(u) = ambiguous {
+            return Err(FissionError::AmbiguousInputSlice(u));
+        }
+        let entry = entry.expect("an acyclic region has a node without region predecessors");
+        Ok(RegionFacts { slice_axes, halo, outputs, entry, in_set })
+    }
+}
+
+impl FissionSpec {
+    /// Validates the spec against `g` (`parts` may be 1 for a
+    /// candidate that has not been enabled yet — structural checks
+    /// still apply).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated F-Trans constraint.
+    pub fn validate<G: GraphView>(&self, g: &G) -> Result<(), FissionError> {
+        RegionFacts::compute(g, self).map(drop)
     }
 
-    /// Region outputs: nodes of `S` read from outside or terminal.
+    /// [`RegionFacts::slice_axes`] of this spec in `g`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated F-Trans constraint —
+    /// [`FissionError::AmbiguousInputSlice`] when consumers disagree.
+    pub fn input_slice_axes<G: GraphView>(
+        &self,
+        g: &G,
+    ) -> Result<BTreeMap<NodeId, Option<usize>>, FissionError> {
+        Ok(RegionFacts::compute(g, self)?.slice_axes)
+    }
+
+    /// [`RegionFacts::outputs`] of this spec in `g`; empty if the spec
+    /// does not validate.
     pub fn outputs<G: GraphView>(&self, g: &G) -> Vec<NodeId> {
-        g.set_outputs(&self.set).into_iter().collect()
+        RegionFacts::compute(g, self).map(|f| f.outputs).unwrap_or_default()
     }
 
-    /// Total sliding-window halo accumulated along the split axis
-    /// (extension E1): the sum over region operators of the overlap
-    /// their windows need at part boundaries. Zero for batch/head
-    /// splits; `Σ (k−1)` for chains of stride-1 convolutions.
+    /// [`RegionFacts::halo`] of this spec in `g`; zero if the spec does
+    /// not validate.
     pub fn region_halo<G: GraphView>(&self, g: &G) -> u64 {
-        let mut total = 0u64;
-        for (&v, &d) in &self.dims {
-            if d <= 0 {
-                continue;
-            }
-            let node = g.node(v);
-            if node.op.is_input() {
-                continue;
-            }
-            let metas: Vec<_> =
-                node.inputs().iter().map(|&u| g.node(u).meta.clone()).collect();
-            let links = node.op.input_dim_links(&metas, &node.meta);
-            let halo = links
-                .iter()
-                .flatten()
-                .filter_map(|l| match *l {
-                    DimLink::Windowed { dim, halo } if dim == (d - 1) as usize => Some(halo),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0);
-            total += halo;
-        }
-        total
+        RegionFacts::compute(g, self).map_or(0, |f| f.halo)
     }
 }
 
 /// Applies the representative-part overlay of `spec` to the graph
-/// under transaction `g`.
+/// under transaction `g`, in time linear in the region and its
+/// boundary (plus the `|inputs| · |outputs|` keepalive edges written).
 ///
-/// Must be called on a validated spec with `parts ≥ 2`. Composes with
-/// itself: a nested (child) region can be overlaid in the same
-/// transaction afterwards, further scaling the shared nodes.
+/// Needs `parts ≥ 2`. Composes with itself: a nested (child) region can
+/// be overlaid in the same transaction afterwards, further scaling the
+/// shared nodes.
 ///
 /// # Errors
 ///
@@ -300,35 +314,37 @@ pub fn apply_overlay(g: &mut GraphTxn, spec: &FissionSpec) -> Result<OverlayInfo
     if spec.parts < 2 {
         return Err(FissionError::TrivialParts);
     }
-    spec.validate(g)?;
-    // Unwrap audit: `validate` has proven every region node and every
+    let facts = RegionFacts::compute(g, spec)?;
+    // Unwrap audit: `compute` has proven every region node and every
     // region input live and well-formed, so the `expect`s on graph
-    // edits below (add / add_with_meta / add_keepalive / remove)
-    // cannot fire for a validated spec.
+    // edits below (add / add_with_meta / add_keepalive_fan) cannot
+    // fire for a validated spec.
     let n = spec.parts;
-    let slice_axes = spec.input_slice_axes(g)?;
-    let halo = spec.region_halo(g);
-    let outputs = spec.outputs(g);
-    let entry = topo_order_of(g, &spec.set)[0];
-
-    // Original metas, needed for merge outputs.
-    let orig_meta: BTreeMap<NodeId, _> =
-        spec.set.iter().map(|&v| (v, g.node(v).meta.clone())).collect();
-    let base_repeat: BTreeMap<NodeId, u64> =
-        spec.set.iter().map(|&v| (v, g.node(v).cost_repeat)).collect();
+    let min_repeat = spec.set.iter().map(|&v| g.node(v).cost_repeat).min().unwrap_or(1);
+    // Original metas and repeats of the outputs, for their merges.
+    let original = |&v: &NodeId| (g.node(v).meta.clone(), g.node(v).cost_repeat);
+    let merged: Vec<(TensorMeta, u64)> = facts.outputs.iter().map(original).collect();
 
     // 1. Slice participating inputs.
     let mut slices = Vec::new();
-    for (&u, &axis) in &slice_axes {
+    for (&u, &axis) in &facts.slice_axes {
         let Some(axis) = axis else { continue };
         let ps = g
-            .add(OpKind::PartSlice { axis, parts: n, halo }, &[u])
+            .add(OpKind::PartSlice { axis, parts: n, halo: facts.halo }, &[u])
             .expect("slice of live input");
-        g.set_cost_repeat(ps, base_repeat.values().copied().min().unwrap_or(1));
-        for &v in &spec.set {
-            if g.pre(v).contains(&u) {
-                g.replace_input(v, u, ps);
-            }
+        g.set_cost_repeat(ps, min_repeat);
+        // Rewire the region's readers of `u` in ascending id order.
+        let mut readers: Vec<NodeId> = g
+            .node(u)
+            .succs()
+            .iter()
+            .copied()
+            .filter(|&v| facts.in_set.contains(v.index()) && g.pre(v).contains(&u))
+            .collect();
+        readers.sort_unstable();
+        readers.dedup();
+        for v in readers {
+            g.replace_input(v, u, ps);
         }
         slices.push(ps);
     }
@@ -338,35 +354,26 @@ pub fn apply_overlay(g: &mut GraphTxn, spec: &FissionSpec) -> Result<OverlayInfo
         let rep = g.node(v).cost_repeat;
         g.set_cost_repeat(v, rep * n);
         if d > 0 {
-            let axis = (d - 1) as usize;
-            let meta = g.node(v).meta.clone();
-            let scaled = magis_graph::TensorMeta::new(meta.shape.split_dim(axis, n), meta.dtype);
+            let meta = &g.node(v).meta;
+            let scaled = TensorMeta::new(meta.shape.split_dim((d - 1) as usize, n), meta.dtype);
             g.set_meta(v, scaled);
         }
     }
 
     // 3. Merge outputs.
     let mut merges = Vec::new();
-    for v in outputs {
+    for (&v, (meta, repeat)) in facts.outputs.iter().zip(merged) {
         let d = spec.dims[&v];
-        let (op, meta, repeat) = if d > 0 {
-            (
-                OpKind::Merge { kind: MergeKind::Concat, axis: (d - 1) as usize, parts: n },
-                orig_meta[&v].clone(),
-                base_repeat[&v],
-            )
+        let (op, repeat) = if d > 0 {
+            (OpKind::Merge { kind: MergeKind::Concat, axis: (d - 1) as usize, parts: n }, repeat)
         } else {
-            (
-                OpKind::Merge { kind: MergeKind::Sum, axis: 0, parts: n },
-                orig_meta[&v].clone(),
-                base_repeat[&v] * n,
-            )
+            (OpKind::Merge { kind: MergeKind::Sum, axis: 0, parts: n }, repeat * n)
         };
         let consumers: Vec<NodeId> =
-            g.suc(v).into_iter().filter(|s| !spec.set.contains(s)).collect();
+            g.suc(v).into_iter().filter(|s| !facts.in_set.contains(s.index())).collect();
         let m = g.add_with_meta(op, &[v], meta).expect("merge of live output");
         g.set_cost_repeat(m, repeat);
-        g.set_alloc_with(m, entry);
+        g.set_alloc_with(m, facts.entry);
         for c in consumers {
             if c != m {
                 g.replace_input(c, v, m);
@@ -376,11 +383,8 @@ pub fn apply_overlay(g: &mut GraphTxn, spec: &FissionSpec) -> Result<OverlayInfo
     }
 
     // 4. Pin region inputs (sliced and shared) for the whole region.
-    for &u in slice_axes.keys() {
-        for &m in &merges {
-            g.add_keepalive(u, m).expect("live endpoints");
-        }
-    }
+    let inputs: Vec<NodeId> = facts.slice_axes.keys().copied().collect();
+    g.add_keepalive_fan(&inputs, &merges).expect("live endpoints");
     Ok(OverlayInfo { slices, merges })
 }
 
@@ -395,12 +399,10 @@ pub fn apply_full(g: &Graph, spec: &FissionSpec) -> Result<Graph, FissionError> 
     if spec.parts < 2 {
         return Err(FissionError::TrivialParts);
     }
-    spec.validate(g)?;
+    let RegionFacts { slice_axes, outputs, .. } = RegionFacts::compute(g, spec)?;
     // Unwrap audit: as in `apply_overlay`, the validated spec makes
     // the graph-edit `expect`s below unreachable.
     let n = spec.parts;
-    let slice_axes = spec.input_slice_axes(g)?;
-    let outputs = spec.outputs(g);
     let mut out = GraphTxn::begin(g);
     let region_order = topo_order_of(g, &spec.set);
 
@@ -440,10 +442,7 @@ pub fn apply_full(g: &Graph, spec: &FissionSpec) -> Result<Graph, FissionError> 
             }
             let meta = if d > 0 {
                 let axis = (d - 1) as usize;
-                magis_graph::TensorMeta::new(
-                    node.meta.shape.split_dim(axis, n),
-                    node.meta.dtype,
-                )
+                TensorMeta::new(node.meta.shape.split_dim(axis, n), node.meta.dtype)
             } else {
                 node.meta.clone()
             };

@@ -210,15 +210,12 @@ impl FTree {
                     if region.is_empty() {
                         continue;
                     }
-                    let s = region.clone();
-                    let Some(dims) = component_dims(&comp, &s) else { continue };
-                    let spec = FissionSpec { set: s.clone(), dims, parts: 1 };
+                    let Some(dims) = component_dims(&comp, region) else { continue };
                     // "if f is valid": structural validation with the
                     // minimum useful part count.
-                    let mut probe = spec.clone();
-                    probe.parts = 2;
+                    let probe = FissionSpec { set: region.clone(), dims, parts: 2 };
                     if probe.validate(g).is_ok() {
-                        candidates.push((s, spec.dims, i));
+                        candidates.push((probe.set, probe.dims, i));
                     }
                 }
             }
@@ -264,10 +261,9 @@ impl FTree {
             let set: BTreeSet<NodeId> =
                 comp_nodes[start..start + len].iter().copied().collect();
             let Some(dims) = component_dims(comp, &set) else { continue };
-            let mut probe = FissionSpec { set: set.clone(), dims: dims.clone(), parts: 2 };
+            let probe = FissionSpec { set, dims, parts: 2 };
             if probe.validate(g).is_ok() {
-                probe.parts = 1;
-                candidates.push((set, dims, 1));
+                candidates.push((probe.set, probe.dims, 1));
             }
         }
         Self::assemble(candidates)
@@ -391,8 +387,10 @@ impl FTree {
                 let leaf = n.children.is_empty();
                 let parent_of_enabled_chain = n.children.iter().any(|&c| self.nodes[c].enabled())
                     && !self.has_enabled_ancestor(i);
+                // A disabled spec (`parts == 1`) validates exactly as
+                // its 2-part form: the extent check uses `parts.max(2)`.
                 if (leaf && !self.has_enabled_ancestor(i) || parent_of_enabled_chain)
-                    && self.mutated(g, i, 2).validate(g).is_ok()
+                    && n.spec.validate(g).is_ok()
                 {
                     out.push(FTreeMutation::Enable(i));
                 }
@@ -417,12 +415,6 @@ impl FTree {
             })
             .min()?;
         ((n.spec.parts + 1)..=extent).find(|k| extent % k == 0)
-    }
-
-    fn mutated(&self, _g: &Graph, i: usize, parts: u64) -> FissionSpec {
-        let mut spec = self.nodes[i].spec.clone();
-        spec.parts = parts;
-        spec
     }
 
     /// Rebuilds the candidate tree for an updated graph while

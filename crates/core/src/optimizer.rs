@@ -622,11 +622,16 @@ pub struct OptimizerStats {
     /// Time spent applying transformations. With `threads > 1` this is
     /// CPU time summed over workers, not wall-clock.
     pub trans_time: Duration,
-    /// Time spent (incremental) scheduling + simulating. The paper
-    /// separates "Sched." and "Simul."; our evaluation fuses them, so
-    /// the split is attributed by sub-phase below. CPU time summed
-    /// over workers.
+    /// Time spent building the fission overlay, (incrementally)
+    /// scheduling and simulating. The paper separates "Sched." and
+    /// "Simul."; our evaluation fuses them, so they are reported as one
+    /// figure, of which [`Self::overlay_time`] is the overlay's part.
+    /// CPU time summed over workers.
     pub sched_sim_time: Duration,
+    /// The part of `sched_sim_time` spent in `build_overlay_graph`
+    /// (applying every enabled fission region to the candidate's base
+    /// graph). CPU time summed over workers.
+    pub overlay_time: Duration,
     /// Time spent hashing/filtering duplicate graphs. CPU time summed
     /// over workers.
     pub hash_time: Duration,
@@ -754,17 +759,18 @@ enum CandOutcome {
     /// contiguous.
     Skipped,
     /// Apply or incremental evaluation failed; the candidate is
-    /// dropped.
-    Failed { trans: Duration, sched_sim: Duration },
+    /// dropped. In every variant `overlay` is the part of `sched_sim`
+    /// spent building the overlay graph.
+    Failed { trans: Duration, overlay: Duration, sched_sim: Duration },
     /// Evaluation panicked; the sandbox caught it. Counts a quarantine
     /// strike against the candidate's rule family at the merge.
     Panicked { trans: Duration },
     /// The evaluated cost failed validation (NaN / infinite /
     /// negative latency).
-    BadCost { trans: Duration, sched_sim: Duration },
+    BadCost { trans: Duration, overlay: Duration, sched_sim: Duration },
     /// Structural invariant violation caught in the worker
     /// ([`ParanoiaLevel::All`] only).
-    Invalid { trans: Duration, sched_sim: Duration },
+    Invalid { trans: Duration, overlay: Duration, sched_sim: Duration },
     /// A fully evaluated, hashed child state (boxed: this variant is
     /// ~20× the size of the others).
     Evaluated {
@@ -778,6 +784,7 @@ enum CandOutcome {
         /// must never be inserted into the evaluation cache.
         tainted: bool,
         trans: Duration,
+        overlay: Duration,
         sched_sim: Duration,
         hash_t: Duration,
     },
@@ -881,7 +888,13 @@ fn evaluate_candidate_inner(
     let t0 = Instant::now();
     let applied = match rules::apply(state, t) {
         Ok(a) => a,
-        Err(_) => return CandOutcome::Failed { trans: t0.elapsed(), sched_sim: Duration::ZERO },
+        Err(_) => {
+            return CandOutcome::Failed {
+                trans: t0.elapsed(),
+                overlay: Duration::ZERO,
+                sched_sim: Duration::ZERO,
+            }
+        }
     };
     let trans = t0.elapsed();
 
@@ -890,13 +903,13 @@ fn evaluate_candidate_inner(
     // cache, so a candidate whose graph was already evaluated (via any
     // rewrite path) skips the expensive schedule + simulate phases.
     let t0 = Instant::now();
-    let overlay = match build_overlay_graph(&applied.base, &applied.ftree) {
-        Ok(g) => g,
-        Err(_) => return CandOutcome::Failed { trans, sched_sim: t0.elapsed() },
+    let built = build_overlay_graph(&applied.base, &applied.ftree);
+    let overlay = t0.elapsed();
+    let Ok(graph) = built else {
+        return CandOutcome::Failed { trans, overlay, sched_sim: overlay };
     };
-    let overlay_t = t0.elapsed();
     let t0 = Instant::now();
-    let hash = graph_hash(&overlay);
+    let hash = graph_hash(&graph);
     let hash_t = t0.elapsed();
 
     let t0 = Instant::now();
@@ -911,14 +924,14 @@ fn evaluate_candidate_inner(
             (c, true)
         }
         None => {
-            let eval = match evaluate_overlay(&applied.base, overlay, Some(state), &applied.mutated, ctx)
+            let eval = match evaluate_overlay(&applied.base, graph, Some(state), &applied.mutated, ctx)
             {
                 Ok(e) => e,
                 Err(EvalError::Apply(_)) => {
-                    return CandOutcome::Failed { trans, sched_sim: overlay_t + t0.elapsed() }
+                    return CandOutcome::Failed { trans, overlay, sched_sim: overlay + t0.elapsed() }
                 }
                 Err(EvalError::Cost(_)) => {
-                    return CandOutcome::BadCost { trans, sched_sim: overlay_t + t0.elapsed() }
+                    return CandOutcome::BadCost { trans, overlay, sched_sim: overlay + t0.elapsed() }
                 }
             };
             let child = MState {
@@ -930,7 +943,7 @@ fn evaluate_candidate_inner(
             (child, false)
         }
     };
-    let sched_sim = overlay_t + t0.elapsed();
+    let sched_sim = overlay + t0.elapsed();
 
     let mut tainted = false;
     if let Some((plan, key)) = fault {
@@ -960,11 +973,11 @@ fn evaluate_candidate_inner(
     // Always-on cost validation: defective latencies must never reach
     // the objective, whatever the paranoia level.
     if !child.eval.latency.is_finite() || child.eval.latency < 0.0 {
-        return CandOutcome::BadCost { trans, sched_sim };
+        return CandOutcome::BadCost { trans, overlay, sched_sim };
     }
 
     if paranoia == ParanoiaLevel::All && check_invariants(&child, ctx).is_err() {
-        return CandOutcome::Invalid { trans, sched_sim };
+        return CandOutcome::Invalid { trans, overlay, sched_sim };
     }
 
     CandOutcome::Evaluated {
@@ -973,6 +986,7 @@ fn evaluate_candidate_inner(
         cache_hit,
         tainted,
         trans,
+        overlay,
         sched_sim,
         hash_t,
     }
@@ -1447,8 +1461,9 @@ impl<'a> Engine<'a> {
             };
             match o {
                 CandOutcome::Skipped => unreachable!("handled above"),
-                CandOutcome::Failed { trans, sched_sim } => {
+                CandOutcome::Failed { trans, overlay, sched_sim } => {
                     self.stats.trans_time += trans;
+                    self.stats.overlay_time += overlay;
                     self.stats.sched_sim_time += sched_sim;
                     reject("apply-failed", trans + sched_sim);
                 }
@@ -1461,15 +1476,17 @@ impl<'a> Engine<'a> {
                     self.stats.eval_cache_purged += purged;
                     obs.eval_cache_purged.add(purged as u64);
                 }
-                CandOutcome::BadCost { trans, sched_sim } => {
+                CandOutcome::BadCost { trans, overlay, sched_sim } => {
                     self.stats.trans_time += trans;
+                    self.stats.overlay_time += overlay;
                     self.stats.sched_sim_time += sched_sim;
                     self.stats.cost_rejections += 1;
                     obs.cost_rejections.inc();
                     reject("bad-cost", trans + sched_sim);
                 }
-                CandOutcome::Invalid { trans, sched_sim } => {
+                CandOutcome::Invalid { trans, overlay, sched_sim } => {
                     self.stats.trans_time += trans;
+                    self.stats.overlay_time += overlay;
                     self.stats.sched_sim_time += sched_sim;
                     self.stats.invariant_rejections += 1;
                     obs.invariant_rejections.inc();
@@ -1478,8 +1495,18 @@ impl<'a> Engine<'a> {
                     self.stats.eval_cache_purged += purged;
                     obs.eval_cache_purged.add(purged as u64);
                 }
-                CandOutcome::Evaluated { child, hash, cache_hit, tainted, trans, sched_sim, hash_t } => {
+                CandOutcome::Evaluated {
+                    child,
+                    hash,
+                    cache_hit,
+                    tainted,
+                    trans,
+                    overlay,
+                    sched_sim,
+                    hash_t,
+                } => {
                     self.stats.trans_time += trans;
+                    self.stats.overlay_time += overlay;
                     self.stats.sched_sim_time += sched_sim;
                     self.stats.hash_time += hash_t;
                     merged += 1;

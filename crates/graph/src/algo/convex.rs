@@ -6,27 +6,34 @@
 use super::bitset::BitSet;
 use crate::graph::NodeId;
 use crate::view::GraphView;
-use std::collections::BTreeSet;
 
-/// Tests whether the sub-graph induced by `set` is convex.
+/// Tests whether a node set is convex. `members` lists the set and
+/// `in_set` holds its dense membership marks (exactly the members'
+/// slots set, see [`BitSet::of_nodes`]).
 ///
-/// Runs a forward search from every edge that exits `set`; if the search
-/// re-enters `set`, some outside node sits on a path between two members
-/// and the set is not convex.
-pub fn is_convex<G: GraphView>(g: &G, set: &BTreeSet<NodeId>) -> bool {
+/// Runs a forward search from every edge that exits the set; if the
+/// search re-enters it, some outside node sits on a path between two
+/// members and the set is not convex. Walks raw successor lists — the
+/// verdict is a reachability fact, so duplicate edges and visiting
+/// order cannot change it.
+pub fn is_convex<G: GraphView>(
+    g: &G,
+    members: impl IntoIterator<Item = NodeId>,
+    in_set: &BitSet,
+) -> bool {
     let mut seen = BitSet::new(g.capacity());
     let mut stack: Vec<NodeId> = Vec::new();
-    for &v in set {
-        for s in g.suc(v) {
-            if !set.contains(&s) && !seen.contains(s.index()) {
+    for v in members {
+        for &s in g.node(v).succs() {
+            if !in_set.contains(s.index()) && !seen.contains(s.index()) {
                 seen.insert(s.index());
                 stack.push(s);
             }
         }
     }
     while let Some(v) = stack.pop() {
-        for s in g.suc(v) {
-            if set.contains(&s) {
+        for &s in g.node(v).succs() {
+            if in_set.contains(s.index()) {
                 return false;
             }
             if !seen.contains(s.index()) {
@@ -49,6 +56,10 @@ mod tests {
         TensorMeta::new([2], DType::F32)
     }
 
+    fn convex(g: &Graph, set: &[NodeId]) -> bool {
+        is_convex(g, set.iter().copied(), &BitSet::of_nodes(g.capacity(), set))
+    }
+
     #[test]
     fn chain_prefixes_convex() {
         let mut g = Graph::new();
@@ -56,10 +67,10 @@ mod tests {
         let a = g.add(OpKind::Unary(UnaryKind::Relu), &[x]).unwrap();
         let b = g.add(OpKind::Unary(UnaryKind::Relu), &[a]).unwrap();
         let c = g.add(OpKind::Unary(UnaryKind::Relu), &[b]).unwrap();
-        assert!(is_convex(&g, &[a, b].into_iter().collect()));
-        assert!(is_convex(&g, &[x, a, b, c].into_iter().collect()));
+        assert!(convex(&g, &[a, b]));
+        assert!(convex(&g, &[x, a, b, c]));
         // Gap in a chain: path a -> b -> c with b outside.
-        assert!(!is_convex(&g, &[a, c].into_iter().collect()));
+        assert!(!convex(&g, &[a, c]));
     }
 
     #[test]
@@ -70,16 +81,16 @@ mod tests {
         let b = g.add(OpKind::Unary(UnaryKind::Gelu), &[x]).unwrap();
         let c = g.add(OpKind::Binary(BinaryKind::Add), &[a, b]).unwrap();
         // {x, a, c} skips b but x -> b -> c re-enters: not convex.
-        assert!(!is_convex(&g, &[x, a, c].into_iter().collect()));
+        assert!(!convex(&g, &[x, a, c]));
         // The full diamond is convex; each branch alone is convex.
-        assert!(is_convex(&g, &[x, a, b, c].into_iter().collect()));
-        assert!(is_convex(&g, &[a].into_iter().collect()));
-        assert!(is_convex(&g, &[a, b].into_iter().collect()));
+        assert!(convex(&g, &[x, a, b, c]));
+        assert!(convex(&g, &[a]));
+        assert!(convex(&g, &[a, b]));
     }
 
     #[test]
     fn empty_set_is_convex() {
         let g = Graph::new();
-        assert!(is_convex(&g, &BTreeSet::new()));
+        assert!(convex(&g, &[]));
     }
 }

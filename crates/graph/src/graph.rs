@@ -369,6 +369,41 @@ impl Graph {
         Ok(())
     }
 
+    /// Adds the keepalive edge `u → m` for every pair of `from × to`,
+    /// checking and unsharing each endpoint once instead of once per
+    /// pair; vectors and error are those of the pairwise loop (contract
+    /// on [`GraphTxn::add_keepalive_fan`](crate::txn::GraphTxn::add_keepalive_fan)).
+    pub(crate) fn add_keepalive_fan(
+        &mut self,
+        from: &[NodeId],
+        to: &[NodeId],
+    ) -> Result<(), GraphError> {
+        if from.is_empty() || to.is_empty() {
+            return Ok(());
+        }
+        // Pair order is (from[0], to[..]), (from[1], to[..]), …
+        let mut endpoints = from[..1].iter().chain(to).chain(&from[1..]);
+        if let Some(&dead) = endpoints.find(|&&v| !self.contains(v)) {
+            return Err(GraphError::MissingNode(dead));
+        }
+        // A target listed k times receives every source k times in a row.
+        let mut targets = to.to_vec();
+        targets.sort_unstable();
+        for run in targets.chunk_by(|a, b| a == b) {
+            let keepalive = &mut self.node_mut(run[0]).keepalive;
+            keepalive.reserve(from.len() * run.len());
+            for &u in from {
+                keepalive.extend(std::iter::repeat_n(u, run.len()));
+            }
+        }
+        // A source listed k times receives the target list k times over;
+        // visiting each occurrence in turn gives exactly that.
+        for &u in from {
+            self.node_mut(u).succs.extend_from_slice(to);
+        }
+        Ok(())
+    }
+
     /// Replaces every use of `old` as an input of `user` with `new`
     /// (data and keepalive edges), maintaining reverse edges.
     ///

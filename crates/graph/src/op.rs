@@ -16,6 +16,7 @@
 //! `PartSlice`/`Merge` for the fission-overlay representation (§4.3).
 
 use crate::tensor::{DType, Shape, TensorMeta};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Role of a graph input node.
@@ -855,13 +856,16 @@ impl OpKind {
     /// operator's output dims / reduce axes (the D-Graph edge labels).
     ///
     /// The returned vector has one entry per input; each entry has one
-    /// [`DimLink`] per input dimension.
-    pub fn input_dim_links(
+    /// [`DimLink`] per input dimension. `inputs` may hold the metas
+    /// themselves or borrows of them (`&[&TensorMeta]`), so a caller
+    /// walking a graph need not clone one per edge.
+    pub fn input_dim_links<M: Borrow<TensorMeta>>(
         &self,
-        inputs: &[TensorMeta],
+        inputs: &[M],
         output: &TensorMeta,
     ) -> Vec<Vec<DimLink>> {
         use DimLink::{Reduce, Spatial, Unlinked};
+        let inputs: Vec<&TensorMeta> = inputs.iter().map(Borrow::borrow).collect();
         let ident = |t: &TensorMeta| -> Vec<DimLink> {
             (0..t.shape.rank()).map(Spatial).collect()
         };
@@ -966,8 +970,8 @@ impl OpKind {
                 // Integer up/down scaling: contiguous chunks correspond.
                 vec![vec![Spatial(0), Spatial(1), Spatial(2), Spatial(3)]]
             }
-            OpKind::Unary(_) => vec![ident(&inputs[0])],
-            OpKind::UnaryGrad(_) => vec![ident(&inputs[0]), ident(&inputs[1])],
+            OpKind::Unary(_) => vec![ident(inputs[0])],
+            OpKind::UnaryGrad(_) => vec![ident(inputs[0]), ident(inputs[1])],
             OpKind::Binary(_) => {
                 // Right-aligned broadcast: input dim i maps to output dim
                 // i + (out_rank - in_rank) when extents match.
@@ -1019,9 +1023,9 @@ impl OpKind {
                     })
                     .collect()]
             }
-            OpKind::Softmax { .. } | OpKind::LayerNorm { .. } => vec![ident(&inputs[0])],
+            OpKind::Softmax { .. } | OpKind::LayerNorm { .. } => vec![ident(inputs[0])],
             OpKind::SoftmaxGrad { .. } | OpKind::LayerNormGrad { .. } => {
-                vec![ident(&inputs[0]), ident(&inputs[1])]
+                vec![ident(inputs[0]), ident(inputs[1])]
             }
             OpKind::Embedding => {
                 let ids = &inputs[1];
@@ -1095,8 +1099,8 @@ impl OpKind {
                         .collect()
                 })
                 .collect(),
-            OpKind::Store | OpKind::Load => vec![ident(&inputs[0])],
-            OpKind::SgdUpdate => vec![ident(&inputs[0]), ident(&inputs[1])],
+            OpKind::Store | OpKind::Load => vec![ident(inputs[0])],
+            OpKind::SgdUpdate => vec![ident(inputs[0]), ident(inputs[1])],
         }
     }
 

@@ -147,6 +147,29 @@ impl GraphTxn {
         Ok(())
     }
 
+    /// Adds the keepalive edge `u → m` for every `u` in `from` and `m`
+    /// in `to`, touching each endpoint once. Graph and delta end up
+    /// exactly as after calling [`GraphTxn::add_keepalive`] for each
+    /// pair with `from` as the outer loop: every `m` gains `from`, in
+    /// order, at the end of its keepalive list, and every `u` gains
+    /// `to`, in order, at the end of its successor list. An empty side
+    /// means no pair: nothing is checked or changed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error the pairwise loop would hit first for a dead
+    /// endpoint; nothing has been modified then.
+    pub fn add_keepalive_fan(&mut self, from: &[NodeId], to: &[NodeId]) -> Result<(), GraphError> {
+        if from.is_empty() || to.is_empty() {
+            return Ok(());
+        }
+        self.g.add_keepalive_fan(from, to)?;
+        for &v in from.iter().chain(to) {
+            self.touch(v);
+        }
+        Ok(())
+    }
+
     /// Sets a node's display name.
     pub fn set_name(&mut self, id: NodeId, name: &str) {
         self.g.set_name(id, name);

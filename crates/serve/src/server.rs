@@ -135,7 +135,7 @@ struct Job {
     progress: Arc<ProgressCell>,
     /// Per-job JSONL trace sink (`trace.jsonl` in the job dir). `None`
     /// when the file could not be opened — tracing is best-effort and
-    /// must never fail a job.
+    /// must never fail a job — and once the job is done or failed.
     trace: Option<Arc<JsonlSink>>,
 }
 
@@ -581,7 +581,7 @@ fn settle(
     // Every lifecycle event below is also routed (tagged `job = id`)
     // into the job's trace.jsonl; dropping the guard flushes it, so a
     // settled job's trace is complete on disk.
-    let _g = tsink.map(|s| scoped_job(s, id));
+    let guard = tsink.map(|s| scoped_job(s, id));
     // Terminal journal writes happen outside the table lock; the job
     // is still in `Running` state so no other worker can touch it.
     let state = match outcome {
@@ -655,8 +655,16 @@ fn settle(
             JobState::Failed { error: e }
         }
     };
+    // Flush before the state becomes visible: whoever sees the job
+    // settled finds its complete trace on disk.
+    drop(guard);
     let mut t = inner.table.lock().unwrap();
     if let Some(j) = t.jobs.get_mut(&id) {
+        if matches!(state, JobState::Done { .. } | JobState::Failed { .. }) {
+            // A settled job records nothing more: release its sink, or
+            // the daemon holds one open descriptor per job ever served.
+            j.trace = None;
+        }
         j.state = state;
     }
     t.running -= 1;

@@ -6,6 +6,12 @@
 //! airtight against exactly the corruption classes fault injection
 //! produces.
 
+// The multi-pass validation that `FissionSpec::validate` replaced
+// lives with the rest of the old overlay algorithm.
+#[allow(dead_code)]
+#[path = "overlay_identity/reference.rs"]
+mod reference;
+
 use magis::core::dgraph::{component_dims, DimGraph};
 use magis::core::fission::{FissionError, FissionSpec};
 use magis::prelude::*;
@@ -190,5 +196,100 @@ proptest! {
             huge.validate(&g),
             Err(FissionError::ExtentTooSmall(_, _))
         ));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass validation must reach the verdict of the multi-pass
+    /// code it replaced — the same `Ok`, or the same error about the
+    /// same node — on specs damaged in every way a stale F-Tree or a
+    /// corrupted checkpoint could damage them. A spec usually breaks
+    /// several constraints at once, so this pins the order of the
+    /// checks, not just their presence.
+    #[test]
+    fn one_pass_validate_keeps_the_multi_pass_verdict(
+        seed in 0u64..300,
+        conv_net in any::<bool>(),
+        pick in 0usize..1000,
+        damage in prop::collection::vec(0usize..9, 1..4),
+        at in prop::collection::vec(0usize..1000, 3..=3),
+        dim in prop::collection::vec(-3i32..6, 3..=3),
+    ) {
+        let g = if conv_net { small_dnn(seed) } else { build_mlp(16 + seed % 48, 32, 4) };
+        let specs = valid_specs(&g);
+        prop_assume!(!specs.is_empty());
+        let mut spec = specs[pick % specs.len()].clone();
+        let nodes: Vec<NodeId> = g.node_ids().collect();
+        for (kind, (at, d)) in damage.into_iter().zip(at.into_iter().zip(dim)) {
+            let member = *spec.set.iter().nth(at % spec.set.len().max(1)).unwrap_or(&nodes[0]);
+            let any_node = nodes[at % nodes.len()];
+            match kind {
+                // Another dimension (0 and negatives included) for a member.
+                0 | 6 => {
+                    spec.dims.insert(member, d);
+                }
+                // A member dropped: the region may fall apart or stop
+                // being convex.
+                1 | 7 => {
+                    spec.set.remove(&member);
+                    spec.dims.remove(&member);
+                }
+                // Any node of the graph pulled in, with any dimension:
+                // weights, inputs, far-away or adjacent operators.
+                2 | 8 => {
+                    spec.set.insert(any_node);
+                    spec.dims.insert(any_node, d);
+                }
+                // Coverage broken in one direction.
+                3 => {
+                    spec.dims.remove(&member);
+                }
+                // A node that does not exist.
+                4 => {
+                    let ghost = NodeId::from_index(g.capacity() + at % 9);
+                    spec.set.insert(ghost);
+                    spec.dims.insert(ghost, d);
+                }
+                // More parts than any extent.
+                _ => spec.parts = 1 << (at % 40),
+            }
+        }
+        prop_assert_eq!(spec.validate(&g), reference::validate(&spec, &g), "spec {spec:?}");
+    }
+}
+
+/// The two verdicts the random damage above rarely reaches, and the one
+/// ordering that a single pass could get wrong: an input sliced along
+/// two axes is found while walking the region's edges, but an uncovered
+/// edge at a *later* node still outranks it.
+#[test]
+fn ambiguous_input_yields_to_a_later_uncovered_edge() {
+    let mut b = GraphBuilder::new(DType::F32);
+    let x = b.input([8, 8], "x");
+    let a = b.relu(x);
+    let t = b.transpose(x, &[1, 0]);
+    let j = b.add_op(a, t);
+    let k = b.relu(j);
+    let m = b.merge(k, magis::graph::op::MergeKind::Concat, 0, 2);
+    let g = b.finish();
+    let spec_of = |dims: &[(NodeId, i32)]| FissionSpec {
+        set: dims.iter().map(|&(v, _)| v).collect(),
+        dims: dims.iter().copied().collect(),
+        parts: 2,
+    };
+    // `a` reads rows of x, `t` reads columns: x cannot be sliced.
+    let ambiguous = spec_of(&[(a, 1), (t, 1), (j, 1)]);
+    assert_eq!(ambiguous.validate(&g), Err(FissionError::AmbiguousInputSlice(x)));
+    // Same region plus `k` split along the other axis: edge j -> k is
+    // uncovered, and that is what both report.
+    let both = spec_of(&[(a, 1), (t, 1), (j, 1), (k, 2)]);
+    assert_eq!(both.validate(&g), Err(FissionError::UncoveredEdge(j, k)));
+    // Fission bookkeeping operators never join a region.
+    let forbidden = spec_of(&[(k, 1), (m, 1)]);
+    assert_eq!(forbidden.validate(&g), Err(FissionError::ForbiddenOp(m)));
+    for spec in [ambiguous, both, forbidden] {
+        assert_eq!(spec.validate(&g), reference::validate(&spec, &g));
     }
 }

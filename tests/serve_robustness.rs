@@ -217,6 +217,69 @@ fn deterministic_results_are_served_from_the_result_cache() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
+/// Open descriptors of this process that point below `dir` (other
+/// tests of this binary run concurrently and open their own files).
+#[cfg(target_os = "linux")]
+fn open_fds_under(dir: &std::path::Path) -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .expect("procfs")
+        .filter_map(|e| std::fs::read_link(e.ok()?.path()).ok())
+        .filter(|target| target.starts_with(dir))
+        .count()
+}
+
+/// A long-lived daemon must not hold a descriptor per job it ever
+/// served: a settled job's trace sink is released, and its trace is
+/// complete on disk by the time the client sees the result.
+#[cfg(target_os = "linux")]
+#[test]
+fn settled_jobs_release_their_trace_descriptor() {
+    let state = scratch("fdleak");
+    let (handle, join) =
+        start(ServeConfig { state_dir: state.clone(), workers: 1, ..ServeConfig::default() });
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    // Every fifth job searches; the rest are result-cache hits, which
+    // open a trace sink all the same.
+    let serve = |c: &mut Client, n: usize| -> u64 {
+        (0..n)
+            .map(|k| {
+                let out = c.submit_and_wait(&unet_spec(4 + k % 5)).expect("served");
+                out.result.expect("job completes");
+                out.id
+            })
+            .last()
+            .expect("n > 0")
+    };
+    serve(&mut c, 10);
+    let after_10 = open_fds_under(&state);
+    let last = serve(&mut c, 50);
+    let after_60 = open_fds_under(&state);
+    assert!(
+        after_60 <= after_10 + 2,
+        "descriptors below the state dir grew with jobs served: {after_10} after 10, {after_60} after 60"
+    );
+
+    // What `magis trace-check --expect-job` checks, on a settled job:
+    // every line parses, carries `job = id`, and the terminal event made
+    // it to disk before the result was visible.
+    let trace = state.join(format!("jobs/job-{last}")).join(magis::serve::server::TRACE_FILE);
+    let text = std::fs::read_to_string(&trace).expect("settled job has a trace");
+    let mut names = Vec::new();
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let ev = magis::obs::trace::TraceEvent::parse_line(line).expect("record parses");
+        let tagged = ev.fields.iter().any(|(k, v)| {
+            k == "job" && matches!(v, magis::obs::trace::FieldValue::U64(n) if *n == last)
+        });
+        assert!(tagged, "record {}/{} carries no job={last} field", ev.target, ev.name);
+        names.push(ev.name);
+    }
+    assert!(names.iter().any(|n| n == "job_done"), "terminal event on disk: {names:?}");
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
 #[test]
 fn drain_journals_interrupted_jobs_and_restart_completes_them() {
     let state = scratch("drain");
