@@ -96,6 +96,16 @@ run cargo test -q --test cow_graph
 run env RUST_TEST_THREADS=1 cargo test -q --test overlay_identity
 run cargo test -q --test overlay_identity
 
+# M-Analyzer: the dense D-Graph / dominator-tree / F-Tree builder must
+# return, node for node and in the same order, the tree the algorithm it
+# replaced returned (kept as an oracle under tests/ftree_identity/) —
+# rule generation indexes F-Tree nodes and the MCTS driver draws from
+# the rule list, so every later state hangs on it. The dominator tree's
+# own differential test (crates/graph/tests/dom_tree_identity.rs) runs
+# with the workspace tests above.
+run env RUST_TEST_THREADS=1 cargo test -q --test ftree_identity
+run cargo test -q --test ftree_identity
+
 # Incremental evaluation: every delta-scheduled / delta-profiled /
 # cache-served candidate must be bit-identical to a from-scratch
 # re-evaluation (paranoid cross-check on the bench workloads), and the
@@ -223,7 +233,7 @@ rm -rf "$OBS_DIR"
 # overlay-free workload. The traced replay checks every staged candidate
 # bit-equal to `MState::from_applied`; the last line of a run is its
 # result object and says whether every check held.
-for workload in bert_full unet_small; do
+for workload in bert_full unet_small resnet_planned_mcts; do
     echo
     echo "==> benchmark smoke ($workload)"
     BENCH_OUT="$(mktemp -d)"

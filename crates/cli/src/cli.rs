@@ -10,7 +10,7 @@ use magis_core::fission::apply_full;
 use magis_core::budget::SearchBudget;
 use magis_core::driver::DriverKind;
 use magis_core::optimizer::{
-    self, try_optimize, CheckpointPolicy, Objective, OptimizeResult, OptimizerConfig,
+    self, optimize_from, CheckpointPolicy, Objective, OptimizeResult, OptimizerConfig,
     ParanoiaLevel,
 };
 use magis_core::state::{EvalContext, EvalMode, MState};
@@ -387,6 +387,29 @@ fn objective_for(
     }
 }
 
+/// The evaluation context `optimize` searches under (`--objective`,
+/// `--eval`) — and evaluates the seed under, so the search can start
+/// from that evaluation.
+fn eval_context(flags: &HashMap<String, String>, backend: &Backend) -> Result<EvalContext, CliError> {
+    let mut ctx = EvalContext::for_backend(backend);
+    ctx.mem_objective = match flags.get("objective") {
+        None => MemObjective::default(),
+        Some(v) => MemObjective::parse(v).ok_or_else(|| {
+            CliError::Usage(format!("--objective expects liveness|planned, got '{v}'"))
+        })?,
+    };
+    ctx.mode = match flags.get("eval").map(String::as_str) {
+        None | Some("incremental") => EvalMode::Incremental,
+        Some("full") => EvalMode::Full,
+        Some(v) => {
+            return Err(CliError::Usage(format!(
+                "--eval expects incremental|full, got '{v}'"
+            )))
+        }
+    };
+    Ok(ctx)
+}
+
 /// Shared `optimize` config knobs: budget, threads, paranoia,
 /// checkpointing.
 fn search_config(
@@ -413,22 +436,7 @@ fn search_config(
         .with_threads(threads)
         .with_paranoia(paranoia)
         .with_driver(driver);
-    cfg.ctx = EvalContext::for_backend(backend);
-    cfg.ctx.mem_objective = match flags.get("objective") {
-        None => MemObjective::default(),
-        Some(v) => MemObjective::parse(v).ok_or_else(|| {
-            CliError::Usage(format!("--objective expects liveness|planned, got '{v}'"))
-        })?,
-    };
-    cfg.ctx.mode = match flags.get("eval").map(String::as_str) {
-        None | Some("incremental") => EvalMode::Incremental,
-        Some("full") => EvalMode::Full,
-        Some(v) => {
-            return Err(CliError::Usage(format!(
-                "--eval expects incremental|full, got '{v}'"
-            )))
-        }
-    };
+    cfg.ctx = eval_context(flags, backend)?;
     let cache_cap = usize_flag(flags, "eval-cache", cfg.eval_cache)?;
     cfg = cfg.with_eval_cache(cache_cap);
     let mut search_budget = SearchBudget::UNLIMITED;
@@ -544,6 +552,7 @@ fn print_summary(seed_cost: (u64, f64), res: &OptimizeResult) {
             s.eval_cache_hits, s.eval_cache_misses, s.eval_cache_evictions, s.eval_cache_purged
         ),
     );
+    row("time:   analyze", format!("{}  ({} analyses)", secs(s.analyze_time), s.analyses));
     row("time: transform", secs(s.trans_time));
     row("time: sched + sim", secs(s.sched_sim_time));
     row("time:   overlay build", format!("{}  (part of sched + sim)", secs(s.overlay_time)));
@@ -615,22 +624,22 @@ fn cmd_optimize_inner(flags: &HashMap<String, String>, mode: &str) -> Result<(),
     let w = workload(flags)?;
     let scale = f64_flag(flags, "scale", 0.5)?;
     let tg = w.build(scale);
-    let ctx = EvalContext::for_backend(&backend);
-    let init = MState::try_initial(tg.graph.clone(), &ctx)
+    let nodes = tg.graph.len();
+    let init = MState::try_initial(tg.graph, &eval_context(flags, &backend)?)
         .map_err(|e| CliError::Runtime(format!("evaluating the seed graph: {e}")))?;
-    let objective = objective_for(flags, mode, init.cost())?;
+    // The relative limit and the report are stated against the
+    // liveness peak, under either memory objective.
+    let seed_cost = (init.eval.peak_bytes, init.eval.latency);
+    let objective = objective_for(flags, mode, seed_cost)?;
     eprintln!(
-        "{}: {} nodes, baseline {:.3} GiB / {:.2} ms on {}; optimizing ({mode})…",
+        "{}: {nodes} nodes, baseline {:.3} GiB / {:.2} ms on {}; optimizing ({mode})…",
         w.label(),
-        tg.graph.len(),
-        gib(init.eval.peak_bytes),
-        init.eval.latency * 1e3,
+        gib(seed_cost.0),
+        seed_cost.1 * 1e3,
         backend.name()
     );
     let cfg = search_config(flags, objective, &backend)?;
-    let res = try_optimize(tg.graph, &cfg)
-        .map_err(|e| CliError::Runtime(format!("optimizing: {e}")))?;
-    report_result(flags, init.cost(), &res)
+    report_result(flags, seed_cost, &optimize_from(init, &cfg))
 }
 
 fn render(best: &MState, emit: &str, cm: &CostModel) -> Result<String, CliError> {

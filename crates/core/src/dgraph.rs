@@ -15,36 +15,55 @@ use magis_graph::GraphView;
 use magis_graph::graph::{Graph, NodeId};
 use magis_graph::op::DimLink;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// A D-Graph vertex `⟨node, dim⟩`: `dim > 0` is the 1-based output
 /// dimension, `dim < 0` is the (negated, 1-based) reduce axis.
 pub type DimVertex = (NodeId, i32);
 
-/// The Dimension Graph `D(G)`.
+/// The Dimension Graph `D(G)`, numbered densely: vertex `k` is
+/// `verts[k]`, and the numbering follows `(NodeId, dim)` order — each
+/// node's reduce axes, then its output dimensions.
 #[derive(Debug, Clone, Default)]
 pub struct DimGraph {
-    /// Undirected adjacency (both directions stored).
-    adj: BTreeMap<DimVertex, BTreeSet<DimVertex>>,
+    /// Vertices in ascending `(NodeId, dim)` order.
+    verts: Vec<DimVertex>,
+    /// Undirected edges as vertex-number pairs, one entry per link.
+    edges: Vec<(u32, u32)>,
+    /// The multi-vertex components in order of their smallest vertex,
+    /// vertices ascending within each.
+    comps: Vec<Vec<DimVertex>>,
 }
 
 impl DimGraph {
-    /// Builds `D(G)`.
+    /// Builds `D(G)` and its components in one pass over the dimension
+    /// links (union-find, so no adjacency sets are materialised).
     pub fn build(g: &Graph) -> Self {
-        let mut adj: BTreeMap<DimVertex, BTreeSet<DimVertex>> = BTreeMap::new();
-        // Vertices.
+        // Vertices: `dims[slot]` is the slot's vertex-number range and
+        // `zero[slot]` the number dimension "0" would have, so `⟨v, d⟩`
+        // is `zero[v] + d` for a reduce axis and one less for an output
+        // dimension.
+        let mut verts = Vec::new();
+        let mut dims: Vec<Range<u32>> = vec![0..0; g.capacity()];
+        let mut zero = vec![0u32; g.capacity()];
         for v in g.node_ids() {
             let n = g.node(v);
             if !n.op.in_dim_graph() {
                 continue;
             }
-            for i in 1..=n.meta.shape.rank() as i32 {
-                adj.entry((v, i)).or_default();
-            }
-            for r in 1..=n.op.num_reduce_axes() as i32 {
-                adj.entry((v, -r)).or_default();
-            }
+            let first = verts.len() as u32;
+            verts.extend((1..=n.op.num_reduce_axes() as i32).rev().map(|r| (v, -r)));
+            zero[v.index()] = verts.len() as u32;
+            verts.extend((1..=n.meta.shape.rank() as i32).map(|i| (v, i)));
+            dims[v.index()] = first..verts.len() as u32;
         }
-        // Edges.
+        let number = |v: NodeId, d: i64| -> Option<u32> {
+            let k = u32::try_from(i64::from(zero[v.index()]) + d - i64::from(d > 0)).ok()?;
+            dims[v.index()].contains(&k).then_some(k)
+        };
+        // Edges, unioned as they are found.
+        let mut edges = Vec::new();
+        let mut uf = UnionFind { parent: (0..verts.len() as u32).collect(), size: vec![1; verts.len()] };
         for v in g.node_ids() {
             let n = g.node(v);
             if !n.op.in_dim_graph() || n.op.is_input() {
@@ -57,69 +76,108 @@ impl DimGraph {
                     continue;
                 }
                 for (i, link) in links[slot].iter().enumerate() {
-                    let uv = (u, i as i32 + 1);
-                    let vv = match link {
-                        DimLink::Spatial(j) => (v, *j as i32 + 1),
+                    let d = match link {
+                        DimLink::Spatial(j) => *j as i64 + 1,
                         // Windowed links join the same spatial axis;
                         // halo costs are applied at fission time.
-                        DimLink::Windowed { dim, .. } => (v, *dim as i32 + 1),
-                        DimLink::Reduce(r) => (v, -(*r as i32 + 1)),
+                        DimLink::Windowed { dim, .. } => *dim as i64 + 1,
+                        DimLink::Reduce(r) => -(*r as i64 + 1),
                         DimLink::Unlinked => continue,
                     };
-                    if adj.contains_key(&uv) && adj.contains_key(&vv) {
-                        // Unwrap audit: both keys checked present on
-                        // the line above.
-                        adj.get_mut(&uv).expect("vertex").insert(vv);
-                        adj.get_mut(&vv).expect("vertex").insert(uv);
+                    if let (Some(a), Some(b)) = (number(u, i as i64 + 1), number(v, d)) {
+                        edges.push((a, b));
+                        uf.union(a, b);
                     }
                 }
             }
         }
-        DimGraph { adj }
+        // Group by component. Scanning vertices in ascending order
+        // meets every component at its smallest vertex first, which
+        // fixes the component order; lone vertices are dropped.
+        const NONE: u32 = u32::MAX;
+        let mut comp_of_root = vec![NONE; verts.len()];
+        let mut comps: Vec<Vec<DimVertex>> = Vec::new();
+        for (k, &v) in verts.iter().enumerate() {
+            let r = uf.find(k as u32) as usize;
+            if uf.size[r] > 1 {
+                if comp_of_root[r] == NONE {
+                    comp_of_root[r] = comps.len() as u32;
+                    comps.push(Vec::with_capacity(uf.size[r] as usize));
+                }
+                comps[comp_of_root[r] as usize].push(v);
+            }
+        }
+        DimGraph { verts, edges, comps }
     }
 
     /// Number of vertices.
     pub fn len(&self) -> usize {
-        self.adj.len()
+        self.verts.len()
     }
 
     /// Whether the D-Graph is empty.
     pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
+        self.verts.is_empty()
     }
 
-    /// Neighbours of a vertex.
+    /// Neighbours of a vertex, ascending and without repeats. A scan of
+    /// the edge list: the analyzer itself only consumes components.
     pub fn neighbours(&self, v: DimVertex) -> impl Iterator<Item = DimVertex> + '_ {
-        self.adj.get(&v).into_iter().flatten().copied()
+        let k = self.verts.binary_search(&v).ok().map(|k| k as u32);
+        let other_end = move |&(a, b): &(u32, u32)| match k {
+            Some(k) if a == k => Some(b),
+            Some(k) if b == k => Some(a),
+            _ => None,
+        };
+        let out: BTreeSet<DimVertex> =
+            self.edges.iter().filter_map(other_end).map(|n| self.verts[n as usize]).collect();
+        out.into_iter()
     }
 
     /// All vertices.
     pub fn vertices(&self) -> impl Iterator<Item = DimVertex> + '_ {
-        self.adj.keys().copied()
+        self.verts.iter().copied()
+    }
+
+    /// The components as ascending vertex slices.
+    pub(crate) fn component_slices(&self) -> impl Iterator<Item = &[DimVertex]> + '_ {
+        self.comps.iter().map(Vec::as_slice)
     }
 
     /// Weakly connected components with more than one vertex (a lone
-    /// dimension connects nothing and cannot drive a fission).
+    /// dimension connects nothing and cannot drive a fission), in order
+    /// of their smallest vertex.
     pub fn components(&self) -> Vec<BTreeSet<DimVertex>> {
-        let mut remaining: BTreeSet<DimVertex> = self.adj.keys().copied().collect();
-        let mut out = Vec::new();
-        while let Some(&seed) = remaining.iter().next() {
-            remaining.remove(&seed);
-            let mut comp = BTreeSet::new();
-            let mut stack = vec![seed];
-            while let Some(v) = stack.pop() {
-                comp.insert(v);
-                for n in self.neighbours(v) {
-                    if remaining.remove(&n) {
-                        stack.push(n);
-                    }
-                }
-            }
-            if comp.len() > 1 {
-                out.push(comp);
-            }
+        self.component_slices().map(|c| c.iter().copied().collect()).collect()
+    }
+}
+
+/// Union-find over vertex numbers (union by size, path halving).
+struct UnionFind {
+    parent: Vec<u32>,
+    size: Vec<u32>,
+}
+
+impl UnionFind {
+    fn find(&mut self, mut k: u32) -> u32 {
+        while self.parent[k as usize] != k {
+            let up = self.parent[self.parent[k as usize] as usize];
+            self.parent[k as usize] = up;
+            k = up;
         }
-        out
+        k
+    }
+
+    fn union(&mut self, a: u32, b: u32) {
+        let (mut a, mut b) = (self.find(a), self.find(b));
+        if a == b {
+            return;
+        }
+        if self.size[a as usize] < self.size[b as usize] {
+            std::mem::swap(&mut a, &mut b);
+        }
+        self.parent[b as usize] = a;
+        self.size[a as usize] += self.size[b as usize];
     }
 }
 

@@ -44,49 +44,50 @@ pub struct FTree {
 
 /// Restricts a component to the nodes reachable from its "dominant"
 /// entry — the entry node with the largest reachable set within the
-/// component. Returns `None` when the component has no entry (cannot
-/// happen for DAG-induced sets, defensively handled).
+/// component (ties go to the largest id) — in ascending id order.
+/// Returns `None` when the component has no entry (cannot happen for
+/// DAG-induced sets, defensively handled). The component is
+/// `comp_nodes`, also marked as `in_comp[slot] == comp`; `seen` and
+/// `epoch` are the caller's scratch stamps.
 fn dominant_entry_region(
     g: &Graph,
-    comp: &BTreeSet<NodeId>,
-) -> Option<BTreeSet<NodeId>> {
-    // Dense membership marks; raw neighbour slices (duplicates are
-    // harmless for both the entry test and the reach DFS).
-    let mut in_comp = vec![false; g.capacity()];
-    for &v in comp {
-        in_comp[v.index()] = true;
-    }
-    let entries: Vec<NodeId> = comp
-        .iter()
-        .copied()
-        .filter(|&v| {
-            let n = g.node(v);
-            n.inputs().iter().chain(n.keepalive()).all(|p| !in_comp[p.index()])
-        })
-        .collect();
-    let mut seen = vec![false; g.capacity()];
-    let mut best: Option<BTreeSet<NodeId>> = None;
-    for e in entries {
-        seen.fill(false);
-        let mut out: BTreeSet<NodeId> = BTreeSet::new();
-        let mut stack = vec![e];
-        seen[e.index()] = true;
-        while let Some(v) = stack.pop() {
-            out.insert(v);
+    comp_nodes: &[NodeId],
+    in_comp: &[u32],
+    comp: u32,
+    seen: &mut [u32],
+    epoch: &mut u32,
+) -> Option<Vec<NodeId>> {
+    // Raw neighbour slices: duplicates are harmless for both the entry
+    // test and the reach walk.
+    let inside = |v: &NodeId| in_comp[v.index()] == comp;
+    let (mut best, mut out) = (Vec::new(), Vec::new());
+    for &e in comp_nodes {
+        let n = g.node(e);
+        if n.inputs().iter().chain(n.keepalive()).any(inside) {
+            continue;
+        }
+        *epoch += 1;
+        out.clear();
+        out.push(e);
+        seen[e.index()] = *epoch;
+        let mut next = 0;
+        while let Some(&v) = out.get(next) {
+            next += 1;
             for &s in g.node(v).succs() {
-                if in_comp[s.index()] && !seen[s.index()] {
-                    seen[s.index()] = true;
-                    stack.push(s);
+                if inside(&s) && seen[s.index()] != *epoch {
+                    seen[s.index()] = *epoch;
+                    out.push(s);
                 }
             }
         }
         // `max_by_key` keeps the *last* maximum among ties; entries are
-        // visited in the same (sorted) order, so `>=` replicates it.
-        if best.as_ref().is_none_or(|b| out.len() >= b.len()) {
-            best = Some(out);
+        // visited in ascending order, so `>=` replicates it.
+        if out.len() >= best.len() {
+            std::mem::swap(&mut best, &mut out);
         }
     }
-    best
+    best.sort_unstable();
+    (!best.is_empty()).then_some(best)
 }
 
 /// A mutation of one F-Tree node (§5.1).
@@ -109,20 +110,40 @@ impl FTree {
     /// Builds the F-Tree for `g` with hot-spots `h` and max-level `l`
     /// (Algorithm 1).
     pub fn build(g: &Graph, hotspots: &BTreeSet<NodeId>, l: usize) -> Self {
+        /// `dim_of` entry of a node with two dims in the component
+        /// (constraint (3) of §4.2 wants exactly one).
+        const AMBIGUOUS: i32 = i32::MIN;
         let dg = DimGraph::build(g);
         let mut candidates: Vec<(BTreeSet<NodeId>, BTreeMap<NodeId, i32>, usize)> = Vec::new();
         // Dense hot-spot marks and epoch-stamped scratch tables shared
-        // across components (score loop below).
-        let mut hot = vec![false; g.capacity()];
+        // across components: a mark is set iff it equals the epoch of
+        // the pass that reads it, so nothing is ever cleared.
+        let cap = g.capacity();
+        let mut hot = vec![false; cap];
         for &h in hotspots {
             hot[h.index()] = true;
         }
-        let mut in_region = vec![0u32; g.capacity()];
-        let mut pred_mark = vec![0u32; g.capacity()];
         let mut epoch = 0u32;
-        for comp in dg.components() {
-            // G' := sub-graph of G induced from the component's nodes.
-            let comp_nodes: BTreeSet<NodeId> = comp.iter().map(|&(v, _)| v).collect();
+        let (mut in_comp, mut seen, mut counted) = (vec![0u32; cap], vec![0u32; cap], vec![0u32; cap]);
+        let mut dim_of = vec![0i32; cap];
+        let mut stratum = vec![0usize; cap];
+        let mut comp_nodes: Vec<NodeId> = Vec::new();
+        let mut scored: Vec<(NodeId, f64)> = Vec::new();
+        for comp in dg.component_slices() {
+            // G' := sub-graph of G induced from the component's nodes,
+            // with each node's dim choice in the component.
+            epoch += 1;
+            let comp_epoch = epoch;
+            comp_nodes.clear();
+            for &(v, d) in comp {
+                if in_comp[v.index()] == comp_epoch {
+                    dim_of[v.index()] = AMBIGUOUS;
+                } else {
+                    in_comp[v.index()] = comp_epoch;
+                    dim_of[v.index()] = d;
+                    comp_nodes.push(v);
+                }
+            }
             if comp_nodes.len() < 2 {
                 continue;
             }
@@ -132,88 +153,83 @@ impl FTree {
             // input, in training graphs) and ignore secondary entries
             // (labels, mid-graph joins), which would otherwise pull
             // every post-loss node up to the virtual root.
-            let comp_nodes = match dominant_entry_region(g, &comp_nodes) {
-                Some(r) => r,
-                None => comp_nodes,
-            };
-            if comp_nodes.len() < 2 {
+            let region =
+                dominant_entry_region(g, &comp_nodes, &in_comp, comp_epoch, &mut seen, &mut epoch)
+                    .unwrap_or_else(|| comp_nodes.clone());
+            if region.len() < 2 {
                 continue;
             }
-            let t = DomTree::compute(g, &comp_nodes);
-            // Scores per Eq. (3)/(4) with n = 2. Descendant sets are
-            // computed once per node here and reused by the
-            // stratification loop below (each walk allocates a fresh
-            // set, so repeating it per interval is pure waste).
-            // The region-input sum replicates `g.set_inputs(&region)`
-            // exactly — unique out-of-region preds, summed in ascending
-            // id order (f64 addition order matters for bit-identity) —
-            // using epoch-stamped dense marks instead of tree sets.
-            let sizes = |v: NodeId| g.node(v).size_bytes() as f64;
-            let mut scores: BTreeMap<NodeId, f64> = BTreeMap::new();
-            let mut desc: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
-            for v in t.nodes() {
-                let region = t.descendants(v);
-                let region = desc.entry(v).or_insert(region);
-                if region.is_empty() {
+            let t = DomTree::compute(g, &region.iter().copied().collect());
+            // Scores per Eq. (3)/(4) with n = 2: half the hot bytes a
+            // node dominates minus the cold bytes that region reads
+            // from outside (unique out-of-region preds). Tensor sizes
+            // are integers, so the sums are taken in `u64` and
+            // converted once; below 2^53 that equals the `f64` sum in
+            // any order.
+            let bytes = |v: NodeId| g.node(v).size_bytes();
+            let mut smax = f64::MIN;
+            scored.clear();
+            for &v in &region {
+                stratum[v.index()] = 0;
+                let des = t.descendants_slice(v);
+                if des.is_empty() {
                     continue;
                 }
+                // One stamp serves both "inside the region" and "outside
+                // but already counted": either way a pred is skipped.
                 epoch += 1;
-                for &w in region.iter() {
-                    in_region[w.index()] = epoch;
+                for &w in des {
+                    counted[w.index()] = epoch;
                 }
-                let heat: f64 = region
-                    .iter()
-                    .filter(|w| hot[w.index()])
-                    .map(|&w| sizes(w))
-                    .sum();
-                let mut preds: Vec<NodeId> = Vec::new();
-                for &w in region.iter() {
+                let (mut heat, mut inputs) = (0u64, 0u64);
+                for &w in des {
+                    if hot[w.index()] {
+                        heat += bytes(w);
+                    }
                     let nd = g.node(w);
                     for &p in nd.inputs().iter().chain(nd.keepalive()) {
-                        if in_region[p.index()] != epoch && pred_mark[p.index()] != epoch {
-                            pred_mark[p.index()] = epoch;
-                            preds.push(p);
+                        if counted[p.index()] != epoch {
+                            counted[p.index()] = epoch;
+                            if !hot[p.index()] {
+                                inputs += bytes(p);
+                            }
                         }
                     }
                 }
-                preds.sort_unstable();
-                let inputs: f64 = preds
-                    .iter()
-                    .filter(|u| !hot[u.index()])
-                    .map(|&u| sizes(u))
-                    .sum();
-                scores.insert(v, 0.5 * heat - inputs);
+                debug_assert!(heat.max(inputs) < 1 << 53, "byte sums must stay exact in f64");
+                let score = 0.5 * heat as f64 - inputs as f64;
+                smax = smax.max(score);
+                scored.push((v, score));
             }
-            let smax = scores.values().copied().fold(f64::MIN, f64::max);
             if smax <= 0.0 {
                 continue;
             }
-            // Stratify into L intervals; in each interval keep the
-            // dominator-tree-deepest nodes (no descendant in the same
-            // interval).
-            for i in 1..=l {
-                let lo = i as f64 / l as f64;
-                let hi = (i + 1) as f64 / l as f64;
-                let v_i: BTreeSet<NodeId> = scores
-                    .iter()
-                    .filter(|(_, &s)| {
-                        let ns = s / smax;
+            // Stratify into L intervals (a score falls in at most one);
+            // in each interval keep the dominator-tree-deepest nodes
+            // (no descendant in the same interval).
+            for &(v, score) in &scored {
+                let ns = score / smax;
+                stratum[v.index()] = (1..=l)
+                    .find(|&i| {
+                        let lo = i as f64 / l as f64;
+                        let hi = (i + 1) as f64 / l as f64;
                         ns >= lo && (ns < hi || (i == l && ns <= 1.0))
                     })
-                    .map(|(&v, _)| v)
-                    .collect();
-                for &vdom in &v_i {
-                    let region = &desc[&vdom];
-                    if region.iter().any(|d| v_i.contains(d)) {
+                    .unwrap_or(0);
+            }
+            for i in 1..=l {
+                for &(vdom, _) in scored.iter().filter(|(v, _)| stratum[v.index()] == i) {
+                    let des = t.descendants_slice(vdom);
+                    if des.iter().any(|d| stratum[d.index()] == i || dim_of[d.index()] == AMBIGUOUS) {
                         continue;
                     }
-                    if region.is_empty() {
-                        continue;
-                    }
-                    let Some(dims) = component_dims(&comp, region) else { continue };
                     // "if f is valid": structural validation with the
                     // minimum useful part count.
-                    let probe = FissionSpec { set: region.clone(), dims, parts: 2 };
+                    let probe = FissionSpec {
+                        set: des.iter().copied().collect(),
+                        dims: des.iter().map(|d| (*d, dim_of[d.index()])).collect(),
+                        parts: 2,
+                    };
                     if probe.validate(g).is_ok() {
                         candidates.push((probe.set, probe.dims, i));
                     }
@@ -278,28 +294,28 @@ impl FTree {
         candidates.dedup_by(|a, b| a.0 == b.0);
         let mut tree = FTree { nodes: Vec::new() };
         for (set, dims, level) in candidates {
-            // Parent: the smallest existing node strictly containing set.
-            let mut parent: Option<usize> = None;
-            for (i, n) in tree.nodes.iter().enumerate() {
-                if n.spec.set.len() > set.len() && set.is_subset(&n.spec.set) {
-                    match parent {
-                        Some(p) if tree.nodes[p].spec.set.len() <= n.spec.set.len() => {}
-                        _ => parent = Some(i),
-                    }
-                }
-            }
-            let idx = tree.nodes.len();
-            tree.nodes.push(FTreeNode {
-                spec: FissionSpec { set, dims, parts: 1 },
-                parent,
-                children: Vec::new(),
-                level,
-            });
-            if let Some(p) = parent {
-                tree.nodes[p].children.push(idx);
-            }
+            tree.hook(FissionSpec { set, dims, parts: 1 }, level);
         }
         tree
+    }
+
+    /// Appends a node under the smallest existing node that strictly
+    /// contains its region (the first among equally small ones).
+    fn hook(&mut self, spec: FissionSpec, level: usize) {
+        let mut parent: Option<usize> = None;
+        for (i, n) in self.nodes.iter().enumerate() {
+            if n.spec.set.len() > spec.set.len()
+                && spec.set.is_subset(&n.spec.set)
+                && parent.is_none_or(|p| self.nodes[p].spec.set.len() > n.spec.set.len())
+            {
+                parent = Some(i);
+            }
+        }
+        let idx = self.nodes.len();
+        if let Some(p) = parent {
+            self.nodes[p].children.push(idx);
+        }
+        self.nodes.push(FTreeNode { spec, parent, children: Vec::new(), level });
     }
 
     /// Number of tree nodes.
@@ -364,39 +380,41 @@ impl FTree {
         true
     }
 
-    /// Legal mutations of the current tree (the rule generator of §5.1).
-    pub fn legal_mutations(&self, g: &Graph) -> Vec<FTreeMutation> {
-        let mut out = Vec::new();
-        for i in 0..self.nodes.len() {
-            let n = &self.nodes[i];
-            if n.enabled() {
-                if !self.has_enabled_ancestor(i) {
-                    if let Some(p) = n.parent {
-                        if !self.nodes[p].enabled() {
-                            out.push(FTreeMutation::Lift(i));
-                        }
-                    }
-                }
-                if !self.has_enabled_descendant(i) {
-                    out.push(FTreeMutation::Disable(i));
-                }
-                if self.next_parts(g, i).is_some() {
-                    out.push(FTreeMutation::Mutate(i));
-                }
-            } else {
-                let leaf = n.children.is_empty();
-                let parent_of_enabled_chain = n.children.iter().any(|&c| self.nodes[c].enabled())
-                    && !self.has_enabled_ancestor(i);
-                // A disabled spec (`parts == 1`) validates exactly as
-                // its 2-part form: the extent check uses `parts.max(2)`.
-                if (leaf && !self.has_enabled_ancestor(i) || parent_of_enabled_chain)
+    /// Whether `m` is a legal mutation of the current tree (§5.1,
+    /// Fig. 7); an index outside the tree is never legal.
+    pub fn is_legal(&self, g: &Graph, m: FTreeMutation) -> bool {
+        let (FTreeMutation::Enable(i)
+        | FTreeMutation::Lift(i)
+        | FTreeMutation::Disable(i)
+        | FTreeMutation::Mutate(i)) = m;
+        let Some(n) = self.nodes.get(i) else { return false };
+        match m {
+            FTreeMutation::Lift(_) => {
+                // No enabled ancestor also means the parent is disabled.
+                n.enabled() && n.parent.is_some() && !self.has_enabled_ancestor(i)
+            }
+            FTreeMutation::Disable(_) => n.enabled() && !self.has_enabled_descendant(i),
+            FTreeMutation::Mutate(_) => n.enabled() && self.next_parts(g, i).is_some(),
+            FTreeMutation::Enable(_) => {
+                // A leaf, or the parent of an enabled node. A disabled
+                // spec (`parts == 1`) validates exactly as its 2-part
+                // form: the extent check uses `parts.max(2)`.
+                !n.enabled()
+                    && (n.children.is_empty() || n.children.iter().any(|&c| self.nodes[c].enabled()))
+                    && !self.has_enabled_ancestor(i)
                     && n.spec.validate(g).is_ok()
-                {
-                    out.push(FTreeMutation::Enable(i));
-                }
             }
         }
-        out
+    }
+
+    /// Legal mutations of the current tree (the rule generator of
+    /// §5.1), node by node.
+    pub fn legal_mutations(&self, g: &Graph) -> Vec<FTreeMutation> {
+        use FTreeMutation::{Disable, Enable, Lift, Mutate};
+        (0..self.nodes.len())
+            .flat_map(|i| [Lift(i), Disable(i), Mutate(i), Enable(i)])
+            .filter(|&m| self.is_legal(g, m))
+            .collect()
     }
 
     /// The smallest valid part count greater than the node's current
@@ -429,26 +447,8 @@ impl FTree {
             if let Some(pos) = t.nodes.iter().position(|n| n.spec.set == old.spec.set) {
                 t.nodes[pos].spec.parts = old.spec.parts;
             } else if old.spec.validate(g).is_ok() {
-                // Re-insert as a candidate, then hook containment.
-                let idx = t.nodes.len();
-                let mut parent: Option<usize> = None;
-                for (i, n) in t.nodes.iter().enumerate() {
-                    if n.spec.set.len() > old.spec.set.len()
-                        && old.spec.set.is_subset(&n.spec.set)
-                        && parent.is_none_or(|p| t.nodes[p].spec.set.len() > n.spec.set.len())
-                    {
-                        parent = Some(i);
-                    }
-                }
-                t.nodes.push(FTreeNode {
-                    spec: old.spec.clone(),
-                    parent,
-                    children: Vec::new(),
-                    level: old.level,
-                });
-                if let Some(p) = parent {
-                    t.nodes[p].children.push(idx);
-                }
+                // Re-insert as a candidate.
+                t.hook(old.spec.clone(), old.level);
             }
         }
         t
@@ -461,7 +461,7 @@ impl FTree {
     ///
     /// Returns `Err` if the mutation is not currently legal.
     pub fn apply(&self, g: &Graph, m: FTreeMutation) -> Result<(FTree, BTreeSet<NodeId>), String> {
-        if !self.legal_mutations(g).contains(&m) {
+        if !self.is_legal(g, m) {
             return Err(format!("illegal F-Tree mutation {m:?}"));
         }
         let mut t = self.clone();
@@ -471,10 +471,9 @@ impl FTree {
                 t.nodes[i].spec.set.clone()
             }
             FTreeMutation::Lift(i) => {
-                // Unwrap audit: `legal_mutations` only emits Lift for
-                // nodes with a parent, and Mutate for nodes whose
-                // split dimension has a next divisor; `apply` is only
-                // called with mutations from that set.
+                // Unwrap audit: `is_legal` (checked above) admits Lift
+                // only for nodes with a parent, and Mutate only for
+                // nodes whose split dimension has a next divisor.
                 let p = t.nodes[i].parent.expect("lift requires a parent");
                 t.nodes[i].spec.parts = 1;
                 t.nodes[p].spec.parts = 2;

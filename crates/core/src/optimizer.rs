@@ -619,8 +619,17 @@ impl OptimizerConfig {
 /// Per-phase time accounting (Fig. 15) plus hardening counters.
 #[derive(Debug, Clone, Default)]
 pub struct OptimizerStats {
-    /// Time spent applying transformations. With `threads > 1` this is
-    /// CPU time summed over workers, not wall-clock.
+    /// Time spent in the M-Analyzer (Algorithm 1: D-Graph components,
+    /// dominator trees, heat scores, the F-Tree): once on the seed and
+    /// once per expansion of a state whose tree a rewrite left stale.
+    /// Always on the driver thread, so it is wall-clock at any thread
+    /// count and part of no other figure here.
+    pub analyze_time: Duration,
+    /// How many times the M-Analyzer ran.
+    pub analyses: usize,
+    /// Time spent generating and applying transformations; the clock
+    /// starts after an expansion's analysis. With `threads > 1` this
+    /// is CPU time summed over workers, not wall-clock.
     pub trans_time: Duration,
     /// Time spent building the fission overlay, (incrementally)
     /// scheduling and simulating. The paper separates "Sched." and
@@ -1058,10 +1067,18 @@ pub fn optimize(g: Graph, cfg: &OptimizerConfig) -> OptimizeResult {
 /// [`optimize`] with seed-evaluation failures surfaced as a typed
 /// [`EvalError`] instead of a panic.
 pub fn try_optimize(g: Graph, cfg: &OptimizerConfig) -> Result<OptimizeResult, EvalError> {
-    let mut init = MState::try_initial(g, &cfg.ctx)?;
-    analyze(&mut init, cfg);
+    Ok(optimize_from(MState::try_initial(g, &cfg.ctx)?, cfg))
+}
+
+/// Runs Algorithm 3 from an already evaluated seed state, for callers
+/// that need the seed's cost before they can state the objective
+/// (a latency limit relative to the unoptimized graph, say). `init`
+/// must come from [`MState::try_initial`] under `cfg.ctx`; the result
+/// is then exactly [`try_optimize`]'s, without scheduling and
+/// simulating the seed graph a second time.
+pub fn optimize_from(init: MState, cfg: &OptimizerConfig) -> OptimizeResult {
     let seed = SearchSeed::fresh(init.cost(), cfg.driver);
-    Ok(run_search(init, seed, cfg))
+    run_search(init, seed, cfg)
 }
 
 /// Continues a search from a [`SearchCheckpoint`]: the incumbent is
@@ -1296,7 +1313,7 @@ impl<'a> Engine<'a> {
         }
         self.exp_t0 = Instant::now();
         if state.tree_stale {
-            analyze(state, self.cfg);
+            analyze(state, self.cfg, &mut self.stats);
         }
 
         let t0 = Instant::now();
@@ -1735,12 +1752,12 @@ impl<'a> Engine<'a> {
     }
 }
 
-fn run_search(init: MState, seed: SearchSeed, cfg: &OptimizerConfig) -> OptimizeResult {
+fn run_search(mut init: MState, seed: SearchSeed, cfg: &OptimizerConfig) -> OptimizeResult {
     let start = Instant::now();
     let threads = cfg.threads.max(1);
     let obs = core_obs();
     obs.searches.inc();
-    let stats = OptimizerStats {
+    let mut stats = OptimizerStats {
         threads,
         driver: seed.driver,
         resumed: seed.resumed,
@@ -1777,6 +1794,11 @@ fn run_search(init: MState, seed: SearchSeed, cfg: &OptimizerConfig) -> Optimize
             expanded = c.expanded,
             evaluated = c.evaluated,
         );
+    } else {
+        // A fresh seed is analyzed up front so that the incumbent
+        // carries its F-Tree from the start; a restored incumbent stays
+        // stale until it is next expanded.
+        analyze(&mut init, cfg, &mut stats);
     }
     let timeline = SearchTimeline::new();
     let mut pareto = ParetoSet::new();
@@ -2017,33 +2039,39 @@ fn run_search(init: MState, seed: SearchSeed, cfg: &OptimizerConfig) -> Optimize
     }
 }
 
-fn analyze(state: &mut MState, cfg: &OptimizerConfig) {
+/// Runs the M-Analyzer on `state` and books it. Only ever called on
+/// the driver thread, so the count and the attribution do not depend
+/// on the thread count.
+fn analyze(state: &mut MState, cfg: &OptimizerConfig, stats: &mut OptimizerStats) {
+    let t0 = Instant::now();
     if cfg.naive_fission {
         state.ftree = crate::ftree::FTree::build_naive(&state.base, 12, cfg.seed);
         state.tree_stale = false;
     } else {
         state.analyze(cfg.max_level);
     }
+    stats.analyze_time += t0.elapsed();
+    stats.analyses += 1;
 }
 
 /// Convenience: optimize for minimum memory with a relative latency
 /// budget `lat_factor` × the unoptimized latency (the §7.2.1 setting).
 pub fn optimize_memory(g: Graph, lat_factor: f64, cfg_base: &OptimizerConfig) -> OptimizeResult {
-    let init = MState::initial(g.clone(), &cfg_base.ctx);
+    let init = MState::initial(g, &cfg_base.ctx);
     let mut cfg = cfg_base.clone();
     cfg.objective = Objective::MinMemory { lat_limit: init.eval.latency * lat_factor };
-    optimize(g, &cfg)
+    optimize_from(init, &cfg)
 }
 
 /// Convenience: optimize for minimum latency with a relative memory
 /// budget `mem_factor` × the unoptimized peak (the §7.2.2 setting).
 pub fn optimize_latency(g: Graph, mem_factor: f64, cfg_base: &OptimizerConfig) -> OptimizeResult {
-    let init = MState::initial(g.clone(), &cfg_base.ctx);
+    let init = MState::initial(g, &cfg_base.ctx);
     let mut cfg = cfg_base.clone();
     cfg.objective = Objective::MinLatency {
         mem_limit: (init.eval.peak_bytes as f64 * mem_factor) as u64,
     };
-    optimize(g, &cfg)
+    optimize_from(init, &cfg)
 }
 
 #[cfg(test)]
@@ -2090,6 +2118,53 @@ mod tests {
         assert!(res.best.eval.latency <= init.eval.latency * 1.10 * 1.0001);
         assert!(res.stats.evaluated > 0);
         assert!(res.history.len() >= 2, "incumbent improved at least once");
+    }
+
+    #[test]
+    fn optimize_from_an_evaluated_seed_equals_optimize() {
+        // Every deterministic field of the result: the incumbent's
+        // graphs, tree, schedule and cost bits, the improvement
+        // history, and the timeline without its wall-clock fields.
+        fn fingerprint(r: &OptimizeResult) -> String {
+            use magis_graph::io::to_record;
+            let tree: Vec<_> = r.best.ftree.nodes().iter().map(|n| (&n.spec, n.parent, n.level)).collect();
+            let history: Vec<_> = r.history.iter().map(|p| (p.peak_bytes, p.latency.to_bits())).collect();
+            let points: Vec<_> = r
+                .timeline
+                .points
+                .iter()
+                .map(|p| (p.expansion, p.evaluated, p.best_peak_bytes, p.best_latency.to_bits(), p.frontier_size, p.pareto_size))
+                .collect();
+            let families: Vec<_> = r
+                .timeline
+                .families
+                .iter()
+                .map(|(k, f)| (k, f.proposed, f.accepted, f.rejected, f.mem_delta_bytes, f.lat_delta.to_bits()))
+                .collect();
+            format!(
+                "{} | {} | {tree:?} | {:?} | {:?} | {history:?} | {points:?} | {:?} | {families:?} | {:?} | {} {} {} {}",
+                to_record(&r.best.base),
+                to_record(&r.best.eval.graph),
+                r.best.eval.order,
+                (r.best.eval.peak_bytes, r.best.eval.latency.to_bits()),
+                r.timeline.pareto,
+                r.timeline.memory_profile,
+                r.stats.expanded,
+                r.stats.evaluated,
+                r.stats.candidates,
+                r.stats.analyses,
+            )
+        }
+        let g = train_mlp(4);
+        let seed = MState::initial(g.clone(), &EvalContext::default());
+        let objective = Objective::MinMemory { lat_limit: seed.eval.latency * 1.10 };
+        for driver in [DriverKind::Greedy, DriverKind::Mcts] {
+            let cfg = quick_cfg(objective).with_max_evals(150).with_driver(driver);
+            let from_graph = optimize(g.clone(), &cfg);
+            let from_seed = optimize_from(seed.clone(), &cfg);
+            assert_eq!(fingerprint(&from_seed), fingerprint(&from_graph), "{driver:?}");
+            assert!(from_seed.stats.analyses > 0 && from_seed.stats.analyze_time > Duration::ZERO);
+        }
     }
 
     #[test]

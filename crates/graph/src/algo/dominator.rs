@@ -9,18 +9,53 @@
 use super::topo::topo_order_of;
 use crate::graph::NodeId;
 use crate::view::GraphView;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The dominator tree `T(G')` of an induced sub-graph.
+///
+/// Stored densely: nodes in reverse postorder, the immediate dominator
+/// of each by RPO position (`idom[i] < i`), and a preorder layout of
+/// the tree in which every subtree is one contiguous run — so a
+/// dominated region is a borrowed slice, never a freshly built set.
 #[derive(Debug, Clone)]
 pub struct DomTree {
-    /// Immediate dominator of each node; `None` means the virtual root.
-    idom: BTreeMap<NodeId, Option<NodeId>>,
-    /// Children lists of the tree (inverse of `idom`).
-    children: BTreeMap<NodeId, Vec<NodeId>>,
-    /// Nodes directly below the virtual root.
+    /// Nodes in reverse postorder (a topological order of the DAG).
+    order: Vec<NodeId>,
+    /// Immediate dominators, keyed by node.
+    idom: Idoms,
+    /// Subtree size (the node itself included) by RPO position.
+    size: Vec<usize>,
+    /// Preorder slot by RPO position; siblings in ascending RPO order.
+    pre_of: Vec<usize>,
+    /// Nodes in preorder: the subtree of the node at slot `k` with
+    /// size `s` is `pre[k..k + s]`.
+    pre: Vec<NodeId>,
+    /// Nodes directly below the virtual root, in RPO order.
     roots: Vec<NodeId>,
 }
+
+/// Immediate dominators keyed by node: a dense slot → RPO-position
+/// table in front of the by-position array.
+#[derive(Debug, Clone)]
+struct Idoms {
+    /// Slot → RPO position (`usize::MAX` = not in the tree).
+    pos: Vec<usize>,
+    /// Immediate dominator by RPO position (`ROOT` = the virtual
+    /// root); `by_pos[i] < i`.
+    by_pos: Vec<usize>,
+}
+
+impl Idoms {
+    fn position(&self, v: NodeId) -> Option<usize> {
+        self.pos.get(v.index()).copied().filter(|&i| i != usize::MAX)
+    }
+
+    fn contains_key(&self, v: &NodeId) -> bool {
+        self.position(*v).is_some()
+    }
+}
+
+const ROOT: usize = usize::MAX;
 
 impl DomTree {
     /// Computes the dominator tree of the sub-graph of `g` induced by
@@ -30,14 +65,10 @@ impl DomTree {
     /// root.
     pub fn compute<G: GraphView>(g: &G, set: &BTreeSet<NodeId>) -> Self {
         let order = topo_order_of(g, set); // RPO of a DAG
-        // Dense slot→RPO-position table (usize::MAX = outside `set`).
-        let mut rpo_pos = vec![usize::MAX; g.capacity()];
+        let mut pos = vec![usize::MAX; g.capacity()];
         for (i, &v) in order.iter().enumerate() {
-            rpo_pos[v.index()] = i;
+            pos[v.index()] = i;
         }
-        // Dense arrays over RPO positions; usize::MAX is "virtual root",
-        // usize::MAX-1 is "undefined".
-        const ROOT: usize = usize::MAX;
         const UNDEF: usize = usize::MAX - 1;
         let n = order.len();
         let mut idom = vec![UNDEF; n];
@@ -47,42 +78,35 @@ impl DomTree {
         // the CHK fixpoint intersects idempotently and converges to the
         // unique dominator assignment regardless of pred multiplicity
         // or order.
-        let preds: Vec<Vec<usize>> = order
-            .iter()
-            .map(|&v| {
-                let node = g.node(v);
+        let mut preds: Vec<usize> = Vec::new();
+        let mut preds_start = vec![0usize];
+        for &v in &order {
+            let node = g.node(v);
+            preds.extend(
                 node.inputs()
                     .iter()
                     .chain(node.keepalive())
-                    .filter_map(|p| {
-                        let i = rpo_pos[p.index()];
-                        (i != usize::MAX).then_some(i)
-                    })
-                    .collect()
-            })
-            .collect();
+                    .map(|p| pos[p.index()])
+                    .filter(|&i| i != usize::MAX),
+            );
+            preds_start.push(preds.len());
+        }
+        let preds_of = |i: usize| &preds[preds_start[i]..preds_start[i + 1]];
 
+        // Walks the deeper of two positions up until they meet; the
+        // virtual root is above everything.
         let intersect = |idom: &[usize], mut a: usize, mut b: usize| -> usize {
-            loop {
-                if a == b {
-                    return a;
-                }
+            while a != b {
                 if a == ROOT || b == ROOT {
                     return ROOT;
                 }
-                while a > b {
+                if a > b {
                     a = idom[a];
-                    if a == ROOT {
-                        return ROOT;
-                    }
-                }
-                while b > a {
+                } else {
                     b = idom[b];
-                    if b == ROOT {
-                        return ROOT;
-                    }
                 }
             }
+            a
         };
 
         let mut changed = true;
@@ -90,18 +114,12 @@ impl DomTree {
             changed = false;
             for i in 0..n {
                 let mut new_idom = UNDEF;
-                if preds[i].is_empty() {
+                for &p in preds_of(i).iter().filter(|&&p| idom[p] != UNDEF) {
+                    new_idom = if new_idom == UNDEF { p } else { intersect(&idom, new_idom, p) };
+                }
+                // No processed predecessor (an entry has none at all).
+                if new_idom == UNDEF {
                     new_idom = ROOT;
-                } else {
-                    for &p in &preds[i] {
-                        if idom[p] == UNDEF {
-                            continue;
-                        }
-                        new_idom = if new_idom == UNDEF { p } else { intersect(&idom, new_idom, p) };
-                    }
-                    if new_idom == UNDEF {
-                        new_idom = ROOT;
-                    }
                 }
                 if idom[i] != new_idom {
                     idom[i] = new_idom;
@@ -110,32 +128,51 @@ impl DomTree {
             }
         }
 
-        let mut idom_map = BTreeMap::new();
-        let mut children: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        let mut roots = Vec::new();
-        for (i, &v) in order.iter().enumerate() {
-            children.entry(v).or_default();
-            if idom[i] == ROOT {
-                idom_map.insert(v, None);
-                roots.push(v);
-            } else {
-                let parent = order[idom[i]];
-                idom_map.insert(v, Some(parent));
-                children.entry(parent).or_default().push(v);
+        // `idom[i] < i`, so one reverse sweep sums subtree sizes and
+        // one forward sweep hands every node the next free preorder
+        // slot inside its parent's run.
+        let mut size = vec![1usize; n];
+        for i in (0..n).rev() {
+            if idom[i] != ROOT {
+                size[idom[i]] += size[i];
             }
         }
-        DomTree { idom: idom_map, children, roots }
+        let mut pre_of = vec![0usize; n];
+        let mut next = vec![0usize; n];
+        let mut next_root = 0;
+        let mut pre = order.clone();
+        let mut roots = Vec::new();
+        for i in 0..n {
+            let free = if idom[i] == ROOT {
+                roots.push(order[i]);
+                &mut next_root
+            } else {
+                &mut next[idom[i]]
+            };
+            pre_of[i] = *free;
+            *free += size[i];
+            next[i] = pre_of[i] + 1;
+            pre[pre_of[i]] = order[i];
+        }
+        DomTree { order, idom: Idoms { pos, by_pos: idom }, size, pre_of, pre, roots }
     }
 
     /// Immediate dominator of `v`; `None` if `v` hangs off the virtual
     /// root (or is not in the tree).
     pub fn idom(&self, v: NodeId) -> Option<NodeId> {
-        self.idom.get(&v).copied().flatten()
+        let p = self.idom.by_pos[self.idom.position(v)?];
+        (p != ROOT).then(|| self.order[p])
     }
 
-    /// Children of `v` in the tree (`T.suc(v)`).
-    pub fn children(&self, v: NodeId) -> &[NodeId] {
-        self.children.get(&v).map(Vec::as_slice).unwrap_or(&[])
+    /// Children of `v` in the tree (`T.suc(v)`), in RPO order: each
+    /// child's subtree run starts where the previous one ends.
+    pub fn children(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let mut rest = self.descendants_slice(v);
+        std::iter::from_fn(move || {
+            let &c = rest.first()?;
+            rest = &rest[self.size[self.idom.pos[c.index()]]..];
+            Some(c)
+        })
     }
 
     /// Nodes whose immediate dominator is the virtual root.
@@ -143,22 +180,24 @@ impl DomTree {
         &self.roots
     }
 
-    /// All nodes in the tree.
+    /// All nodes in the tree, in ascending id order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.idom.keys().copied()
+        (0..self.idom.pos.len()).map(NodeId::from_index).filter(|v| self.idom.contains_key(v))
+    }
+
+    /// Strict descendants of `v` (`T.des(v)`) as a borrowed preorder
+    /// run; empty if `v` is a leaf or not in the tree.
+    pub fn descendants_slice(&self, v: NodeId) -> &[NodeId] {
+        match self.idom.position(v) {
+            Some(i) => &self.pre[self.pre_of[i] + 1..self.pre_of[i] + self.size[i]],
+            None => &[],
+        }
     }
 
     /// Strict descendants of `v` in the dominator tree (`T.des(v)`):
     /// every node dominated by `v`, excluding `v` itself.
     pub fn descendants(&self, v: NodeId) -> BTreeSet<NodeId> {
-        let mut out = BTreeSet::new();
-        let mut stack: Vec<NodeId> = self.children(v).to_vec();
-        while let Some(u) = stack.pop() {
-            if out.insert(u) {
-                stack.extend_from_slice(self.children(u));
-            }
-        }
-        out
+        self.descendants_slice(v).iter().copied().collect()
     }
 
     /// Descendants of `v` including `v` (the full dominated region).
@@ -168,16 +207,15 @@ impl DomTree {
         s
     }
 
-    /// Whether `u` dominates `v` (reflexive).
+    /// Whether `u` dominates `v` (reflexive): `v`'s preorder slot lies
+    /// in `u`'s subtree run.
     pub fn dominates(&self, u: NodeId, v: NodeId) -> bool {
-        let mut cur = Some(v);
-        while let Some(c) = cur {
-            if c == u {
-                return true;
+        match (self.idom.position(u), self.idom.position(v)) {
+            (Some(a), Some(b)) => {
+                (self.pre_of[a]..self.pre_of[a] + self.size[a]).contains(&self.pre_of[b])
             }
-            cur = self.idom(c);
+            _ => u == v,
         }
-        false
     }
 }
 

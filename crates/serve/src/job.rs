@@ -14,7 +14,7 @@ use magis_core::budget::{CancelToken, SearchBudget};
 use magis_core::checkpoint::SearchCheckpoint;
 use magis_core::driver::DriverKind;
 use magis_core::optimizer::{
-    self, try_optimize, CheckpointPolicy, Objective, OptimizeResult, OptimizerConfig,
+    self, optimize_from, CheckpointPolicy, Objective, OptimizeResult, OptimizerConfig,
     ProgressSink,
 };
 use magis_core::state::{EvalContext, MState};
@@ -99,9 +99,16 @@ fn config_for(
     if let Some(sink) = progress {
         cfg = cfg.with_progress(sink);
     }
-    cfg.ctx = EvalContext::for_backend(backend);
-    cfg.ctx.mem_objective = spec.objective;
+    cfg.ctx = context_for(spec, backend);
     cfg
+}
+
+/// The evaluation context of a job's search — and of the seed
+/// evaluation its relative objective is derived from.
+fn context_for(spec: &JobSpec, backend: &Backend) -> EvalContext {
+    let mut ctx = EvalContext::for_backend(backend);
+    ctx.mem_objective = spec.objective;
+    ctx
 }
 
 /// Digest of the deterministic timeline fields — identical for two
@@ -168,17 +175,11 @@ pub fn run_job(
             .map_err(|e| format!("parsing graph record: {e}"))?,
         (None, None) => return Err("a job needs either 'workload' or 'graph'".into()),
     };
-    let ctx = {
-        let mut c = EvalContext::for_backend(&backend);
-        c.mem_objective = spec.objective;
-        c
-    };
-    let init = MState::try_initial(graph.clone(), &ctx)
+    let init = MState::try_initial(graph, &context_for(spec, &backend))
         .map_err(|e| format!("evaluating the seed graph: {e}"))?;
     let objective = objective_for(spec, init.cost())?;
     let cfg = config_for(spec, objective, &backend, dir, token, progress);
-    let res = try_optimize(graph, &cfg).map_err(|e| format!("optimizing: {e}"))?;
-    Ok(result_from(&res))
+    Ok(result_from(&optimize_from(init, &cfg)))
 }
 
 #[cfg(test)]
