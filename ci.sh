@@ -16,6 +16,15 @@ run cargo build --workspace --release
 run cargo test --workspace -q
 run cargo clippy --workspace --all-targets -- -D warnings
 
+# Shim gate: a renamed item is renamed at its callers, not kept alive
+# behind a deprecated alias.
+echo
+echo "==> deprecated-shim check"
+if grep -rn -e '#\[deprecated' -e 'allow(deprecated)' crates src; then
+    echo "deprecated shims found: migrate the callers and delete the old name"
+    exit 1
+fi
+
 # Documentation gate: rustdoc must build clean (missing_docs is warn
 # in sched/sim/core/obs, promoted to an error here) and every doc
 # example must run.
@@ -105,6 +114,13 @@ run cargo test -q --test overlay_identity
 # with the workspace tests above.
 run env RUST_TEST_THREADS=1 cargo test -q --test ftree_identity
 run cargo test -q --test ftree_identity
+
+# Memory DP: `dp_schedule` is one routine for every window size; it must
+# return, order for order, peak for peak and transition count for
+# transition count, what the map-keyed DP it replaced returned (kept as
+# an oracle under crates/sched/tests/dp_identity/) on every key width.
+run env RUST_TEST_THREADS=1 cargo test -q -p magis-sched --test dp_identity
+run cargo test -q -p magis-sched --test dp_identity
 
 # Incremental evaluation: every delta-scheduled / delta-profiled /
 # cache-served candidate must be bit-identical to a from-scratch

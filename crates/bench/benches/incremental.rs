@@ -7,7 +7,7 @@ use magis_util::{criterion_group, criterion_main};
 use magis_core::rules::{self, RuleConfig, Transform};
 use magis_core::state::{EvalContext, MState};
 use magis_models::random_dnn::{random_dnn, RandomDnnConfig};
-use magis_sched::{full_schedule, incremental_schedule, IntervalParams, SchedConfig};
+use magis_sched::{full_schedule, incremental_schedule_cached, IntervalParams, SchedConfig};
 use std::hint::black_box;
 use magis_graph::GraphView;
 
@@ -28,13 +28,16 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("incremental", n), &(), |b, ()| {
             b.iter(|| {
-                black_box(incremental_schedule(
+                black_box(incremental_schedule_cached(
                     &state.eval.graph,
                     &applied.base,
                     &applied.mutated,
                     &state.eval.order,
+                    None,
+                    None,
                     &SchedConfig::default(),
                     &IntervalParams::default(),
+                    None,
                 ))
             })
         });

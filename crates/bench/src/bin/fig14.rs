@@ -8,7 +8,7 @@
 use magis_bench::{print_table, ExpOpts};
 use magis_core::rules::{self, RuleConfig, Transform};
 use magis_core::state::{EvalContext, MState};
-use magis_sched::{full_schedule, incremental_schedule, IntervalParams, SchedConfig};
+use magis_sched::{full_schedule, incremental_schedule_cached, IntervalParams, SchedConfig};
 use magis_models::random_dnn::{random_dnn, RandomDnnConfig};
 use magis_sim::memory_profile;
 use std::time::Instant;
@@ -44,14 +44,19 @@ fn main() {
 
             // IS: reuse the previous schedule.
             let t0 = Instant::now();
-            let is_order = incremental_schedule(
+            let is_order = incremental_schedule_cached(
                 &state.eval.graph,
                 &g_new,
                 &applied.mutated,
                 &state.eval.order,
+                None,
+                None,
                 &sched_cfg,
                 &params,
-            );
+                None,
+            )
+            .expect("memory accounting conserved")
+            .order;
             let is_time = t0.elapsed();
 
             // FS: schedule from scratch.

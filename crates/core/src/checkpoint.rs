@@ -12,25 +12,27 @@
 //! re-simulated rather than re-scheduled — re-scheduling could land on
 //! a different (worse) evaluation than the one that won incumbency.
 //!
-//! Since v3 a checkpoint can additionally carry the **frontier**: every
-//! entry still on the priority queue, each with its sequence number,
+//! A checkpoint can additionally carry the **frontier**: every entry
+//! still on the priority queue, each with its sequence number,
 //! staleness flag, and the same order/F-Tree/graph-record block as the
 //! incumbent. A frontier-bearing checkpoint resumes *exactly* — the
 //! queue, seen-set, and sequence counter are reconstructed verbatim,
 //! so a killed-and-resumed search replays the identical trajectory and
 //! finishes bit-identical to an uninterrupted run (given deterministic
-//! stopping, i.e. a candidate cap rather than wall clock). Frontier-
-//! free checkpoints (v1/v2, or v3 written without the frontier policy)
-//! keep the legacy best-effort resume: the incumbent is re-seeded and
-//! the search re-explores from there.
+//! stopping, i.e. a candidate cap rather than wall clock). A checkpoint
+//! written without the frontier policy gets the best-effort resume: the
+//! incumbent is re-seeded and the search re-explores from there.
 //!
-//! Since v4 a checkpoint is **driver-tagged**: a `driver` line right
-//! after the header names the search engine that wrote it (`greedy` or
-//! `mcts`), and an MCTS checkpoint additionally stores the tree
-//! metadata (parent/visit/reward per node, plus the RNG state) beside
-//! the frontier, whose entries then carry the node states. Resume
-//! restores the checkpoint's engine regardless of the caller's
-//! configured driver. v1–v3 checkpoints decode as `greedy`.
+//! A checkpoint is **driver-tagged**: a `driver` line right after the
+//! header names the search engine that wrote it (`greedy` or `mcts`),
+//! and an MCTS checkpoint additionally stores the tree metadata
+//! (parent/visit/reward per node, plus the RNG state) beside the
+//! frontier, whose entries then carry the node states. Resume restores
+//! the checkpoint's engine regardless of the caller's configured
+//! driver.
+//!
+//! One format version is read and written (the header line); any other
+//! header is a typed [`CheckpointError::UnsupportedVersion`].
 //!
 //! The optimizer's configuration (objective, budget, thread count,
 //! rule set) is deliberately **not** stored: the resuming caller's
@@ -51,16 +53,6 @@ use std::fs;
 use std::path::Path;
 
 const CKPT_HEADER: &str = "magis-checkpoint v4";
-/// v3: no `driver` line and no MCTS tree section (decodes as the
-/// greedy driver).
-const CKPT_HEADER_V3: &str = "magis-checkpoint v3";
-/// v2: no `next_seq` / `frontier` sections (resumes with an empty
-/// frontier, i.e. the legacy incumbent-reseed path).
-const CKPT_HEADER_V2: &str = "magis-checkpoint v2";
-/// v1: additionally, the `counters` line carries 8 fields (no
-/// checkpoint-write accounting). Still readable; the missing counters
-/// resume as zero.
-const CKPT_HEADER_V1: &str = "magis-checkpoint v1";
 const CKPT_FOOTER: &str = "ckpt-end";
 
 /// Why loading or restoring a checkpoint failed.
@@ -68,6 +60,12 @@ const CKPT_FOOTER: &str = "ckpt-end";
 pub enum CheckpointError {
     /// Filesystem failure (path kept in the message).
     Io(String),
+    /// The first line is not the one header this build reads and
+    /// writes: an older or newer format, or not a checkpoint at all.
+    UnsupportedVersion {
+        /// The header line as found.
+        found: String,
+    },
     /// A malformed line in the checkpoint body.
     Parse {
         /// 1-based line number.
@@ -87,6 +85,10 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::Io(msg) => write!(f, "checkpoint I/O: {msg}"),
+            CheckpointError::UnsupportedVersion { found } => write!(
+                f,
+                "unsupported checkpoint version: header '{found}' (this build reads '{CKPT_HEADER}')"
+            ),
             CheckpointError::Parse { line, msg } => {
                 write!(f, "checkpoint line {line}: {msg}")
             }
@@ -137,15 +139,13 @@ pub struct CheckpointCounters {
     pub invariant_rejections: u64,
     /// Candidates skipped because their rule family was quarantined.
     pub quarantined_candidates: u64,
-    /// Checkpoints successfully written (v2; zero when resuming a v1
-    /// checkpoint).
+    /// Checkpoints successfully written.
     pub checkpoints_written: u64,
-    /// Checkpoint writes that failed (v2; zero when resuming a v1
-    /// checkpoint).
+    /// Checkpoint writes that failed.
     pub checkpoint_failures: u64,
 }
 
-/// One priority-queue entry captured in a frontier-bearing (v3)
+/// One priority-queue entry captured in a frontier-bearing
 /// checkpoint: the state's serialized parts plus the queue bookkeeping
 /// (sequence number, staleness) needed to reconstruct the heap
 /// verbatim.
@@ -166,7 +166,7 @@ pub struct FrontierEntry {
     pub eval_record: String,
 }
 
-/// Per-node MCTS tree metadata stored beside a frontier entry (v4).
+/// Per-node MCTS tree metadata stored beside a frontier entry.
 /// The entry at the same position in the frontier carries the node's
 /// state; this struct carries everything else the tree needs.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,7 +184,7 @@ pub struct MctsNodeMeta {
     pub expanded: bool,
 }
 
-/// MCTS engine state stored in a v4 frontier-bearing checkpoint: the
+/// MCTS engine state stored in a frontier-bearing checkpoint: the
 /// driver's RNG state plus one [`MctsNodeMeta`] per frontier entry (in
 /// arena order). Restoring it resumes the tree — and the rollout RNG
 /// stream — exactly where the checkpoint left off.
@@ -221,19 +221,18 @@ pub struct SearchCheckpoint {
     pub base_record: String,
     /// Graph record of the incumbent's overlaid (simulated) graph.
     pub eval_record: String,
-    /// The sequence counter's next value (v3; `0` in legacy
-    /// checkpoints — only meaningful when `frontier` is non-empty).
+    /// The sequence counter's next value (only meaningful when
+    /// `frontier` is non-empty).
     pub next_seq: u64,
     /// The priority-queue frontier at checkpoint time, sorted by
-    /// sequence number (v3; empty in legacy checkpoints and when the
-    /// checkpoint policy doesn't request frontier capture). Non-empty
-    /// frontiers make resume trajectory-exact.
+    /// sequence number (empty when the checkpoint policy doesn't
+    /// request frontier capture). Non-empty frontiers make resume
+    /// trajectory-exact.
     pub frontier: Vec<FrontierEntry>,
-    /// The search engine that wrote this checkpoint (v4; legacy
-    /// checkpoints decode as [`DriverKind::Greedy`]). Resume restores
+    /// The search engine that wrote this checkpoint. Resume restores
     /// this engine, not the caller's configured one.
     pub driver: DriverKind,
-    /// MCTS tree metadata (v4, MCTS frontier checkpoints only).
+    /// MCTS tree metadata (MCTS frontier checkpoints only).
     pub mcts: Option<MctsCheckpoint>,
 }
 
@@ -617,30 +616,15 @@ impl SearchCheckpoint {
         let mut ln = 0usize; // index into `lines`; 1-based in errors
 
         let header = next_line(&lines, &mut ln)?;
-        let v1 = header.trim() == CKPT_HEADER_V1;
-        let v2 = header.trim() == CKPT_HEADER_V2;
-        let v3 = header.trim() == CKPT_HEADER_V3;
-        if !v1 && !v2 && !v3 && header.trim() != CKPT_HEADER {
-            return Err(CheckpointError::Parse {
-                line: 1,
-                msg: format!("bad header '{header}' (expected '{CKPT_HEADER}')"),
-            });
+        if header.trim() != CKPT_HEADER {
+            return Err(CheckpointError::UnsupportedVersion { found: header.trim().to_string() });
         }
-        // v1/v2: no next_seq/frontier sections at all.
-        let legacy = v1 || v2;
-        // v1/v2/v3: no driver line, no MCTS section — greedy by
-        // construction.
-        let pre_v4 = legacy || v3;
 
-        let driver = if pre_v4 {
-            DriverKind::Greedy
-        } else {
-            let t = expect_kv(next_line(&lines, &mut ln)?, ln, "driver", 1)?;
-            DriverKind::parse(&t[0]).ok_or_else(|| CheckpointError::Parse {
-                line: ln,
-                msg: format!("unknown driver '{}'", t[0]),
-            })?
-        };
+        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "driver", 1)?;
+        let driver = DriverKind::parse(&t[0]).ok_or_else(|| CheckpointError::Parse {
+            line: ln,
+            msg: format!("unknown driver '{}'", t[0]),
+        })?;
 
         let t = expect_kv(next_line(&lines, &mut ln)?, ln, "rng", 1)?;
         let rng_seed = parse_hex_u64(&t[0], ln, "rng seed")?;
@@ -651,7 +635,7 @@ impl SearchCheckpoint {
         let t = expect_kv(next_line(&lines, &mut ln)?, ln, "best_cost", 2)?;
         let best_cost = (parse_u64(&t[0], ln, "best peak")?, parse_f64_hex(&t[1], ln, "best latency")?);
 
-        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "counters", if v1 { 8 } else { 10 })?;
+        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "counters", 10)?;
         let counters = CheckpointCounters {
             expanded: parse_u64(&t[0], ln, "expanded")?,
             evaluated: parse_u64(&t[1], ln, "evaluated")?,
@@ -661,8 +645,8 @@ impl SearchCheckpoint {
             cost_rejections: parse_u64(&t[5], ln, "cost_rejections")?,
             invariant_rejections: parse_u64(&t[6], ln, "invariant_rejections")?,
             quarantined_candidates: parse_u64(&t[7], ln, "quarantined_candidates")?,
-            checkpoints_written: if v1 { 0 } else { parse_u64(&t[8], ln, "checkpoints_written")? },
-            checkpoint_failures: if v1 { 0 } else { parse_u64(&t[9], ln, "checkpoint_failures")? },
+            checkpoints_written: parse_u64(&t[8], ln, "checkpoints_written")?,
+            checkpoint_failures: parse_u64(&t[9], ln, "checkpoint_failures")?,
         };
 
         let t = expect_kv(next_line(&lines, &mut ln)?, ln, "pareto", 1)?;
@@ -712,73 +696,68 @@ impl SearchCheckpoint {
         let best_order = decode_order(&lines, &mut ln)?;
         let ftree_nodes = decode_ftree(&lines, &mut ln)?;
 
-        let (next_seq, frontier, mcts) = if legacy {
-            (0, Vec::new(), None)
-        } else {
-            let t = expect_kv(next_line(&lines, &mut ln)?, ln, "next_seq", 1)?;
-            let next_seq = parse_u64(&t[0], ln, "next_seq")?;
-            let t = expect_kv(next_line(&lines, &mut ln)?, ln, "frontier", 1)?;
-            let nfr = parse_usize(&t[0], ln, "frontier count")?;
-            let mut frontier = Vec::with_capacity(nfr);
-            for _ in 0..nfr {
-                let t = expect_kv(next_line(&lines, &mut ln)?, ln, "entry", 2)?;
-                let seq = parse_u64(&t[0], ln, "entry seq")?;
-                let tree_stale = match t[1].as_str() {
+        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "next_seq", 1)?;
+        let next_seq = parse_u64(&t[0], ln, "next_seq")?;
+        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "frontier", 1)?;
+        let nfr = parse_usize(&t[0], ln, "frontier count")?;
+        let mut frontier = Vec::with_capacity(nfr);
+        for _ in 0..nfr {
+            let t = expect_kv(next_line(&lines, &mut ln)?, ln, "entry", 2)?;
+            let seq = parse_u64(&t[0], ln, "entry seq")?;
+            let tree_stale = match t[1].as_str() {
+                "0" => false,
+                "1" => true,
+                other => {
+                    return Err(CheckpointError::Parse {
+                        line: ln,
+                        msg: format!("bad entry staleness flag '{other}'"),
+                    })
+                }
+            };
+            let order = decode_order(&lines, &mut ln)?;
+            let ftree_nodes = decode_ftree(&lines, &mut ln)?;
+            let base_record = decode_graph("base-graph", &lines, &mut ln)?;
+            let eval_record = decode_graph("eval-graph", &lines, &mut ln)?;
+            frontier.push(FrontierEntry {
+                seq,
+                tree_stale,
+                order,
+                ftree_nodes,
+                base_record,
+                eval_record,
+            });
+        }
+        // An optional MCTS tree section follows the frontier.
+        let mcts = if lines.get(ln).is_some_and(|l| l.starts_with("mcts ")) {
+            let t = expect_kv(next_line(&lines, &mut ln)?, ln, "mcts", 2)?;
+            let nn = parse_usize(&t[0], ln, "mcts node count")?;
+            let rng_state = parse_hex_u64(&t[1], ln, "mcts rng state")?;
+            let mut nodes = Vec::with_capacity(nn);
+            for _ in 0..nn {
+                let t = expect_kv(next_line(&lines, &mut ln)?, ln, "m", 5)?;
+                let parent = if t[0] == "-" {
+                    None
+                } else {
+                    Some(parse_u64(&t[0], ln, "mcts parent")?)
+                };
+                let cand_index = parse_u64(&t[1], ln, "mcts cand_index")?;
+                let visits = parse_u64(&t[2], ln, "mcts visits")?;
+                let reward_sum = parse_f64_hex(&t[3], ln, "mcts reward")?;
+                let expanded = match t[4].as_str() {
                     "0" => false,
                     "1" => true,
                     other => {
                         return Err(CheckpointError::Parse {
                             line: ln,
-                            msg: format!("bad entry staleness flag '{other}'"),
+                            msg: format!("bad mcts expanded flag '{other}'"),
                         })
                     }
                 };
-                let order = decode_order(&lines, &mut ln)?;
-                let ftree_nodes = decode_ftree(&lines, &mut ln)?;
-                let base_record = decode_graph("base-graph", &lines, &mut ln)?;
-                let eval_record = decode_graph("eval-graph", &lines, &mut ln)?;
-                frontier.push(FrontierEntry {
-                    seq,
-                    tree_stale,
-                    order,
-                    ftree_nodes,
-                    base_record,
-                    eval_record,
-                });
+                nodes.push(MctsNodeMeta { parent, cand_index, visits, reward_sum, expanded });
             }
-            // v4: an optional MCTS tree section follows the frontier.
-            let mcts = if !pre_v4 && lines.get(ln).is_some_and(|l| l.starts_with("mcts ")) {
-                let t = expect_kv(next_line(&lines, &mut ln)?, ln, "mcts", 2)?;
-                let nn = parse_usize(&t[0], ln, "mcts node count")?;
-                let rng_state = parse_hex_u64(&t[1], ln, "mcts rng state")?;
-                let mut nodes = Vec::with_capacity(nn);
-                for _ in 0..nn {
-                    let t = expect_kv(next_line(&lines, &mut ln)?, ln, "m", 5)?;
-                    let parent = if t[0] == "-" {
-                        None
-                    } else {
-                        Some(parse_u64(&t[0], ln, "mcts parent")?)
-                    };
-                    let cand_index = parse_u64(&t[1], ln, "mcts cand_index")?;
-                    let visits = parse_u64(&t[2], ln, "mcts visits")?;
-                    let reward_sum = parse_f64_hex(&t[3], ln, "mcts reward")?;
-                    let expanded = match t[4].as_str() {
-                        "0" => false,
-                        "1" => true,
-                        other => {
-                            return Err(CheckpointError::Parse {
-                                line: ln,
-                                msg: format!("bad mcts expanded flag '{other}'"),
-                            })
-                        }
-                    };
-                    nodes.push(MctsNodeMeta { parent, cand_index, visits, reward_sum, expanded });
-                }
-                Some(MctsCheckpoint { rng_state, nodes })
-            } else {
-                None
-            };
-            (next_seq, frontier, mcts)
+            Some(MctsCheckpoint { rng_state, nodes })
+        } else {
+            None
         };
 
         let base_record = decode_graph("base-graph", &lines, &mut ln)?;
@@ -851,11 +830,11 @@ impl SearchCheckpoint {
         restore_parts(&self.best_order, &self.ftree_nodes, &self.base_record, &self.eval_record, ctx)
     }
 
-    /// Rebuilds the checkpointed frontier (v3): every queue entry is
+    /// Rebuilds the checkpointed frontier: every queue entry is
     /// restored through the same validation/re-simulation pipeline as
     /// the incumbent, with its checkpointed staleness flag and sequence
     /// number reinstated. Returns `(seq, state)` pairs in stored
-    /// (sequence) order; empty for legacy / frontier-free checkpoints.
+    /// (sequence) order; empty for frontier-free checkpoints.
     ///
     /// # Errors
     ///
@@ -994,116 +973,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoints_still_decode() {
-        let s = small_state();
-        let mut c = checkpoint_of(&s);
-        c.counters.checkpoints_written = 5;
-        c.counters.checkpoint_failures = 1;
-        // Rewrite the v4 text down to the v1 format: old header, no
-        // driver line, 8-field counters line, no next_seq/frontier
-        // sections.
-        let v4 = c.encode();
-        let v1_counters = format!(
-            "counters {} {} {} {} {} {} {} {}",
-            c.counters.expanded,
-            c.counters.evaluated,
-            c.counters.candidates,
-            c.counters.filtered,
-            c.counters.panicked,
-            c.counters.cost_rejections,
-            c.counters.invariant_rejections,
-            c.counters.quarantined_candidates
-        );
-        let v1_text: String = v4
-            .lines()
-            .filter(|l| *l != "next_seq 0" && *l != "frontier 0" && *l != "driver greedy")
-            .map(|l| {
-                if l == "magis-checkpoint v4" {
-                    "magis-checkpoint v1".to_string()
-                } else if l.starts_with("counters ") {
-                    v1_counters.clone()
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        let d = SearchCheckpoint::decode(&v1_text).unwrap();
-        // Shared counters survive; the v2-only ones resume from zero.
-        assert_eq!(d.counters.evaluated, c.counters.evaluated);
-        assert_eq!(d.counters.checkpoints_written, 0);
-        assert_eq!(d.counters.checkpoint_failures, 0);
-        assert_eq!(d.seen, c.seen);
-        assert!(d.frontier.is_empty(), "legacy checkpoints resume frontier-free");
-        assert_eq!(d.driver, DriverKind::Greedy, "legacy checkpoints decode as greedy");
-        assert!(d.mcts.is_none());
-        // And a v1 checkpoint re-encodes as v4.
-        assert!(d.encode().starts_with("magis-checkpoint v4\n"));
-    }
-
-    #[test]
-    fn v2_checkpoints_still_decode() {
-        let s = small_state();
-        let c = checkpoint_of(&s);
-        // v2 is v4 minus the driver line and next_seq/frontier
-        // sections, under the old header.
-        let v2_text: String = c
-            .encode()
-            .lines()
-            .filter(|l| *l != "next_seq 0" && *l != "frontier 0" && *l != "driver greedy")
-            .map(|l| {
-                if l == "magis-checkpoint v4" {
-                    "magis-checkpoint v2".to_string()
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        let d = SearchCheckpoint::decode(&v2_text).unwrap();
-        assert_eq!(d.counters, c.counters);
-        assert_eq!(d.seen, c.seen);
-        assert_eq!(d.best_order, c.best_order);
-        assert!(d.frontier.is_empty());
-        assert_eq!(d.next_seq, 0);
-        assert!(d.encode().starts_with("magis-checkpoint v4\n"));
-    }
-
-    #[test]
-    fn v3_checkpoints_still_decode() {
-        let ctx = EvalContext::default();
-        let s = small_state();
-        let mut c = checkpoint_of(&s);
-        c.next_seq = 3;
-        c.frontier = vec![frontier_entry_of(&s, 1, false)];
-        // v3 is v4 minus the driver line, under the old header; the
-        // next_seq/frontier sections are present.
-        let v3_text: String = c
-            .encode()
-            .lines()
-            .filter(|l| *l != "driver greedy")
-            .map(|l| {
-                if l == "magis-checkpoint v4" {
-                    "magis-checkpoint v3".to_string()
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        let d = SearchCheckpoint::decode(&v3_text).unwrap();
-        assert_eq!(d.driver, DriverKind::Greedy, "v3 checkpoints decode as greedy");
-        assert!(d.mcts.is_none());
-        assert_eq!(d.next_seq, 3);
-        assert_eq!(d.frontier.len(), 1, "v3 frontiers still restore exactly");
-        assert_eq!(d.restore_frontier(&ctx).unwrap().len(), 1);
-        assert!(d.encode().starts_with("magis-checkpoint v4\n"));
-    }
-
-    #[test]
     fn mcts_checkpoints_round_trip() {
         let s = small_state();
         let mut c = checkpoint_of(&s);
@@ -1144,8 +1013,25 @@ mod tests {
     fn decode_rejects_corruption() {
         let s = small_state();
         let text = checkpoint_of(&s).encode();
-        // Bad header (no known version).
-        assert!(SearchCheckpoint::decode(&text.replacen("v4", "v9", 1)).is_err());
+        // Bad header: the retired formats, a version from the future
+        // and a non-checkpoint first line are refused by name, not
+        // parsed.
+        for header in [
+            "magis-checkpoint v1",
+            "magis-checkpoint v2",
+            "magis-checkpoint v3",
+            "magis-checkpoint v9",
+            "\u{7f}ELF garbage",
+        ] {
+            let err = SearchCheckpoint::decode(&text.replacen("magis-checkpoint v4", header, 1))
+                .expect_err("old or unknown header decoded");
+            assert!(
+                matches!(&err, CheckpointError::UnsupportedVersion { found } if found == header),
+                "{header}: {err:?}"
+            );
+            let msg = err.to_string();
+            assert!(msg.contains("unsupported checkpoint version") && msg.contains(header), "{msg}");
+        }
         // Truncation (drop the footer and graph tail).
         let cut = &text[..text.len() / 2];
         assert!(SearchCheckpoint::decode(cut).is_err());

@@ -154,7 +154,7 @@ pub struct GreedyDriver {
 }
 
 impl GreedyDriver {
-    /// Builds the driver: a fresh search (or legacy checkpoint resume)
+    /// Builds the driver: a fresh search (or frontier-free resume)
     /// seeds the queue with `init`; a trajectory-exact resume restores
     /// the checkpointed `frontier` entries and sequence counter
     /// verbatim and does **not** re-push the incumbent.

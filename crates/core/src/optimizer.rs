@@ -91,9 +91,8 @@ use magis_sched::validate_schedule;
 use magis_sim::{evaluate_checked, memory_profile};
 use magis_util::fault::{FaultPlan, FaultSite};
 use magis_util::parallel;
-use magis_util::sync::ShardedSet;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -1135,7 +1134,7 @@ fn write_checkpoint(
     seed_cost: (u64, f64),
     rng_seed: u64,
     pareto: &ParetoSet,
-    seen: &ShardedSet,
+    seen: &BTreeSet<u64>,
     quarantine: &Quarantine,
     stats: &OptimizerStats,
     driver: DriverKind,
@@ -1167,7 +1166,7 @@ fn write_checkpoint(
             checkpoint_failures: stats.checkpoint_failures as u64,
         },
         pareto: pareto.points().to_vec(),
-        seen: seen.snapshot(),
+        seen: seen.iter().copied().collect(),
         quarantine: quarantine.entries(),
         best_order,
         ftree_nodes,
@@ -1226,7 +1225,7 @@ pub struct Engine<'a> {
     pareto: ParetoSet,
     history: Vec<ProgressPoint>,
     best: MState,
-    seen: ShardedSet,
+    seen: BTreeSet<u64>,
     quarantine: Quarantine,
     eval_cache: EvalCache,
     evals_at_last_ckpt: usize,
@@ -1584,7 +1583,7 @@ impl<'a> Engine<'a> {
                     // Cheap duplicate pre-filter before the retain
                     // decision (greedy only: MCTS treats transpositions
                     // as legitimate tree branches).
-                    if dedup && self.seen.contains(hash) {
+                    if dedup && self.seen.contains(&hash) {
                         self.stats.filtered += 1;
                         obs.filtered.inc();
                         reject("duplicate", eval_dur);
@@ -1821,25 +1820,17 @@ fn run_search(mut init: MState, seed: SearchSeed, cfg: &OptimizerConfig) -> Opti
     // the incumbent is NOT re-pushed (its hash stays in the seen-set,
     // as it was already expanded when the checkpoint was written).
     let exact_resume = !seed.frontier.is_empty();
-    // Written only between fan-outs (at pops), read-only during a
-    // batch; sharded so workers could share it without contention.
-    let seen = ShardedSet::default();
-    if exact_resume {
-        for h in seed.seen {
-            seen.insert(h);
-        }
-    } else {
-        // Legacy-resume trap: the incumbent's own hash is in the
-        // checkpointed seen-set (it was inserted when first expanded).
-        // Preloading it verbatim would make the first pop filter the
-        // resumed incumbent as a duplicate and end the search
-        // immediately.
-        let init_hash = graph_hash(&init.eval.graph);
-        for h in seed.seen {
-            if h != init_hash {
-                seen.insert(h);
-            }
-        }
+    // Read and written on the driver/merge thread only (pops, the
+    // merge loop's duplicate probe, checkpoint writes); ordered, so a
+    // checkpoint lists the hashes sorted.
+    let mut seen: BTreeSet<u64> = seed.seen.into_iter().collect();
+    if !exact_resume {
+        // Frontier-free-resume trap: the incumbent's own hash is in
+        // the checkpointed seen-set (it was inserted when first
+        // expanded). Preloading it verbatim would make the first pop
+        // filter the resumed incumbent as a duplicate and end the
+        // search immediately.
+        seen.remove(&graph_hash(&init.eval.graph));
     }
     let mut quarantine = Quarantine::new(cfg.quarantine_threshold);
     quarantine.load(&seed.quarantine);
@@ -1862,7 +1853,7 @@ fn run_search(mut init: MState, seed: SearchSeed, cfg: &OptimizerConfig) -> Opti
             // Trajectory-exact resume: tree topology, statistics, and
             // RNG state come back verbatim.
             (Some(meta), true) => Box::new(MctsDriver::resume(seed.frontier, meta)),
-            // Fresh search (or legacy non-frontier resume): a new tree
+            // Fresh search (or frontier-free resume): a new tree
             // rooted at the incumbent, RNG reseeded from the config.
             _ => Box::new(MctsDriver::new(cfg, init)),
         },

@@ -11,13 +11,12 @@
 //! D6 in DESIGN.md).
 
 use crate::task::SchedTask;
-use std::collections::BTreeMap;
 
 /// Tuning for the DP/beam scheduler.
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
     /// Maximum states kept per level. Width 1 is greedy list
-    /// scheduling; large widths approach exact DP.
+    /// scheduling; large widths approach exact DP. Zero behaves as 1.
     pub beam_width: usize,
     /// Above this window size the effective width shrinks
     /// proportionally to bound work (`width · budget / n`).
@@ -31,40 +30,15 @@ impl Default for SchedConfig {
 }
 
 impl SchedConfig {
-    /// Effective beam width for a window of `n` nodes.
+    /// Effective beam width for a window of `n` nodes (at least 1).
     pub fn effective_width(&self, n: usize) -> usize {
-        if n <= self.node_budget {
+        let width = if n <= self.node_budget {
             self.beam_width
         } else {
-            (self.beam_width * self.node_budget / n).max(1)
-        }
+            self.beam_width * self.node_budget / n
+        };
+        width.max(1)
     }
-}
-
-/// A surviving DP state: its executed-set key plus running memory
-/// figures. The schedule itself is *not* stored per state — each state
-/// records only the arena index of its `(parent, last-node)` link, and
-/// the winning order is reconstructed by walking parents at the end.
-/// This keeps a transition O(degree) instead of O(window).
-struct LevelState {
-    executed: Vec<u64>,
-    mem: u64,
-    peak: u64,
-    /// Index into the parent-link arena (`u32::MAX` for the root).
-    link: u32,
-}
-
-/// Candidate value inside a level's dedup map, before truncation.
-struct Cand {
-    peak: u64,
-    mem: u64,
-    parent: u32,
-    last: u32,
-}
-
-#[inline]
-fn bit(words: &[u64], i: usize) -> bool {
-    (words[i / 64] >> (i % 64)) & 1 == 1
 }
 
 /// Result of [`dp_schedule`].
@@ -90,108 +64,23 @@ pub fn dp_schedule(task: &SchedTask<'_>, cfg: &SchedConfig) -> DpResult {
     let start = std::time::Instant::now();
     let mut span = magis_obs::span!("magis_sched", "dp_schedule", window = n);
     let width = cfg.effective_width(n);
-    // Windows of ≤256 nodes — every incremental reschedule and most
-    // whole-model windows at bench scale — run on fixed-width bitset
-    // fast paths whose keys live on the stack; larger windows fall back
-    // to word-vector keys below.
-    let fixed = match n {
-        0..=64 => Some(dp_fixed::<1>(task, width)),
-        65..=128 => Some(dp_fixed::<2>(task, width)),
-        129..=192 => Some(dp_fixed::<3>(task, width)),
-        193..=256 => Some(dp_fixed::<4>(task, width)),
-        _ => None,
+    // The window size picks only the executed-set key type. Word-array
+    // keys live on the stack and cover every window up to 1024 nodes
+    // (whole-model pieces at paper scale reach ~930); beyond that the
+    // key is one boxed slice of exactly the words needed.
+    let (order, peak, states_expanded) = match n.div_ceil(64) {
+        1 => dp_on(task, width, [0u64; 1]),
+        2 => dp_on(task, width, [0u64; 2]),
+        3 => dp_on(task, width, [0u64; 3]),
+        4 => dp_on(task, width, [0u64; 4]),
+        5..=8 => dp_on(task, width, [0u64; 8]),
+        9..=16 => dp_on(task, width, [0u64; 16]),
+        words => dp_on(task, width, vec![0u64; words].into_boxed_slice()),
     };
-    if let Some((order, peak, expanded)) = fixed {
-        span.record("states_expanded", expanded);
-        span.record("peak_bytes", peak);
-        record_obs(expanded, start);
-        return DpResult { order, peak, states_expanded: expanded };
-    }
-    let words = n.div_ceil(64);
-    // Parent-link arena: one `(parent, last)` entry per state that
-    // survives a level's truncation.
-    let mut arena: Vec<(u32, u32)> = Vec::new();
-    let mut level: Vec<LevelState> =
-        vec![LevelState { executed: vec![0; words], mem: task.base, peak: task.base, link: u32::MAX }];
-    let mut scratch = vec![0u64; words];
-    let mut expanded = 0usize;
-    for _ in 0..n {
-        // Keyed by the executed bitset. A BTreeMap (not HashMap) so
-        // that level iteration order — and therefore beam truncation
-        // and final tie-breaks among equal-(peak, mem) states — is
-        // deterministic across runs, processes, and thread counts.
-        let mut next: BTreeMap<Vec<u64>, Cand> = BTreeMap::new();
-        for st in &level {
-            for v in 0..n {
-                if bit(&st.executed, v)
-                    || !task.preds[v].iter().all(|&p| bit(&st.executed, p))
-                {
-                    continue;
-                }
-                expanded += 1;
-                // Probe with a scratch key: the key Vec is only cloned
-                // when the state is genuinely new.
-                scratch.copy_from_slice(&st.executed);
-                scratch[v / 64] |= 1 << (v % 64);
-                let mut mem = st.mem;
-                for &ri in &task.allocs[v] {
-                    mem += task.roots[ri].bytes;
-                }
-                let peak = st.peak.max(mem);
-                // Free roots whose final user just executed.
-                for &ri in &task.uses[v] {
-                    let r = &task.roots[ri];
-                    if r.freeable && r.users.iter().all(|&u| bit(&scratch, u)) {
-                        mem -= r.bytes;
-                    }
-                }
-                match next.get_mut(&scratch[..]) {
-                    Some(prev) => {
-                        if (peak, mem) < (prev.peak, prev.mem) {
-                            *prev = Cand { peak, mem, parent: st.link, last: v as u32 };
-                        }
-                    }
-                    None => {
-                        next.insert(
-                            scratch.clone(),
-                            Cand { peak, mem, parent: st.link, last: v as u32 },
-                        );
-                    }
-                }
-            }
-        }
-        let mut states: Vec<(Vec<u64>, Cand)> = next.into_iter().collect();
-        if states.len() > width {
-            states.sort_by_key(|(_, c)| (c.peak, c.mem));
-            states.truncate(width);
-        }
-        debug_assert!(!states.is_empty(), "DAG window must always have a ready node");
-        level = states
-            .into_iter()
-            .map(|(executed, c)| {
-                let link = arena.len() as u32;
-                arena.push((c.parent, c.last));
-                LevelState { executed, mem: c.mem, peak: c.peak, link }
-            })
-            .collect();
-    }
-    let best = level
-        .iter()
-        .min_by_key(|s| (s.peak, s.mem))
-        .expect("at least one complete schedule");
-    // Reconstruct the winning order by walking the parent chain.
-    let mut order = Vec::with_capacity(n);
-    let mut cur = best.link;
-    while cur != u32::MAX {
-        let (parent, last) = arena[cur as usize];
-        order.push(last as usize);
-        cur = parent;
-    }
-    order.reverse();
-    span.record("states_expanded", expanded);
-    span.record("peak_bytes", best.peak);
-    record_obs(expanded, start);
-    DpResult { order, peak: best.peak, states_expanded: expanded }
+    span.record("states_expanded", states_expanded);
+    span.record("peak_bytes", peak);
+    record_obs(states_expanded, start);
+    DpResult { order, peak, states_expanded }
 }
 
 fn record_obs(expanded: usize, start: std::time::Instant) {
@@ -212,113 +101,97 @@ fn record_obs(expanded: usize, start: std::time::Instant) {
     obs.seconds.observe_duration(start.elapsed());
 }
 
-/// A stack-allocated executed-set key of `W` 64-bit words with the
-/// same bit layout as the general path's word vectors (bit `i` lives
-/// in word `i / 64`). The derived lexicographic `Ord` over the array
-/// therefore equals the `BTreeMap<Vec<u64>, _>` key order, so
-/// truncation and tie-breaks visit states in the same order on both
-/// paths.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Key<const W: usize>([u64; W]);
-
-impl<const W: usize> Key<W> {
-    const ZERO: Key<W> = Key([0; W]);
-
+/// An executed-set (or ready-set) key: a bitset over the window's local
+/// indices, bit `i` in word `i / 64`. `[u64; W]` and `Box<[u64]>` both
+/// qualify; both order lexicographically by word, so the level order —
+/// and with it beam truncation and every tie-break — does not depend
+/// on which one a window gets.
+trait Key: Clone + Ord + AsRef<[u64]> + AsMut<[u64]> {
     #[inline]
-    fn with_bit(mut self, i: usize) -> Self {
-        self.0[i / 64] |= 1 << (i % 64);
-        self
+    fn set(&mut self, i: usize) {
+        self.as_mut()[i / 64] |= 1 << (i % 64);
     }
 
     #[inline]
-    fn or(mut self, other: &Key<W>) -> Self {
-        for w in 0..W {
-            self.0[w] |= other.0[w];
-        }
-        self
-    }
-
-    #[inline]
-    fn clear_bit(mut self, i: usize) -> Self {
-        self.0[i / 64] &= !(1 << (i % 64));
-        self
+    fn clear(&mut self, i: usize) {
+        self.as_mut()[i / 64] &= !(1 << (i % 64));
     }
 
     /// Whether every bit of `other` is set in `self`.
     #[inline]
-    fn contains(&self, other: &Key<W>) -> bool {
-        (0..W).all(|w| self.0[w] & other.0[w] == other.0[w])
+    fn contains(&self, other: &Self) -> bool {
+        self.as_ref().iter().zip(other.as_ref()).all(|(a, b)| a & b == *b)
     }
 }
 
-/// Fast path of [`dp_schedule`] for windows of up to `64·W` nodes: the
-/// executed-set key is a fixed word array, readiness and root-freeing
-/// become mask tests, and level dedup never heap-allocates a key.
-/// Transition rule, truncation, and every tie-break are identical to
-/// the general path.
-fn dp_fixed<const W: usize>(task: &SchedTask<'_>, width: usize) -> (Vec<usize>, u64, usize) {
+impl<K: Clone + Ord + AsRef<[u64]> + AsMut<[u64]>> Key for K {}
+
+/// A surviving DP state. The schedule itself is *not* stored per state
+/// — each state records only the arena index of its `(parent,
+/// last-node)` link, and the winning order is reconstructed by walking
+/// parents at the end.
+struct State<K> {
+    executed: K,
+    /// Nodes whose predecessors are all executed, not yet run. Pure
+    /// function of `executed`, carried incrementally so a transition
+    /// costs O(out-degree) instead of an O(n) scan.
+    ready: K,
+    mem: u64,
+    peak: u64,
+    /// Index into the parent-link arena (`u32::MAX` for the root).
+    link: u32,
+}
+
+/// One transition out of a level, before dedup and truncation.
+struct Trans<K> {
+    executed: K,
+    ready: K,
+    peak: u64,
+    mem: u64,
+    parent: u32,
+    last: u32,
+}
+
+/// The level loop of [`dp_schedule`] on keys shaped like `zero` (all
+/// bits clear, at least `task.len()` bits wide): readiness and
+/// root-freeing are mask tests, and a level is deduplicated by one
+/// stable sort. Returns `(order, peak, transitions generated)`.
+fn dp_on<K: Key>(task: &SchedTask<'_>, width: usize, zero: K) -> (Vec<usize>, u64, usize) {
     let n = task.len();
-    debug_assert!(n <= 64 * W);
-    let node_mask: Vec<Key<W>> = (0..n).map(|i| Key::ZERO.with_bit(i)).collect();
-    let pred_mask: Vec<Key<W>> = (0..n)
-        .map(|v| task.preds[v].iter().fold(Key::ZERO, |m, &p| m.with_bit(p)))
-        .collect();
-    let root_users: Vec<Key<W>> = task
-        .roots
-        .iter()
-        .map(|r| r.users.iter().fold(Key::ZERO, |m, &u| m.with_bit(u)))
-        .collect();
-    struct FixedState<const W: usize> {
-        executed: Key<W>,
-        /// Nodes whose predecessors are all executed, not yet run.
-        /// Pure function of `executed`, carried incrementally so a
-        /// transition costs O(out-degree) instead of an O(n) scan.
-        ready: Key<W>,
-        mem: u64,
-        peak: u64,
-        link: u32,
-    }
-    struct FixedCand<const W: usize> {
-        ready: Key<W>,
-        peak: u64,
-        mem: u64,
-        parent: u32,
-        last: u32,
-    }
-    let ready0 = (0..n)
-        .filter(|&v| pred_mask[v] == Key::ZERO)
-        .fold(Key::ZERO, |m: Key<W>, v| m.with_bit(v));
+    debug_assert!(n <= 64 * zero.as_ref().len());
+    let mask_of = |nodes: &[usize]| {
+        let mut m = zero.clone();
+        nodes.iter().for_each(|&i| m.set(i));
+        m
+    };
+    let pred_mask: Vec<K> = task.preds.iter().map(|p| mask_of(p)).collect();
+    let root_users: Vec<K> = task.roots.iter().map(|r| mask_of(&r.users)).collect();
+    let mut ready0 = zero.clone();
+    (0..n).filter(|&v| task.preds[v].is_empty()).for_each(|v| ready0.set(v));
+    // Parent-link arena: one `(parent, last)` entry per state that
+    // survives a level's truncation.
     let mut arena: Vec<(u32, u32)> = Vec::new();
-    let mut level = vec![FixedState {
-        executed: Key::ZERO,
-        ready: ready0,
-        mem: task.base,
-        peak: task.base,
-        link: u32::MAX,
-    }];
+    let mut level =
+        vec![State { executed: zero, ready: ready0, mem: task.base, peak: task.base, link: u32::MAX }];
     let mut expanded = 0usize;
-    let mut trans: Vec<(Key<W>, FixedCand<W>)> = Vec::new();
+    let mut trans: Vec<Trans<K>> = Vec::new();
     for _ in 0..n {
-        // Collect every transition flat, then dedup by a stable sort
-        // on the key: cheaper than a keyed map, with the identical
-        // outcome — ascending-key order, and among transitions to the
-        // same executed set the first-generated one wins (peak, mem)
-        // ties, exactly the map's insert-then-strict-less rule.
-        trans.clear();
         for st in &level {
-            // Iterate ready bits in ascending node order (natural
-            // packing: low words, low bits first).
-            for w in 0..W {
-                let mut bits = st.ready.0[w];
+            // Ready bits in ascending node order: low words, low bits
+            // first.
+            for (w, &word) in st.ready.as_ref().iter().enumerate() {
+                let mut bits = word;
                 while bits != 0 {
                     let v = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     expanded += 1;
-                    let key = st.executed.with_bit(v);
-                    let mut ready = st.ready.clear_bit(v);
+                    let mut executed = st.executed.clone();
+                    executed.set(v);
+                    let mut ready = st.ready.clone();
+                    ready.clear(v);
                     for &s in &task.succs[v] {
-                        if key.contains(&pred_mask[s]) {
-                            ready = ready.or(&node_mask[s]);
+                        if executed.contains(&pred_mask[s]) {
+                            ready.set(s);
                         }
                     }
                     let mut mem = st.mem;
@@ -326,42 +199,42 @@ fn dp_fixed<const W: usize>(task: &SchedTask<'_>, width: usize) -> (Vec<usize>, 
                         mem += task.roots[ri].bytes;
                     }
                     let peak = st.peak.max(mem);
+                    // Free roots whose final user just executed.
                     for &ri in &task.uses[v] {
                         let r = &task.roots[ri];
-                        if r.freeable && key.contains(&root_users[ri]) {
+                        if r.freeable && executed.contains(&root_users[ri]) {
                             mem -= r.bytes;
                         }
                     }
-                    trans.push((
-                        key,
-                        FixedCand { ready, peak, mem, parent: st.link, last: v as u32 },
-                    ));
+                    trans.push(Trans { executed, ready, peak, mem, parent: st.link, last: v as u32 });
                 }
             }
         }
-        trans.sort_by_key(|&(key, _)| key);
-        let mut states: Vec<(Key<W>, FixedCand<W>)> = Vec::with_capacity(trans.len());
-        for (key, c) in trans.drain(..) {
-            match states.last_mut() {
-                Some((k, best)) if *k == key => {
-                    if (c.peak, c.mem) < (best.peak, best.mem) {
-                        *best = c;
-                    }
-                }
-                _ => states.push((key, c)),
+        // Dedup by a stable sort on the key, not a hash: the level
+        // comes out in ascending-key order on every run, process and
+        // thread count, and among transitions to the same executed set
+        // the first-generated one wins (peak, mem) ties.
+        trans.sort_by(|a, b| a.executed.cmp(&b.executed));
+        trans.dedup_by(|t, best| {
+            if t.executed != best.executed {
+                return false;
             }
+            if (t.peak, t.mem) < (best.peak, best.mem) {
+                std::mem::swap(t, best);
+            }
+            true
+        });
+        if trans.len() > width {
+            trans.sort_by_key(|t| (t.peak, t.mem));
+            trans.truncate(width);
         }
-        if states.len() > width {
-            states.sort_by_key(|(_, c)| (c.peak, c.mem));
-            states.truncate(width);
-        }
-        debug_assert!(!states.is_empty(), "DAG window must always have a ready node");
-        level = states
-            .into_iter()
-            .map(|(executed, c)| {
+        debug_assert!(!trans.is_empty(), "DAG window must always have a ready node");
+        level = trans
+            .drain(..)
+            .map(|t| {
                 let link = arena.len() as u32;
-                arena.push((c.parent, c.last));
-                FixedState { executed, ready: c.ready, mem: c.mem, peak: c.peak, link }
+                arena.push((t.parent, t.last));
+                State { executed: t.executed, ready: t.ready, mem: t.mem, peak: t.peak, link }
             })
             .collect();
     }
@@ -369,6 +242,7 @@ fn dp_fixed<const W: usize>(task: &SchedTask<'_>, width: usize) -> (Vec<usize>, 
         .iter()
         .min_by_key(|s| (s.peak, s.mem))
         .expect("at least one complete schedule");
+    // Reconstruct the winning order by walking the parent chain.
     let mut order = Vec::with_capacity(n);
     let mut cur = best.link;
     while cur != u32::MAX {
@@ -439,6 +313,28 @@ mod tests {
         let res = dp_schedule(&task, &cfg);
         let ids = task.to_node_ids(&res.order);
         assert!(is_topo_order(&g, &ids));
+    }
+
+    #[test]
+    fn beam_width_zero_behaves_as_width_one() {
+        let mut b = GraphBuilder::new(DType::F32);
+        let x = b.input([64], "x");
+        let a = b.relu(x);
+        let c = b.gelu(x);
+        let _ = b.add_op(a, c);
+        let g = b.finish();
+        let task = SchedTask::whole_graph(&g);
+        // Both branches of `effective_width`: inside and above the
+        // node budget.
+        for node_budget in [128, 2] {
+            let zero = dp_schedule(&task, &SchedConfig { beam_width: 0, node_budget });
+            let one = dp_schedule(&task, &SchedConfig { beam_width: 1, node_budget });
+            assert!(is_topo_order(&g, &task.to_node_ids(&zero.order)));
+            assert_eq!(
+                (zero.order, zero.peak, zero.states_expanded),
+                (one.order, one.peak, one.states_expanded)
+            );
+        }
     }
 
     #[test]

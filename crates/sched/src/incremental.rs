@@ -8,10 +8,8 @@
 //! the memory-DP, and the pieces are merged back into the old schedule.
 
 use magis_graph::GraphView;
-use crate::dp::{dp_schedule, SchedConfig};
-use crate::partition::partition;
-use crate::schedule::stabilize_order;
-use crate::task::SchedTask;
+use crate::dp::SchedConfig;
+use crate::schedule::{schedule_pieces, stabilize_order};
 use magis_graph::algo::reach::Reachability;
 use magis_graph::graph::{Graph, NodeId};
 use magis_sim::{CostError, Lifetimes, MemoryPlan, MemoryProfile};
@@ -40,20 +38,12 @@ impl Default for IntervalParams {
 ///
 /// Returns `None` when no mutated node appears in the old schedule
 /// (e.g. the transformation only added nodes).
-pub fn reschedule_interval(
-    g_old: &Graph,
-    s_old: &BTreeSet<NodeId>,
-    psi_old: &[NodeId],
-    params: &IntervalParams,
-) -> Option<(usize, usize)> {
-    reschedule_interval_cached(g_old, s_old, psi_old, params, None)
-}
-
-/// [`reschedule_interval`] with an optional precomputed reachability of
-/// `g_old`. A parent state's reachability is identical for every
-/// candidate derived from it, so the search computes it once and hands
-/// it to each evaluation instead of paying `Reachability::compute` per
-/// candidate.
+///
+/// `reach` is an optional precomputed reachability of `g_old`. A
+/// parent state's reachability is identical for every candidate
+/// derived from it, so the search computes it once and hands it to
+/// each evaluation instead of paying `Reachability::compute` per
+/// candidate; with `None` it is computed here.
 pub fn reschedule_interval_cached(
     g_old: &Graph,
     s_old: &BTreeSet<NodeId>,
@@ -126,7 +116,7 @@ fn record_inc_obs(carried_won: bool, window: usize, start: std::time::Instant) {
     obs.seconds.observe_duration(start.elapsed());
 }
 
-/// Result of [`incremental_schedule_profiled`]: the chosen order plus
+/// Result of [`incremental_schedule_cached`]: the chosen order plus
 /// the memory profile and lifetime table that were computed while
 /// choosing it — the evaluation pipeline reuses them instead of
 /// re-profiling from scratch, and carries the lifetimes forward as the
@@ -151,34 +141,10 @@ pub struct IncrementalSchedule {
 
 /// Incremental scheduling (Algorithm 2): derives a schedule for
 /// `g_new` from the old schedule `psi_old` of `g_old` and the set of
-/// old nodes `s_old` touched by the transformation.
+/// old nodes `s_old` touched by the transformation, and returns the
+/// chosen order *with* its memory profile and lifetime table.
 ///
 /// The returned order is always a valid topological order of `g_new`.
-///
-/// This compatibility wrapper profiles from scratch; the evaluation
-/// pipeline uses [`incremental_schedule_profiled`] with the parent's
-/// lifetime table so the rescheduled-vs-carried guard runs on delta
-/// profiles instead of two full ones.
-///
-/// # Panics
-///
-/// Panics if memory accounting is not conserved (a corrupt graph or
-/// schedule).
-pub fn incremental_schedule(
-    g_old: &Graph,
-    g_new: &Graph,
-    s_old: &BTreeSet<NodeId>,
-    psi_old: &[NodeId],
-    cfg: &SchedConfig,
-    params: &IntervalParams,
-) -> Vec<NodeId> {
-    incremental_schedule_profiled(g_old, g_new, s_old, psi_old, None, None, cfg, params)
-        .expect("memory accounting conserved")
-        .order
-}
-
-/// [`incremental_schedule`] returning the chosen order *with* its
-/// memory profile and lifetime table.
 ///
 /// When `parent_lifetimes` is the table of `(g_old, psi_old)`, both
 /// candidate orders (rescheduled window and carried-over old order)
@@ -193,36 +159,13 @@ pub fn incremental_schedule(
 /// so the planned objective steers the choice without the liveness
 /// path losing its tiebreak.
 ///
+/// `reach_old` is an optional precomputed reachability of `g_old`
+/// (see [`reschedule_interval_cached`]).
+///
 /// # Errors
 ///
 /// Returns a typed [`CostError`] on coverage or memory-conservation
 /// defects.
-#[allow(clippy::too_many_arguments)]
-pub fn incremental_schedule_profiled(
-    g_old: &Graph,
-    g_new: &Graph,
-    s_old: &BTreeSet<NodeId>,
-    psi_old: &[NodeId],
-    parent_lifetimes: Option<&Lifetimes>,
-    parent_plan: Option<&MemoryPlan>,
-    cfg: &SchedConfig,
-    params: &IntervalParams,
-) -> Result<IncrementalSchedule, CostError> {
-    incremental_schedule_cached(
-        g_old,
-        g_new,
-        s_old,
-        psi_old,
-        parent_lifetimes,
-        parent_plan,
-        cfg,
-        params,
-        None,
-    )
-}
-
-/// [`incremental_schedule_profiled`] with an optional precomputed
-/// reachability of `g_old` (see [`reschedule_interval_cached`]).
 #[allow(clippy::too_many_arguments)]
 pub fn incremental_schedule_cached(
     g_old: &Graph,
@@ -253,14 +196,7 @@ pub fn incremental_schedule_cached(
     let s_new: BTreeSet<NodeId> =
         g_new.node_ids().filter(|v| !kept.contains(v)).collect();
 
-    let mut middle = Vec::with_capacity(s_new.len());
-    for piece in partition(g_new, &s_new) {
-        let set: BTreeSet<NodeId> = piece.iter().copied().collect();
-        let task = SchedTask::subset(g_new, &set);
-        let res = dp_schedule(&task, cfg);
-        middle.extend(task.to_node_ids(&res.order));
-    }
-
+    let middle = schedule_pieces(g_new, &s_new, cfg);
     let desired: Vec<NodeId> =
         prefix.into_iter().chain(middle).chain(suffix).collect();
     let rescheduled = stabilize_order(g_new, &desired);
@@ -348,7 +284,8 @@ mod tests {
         let g = chain_graph(30);
         let psi = topo_order(&g);
         let s: BTreeSet<NodeId> = [psi[10], psi[12]].into_iter().collect();
-        let (beg, end) = reschedule_interval(&g, &s, &psi, &IntervalParams::default()).unwrap();
+        let (beg, end) =
+            reschedule_interval_cached(&g, &s, &psi, &IntervalParams::default(), None).unwrap();
         assert!(beg <= 10 && end >= 13);
         // On a chain every nw is 0: the first extension step already
         // finds the minimum, so the window stays tight.
@@ -370,14 +307,19 @@ mod tests {
         g_new.validate().unwrap();
 
         let s_old: BTreeSet<NodeId> = [target, user].into_iter().collect();
-        let psi_new = incremental_schedule(
+        let psi_new = incremental_schedule_cached(
             &g_old,
             &g_new,
             &s_old,
             &psi_old,
+            None,
+            None,
             &SchedConfig::default(),
             &IntervalParams::default(),
-        );
+            None,
+        )
+        .expect("memory accounting conserved")
+        .order;
         assert!(is_topo_order(&g_new, &psi_new));
         assert_eq!(psi_new.len(), g_new.len());
     }
@@ -399,14 +341,19 @@ mod tests {
         txn.remove(dup).unwrap();
         let g_new = txn.commit().0;
         let s_old: BTreeSet<NodeId> = [dup, u2].into_iter().collect();
-        let psi_new = incremental_schedule(
+        let psi_new = incremental_schedule_cached(
             &g_old,
             &g_new,
             &s_old,
             &psi_old,
+            None,
+            None,
             &SchedConfig::default(),
             &IntervalParams::default(),
-        );
+            None,
+        )
+        .expect("memory accounting conserved")
+        .order;
         assert!(is_topo_order(&g_new, &psi_new));
     }
 
@@ -414,14 +361,19 @@ mod tests {
     fn no_mutation_is_stable() {
         let g = chain_graph(5);
         let psi = topo_order(&g);
-        let out = incremental_schedule(
+        let out = incremental_schedule_cached(
             &g,
             &g,
             &BTreeSet::new(),
             &psi,
+            None,
+            None,
             &SchedConfig::default(),
             &IntervalParams::default(),
-        );
+            None,
+        )
+        .expect("memory accounting conserved")
+        .order;
         assert_eq!(out, psi);
     }
 }

@@ -7,7 +7,8 @@
 //!   with a beam cap (`DpSchedule` in Algorithm 2),
 //! * [`partition::partition`] — narrow-waist graph partitioning
 //!   (`GraphPartition`),
-//! * [`incremental::incremental_schedule`] — Algorithm 2 end to end,
+//! * [`incremental::incremental_schedule_cached`] — Algorithm 2 end to
+//!   end, over [`incremental::reschedule_interval_cached`]'s window,
 //! * [`schedule::full_schedule`] — the full-scheduling baseline,
 //! * [`validate::Schedule`] — typed schedule validation (exactly-once
 //!   coverage + topological order) for the hardened search pipeline.
@@ -39,13 +40,9 @@ pub mod validate;
 
 pub use dp::{dp_schedule, DpResult, SchedConfig};
 pub use incremental::{
-    incremental_schedule, incremental_schedule_cached, incremental_schedule_profiled,
-    reschedule_interval, reschedule_interval_cached,
-    IncrementalSchedule, IntervalParams,
+    incremental_schedule_cached, reschedule_interval_cached, IncrementalSchedule, IntervalParams,
 };
 pub use partition::partition;
-#[allow(deprecated)]
-pub use schedule::place_swaps_with;
 pub use schedule::{full_schedule, place_swaps, stabilize_order};
 pub use task::SchedTask;
 pub use validate::{validate_schedule, Schedule, ScheduleError};

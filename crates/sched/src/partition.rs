@@ -6,7 +6,6 @@
 //! scheduled independently with bounded loss (§6.1 of the paper).
 
 use magis_graph::GraphView;
-use magis_graph::algo::reach::Reachability;
 use magis_graph::algo::topo::topo_order_of;
 use magis_graph::algo::weakly_connected_components;
 use magis_graph::graph::{Graph, NodeId};
@@ -95,17 +94,6 @@ fn component_narrow_waists(g: &Graph, order: &[NodeId]) -> Vec<usize> {
             n - a - d - 1
         })
         .collect()
-}
-
-/// Narrow-waist values over the whole graph via [`Reachability`]
-/// (used by `GetRescheduleInterval` in Algorithm 2).
-pub fn narrow_waists(g: &Graph) -> (Reachability, Vec<usize>) {
-    let r = Reachability::compute(g);
-    let mut nw = vec![0usize; g.capacity()];
-    for v in g.node_ids() {
-        nw[v.index()] = r.narrow_waist(v);
-    }
-    (r, nw)
 }
 
 #[cfg(test)]

@@ -51,6 +51,20 @@ pub fn stabilize_order(g: &Graph, desired: &[NodeId]) -> Vec<NodeId> {
     out
 }
 
+/// Narrow-waist partition of `set`, then the memory DP on each piece
+/// as its own window; the piece schedules concatenated in partition
+/// order (`GraphPartition` + `DpSchedule`, Algorithm 2). The result
+/// covers `set` exactly but is not yet a topological order of `g`.
+pub(crate) fn schedule_pieces(g: &Graph, set: &BTreeSet<NodeId>, cfg: &SchedConfig) -> Vec<NodeId> {
+    let mut out = Vec::with_capacity(set.len());
+    for piece in partition(g, set) {
+        let piece: BTreeSet<NodeId> = piece.into_iter().collect();
+        let task = SchedTask::subset(g, &piece);
+        out.extend(task.to_node_ids(&dp_schedule(&task, cfg).order));
+    }
+    out
+}
+
 /// Full-graph memory-aware scheduling: narrow-waist partition, then
 /// per-piece memory DP, then stabilization. The result is guaranteed
 /// to be no worse (in peak memory) than the deterministic program
@@ -63,14 +77,7 @@ pub fn full_schedule(g: &Graph, cfg: &SchedConfig) -> Vec<NodeId> {
     let start = std::time::Instant::now();
     let mut span = magis_obs::span!("magis_sched", "full_schedule", nodes = g.len());
     let all: BTreeSet<NodeId> = g.node_ids().collect();
-    let mut desired = Vec::with_capacity(g.len());
-    for piece in partition(g, &all) {
-        let set: BTreeSet<NodeId> = piece.iter().copied().collect();
-        let task = SchedTask::subset(g, &set);
-        let res = dp_schedule(&task, cfg);
-        desired.extend(task.to_node_ids(&res.order));
-    }
-    let dp_order = stabilize_order(g, &desired);
+    let dp_order = stabilize_order(g, &schedule_pieces(g, &all, cfg));
     let fallback = magis_graph::algo::topo_order(g);
     let dp_peak = magis_sim::memory_profile(g, &dp_order).peak_bytes;
     let naive_peak = magis_sim::memory_profile(g, &fallback).peak_bytes;
@@ -89,22 +96,6 @@ pub fn full_schedule(g: &Graph, cfg: &SchedConfig) -> Vec<NodeId> {
     } else {
         fallback
     }
-}
-
-/// Positions of each node within an order (inverse permutation).
-pub fn positions(g: &Graph, order: &[NodeId]) -> HashMap<NodeId, usize> {
-    let _ = g;
-    order.iter().enumerate().map(|(i, &v)| (v, i)).collect()
-}
-
-/// [`place_swaps`] under its old concrete-source name.
-#[deprecated(since = "0.2.0", note = "`place_swaps` is now generic; call it directly")]
-pub fn place_swaps_with<C: magis_sim::NodeCost + ?Sized>(
-    g: &Graph,
-    order: &[NodeId],
-    cm: &C,
-) -> Vec<NodeId> {
-    place_swaps(g, order, cm)
 }
 
 /// Repositions swap operators per the paper's strategy (§6.2): every

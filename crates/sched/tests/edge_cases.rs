@@ -99,7 +99,7 @@ impl TanhLike for GraphBuilder {
 use magis_graph::algo::is_topo_order;
 use magis_graph::graph::Graph;
 use magis_graph::op::{OpKind, UnaryKind};
-use magis_sched::{incremental_schedule_profiled, IntervalParams};
+use magis_sched::{incremental_schedule_cached, IntervalParams};
 use magis_sim::memory_profile_lifetimes;
 
 /// A linear chain with one fat interior activation so the peak-memory
@@ -123,7 +123,7 @@ fn check_incremental(g_old: &Graph, g_new: &Graph, s_old: &BTreeSet<NodeId>) {
     let psi_old = full_schedule(g_old, &cfg);
     let (_, lt_old) = memory_profile_lifetimes(g_old, &psi_old).expect("old profile");
     let plan_old = magis_sim::memory_plan(g_old, &psi_old).expect("old plan");
-    let inc = incremental_schedule_profiled(
+    let inc = incremental_schedule_cached(
         g_old,
         g_new,
         s_old,
@@ -132,6 +132,7 @@ fn check_incremental(g_old: &Graph, g_new: &Graph, s_old: &BTreeSet<NodeId>) {
         Some(&plan_old),
         &cfg,
         &IntervalParams::default(),
+        None,
     )
     .expect("incremental schedule");
     assert!(is_topo_order(g_new, &inc.order), "merged order is a valid topo order");

@@ -238,19 +238,6 @@ impl CostModel {
         }
         Ok(t)
     }
-
-    /// [`Self::graph_latency`] with every node latency and the total
-    /// validated (a sum of finite terms can still overflow to `inf`).
-    pub fn graph_latency_checked(&self, g: &Graph) -> Result<f64, CostError> {
-        let mut total = 0.0;
-        for v in g.node_ids() {
-            total += self.node_latency_checked(g, v)?;
-        }
-        if !total.is_finite() {
-            return Err(CostError::NonFiniteLatency { node: None, value: total });
-        }
-        Ok(total)
-    }
 }
 
 #[cfg(test)]

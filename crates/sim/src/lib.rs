@@ -42,8 +42,6 @@ pub use calibrate::{CalibrationError, TraceSample};
 pub use cost::{CostError, CostModel, NodeCost};
 pub use delta::memory_profile_delta;
 pub use device::DeviceSpec;
-#[allow(deprecated)]
-pub use exec::simulate_with;
 pub use exec::{memory_timeline, simulate, simulate_checked, simulate_latency, ExecTimeline};
 pub use memory::{
     memory_profile, memory_profile_checked, memory_profile_lifetimes, storage_root, Lifetimes,
@@ -167,7 +165,7 @@ fn evaluate_checked_inner<C: NodeCost + ?Sized>(
     // coverage, without which `simulate` below could index with an
     // unscheduled node's position and panic.
     let memory = memory::memory_profile_checked(g, order)?;
-    evaluate_with_profile(g, order, cm, memory)
+    evaluate_with_plan(g, order, cm, memory, None)
 }
 
 /// The checked latency half of [`evaluate_checked`], run over an
@@ -181,6 +179,13 @@ fn evaluate_checked_inner<C: NodeCost + ?Sized>(
 /// profile from anywhere else must have validated coverage themselves:
 /// the simulation panics on wrong-length orders but trusts `memory`.
 ///
+/// With the optional planning stage — a [`MemoryPlan`] for the same
+/// `(g, order)` pair — the plan's allocator high-water mark is surfaced
+/// as [`Evaluation::planned_peak_bytes`]. The plan comes from
+/// [`memory_plan`] / [`plan_from_lifetimes`] or (for a candidate
+/// derived from a planned parent) [`memory_plan_delta`]; this function
+/// trusts it the same way it trusts `memory`.
+///
 /// The latency source is any [`NodeCost`] — pass the shared
 /// [`PerfCache`] to memoize per-operator latencies across candidates.
 ///
@@ -192,22 +197,6 @@ fn evaluate_checked_inner<C: NodeCost + ?Sized>(
 /// # Panics
 ///
 /// Panics if `order` has the wrong length for `g`.
-pub fn evaluate_with_profile<C: NodeCost + ?Sized>(
-    g: &Graph,
-    order: &[NodeId],
-    cm: &C,
-    memory: MemoryProfile,
-) -> Result<Evaluation, CostError> {
-    evaluate_with_plan(g, order, cm, memory, None)
-}
-
-/// [`evaluate_with_profile`] with the optional planning stage: when a
-/// [`MemoryPlan`] for the same `(g, order)` pair is handed in, its
-/// allocator high-water mark is surfaced as
-/// [`Evaluation::planned_peak_bytes`]. The plan comes from
-/// [`memory_plan`] / [`plan_from_lifetimes`] or (for a candidate
-/// derived from a planned parent) [`memory_plan_delta`]; this function
-/// trusts it the same way it trusts `memory`.
 pub fn evaluate_with_plan<C: NodeCost + ?Sized>(
     g: &Graph,
     order: &[NodeId],

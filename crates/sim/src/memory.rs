@@ -33,18 +33,6 @@ pub struct MemoryProfile {
     pub hotspots: BTreeSet<NodeId>,
 }
 
-impl MemoryProfile {
-    /// Steps at which the peak is reached.
-    pub fn peak_steps(&self) -> Vec<usize> {
-        self.step_bytes
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m == self.peak_bytes)
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
 /// Resolves the storage root of a node: follows alias (reshape) chains
 /// to the tensor that actually owns memory.
 pub fn storage_root(g: &Graph, mut v: NodeId) -> NodeId {

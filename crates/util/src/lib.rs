@@ -3,8 +3,8 @@
 //! Zero-dependency utilities shared across the MAGIS workspace. The
 //! build environment is fully offline (no crates.io access), so the
 //! small slices of `rand`, `proptest`, and `criterion` the workspace
-//! used are reimplemented here, alongside the concurrency primitives
-//! the parallel M-Optimizer needs:
+//! used are reimplemented here, alongside the fan-out primitive the
+//! parallel M-Optimizer needs:
 //!
 //! * [`rng`] — a SplitMix64-based [`rng::SmallRng`] with the familiar
 //!   `seed_from_u64` / `gen_range` / `gen_bool` surface,
@@ -15,8 +15,6 @@
 //! * [`parallel`] — deterministic scoped-thread fan-out
 //!   ([`parallel::par_map`]) used by the parallel candidate-evaluation
 //!   layer of the optimizer,
-//! * [`sync`] — a sharded concurrent hash-set ([`sync::ShardedSet`])
-//!   for the optimizer's Weisfeiler–Lehman dedup filter,
 //! * [`fault`] — a seeded deterministic fault-injection plan
 //!   ([`fault::FaultPlan`]) used to harden and test the search
 //!   pipeline against panicking rewrites and garbage costs.
@@ -26,4 +24,3 @@ pub mod fault;
 pub mod parallel;
 pub mod prop;
 pub mod rng;
-pub mod sync;

@@ -7,7 +7,7 @@
 use magis::core::rules::{self, RuleConfig, Transform};
 use magis::core::state::{EvalContext, MState};
 use magis::prelude::*;
-use magis::sched::{full_schedule, incremental_schedule, IntervalParams, SchedConfig};
+use magis::sched::{full_schedule, incremental_schedule_cached, IntervalParams, SchedConfig};
 use magis::sim::memory_profile;
 use magis_graph::algo::{is_topo_order, topo_order};
 use magis_models::random_dnn::{random_dnn, RandomDnnConfig};
@@ -38,14 +38,19 @@ proptest! {
         prop_assume!(!cands.is_empty());
         let t = &cands[seed as usize % cands.len()];
         let Ok(applied) = rules::apply(&state, t) else { return Ok(()); };
-        let order = incremental_schedule(
+        let order = incremental_schedule_cached(
             &state.eval.graph,
             &applied.base,
             &applied.mutated,
             &state.eval.order,
+            None,
+            None,
             &SchedConfig::default(),
             &IntervalParams::default(),
-        );
+            None,
+        )
+        .expect("memory accounting conserved")
+        .order;
         prop_assert!(is_topo_order(&applied.base, &order));
         // Quality: incremental within 25% of scheduling from scratch.
         let fs = full_schedule(&applied.base, &SchedConfig::default());
