@@ -25,6 +25,20 @@ if grep -rn -e '#\[deprecated' -e 'allow(deprecated)' crates src; then
     exit 1
 fi
 
+# One-profiler gate: `memory_profile_lifetimes` and `plan_from_lifetimes`
+# are the only profiler and planner. The two delta names survive as
+# forwards because benchmark/src/replay.rs calls them; nothing else may:
+# one definition each and the one re-export line.
+echo
+echo "==> delta-forward check"
+DELTA_USES="$(grep -rn -E 'memory_profile_delta|memory_plan_delta' crates src tests examples \
+    | grep -v -E '^crates/sim/src/(memory|plan)\.rs:[0-9]+:pub fn |^crates/sim/src/lib\.rs:[0-9]+:pub use ' || true)"
+if [ -n "$DELTA_USES" ]; then
+    echo "$DELTA_USES"
+    echo "the delta forwards are for benchmark/ only: call memory_profile_lifetimes / plan_from_lifetimes"
+    exit 1
+fi
+
 # Documentation gate: rustdoc must build clean (missing_docs is warn
 # in sched/sim/core/obs, promoted to an error here) and every doc
 # example must run.
@@ -122,20 +136,20 @@ run cargo test -q --test ftree_identity
 run env RUST_TEST_THREADS=1 cargo test -q -p magis-sched --test dp_identity
 run cargo test -q -p magis-sched --test dp_identity
 
-# Incremental evaluation: every delta-scheduled / delta-profiled /
-# cache-served candidate must be bit-identical to a from-scratch
-# re-evaluation (paranoid cross-check on the bench workloads), and the
+# Incremental evaluation: every incrementally scheduled or cache-served
+# candidate must carry the peak, lifetime table, plan and latency of its
+# own order (paranoid cross-check on the bench workloads, and a replayed
+# greedy descent on every bench model under both objectives), and the
 # eval cache must not perturb the thread-count determinism contract.
+run env RUST_TEST_THREADS=1 cargo test -q --test incremental_eval
 run cargo test -q --test incremental_eval
 
 # Memory planner: allocation soundness (no time×address overlap),
-# planned >= liveness dominance, coalescing reuse, and delta-vs-full
-# re-planning bit-identity across the bench models and a randomized
-# rewrite sequence.
+# planned >= liveness dominance, coalescing reuse.
 run cargo test -q --test memory_planner
 
 # Planned objective at search level: paranoid cross-checks of every
-# delta-planned candidate, and thread-count determinism of the planned
+# planned candidate, and thread-count determinism of the planned
 # peak / fragmentation ratio / accepted-candidate sequence.
 run cargo test -q --test planner_search
 
@@ -248,7 +262,10 @@ rm -rf "$OBS_DIR"
 # Benchmark smoke: one short traced run of the overlay-heavy and of the
 # overlay-free workload. The traced replay checks every staged candidate
 # bit-equal to `MState::from_applied`; the last line of a run is its
-# result object and says whether every check held.
+# result object and says whether every check held. On `bert_full` — the
+# workload where a second, delta profile once disagreed with the
+# from-scratch one — the replay must find no such candidate and the
+# search must reject none.
 for workload in bert_full unet_small resnet_planned_mcts; do
     echo
     echo "==> benchmark smoke ($workload)"
@@ -256,6 +273,12 @@ for workload in bert_full unet_small resnet_planned_mcts; do
     benchmark/run.sh --workload "$workload" --seed 1 --seconds 3 --trace 1 --out "$BENCH_OUT" \
         | tail -n 1 | grep -q '"correct":true' \
         || { echo "benchmark smoke: $workload did not end with \"correct\":true"; exit 1; }
+    if [ "$workload" = bert_full ]; then
+        for metric in sim.delta_diverged_ratio core.invariant_reject_ratio; do
+            grep -q "\"$metric\":{\"value\":0.0," "$BENCH_OUT/bert_full.layers.json" \
+                || { echo "benchmark smoke: bert_full reports a non-zero $metric"; exit 1; }
+        done
+    fi
     rm -rf "$BENCH_OUT"
 done
 

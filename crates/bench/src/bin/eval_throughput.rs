@@ -1,8 +1,7 @@
 //! Candidate-evaluation throughput: incremental evaluation
-//! (delta-scheduling + delta memory profiling + the structural-hash
-//! evaluation cache, the search's default) vs. full re-evaluation
-//! (every candidate re-scheduled with the quality beam and re-profiled
-//! from scratch, cache off).
+//! (incremental scheduling + the structural-hash evaluation cache, the
+//! search's default) vs. full re-evaluation (every candidate
+//! re-scheduled from scratch with the quality beam, cache off).
 //!
 //! All runs search the same workload under the same objective and the
 //! same evaluation cap; the figure of merit is candidates evaluated
@@ -13,8 +12,8 @@
 //! server-class profile — throughput is backend-independent, so this
 //! guards the generic `NodeCost` plumbing against regressions). A
 //! fourth incremental run steers on the `planned` memory objective, so
-//! the column tracks the cost of delta memory planning (best-fit
-//! offset assignment per candidate) on top of delta profiling.
+//! the column tracks the cost of memory planning (best-fit offset
+//! assignment per candidate) on top of profiling.
 //!
 //! A second **drivers** table runs the search-strategy head-to-head:
 //! greedy best-first (Algorithm 3) vs MCTS over the identical M-Rule

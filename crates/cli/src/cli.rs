@@ -121,10 +121,9 @@ OPTIONS (optimize):
                   re-evaluation (bit-identical peak memory + latency);
                   `all` cross-checks every evaluated candidate.
   --eval M        candidate evaluation mode: incremental (default,
-                  delta-schedule + delta memory profile against the
-                  parent) | full (re-schedule and re-profile from
-                  scratch — the baseline `eval_throughput` measures
-                  against). Results are bit-identical either way.
+                  re-schedule only a window of the parent's order
+                  around the rewrite) | full (re-schedule from scratch
+                  — the baseline `eval_throughput` measures against).
   --eval-cache N  capacity of the structural-hash evaluation cache
                   (duplicate candidates reached via different rewrite
                   paths skip scheduling + simulation). 0 disables;

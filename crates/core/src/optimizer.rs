@@ -13,16 +13,16 @@
 //!
 //! # Incremental evaluation and the evaluation cache
 //!
-//! Candidate evaluation is incremental end-to-end: a child derived
-//! from its parent by one rewrite reuses the parent's schedule outside
-//! the rewrite's dirty region (Algorithm 2 splicing in `magis_sched`)
-//! and the parent's per-tensor lifetime table outside the re-ordered
-//! window (delta memory profiling in `magis_sim`). Both reuse paths
-//! are bit-identical to from-scratch evaluation by construction;
+//! Candidate scheduling is incremental: a child derived from its
+//! parent by one rewrite reuses the parent's schedule outside the
+//! rewrite's dirty region (Algorithm 2 splicing in `magis_sched`). The
+//! spliced order is then profiled, planned and simulated from scratch
+//! (§6.2: "a simulator with an operator performance cache").
 //! [`ParanoiaLevel::All`] (or any incumbent check under the default
-//! level) re-derives the full evaluation and compares peak memory and
-//! latency bit-for-bit. [`crate::state::EvalMode::Full`] in the
-//! [`EvalContext`] disables the reuse for baseline comparisons.
+//! level) re-evaluates the same order independently and compares peak
+//! memory and latency bit-for-bit. [`crate::state::EvalMode::Full`] in
+//! the [`EvalContext`] disables the schedule reuse for baseline
+//! comparisons.
 //!
 //! On top of that, an [`EvalCache`] keyed by the overlay graph's
 //! structural hash short-circuits duplicate candidates reached via
@@ -800,12 +800,12 @@ enum CandOutcome {
 
 /// Re-checks the structural invariants of an evaluated state: the
 /// overlay graph validates, the schedule is a topological exactly-once
-/// cover of it, and — the incremental-vs-full cross-check — a complete
-/// from-scratch evaluation of the same order reproduces the state's
-/// peak memory and latency **bit-for-bit**. Incremental scheduling,
-/// delta memory profiling, and the memoizing `PerfCache` all promise
-/// exactness, so any divergence means one of them (or a rewrite)
-/// corrupted the state. Used by the paranoia gates.
+/// cover of it, and — the cross-check — an independent evaluation of
+/// the same order over the uncached cost model reproduces the state's
+/// peak memory and latency **bit-for-bit**. The evaluation pipeline
+/// and the memoizing `PerfCache` promise exactness, so any divergence
+/// means one of them (or a rewrite) corrupted the state. Used by the
+/// paranoia gates.
 fn check_invariants(child: &MState, ctx: &EvalContext) -> Result<(), String> {
     child.eval.graph.validate().map_err(|e| format!("graph: {e}"))?;
     validate_schedule(&child.eval.graph, &child.eval.order)
@@ -824,9 +824,9 @@ fn check_invariants(child: &MState, ctx: &EvalContext) -> Result<(), String> {
             child.eval.latency, full.latency
         ));
     }
-    // The planning stage gets the same treatment: a delta re-plan must
-    // be bit-identical (full struct equality — offsets, intervals and
-    // peaks) to a from-scratch plan of the same order.
+    // The planning stage gets the same treatment: the carried plan must
+    // equal (full struct equality — offsets, intervals and peaks) a
+    // fresh plan of the same order.
     if let Some(plan) = &child.eval.plan {
         let full_plan = magis_sim::memory_plan(&child.eval.graph, &child.eval.order)
             .map_err(|e| format!("plan: {e}"))?;
@@ -1555,10 +1555,10 @@ impl<'a> Engine<'a> {
                     } else {
                         self.stats.eval_cache_misses += 1;
                         obs.eval_cache_misses.inc();
-                        // Per-candidate instrumentation is suppressed in
-                        // the evaluation sandbox; re-attribute the
-                        // incremental-scheduling counters here (merge
-                        // thread, candidate order -> deterministic).
+                        // Candidates are evaluated with observability
+                        // suppressed; the incremental-scheduling counters
+                        // are recorded here (merge thread, candidate
+                        // order -> deterministic).
                         if let Some(inc) = child.eval.inc {
                             obs.incremental_evals.inc();
                             if inc.carried_won {

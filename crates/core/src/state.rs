@@ -70,15 +70,14 @@ impl From<CostError> for EvalError {
 /// How a candidate derived from a parent state is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
-    /// Reuse the parent's schedule and memory profile outside the
-    /// rewrite's dirty region: incremental scheduling (Algorithm 2)
-    /// plus delta memory profiling. The default; bit-identical results
-    /// are enforced by debug assertions and `ParanoiaLevel::All`.
+    /// Reuse the parent's schedule outside the rewrite's dirty region
+    /// (incremental scheduling, Algorithm 2), then profile the
+    /// resulting order from scratch. The default.
     #[default]
     Incremental,
-    /// Re-schedule and re-profile every candidate from scratch with
-    /// the full-quality beam — the brute-force baseline the
-    /// `eval_throughput` benchmark compares against.
+    /// Re-schedule every candidate from scratch with the full-quality
+    /// beam — the brute-force baseline the `eval_throughput` benchmark
+    /// compares against.
     Full,
 }
 
@@ -171,20 +170,17 @@ pub struct Eval {
     pub hotspots_base: BTreeSet<NodeId>,
     /// Position of each base node in `order`.
     pub base_positions: BTreeMap<NodeId, usize>,
-    /// Per-root tensor lifetimes of `order` — the parent table a
-    /// derived candidate's delta memory profile starts from.
+    /// Per-root tensor lifetimes of `order`, the table `plan` was
+    /// built from.
     pub lifetimes: Lifetimes,
     /// Offset-assigning memory plan of `order`, present when the
-    /// context's objective is [`MemObjective::Planned`]. Doubles as
-    /// the parent plan a derived candidate's delta re-planning starts
-    /// from.
+    /// context's objective is [`MemObjective::Planned`].
     pub plan: Option<MemoryPlan>,
     /// Metadata from the incremental-scheduling path, when it produced
     /// this evaluation (`None` for full evaluations, initial states,
-    /// and resumed incumbents). Per-candidate instrumentation is
-    /// gate-suppressed inside the search's evaluation sandbox, so the
-    /// optimizer re-attributes these at the merge as the
-    /// `magis_core_incremental_*` metrics.
+    /// and resumed incumbents). Candidates are evaluated with
+    /// observability suppressed, so the optimizer records these at the
+    /// merge, as the `magis_core_incremental_*` metrics.
     pub inc: Option<IncrementalEvalInfo>,
     /// Lazily-computed reachability of `graph`, shared (via `Arc`)
     /// across clones. Every candidate derived from this state needs it
@@ -415,10 +411,9 @@ fn evaluate_state(
 /// simulation, then calls this on a miss.
 ///
 /// With [`EvalMode::Incremental`] and a parent, the schedule comes
-/// from Algorithm 2 splicing and the memory profile from a delta
-/// update of the parent's lifetime table; both are bit-identical to
-/// the from-scratch path by construction (debug-asserted in
-/// `magis_sim::delta`, re-checked under `ParanoiaLevel::All`).
+/// from Algorithm 2 splicing; the memory profile (and plan) of the
+/// final order is always computed from scratch, by the scheduler when
+/// swap placement leaves its order alone and here otherwise.
 pub(crate) fn evaluate_overlay(
     base: &Graph,
     g: Graph,
@@ -431,7 +426,9 @@ pub(crate) fn evaluate_overlay(
         EvalMode::Full => None,
     };
     let planned = ctx.mem_objective == MemObjective::Planned;
-    let (placed, profile, lifetimes, plan, inc_info) = match parent {
+    // `measured`: the scheduler's own profile, lifetimes and plan, when
+    // they are those of the placed order.
+    let (placed, measured, inc_info) = match parent {
         Some(p) => {
             let s_old: BTreeSet<NodeId> =
                 mutated.iter().copied().filter(|v| p.eval.graph.contains(*v)).collect();
@@ -440,7 +437,7 @@ pub(crate) fn evaluate_overlay(
                 &g,
                 &s_old,
                 &p.eval.order,
-                Some(&p.eval.lifetimes),
+                None,
                 if planned { p.eval.plan.as_ref() } else { None },
                 &ctx.sched_incremental,
                 &ctx.interval,
@@ -449,53 +446,29 @@ pub(crate) fn evaluate_overlay(
             let info =
                 IncrementalEvalInfo { window: inc.window, carried_won: inc.carried_won };
             let placed = place_swaps(&g, &inc.order, ctx.perf.as_ref());
-            if placed == inc.order {
-                let plan = match (planned, inc.plan) {
-                    (true, Some(plan)) => Some(plan),
-                    // A planned search whose parent had no plan (e.g.
-                    // a resumed state from a liveness checkpoint):
-                    // plan from scratch once, children delta from it.
-                    (true, None) => {
-                        Some(magis_sim::plan_from_lifetimes(&g, &placed, &inc.lifetimes)?)
-                    }
-                    (false, _) => None,
-                };
-                (placed, inc.profile, inc.lifetimes, plan, Some(info))
-            } else {
-                // Swap placement moved nodes: delta-update the profile
-                // from the pre-placement order (same graph, so no
-                // touched set beyond the schedule diff).
-                let (profile, lifetimes) = magis_sim::memory_profile_delta(
-                    &g,
-                    &placed,
-                    &g,
-                    &inc.order,
-                    &inc.lifetimes,
-                    &BTreeSet::new(),
-                )?;
-                let plan = match (planned, &inc.plan) {
-                    (true, Some(pp)) => {
-                        Some(magis_sim::memory_plan_delta(&g, &placed, &lifetimes, pp)?)
-                    }
-                    (true, None) => {
-                        Some(magis_sim::plan_from_lifetimes(&g, &placed, &lifetimes)?)
-                    }
-                    (false, _) => None,
-                };
-                (placed, profile, lifetimes, plan, Some(info))
-            }
+            let measured =
+                (placed == inc.order).then_some((inc.profile, inc.lifetimes, inc.plan));
+            (placed, measured, Some(info))
         }
         None => {
             let order = full_schedule(&g, &ctx.sched);
-            let placed = place_swaps(&g, &order, ctx.perf.as_ref());
-            let (profile, lifetimes) = magis_sim::memory_profile_lifetimes(&g, &placed)?;
-            let plan = if planned {
-                Some(magis_sim::plan_from_lifetimes(&g, &placed, &lifetimes)?)
-            } else {
-                None
-            };
-            (placed, profile, lifetimes, plan, None)
+            (place_swaps(&g, &order, ctx.perf.as_ref()), None, None)
         }
+    };
+    let (profile, lifetimes, plan) = match measured {
+        Some(m) => m,
+        None => {
+            let (profile, lifetimes) = magis_sim::memory_profile_lifetimes(&g, &placed)?;
+            (profile, lifetimes, None)
+        }
+    };
+    // The scheduler plans only when the parent carried a plan; a
+    // planned search whose parent had none (a state resumed from a
+    // liveness checkpoint) plans here.
+    let plan = match plan {
+        Some(plan) => Some(plan),
+        None if planned => Some(magis_sim::plan_from_lifetimes(&g, &placed, &lifetimes)?),
+        None => None,
     };
     let ev =
         magis_sim::evaluate_with_plan(&g, &placed, ctx.perf.as_ref(), profile, plan.as_ref())?;

@@ -93,45 +93,19 @@ pub fn reschedule_interval_cached(
     Some((beg, end + 1))
 }
 
-fn record_inc_obs(carried_won: bool, window: usize, start: std::time::Instant) {
-    use std::sync::OnceLock;
-    struct IncObs {
-        runs: magis_obs::metrics::Counter,
-        carried: magis_obs::metrics::Counter,
-        seconds: magis_obs::metrics::Histogram,
-        window: magis_obs::metrics::Histogram,
-    }
-    static OBS: OnceLock<IncObs> = OnceLock::new();
-    let obs = OBS.get_or_init(|| IncObs {
-        runs: magis_obs::metrics::counter("magis_sched_incremental_runs"),
-        carried: magis_obs::metrics::counter("magis_sched_incremental_carried_wins"),
-        seconds: magis_obs::metrics::histogram("magis_sched_incremental_seconds"),
-        window: magis_obs::metrics::histogram("magis_sched_incremental_window"),
-    });
-    obs.runs.inc();
-    if carried_won {
-        obs.carried.inc();
-    }
-    obs.window.observe(window as f64);
-    obs.seconds.observe_duration(start.elapsed());
-}
-
 /// Result of [`incremental_schedule_cached`]: the chosen order plus
-/// the memory profile and lifetime table that were computed while
-/// choosing it — the evaluation pipeline reuses them instead of
-/// re-profiling from scratch, and carries the lifetimes forward as the
-/// parent table for the *next* incremental step.
+/// the memory profile, lifetime table and (when asked for) memory plan
+/// that were computed while choosing it — the evaluation pipeline
+/// reuses them instead of profiling the order a second time.
 #[derive(Debug, Clone)]
 pub struct IncrementalSchedule {
     /// A valid topological order of the new graph.
     pub order: Vec<NodeId>,
-    /// Memory profile of `order` (bit-identical to a full
-    /// [`magis_sim::memory_profile_checked`] of it).
+    /// Memory profile of `order`.
     pub profile: MemoryProfile,
-    /// Lifetime table of `order`, for the next delta update.
+    /// Lifetime table of `order`.
     pub lifetimes: Lifetimes,
-    /// Memory plan of `order`, delta-derived from the parent's plan
-    /// when one was handed in (`None` when planning is off).
+    /// Memory plan of `order` (`None` when planning is off).
     pub plan: Option<MemoryPlan>,
     /// Width of the rescheduled window (old-schedule steps).
     pub window: usize,
@@ -142,22 +116,20 @@ pub struct IncrementalSchedule {
 /// Incremental scheduling (Algorithm 2): derives a schedule for
 /// `g_new` from the old schedule `psi_old` of `g_old` and the set of
 /// old nodes `s_old` touched by the transformation, and returns the
-/// chosen order *with* its memory profile and lifetime table.
+/// chosen order *with* its memory profile and lifetime table
+/// ([`magis_sim::memory_profile_lifetimes`] of that order).
 ///
 /// The returned order is always a valid topological order of `g_new`.
 ///
-/// When `parent_lifetimes` is the table of `(g_old, psi_old)`, both
-/// candidate orders (rescheduled window and carried-over old order)
-/// are profiled by delta update ([`magis_sim::memory_profile_delta`]);
-/// otherwise they are profiled from scratch. Either way the returned
-/// profile/lifetimes are bit-identical to a full recomputation.
-///
-/// When `parent_plan` is the memory plan of `(g_old, psi_old)`, both
-/// candidate orders are additionally re-planned by delta update
-/// ([`magis_sim::memory_plan_delta`]) and the rescheduled-vs-carried
-/// guard compares `(planned_peak, liveness_peak)` lexicographically,
-/// so the planned objective steers the choice without the liveness
-/// path losing its tiebreak.
+/// `parent_plan: Some(_)` turns planning on: both candidate orders
+/// (rescheduled window and carried-over old order) are additionally
+/// planned ([`magis_sim::plan_from_lifetimes`]) and the
+/// rescheduled-vs-carried guard compares `(planned_peak,
+/// liveness_peak)` lexicographically, so the planned objective steers
+/// the choice without the liveness path losing its tiebreak. The
+/// plan's contents and the fifth parameter (a parent lifetime table)
+/// are not read; both stay in the signature for `benchmark/`'s replay,
+/// which passes them positionally.
 ///
 /// `reach_old` is an optional precomputed reachability of `g_old`
 /// (see [`reschedule_interval_cached`]).
@@ -172,13 +144,12 @@ pub fn incremental_schedule_cached(
     g_new: &Graph,
     s_old: &BTreeSet<NodeId>,
     psi_old: &[NodeId],
-    parent_lifetimes: Option<&Lifetimes>,
+    _: Option<&Lifetimes>,
     parent_plan: Option<&MemoryPlan>,
     cfg: &SchedConfig,
     params: &IntervalParams,
     reach_old: Option<&Reachability>,
 ) -> Result<IncrementalSchedule, CostError> {
-    let start = std::time::Instant::now();
     let mut span = magis_obs::span!("magis_sched", "incremental_schedule", nodes = g_new.len());
     let (beg, end) = match reschedule_interval_cached(g_old, s_old, psi_old, params, reach_old) {
         Some(r) => r,
@@ -202,64 +173,35 @@ pub fn incremental_schedule_cached(
     let rescheduled = stabilize_order(g_new, &desired);
     // Guard: rescheduling a window can occasionally lose to simply
     // carrying the old order over (boundary effects). Keep the better
-    // of the two — a delta profile is far cheaper than the DP.
+    // of the two — a profile is far cheaper than the DP.
     let carried = stabilize_order(g_new, psi_old);
-    let profile_of = |order: &[NodeId]| match parent_lifetimes {
-        Some(lt) => magis_sim::memory_profile_delta(g_new, order, g_old, psi_old, lt, s_old),
-        None => magis_sim::memory_profile_lifetimes(g_new, order),
+    // Profile, lifetimes and (when planning) plan of one order.
+    let measure = |order: &[NodeId]| -> Result<_, CostError> {
+        let (profile, lifetimes) = magis_sim::memory_profile_lifetimes(g_new, order)?;
+        let plan = parent_plan
+            .map(|_| magis_sim::plan_from_lifetimes(g_new, order, &lifetimes))
+            .transpose()?;
+        Ok((profile, lifetimes, plan))
     };
-    let plan_of = |order: &[NodeId], lt: &Lifetimes| match parent_plan {
-        Some(pp) => magis_sim::memory_plan_delta(g_new, order, lt, pp).map(Some),
-        None => Ok(None),
-    };
-    let (new_prof, new_lt) = profile_of(&rescheduled)?;
-    if carried == rescheduled {
-        // Identical orders: both sides of the guard would profile and
-        // plan to identical results and the strict > below is false.
-        // Skip the redundant half outright.
-        let new_plan = plan_of(&rescheduled, &new_lt)?;
-        span.record("carried_won", false);
-        record_inc_obs(false, window, start);
-        return Ok(IncrementalSchedule {
-            order: rescheduled,
-            profile: new_prof,
-            lifetimes: new_lt,
-            plan: new_plan,
-            window,
-            carried_won: false,
-        });
-    }
-    let (old_prof, old_lt) = profile_of(&carried)?;
-    let new_plan = plan_of(&rescheduled, &new_lt)?;
-    let old_plan = plan_of(&carried, &old_lt)?;
-    let carried_won = match (&new_plan, &old_plan) {
-        (Some(np), Some(op)) => {
-            (np.planned_peak_bytes, new_prof.peak_bytes)
-                > (op.planned_peak_bytes, old_prof.peak_bytes)
+    let (new_prof, new_lt, new_plan) = measure(&rescheduled)?;
+    // Identical orders measure identically and the strict > below is
+    // false: skip the redundant half outright.
+    let carried_measured = if carried == rescheduled { None } else { Some(measure(&carried)?) };
+    let carried_won = carried_measured.as_ref().is_some_and(|(old_prof, _, old_plan)| {
+        match (&new_plan, old_plan) {
+            (Some(np), Some(op)) => {
+                (np.planned_peak_bytes, new_prof.peak_bytes)
+                    > (op.planned_peak_bytes, old_prof.peak_bytes)
+            }
+            _ => new_prof.peak_bytes > old_prof.peak_bytes,
         }
-        _ => new_prof.peak_bytes > old_prof.peak_bytes,
-    };
+    });
     span.record("carried_won", carried_won);
-    record_inc_obs(carried_won, window, start);
-    Ok(if carried_won {
-        IncrementalSchedule {
-            order: carried,
-            profile: old_prof,
-            lifetimes: old_lt,
-            plan: old_plan,
-            window,
-            carried_won,
-        }
-    } else {
-        IncrementalSchedule {
-            order: rescheduled,
-            profile: new_prof,
-            lifetimes: new_lt,
-            plan: new_plan,
-            window,
-            carried_won,
-        }
-    })
+    let (order, (profile, lifetimes, plan)) = match carried_measured {
+        Some(m) if carried_won => (carried, m),
+        _ => (rescheduled, (new_prof, new_lt, new_plan)),
+    };
+    Ok(IncrementalSchedule { order, profile, lifetimes, plan, window, carried_won })
 }
 
 #[cfg(test)]

@@ -28,7 +28,6 @@
 pub mod backend;
 pub mod calibrate;
 pub mod cost;
-pub mod delta;
 pub mod device;
 pub mod exec;
 pub mod memory;
@@ -40,16 +39,16 @@ pub use backend::{
 };
 pub use calibrate::{CalibrationError, TraceSample};
 pub use cost::{CostError, CostModel, NodeCost};
-pub use delta::memory_profile_delta;
 pub use device::DeviceSpec;
 pub use exec::{memory_timeline, simulate, simulate_checked, simulate_latency, ExecTimeline};
 pub use memory::{
     memory_profile, memory_profile_checked, memory_profile_lifetimes, storage_root, Lifetimes,
     MemoryProfile,
 };
-pub use plan::{
-    memory_plan, memory_plan_delta, plan_from_lifetimes, MemObjective, MemoryPlan, PlannedAlloc,
-};
+pub use plan::{memory_plan, plan_from_lifetimes, MemObjective, MemoryPlan, PlannedAlloc};
+// The two names `benchmark/src/replay.rs` still calls; see their definitions.
+#[doc(hidden)]
+pub use {memory::memory_profile_delta, plan::memory_plan_delta};
 pub use profile::{OpCost, PerfCache, UncachedCost};
 
 use magis_graph::GraphView;
@@ -172,19 +171,17 @@ fn evaluate_checked_inner<C: NodeCost + ?Sized>(
 /// already-computed memory profile: per-node latency validation, the
 /// two-stream simulation, and total-finiteness checks.
 ///
-/// This is the incremental evaluation pipeline's assembly point — the
-/// profile comes from [`memory_profile_lifetimes`] or (for a candidate
-/// derived from a profiled parent) [`memory_profile_delta`], both of
-/// which establish exact schedule coverage. Callers handing in a
-/// profile from anywhere else must have validated coverage themselves:
-/// the simulation panics on wrong-length orders but trusts `memory`.
+/// This is the evaluation pipeline's assembly point — the profile
+/// comes from [`memory_profile_lifetimes`], which establishes exact
+/// schedule coverage. Callers handing in a profile from anywhere else
+/// must have validated coverage themselves: the simulation panics on
+/// wrong-length orders but trusts `memory`.
 ///
 /// With the optional planning stage — a [`MemoryPlan`] for the same
-/// `(g, order)` pair — the plan's allocator high-water mark is surfaced
-/// as [`Evaluation::planned_peak_bytes`]. The plan comes from
-/// [`memory_plan`] / [`plan_from_lifetimes`] or (for a candidate
-/// derived from a planned parent) [`memory_plan_delta`]; this function
-/// trusts it the same way it trusts `memory`.
+/// `(g, order)` pair, from [`memory_plan`] / [`plan_from_lifetimes`] —
+/// the plan's allocator high-water mark is surfaced as
+/// [`Evaluation::planned_peak_bytes`]; this function trusts the plan
+/// the same way it trusts `memory`.
 ///
 /// The latency source is any [`NodeCost`] — pass the shared
 /// [`PerfCache`] to memoize per-operator latencies across candidates.

@@ -19,13 +19,10 @@
 //! (time, frees-before-allocs, root id), and the allocator state is
 //! itself a pure function of the currently-occupied interval set (the
 //! free list is kept maximally coalesced, and the high-water `top` is
-//! always the maximum occupied end). That last invariant is what makes
-//! [`memory_plan_delta`] exact: at the first diverging event it can
-//! reconstruct the allocator from the live set alone and replay the
-//! suffix, bit-identical to a from-scratch plan.
+//! always the maximum occupied end).
 
 use crate::cost::CostError;
-use crate::memory::{check_coverage, compute_lifetimes, position_table, Endpoint, Lifetimes};
+use crate::memory::{check_coverage, compute_lifetimes, Lifetimes};
 use magis_graph::graph::{Graph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -121,9 +118,6 @@ impl MemoryPlan {
 /// suppressed (worker) threads inside the metrics layer itself.
 struct PlanObs {
     plans: magis_obs::metrics::Counter,
-    delta_plans: magis_obs::metrics::Counter,
-    reused_allocs: magis_obs::metrics::Counter,
-    replanned_allocs: magis_obs::metrics::Counter,
     planned_peak: magis_obs::metrics::Gauge,
     fragmentation: magis_obs::metrics::Gauge,
 }
@@ -132,17 +126,9 @@ fn obs() -> &'static PlanObs {
     static OBS: OnceLock<PlanObs> = OnceLock::new();
     OBS.get_or_init(|| PlanObs {
         plans: magis_obs::metrics::counter("magis_sim_plans"),
-        delta_plans: magis_obs::metrics::counter("magis_sim_plan_delta_profiles"),
-        reused_allocs: magis_obs::metrics::counter("magis_sim_plan_delta_reused_allocs"),
-        replanned_allocs: magis_obs::metrics::counter("magis_sim_plan_delta_replanned_allocs"),
         planned_peak: magis_obs::metrics::gauge("magis_sim_planned_peak_bytes"),
         fragmentation: magis_obs::metrics::gauge("magis_sim_fragmentation_ratio"),
     })
-}
-
-fn record_plan(plan: &MemoryPlan) {
-    obs().planned_peak.set(plan.planned_peak_bytes as f64);
-    obs().fragmentation.set(plan.fragmentation_ratio());
 }
 
 /// Event kinds, ordered so that at equal times frees happen before
@@ -165,40 +151,17 @@ struct Event {
     bytes: u64,
 }
 
-/// Resolves a lifetime table into the canonical event list. Endpoint
-/// resolution mirrors the liveness sweep exactly: alloc `Boundary` is
-/// step 0, free `Boundary` is the last step, and the free event fires
-/// one step *after* the inclusive free step.
-fn events_of(lt: &Lifetimes, pos: &[usize]) -> Vec<Event> {
-    let steps = lt.steps;
+/// Turns a lifetime table into the canonical event list: the free
+/// event fires one step *after* the inclusive free step.
+fn events_of(lt: &Lifetimes) -> Vec<Event> {
     let mut events = Vec::new();
     for (r, &bytes) in lt.bytes.iter().enumerate() {
         if bytes == 0 {
             continue;
         }
         let root = NodeId::from_index(r);
-        let a = match lt.alloc[r] {
-            Endpoint::Boundary => 0,
-            Endpoint::At(n) => pos[n.index()],
-        };
-        let f = match lt.free[r] {
-            Endpoint::Boundary => steps - 1,
-            Endpoint::At(n) => pos[n.index()],
-        };
-        events.push(Event { time: a, kind: EventKind::Alloc, root, bytes });
-        events.push(Event { time: f + 1, kind: EventKind::Free, root, bytes });
-    }
-    events.sort_unstable();
-    events
-}
-
-/// Rebuilds the canonical event list from a finished plan's
-/// placements — the delta planner diffs a child's events against this.
-fn events_of_plan(plan: &MemoryPlan) -> Vec<Event> {
-    let mut events = Vec::with_capacity(plan.allocs.len() * 2);
-    for a in &plan.allocs {
-        events.push(Event { time: a.alloc_step, kind: EventKind::Alloc, root: a.root, bytes: a.bytes });
-        events.push(Event { time: a.free_step + 1, kind: EventKind::Free, root: a.root, bytes: a.bytes });
+        events.push(Event { time: lt.alloc[r], kind: EventKind::Alloc, root, bytes });
+        events.push(Event { time: lt.free[r] + 1, kind: EventKind::Free, root, bytes });
     }
     events.sort_unstable();
     events
@@ -209,8 +172,7 @@ fn events_of_plan(plan: &MemoryPlan) -> Vec<Event> {
 /// the maximal gaps of the occupied interval set below `top`, and
 /// `top` is the maximum occupied end (0 when nothing is occupied).
 /// Both follow from eager coalescing on free and top-truncation when
-/// the highest region vacates — so the allocator can be reconstructed
-/// from the occupied set alone ([`FreeList::from_occupied`]).
+/// the highest region vacates.
 struct FreeList {
     /// offset -> length of each free block.
     by_off: BTreeMap<u64, u64>,
@@ -224,23 +186,6 @@ struct FreeList {
 impl FreeList {
     fn new() -> FreeList {
         FreeList { by_off: BTreeMap::new(), by_size: BTreeSet::new(), top: 0 }
-    }
-
-    /// Reconstructs the allocator from an occupied interval set
-    /// (`(offset, len)`, non-overlapping, `len > 0`, any order).
-    fn from_occupied(mut occ: Vec<(u64, u64)>) -> FreeList {
-        occ.sort_unstable();
-        let mut fl = FreeList::new();
-        let mut cur_end = 0u64;
-        for (off, len) in occ {
-            if off > cur_end {
-                fl.by_off.insert(cur_end, off - cur_end);
-                fl.by_size.insert((off - cur_end, cur_end));
-            }
-            cur_end = off + len;
-        }
-        fl.top = cur_end;
-        fl
     }
 
     /// Places `bytes` at the best-fitting free block, or grows `top`
@@ -289,48 +234,6 @@ impl FreeList {
     }
 }
 
-/// Replays `events` through the allocator, appending placements to
-/// `allocs` and maintaining `live` (root -> placement index).
-fn replay(
-    events: &[Event],
-    fl: &mut FreeList,
-    live: &mut BTreeMap<NodeId, (u64, u64)>,
-    allocs: &mut Vec<PlannedAlloc>,
-    free_steps: &BTreeMap<NodeId, usize>,
-) -> Result<(), CostError> {
-    for e in events {
-        match e.kind {
-            EventKind::Alloc => {
-                let offset = fl.alloc(e.bytes, e.time)?;
-                live.insert(e.root, (offset, e.bytes));
-                allocs.push(PlannedAlloc {
-                    root: e.root,
-                    bytes: e.bytes,
-                    offset,
-                    alloc_step: e.time,
-                    free_step: free_steps[&e.root],
-                });
-            }
-            EventKind::Free => {
-                let (offset, bytes) =
-                    live.remove(&e.root).expect("free of a root that was never allocated");
-                fl.free(offset, bytes);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Inclusive free step per root, read off the canonical event list
-/// (the free event fires one step after it).
-fn free_steps_of(events: &[Event]) -> BTreeMap<NodeId, usize> {
-    events
-        .iter()
-        .filter(|e| e.kind == EventKind::Free)
-        .map(|e| (e.root, e.time - 1))
-        .collect()
-}
-
 /// Liveness peak over the event list: fold the running live sum in
 /// replay order and take the maximum after each allocation. Equals the
 /// liveness sweep's `peak_bytes` — asserted in debug builds by the
@@ -350,20 +253,44 @@ fn liveness_peak_of(events: &[Event]) -> Result<u64, CostError> {
     Ok(peak)
 }
 
-fn plan_from_parts(lt: &Lifetimes, pos: &[usize], steps: usize) -> Result<MemoryPlan, CostError> {
-    if steps == 0 {
+/// Replays the table's events through a fresh allocator.
+fn plan_from_parts(lt: &Lifetimes) -> Result<MemoryPlan, CostError> {
+    if lt.steps == 0 {
         return Ok(MemoryPlan::empty());
     }
-    let events = events_of(lt, pos);
-    let free_steps = free_steps_of(&events);
+    let events = events_of(lt);
     let mut fl = FreeList::new();
+    // root -> offset of its live placement.
     let mut live = BTreeMap::new();
     let mut allocs = Vec::with_capacity(events.len() / 2);
-    replay(&events, &mut fl, &mut live, &mut allocs, &free_steps)?;
+    for e in &events {
+        match e.kind {
+            EventKind::Alloc => {
+                let offset = fl.alloc(e.bytes, e.time)?;
+                live.insert(e.root, offset);
+                allocs.push(PlannedAlloc {
+                    root: e.root,
+                    bytes: e.bytes,
+                    offset,
+                    alloc_step: e.time,
+                    free_step: lt.free[e.root.index()],
+                });
+            }
+            EventKind::Free => {
+                let offset =
+                    live.remove(&e.root).expect("free of a root that was never allocated");
+                fl.free(offset, e.bytes);
+            }
+        }
+    }
     debug_assert!(live.is_empty(), "every allocation is freed by its (inclusive) free step + 1");
     let planned_peak_bytes = allocs.iter().map(|a| a.offset + a.bytes).max().unwrap_or(0);
     let liveness_peak_bytes = liveness_peak_of(&events)?;
-    Ok(MemoryPlan { planned_peak_bytes, liveness_peak_bytes, steps, allocs })
+    let plan = MemoryPlan { planned_peak_bytes, liveness_peak_bytes, steps: lt.steps, allocs };
+    obs().plans.inc();
+    obs().planned_peak.set(plan.planned_peak_bytes as f64);
+    obs().fragmentation.set(plan.fragmentation_ratio());
+    Ok(plan)
 }
 
 /// Plans device offsets for `g` executed in `order`: best-fit free-list
@@ -376,113 +303,32 @@ fn plan_from_parts(lt: &Lifetimes, pos: &[usize], steps: usize) -> Result<Memory
 /// exceeds `u64`.
 pub fn memory_plan(g: &Graph, order: &[NodeId]) -> Result<MemoryPlan, CostError> {
     check_coverage(g, order)?;
-    if order.is_empty() {
-        return Ok(MemoryPlan::empty());
-    }
-    let pos = position_table(g, order);
-    let lt = compute_lifetimes(g, order, &pos);
-    let plan = plan_from_parts(&lt, &pos, order.len())?;
-    obs().plans.inc();
-    record_plan(&plan);
-    Ok(plan)
+    plan_from_parts(&compute_lifetimes(g, order))
 }
 
 /// [`memory_plan`] over an already-computed [`Lifetimes`] table (the
-/// one `memory_profile_lifetimes` or `memory_profile_delta` returned
-/// for this same `(g, order)` pair), skipping the lifetime
-/// recomputation.
+/// one `memory_profile_lifetimes` returned for this same `(g, order)`
+/// pair), skipping the lifetime recomputation.
 pub fn plan_from_lifetimes(
     g: &Graph,
     order: &[NodeId],
     lt: &Lifetimes,
 ) -> Result<MemoryPlan, CostError> {
     check_coverage(g, order)?;
-    if order.is_empty() {
-        return Ok(MemoryPlan::empty());
-    }
-    let pos = position_table(g, order);
-    let plan = plan_from_parts(lt, &pos, order.len())?;
-    obs().plans.inc();
-    record_plan(&plan);
-    Ok(plan)
+    plan_from_parts(lt)
 }
 
-/// Incremental re-planning: re-bases the longest clean event prefix of
-/// `parent` (copying its placements verbatim), reconstructs the
-/// allocator from the live set at the first diverging event, and
-/// replays only the suffix. Bit-identical to [`memory_plan`] on the
-/// same `(g, order, lt)` — debug builds assert full equality, and the
-/// optimizer's paranoia mode cross-checks it end-to-end.
-///
-/// `lt` must be the lifetime table of `(g, order)` (full or delta —
-/// they are asserted equal elsewhere); `parent` is the plan of the
-/// state this candidate was derived from.
+// Still named by `benchmark/src/replay.rs`, which this repository may
+// not edit outside a benchmark PR: a from-scratch plan, the parent
+// plan ignored. Goes when the benchmark stops naming it.
+#[doc(hidden)]
 pub fn memory_plan_delta(
     g: &Graph,
     order: &[NodeId],
     lt: &Lifetimes,
-    parent: &MemoryPlan,
+    _parent: &MemoryPlan,
 ) -> Result<MemoryPlan, CostError> {
-    check_coverage(g, order)?;
-    if order.is_empty() {
-        return Ok(MemoryPlan::empty());
-    }
-    let pos = position_table(g, order);
-    let steps = order.len();
-    let events = events_of(lt, &pos);
-    let old_events = events_of_plan(parent);
-    let lcp = events.iter().zip(&old_events).take_while(|(a, b)| a == b).count();
-    let free_steps = free_steps_of(&events);
-
-    // Parent placements by root, for the clean-prefix copy.
-    let parent_offsets: BTreeMap<NodeId, u64> =
-        parent.allocs.iter().map(|a| (a.root, a.offset)).collect();
-
-    let mut live: BTreeMap<NodeId, (u64, u64)> = BTreeMap::new();
-    let mut allocs = Vec::with_capacity(events.len() / 2);
-    let mut reused = 0u64;
-    for e in &events[..lcp] {
-        match e.kind {
-            EventKind::Alloc => {
-                let offset = parent_offsets[&e.root];
-                live.insert(e.root, (offset, e.bytes));
-                allocs.push(PlannedAlloc {
-                    root: e.root,
-                    bytes: e.bytes,
-                    offset,
-                    alloc_step: e.time,
-                    free_step: free_steps[&e.root],
-                });
-                reused += 1;
-            }
-            EventKind::Free => {
-                live.remove(&e.root);
-            }
-        }
-    }
-    // The allocator state at the divergence point is a pure function
-    // of what is occupied — reconstruct it and replay the dirty tail.
-    let mut fl = FreeList::from_occupied(live.values().copied().collect());
-    replay(&events[lcp..], &mut fl, &mut live, &mut allocs, &free_steps)?;
-    debug_assert!(live.is_empty());
-    let planned_peak_bytes = allocs.iter().map(|a| a.offset + a.bytes).max().unwrap_or(0);
-    let liveness_peak_bytes = liveness_peak_of(&events)?;
-    let plan = MemoryPlan { planned_peak_bytes, liveness_peak_bytes, steps, allocs };
-
-    obs().delta_plans.inc();
-    obs().reused_allocs.add(reused);
-    obs().replanned_allocs.add(plan.allocs.len() as u64 - reused);
-    record_plan(&plan);
-
-    #[cfg(debug_assertions)]
-    {
-        let full = plan_from_parts(lt, &pos, steps).expect("full re-plan of a planned schedule");
-        debug_assert_eq!(
-            plan, full,
-            "delta re-planning must be bit-identical to a from-scratch plan"
-        );
-    }
-    Ok(plan)
+    plan_from_lifetimes(g, order, lt)
 }
 
 #[cfg(test)]
@@ -593,41 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_plan_identical_to_full_on_reorder() {
-        // Same graph, two schedules: the delta path re-bases the clean
-        // prefix and replays the rest, matching a from-scratch plan.
-        let mut b = GraphBuilder::new(DType::F32);
-        let x = b.input([256], "x");
-        let a1 = b.relu(x);
-        let a2 = b.gelu(x);
-        let y = b.add_op(a1, a2);
-        let g = b.finish();
-        let order1 = vec![x, a1, a2, y];
-        let order2 = vec![x, a2, a1, y];
-        let parent = memory_plan(&g, &order1).unwrap();
-        let pos2 = position_table(&g, &order2);
-        let lt2 = compute_lifetimes(&g, &order2, &pos2);
-        let delta = memory_plan_delta(&g, &order2, &lt2, &parent).unwrap();
-        let full = memory_plan(&g, &order2).unwrap();
-        assert_eq!(delta, full);
-    }
-
-    #[test]
-    fn delta_plan_with_identical_schedule_is_a_full_copy() {
-        let mut b = GraphBuilder::new(DType::F32);
-        let x = b.input([64, 64], "x");
-        let w = b.weight([64, 64], "w");
-        let _y = b.matmul(x, w);
-        let g = b.finish();
-        let order = topo_order(&g);
-        let parent = memory_plan(&g, &order).unwrap();
-        let pos = position_table(&g, &order);
-        let lt = compute_lifetimes(&g, &order, &pos);
-        let delta = memory_plan_delta(&g, &order, &lt, &parent).unwrap();
-        assert_eq!(delta, parent);
-    }
-
-    #[test]
     fn free_list_best_fit_and_coalescing() {
         let mut fl = FreeList::new();
         // Three appended blocks: a[0,100) b[100,50) c[150,200).
@@ -651,16 +462,6 @@ mod tests {
         // [40,150) free + [150,350) free merge and truncate to 40.
         assert_eq!(fl.top, 40);
         assert!(fl.by_off.is_empty());
-    }
-
-    #[test]
-    fn from_occupied_matches_replay_state() {
-        // Occupied {[10,20), [40,10)} -> gaps [0,10) and [30,10), top 50.
-        let fl = FreeList::from_occupied(vec![(40, 10), (10, 20)]);
-        assert_eq!(fl.top, 50);
-        assert_eq!(fl.by_off.len(), 2);
-        assert_eq!(fl.by_off[&0], 10);
-        assert_eq!(fl.by_off[&30], 10);
     }
 
     #[test]

@@ -124,15 +124,9 @@ fn walk_lineage(mut state: MState, ctx: &EvalContext, seed: u64, steps: usize, w
             let family = families[rng.gen_range(0..families.len())];
             let pool: Vec<&Transform> = candidates.iter().filter(|t| t.sort_key().0 == family).collect();
             let t = pool[rng.gen_range(0..pool.len())];
-            // The child is scheduled from scratch: the analyzer reads
-            // only the base graph and its hot-spots, and the full path
-            // stays clear of the delta profile's known divergence
-            // (a `debug_assert` in `magis_sim::delta`).
-            if let Ok(a) = rules::apply(&state, t) {
-                let tree_stale = a.tree_stale || state.tree_stale;
-                let unevaluated = MState { base: a.base, ftree: a.ftree, eval: state.eval.clone(), tree_stale };
+            if let Some(c) = rules::apply(&state, t).ok().and_then(|a| MState::from_applied(a, &state, ctx).ok()) {
                 seen.families.insert(family);
-                child = Some(unevaluated.rescheduled(ctx));
+                child = Some(c);
                 break;
             }
         }

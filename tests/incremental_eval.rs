@@ -1,8 +1,8 @@
 //! The incremental-evaluation contract, enforced end-to-end on the
 //! bench workloads.
 //!
-//! Candidates derived by one rewrite are evaluated by delta
-//! scheduling + delta memory profiling (plus the structural-hash
+//! Candidates derived by one rewrite are scheduled incrementally
+//! against their parent (and served from the structural-hash
 //! evaluation cache), and the contract is *bit-identity*: the metrics
 //! an incremental evaluation reports must equal a from-scratch
 //! re-evaluation of the same state — same peak bytes (`u64` equality),
@@ -18,8 +18,12 @@
 //! fan-out and only mutated at the ordered single-threaded merge.
 
 use magis::core::optimizer::ParanoiaLevel;
+use magis::core::rules::{self, RuleConfig, Transform};
 use magis::core::state::EvalMode;
+use magis::graph::algo::hash::graph_hash;
 use magis::prelude::*;
+use magis::sim::{memory_plan, memory_profile_lifetimes, MemObjective};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// A capped, never-timing-out configuration (same shape as the
@@ -145,4 +149,63 @@ fn full_mode_also_passes_paranoia() {
     assert!(res.stats.evaluated > 0);
     assert_eq!(res.stats.invariant_rejections, 0);
     assert_eq!(res.stats.eval_cache_hits, 0, "cache disabled");
+}
+
+/// Walks the benchmark replay's sample — a greedy descent from the
+/// seed, every candidate of every state on the way — and holds each
+/// child's carried peak, lifetime table and plan to a from-scratch
+/// profile and plan of the child's own graph and order. Returns the
+/// number of children checked.
+fn assert_descent_carries_own_profile(w: Workload, scale: f64, mem: MemObjective) -> usize {
+    let what = format!("{} @ {scale}, {mem}", w.label());
+    let ctx = EvalContext { mem_objective: mem, ..EvalContext::default() };
+    let mut state = MState::initial(w.build(scale).graph, &ctx);
+    let lat_limit = state.eval.latency * 1.25;
+    let mut visited = BTreeSet::from([graph_hash(&state.eval.graph)]);
+    let mut checked = 0;
+    for depth in 0..2 {
+        if state.tree_stale {
+            state.analyze(4);
+        }
+        let mut transforms = rules::generate(&state, &RuleConfig::default());
+        transforms.sort_by_key(Transform::sort_key);
+        let mut best: Option<((bool, u64), u64, MState)> = None;
+        for (i, t) in transforms.iter().enumerate() {
+            let Some(child) =
+                rules::apply(&state, t).ok().and_then(|a| MState::from_applied(a, &state, &ctx).ok())
+            else {
+                continue;
+            };
+            let eval = &child.eval;
+            let (profile, lifetimes) =
+                memory_profile_lifetimes(&eval.graph, &eval.order).expect("child order profiles");
+            let at = format!("{what}: depth {depth}, candidate {i} ({t})");
+            assert_eq!(eval.peak_bytes, profile.peak_bytes, "{at}: peak");
+            assert!(eval.lifetimes == lifetimes, "{at}: lifetime table");
+            let plan = (mem == MemObjective::Planned)
+                .then(|| memory_plan(&eval.graph, &eval.order).expect("child order plans"));
+            assert!(eval.plan == plan, "{at}: plan");
+            checked += 1;
+            let rank = (eval.latency > lat_limit, eval.objective_peak());
+            let hash = graph_hash(&eval.graph);
+            if !visited.contains(&hash) && best.as_ref().is_none_or(|(r, _, _)| rank < *r) {
+                best = Some((rank, hash, child));
+            }
+        }
+        let Some((_, hash, child)) = best else { break };
+        visited.insert(hash);
+        state = child;
+    }
+    checked
+}
+
+#[test]
+fn every_replayed_child_carries_its_own_orders_profile_and_plan() {
+    let cases = std::iter::once((Workload::BertBase, 0.25)).chain(Workload::all().map(|w| (w, 0.1)));
+    for (w, scale) in cases {
+        for mem in [MemObjective::Liveness, MemObjective::Planned] {
+            let checked = assert_descent_carries_own_profile(w, scale, mem);
+            assert!(checked > 20, "{} @ {scale}, {mem}: only {checked} children", w.label());
+        }
+    }
 }

@@ -11,18 +11,12 @@
 //!   liveness-sum peak, and the plan's recorded liveness peak equals
 //!   the profiler's;
 //! * **reuse** — a fully-freed region is coalesced and reclaimed by a
-//!   later allocation instead of growing the heap;
-//! * **delta exactness** — [`magis::sim::memory_plan_delta`] against
-//!   any parent plan is bit-identical to a from-scratch
-//!   [`magis::sim::memory_plan`], across the bench workloads and a
-//!   randomized rewrite sequence on NASNet-like random DNNs.
+//!   later allocation instead of growing the heap.
 
-use magis::graph::op::{OpKind, UnaryKind};
 use magis::models::{random_dnn, RandomDnnConfig, Workload};
 use magis::prelude::*;
 use magis::sched::{full_schedule, SchedConfig};
-use magis::sim::{memory_plan, memory_plan_delta, memory_profile, MemoryPlan};
-use magis_util::rng::{Rng, SeedableRng, SmallRng};
+use magis::sim::{memory_plan, memory_profile, MemoryPlan};
 
 /// Schedules `g` and plans it, asserting the planner's internal
 /// consistency along the way. Returns `(order, plan)`.
@@ -133,109 +127,4 @@ fn coalescing_reclaims_a_fully_freed_region() {
         plan.planned_peak_bytes, plan.liveness_peak_bytes,
         "equal-size chain plans without fragmentation"
     );
-}
-
-/// Inserts a relu between a random interior node and one of its users
-/// — the smallest schedule-perturbing rewrite.
-fn insert_relu_twin(g: &Graph, rng: &mut SmallRng) -> Option<Graph> {
-    let interior: Vec<NodeId> =
-        g.node_ids().filter(|&v| !g.pre(v).is_empty() && !g.suc(v).is_empty()).collect();
-    if interior.is_empty() {
-        return None;
-    }
-    let v = interior[rng.gen_range(0..interior.len())];
-    let users = g.suc(v);
-    let user = users[rng.gen_range(0..users.len())];
-    let mut txn = GraphTxn::begin(g);
-    let inserted = txn.add(OpKind::Unary(UnaryKind::Relu), &[v]).ok()?;
-    txn.replace_input(user, v, inserted);
-    txn.validate().ok()?;
-    Some(txn.commit().0)
-}
-
-/// Splits a random interior node's computation into two sliced halves
-/// stitched back with a concat — an F-Trans-shaped rewrite that
-/// reshuffles lifetimes around the split point.
-fn split_node(g: &Graph, rng: &mut SmallRng) -> Option<Graph> {
-    let candidates: Vec<NodeId> = g
-        .node_ids()
-        .filter(|&v| {
-            !g.pre(v).is_empty()
-                && !g.suc(v).is_empty()
-                && g.pre(v).len() == 1
-                && g.node(v).meta.shape.dims().first().is_some_and(|&n| n >= 2)
-        })
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    let v = candidates[rng.gen_range(0..candidates.len())];
-    let src = g.pre(v)[0];
-    let user = g.suc(v)[0];
-    let n = g.node(v).meta.shape.dims()[0];
-    let half = n / 2;
-    let mut txn = GraphTxn::begin(g);
-    let s0 = txn.add(OpKind::Slice { axis: 0, start: 0, len: half }, &[src]).ok()?;
-    let s1 = txn.add(OpKind::Slice { axis: 0, start: half, len: n - half }, &[src]).ok()?;
-    let r0 = txn.add(g.node(v).op.clone(), &[s0]).ok()?;
-    let r1 = txn.add(g.node(v).op.clone(), &[s1]).ok()?;
-    let cat = txn.add(OpKind::Concat { axis: 0 }, &[r0, r1]).ok()?;
-    txn.replace_input(user, v, cat);
-    txn.validate().ok()?;
-    Some(txn.commit().0)
-}
-
-/// Asserts that planning `g_new` as a delta against `parent` is
-/// bit-identical to planning it from scratch, and returns the plan.
-fn assert_delta_exact(name: &str, g_new: &Graph, parent: &MemoryPlan) -> MemoryPlan {
-    let order = full_schedule(g_new, &SchedConfig::default());
-    let (_, lt) = magis::sim::memory_profile_lifetimes(g_new, &order).expect("profile");
-    let full = memory_plan(g_new, &order).expect("full plan");
-    let delta = memory_plan_delta(g_new, &order, &lt, parent).expect("delta plan");
-    assert_eq!(delta, full, "{name}: delta re-plan bit-identical to full re-plan");
-    full
-}
-
-#[test]
-fn delta_replanning_matches_full_on_bench_models() {
-    for (w, scale) in [
-        (Workload::UNet, 0.1),
-        (Workload::BertBase, 0.1),
-        (Workload::ResNet50, 0.08),
-        (Workload::VitBase, 0.08),
-        (Workload::UNetPP, 0.08),
-        (Workload::GptNeo13B, 0.05),
-        (Workload::Btlm3B, 0.05),
-    ] {
-        let g = w.build(scale).graph;
-        let (_, parent) = plan_of(&g);
-        let mut rng = SmallRng::seed_from_u64(0xBEEF);
-        let g_new = insert_relu_twin(&g, &mut rng).expect("bench graphs have interior nodes");
-        assert_delta_exact(w.label(), &g_new, &parent);
-    }
-}
-
-#[test]
-fn delta_replanning_matches_full_across_a_randomized_rewrite_sequence() {
-    for seed in 0..3u64 {
-        let cfg = RandomDnnConfig { batch: 2, channels: 8, hw: 8, cells: 3, blocks: 3 };
-        let mut g = random_dnn(&cfg, seed);
-        let (_, mut plan) = plan_of(&g);
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xD1FF);
-        let mut applied = 0;
-        for _ in 0..12 {
-            let mutated = if rng.gen_bool(0.5) {
-                insert_relu_twin(&g, &mut rng)
-            } else {
-                split_node(&g, &mut rng)
-            };
-            let Some(g_new) = mutated else { continue };
-            // Each step deltas against the previous step's plan, so the
-            // divergence point wanders through the event list.
-            plan = assert_delta_exact(&format!("random_dnn(seed={seed})"), &g_new, &plan);
-            g = g_new;
-            applied += 1;
-        }
-        assert!(applied >= 6, "seed {seed}: the rewrite sequence did real work ({applied})");
-    }
 }
