@@ -47,7 +47,7 @@ run cargo test --workspace --doc -q
 
 # Doc-path gate: a backticked name of a source, script, data or doc file
 # in the documentation must name a tracked file — in full, or as the
-# tail of its path (`benches/incremental.rs`, `fission.rs`). Placeholders
+# tail of its path (`optimizer/engine.rs`, `fission.rs`). Placeholders
 # (`<workload>.json`, globs, absolute and variable paths) are not names.
 # ROADMAP.md, CHANGES.md and ISSUE.md are history and plans — they name
 # files that are gone or not yet written — and PAPER*.md / SNIPPETS.md
@@ -259,25 +259,48 @@ grep -q "magis_core_expansions" "$OBS_DIR/metrics.txt" \
     || { echo "metrics snapshot is missing core counters"; exit 1; }
 rm -rf "$OBS_DIR"
 
-# Benchmark smoke: one short traced run of the overlay-heavy and of the
-# overlay-free workload. The traced replay checks every staged candidate
-# bit-equal to `MState::from_applied`; the last line of a run is its
-# result object and says whether every check held. On `bert_full` — the
-# workload where a second, delta profile once disagreed with the
-# from-scratch one — the replay must find no such candidate and the
-# search must reject none.
-for workload in bert_full unet_small resnet_planned_mcts; do
+# Benchmark smoke: one short traced and one short untraced run of every
+# workload. The traced replay checks every staged candidate bit-equal to
+# `MState::from_applied`; the last line of a run is its result object
+# and says whether every check held. On `bert_full` — the workload where
+# a second, delta profile once disagreed with the from-scratch one — the
+# replay must find no such candidate and the search must reject none.
+#
+# Trajectory gate: timings swing ±20% on a shared box and are not gated;
+# what a search *does* is deterministic and is. Each run's trajectory
+# counts (the columns of results/trajectory_counts.tsv: `peak_ratio`
+# from the untraced result, the rest from the traced one) must equal the
+# committed row. A change that means to move them regenerates the file
+# and says why.
+COUNTS=results/trajectory_counts.tsv
+COUNTS_HEADER="$(grep -v '^#' "$COUNTS" | head -n 1)"
+for workload in bert_full unet_small unet_small_mt2 resnet_planned_mcts serve_mixed; do
     echo
     echo "==> benchmark smoke ($workload)"
     BENCH_OUT="$(mktemp -d)"
-    benchmark/run.sh --workload "$workload" --seed 1 --seconds 3 --trace 1 --out "$BENCH_OUT" \
-        | tail -n 1 | grep -q '"correct":true' \
-        || { echo "benchmark smoke: $workload did not end with \"correct\":true"; exit 1; }
+    for trace in 1 0; do
+        benchmark/run.sh --workload "$workload" --seed 1 --seconds 3 --trace "$trace" --out "$BENCH_OUT" \
+            | tail -n 1 | grep -q '"correct":true' \
+            || { echo "benchmark smoke: $workload (--trace $trace) did not end with \"correct\":true"; exit 1; }
+    done
     if [ "$workload" = bert_full ]; then
         for metric in sim.delta_diverged_ratio core.invariant_reject_ratio; do
             grep -q "\"$metric\":{\"value\":0.0," "$BENCH_OUT/bert_full.layers.json" \
                 || { echo "benchmark smoke: bert_full reports a non-zero $metric"; exit 1; }
         done
+    fi
+    EXPECTED="$(awk -F'\t' -v w="$workload" '$1 == w' "$COUNTS")"
+    ACTUAL="$workload"
+    for metric in $(cut -f2- <<<"$COUNTS_HEADER"); do
+        result="$BENCH_OUT/$workload.layers.json"
+        if [ "$metric" = peak_ratio ]; then result="$BENCH_OUT/$workload.json"; fi
+        ACTUAL+="$(printf '\t%s' "$(grep -o "\"$metric\":{\"value\":[^,]*" "$result" | head -n 1 | sed 's/.*"value"://')")"
+    done
+    if [ "$ACTUAL" != "$EXPECTED" ]; then
+        echo "trajectory gate: $workload differs from $COUNTS"
+        paste <(tr '\t' '\n' <<<"$COUNTS_HEADER") <(tr '\t' '\n' <<<"$EXPECTED") <(tr '\t' '\n' <<<"$ACTUAL") \
+            | awk -F'\t' '$2 != $3 { print "  " $1 ": committed " $2 ", this run " $3 }'
+        exit 1
     fi
     rm -rf "$BENCH_OUT"
 done

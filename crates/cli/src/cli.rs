@@ -201,16 +201,8 @@ fn workload(flags: &HashMap<String, String>) -> Result<Workload, CliError> {
     let name = flags
         .get("workload")
         .ok_or_else(|| CliError::Usage("--workload is required".into()))?;
-    match name.to_lowercase().as_str() {
-        "resnet50" | "resnet" => Ok(Workload::ResNet50),
-        "bert" => Ok(Workload::BertBase),
-        "vit" => Ok(Workload::VitBase),
-        "unet" => Ok(Workload::UNet),
-        "unetpp" | "unet++" => Ok(Workload::UNetPP),
-        "gpt-neo" | "gptneo" | "gpt" => Ok(Workload::GptNeo13B),
-        "btlm" => Ok(Workload::Btlm3B),
-        other => Err(CliError::Usage(format!("unknown workload '{other}'"))),
-    }
+    Workload::parse(name)
+        .ok_or_else(|| CliError::Usage(format!("unknown workload '{}'", name.to_lowercase())))
 }
 
 fn f64_flag(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, CliError> {

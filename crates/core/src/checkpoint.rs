@@ -5,10 +5,11 @@
 //! Format: a versioned, line-oriented text file with no external
 //! dependencies (the repo is fully offline). Floating-point values are
 //! stored as bit patterns (`f64::to_bits` in hex) so a checkpoint
-//! round-trip is bit-exact and resume preserves determinism. The
-//! incumbent is stored as **two** graph records plus the exact
-//! schedule: its base graph and the overlaid (fission-applied) graph
-//! that was actually simulated. On resume the stored schedule is
+//! round-trip is bit-exact and resume preserves determinism. A state
+//! — the incumbent, and each frontier entry — is one [`StateRecord`]:
+//! **two** graph records plus the exact schedule, its base graph and
+//! the overlaid (fission-applied) graph that was actually simulated.
+//! On resume the stored schedule is
 //! re-simulated rather than re-scheduled — re-scheduling could land on
 //! a different (worse) evaluation than the one that won incumbency.
 //!
@@ -18,9 +19,11 @@
 //! incumbent. A frontier-bearing checkpoint resumes *exactly* — the
 //! queue, seen-set, and sequence counter are reconstructed verbatim,
 //! so a killed-and-resumed search replays the identical trajectory and
-//! finishes bit-identical to an uninterrupted run (given deterministic
-//! stopping, i.e. a candidate cap rather than wall clock). A checkpoint
-//! written without the frontier policy gets the best-effort resume: the
+//! finishes with the incumbent, counts and timeline of an
+//! uninterrupted run (given deterministic stopping, i.e. a candidate
+//! cap rather than wall clock; the evaluation cache is not stored, and
+//! with it on a Pareto point may differ in its last latency bit — see
+//! [`crate::optimizer`]). A checkpoint written without the frontier policy gets the best-effort resume: the
 //! incumbent is re-seeded and the search re-explores from there.
 //!
 //! A checkpoint is **driver-tagged**: a `driver` line right after the
@@ -39,18 +42,19 @@
 //! config is authoritative, so a checkpoint can be resumed under a
 //! different budget or thread count without surgery.
 
-use magis_graph::GraphView;
 use crate::driver::DriverKind;
-use crate::ftree::{FTree, FTreeNode};
 use crate::fission::FissionSpec;
+use crate::ftree::{FTree, FTreeNode};
 use crate::state::{EvalContext, EvalError, MState};
 use magis_graph::graph::NodeId;
 use magis_graph::io::{self, RecordError};
+use magis_graph::GraphView;
 use magis_sched::{validate_schedule, ScheduleError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::path::Path;
+use std::str::FromStr;
 
 const CKPT_HEADER: &str = "magis-checkpoint v4";
 const CKPT_FOOTER: &str = "ckpt-end";
@@ -145,17 +149,11 @@ pub struct CheckpointCounters {
     pub checkpoint_failures: u64,
 }
 
-/// One priority-queue entry captured in a frontier-bearing
-/// checkpoint: the state's serialized parts plus the queue bookkeeping
-/// (sequence number, staleness) needed to reconstruct the heap
-/// verbatim.
-#[derive(Debug, Clone)]
-pub struct FrontierEntry {
-    /// The entry's queue sequence number (FIFO tiebreak within equal
-    /// objective keys — restoring it preserves pop order exactly).
-    pub seq: u64,
-    /// Whether the state's F-Tree needed re-analysis before expansion.
-    pub tree_stale: bool,
+/// One M-State as a checkpoint stores it — the incumbent and every
+/// frontier entry alike: the exact schedule, the F-Tree, and two graph
+/// records (the base graph and the overlaid graph that was simulated).
+#[derive(Debug, Clone, Default)]
+pub struct StateRecord {
     /// The state's schedule as arena indices into its eval graph.
     pub order: Vec<usize>,
     /// The state's F-Tree nodes.
@@ -164,6 +162,21 @@ pub struct FrontierEntry {
     pub base_record: String,
     /// Graph record of the state's overlaid (simulated) graph.
     pub eval_record: String,
+}
+
+/// One driver-frontier entry captured in a frontier-bearing
+/// checkpoint: the state plus the bookkeeping (sequence number,
+/// staleness) needed to reconstruct the queue or tree verbatim.
+#[derive(Debug, Clone)]
+pub struct FrontierEntry {
+    /// The entry's queue sequence number (FIFO tiebreak within equal
+    /// objective keys — restoring it preserves pop order exactly) or
+    /// MCTS node id.
+    pub seq: u64,
+    /// Whether the state's F-Tree needed re-analysis before expansion.
+    pub tree_stale: bool,
+    /// The entry's state.
+    pub state: StateRecord,
 }
 
 /// Per-node MCTS tree metadata stored beside a frontier entry.
@@ -196,8 +209,9 @@ pub struct MctsCheckpoint {
     pub nodes: Vec<MctsNodeMeta>,
 }
 
-/// A serializable snapshot of the M-Optimizer's search state.
-#[derive(Debug, Clone)]
+/// A serializable snapshot of the M-Optimizer's search state. The
+/// default value is the state of a search that has not started.
+#[derive(Debug, Clone, Default)]
 pub struct SearchCheckpoint {
     /// RNG seed of the search (naïve-fission ablation determinism).
     pub rng_seed: u64,
@@ -213,20 +227,14 @@ pub struct SearchCheckpoint {
     pub seen: Vec<u64>,
     /// Quarantine strikes per rule family (`Transform::sort_key().0`).
     pub quarantine: Vec<(u8, u32)>,
-    /// The incumbent's schedule as arena indices into the eval graph.
-    pub best_order: Vec<usize>,
-    /// The incumbent's F-Tree nodes.
-    pub ftree_nodes: Vec<FTreeNode>,
-    /// Graph record of the incumbent's base graph.
-    pub base_record: String,
-    /// Graph record of the incumbent's overlaid (simulated) graph.
-    pub eval_record: String,
+    /// The incumbent.
+    pub best: StateRecord,
     /// The sequence counter's next value (only meaningful when
     /// `frontier` is non-empty).
     pub next_seq: u64,
-    /// The priority-queue frontier at checkpoint time, sorted by
-    /// sequence number (empty when the checkpoint policy doesn't
-    /// request frontier capture). Non-empty frontiers make resume
+    /// The driver frontier at checkpoint time, sorted by sequence
+    /// number (empty when the checkpoint policy doesn't request
+    /// frontier capture). Non-empty frontiers make resume
     /// trajectory-exact.
     pub frontier: Vec<FrontierEntry>,
     /// The search engine that wrote this checkpoint. Resume restores
@@ -240,286 +248,273 @@ fn f64_hex(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
-fn parse_u64(tok: &str, line: usize, what: &str) -> Result<u64, CheckpointError> {
-    tok.parse::<u64>().map_err(|_| CheckpointError::Parse {
-        line,
-        msg: format!("bad {what} '{tok}'"),
-    })
-}
-
-fn parse_usize(tok: &str, line: usize, what: &str) -> Result<usize, CheckpointError> {
-    tok.parse::<usize>().map_err(|_| CheckpointError::Parse {
-        line,
-        msg: format!("bad {what} '{tok}'"),
-    })
-}
-
-fn parse_f64_hex(tok: &str, line: usize, what: &str) -> Result<f64, CheckpointError> {
-    u64::from_str_radix(tok, 16)
-        .map(f64::from_bits)
-        .map_err(|_| CheckpointError::Parse { line, msg: format!("bad {what} bits '{tok}'") })
-}
-
-fn parse_hex_u64(tok: &str, line: usize, what: &str) -> Result<u64, CheckpointError> {
-    u64::from_str_radix(tok, 16).map_err(|_| CheckpointError::Parse {
-        line,
-        msg: format!("bad {what} '{tok}'"),
-    })
-}
-
 /// `+`-joined list of usizes; `-` for empty.
 fn join_plus<I: IntoIterator<Item = usize>>(it: I) -> String {
     let parts: Vec<String> = it.into_iter().map(|v| v.to_string()).collect();
     if parts.is_empty() { "-".to_string() } else { parts.join("+") }
 }
 
-fn parse_plus(tok: &str, line: usize, what: &str) -> Result<Vec<usize>, CheckpointError> {
-    if tok == "-" {
-        return Ok(Vec::new());
-    }
-    tok.split('+').map(|t| parse_usize(t, line, what)).collect()
+/// `-` for `None`.
+fn opt_str<T: ToString>(v: Option<T>) -> String {
+    v.map_or_else(|| "-".to_string(), |v| v.to_string())
 }
 
-// ---- shared state-block emitters (incumbent + frontier entries) ----
-
-fn encode_order(out: &mut String, order: &[usize]) {
-    out.push_str(&format!("order {}\n", order.len()));
-    for chunk in order.chunks(16) {
-        out.push('o');
-        for i in chunk {
-            out.push_str(&format!(" {i}"));
+/// `tag <count>` followed by the values, 16 to a line, each line
+/// prefixed with `short`.
+fn encode_chunked<T>(out: &mut String, tag: &str, short: char, vals: &[T], fmt: impl Fn(&T) -> String) {
+    out.push_str(&format!("{tag} {}\n", vals.len()));
+    for chunk in vals.chunks(16) {
+        out.push(short);
+        for v in chunk {
+            out.push(' ');
+            out.push_str(&fmt(v));
         }
         out.push('\n');
     }
 }
 
-fn encode_ftree(out: &mut String, nodes: &[FTreeNode]) {
-    out.push_str(&format!("ftree {}\n", nodes.len()));
-    for n in nodes {
-        let parent = match n.parent {
-            Some(p) => p.to_string(),
-            None => "-".to_string(),
-        };
-        let dims = if n.spec.dims.is_empty() {
-            "-".to_string()
-        } else {
-            n.spec
-                .dims
-                .iter()
-                .map(|(v, d)| format!("{}:{}", v.index(), d))
-                .collect::<Vec<_>>()
-                .join("+")
-        };
-        out.push_str(&format!(
-            "f {parent} {} {} ch={} set={} dims={dims}\n",
-            n.level,
-            n.spec.parts,
-            join_plus(n.children.iter().copied()),
-            join_plus(n.spec.set.iter().map(|v| v.index())),
-        ));
-    }
-}
-
 fn encode_graph(out: &mut String, tag: &str, rec: &str) {
-    let nlines = rec.lines().count();
-    out.push_str(&format!("{tag} {nlines}\n"));
+    out.push_str(&format!("{tag} {}\n", rec.lines().count()));
     out.push_str(rec);
     if !rec.ends_with('\n') {
         out.push('\n');
     }
 }
 
-// ---- shared state-block parsers ----
-
-fn next_line(lines: &[&str], ln: &mut usize) -> Result<String, CheckpointError> {
-    let i = *ln;
-    if i >= lines.len() {
-        return Err(CheckpointError::Parse {
-            line: i + 1,
-            msg: "unexpected end of checkpoint".to_string(),
-        });
-    }
-    *ln = i + 1;
-    Ok(lines[i].to_string())
+/// A line cursor over a checkpoint's text. `at` counts the lines
+/// consumed, which is the 1-based number of the line an error is about.
+struct Cursor<'a> {
+    lines: Vec<&'a str>,
+    at: usize,
 }
 
-fn expect_kv(
-    line: String,
-    ln: usize,
-    key: &str,
-    arity: usize,
-) -> Result<Vec<String>, CheckpointError> {
-    let toks: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-    if toks.len() != arity + 1 || toks[0] != key {
-        return Err(CheckpointError::Parse {
-            line: ln,
-            msg: format!("expected '{key}' with {arity} fields, got '{line}'"),
-        });
+impl<'a> Cursor<'a> {
+    fn err(&self, msg: String) -> CheckpointError {
+        CheckpointError::Parse { line: self.at, msg }
     }
-    Ok(toks[1..].to_vec())
-}
 
-fn decode_order(lines: &[&str], ln: &mut usize) -> Result<Vec<usize>, CheckpointError> {
-    let t = expect_kv(next_line(lines, ln)?, *ln, "order", 1)?;
-    let no = parse_usize(&t[0], *ln, "order count")?;
-    let mut order = Vec::with_capacity(no);
-    while order.len() < no {
-        let line = next_line(lines, ln)?;
+    fn next(&mut self) -> Result<&'a str, CheckpointError> {
+        let line = self.lines.get(self.at).copied();
+        self.at += 1;
+        line.ok_or_else(|| self.err("unexpected end of checkpoint".to_string()))
+    }
+
+    /// The next line, which must be `key` followed by exactly `arity`
+    /// fields; returns the fields.
+    fn kv(&mut self, key: &str, arity: usize) -> Result<Vec<&'a str>, CheckpointError> {
+        let line = self.next()?;
         let mut toks = line.split_whitespace();
-        if toks.next() != Some("o") {
-            return Err(CheckpointError::Parse {
-                line: *ln,
-                msg: format!("expected 'o' order line, got '{line}'"),
-            });
+        let head = toks.next();
+        let fields: Vec<&str> = toks.collect();
+        if head != Some(key) || fields.len() != arity {
+            return Err(self.err(format!("expected '{key}' with {arity} fields, got '{line}'")));
         }
-        for tok in toks {
-            order.push(parse_usize(tok, *ln, "order index")?);
-        }
-        if order.len() > no {
-            return Err(CheckpointError::Parse {
-                line: *ln,
-                msg: format!("more order entries than declared ({no})"),
-            });
+        Ok(fields)
+    }
+
+    /// The next line as `key <count>`.
+    fn count(&mut self, key: &str) -> Result<usize, CheckpointError> {
+        let t = self.kv(key, 1)?;
+        self.num(t[0], key)
+    }
+
+    fn num<T: FromStr>(&self, tok: &str, what: &str) -> Result<T, CheckpointError> {
+        tok.parse().map_err(|_| self.err(format!("bad {what} '{tok}'")))
+    }
+
+    /// `-` for `None`.
+    fn opt_num<T: FromStr>(&self, tok: &str, what: &str) -> Result<Option<T>, CheckpointError> {
+        if tok == "-" { Ok(None) } else { self.num(tok, what).map(Some) }
+    }
+
+    fn hex(&self, tok: &str, what: &str) -> Result<u64, CheckpointError> {
+        u64::from_str_radix(tok, 16).map_err(|_| self.err(format!("bad {what} '{tok}'")))
+    }
+
+    fn f64_hex(&self, tok: &str, what: &str) -> Result<f64, CheckpointError> {
+        self.hex(tok, what).map(f64::from_bits)
+    }
+
+    fn flag(&self, tok: &str, what: &str) -> Result<bool, CheckpointError> {
+        match tok {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            other => Err(self.err(format!("bad {what} flag '{other}'"))),
         }
     }
-    Ok(order)
-}
 
-fn decode_ftree(lines: &[&str], ln: &mut usize) -> Result<Vec<FTreeNode>, CheckpointError> {
-    let t = expect_kv(next_line(lines, ln)?, *ln, "ftree", 1)?;
-    let nf = parse_usize(&t[0], *ln, "ftree count")?;
-    let mut ftree_nodes = Vec::with_capacity(nf);
-    for _ in 0..nf {
-        let line = next_line(lines, ln)?;
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        if toks.len() != 7 || toks[0] != "f" {
-            return Err(CheckpointError::Parse {
-                line: *ln,
-                msg: format!("expected 'f' node line with 6 fields, got '{line}'"),
-            });
+    /// `+`-joined list of usizes; `-` for empty.
+    fn plus(&self, tok: &str, what: &str) -> Result<Vec<usize>, CheckpointError> {
+        if tok == "-" {
+            return Ok(Vec::new());
         }
-        let parent = if toks[1] == "-" {
-            None
-        } else {
-            Some(parse_usize(toks[1], *ln, "parent")?)
-        };
-        let level = parse_usize(toks[2], *ln, "level")?;
-        let parts = parse_u64(toks[3], *ln, "parts")?;
-        let ch = toks[4].strip_prefix("ch=").ok_or_else(|| CheckpointError::Parse {
-            line: *ln,
-            msg: format!("expected ch= field, got '{}'", toks[4]),
-        })?;
-        let children = parse_plus(ch, *ln, "child index")?;
-        let set_tok = toks[5].strip_prefix("set=").ok_or_else(|| CheckpointError::Parse {
-            line: *ln,
-            msg: format!("expected set= field, got '{}'", toks[5]),
-        })?;
-        let set: BTreeSet<NodeId> = parse_plus(set_tok, *ln, "set node")?
-            .into_iter()
-            .map(NodeId::from_index)
-            .collect();
-        let dims_tok = toks[6].strip_prefix("dims=").ok_or_else(|| CheckpointError::Parse {
-            line: *ln,
-            msg: format!("expected dims= field, got '{}'", toks[6]),
-        })?;
-        let mut dims: BTreeMap<NodeId, i32> = BTreeMap::new();
-        if dims_tok != "-" {
-            for pair in dims_tok.split('+') {
-                let (v, d) = pair.split_once(':').ok_or_else(|| CheckpointError::Parse {
-                    line: *ln,
-                    msg: format!("bad dims pair '{pair}'"),
-                })?;
-                let v = parse_usize(v, *ln, "dims node")?;
-                let d: i32 = d.parse().map_err(|_| CheckpointError::Parse {
-                    line: *ln,
-                    msg: format!("bad dims value '{d}'"),
-                })?;
-                dims.insert(NodeId::from_index(v), d);
+        tok.split('+').map(|t| self.num(t, what)).collect()
+    }
+
+    /// A `key=value` field's value.
+    fn field<'t>(&self, tok: &'t str, key: &str) -> Result<&'t str, CheckpointError> {
+        tok.strip_prefix(key)
+            .and_then(|t| t.strip_prefix('='))
+            .ok_or_else(|| self.err(format!("expected {key}= field, got '{tok}'")))
+    }
+
+    /// Reads what [`encode_chunked`] wrote.
+    fn chunked<T>(
+        &mut self,
+        tag: &str,
+        short: &str,
+        parse: impl Fn(&Self, &str) -> Result<T, CheckpointError>,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let n = self.count(tag)?;
+        let mut vals = Vec::new();
+        while vals.len() < n {
+            let line = self.next()?;
+            let mut toks = line.split_whitespace();
+            if toks.next() != Some(short) {
+                return Err(self.err(format!("expected '{short}' {tag} line, got '{line}'")));
+            }
+            for tok in toks {
+                vals.push(parse(self, tok)?);
+            }
+            if vals.len() > n {
+                return Err(self.err(format!("more {tag} entries than declared ({n})")));
             }
         }
-        ftree_nodes.push(FTreeNode {
-            spec: FissionSpec { set, dims, parts },
-            parent,
-            children,
-            level,
-        });
+        Ok(vals)
     }
-    // Parent/children indices must stay inside the forest.
-    for (i, n) in ftree_nodes.iter().enumerate() {
-        let bad = n.parent.iter().chain(n.children.iter()).find(|&&j| j >= nf);
-        if let Some(&j) = bad {
-            return Err(CheckpointError::Parse {
-                line: *ln,
-                msg: format!("ftree node {i} references out-of-range node {j}"),
-            });
+
+    fn graph(&mut self, tag: &str) -> Result<String, CheckpointError> {
+        let n = self.count(tag)?;
+        let mut rec = String::new();
+        for _ in 0..n {
+            rec.push_str(self.next()?);
+            rec.push('\n');
         }
+        Ok(rec)
     }
-    Ok(ftree_nodes)
 }
 
-fn decode_graph(tag: &str, lines: &[&str], ln: &mut usize) -> Result<String, CheckpointError> {
-    let line = next_line(lines, ln)?;
-    let toks: Vec<&str> = line.split_whitespace().collect();
-    if toks.len() != 2 || toks[0] != tag {
-        return Err(CheckpointError::Parse {
-            line: *ln,
-            msg: format!("expected '{tag} <lines>', got '{line}'"),
-        });
+impl FrontierEntry {
+    /// Captures `state` as the frontier entry numbered `seq`.
+    pub fn of(seq: u64, state: &MState) -> FrontierEntry {
+        FrontierEntry { seq, tree_stale: state.tree_stale, state: StateRecord::of(state) }
     }
-    let n = parse_usize(toks[1], *ln, "graph line count")?;
-    let mut rec = String::new();
-    for _ in 0..n {
-        rec.push_str(&next_line(lines, ln)?);
-        rec.push('\n');
-    }
-    Ok(rec)
 }
 
-/// Rebuilds one [`MState`] from its checkpointed parts: both graph
-/// records restored and re-validated, F-Tree references checked against
-/// the base graph, the stored schedule validated against the eval graph
-/// and re-simulated under `ctx`. Shared by the incumbent and frontier
-/// restore paths.
-fn restore_parts(
-    order: &[usize],
-    ftree_nodes: &[FTreeNode],
-    base_record: &str,
-    eval_record: &str,
-    ctx: &EvalContext,
-) -> Result<MState, CheckpointError> {
-    let base = io::from_record(base_record)?;
-    let eval_graph = io::from_record(eval_record)?;
-    for (i, n) in ftree_nodes.iter().enumerate() {
-        if let Some(&v) = n.spec.set.iter().find(|v| !base.contains(**v)) {
-            return Err(CheckpointError::Parse {
-                line: 0,
-                msg: format!("ftree node {i} references node {v} absent from the base graph"),
-            });
-        }
-    }
-    let order: Vec<NodeId> = order.iter().map(|&i| NodeId::from_index(i)).collect();
-    validate_schedule(&eval_graph, &order)?;
-    let ftree = FTree::from_nodes(ftree_nodes.to_vec());
-    Ok(MState::resume(base, ftree, eval_graph, order, ctx)?)
-}
-
-impl SearchCheckpoint {
-    /// Captures the serializable parts of an incumbent state. Search
-    /// bookkeeping (pareto, seen, quarantine, counters) is filled in by
-    /// the optimizer.
+impl StateRecord {
+    /// Captures the serializable parts of `state`.
     ///
     /// A stale F-Tree is stored as empty: a `tree_stale` state's tree
     /// is discarded and rebuilt by analysis before any expansion, and
     /// an inherited stale tree may dangle (a TASO rewrite can remove
     /// base nodes its spec sets still reference), which would fail the
     /// restore-time validation for a tree that never gets used.
-    pub fn snapshot_state(best: &MState) -> (Vec<usize>, Vec<FTreeNode>, String, String) {
-        let order: Vec<usize> = best.eval.order.iter().map(|v| v.index()).collect();
-        let nodes: Vec<FTreeNode> =
-            if best.tree_stale { Vec::new() } else { best.ftree.nodes().to_vec() };
-        (order, nodes, io::to_record(&best.base), io::to_record(&best.eval.graph))
+    pub fn of(state: &MState) -> StateRecord {
+        StateRecord {
+            order: state.eval.order.iter().map(|v| v.index()).collect(),
+            ftree_nodes: if state.tree_stale { Vec::new() } else { state.ftree.nodes().to_vec() },
+            base_record: io::to_record(&state.base),
+            eval_record: io::to_record(&state.eval.graph),
+        }
     }
 
+    /// Rebuilds the [`MState`]: both graph records restored and
+    /// re-validated, F-Tree references checked against the base graph,
+    /// the stored schedule validated against the eval graph
+    /// (topological order, exactly-once coverage) and re-simulated
+    /// under `ctx` to reproduce the evaluation. The state comes back
+    /// `tree_stale`.
+    ///
+    /// # Errors
+    ///
+    /// Any corruption — dangling edges, a schedule that no longer
+    /// topo-sorts the graph, defective re-simulated costs — surfaces
+    /// as a typed [`CheckpointError`].
+    pub fn restore(&self, ctx: &EvalContext) -> Result<MState, CheckpointError> {
+        let base = io::from_record(&self.base_record)?;
+        let eval_graph = io::from_record(&self.eval_record)?;
+        for (i, n) in self.ftree_nodes.iter().enumerate() {
+            if let Some(&v) = n.spec.set.iter().find(|v| !base.contains(**v)) {
+                return Err(CheckpointError::Parse {
+                    line: 0,
+                    msg: format!("ftree node {i} references node {v} absent from the base graph"),
+                });
+            }
+        }
+        let order: Vec<NodeId> = self.order.iter().map(|&i| NodeId::from_index(i)).collect();
+        validate_schedule(&eval_graph, &order)?;
+        let ftree = FTree::from_nodes(self.ftree_nodes.clone());
+        Ok(MState::resume(base, ftree, eval_graph, order, ctx)?)
+    }
+
+    /// The `order` and `ftree` sections. (The incumbent's two halves
+    /// sit apart in the file — frontier and MCTS sections between —
+    /// a frontier entry's follow each other.)
+    fn encode_schedule(&self, out: &mut String) {
+        encode_chunked(out, "order", 'o', &self.order, |i| i.to_string());
+        out.push_str(&format!("ftree {}\n", self.ftree_nodes.len()));
+        for n in &self.ftree_nodes {
+            let dims: Vec<String> =
+                n.spec.dims.iter().map(|(v, d)| format!("{}:{}", v.index(), d)).collect();
+            out.push_str(&format!(
+                "f {} {} {} ch={} set={} dims={}\n",
+                opt_str(n.parent),
+                n.level,
+                n.spec.parts,
+                join_plus(n.children.iter().copied()),
+                join_plus(n.spec.set.iter().map(|v| v.index())),
+                if dims.is_empty() { "-".to_string() } else { dims.join("+") },
+            ));
+        }
+    }
+
+    fn decode_schedule(&mut self, cur: &mut Cursor<'_>) -> Result<(), CheckpointError> {
+        self.order = cur.chunked("order", "o", |c, tok| c.num(tok, "order index"))?;
+        let nf = cur.count("ftree")?;
+        for _ in 0..nf {
+            let t = cur.kv("f", 6)?;
+            let set = cur.plus(cur.field(t[4], "set")?, "set node")?;
+            let mut dims: BTreeMap<NodeId, i32> = BTreeMap::new();
+            let dims_tok = cur.field(t[5], "dims")?;
+            for pair in dims_tok.split('+').filter(|_| dims_tok != "-") {
+                let (v, d) = pair
+                    .split_once(':')
+                    .ok_or_else(|| cur.err(format!("bad dims pair '{pair}'")))?;
+                dims.insert(NodeId::from_index(cur.num(v, "dims node")?), cur.num(d, "dims value")?);
+            }
+            self.ftree_nodes.push(FTreeNode {
+                spec: FissionSpec {
+                    set: set.into_iter().map(NodeId::from_index).collect::<BTreeSet<_>>(),
+                    dims,
+                    parts: cur.num(t[2], "parts")?,
+                },
+                parent: cur.opt_num(t[0], "parent")?,
+                children: cur.plus(cur.field(t[3], "ch")?, "child index")?,
+                level: cur.num(t[1], "level")?,
+            });
+        }
+        // Parent/children indices must stay inside the forest.
+        for (i, n) in self.ftree_nodes.iter().enumerate() {
+            if let Some(&j) = n.parent.iter().chain(&n.children).find(|&&j| j >= nf) {
+                return Err(cur.err(format!("ftree node {i} references out-of-range node {j}")));
+            }
+        }
+        Ok(())
+    }
+
+    fn encode_graphs(&self, out: &mut String) {
+        encode_graph(out, "base-graph", &self.base_record);
+        encode_graph(out, "eval-graph", &self.eval_record);
+    }
+
+    fn decode_graphs(&mut self, cur: &mut Cursor<'_>) -> Result<(), CheckpointError> {
+        self.base_record = cur.graph("base-graph")?;
+        self.eval_record = cur.graph("eval-graph")?;
+        Ok(())
+    }
+}
+
+impl SearchCheckpoint {
     /// Serializes the checkpoint to its text form.
     pub fn encode(&self) -> String {
         let mut out = String::new();
@@ -527,16 +522,8 @@ impl SearchCheckpoint {
         out.push('\n');
         out.push_str(&format!("driver {}\n", self.driver.as_str()));
         out.push_str(&format!("rng {:016x}\n", self.rng_seed));
-        out.push_str(&format!(
-            "seed_cost {} {}\n",
-            self.seed_cost.0,
-            f64_hex(self.seed_cost.1)
-        ));
-        out.push_str(&format!(
-            "best_cost {} {}\n",
-            self.best_cost.0,
-            f64_hex(self.best_cost.1)
-        ));
+        out.push_str(&format!("seed_cost {} {}\n", self.seed_cost.0, f64_hex(self.seed_cost.1)));
+        out.push_str(&format!("best_cost {} {}\n", self.best_cost.0, f64_hex(self.best_cost.1)));
         let c = &self.counters;
         out.push_str(&format!(
             "counters {} {} {} {} {} {} {} {} {} {}\n",
@@ -555,51 +542,33 @@ impl SearchCheckpoint {
         for &(m, l) in &self.pareto {
             out.push_str(&format!("p {m} {}\n", f64_hex(l)));
         }
-        out.push_str(&format!("seen {}\n", self.seen.len()));
-        for chunk in self.seen.chunks(16) {
-            out.push('s');
-            for h in chunk {
-                out.push_str(&format!(" {h:016x}"));
-            }
-            out.push('\n');
-        }
+        encode_chunked(&mut out, "seen", 's', &self.seen, |h| format!("{h:016x}"));
         out.push_str(&format!("quarantine {}\n", self.quarantine.len()));
         for &(fam, strikes) in &self.quarantine {
             out.push_str(&format!("q {fam} {strikes}\n"));
         }
-        encode_order(&mut out, &self.best_order);
-        encode_ftree(&mut out, &self.ftree_nodes);
+        self.best.encode_schedule(&mut out);
         out.push_str(&format!("next_seq {}\n", self.next_seq));
         out.push_str(&format!("frontier {}\n", self.frontier.len()));
         for e in &self.frontier {
-            out.push_str(&format!(
-                "entry {} {}\n",
-                e.seq,
-                if e.tree_stale { 1 } else { 0 }
-            ));
-            encode_order(&mut out, &e.order);
-            encode_ftree(&mut out, &e.ftree_nodes);
-            encode_graph(&mut out, "base-graph", &e.base_record);
-            encode_graph(&mut out, "eval-graph", &e.eval_record);
+            out.push_str(&format!("entry {} {}\n", e.seq, e.tree_stale as u8));
+            e.state.encode_schedule(&mut out);
+            e.state.encode_graphs(&mut out);
         }
         if let Some(m) = &self.mcts {
             out.push_str(&format!("mcts {} {:016x}\n", m.nodes.len(), m.rng_state));
             for n in &m.nodes {
-                let parent = match n.parent {
-                    Some(p) => p.to_string(),
-                    None => "-".to_string(),
-                };
                 out.push_str(&format!(
-                    "m {parent} {} {} {} {}\n",
+                    "m {} {} {} {} {}\n",
+                    opt_str(n.parent),
                     n.cand_index,
                     n.visits,
                     f64_hex(n.reward_sum),
-                    if n.expanded { 1 } else { 0 }
+                    n.expanded as u8
                 ));
             }
         }
-        encode_graph(&mut out, "base-graph", &self.base_record);
-        encode_graph(&mut out, "eval-graph", &self.eval_record);
+        self.best.encode_graphs(&mut out);
         out.push_str(CKPT_FOOTER);
         out.push('\n');
         out
@@ -612,182 +581,85 @@ impl SearchCheckpoint {
     /// Returns a typed [`CheckpointError`] on any structural defect:
     /// version mismatch, truncation, malformed lines, bad counts.
     pub fn decode(text: &str) -> Result<SearchCheckpoint, CheckpointError> {
-        let lines: Vec<&str> = text.lines().collect();
-        let mut ln = 0usize; // index into `lines`; 1-based in errors
-
-        let header = next_line(&lines, &mut ln)?;
-        if header.trim() != CKPT_HEADER {
-            return Err(CheckpointError::UnsupportedVersion { found: header.trim().to_string() });
+        let mut cur = Cursor { lines: text.lines().collect(), at: 0 };
+        let header = cur.next()?.trim();
+        if header != CKPT_HEADER {
+            return Err(CheckpointError::UnsupportedVersion { found: header.to_string() });
         }
+        let mut ck = SearchCheckpoint::default();
 
-        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "driver", 1)?;
-        let driver = DriverKind::parse(&t[0]).ok_or_else(|| CheckpointError::Parse {
-            line: ln,
-            msg: format!("unknown driver '{}'", t[0]),
-        })?;
+        let t = cur.kv("driver", 1)?;
+        ck.driver = DriverKind::parse(t[0]).ok_or_else(|| cur.err(format!("unknown driver '{}'", t[0])))?;
+        let t = cur.kv("rng", 1)?;
+        ck.rng_seed = cur.hex(t[0], "rng seed")?;
+        let t = cur.kv("seed_cost", 2)?;
+        ck.seed_cost = (cur.num(t[0], "seed peak")?, cur.f64_hex(t[1], "seed latency")?);
+        let t = cur.kv("best_cost", 2)?;
+        ck.best_cost = (cur.num(t[0], "best peak")?, cur.f64_hex(t[1], "best latency")?);
 
-        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "rng", 1)?;
-        let rng_seed = parse_hex_u64(&t[0], ln, "rng seed")?;
-
-        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "seed_cost", 2)?;
-        let seed_cost = (parse_u64(&t[0], ln, "seed peak")?, parse_f64_hex(&t[1], ln, "seed latency")?);
-
-        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "best_cost", 2)?;
-        let best_cost = (parse_u64(&t[0], ln, "best peak")?, parse_f64_hex(&t[1], ln, "best latency")?);
-
-        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "counters", 10)?;
-        let counters = CheckpointCounters {
-            expanded: parse_u64(&t[0], ln, "expanded")?,
-            evaluated: parse_u64(&t[1], ln, "evaluated")?,
-            candidates: parse_u64(&t[2], ln, "candidates")?,
-            filtered: parse_u64(&t[3], ln, "filtered")?,
-            panicked: parse_u64(&t[4], ln, "panicked")?,
-            cost_rejections: parse_u64(&t[5], ln, "cost_rejections")?,
-            invariant_rejections: parse_u64(&t[6], ln, "invariant_rejections")?,
-            quarantined_candidates: parse_u64(&t[7], ln, "quarantined_candidates")?,
-            checkpoints_written: parse_u64(&t[8], ln, "checkpoints_written")?,
-            checkpoint_failures: parse_u64(&t[9], ln, "checkpoint_failures")?,
+        let t = cur.kv("counters", 10)?;
+        ck.counters = CheckpointCounters {
+            expanded: cur.num(t[0], "expanded")?,
+            evaluated: cur.num(t[1], "evaluated")?,
+            candidates: cur.num(t[2], "candidates")?,
+            filtered: cur.num(t[3], "filtered")?,
+            panicked: cur.num(t[4], "panicked")?,
+            cost_rejections: cur.num(t[5], "cost_rejections")?,
+            invariant_rejections: cur.num(t[6], "invariant_rejections")?,
+            quarantined_candidates: cur.num(t[7], "quarantined_candidates")?,
+            checkpoints_written: cur.num(t[8], "checkpoints_written")?,
+            checkpoint_failures: cur.num(t[9], "checkpoint_failures")?,
         };
 
-        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "pareto", 1)?;
-        let np = parse_usize(&t[0], ln, "pareto count")?;
-        let mut pareto = Vec::with_capacity(np);
-        for _ in 0..np {
-            let t = expect_kv(next_line(&lines, &mut ln)?, ln, "p", 2)?;
-            pareto.push((parse_u64(&t[0], ln, "pareto peak")?, parse_f64_hex(&t[1], ln, "pareto latency")?));
+        for _ in 0..cur.count("pareto")? {
+            let t = cur.kv("p", 2)?;
+            ck.pareto.push((cur.num(t[0], "pareto peak")?, cur.f64_hex(t[1], "pareto latency")?));
+        }
+        ck.seen = cur.chunked("seen", "s", |c, tok| c.hex(tok, "seen hash"))?;
+        for _ in 0..cur.count("quarantine")? {
+            let t = cur.kv("q", 2)?;
+            let strikes: u64 = cur.num(t[1], "strikes")?;
+            ck.quarantine.push((cur.num(t[0], "family")?, strikes.min(u32::MAX as u64) as u32));
         }
 
-        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "seen", 1)?;
-        let ns = parse_usize(&t[0], ln, "seen count")?;
-        let mut seen = Vec::with_capacity(ns);
-        while seen.len() < ns {
-            let line = next_line(&lines, &mut ln)?;
-            let mut toks = line.split_whitespace();
-            if toks.next() != Some("s") {
-                return Err(CheckpointError::Parse {
-                    line: ln,
-                    msg: format!("expected 's' hash line, got '{line}'"),
-                });
-            }
-            for tok in toks {
-                seen.push(parse_hex_u64(tok, ln, "seen hash")?);
-            }
-            if seen.len() > ns {
-                return Err(CheckpointError::Parse {
-                    line: ln,
-                    msg: format!("more seen hashes than declared ({ns})"),
-                });
-            }
-        }
-
-        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "quarantine", 1)?;
-        let nq = parse_usize(&t[0], ln, "quarantine count")?;
-        let mut quarantine = Vec::with_capacity(nq);
-        for _ in 0..nq {
-            let t = expect_kv(next_line(&lines, &mut ln)?, ln, "q", 2)?;
-            let fam = parse_u64(&t[0], ln, "family")?;
-            if fam > u8::MAX as u64 {
-                return Err(CheckpointError::Parse { line: ln, msg: format!("family {fam} out of range") });
-            }
-            let strikes = parse_u64(&t[1], ln, "strikes")?;
-            quarantine.push((fam as u8, strikes.min(u32::MAX as u64) as u32));
-        }
-
-        let best_order = decode_order(&lines, &mut ln)?;
-        let ftree_nodes = decode_ftree(&lines, &mut ln)?;
-
-        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "next_seq", 1)?;
-        let next_seq = parse_u64(&t[0], ln, "next_seq")?;
-        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "frontier", 1)?;
-        let nfr = parse_usize(&t[0], ln, "frontier count")?;
-        let mut frontier = Vec::with_capacity(nfr);
-        for _ in 0..nfr {
-            let t = expect_kv(next_line(&lines, &mut ln)?, ln, "entry", 2)?;
-            let seq = parse_u64(&t[0], ln, "entry seq")?;
-            let tree_stale = match t[1].as_str() {
-                "0" => false,
-                "1" => true,
-                other => {
-                    return Err(CheckpointError::Parse {
-                        line: ln,
-                        msg: format!("bad entry staleness flag '{other}'"),
-                    })
-                }
+        ck.best.decode_schedule(&mut cur)?;
+        let t = cur.kv("next_seq", 1)?;
+        ck.next_seq = cur.num(t[0], "next_seq")?;
+        for _ in 0..cur.count("frontier")? {
+            let t = cur.kv("entry", 2)?;
+            let mut e = FrontierEntry {
+                seq: cur.num(t[0], "entry seq")?,
+                tree_stale: cur.flag(t[1], "entry staleness")?,
+                state: StateRecord::default(),
             };
-            let order = decode_order(&lines, &mut ln)?;
-            let ftree_nodes = decode_ftree(&lines, &mut ln)?;
-            let base_record = decode_graph("base-graph", &lines, &mut ln)?;
-            let eval_record = decode_graph("eval-graph", &lines, &mut ln)?;
-            frontier.push(FrontierEntry {
-                seq,
-                tree_stale,
-                order,
-                ftree_nodes,
-                base_record,
-                eval_record,
-            });
+            e.state.decode_schedule(&mut cur)?;
+            e.state.decode_graphs(&mut cur)?;
+            ck.frontier.push(e);
         }
         // An optional MCTS tree section follows the frontier.
-        let mcts = if lines.get(ln).is_some_and(|l| l.starts_with("mcts ")) {
-            let t = expect_kv(next_line(&lines, &mut ln)?, ln, "mcts", 2)?;
-            let nn = parse_usize(&t[0], ln, "mcts node count")?;
-            let rng_state = parse_hex_u64(&t[1], ln, "mcts rng state")?;
-            let mut nodes = Vec::with_capacity(nn);
+        if cur.lines.get(cur.at).is_some_and(|l| l.starts_with("mcts ")) {
+            let t = cur.kv("mcts", 2)?;
+            let nn: usize = cur.num(t[0], "mcts node count")?;
+            let mut m = MctsCheckpoint { rng_state: cur.hex(t[1], "mcts rng state")?, nodes: Vec::new() };
             for _ in 0..nn {
-                let t = expect_kv(next_line(&lines, &mut ln)?, ln, "m", 5)?;
-                let parent = if t[0] == "-" {
-                    None
-                } else {
-                    Some(parse_u64(&t[0], ln, "mcts parent")?)
-                };
-                let cand_index = parse_u64(&t[1], ln, "mcts cand_index")?;
-                let visits = parse_u64(&t[2], ln, "mcts visits")?;
-                let reward_sum = parse_f64_hex(&t[3], ln, "mcts reward")?;
-                let expanded = match t[4].as_str() {
-                    "0" => false,
-                    "1" => true,
-                    other => {
-                        return Err(CheckpointError::Parse {
-                            line: ln,
-                            msg: format!("bad mcts expanded flag '{other}'"),
-                        })
-                    }
-                };
-                nodes.push(MctsNodeMeta { parent, cand_index, visits, reward_sum, expanded });
+                let t = cur.kv("m", 5)?;
+                m.nodes.push(MctsNodeMeta {
+                    parent: cur.opt_num(t[0], "mcts parent")?,
+                    cand_index: cur.num(t[1], "mcts cand_index")?,
+                    visits: cur.num(t[2], "mcts visits")?,
+                    reward_sum: cur.f64_hex(t[3], "mcts reward")?,
+                    expanded: cur.flag(t[4], "mcts expanded")?,
+                });
             }
-            Some(MctsCheckpoint { rng_state, nodes })
-        } else {
-            None
-        };
-
-        let base_record = decode_graph("base-graph", &lines, &mut ln)?;
-        let eval_record = decode_graph("eval-graph", &lines, &mut ln)?;
-
-        let footer = next_line(&lines, &mut ln)?;
-        if footer.trim() != CKPT_FOOTER {
-            return Err(CheckpointError::Parse {
-                line: ln,
-                msg: format!("expected footer '{CKPT_FOOTER}', got '{footer}'"),
-            });
+            ck.mcts = Some(m);
         }
+        ck.best.decode_graphs(&mut cur)?;
 
-        Ok(SearchCheckpoint {
-            rng_seed,
-            seed_cost,
-            best_cost,
-            counters,
-            pareto,
-            seen,
-            quarantine,
-            best_order,
-            ftree_nodes,
-            base_record,
-            eval_record,
-            next_seq,
-            frontier,
-            driver,
-            mcts,
-        })
+        let footer = cur.next()?;
+        if footer.trim() != CKPT_FOOTER {
+            return Err(cur.err(format!("expected footer '{CKPT_FOOTER}', got '{footer}'")));
+        }
+        Ok(ck)
     }
 
     /// Writes the checkpoint to `path` via a temp-file + rename so a
@@ -815,24 +687,18 @@ impl SearchCheckpoint {
         Self::decode(&text)
     }
 
-    /// Rebuilds the incumbent [`MState`] from the stored parts: both
-    /// graph records are restored and re-validated, the stored schedule
-    /// is checked against the eval graph (topological order, exactly-
-    /// once coverage), and the schedule is re-simulated under `ctx` to
-    /// reproduce the evaluation.
+    /// Rebuilds the incumbent [`MState`] ([`StateRecord::restore`]).
     ///
     /// # Errors
     ///
-    /// Any corruption — dangling edges, a schedule that no longer
-    /// topo-sorts the graph, defective re-simulated costs — surfaces
-    /// as a typed [`CheckpointError`].
+    /// Any corruption surfaces as a typed [`CheckpointError`].
     pub fn restore_state(&self, ctx: &EvalContext) -> Result<MState, CheckpointError> {
-        restore_parts(&self.best_order, &self.ftree_nodes, &self.base_record, &self.eval_record, ctx)
+        self.best.restore(ctx)
     }
 
-    /// Rebuilds the checkpointed frontier: every queue entry is
-    /// restored through the same validation/re-simulation pipeline as
-    /// the incumbent, with its checkpointed staleness flag and sequence
+    /// Rebuilds the checkpointed frontier: every entry is restored
+    /// through the same validation/re-simulation pipeline as the
+    /// incumbent, with its checkpointed staleness flag and sequence
     /// number reinstated. Returns `(seq, state)` pairs in stored
     /// (sequence) order; empty for frontier-free checkpoints.
     ///
@@ -841,22 +707,19 @@ impl SearchCheckpoint {
     /// Any corrupt entry fails the whole restore with a typed
     /// [`CheckpointError`] — a partially restored frontier would
     /// silently diverge from the checkpointed trajectory.
-    pub fn restore_frontier(
-        &self,
-        ctx: &EvalContext,
-    ) -> Result<Vec<(u64, MState)>, CheckpointError> {
-        let mut out = Vec::with_capacity(self.frontier.len());
-        for e in &self.frontier {
-            let mut state =
-                restore_parts(&e.order, &e.ftree_nodes, &e.base_record, &e.eval_record, ctx)?;
-            // `MState::resume` conservatively marks the tree stale; a
-            // frontier entry must come back with the exact flag it was
-            // queued with, or the resumed expansion would re-analyze
-            // where the original didn't (diverging the trajectory).
-            state.tree_stale = e.tree_stale;
-            out.push((e.seq, state));
-        }
-        Ok(out)
+    pub fn restore_frontier(&self, ctx: &EvalContext) -> Result<Vec<(u64, MState)>, CheckpointError> {
+        self.frontier
+            .iter()
+            .map(|e| {
+                let mut state = e.state.restore(ctx)?;
+                // A frontier entry must come back with the exact flag
+                // it was queued with, or the resumed expansion would
+                // re-analyze where the original didn't (diverging the
+                // trajectory).
+                state.tree_stale = e.tree_stale;
+                Ok((e.seq, state))
+            })
+            .collect()
     }
 }
 
@@ -879,8 +742,6 @@ mod tests {
     }
 
     fn checkpoint_of(s: &MState) -> SearchCheckpoint {
-        let (best_order, ftree_nodes, base_record, eval_record) =
-            SearchCheckpoint::snapshot_state(s);
         SearchCheckpoint {
             rng_seed: 0x5eed,
             seed_cost: s.cost(),
@@ -889,10 +750,7 @@ mod tests {
             pareto: vec![s.cost(), (s.cost().0 / 2, s.cost().1 * 2.0)],
             seen: vec![1, 2, 0xdeadbeef],
             quarantine: vec![(4, 2)],
-            best_order,
-            ftree_nodes,
-            base_record,
-            eval_record,
+            best: StateRecord::of(s),
             next_seq: 0,
             frontier: Vec::new(),
             driver: DriverKind::Greedy,
@@ -901,8 +759,7 @@ mod tests {
     }
 
     fn frontier_entry_of(s: &MState, seq: u64, tree_stale: bool) -> FrontierEntry {
-        let (order, ftree_nodes, base_record, eval_record) = SearchCheckpoint::snapshot_state(s);
-        FrontierEntry { seq, tree_stale, order, ftree_nodes, base_record, eval_record }
+        FrontierEntry { tree_stale, ..FrontierEntry::of(seq, s) }
     }
 
     #[test]
@@ -919,9 +776,9 @@ mod tests {
         assert_eq!(d.pareto.len(), c.pareto.len());
         assert_eq!(d.seen, c.seen);
         assert_eq!(d.quarantine, c.quarantine);
-        assert_eq!(d.best_order, c.best_order);
-        assert_eq!(d.base_record, c.base_record);
-        assert_eq!(d.eval_record, c.eval_record);
+        assert_eq!(d.best.order, c.best.order);
+        assert_eq!(d.best.base_record, c.best.base_record);
+        assert_eq!(d.best.eval_record, c.best.eval_record);
         // Re-encoding the decoded checkpoint is byte-identical.
         assert_eq!(d.encode(), text);
     }
@@ -953,7 +810,7 @@ mod tests {
         assert!(!restored[1].1.tree_stale);
         // A corrupt frontier entry fails the whole restore.
         let mut bad = d.clone();
-        bad.frontier[1].order[0] = 9999;
+        bad.frontier[1].state.order[0] = 9999;
         assert!(bad.restore_frontier(&ctx).is_err());
     }
 
@@ -1040,12 +897,12 @@ mod tests {
         assert!(SearchCheckpoint::decode(&bad).is_err());
         // A schedule index out of range is caught at restore.
         let mut c = checkpoint_of(&s);
-        c.best_order[0] = 9999;
+        c.best.order[0] = 9999;
         let err = SearchCheckpoint::decode(&c.encode()).unwrap().restore_state(&EvalContext::default());
         assert!(err.is_err());
         // A duplicated schedule entry is caught at restore.
         let mut c = checkpoint_of(&s);
-        c.best_order[0] = c.best_order[1];
+        c.best.order[0] = c.best.order[1];
         assert!(SearchCheckpoint::decode(&c.encode())
             .unwrap()
             .restore_state(&EvalContext::default())

@@ -47,10 +47,11 @@
 
 #![deny(missing_docs)]
 
-use crate::checkpoint::{FrontierEntry, MctsCheckpoint, MctsNodeMeta, SearchCheckpoint};
-use crate::optimizer::{Engine, Objective, OptimizerConfig, QueueEntry};
+use crate::checkpoint::{FrontierEntry, MctsCheckpoint, MctsNodeMeta};
+use crate::optimizer::{Engine, Objective, OptimizerConfig};
 use crate::state::MState;
 use magis_util::rng::{Rng, SeedableRng, SmallRng};
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Which search strategy drives the M-Optimizer.
@@ -104,7 +105,7 @@ pub enum StepOutcome {
 /// state the driver still holds (queue entries for greedy, tree nodes
 /// for MCTS, keyed by `seq`); `mcts` carries the tree topology,
 /// visit/reward statistics, and RNG state when the driver is MCTS.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DriverFrontier {
     /// The driver's next sequence number (greedy) or node count (MCTS).
     pub next_seq: u64,
@@ -141,6 +142,38 @@ pub trait SearchDriver {
 
 // ---------------------------------------------------------------- greedy
 
+/// One entry on the greedy best-first priority queue: ordered by the
+/// objective key, then by sequence number (insertion order) so the pop
+/// sequence is total and deterministic.
+struct QueueEntry {
+    key: (f64, f64),
+    seq: usize,
+    state: MState,
+}
+
+impl PartialEq for QueueEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key && self.seq == other.seq
+    }
+}
+impl Eq for QueueEntry {}
+impl PartialOrd for QueueEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for QueueEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap: invert for best-first (smallest key).
+        other
+            .key
+            .0
+            .total_cmp(&self.key.0)
+            .then_with(|| other.key.1.total_cmp(&self.key.1))
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
 /// The paper's Algorithm 3: a greedy best-first priority queue ordered
 /// by the objective key, with δ-relaxed dominance deciding which
 /// evaluated children stay on the queue. This is the default driver
@@ -154,34 +187,31 @@ pub struct GreedyDriver {
 }
 
 impl GreedyDriver {
-    /// Builds the driver: a fresh search (or frontier-free resume)
-    /// seeds the queue with `init`; a trajectory-exact resume restores
-    /// the checkpointed `frontier` entries and sequence counter
-    /// verbatim and does **not** re-push the incumbent.
+    /// Builds the driver: a fresh search (or frontier-free resume, an
+    /// empty `frontier`) seeds the queue with `init`; a
+    /// trajectory-exact resume restores the checkpointed `frontier`
+    /// entries and sequence counter verbatim and does **not** re-push
+    /// the incumbent.
     pub(crate) fn new(
         cfg: &OptimizerConfig,
         init: MState,
         frontier: Vec<(u64, MState)>,
         next_seq: u64,
-        exact_resume: bool,
     ) -> GreedyDriver {
-        let mut queue: BinaryHeap<QueueEntry> = BinaryHeap::new();
-        let seq;
-        if exact_resume {
-            // Re-pushing the checkpointed entry set reproduces the
-            // original pop order exactly: `QueueEntry`'s ordering is
-            // total (objective key, then sequence number), so the
-            // heap's pop sequence is a pure function of its contents.
-            for (sq, state) in frontier {
-                let (m, l) = state.cost();
-                queue.push(QueueEntry { key: cfg.objective.key(m, l), seq: sq as usize, state });
-            }
-            seq = next_seq as usize;
+        let entry = |seq: usize, state: MState| {
+            let (m, l) = state.cost();
+            QueueEntry { key: cfg.objective.key(m, l), seq, state }
+        };
+        // Re-pushing the checkpointed entry set reproduces the original
+        // pop order exactly: `QueueEntry`'s ordering is total (objective
+        // key, then sequence number), so the heap's pop sequence is a
+        // pure function of its contents.
+        let (queue, seq) = if frontier.is_empty() {
+            (BinaryHeap::from([entry(0, init)]), 0)
         } else {
-            seq = 0;
-            let (m, l) = init.cost();
-            queue.push(QueueEntry { key: cfg.objective.key(m, l), seq, state: init });
-        }
+            let restored = frontier.into_iter().map(|(sq, state)| entry(sq as usize, state));
+            (restored.collect(), next_seq as usize)
+        };
         GreedyDriver { queue, seq, objective: cfg.objective, delta: cfg.delta }
     }
 }
@@ -231,21 +261,8 @@ impl SearchDriver for GreedyDriver {
 /// iteration order is unspecified; the sort makes the checkpoint bytes
 /// a pure function of the search state).
 fn snapshot_greedy(queue: &BinaryHeap<QueueEntry>, seq: usize) -> DriverFrontier {
-    let mut entries: Vec<FrontierEntry> = queue
-        .iter()
-        .map(|e| {
-            let (order, ftree_nodes, base_record, eval_record) =
-                SearchCheckpoint::snapshot_state(&e.state);
-            FrontierEntry {
-                seq: e.seq as u64,
-                tree_stale: e.state.tree_stale,
-                order,
-                ftree_nodes,
-                base_record,
-                eval_record,
-            }
-        })
-        .collect();
+    let mut entries: Vec<FrontierEntry> =
+        queue.iter().map(|e| FrontierEntry::of(e.seq as u64, &e.state)).collect();
     entries.sort_by_key(|e| e.seq);
     DriverFrontier { next_seq: seq as u64, entries, mcts: None }
 }
@@ -522,23 +539,8 @@ impl SearchDriver for MctsDriver {
     }
 
     fn frontier_snapshot(&self) -> DriverFrontier {
-        let entries = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(id, n)| {
-                let (order, ftree_nodes, base_record, eval_record) =
-                    SearchCheckpoint::snapshot_state(&n.state);
-                FrontierEntry {
-                    seq: id as u64,
-                    tree_stale: n.state.tree_stale,
-                    order,
-                    ftree_nodes,
-                    base_record,
-                    eval_record,
-                }
-            })
-            .collect();
+        let entries =
+            self.nodes.iter().enumerate().map(|(id, n)| FrontierEntry::of(id as u64, &n.state)).collect();
         DriverFrontier {
             next_seq: self.nodes.len() as u64,
             entries,

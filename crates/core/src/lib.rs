@@ -56,7 +56,7 @@ pub mod state;
 pub use budget::{CancelToken, SearchBudget};
 pub use checkpoint::{
     CheckpointCounters, CheckpointError, FrontierEntry, MctsCheckpoint, MctsNodeMeta,
-    SearchCheckpoint,
+    SearchCheckpoint, StateRecord,
 };
 pub use driver::{DriverFrontier, DriverKind, SearchDriver, StepOutcome};
 pub use eval_cache::EvalCache;

@@ -50,6 +50,22 @@ impl Workload {
         ]
     }
 
+    /// Resolves a workload name as the CLI and the daemon spell it
+    /// (case-insensitive, with the aliases below); `None` for any
+    /// other name.
+    pub fn parse(name: &str) -> Option<Workload> {
+        match name.to_lowercase().as_str() {
+            "resnet50" | "resnet" => Some(Workload::ResNet50),
+            "bert" => Some(Workload::BertBase),
+            "vit" => Some(Workload::VitBase),
+            "unet" => Some(Workload::UNet),
+            "unetpp" | "unet++" => Some(Workload::UNetPP),
+            "gpt-neo" | "gptneo" | "gpt" => Some(Workload::GptNeo13B),
+            "btlm" => Some(Workload::Btlm3B),
+            _ => None,
+        }
+    }
+
     /// Display name with the paper's batch annotation.
     pub fn label(&self) -> &'static str {
         match self {
@@ -126,5 +142,13 @@ mod tests {
         }
         assert_eq!(Workload::GptNeo13B.dtype(), DType::BF16);
         assert_eq!(Workload::ResNet50.dtype(), DType::TF32);
+    }
+
+    #[test]
+    fn names_parse_case_insensitively() {
+        assert_eq!(Workload::parse("unet"), Some(Workload::UNet));
+        assert_eq!(Workload::parse("UNet++"), Some(Workload::UNetPP));
+        assert_eq!(Workload::parse("gpt"), Some(Workload::GptNeo13B));
+        assert_eq!(Workload::parse("hal9000"), None);
     }
 }

@@ -24,18 +24,10 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Resolves a workload name the same way the CLI does.
+/// Resolves a workload name through the table the CLI uses
+/// ([`Workload::parse`]).
 pub fn workload_by_name(name: &str) -> Result<Workload, String> {
-    match name.to_lowercase().as_str() {
-        "resnet50" | "resnet" => Ok(Workload::ResNet50),
-        "bert" => Ok(Workload::BertBase),
-        "vit" => Ok(Workload::VitBase),
-        "unet" => Ok(Workload::UNet),
-        "unetpp" | "unet++" => Ok(Workload::UNetPP),
-        "gpt-neo" | "gptneo" | "gpt" => Ok(Workload::GptNeo13B),
-        "btlm" => Ok(Workload::Btlm3B),
-        other => Err(format!("unknown workload '{other}'")),
-    }
+    Workload::parse(name).ok_or_else(|| format!("unknown workload '{}'", name.to_lowercase()))
 }
 
 fn backend_for(spec: &JobSpec) -> Result<Backend, String> {

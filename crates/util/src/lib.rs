@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency utilities shared across the MAGIS workspace. The
 //! build environment is fully offline (no crates.io access), so the
-//! small slices of `rand`, `proptest`, and `criterion` the workspace
+//! small slices of `rand` and `proptest` the workspace
 //! used are reimplemented here, alongside the fan-out primitive the
 //! parallel M-Optimizer needs:
 //!
@@ -10,8 +10,6 @@
 //!   `seed_from_u64` / `gen_range` / `gen_bool` surface,
 //! * [`prop`] — a miniature property-testing harness (the
 //!   [`proptest!`] macro family) with range/select/vec strategies,
-//! * [`mod@bench`] — a miniature benchmark harness (the
-//!   [`criterion_group!`]/[`criterion_main!`] macro family),
 //! * [`parallel`] — deterministic scoped-thread fan-out
 //!   ([`parallel::par_map`]) used by the parallel candidate-evaluation
 //!   layer of the optimizer,
@@ -19,7 +17,6 @@
 //!   ([`fault::FaultPlan`]) used to harden and test the search
 //!   pipeline against panicking rewrites and garbage costs.
 
-pub mod bench;
 pub mod fault;
 pub mod parallel;
 pub mod prop;

@@ -198,6 +198,79 @@ fn frontier_resume_is_bit_exact_across_thread_counts() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The same contract deep in a search — ~1000 evaluations in, hundreds
+/// of frontier entries, the evaluation cache warm — pinned where it
+/// actually holds. With the cache off, kill + resume is bit-identical
+/// to the uninterrupted run down to every Pareto point. With it on, the
+/// incumbent, the counts and the timeline still are, but a Pareto
+/// point's latency may differ in its last bit: the resumed search
+/// starts with a cold cache and evaluates afresh a candidate that the
+/// uninterrupted run served from a hash-equal state reached through
+/// another lineage (another node order, so another float summation
+/// order).
+#[test]
+fn deep_frontier_resume_is_exact_up_to_the_cold_eval_cache() {
+    let (g, init) = seed_state();
+    // The served jobs' and the benchmark's latency factor. The kill
+    // lands at 1,055 evaluations with 880 frontier entries and the
+    // reference run ends at 1,692; with the cache on, one Pareto point
+    // of the resumed run then differs from the reference by 1 ULP.
+    let obj = Objective::MinMemory { lat_limit: init.eval.latency * 1.10 };
+    // Everything but the Pareto bits: the incumbent (cost bits and
+    // schedule), the counts, and the timeline's deterministic fields
+    // from the resume point on.
+    let key = |res: &optimizer::OptimizeResult, from_expansion: u64| {
+        let points: Vec<_> = res
+            .timeline
+            .points
+            .iter()
+            .filter(|p| p.expansion > from_expansion)
+            .map(|p| {
+                (p.expansion, p.evaluated, p.best_peak_bytes, p.best_latency.to_bits(), p.frontier_size, p.pareto_size)
+            })
+            .collect();
+        format!(
+            "cost=({},{:016x}) order={:?} evaluated={} expanded={} candidates={} points={points:?}",
+            res.best.eval.peak_bytes,
+            res.best.eval.latency.to_bits(),
+            res.best.eval.order,
+            res.stats.evaluated,
+            res.stats.expanded,
+            res.stats.candidates,
+        )
+    };
+    for cache_on in [false, true] {
+        let cap = |max: usize| {
+            let cfg = capped(obj, usize::MAX, 1)
+                .with_search_budget(SearchBudget::UNLIMITED.with_candidate_limit(max));
+            if cache_on { cfg } else { cfg.with_eval_cache(0) }
+        };
+        // "Kill" at the first expansion boundary past 1000 evaluations;
+        // only the final (pre-polish) frontier checkpoint is written.
+        let path = scratch(if cache_on { "deep_cached" } else { "deep_uncached" });
+        let policy = CheckpointPolicy::new(path.clone()).with_every(usize::MAX).with_frontier(true);
+        let killed = optimizer::optimize(g.clone(), &cap(1000).with_checkpoint(policy));
+        let ckpt = SearchCheckpoint::read_from(&path).expect("frontier checkpoint parses");
+        assert!(killed.stats.evaluated >= 1000 && ckpt.frontier.len() > 100, "the kill is deep");
+
+        let target = killed.stats.evaluated + 600;
+        let full = optimizer::optimize(g.clone(), &cap(target));
+        let resumed = optimizer::resume(&ckpt, &cap(target)).expect("resume succeeds");
+        assert!(full.stats.expanded > killed.stats.expanded + 5, "reference runs well past the kill");
+        let at_kill = killed.stats.expanded as u64;
+        assert_eq!(key(&full, at_kill), key(&resumed, at_kill), "cache {cache_on}");
+        if cache_on {
+            // The uninterrupted run really crossed cache-served
+            // candidates, some of them after the kill point.
+            assert!(full.stats.eval_cache_hits > killed.stats.eval_cache_hits);
+            assert!(killed.stats.eval_cache_hits > 0);
+        } else {
+            assert_eq!(fingerprint(&full), fingerprint(&resumed), "Pareto bits included");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 #[test]
 fn corrupt_checkpoints_are_rejected_with_typed_errors() {
     let (g, init) = seed_state();

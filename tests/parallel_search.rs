@@ -10,7 +10,10 @@
 //! generous, so neither run can time out mid-batch; timing is then the
 //! only nondeterministic input and it never influences the trajectory.
 
+use magis::core::driver::DriverKind;
+use magis::core::optimizer::ParanoiaLevel;
 use magis::prelude::*;
+use magis_util::fault::{FaultPlan, FaultSite};
 use std::time::Duration;
 
 /// A capped, never-timing-out configuration.
@@ -23,6 +26,7 @@ fn capped(objective: Objective, threads: usize) -> OptimizerConfig {
 
 /// Runs one workload under one objective with the given thread count
 /// and returns everything the trajectory determines.
+#[derive(Debug, PartialEq)]
 struct Run {
     best: (u64, f64),
     history: Vec<(u64, f64)>,
@@ -30,18 +34,30 @@ struct Run {
     expanded: usize,
     candidates: usize,
     filtered: usize,
+    /// Hardening and cache counters, and the quarantine strikes.
+    rejections: [usize; 4],
+    cache: [usize; 4],
+    strikes: Vec<(u8, u32)>,
 }
 
 fn run(tg: &Graph, objective: Objective, threads: usize) -> Run {
-    let res = optimize(tg.clone(), &capped(objective, threads));
-    assert_eq!(res.stats.threads, threads);
+    run_with(tg, &capped(objective, threads))
+}
+
+fn run_with(tg: &Graph, cfg: &OptimizerConfig) -> Run {
+    let res = optimize(tg.clone(), cfg);
+    assert_eq!(res.stats.threads, cfg.threads);
+    let s = &res.stats;
     Run {
         best: res.best.cost(),
         history: res.history.iter().map(|p| (p.peak_bytes, p.latency)).collect(),
-        evaluated: res.stats.evaluated,
-        expanded: res.stats.expanded,
-        candidates: res.stats.candidates,
-        filtered: res.stats.filtered,
+        evaluated: s.evaluated,
+        expanded: s.expanded,
+        candidates: s.candidates,
+        filtered: s.filtered,
+        rejections: [s.panicked, s.cost_rejections, s.invariant_rejections, s.quarantined_candidates],
+        cache: [s.eval_cache_hits, s.eval_cache_misses, s.eval_cache_evictions, s.eval_cache_purged],
+        strikes: s.quarantine_strikes.clone(),
     }
 }
 
@@ -103,6 +119,49 @@ fn repeated_parallel_runs_are_identical() {
     let b = run(&tg.graph, obj, 4);
     assert_eq!(a.best, b.best);
     assert_eq!(a.history, b.history);
+}
+
+#[test]
+fn capped_faulty_and_rollout_batches_share_one_fan_out() {
+    // The eval cap lands mid-batch (UNet expands ~60 candidates at a
+    // time) and a fault plan fails candidates before it: bad costs are
+    // dropped, corrupted rewrites strike their rule family. Inline, the
+    // hand-out stops at the cap; threaded, workers run past it and the
+    // merge discards the excess of every outcome kind — results, stats
+    // counters and strikes must not tell the two apart.
+    let tg = Workload::UNet.build(0.15);
+    let init = MState::initial(tg.graph.clone(), &EvalContext::default());
+    let obj = Objective::MinMemory { lat_limit: init.eval.latency * 1.10 };
+    let plan = FaultPlan::new(0xfa17)
+        .with_rate(FaultSite::NanCost, 0.15)
+        .with_rate(FaultSite::CorruptRewrite, 0.15);
+    let faulty = |threads: usize, driver: DriverKind, max_evals: usize| {
+        capped(obj, threads)
+            .with_max_evals(max_evals)
+            .with_fault_plan(plan)
+            .with_paranoia(ParanoiaLevel::All)
+            .with_quarantine_threshold(50)
+            .with_driver(driver)
+    };
+    let serial = run_with(&tg.graph, &faulty(1, DriverKind::Greedy, 100));
+    assert_eq!(serial.evaluated, 100, "the cap, not the frontier, ended the search");
+    assert!(serial.rejections[1] > 0 && serial.rejections[2] > 0, "faults fired before the cap");
+    assert!(!serial.strikes.is_empty());
+    assert!(
+        serial.candidates > serial.evaluated + serial.rejections.iter().sum::<usize>(),
+        "the cap truncated the last batch"
+    );
+    for threads in [2, 4] {
+        assert_eq!(serial, run_with(&tg.graph, &faulty(threads, DriverKind::Greedy, 100)), "{threads} threads");
+    }
+
+    // MCTS: full-batch expansions fan out, rollout steps evaluate one
+    // candidate of a generated batch inline — through the same closure
+    // and the same merge.
+    let serial = run_with(&tg.graph, &faulty(1, DriverKind::Mcts, 150));
+    assert!(serial.candidates > 3 * serial.evaluated, "rollouts generated batches to evaluate one");
+    assert!(serial.rejections[1] > 0 && serial.rejections[2] > 0);
+    assert_eq!(serial, run_with(&tg.graph, &faulty(2, DriverKind::Mcts, 150)));
 }
 
 #[test]
