@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Full local CI gate: build, tests, lints, and the thread-count
-# determinism suite (run both single-threaded and with the default
-# test-runner parallelism, since the optimizer spawns its own workers
-# either way).
+# Full local CI gate: build, every test of the workspace once under the
+# default test runner, lints, then the determinism / identity suites
+# again under the runner regimes that differ from it
+# (RUST_TEST_THREADS=1 and =4 — the optimizer spawns its own workers
+# either way), the grep gates, CLI and daemon smokes, and the
+# benchmark's trajectory gate.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -71,93 +73,32 @@ for doc in README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md benchmark/README.m
 done
 [ "$DOC_PATHS_OK" = 1 ] || exit 1
 
-# The determinism harness must hold regardless of how the test runner
-# itself schedules tests.
+# `cargo test --workspace` above ran every suite under the default
+# runner. The legs below repeat, single-threaded (and once with four
+# runner threads), the suites whose contract is "the same answer however
+# the threads fall": the determinism harness, injected-fault
+# trajectories (fault keys derive from expansion number + candidate
+# index, never thread identity), the greedy goldens and MCTS
+# kill/resume exactness, CoW-vs-deep-copy identity, the overlay /
+# F-Tree / DP oracles, and incremental-vs-full evaluation.
 run env RUST_TEST_THREADS=1 cargo test -q --test parallel_search
-run cargo test -q --test parallel_search
-
-# The fault-injection suite likewise: injected-fault trajectories are
-# part of the determinism contract (fault keys derive from expansion
-# number + candidate index, never thread identity).
 run env RUST_TEST_THREADS=1 cargo test -q --test fault_injection
 run env RUST_TEST_THREADS=4 cargo test -q --test fault_injection
-run cargo test -q --test checkpoint_resume
-run cargo test -q --test robustness_properties
-
-# Search drivers: the greedy refactor must stay bit-identical to the
-# pre-SearchDriver incumbents, and MCTS must hold the same
-# thread-count-independence and kill/resume trajectory-exactness
-# contract — under both test-runner scheduling regimes.
 run env RUST_TEST_THREADS=1 cargo test -q -p magis-core --test driver_search
-run cargo test -q -p magis-core --test driver_search
-
-# Service supervision: deadlines return best-so-far, full queues shed
-# load, same-job-twice bit-identity, drain journaling, and kill -9 +
-# restart resuming bit-identical to an uninterrupted run.
-run cargo test -q --test serve_robustness
-
-# Observability: count metrics and the trace-event identity set must be
-# bit-identical across thread counts — and, at the service level,
-# across worker-pool sizes; watch streams are monotone and inert.
-run cargo test -q --test observability
-run cargo test -q --test serve_observability
-
-# Copy-on-write graph representation: CoW clones must be
-# observationally identical to deep copies (WL hash, canonical record,
-# full evaluation, randomized rewrite lineages), snapshots must stay
-# frozen while descendants mutate, and the structural clone-cost guard
-# must hold — a one-node rewrite of a 1k-node graph unshares the same
-# page count as on a 2k-node graph (cost tracks the delta, not the
-# untouched-node count).
 run env RUST_TEST_THREADS=1 cargo test -q --test cow_graph
-run cargo test -q --test cow_graph
-
-# Fission overlay: the region-linear overlay must build, node for node
-# and edge list for edge list, the graph the algorithm it replaced
-# built (kept as an oracle under tests/overlay_identity/) — the WL
-# hash, the DP's tie-breaks and so every search trajectory hang on it.
 run env RUST_TEST_THREADS=1 cargo test -q --test overlay_identity
-run cargo test -q --test overlay_identity
-
-# M-Analyzer: the dense D-Graph / dominator-tree / F-Tree builder must
-# return, node for node and in the same order, the tree the algorithm it
-# replaced returned (kept as an oracle under tests/ftree_identity/) —
-# rule generation indexes F-Tree nodes and the MCTS driver draws from
-# the rule list, so every later state hangs on it. The dominator tree's
-# own differential test (crates/graph/tests/dom_tree_identity.rs) runs
-# with the workspace tests above.
 run env RUST_TEST_THREADS=1 cargo test -q --test ftree_identity
-run cargo test -q --test ftree_identity
-
-# Memory DP: `dp_schedule` is one routine for every window size; it must
-# return, order for order, peak for peak and transition count for
-# transition count, what the map-keyed DP it replaced returned (kept as
-# an oracle under crates/sched/tests/dp_identity/) on every key width.
 run env RUST_TEST_THREADS=1 cargo test -q -p magis-sched --test dp_identity
-run cargo test -q -p magis-sched --test dp_identity
-
-# Incremental evaluation: every incrementally scheduled or cache-served
-# candidate must carry the peak, lifetime table, plan and latency of its
-# own order (paranoid cross-check on the bench workloads, and a replayed
-# greedy descent on every bench model under both objectives), and the
-# eval cache must not perturb the thread-count determinism contract.
 run env RUST_TEST_THREADS=1 cargo test -q --test incremental_eval
-run cargo test -q --test incremental_eval
 
-# Memory planner: allocation soundness (no time×address overlap),
-# planned >= liveness dominance, coalescing reuse.
-run cargo test -q --test memory_planner
-
-# Planned objective at search level: paranoid cross-checks of every
-# planned candidate, and thread-count determinism of the planned
-# peak / fragmentation ratio / accepted-candidate sequence.
-run cargo test -q --test planner_search
-
-# Backend registry: every registered device profile evaluates the bench
-# models to finite results, the default profile is bit-identical to the
-# historical cost model, calibration round-trips, and the determinism
-# contract holds per backend.
-run cargo test -q --test backend_registry
+# Front-door smoke: neither binary runs a default when it is handed
+# something it does not understand — usage, exit 2.
+for cmd in "magis optimize" magis-served; do
+    status=0
+    # shellcheck disable=SC2086
+    ./target/release/$cmd --no-such-flag x 2>/dev/null || status=$?
+    [ "$status" = 2 ] || { echo "$cmd --no-such-flag x exited $status, not 2"; exit 1; }
+done
 
 # Backend CLI smoke: the registry is reachable end-to-end (--backend-list,
 # a non-default profile, and an unknown name rejected with usage exit 2).

@@ -4,16 +4,13 @@
 //! re-scheduled from scratch with the quality beam, cache off).
 //!
 //! All runs search the same workload under the same objective and the
-//! same evaluation cap; the figure of merit is candidates evaluated
-//! per second of evaluation wall-clock. Three incremental variants are
-//! measured: single-threaded on the default `rtx3090` backend (the
-//! headline against the full baseline), multi-threaded on the same
-//! backend, and single-threaded on the `a100` backend (the registry's
-//! server-class profile — throughput is backend-independent, so this
-//! guards the generic `NodeCost` plumbing against regressions). A
-//! fourth incremental run steers on the `planned` memory objective, so
-//! the column tracks the cost of memory planning (best-fit offset
-//! assignment per candidate) on top of profiling.
+//! same evaluation cap, single-threaded; the figure of merit is
+//! candidates evaluated per second of wall-clock. Next to the headline
+//! pair on the default `rtx3090` backend, the incremental mode also
+//! runs on the `a100` backend (the registry's server-class profile —
+//! throughput is backend-independent, so this guards the generic
+//! `NodeCost` plumbing against regressions), and a `cow` column times
+//! bare copy-on-write graph materialization.
 //!
 //! A second **drivers** table runs the search-strategy head-to-head:
 //! greedy best-first (Algorithm 3) vs MCTS over the identical M-Rule
@@ -23,21 +20,21 @@
 //! MCTS/greedy peak ratio — the acceptance bar is MCTS within 5% of
 //! greedy (or better) on most models.
 //!
-//! A final **service** column measures end-to-end requests per second
-//! through an in-process `magis-serve` daemon: concurrent clients
-//! submit short capped jobs over the line protocol (result cache off,
-//! so every request runs a real search) — tracking the supervision
-//! layer's overhead (admission, journaling, checkpointing, streaming)
-//! on top of raw evaluation throughput.
-//! Results print as a table, land in `results/eval_throughput.csv`,
-//! and are recorded as `BENCH_eval.json` in the working directory
-//! (committed at the repo root so the trajectory is tracked across
-//! changes — see EXPERIMENTS.md for how to regenerate and read it).
+//! Every timing is taken [`REPEATS`] times, repeats interleaved across
+//! the columns, and reported as median (min–max). Threaded, planned
+//! and served throughput are `benchmark/`'s (`unet_small_mt2`,
+//! `resnet_planned_mcts`, `serve_mixed`), not this binary's.
+//! Results print as tables, land in `results/eval_throughput.csv` and
+//! `results/eval_drivers.csv`, and are recorded with the machine, build
+//! profile and commit as `BENCH_eval.json` in the working directory
+//! (committed at the repo root — see EXPERIMENTS.md for when to
+//! regenerate it and how to read it).
 
 use magis_bench::{print_table, ExpOpts};
 use magis_core::driver::DriverKind;
-use magis_core::optimizer::{optimize, Objective, OptimizerConfig, OptimizerStats};
+use magis_core::optimizer::{optimize_memory, OptimizeResult, OptimizerConfig};
 use magis_core::state::{EvalContext, EvalMode, MState};
+use magis_graph::graph::Graph;
 use magis_models::Workload;
 use magis_sim::{Backend, BackendRegistry, MemObjective, DEFAULT_BACKEND};
 use std::time::Instant;
@@ -47,51 +44,75 @@ use std::time::Instant;
 /// finishes quickly at bench scale.
 const MAX_EVALS: usize = 240;
 
-/// Service-mode measurement: how many jobs flow through the daemon,
-/// and how large each job's search is (kept short so the per-request
-/// supervision overhead is actually visible next to the search).
-const SERVICE_REQUESTS: usize = 8;
-const SERVICE_EVALS: usize = 40;
-
 /// Eval cap for the greedy-vs-MCTS head-to-head (per driver, per
 /// model): enough for both strategies to find real reductions on
 /// every fig09–16 workload, small enough to keep the whole sweep in
 /// bench time.
 const DRIVER_EVALS: usize = 160;
 
-struct ModeRun {
-    cands_per_sec: f64,
-    stats: OptimizerStats,
+/// Timed repeats behind every reported figure.
+const REPEATS: usize = 5;
+
+/// Median, minimum and maximum of one figure's repeats.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
 }
 
-fn run_mode(
-    g: &magis_graph::graph::Graph,
-    mode: EvalMode,
-    mem_objective: MemObjective,
-    backend: &Backend,
-    threads: usize,
-    opts: &ExpOpts,
-) -> ModeRun {
-    let ctx = EvalContext::for_backend(backend);
-    let init = MState::initial(g.clone(), &ctx);
-    let mut cfg = OptimizerConfig::new(Objective::MinMemory {
-        lat_limit: init.eval.latency * 1.25,
-    })
-    .with_budget(opts.budget)
-    .with_max_evals(MAX_EVALS)
-    .with_threads(threads);
-    cfg.ctx = ctx;
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Spread {
+        samples.sort_by(f64::total_cmp);
+        Spread { median: samples[samples.len() / 2], min: samples[0], max: samples[samples.len() - 1] }
+    }
+
+    fn cell(&self) -> String {
+        format!("{:.1} ({:.1}-{:.1})", self.median, self.min, self.max)
+    }
+
+    fn json(&self) -> String {
+        format!("{{\"median\": {:.2}, \"min\": {:.2}, \"max\": {:.2}}}", self.median, self.min, self.max)
+    }
+}
+
+/// One capped single-threaded search under a 1.25× (modes) or 1.10×
+/// (drivers) latency leash; returns candidates per second of wall-clock
+/// — seed evaluation included, once — and the result.
+fn timed_search(g: &Graph, lat_factor: f64, cfg: &OptimizerConfig) -> (f64, OptimizeResult) {
+    let t0 = Instant::now();
+    let res = optimize_memory(g.clone(), lat_factor, cfg);
+    let elapsed = t0.elapsed().as_secs_f64();
+    (res.stats.evaluated as f64 / elapsed.max(1e-9), res)
+}
+
+fn mode_config(mode: EvalMode, backend: &Backend, opts: &ExpOpts) -> OptimizerConfig {
+    let mut cfg = OptimizerConfig::default()
+        .with_budget(opts.budget)
+        .with_max_evals(MAX_EVALS)
+        .with_threads(1);
+    cfg.ctx = EvalContext::for_backend(backend);
     cfg.ctx.mode = mode;
-    cfg.ctx.mem_objective = mem_objective;
     if mode == EvalMode::Full {
         // The baseline is brute force end to end: no memoized reuse of
         // duplicate candidates either.
         cfg = cfg.with_eval_cache(0);
     }
-    let t0 = Instant::now();
-    let res = optimize(g.clone(), &cfg);
-    let elapsed = t0.elapsed().as_secs_f64();
-    ModeRun { cands_per_sec: res.stats.evaluated as f64 / elapsed.max(1e-9), stats: res.stats }
+    cfg
+}
+
+/// One leg of the drivers head-to-head: minimize the allocator-planned
+/// peak (`--objective planned`) under a 10% latency leash, single
+/// thread (both drivers are thread-count independent; serial keeps the
+/// throughput column honest), deterministic stop at [`DRIVER_EVALS`].
+fn driver_config(driver: DriverKind, backend: &Backend, opts: &ExpOpts) -> OptimizerConfig {
+    let mut cfg = OptimizerConfig::default()
+        .with_budget(opts.budget)
+        .with_max_evals(DRIVER_EVALS)
+        .with_threads(1)
+        .with_driver(driver);
+    cfg.ctx = EvalContext::for_backend(backend);
+    cfg.ctx.mem_objective = MemObjective::Planned;
+    cfg
 }
 
 /// Work count for the CoW-materialization column: applies per model,
@@ -105,7 +126,7 @@ const COW_APPLIES: usize = 4000;
 /// representation (clone is an `Arc` bump; a rewrite unshares only the
 /// pages it touches), so regressions in clone cost show up here even
 /// when the evaluation pipeline hides them.
-fn run_cow(g: &magis_graph::graph::Graph) -> f64 {
+fn run_cow(g: &Graph) -> f64 {
     use magis_core::rules::{self, RuleConfig};
     let state = MState::initial(g.clone(), &EvalContext::default());
     let cands = rules::generate(&state, &RuleConfig::default());
@@ -123,94 +144,14 @@ fn run_cow(g: &magis_graph::graph::Graph) -> f64 {
     made as f64 / t0.elapsed().as_secs_f64().max(1e-9)
 }
 
-struct DriverRun {
-    cands_per_sec: f64,
-    best_peak: u64,
-}
-
-/// One leg of the drivers head-to-head: minimize the allocator-planned
-/// peak (`--objective planned`) under a 10% latency leash, single
-/// thread (both drivers are thread-count independent; serial keeps the
-/// throughput column honest), deterministic stop at [`DRIVER_EVALS`].
-fn run_driver(
-    g: &magis_graph::graph::Graph,
-    driver: DriverKind,
-    backend: &Backend,
-    opts: &ExpOpts,
-) -> DriverRun {
-    let ctx = EvalContext::for_backend(backend);
-    let init = MState::initial(g.clone(), &ctx);
-    let mut cfg = OptimizerConfig::new(Objective::MinMemory {
-        lat_limit: init.eval.latency * 1.10,
-    })
-    .with_budget(opts.budget)
-    .with_max_evals(DRIVER_EVALS)
-    .with_threads(1)
-    .with_driver(driver);
-    cfg.ctx = ctx;
-    cfg.ctx.mem_objective = MemObjective::Planned;
-    let t0 = Instant::now();
-    let res = optimize(g.clone(), &cfg);
-    let elapsed = t0.elapsed().as_secs_f64();
-    DriverRun {
-        cands_per_sec: res.stats.evaluated as f64 / elapsed.max(1e-9),
-        best_peak: res.best.cost().0,
-    }
-}
-
-/// End-to-end service throughput: an in-process daemon, `workers`
-/// concurrent clients, `SERVICE_REQUESTS` capped jobs over the line
-/// protocol. Returns completed requests per second of wall-clock.
-fn run_service(workload: &str, scale: f64, workers: usize) -> f64 {
-    use magis_serve::{Client, JobSpec, ServeConfig, Server};
-    let state = std::env::temp_dir()
-        .join(format!("magis_bench_serve_{}_{workload}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&state);
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        state_dir: state.clone(),
-        workers,
-        queue_capacity: SERVICE_REQUESTS + workers,
-        client_cap: SERVICE_REQUESTS + workers,
-        result_cache: 0, // every request must run a real search
-        ..ServeConfig::default()
-    })
-    .expect("bind service bench daemon");
-    let handle = server.handle().expect("server handle");
-    let server_thread = std::thread::spawn(move || server.run());
-
-    let addr = handle.addr();
-    let spec = JobSpec {
-        workload: Some(workload.to_string()),
-        scale,
-        max_candidates: Some(SERVICE_EVALS),
-        budget_ms: 600_000,
-        ..JobSpec::default()
-    };
-    let t0 = Instant::now();
-    let clients: Vec<_> = (0..workers)
-        .map(|i| {
-            // Round-robin the request count over the client threads.
-            let n = SERVICE_REQUESTS / workers + usize::from(i < SERVICE_REQUESTS % workers);
-            let spec = JobSpec { client: format!("bench-{i}"), ..spec.clone() };
-            std::thread::spawn(move || {
-                let mut c = Client::connect(addr).expect("connect to bench daemon");
-                for _ in 0..n {
-                    let out = c.submit_and_wait(&spec).expect("submit bench job");
-                    out.result.expect("bench job succeeds");
-                }
-            })
-        })
-        .collect();
-    for c in clients {
-        c.join().expect("client thread");
-    }
-    let per_sec = SERVICE_REQUESTS as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-
-    handle.shutdown();
-    server_thread.join().expect("server thread").expect("clean drain");
-    let _ = std::fs::remove_dir_all(&state);
-    per_sec
+/// What only the shell knows about this build.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(|| "unknown".into(), |o| String::from_utf8_lossy(&o.stdout).trim().to_string())
 }
 
 fn main() {
@@ -218,65 +159,60 @@ fn main() {
     let registry = BackendRegistry::builtin();
     let default_backend = registry.get(DEFAULT_BACKEND).expect("default backend registered");
     let alt_backend = registry.get("a100").expect("a100 backend registered");
-    let mt_threads = magis_util::parallel::available_threads().clamp(2, 4);
-    let models = [(Workload::UNet, "unet", 0.15), (Workload::BertBase, "bert", 0.1)];
     let mut rows = Vec::new();
     let mut json_models = Vec::new();
-    for (w, serve_name, rel) in models {
+    for (w, rel) in [(Workload::UNet, 0.15), (Workload::BertBase, 0.1)] {
         // The default ExpOpts scale (0.5) maps to each model's bench
         // scale; --scale acts as a multiplier around it, capped at 2x.
         let scale = rel * (opts.scale / 0.5).min(2.0);
         let g = w.build(scale).graph;
-        let lv = MemObjective::Liveness;
-        let full = run_mode(&g, EvalMode::Full, lv, default_backend, 1, &opts);
-        let inc = run_mode(&g, EvalMode::Incremental, lv, default_backend, 1, &opts);
-        let inc_mt = run_mode(&g, EvalMode::Incremental, lv, default_backend, mt_threads, &opts);
-        let inc_alt = run_mode(&g, EvalMode::Incremental, lv, alt_backend, 1, &opts);
-        let inc_planned =
-            run_mode(&g, EvalMode::Incremental, MemObjective::Planned, default_backend, 1, &opts);
-        let cow_cps = run_cow(&g);
-        let serve_rps = run_service(serve_name, scale, mt_threads);
-        let speedup = inc.cands_per_sec / full.cands_per_sec.max(1e-9);
+        let configs = [
+            mode_config(EvalMode::Full, default_backend, &opts),
+            mode_config(EvalMode::Incremental, default_backend, &opts),
+            mode_config(EvalMode::Incremental, alt_backend, &opts),
+        ];
+        let mut samples = [const { Vec::new() }; 4];
+        let mut inc_stats = None;
+        for _ in 0..REPEATS {
+            for (column, cfg) in configs.iter().enumerate() {
+                let (cps, res) = timed_search(&g, 1.25, cfg);
+                samples[column].push(cps);
+                if column == 1 {
+                    inc_stats = Some(res.stats);
+                }
+            }
+            samples[3].push(run_cow(&g));
+        }
+        let [full, inc, a100, cow] = samples.map(Spread::of);
+        let stats = inc_stats.expect("at least one repeat");
+        let speedup = inc.median / full.median.max(1e-9);
         rows.push(vec![
             w.label().to_string(),
             format!("{scale:.3}"),
-            format!("{}", full.stats.evaluated),
-            format!("{:.1}", full.cands_per_sec),
-            format!("{:.1}", inc.cands_per_sec),
-            format!("{:.1}", inc_mt.cands_per_sec),
-            format!("{:.1}", inc_alt.cands_per_sec),
-            format!("{:.1}", inc_planned.cands_per_sec),
-            format!("{:.0}", cow_cps),
-            format!("{:.2}", serve_rps),
-            format!("{:.2}x", speedup),
-            format!("{}", inc.stats.eval_cache_hits),
+            format!("{}", stats.evaluated),
+            full.cell(),
+            inc.cell(),
+            a100.cell(),
+            format!("{:.0} ({:.0}-{:.0})", cow.median, cow.min, cow.max),
+            format!("{speedup:.2}x"),
+            format!("{}", stats.eval_cache_hits),
         ]);
         json_models.push(format!(
             concat!(
                 "    {{\"model\": \"{}\", \"scale\": {:.4}, \"evaluated\": {}, ",
-                "\"full_cands_per_sec\": {:.2}, \"incremental_cands_per_sec\": {:.2}, ",
-                "\"incremental_mt_cands_per_sec\": {:.2}, \"mt_threads\": {}, ",
-                "\"a100_cands_per_sec\": {:.2}, \"planned_cands_per_sec\": {:.2}, ",
-                "\"cow_cands_per_sec\": {:.2}, ",
-                "\"serve_requests_per_sec\": {:.3}, \"serve_requests\": {}, ",
-                "\"serve_evals_per_request\": {}, ",
-                "\"speedup\": {:.3}, \"eval_cache_hits\": {}}}"
+                "\"eval_cache_hits\": {}, \"speedup\": {:.3},\n",
+                "     \"full_cands_per_sec\": {},\n     \"incremental_cands_per_sec\": {},\n",
+                "     \"a100_cands_per_sec\": {},\n     \"cow_cands_per_sec\": {}}}"
             ),
             w.label(),
             scale,
-            inc.stats.evaluated,
-            full.cands_per_sec,
-            inc.cands_per_sec,
-            inc_mt.cands_per_sec,
-            mt_threads,
-            inc_alt.cands_per_sec,
-            inc_planned.cands_per_sec,
-            cow_cps,
-            serve_rps,
-            SERVICE_REQUESTS,
-            SERVICE_EVALS,
+            stats.evaluated,
+            stats.eval_cache_hits,
             speedup,
-            inc.stats.eval_cache_hits,
+            full.json(),
+            inc.json(),
+            a100.json(),
+            cow.json(),
         ));
         println!("  {} done ({speedup:.2}x)", w.label());
     }
@@ -286,15 +222,16 @@ fn main() {
         "evaluated",
         "full c/s",
         "inc c/s",
-        "inc-mt c/s",
         "a100 c/s",
-        "planned c/s",
         "cow c/s",
-        "serve req/s",
         "speedup",
         "cache hits",
     ];
-    print_table("Candidate-evaluation throughput: incremental vs full", &header, &rows);
+    print_table(
+        &format!("Candidate-evaluation throughput: incremental vs full, median (min-max) of {REPEATS}"),
+        &header,
+        &rows,
+    );
     opts.write_csv("eval_throughput.csv", &header, &rows);
 
     // Search-strategy head-to-head: greedy vs MCTS on every fig09–16
@@ -316,35 +253,48 @@ fn main() {
     for (w, rel) in driver_models {
         let scale = rel * (opts.scale / 0.5).min(2.0);
         let g = w.build(scale).graph;
-        let greedy = run_driver(&g, DriverKind::Greedy, default_backend, &opts);
-        let mcts = run_driver(&g, DriverKind::Mcts, default_backend, &opts);
-        let ratio = mcts.best_peak as f64 / greedy.best_peak.max(1) as f64;
+        let configs = [DriverKind::Greedy, DriverKind::Mcts]
+            .map(|driver| driver_config(driver, default_backend, &opts));
+        let mut samples = [const { Vec::new() }; 2];
+        // The found peak is a function of the capped trajectory, the
+        // same on every repeat.
+        let mut peaks = [0u64; 2];
+        for _ in 0..REPEATS {
+            for (column, cfg) in configs.iter().enumerate() {
+                let (cps, res) = timed_search(&g, 1.10, cfg);
+                samples[column].push(cps);
+                peaks[column] = res.best.cost().0;
+            }
+        }
+        let [greedy, mcts] = samples.map(Spread::of);
+        let [greedy_peak, mcts_peak] = peaks;
+        let ratio = mcts_peak as f64 / greedy_peak.max(1) as f64;
         let ok = ratio <= 1.05;
         within += usize::from(ok);
         drows.push(vec![
             w.label().to_string(),
             format!("{scale:.3}"),
-            format!("{:.1}", greedy.cands_per_sec),
-            format!("{:.1}", mcts.cands_per_sec),
-            format!("{}", greedy.best_peak),
-            format!("{}", mcts.best_peak),
+            greedy.cell(),
+            mcts.cell(),
+            format!("{greedy_peak}"),
+            format!("{mcts_peak}"),
             format!("{ratio:.3}{}", if ok { "" } else { " !" }),
         ]);
         json_drivers.push(format!(
             concat!(
                 "    {{\"model\": \"{}\", \"scale\": {:.4}, ",
-                "\"greedy_cands_per_sec\": {:.2}, \"mcts_cands_per_sec\": {:.2}, ",
                 "\"greedy_best_peak\": {}, \"mcts_best_peak\": {}, ",
-                "\"mcts_over_greedy_peak\": {:.4}, \"within_5pct\": {}}}"
+                "\"mcts_over_greedy_peak\": {:.4}, \"within_5pct\": {},\n",
+                "     \"greedy_cands_per_sec\": {},\n     \"mcts_cands_per_sec\": {}}}"
             ),
             w.label(),
             scale,
-            greedy.cands_per_sec,
-            mcts.cands_per_sec,
-            greedy.best_peak,
-            mcts.best_peak,
+            greedy_peak,
+            mcts_peak,
             ratio,
             ok,
+            greedy.json(),
+            mcts.json(),
         ));
         println!("  {} drivers done (mcts/greedy peak {ratio:.3})", w.label());
     }
@@ -357,16 +307,26 @@ fn main() {
         "mcts peak",
         "mcts/greedy",
     ];
-    print_table("Search drivers head-to-head: greedy vs MCTS (planned peak)", &dheader, &drows);
+    print_table(
+        &format!("Search drivers head-to-head: greedy vs MCTS (planned peak), median (min-max) of {REPEATS}"),
+        &dheader,
+        &drows,
+    );
     opts.write_csv("eval_drivers.csv", &dheader, &drows);
     println!("  {within}/{} models with MCTS within 5% of greedy", driver_models.len());
 
     let json = format!(
         concat!(
-            "{{\n  \"bench\": \"eval_throughput\",\n  \"max_evals\": {},\n",
+            "{{\n  \"bench\": \"eval_throughput\",\n",
+            "  \"env\": {{\"nproc\": {}, \"profile\": \"{}\", \"commit\": \"{}\"}},\n",
+            "  \"repeats\": {},\n  \"max_evals\": {},\n",
             "  \"models\": [\n{}\n  ],\n",
             "  \"driver_evals\": {},\n  \"drivers\": [\n{}\n  ]\n}}\n"
         ),
+        magis_util::parallel::available_threads(),
+        if cfg!(debug_assertions) { "debug" } else { "release" },
+        commit(),
+        REPEATS,
         MAX_EVALS,
         json_models.join(",\n"),
         DRIVER_EVALS,

@@ -87,8 +87,8 @@ fn serve_job(scale: f64, instrumented: bool) -> Duration {
 }
 
 fn main() {
-    let opts = ExpOpts::from_args();
-    let check = std::env::args().any(|a| a == "--check");
+    let (opts, args) = ExpOpts::from_args_with(&["check"]);
+    let check = args.switch("check");
 
     // Micro: the disabled span fast path.
     let n = 5_000_000u64;

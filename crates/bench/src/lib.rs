@@ -16,9 +16,10 @@
 //! | `fig16`  | U-Net execution/memory case study |
 //!
 //! All binaries accept `--scale <f>` (model down-scaling; 1.0 = the
-//! paper's configuration) and `--budget-ms <n>` (per-optimization
-//! search budget; the paper uses 3 minutes). Results are printed as
-//! aligned tables and written as CSV under `results/`.
+//! paper's configuration), `--budget-ms <n>` (per-optimization search
+//! budget; the paper uses 3 minutes) and `--out <dir>`; anything else
+//! on the command line is a usage error (exit 2). Results are printed
+//! as aligned tables and written as CSV under `results/`.
 
 use std::fs;
 use std::io::Write as _;
@@ -26,10 +27,10 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use magis_baselines::{BaselineKind, BaselineResult};
-use magis_core::optimizer::{optimize, Objective, OptimizeResult, OptimizerConfig};
-use magis_core::state::{EvalContext, MState};
+use magis_core::optimizer::{optimize_latency, optimize_memory, OptimizeResult, OptimizerConfig};
 use magis_graph::graph::Graph;
 use magis_sim::CostModel;
+use magis_util::args::Args;
 
 /// Command-line options shared by every experiment binary.
 #[derive(Debug, Clone)]
@@ -53,34 +54,32 @@ impl Default for ExpOpts {
 }
 
 impl ExpOpts {
-    /// Parses `--scale`, `--budget-ms`, `--out` from `std::env::args`.
+    /// Reads `--scale`, `--budget-ms`, `--out` from the process
+    /// arguments. Prints the problem and exits 2 on anything else.
     pub fn from_args() -> Self {
-        let mut opts = ExpOpts::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    opts.scale = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(opts.scale);
-                    i += 1;
-                }
-                "--budget-ms" => {
-                    if let Some(ms) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.budget = Duration::from_millis(ms);
-                    }
-                    i += 1;
-                }
-                "--out" => {
-                    if let Some(p) = args.get(i + 1) {
-                        opts.out_dir = PathBuf::from(p);
-                    }
-                    i += 1;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        opts
+        Self::from_args_with(&[]).0
+    }
+
+    /// [`Self::from_args`] for a binary that also takes valueless
+    /// `switches` of its own; returns the arguments to query them.
+    pub fn from_args_with(switches: &[&str]) -> (Self, Args) {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Self::read(&argv, switches).unwrap_or_else(|e| {
+            let own: String = switches.iter().map(|s| format!(" [--{s}]")).collect();
+            eprintln!("error: {e}\n\nusage: [--scale F] [--budget-ms N] [--out DIR]{own}");
+            std::process::exit(2)
+        })
+    }
+
+    fn read(argv: &[String], switches: &[&str]) -> Result<(Self, Args), String> {
+        let args = Args::parse(argv, &[&["scale", "budget-ms", "out"]], switches)?;
+        let d = ExpOpts::default();
+        let opts = ExpOpts {
+            scale: args.value_or("scale", d.scale)?,
+            budget: args.value("budget-ms")?.map_or(d.budget, Duration::from_millis),
+            out_dir: args.value_or("out", d.out_dir)?,
+        };
+        Ok((opts, args))
     }
 
     /// Writes `rows` as CSV under the output directory.
@@ -150,25 +149,13 @@ pub fn anchor(g: &Graph) -> (u64, f64) {
 /// Runs MAGIS in memory-minimization mode under `lat_factor` × anchor
 /// latency.
 pub fn magis_min_memory(g: &Graph, lat_factor: f64, opts: &ExpOpts) -> OptimizeResult {
-    let ctx = EvalContext::default();
-    let init = MState::initial(g.clone(), &ctx);
-    let cfg = OptimizerConfig::new(Objective::MinMemory {
-        lat_limit: init.eval.latency * lat_factor,
-    })
-    .with_budget(opts.budget);
-    optimize(g.clone(), &cfg)
+    optimize_memory(g.clone(), lat_factor, &OptimizerConfig::default().with_budget(opts.budget))
 }
 
 /// Runs MAGIS in latency-minimization mode under `mem_factor` × anchor
 /// peak memory.
 pub fn magis_min_latency(g: &Graph, mem_factor: f64, opts: &ExpOpts) -> OptimizeResult {
-    let ctx = EvalContext::default();
-    let init = MState::initial(g.clone(), &ctx);
-    let cfg = OptimizerConfig::new(Objective::MinLatency {
-        mem_limit: (init.eval.peak_bytes as f64 * mem_factor) as u64,
-    })
-    .with_budget(opts.budget);
-    optimize(g.clone(), &cfg)
+    optimize_latency(g.clone(), mem_factor, &OptimizerConfig::default().with_budget(opts.budget))
 }
 
 /// Finds the smallest memory ratio a baseline reaches while staying
@@ -236,5 +223,16 @@ mod tests {
     fn opts_defaults() {
         let o = ExpOpts::default();
         assert!(o.scale > 0.0 && o.budget.as_millis() > 0);
+    }
+
+    #[test]
+    fn opts_read_their_flags_and_the_binarys_own_switches() {
+        let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let (o, args) =
+            ExpOpts::read(&argv(&["--scale", "0.2", "--check", "--budget-ms", "250"]), &["check"])
+                .unwrap();
+        assert_eq!((o.scale, o.budget, o.out_dir), (0.2, Duration::from_millis(250), "results".into()));
+        assert!(args.switch("check"));
+        assert!(ExpOpts::read(&argv(&["--check"]), &[]).is_err(), "only obs_overhead takes it");
     }
 }

@@ -1,24 +1,21 @@
 //! Argument parsing and subcommand dispatch for the `magis` binary.
-//! Hand-rolled (no third-party argument parser): flags are
-//! `--name value` pairs after a subcommand.
+//! Flags are `--name value` pairs after a subcommand, read by the
+//! workspace's one argv reader ([`Args`]) against the subcommand's
+//! table of accepted flags ([`command`]).
 
-use magis_graph::GraphView;
 use magis_baselines::BaselineKind;
-use magis_core::checkpoint::SearchCheckpoint;
 use magis_core::codegen::generate_pytorch;
 use magis_core::fission::apply_full;
-use magis_core::budget::SearchBudget;
-use magis_core::driver::DriverKind;
-use magis_core::optimizer::{
-    self, optimize_from, CheckpointPolicy, Objective, OptimizeResult, OptimizerConfig,
-    ParanoiaLevel,
-};
+use magis_core::optimizer::{CheckpointPolicy, OptimizeResult, ParanoiaLevel};
 use magis_core::state::{EvalContext, EvalMode, MState};
 use magis_graph::graph::Graph;
 use magis_graph::io::{to_dot, to_text, DotOptions};
+use magis_graph::GraphView;
 use magis_models::Workload;
-use magis_sim::{Backend, BackendRegistry, CostModel, MemObjective, DEFAULT_BACKEND};
-use std::collections::HashMap;
+use magis_serve::job::{backend_for, workload_by_name, Search, Seed};
+use magis_serve::{Client, JobSpec, ServeConfig};
+use magis_sim::{Backend, BackendRegistry, CostModel, MemObjective};
+use magis_util::args::Args;
 use std::path::Path;
 use std::time::Duration;
 
@@ -29,6 +26,7 @@ magis — MAGIS memory optimizer (ASPLOS'24 reproduction)
 USAGE:
   magis list
   magis inspect  --workload NAME [--scale F] [--backend NAME]
+                 [--calibrate FILE]
   magis optimize --workload NAME [--scale F] [--mode memory|latency]
                  [--limit F] [--budget-ms N] [--threads N]
                  [--wall-limit-ms N] [--max-candidates N]
@@ -40,6 +38,7 @@ USAGE:
                  [--checkpoint FILE] [--checkpoint-every N]
                  [--checkpoint-frontier true|false]
                  [--emit py|dot|text] [--out FILE]
+                 [--trace-out FILE] [--metrics-out FILE] [--log-level L]
   magis optimize --resume FILE [--mode memory|latency] [--limit F]
                  [--budget-ms N] [--threads N] [...]
   magis baseline --workload NAME --system pofo|dtr|xla|tvm|ti
@@ -47,15 +46,16 @@ USAGE:
                  [--backend NAME] [--calibrate FILE]
   magis serve    [--addr HOST:PORT] [--state-dir DIR] [--workers N]
                  [--queue-capacity N] [--client-cap N] [--retry-cap N]
-                 [--drain-timeout-ms N] [--stall-after-ms N]
-                 [--result-cache N] [--port-file FILE]
+                 [--backoff-base-ms N] [--drain-timeout-ms N]
+                 [--stall-after-ms N] [--result-cache N] [--port-file FILE]
+                 [--trace-out FILE] [--log-level L]
   magis submit   --addr HOST:PORT | --port-file FILE
                  --workload NAME [--scale F] [--mode memory|latency]
                  [--limit F] [--objective liveness|planned]
                  [--driver greedy|mcts]
                  [--backend NAME] [--budget-ms N] [--wall-limit-ms N]
-                 [--max-candidates N] [--threads N] [--client NAME]
-                 [--wait true|false]
+                 [--max-candidates N] [--threads N] [--eval-cache N]
+                 [--checkpoint-every N] [--client NAME] [--wait true|false]
   magis watch    --addr HOST:PORT | --port-file FILE  --id N
   magis top      --addr HOST:PORT | --port-file FILE
                  [--interval-ms N] [--iterations N]
@@ -181,92 +181,89 @@ pub enum CliError {
     Runtime(String),
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| CliError::Usage(format!("expected a flag, got '{}'", args[i])))?;
-        let val = args
-            .get(i + 1)
-            .ok_or_else(|| CliError::Usage(format!("flag --{key} needs a value")))?;
-        out.insert(key.to_string(), val.clone());
-        i += 2;
-    }
-    Ok(out)
-}
-
-fn workload(flags: &HashMap<String, String>) -> Result<Workload, CliError> {
-    let name = flags
-        .get("workload")
-        .ok_or_else(|| CliError::Usage("--workload is required".into()))?;
-    Workload::parse(name)
-        .ok_or_else(|| CliError::Usage(format!("unknown workload '{}'", name.to_lowercase())))
-}
-
-fn f64_flag(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, CliError> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--{key} expects a number, got '{v}'"))),
+impl From<String> for CliError {
+    /// What the argv reader and the spec validation report is a usage
+    /// error.
+    fn from(msg: String) -> Self {
+        CliError::Usage(msg)
     }
 }
 
-fn usize_flag(
-    flags: &HashMap<String, String>,
+/// Flags that describe a job: `optimize` runs it here, `submit` sends
+/// it to a daemon ([`job_spec`] reads them for both).
+const JOB: &[&str] = &[
+    "workload", "scale", "mode", "limit", "objective", "driver", "backend", "budget-ms",
+    "wall-limit-ms", "max-candidates", "threads", "eval-cache", "checkpoint-every",
+];
+const BACKEND: &[&str] = &["backend", "calibrate"];
+const OBS: &[&str] = &["log-level", "trace-out"];
+const DAEMON: &[&str] = &["addr", "port-file"];
+/// Valueless flags, accepted by every subcommand and on their own.
+const SWITCHES: &[&str] = &["backend-list"];
+
+/// A subcommand: the `--name value` flags it accepts (anything else on
+/// its command line is a usage error) and the function that runs it.
+type Command = (&'static [&'static [&'static str]], fn(&Args) -> Result<(), CliError>);
+
+fn command(name: &str) -> Option<Command> {
+    Some(match name {
+        // Flags with no subcommand in front: only a switch can follow.
+        "" => (&[], |_| Err(CliError::Usage("missing subcommand".into()))),
+        "list" => (&[], cmd_list),
+        "inspect" => (&[&["workload", "scale"], BACKEND], inspect),
+        "optimize" => (
+            &[
+                JOB,
+                BACKEND,
+                OBS,
+                &["metrics-out", "resume", "paranoia", "eval", "checkpoint", "checkpoint-frontier"],
+                &["emit", "out"],
+            ],
+            cmd_optimize,
+        ),
+        "baseline" => (&[&["workload", "scale", "system", "budget-ratio"], BACKEND], cmd_baseline),
+        "serve" => (&[ServeConfig::FLAGS, OBS], cmd_serve),
+        "submit" => (&[JOB, DAEMON, &["client", "wait"]], cmd_submit),
+        "watch" => (&[DAEMON, &["id"]], cmd_watch),
+        "top" => (&[DAEMON, &["interval-ms", "iterations"]], cmd_top),
+        "metrics" => (&[DAEMON], cmd_metrics),
+        "trace-check" => (&[&["trace", "expect-job"]], cmd_trace_check),
+        _ => return None,
+    })
+}
+
+fn workload(flags: &Args) -> Result<Workload, CliError> {
+    Ok(workload_by_name(flags.required("workload")?)?)
+}
+
+/// The value of a flag that takes one of a closed set of `names`.
+fn named<T>(
+    flags: &Args,
     key: &str,
-    default: usize,
-) -> Result<usize, CliError> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--{key} expects an integer, got '{v}'"))),
-    }
-}
-
-fn bool_flag(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: bool,
-) -> Result<bool, CliError> {
-    match flags.get(key).map(String::as_str) {
-        None => Ok(default),
-        Some("true") | Some("1") | Some("yes") => Ok(true),
-        Some("false") | Some("0") | Some("no") => Ok(false),
-        Some(v) => Err(CliError::Usage(format!("--{key} expects true|false, got '{v}'"))),
-    }
+    names: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, CliError> {
+    let parsed = flags.get(key).map(|v| {
+        parse(v).ok_or_else(|| CliError::Usage(format!("--{key} expects {names}, got '{v}'")))
+    });
+    parsed.transpose()
 }
 
 fn gib(bytes: u64) -> f64 {
     bytes as f64 / (1u64 << 30) as f64
 }
 
-/// Resolves `--backend` (default `rtx3090`) against the built-in
-/// registry, then applies `--calibrate FILE` when present: the trace
-/// is parsed as JSONL and the backend refit by least squares.
-fn backend_for(flags: &HashMap<String, String>) -> Result<Backend, CliError> {
-    let reg = BackendRegistry::builtin();
-    let name = flags.get("backend").map(String::as_str).unwrap_or(DEFAULT_BACKEND);
-    let base = reg.get(name).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown backend '{name}' (available: {})",
-            reg.names().join(", ")
-        ))
-    })?;
-    match flags.get("calibrate") {
-        None => Ok(base.clone()),
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Runtime(format!("reading {path}: {e}")))?;
-            let samples = magis_sim::calibrate::parse_trace(&text)
-                .map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
-            base.calibrated(format!("{name}-calibrated"), &samples)
-                .map_err(|e| CliError::Runtime(format!("calibrating against {path}: {e}")))
-        }
-    }
+/// The `--backend` profile (default `rtx3090`), refit by least squares
+/// against the `--calibrate FILE` JSONL trace when that flag is present.
+fn backend(flags: &Args) -> Result<Backend, CliError> {
+    let base = backend_for(flags.get("backend"))?;
+    let Some(path) = flags.get("calibrate") else { return Ok(base) };
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Runtime(format!("reading {path}: {e}")))?;
+    let samples = magis_sim::calibrate::parse_trace(&text)
+        .map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
+    base.calibrated(format!("{}-calibrated", base.name()), &samples)
+        .map_err(|e| CliError::Runtime(format!("calibrating against {path}: {e}")))
 }
 
 /// Prints the `--backend-list` table: every registered profile with
@@ -298,46 +295,40 @@ fn backend_list() {
 
 /// Entry point, separated from `main` for testability.
 pub fn run(args: &[String]) -> Result<(), CliError> {
-    // `--backend-list` is valueless, so it is handled before the
-    // `--name value` flag parser sees it.
-    if args.iter().any(|a| a == "--backend-list") {
+    let (name, rest) = match args.split_first() {
+        None => return Err(CliError::Usage("missing subcommand".into())),
+        // A bare `magis --backend-list`.
+        Some((first, _)) if first.starts_with("--") => ("", args),
+        Some((name, rest)) => (name.as_str(), rest),
+    };
+    let (accepted, run) =
+        command(name).ok_or_else(|| CliError::Usage(format!("unknown subcommand '{name}'")))?;
+    let flags = Args::parse(rest, accepted, SWITCHES)?;
+    if flags.switch("backend-list") {
         backend_list();
         return Ok(());
     }
-    let Some((cmd, rest)) = args.split_first() else {
-        return Err(CliError::Usage("missing subcommand".into()));
-    };
-    match cmd.as_str() {
-        "list" => {
-            println!("workload      batch  dtype  config");
-            for w in Workload::all() {
-                println!(
-                    "{:12}  {:>5}  {:>5}  {}",
-                    w.label(),
-                    w.batch(),
-                    w.dtype().to_string(),
-                    w.config_note()
-                );
-            }
-            Ok(())
-        }
-        "inspect" => inspect(&parse_flags(rest)?),
-        "optimize" => cmd_optimize(&parse_flags(rest)?),
-        "baseline" => cmd_baseline(&parse_flags(rest)?),
-        "serve" => cmd_serve(&parse_flags(rest)?),
-        "submit" => cmd_submit(&parse_flags(rest)?),
-        "watch" => cmd_watch(&parse_flags(rest)?),
-        "top" => cmd_top(&parse_flags(rest)?),
-        "metrics" => cmd_metrics(&parse_flags(rest)?),
-        "trace-check" => cmd_trace_check(&parse_flags(rest)?),
-        other => Err(CliError::Usage(format!("unknown subcommand '{other}'"))),
-    }
+    run(&flags)
 }
 
-fn inspect(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_list(_: &Args) -> Result<(), CliError> {
+    println!("workload      batch  dtype  config");
+    for w in Workload::all() {
+        println!(
+            "{:12}  {:>5}  {:>5}  {}",
+            w.label(),
+            w.batch(),
+            w.dtype().to_string(),
+            w.config_note()
+        );
+    }
+    Ok(())
+}
+
+fn inspect(flags: &Args) -> Result<(), CliError> {
     let w = workload(flags)?;
-    let scale = f64_flag(flags, "scale", 0.5)?;
-    let backend = backend_for(flags)?;
+    let scale = flags.value_or("scale", 0.5)?;
+    let backend = backend(flags)?;
     let tg = w.build(scale);
     let g = &tg.graph;
     let ctx = EvalContext::for_backend(&backend);
@@ -360,104 +351,11 @@ fn inspect(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Builds the objective from `--mode`/`--limit` relative to the
-/// unoptimized seed cost `(peak_bytes, latency)`.
-fn objective_for(
-    flags: &HashMap<String, String>,
-    mode: &str,
-    seed_cost: (u64, f64),
-) -> Result<Objective, CliError> {
-    match mode {
-        "memory" => Ok(Objective::MinMemory {
-            lat_limit: seed_cost.1 * f64_flag(flags, "limit", 1.10)?,
-        }),
-        "latency" => Ok(Objective::MinLatency {
-            mem_limit: (seed_cost.0 as f64 * f64_flag(flags, "limit", 0.8)?) as u64,
-        }),
-        other => Err(CliError::Usage(format!("unknown mode '{other}'"))),
-    }
-}
-
-/// The evaluation context `optimize` searches under (`--objective`,
-/// `--eval`) — and evaluates the seed under, so the search can start
-/// from that evaluation.
-fn eval_context(flags: &HashMap<String, String>, backend: &Backend) -> Result<EvalContext, CliError> {
-    let mut ctx = EvalContext::for_backend(backend);
-    ctx.mem_objective = match flags.get("objective") {
-        None => MemObjective::default(),
-        Some(v) => MemObjective::parse(v).ok_or_else(|| {
-            CliError::Usage(format!("--objective expects liveness|planned, got '{v}'"))
-        })?,
-    };
-    ctx.mode = match flags.get("eval").map(String::as_str) {
-        None | Some("incremental") => EvalMode::Incremental,
-        Some("full") => EvalMode::Full,
-        Some(v) => {
-            return Err(CliError::Usage(format!(
-                "--eval expects incremental|full, got '{v}'"
-            )))
-        }
-    };
-    Ok(ctx)
-}
-
-/// Shared `optimize` config knobs: budget, threads, paranoia,
-/// checkpointing.
-fn search_config(
-    flags: &HashMap<String, String>,
-    objective: Objective,
-    backend: &Backend,
-) -> Result<OptimizerConfig, CliError> {
-    let budget = f64_flag(flags, "budget-ms", 15_000.0)?;
-    let threads = usize_flag(flags, "threads", magis_util::parallel::available_threads())?;
-    let paranoia = match flags.get("paranoia") {
-        None => ParanoiaLevel::default(),
-        Some(v) => ParanoiaLevel::parse(v).ok_or_else(|| {
-            CliError::Usage(format!("--paranoia expects off|incumbent|all, got '{v}'"))
-        })?,
-    };
-    let driver = match flags.get("driver") {
-        None => DriverKind::default(),
-        Some(v) => DriverKind::parse(v).ok_or_else(|| {
-            CliError::Usage(format!("--driver expects greedy|mcts, got '{v}'"))
-        })?,
-    };
-    let mut cfg = OptimizerConfig::new(objective)
-        .with_budget(Duration::from_millis(budget as u64))
-        .with_threads(threads)
-        .with_paranoia(paranoia)
-        .with_driver(driver);
-    cfg.ctx = eval_context(flags, backend)?;
-    let cache_cap = usize_flag(flags, "eval-cache", cfg.eval_cache)?;
-    cfg = cfg.with_eval_cache(cache_cap);
-    let mut search_budget = SearchBudget::UNLIMITED;
-    if let Some(ms) = flags.get("wall-limit-ms") {
-        let ms: u64 = ms.parse().map_err(|_| {
-            CliError::Usage(format!("--wall-limit-ms expects an integer, got '{ms}'"))
-        })?;
-        search_budget = search_budget.with_wall_limit(Duration::from_millis(ms));
-    }
-    if flags.contains_key("max-candidates") {
-        let cap = usize_flag(flags, "max-candidates", 0)?;
-        search_budget = search_budget.with_candidate_limit(cap);
-    }
-    cfg = cfg.with_search_budget(search_budget);
-    if let Some(path) = flags.get("checkpoint") {
-        let every = usize_flag(flags, "checkpoint-every", 64)?;
-        let frontier = bool_flag(flags, "checkpoint-frontier", false)?;
-        cfg = cfg
-            .with_checkpoint(CheckpointPolicy::new(path).with_every(every).with_frontier(frontier));
-    }
-    Ok(cfg)
-}
-
 /// Configures observability from the `optimize` flags: log level and
 /// the JSONL trace sink. Must run before the search starts.
-fn setup_obs(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    if let Some(level) = flags.get("log-level") {
-        let l: magis_obs::log::Level =
-            level.parse().map_err(|e: String| CliError::Usage(format!("--log-level: {e}")))?;
-        magis_obs::log::set_level(l);
+fn setup_obs(flags: &Args) -> Result<(), CliError> {
+    if let Some(level) = flags.value("log-level")? {
+        magis_obs::log::set_level(level);
     }
     if let Some(path) = flags.get("trace-out") {
         let sink = magis_obs::trace::JsonlSink::create(Path::new(path))
@@ -469,8 +367,8 @@ fn setup_obs(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
 /// Flushes the trace sink and writes the metrics snapshot. Runs after
 /// the search (on success) so the snapshot covers the whole run.
-fn finish_obs(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    if flags.contains_key("trace-out") {
+fn finish_obs(flags: &Args) -> Result<(), CliError> {
+    if flags.get("trace-out").is_some() {
         magis_obs::trace::uninstall();
     }
     if let Some(path) = flags.get("metrics-out") {
@@ -561,16 +459,87 @@ fn print_summary(seed_cost: (u64, f64), res: &OptimizeResult) {
     eprintln!("{rule}");
 }
 
-/// Prints the result summary and handles `--emit`/`--out`.
-fn report_result(
-    flags: &HashMap<String, String>,
-    seed_cost: (u64, f64),
-    res: &OptimizeResult,
-) -> Result<(), CliError> {
-    let best = &res.best;
-    print_summary(seed_cost, res);
+/// The search `optimize` runs: the job its flags describe
+/// ([`job_spec`], as `submit` would send it) built by the one
+/// spec→search builder, plus what only the one-shot CLI offers —
+/// `--calibrate`, `--paranoia`, `--eval`, `--checkpoint*`. Every flag is
+/// read before the seed is evaluated.
+fn optimize_search(flags: &Args) -> Result<(JobSpec, Backend, Search), CliError> {
+    let spec = job_spec(flags, magis_util::parallel::available_threads())?;
+    if flags.get("resume").is_none() {
+        flags.required("workload")?;
+    }
+    let paranoia = named(flags, "paranoia", "off|incumbent|all", ParanoiaLevel::parse)?;
+    let eval = named(flags, "eval", "incremental|full", |v| match v {
+        "incremental" => Some(EvalMode::Incremental),
+        "full" => Some(EvalMode::Full),
+        _ => None,
+    })?;
+    let checkpoint = match flags.get("checkpoint") {
+        None => None,
+        Some(path) => Some(
+            CheckpointPolicy::new(path)
+                .with_every(flags.value_or("checkpoint-every", 64)?)
+                .with_frontier(flags.bool_or("checkpoint-frontier", false)?),
+        ),
+    };
+    let backend = backend(flags)?;
+    // On resume everything about the search state comes from the
+    // checkpoint; everything about *how to keep searching* (budget,
+    // threads, mode, limit, paranoia) comes from the command line.
+    let mut search = Search::build(&spec, &backend, flags.get("resume").map(Path::new))
+        .map_err(CliError::Runtime)?;
+    search.cfg.paranoia = paranoia.unwrap_or_default();
+    // The seed has no parent to be incremental against, so the mode
+    // only matters from here on.
+    search.cfg.ctx.mode = eval.unwrap_or_default();
+    search.cfg.checkpoint = checkpoint;
+    Ok((spec, backend, search))
+}
+
+fn cmd_optimize(flags: &Args) -> Result<(), CliError> {
+    setup_obs(flags)?;
+    let out = cmd_optimize_inner(flags);
+    // The trace is flushed and the metrics snapshot written even when
+    // the search fails — a failing run is when you want them most.
+    let obs = finish_obs(flags);
+    out.and(obs)
+}
+
+fn cmd_optimize_inner(flags: &Args) -> Result<(), CliError> {
+    let (spec, backend, search) = optimize_search(flags)?;
+    // What the summary's percentages are against: the liveness peak of
+    // the unoptimized graph under either memory objective (a checkpoint
+    // remembers only the seed's `cost()`).
+    let baseline = match &search.seed {
+        Seed::Resumed(ckpt) => {
+            eprintln!(
+                "resuming from {}: incumbent {:.3} GiB / {:.2} ms after {} evaluations",
+                flags.get("resume").unwrap_or_default(),
+                gib(ckpt.best_cost.0),
+                ckpt.best_cost.1 * 1e3,
+                ckpt.counters.evaluated
+            );
+            ckpt.seed_cost
+        }
+        Seed::Fresh(init) => {
+            let baseline = (init.eval.peak_bytes, init.eval.latency);
+            eprintln!(
+                "{}: {} nodes, baseline {:.3} GiB / {:.2} ms on {}; optimizing ({})…",
+                workload(flags)?.label(),
+                init.base.len(),
+                gib(baseline.0),
+                baseline.1 * 1e3,
+                backend.name(),
+                spec.mode
+            );
+            baseline
+        }
+    };
+    let res = search.run().map_err(CliError::Runtime)?;
+    print_summary(baseline, &res);
     if let Some(emit) = flags.get("emit") {
-        let text = render(best, emit, &CostModel::for_backend(&backend_for(flags)?))?;
+        let text = render(&res.best, emit, &CostModel::for_backend(&backend))?;
         match flags.get("out") {
             Some(path) => std::fs::write(path, text)
                 .map_err(|e| CliError::Runtime(format!("writing {path}: {e}")))?,
@@ -578,59 +547,6 @@ fn report_result(
         }
     }
     Ok(())
-}
-
-fn cmd_optimize(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let mode = flags.get("mode").map(String::as_str).unwrap_or("memory");
-    setup_obs(flags)?;
-    let out = cmd_optimize_inner(flags, mode);
-    // The trace is flushed and the metrics snapshot written even when
-    // the search fails — a failing run is when you want them most.
-    let obs = finish_obs(flags);
-    out.and(obs)
-}
-
-fn cmd_optimize_inner(flags: &HashMap<String, String>, mode: &str) -> Result<(), CliError> {
-
-    // Resume path: everything about the search state comes from the
-    // checkpoint; everything about *how to keep searching* (budget,
-    // threads, mode, limit, paranoia) comes from the command line.
-    let backend = backend_for(flags)?;
-    if let Some(path) = flags.get("resume") {
-        let ckpt = SearchCheckpoint::read_from(Path::new(path))
-            .map_err(|e| CliError::Runtime(format!("loading checkpoint: {e}")))?;
-        let objective = objective_for(flags, mode, ckpt.seed_cost)?;
-        let cfg = search_config(flags, objective, &backend)?;
-        eprintln!(
-            "resuming from {path}: incumbent {:.3} GiB / {:.2} ms after {} evaluations",
-            gib(ckpt.best_cost.0),
-            ckpt.best_cost.1 * 1e3,
-            ckpt.counters.evaluated
-        );
-        let res = optimizer::resume(&ckpt, &cfg)
-            .map_err(|e| CliError::Runtime(format!("resuming: {e}")))?;
-        return report_result(flags, ckpt.seed_cost, &res);
-    }
-
-    let w = workload(flags)?;
-    let scale = f64_flag(flags, "scale", 0.5)?;
-    let tg = w.build(scale);
-    let nodes = tg.graph.len();
-    let init = MState::try_initial(tg.graph, &eval_context(flags, &backend)?)
-        .map_err(|e| CliError::Runtime(format!("evaluating the seed graph: {e}")))?;
-    // The relative limit and the report are stated against the
-    // liveness peak, under either memory objective.
-    let seed_cost = (init.eval.peak_bytes, init.eval.latency);
-    let objective = objective_for(flags, mode, seed_cost)?;
-    eprintln!(
-        "{}: {nodes} nodes, baseline {:.3} GiB / {:.2} ms on {}; optimizing ({mode})…",
-        w.label(),
-        gib(seed_cost.0),
-        seed_cost.1 * 1e3,
-        backend.name()
-    );
-    let cfg = search_config(flags, objective, &backend)?;
-    report_result(flags, seed_cost, &optimize_from(init, &cfg))
 }
 
 fn render(best: &MState, emit: &str, cm: &CostModel) -> Result<String, CliError> {
@@ -652,13 +568,10 @@ fn render(best: &MState, emit: &str, cm: &CostModel) -> Result<String, CliError>
     }
 }
 
-fn cmd_baseline(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_baseline(flags: &Args) -> Result<(), CliError> {
     let w = workload(flags)?;
-    let scale = f64_flag(flags, "scale", 0.5)?;
-    let system = flags
-        .get("system")
-        .ok_or_else(|| CliError::Usage("--system is required".into()))?;
-    let kind = match system.to_lowercase().as_str() {
+    let scale = flags.value_or("scale", 0.5)?;
+    let kind = match flags.required("system")?.to_lowercase().as_str() {
         "pofo" => BaselineKind::Pofo,
         "dtr" => BaselineKind::Dtr,
         "xla" => BaselineKind::Xla,
@@ -666,11 +579,11 @@ fn cmd_baseline(flags: &HashMap<String, String>) -> Result<(), CliError> {
         "ti" | "torch-inductor" => BaselineKind::TorchInductor,
         other => return Err(CliError::Usage(format!("unknown system '{other}'"))),
     };
-    let backend = backend_for(flags)?;
+    let ratio = flags.value_or("budget-ratio", 0.8)?;
+    let backend = backend(flags)?;
     let tg = w.build(scale);
     let cm = CostModel::for_backend(&backend);
     let anchor = magis_baselines::pytorch::run(&tg.graph, &cm);
-    let ratio = f64_flag(flags, "budget-ratio", 0.8)?;
     let r = kind.run(&tg.graph, Some((anchor.peak_bytes as f64 * ratio) as u64), &cm);
     println!(
         "{} on {} ({}) @ {:.0}% budget: peak {:.3} GiB ({:.1}%), latency {:+.1}%, {}",
@@ -688,26 +601,9 @@ fn cmd_baseline(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
 /// `magis serve` — runs the supervised optimization daemon in the
 /// foreground until SIGTERM/ctrl-c (then drains gracefully).
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_serve(flags: &Args) -> Result<(), CliError> {
     setup_obs(flags)?;
-    let mut cfg = magis_serve::ServeConfig::default();
-    if let Some(a) = flags.get("addr") {
-        cfg.addr = a.clone();
-    }
-    if let Some(d) = flags.get("state-dir") {
-        cfg.state_dir = d.into();
-    }
-    cfg.workers = usize_flag(flags, "workers", cfg.workers)?.max(1);
-    cfg.queue_capacity = usize_flag(flags, "queue-capacity", cfg.queue_capacity)?;
-    cfg.client_cap = usize_flag(flags, "client-cap", cfg.client_cap)?;
-    cfg.retry_cap = usize_flag(flags, "retry-cap", cfg.retry_cap as usize)? as u32;
-    cfg.backoff_base_ms = usize_flag(flags, "backoff-base-ms", cfg.backoff_base_ms as usize)? as u64;
-    cfg.drain_timeout_ms =
-        usize_flag(flags, "drain-timeout-ms", cfg.drain_timeout_ms as usize)? as u64;
-    cfg.stall_after_ms = usize_flag(flags, "stall-after-ms", cfg.stall_after_ms as usize)? as u64;
-    cfg.result_cache = usize_flag(flags, "result-cache", cfg.result_cache)?;
-    cfg.port_file = flags.get("port-file").map(Into::into);
-    let server = magis_serve::Server::bind(cfg)
+    let server = magis_serve::Server::bind(ServeConfig::from_args(flags)?)
         .map_err(|e| CliError::Runtime(format!("starting the server: {e}")))?;
     if let Ok(addr) = server.local_addr() {
         eprintln!("magis serve: listening on {addr}");
@@ -715,52 +611,38 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     server.run().map_err(|e| CliError::Runtime(format!("serving: {e}")))
 }
 
-/// Builds a [`magis_serve::JobSpec`] from `submit` flags (shares the
-/// `optimize` flag names).
-fn job_spec(flags: &HashMap<String, String>) -> Result<magis_serve::JobSpec, CliError> {
-    let mut spec = magis_serve::JobSpec::default();
-    workload(flags)?; // validate the name early, client-side
-    spec.workload = flags.get("workload").map(|w| w.to_lowercase());
-    spec.scale = f64_flag(flags, "scale", 0.5)?;
-    spec.mode = flags.get("mode").cloned().unwrap_or_else(|| "memory".into());
-    spec.limit = match flags.get("limit") {
-        None => None,
-        Some(_) => Some(f64_flag(flags, "limit", 0.0)?),
+/// The job the [`JOB`] flags describe — what `submit` sends and
+/// `optimize` runs — checked by the validation the daemon applies at
+/// its protocol boundary. `default_threads` is the one default the two
+/// commands do not share.
+fn job_spec(flags: &Args, default_threads: usize) -> Result<JobSpec, CliError> {
+    let d = JobSpec::default();
+    let spec = JobSpec {
+        workload: flags.get("workload").map(str::to_lowercase),
+        scale: flags.value_or("scale", 0.5)?,
+        mode: flags.value_or("mode", d.mode)?,
+        limit: flags.value("limit")?,
+        objective: named(flags, "objective", "liveness|planned", MemObjective::parse)?
+            .unwrap_or(d.objective),
+        backend: flags.value("backend")?,
+        budget_ms: flags.value_or("budget-ms", d.budget_ms)?,
+        wall_limit_ms: flags.value("wall-limit-ms")?,
+        max_candidates: flags.value("max-candidates")?,
+        threads: flags.value_or("threads", default_threads)?.max(1),
+        eval_cache: flags.value("eval-cache")?,
+        checkpoint_every: flags.value_or("checkpoint-every", d.checkpoint_every)?.max(1),
+        strategy: flags.value("driver")?,
+        client: flags.value_or("client", d.client)?,
+        graph: None,
     };
-    if let Some(v) = flags.get("objective") {
-        spec.objective = MemObjective::parse(v).ok_or_else(|| {
-            CliError::Usage(format!("--objective expects liveness|planned, got '{v}'"))
-        })?;
-    }
-    spec.backend = flags.get("backend").cloned();
-    spec.budget_ms = usize_flag(flags, "budget-ms", 15_000)? as u64;
-    if flags.contains_key("wall-limit-ms") {
-        spec.wall_limit_ms = Some(usize_flag(flags, "wall-limit-ms", 0)? as u64);
-    }
-    if flags.contains_key("max-candidates") {
-        spec.max_candidates = Some(usize_flag(flags, "max-candidates", 0)?);
-    }
-    spec.threads = usize_flag(flags, "threads", 1)?.max(1);
-    if flags.contains_key("eval-cache") {
-        spec.eval_cache = Some(usize_flag(flags, "eval-cache", 0)?);
-    }
-    spec.checkpoint_every = usize_flag(flags, "checkpoint-every", spec.checkpoint_every)?.max(1);
-    if let Some(v) = flags.get("driver") {
-        DriverKind::parse(v).ok_or_else(|| {
-            CliError::Usage(format!("--driver expects greedy|mcts, got '{v}'"))
-        })?;
-        spec.strategy = Some(v.clone());
-    }
-    if let Some(c) = flags.get("client") {
-        spec.client = c.clone();
-    }
+    spec.validate()?;
     Ok(spec)
 }
 
 /// Resolves the daemon address from `--addr` or `--port-file`.
-fn serve_addr(flags: &HashMap<String, String>) -> Result<String, CliError> {
+fn serve_addr(flags: &Args) -> Result<String, CliError> {
     if let Some(a) = flags.get("addr") {
-        return Ok(a.clone());
+        return Ok(a.to_string());
     }
     if let Some(p) = flags.get("port-file") {
         let text = std::fs::read_to_string(p)
@@ -768,6 +650,16 @@ fn serve_addr(flags: &HashMap<String, String>) -> Result<String, CliError> {
         return Ok(text.trim().to_string());
     }
     Err(CliError::Usage("submit needs --addr or --port-file".into()))
+}
+
+fn connect(addr: &str) -> Result<Client, CliError> {
+    Client::connect(addr).map_err(|e| CliError::Runtime(format!("connecting to {addr}: {e}")))
+}
+
+impl From<magis_serve::ServeError> for CliError {
+    fn from(e: magis_serve::ServeError) -> Self {
+        CliError::Runtime(e.to_string())
+    }
 }
 
 /// Renders one progress frame as the single-line live ticker body.
@@ -832,28 +724,23 @@ fn report_wait_outcome(label: &str, out: magis_serve::WaitOutcome) -> Result<(),
 /// `magis submit` — sends one job to a running daemon and (by
 /// default) waits for the result, rendering a live one-line ticker
 /// from the progress stream when stderr is a terminal.
-fn cmd_submit(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_submit(flags: &Args) -> Result<(), CliError> {
     use std::io::IsTerminal;
     let addr = serve_addr(flags)?;
-    let spec = job_spec(flags)?;
-    let wait = bool_flag(flags, "wait", true)?;
-    let mut client = magis_serve::Client::connect(&addr)
-        .map_err(|e| CliError::Runtime(format!("connecting to {addr}: {e}")))?;
+    flags.required("workload")?;
+    let spec = job_spec(flags, 1)?;
+    let wait = flags.bool_or("wait", true)?;
+    let mut client = connect(&addr)?;
     if !wait {
-        let id = client
-            .submit_nowait(&spec)
-            .map_err(|e| CliError::Runtime(e.to_string()))?;
-        println!("submitted job {id}");
+        println!("submitted job {}", client.submit_nowait(&spec)?);
         return Ok(());
     }
     let live = std::io::stderr().is_terminal();
-    let out = client
-        .submit_and_wait_with(&spec, |frame| {
-            if live {
-                eprint!("\r\x1b[2K  {}", ticker_line(frame));
-            }
-        })
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
+    let out = client.submit_and_wait_with(&spec, |frame| {
+        if live {
+            eprint!("\r\x1b[2K  {}", ticker_line(frame));
+        }
+    })?;
     if live {
         eprint!("\r\x1b[2K");
     }
@@ -862,25 +749,20 @@ fn cmd_submit(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
 /// `magis watch` — attaches to a job already submitted (mid-flight or
 /// settled) and streams its progress frames until it settles.
-fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_watch(flags: &Args) -> Result<(), CliError> {
     use std::io::IsTerminal;
     let addr = serve_addr(flags)?;
-    if !flags.contains_key("id") {
-        return Err(CliError::Usage("watch needs --id".into()));
-    }
-    let id = usize_flag(flags, "id", 0)? as u64;
-    let mut client = magis_serve::Client::connect(&addr)
-        .map_err(|e| CliError::Runtime(format!("connecting to {addr}: {e}")))?;
+    flags.required("id")?;
+    let id: u64 = flags.value_or("id", 0)?;
+    let mut client = connect(&addr)?;
     let live = std::io::stderr().is_terminal();
-    let out = client
-        .watch(id, |frame| {
-            if live {
-                eprint!("\r\x1b[2K  {}", ticker_line(frame));
-            } else {
-                eprintln!("  {}", ticker_line(frame));
-            }
-        })
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
+    let out = client.watch(id, |frame| {
+        if live {
+            eprint!("\r\x1b[2K  {}", ticker_line(frame));
+        } else {
+            eprintln!("  {}", ticker_line(frame));
+        }
+    })?;
     if live {
         eprint!("\r\x1b[2K");
     }
@@ -889,12 +771,10 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
 /// `magis metrics` — prints the daemon's metric registry as Prometheus
 /// text exposition (the scrape surface).
-fn cmd_metrics(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_metrics(flags: &Args) -> Result<(), CliError> {
     let addr = serve_addr(flags)?;
-    let mut client = magis_serve::Client::connect(&addr)
-        .map_err(|e| CliError::Runtime(format!("connecting to {addr}: {e}")))?;
-    let text = client.metrics().map_err(|e| CliError::Runtime(e.to_string()))?;
-    print!("{text}");
+    let mut client = connect(&addr)?;
+    print!("{}", client.metrics()?);
     Ok(())
 }
 
@@ -908,18 +788,17 @@ fn prom_value(text: &str, name: &str) -> Option<f64> {
 
 /// `magis top` — polls `status` + `metrics` into a refreshing
 /// terminal summary of the daemon.
-fn cmd_top(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_top(flags: &Args) -> Result<(), CliError> {
     use std::io::IsTerminal;
     let addr = serve_addr(flags)?;
-    let interval = usize_flag(flags, "interval-ms", 1000)? as u64;
-    let iterations = usize_flag(flags, "iterations", 0)?;
-    let mut client = magis_serve::Client::connect(&addr)
-        .map_err(|e| CliError::Runtime(format!("connecting to {addr}: {e}")))?;
+    let interval: u64 = flags.value_or("interval-ms", 1000)?;
+    let iterations: usize = flags.value_or("iterations", 0)?;
+    let mut client = connect(&addr)?;
     let clear = std::io::stdout().is_terminal();
     let mut n = 0usize;
     loop {
-        let pong = client.ping().map_err(|e| CliError::Runtime(e.to_string()))?;
-        let text = client.metrics().map_err(|e| CliError::Runtime(e.to_string()))?;
+        let pong = client.ping()?;
+        let text = client.metrics()?;
         let v = |name: &str| prom_value(&text, name).unwrap_or(0.0);
         if clear && n > 0 {
             print!("\x1b[2J\x1b[H");
@@ -999,16 +878,9 @@ fn cmd_top(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// `--expect-job N`, every record must additionally carry a `job = N`
 /// correlation field — the shape `magis-serve` writes into a job
 /// directory's `trace.jsonl`.
-fn cmd_trace_check(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let path = flags
-        .get("trace")
-        .ok_or_else(|| CliError::Usage("--trace is required".into()))?;
-    let expect_job: Option<u64> = match flags.get("expect-job") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|_| {
-            CliError::Usage(format!("--expect-job expects an integer, got '{v}'"))
-        })?),
-    };
+fn cmd_trace_check(flags: &Args) -> Result<(), CliError> {
+    let path = flags.required("trace")?;
+    let expect_job: Option<u64> = flags.value("expect-job")?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Runtime(format!("reading {path}: {e}")))?;
     let mut spans = 0usize;
@@ -1055,6 +927,7 @@ fn cmd_trace_check(flags: &HashMap<String, String>) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -1094,6 +967,187 @@ mod tests {
             run(&s(&["optimize", "--workload", "unet", "--objective", "wishful"])),
             Err(CliError::Usage(_))
         ));
+    }
+
+    /// The `--flags` each subcommand's stanza of the USAGE synopsis
+    /// names (the two `optimize` stanzas together).
+    fn usage_stanzas() -> BTreeMap<String, BTreeSet<String>> {
+        let synopsis = USAGE.split("WORKLOADS:").next().unwrap();
+        let mut stanzas: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        let mut cmd = String::new();
+        for line in synopsis.lines() {
+            if let Some(rest) = line.strip_prefix("  magis ") {
+                cmd = rest.split_whitespace().next().unwrap().to_string();
+            }
+            if cmd.is_empty() || cmd.starts_with("--") {
+                continue;
+            }
+            let named = line
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|word| word.strip_prefix("--"));
+            stanzas.entry(cmd.clone()).or_default().extend(named.map(str::to_string));
+        }
+        stanzas
+    }
+
+    #[test]
+    fn usage_names_exactly_the_flags_each_subcommand_accepts() {
+        let stanzas = usage_stanzas();
+        assert_eq!(stanzas.len(), 10, "{:?}", stanzas.keys());
+        for (cmd, named) in &stanzas {
+            let accepted: BTreeSet<String> = command(cmd)
+                .unwrap_or_else(|| panic!("USAGE documents unknown subcommand '{cmd}'"))
+                .0
+                .iter()
+                .flat_map(|table| table.iter().map(|f| f.to_string()))
+                .collect();
+            assert_eq!(&accepted, named, "magis {cmd}: parser (left) vs USAGE (right)");
+        }
+    }
+
+    #[test]
+    fn a_typo_or_a_bad_value_is_a_usage_error_on_every_subcommand() {
+        let cases: &[&[&str]] = &[
+            &["list", "--verbose", "1"],
+            &["inspect", "--workload", "unet", "--sclae", "0.1"],
+            &["optimize", "--workload", "unet", "--budgte-ms", "100"],
+            &["optimize", "--workload", "unet", "--budget-ms", "soon"],
+            &["optimize", "--workload", "unet", "--client", "me"],
+            &["optimize", "--workload", "unet", "--mode", "vibes"],
+            &["baseline", "--workload", "unet", "--system", "dtr", "--budget-ratoi", "0.5"],
+            &["baseline", "--workload", "unet", "--system", "dtr", "--budget-ratio", "half"],
+            &["serve", "--wrokers", "2"],
+            &["serve", "--workers", "two"],
+            &["submit", "--addr", "127.0.0.1:1", "--workload", "unet", "--max-candidate", "4"],
+            &["submit", "--addr", "127.0.0.1:1", "--workload", "unet", "--threads", "two"],
+            &["submit", "--addr", "127.0.0.1:1", "--workload", "unet", "--backend", "abacus"],
+            &["submit", "--addr", "127.0.0.1:1", "--workload", "unet", "--paranoia", "all"],
+            &["watch", "--addr", "127.0.0.1:1", "--di", "1"],
+            &["watch", "--addr", "127.0.0.1:1", "--id", "seven"],
+            &["top", "--addr", "127.0.0.1:1", "--iteration", "1"],
+            &["top", "--addr", "127.0.0.1:1", "--iterations", "x"],
+            &["metrics", "--adr", "127.0.0.1:1"],
+            &["trace-check", "--trase", "/tmp/x.jsonl"],
+            &["--backend-lits"],
+            &["optimize", "--workload", "unet", "--budget-ms"],
+            &["optimize", "workload", "unet"],
+        ];
+        for case in cases {
+            assert!(matches!(run(&s(case)), Err(CliError::Usage(_))), "{case:?}");
+        }
+    }
+
+    /// What `optimize` would run for `flags`, run.
+    fn optimize_result(flags: &[&str]) -> OptimizeResult {
+        let table = command("optimize").unwrap().0;
+        let (_, _, search) = optimize_search(&Args::parse(&s(flags), table, SWITCHES).unwrap())
+            .unwrap_or_else(|_| panic!("{flags:?} builds a search"));
+        search.run().unwrap()
+    }
+
+    #[test]
+    fn optimize_and_the_daemon_run_the_same_search_for_the_same_flags() {
+        let flags = [
+            "--workload", "unet", "--scale", "0.1", "--mode", "latency", "--limit", "0.9",
+            "--objective", "planned", "--driver", "mcts", "--max-candidates", "60", "--threads", "1",
+        ];
+        let here = optimize_result(&flags);
+        // `submit` sends exactly this spec; the daemon runs it with `run_job`.
+        let spec = job_spec(&Args::parse(&s(&flags), command("submit").unwrap().0, SWITCHES).unwrap(), 1)
+            .unwrap();
+        let dir = std::env::temp_dir().join(format!("magis_cli_same_search_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let there = magis_serve::job::run_job(&spec, &dir, Default::default(), None).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            (here.best.eval.peak_bytes, here.best.eval.latency.to_bits()),
+            (there.peak_bytes, there.latency.to_bits())
+        );
+        assert_eq!(
+            (here.stats.evaluated as u64, here.stats.expanded as u64),
+            (there.evaluated, there.expanded)
+        );
+        assert!(here.stats.evaluated >= 60, "the cap was the stop");
+    }
+
+    #[test]
+    fn fresh_resumed_and_daemon_runs_of_one_spec_search_under_one_objective() {
+        let dir = std::env::temp_dir().join(format!("magis_cli_one_objective_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join(magis_serve::journal::CKPT_FILE);
+        // Latency mode under the planned objective: the limit is a
+        // fraction of a peak, and the seed's two peaks differ.
+        let flags = s(&[
+            "--workload", "unet", "--scale", "0.1", "--mode", "latency", "--objective", "planned",
+            "--max-candidates", "12", "--threads", "1", "--checkpoint", ckpt.to_str().unwrap(),
+        ]);
+        let table = command("optimize").unwrap().0;
+        let (spec, backend, fresh) =
+            optimize_search(&Args::parse(&flags, table, SWITCHES).unwrap()).unwrap();
+        let Seed::Fresh(init) = &fresh.seed else { panic!("no --resume, no checkpoint") };
+        assert_ne!(init.cost().0, init.eval.peak_bytes, "planned and liveness peaks differ");
+        let objective = fresh.cfg.objective;
+        assert_eq!(
+            objective,
+            magis_core::optimizer::Objective::MinLatency {
+                mem_limit: (init.cost().0 as f64 * 0.8) as u64
+            }
+        );
+        fresh.run().unwrap();
+
+        let mut resume = flags.clone();
+        resume.extend(s(&["--resume", ckpt.to_str().unwrap()]));
+        let (_, _, resumed) =
+            optimize_search(&Args::parse(&resume, table, SWITCHES).unwrap()).unwrap();
+        assert!(matches!(resumed.seed, Seed::Resumed(_)));
+        assert_eq!(resumed.cfg.objective, objective, "optimize --resume");
+        // The daemon: a new job, and the same job found journaled with
+        // a checkpoint after a crash.
+        let new_job = Search::build(&spec, &backend, None).unwrap();
+        assert_eq!(new_job.cfg.objective, objective, "run_job, fresh");
+        let replayed = Search::build(&spec, &backend, Some(&ckpt)).unwrap();
+        assert_eq!(replayed.cfg.objective, objective, "run_job, resumed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_parent_written_checkpoint_resumes_to_the_parents_result_through_both_doors() {
+        // Written by PR 16's `magis optimize --workload unet --scale 0.1
+        // --max-candidates 40 --threads 1 --checkpoint F`; PR 16's
+        // `magis optimize --resume F --max-candidates 120 --threads 1`
+        // ended at the figures below (its own final checkpoint).
+        let fixture =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/pr16_unet_cap40.ckpt");
+        let want = ((45_921_476, 0x3f61_4507_7ad3_fbe6), (139, 3));
+        let here =
+            optimize_result(&["--resume", fixture, "--max-candidates", "120", "--threads", "1"]);
+        assert!(here.stats.resumed);
+        assert_eq!(
+            ((here.best.eval.peak_bytes, here.best.eval.latency.to_bits()),
+             (here.stats.evaluated, here.stats.expanded)),
+            want
+        );
+        // The daemon finds the same file in a job directory.
+        let dir = std::env::temp_dir().join(format!("magis_cli_parent_ckpt_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::copy(fixture, dir.join(magis_serve::journal::CKPT_FILE)).unwrap();
+        let spec = JobSpec {
+            workload: Some("unet".into()),
+            scale: 0.1,
+            max_candidates: Some(120),
+            ..JobSpec::default()
+        };
+        let there = magis_serve::job::run_job(&spec, &dir, Default::default(), None).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(there.resumed);
+        assert_eq!(
+            ((there.peak_bytes, there.latency.to_bits()),
+             (there.evaluated as usize, there.expanded as usize)),
+            want
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`codegen`] — the PyTorch code-generation backend (§7.1).
 //!
 //! ```
-//! use magis_core::optimizer::{optimize_memory, Objective, OptimizerConfig};
+//! use magis_core::optimizer::{optimize_memory, OptimizerConfig};
 //! use magis_graph::builder::GraphBuilder;
 //! use magis_graph::tensor::DType;
 //! use std::time::Duration;
@@ -31,7 +31,7 @@
 //!     cur = b.relu(h);
 //! }
 //! let g = b.finish();
-//! let cfg = OptimizerConfig::new(Objective::MinMemory { lat_limit: f64::MAX })
+//! let cfg = OptimizerConfig::default()
 //!     .with_budget(Duration::from_millis(300))
 //!     .with_max_evals(40);
 //! let res = optimize_memory(g, 1.25, &cfg);

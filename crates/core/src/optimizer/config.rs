@@ -28,6 +28,25 @@ pub enum Objective {
 }
 
 impl Objective {
+    /// The paper's way of stating a search, relative to the unoptimized
+    /// graph: `mode` `"memory"` minimises peak memory under `limit` ×
+    /// the seed's latency (§7.2.1, default 1.10), `"latency"` minimises
+    /// latency under `limit` × the seed's peak memory (§7.2.2, default
+    /// 0.8). `seed_cost` is the seed's [`crate::state::MState::cost`] —
+    /// the figure the search compares against the limit under either
+    /// memory objective. `None` for any other mode.
+    pub fn relative(mode: &str, limit: Option<f64>, seed_cost: (u64, f64)) -> Option<Objective> {
+        match mode {
+            "memory" => {
+                Some(Objective::MinMemory { lat_limit: seed_cost.1 * limit.unwrap_or(1.10) })
+            }
+            "latency" => Some(Objective::MinLatency {
+                mem_limit: (seed_cost.0 as f64 * limit.unwrap_or(0.8)) as u64,
+            }),
+            _ => None,
+        }
+    }
+
     /// Lexicographic key: smaller is better (`BetterThan`, Algorithm 3
     /// line 1, and its symmetric counterpart).
     pub(crate) fn key(&self, mem: u64, lat: f64) -> (f64, f64) {
@@ -301,11 +320,13 @@ pub struct OptimizerConfig {
     pub driver: DriverKind,
 }
 
-impl OptimizerConfig {
-    /// Defaults matching the paper's settings, for the given objective.
-    pub fn new(objective: Objective) -> Self {
+impl Default for OptimizerConfig {
+    /// The paper's settings, minimising peak memory with no latency
+    /// bound — the base [`super::optimize_memory`] and
+    /// [`super::optimize_latency`] put their relative objective on.
+    fn default() -> Self {
         OptimizerConfig {
-            objective,
+            objective: Objective::MinMemory { lat_limit: f64::INFINITY },
             budget: Duration::from_secs(10),
             max_evals: usize::MAX,
             max_level: 4,
@@ -325,6 +346,13 @@ impl OptimizerConfig {
             progress: None,
             driver: DriverKind::default(),
         }
+    }
+}
+
+impl OptimizerConfig {
+    /// Defaults matching the paper's settings, for the given objective.
+    pub fn new(objective: Objective) -> Self {
+        OptimizerConfig { objective, ..OptimizerConfig::default() }
     }
 
     /// Replaces the time budget.

@@ -259,20 +259,21 @@ fn run_search(
 
 /// Convenience: optimize for minimum memory with a relative latency
 /// budget `lat_factor` × the unoptimized latency (the §7.2.1 setting).
+/// `cfg_base.objective` is replaced.
 pub fn optimize_memory(g: Graph, lat_factor: f64, cfg_base: &OptimizerConfig) -> OptimizeResult {
-    let init = MState::initial(g, &cfg_base.ctx);
-    let mut cfg = cfg_base.clone();
-    cfg.objective = Objective::MinMemory { lat_limit: init.eval.latency * lat_factor };
-    optimize_from(init, &cfg)
+    optimize_relative(g, "memory", lat_factor, cfg_base)
 }
 
 /// Convenience: optimize for minimum latency with a relative memory
 /// budget `mem_factor` × the unoptimized peak (the §7.2.2 setting).
+/// `cfg_base.objective` is replaced.
 pub fn optimize_latency(g: Graph, mem_factor: f64, cfg_base: &OptimizerConfig) -> OptimizeResult {
+    optimize_relative(g, "latency", mem_factor, cfg_base)
+}
+
+fn optimize_relative(g: Graph, mode: &str, limit: f64, cfg_base: &OptimizerConfig) -> OptimizeResult {
     let init = MState::initial(g, &cfg_base.ctx);
     let mut cfg = cfg_base.clone();
-    cfg.objective = Objective::MinLatency {
-        mem_limit: (init.eval.peak_bytes as f64 * mem_factor) as u64,
-    };
+    cfg.objective = Objective::relative(mode, Some(limit), init.cost()).expect("a known mode");
     optimize_from(init, &cfg)
 }

@@ -25,7 +25,7 @@ use magis_sched::{
 };
 pub use magis_sched::schedule::place_swaps;
 use magis_sim::{
-    Backend, CostError, CostModel, Lifetimes, MemObjective, MemoryPlan, PerfCache, UncachedCost,
+    Backend, CostError, CostModel, Lifetimes, MemObjective, MemoryPlan, PerfCache,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -140,17 +140,17 @@ impl EvalContext {
         Self::with_cost(CostModel::for_backend(backend))
     }
 
-    /// A memoization-free [`magis_sim::NodeCost`] view over the
-    /// context's latency source — the independent recomputation path
+    /// The context's cost model itself, a [`magis_sim::NodeCost`] that
+    /// bypasses the cache — the independent recomputation path
     /// for cross-checks, so a corrupted cache entry cannot corroborate
     /// itself.
-    pub fn cost(&self) -> UncachedCost<'_> {
+    pub fn cost(&self) -> &CostModel {
         self.perf.uncached()
     }
 
     /// Registry name of the backend this context evaluates under.
     pub fn backend_name(&self) -> &str {
-        self.perf.source().backend_name()
+        self.cost().backend().name()
     }
 }
 

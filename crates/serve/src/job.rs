@@ -1,12 +1,17 @@
-//! Running one job: spec → search → bit-exact result.
+//! From a job spec to a search, and running one job: spec → search →
+//! bit-exact result.
 //!
-//! Jobs run `magis_core::optimizer` with the service's supervision
-//! hooks attached: a [`SearchBudget`] carrying the deadline and
-//! candidate cap, a [`CancelToken`] for cooperative cancellation and
-//! heartbeat, and a frontier [`CheckpointPolicy`] writing into the
-//! job's journal directory. A checkpoint already present in the
-//! directory means the previous daemon died mid-job: the run resumes
-//! from it trajectory-exactly instead of starting over.
+//! [`Search::build`] is the one place a [`JobSpec`] becomes what
+//! `magis_core::optimizer` runs — the seed (a fresh evaluation or a
+//! checkpoint), the objective relative to the seed's cost, and the
+//! [`OptimizerConfig`]. `magis optimize` and [`run_job`] both call it
+//! and then add only what is their own. For the daemon that is the
+//! service's supervision hooks: a [`CancelToken`] for cooperative
+//! cancellation and heartbeat, a progress sink, and a frontier
+//! [`CheckpointPolicy`] writing into the job's journal directory. A
+//! checkpoint already present in the directory means the previous
+//! daemon died mid-job: the run resumes from it trajectory-exactly
+//! instead of starting over.
 
 use crate::journal::CKPT_FILE;
 use crate::protocol::{fnv1a, JobResult, JobSpec};
@@ -30,77 +35,119 @@ pub fn workload_by_name(name: &str) -> Result<Workload, String> {
     Workload::parse(name).ok_or_else(|| format!("unknown workload '{}'", name.to_lowercase()))
 }
 
-fn backend_for(spec: &JobSpec) -> Result<Backend, String> {
+/// Resolves a backend name (unset = the default profile) against the
+/// built-in registry.
+pub fn backend_for(name: Option<&str>) -> Result<Backend, String> {
     let reg = BackendRegistry::builtin();
-    let name = spec.backend.as_deref().unwrap_or(DEFAULT_BACKEND);
+    let name = name.unwrap_or(DEFAULT_BACKEND);
     reg.get(name)
         .cloned()
         .ok_or_else(|| format!("unknown backend '{name}' (available: {})", reg.names().join(", ")))
 }
 
-fn objective_for(spec: &JobSpec, seed_cost: (u64, f64)) -> Result<Objective, String> {
-    match spec.mode.as_str() {
-        "memory" => Ok(Objective::MinMemory {
-            lat_limit: seed_cost.1 * spec.limit.unwrap_or(1.10),
-        }),
-        "latency" => Ok(Objective::MinLatency {
-            mem_limit: (seed_cost.0 as f64 * spec.limit.unwrap_or(0.8)) as u64,
-        }),
-        other => Err(format!("unknown mode '{other}'")),
-    }
+/// Resolves a strategy name (unset = the optimizer's default).
+pub fn driver_for(name: Option<&str>) -> Result<DriverKind, String> {
+    name.map_or(Ok(DriverKind::default()), |n| {
+        DriverKind::parse(n).ok_or_else(|| format!("unknown strategy '{n}' (expected greedy|mcts)"))
+    })
 }
 
-fn config_for(
-    spec: &JobSpec,
-    objective: Objective,
-    backend: &Backend,
-    dir: &Path,
-    token: CancelToken,
-    progress: Option<Arc<dyn ProgressSink>>,
-) -> OptimizerConfig {
-    let mut budget = SearchBudget::UNLIMITED;
-    if let Some(ms) = spec.wall_limit_ms {
-        budget = budget.with_wall_limit(Duration::from_millis(ms));
-    }
-    if let Some(n) = spec.max_candidates {
-        budget = budget.with_candidate_limit(n);
-    }
-    // The strategy string was validated at the protocol boundary
-    // (`JobSpec::from_json` rejects unknown names); unset means the
-    // optimizer default. Crash-recovery resumes ignore this: the
-    // checkpoint is driver-tagged and restores its own engine.
-    let driver = spec
-        .strategy
-        .as_deref()
-        .and_then(DriverKind::parse)
-        .unwrap_or_default();
-    let mut cfg = OptimizerConfig::new(objective)
-        .with_budget(Duration::from_millis(spec.budget_ms))
-        .with_threads(spec.threads)
-        .with_driver(driver)
-        .with_search_budget(budget)
-        .with_cancel(token)
-        .with_checkpoint(
-            CheckpointPolicy::new(dir.join(CKPT_FILE))
-                .with_every(spec.checkpoint_every)
-                .with_frontier(true),
-        );
-    if let Some(cap) = spec.eval_cache {
-        cfg = cfg.with_eval_cache(cap);
-    }
-    if let Some(sink) = progress {
-        cfg = cfg.with_progress(sink);
-    }
-    cfg.ctx = context_for(spec, backend);
-    cfg
+/// The mode's objective, its limit stated against `seed_cost` (see
+/// [`Objective::relative`]).
+pub fn objective_for(spec: &JobSpec, seed_cost: (u64, f64)) -> Result<Objective, String> {
+    Objective::relative(&spec.mode, spec.limit, seed_cost)
+        .ok_or_else(|| format!("unknown mode '{}' (expected memory|latency)", spec.mode))
 }
 
-/// The evaluation context of a job's search — and of the seed
-/// evaluation its relative objective is derived from.
-fn context_for(spec: &JobSpec, backend: &Backend) -> EvalContext {
-    let mut ctx = EvalContext::for_backend(backend);
-    ctx.mem_objective = spec.objective;
-    ctx
+/// Where a search starts.
+#[derive(Debug)]
+pub enum Seed {
+    /// The spec's graph, evaluated under the search's own context.
+    Fresh(MState),
+    /// A checkpoint of an earlier run of the same spec.
+    Resumed(SearchCheckpoint),
+}
+
+/// One search, ready to run: what a [`JobSpec`] asks for, in the terms
+/// `magis_core::optimizer` takes it.
+#[derive(Debug)]
+pub struct Search {
+    /// Where the search starts.
+    pub seed: Seed,
+    /// What the spec asks for. Callers add what is their own
+    /// (supervision hooks, checkpoint policy, invariant level) before
+    /// [`Self::run`].
+    pub cfg: OptimizerConfig,
+}
+
+impl Search {
+    /// Builds the search `spec` describes on `backend` (the spec's
+    /// [`backend_for`], possibly refit by the caller): continuing the
+    /// checkpoint at `resume_from`, or from the spec's own graph
+    /// evaluated afresh. The mode's limit is stated against the seed's
+    /// [`MState::cost`] — the figure the search compares with it, and
+    /// the `seed_cost` a checkpoint carries — so a fresh run, its
+    /// resumption and the daemon's run of one spec search under
+    /// bit-equal objectives.
+    pub fn build(
+        spec: &JobSpec,
+        backend: &Backend,
+        resume_from: Option<&Path>,
+    ) -> Result<Search, String> {
+        let mut ctx = EvalContext::for_backend(backend);
+        ctx.mem_objective = spec.objective;
+        let seed = match resume_from {
+            // The checkpoint is driver-tagged and restores its own
+            // engine, whatever strategy the spec names.
+            Some(path) => Seed::Resumed(
+                SearchCheckpoint::read_from(path).map_err(|e| format!("loading checkpoint: {e}"))?,
+            ),
+            None => {
+                let graph = match (&spec.workload, &spec.graph) {
+                    (Some(name), _) => workload_by_name(name)?.build(spec.scale).graph,
+                    (None, Some(record)) => magis_graph::io::from_record(record)
+                        .map_err(|e| format!("parsing graph record: {e}"))?,
+                    (None, None) => return Err("a job needs either 'workload' or 'graph'".into()),
+                };
+                Seed::Fresh(
+                    MState::try_initial(graph, &ctx)
+                        .map_err(|e| format!("evaluating the seed graph: {e}"))?,
+                )
+            }
+        };
+        let seed_cost = match &seed {
+            Seed::Fresh(init) => init.cost(),
+            Seed::Resumed(ckpt) => ckpt.seed_cost,
+        };
+        let objective = objective_for(spec, seed_cost)?;
+        let mut budget = SearchBudget::UNLIMITED;
+        if let Some(ms) = spec.wall_limit_ms {
+            budget = budget.with_wall_limit(Duration::from_millis(ms));
+        }
+        if let Some(n) = spec.max_candidates {
+            budget = budget.with_candidate_limit(n);
+        }
+        let mut cfg = OptimizerConfig::new(objective)
+            .with_budget(Duration::from_millis(spec.budget_ms))
+            .with_threads(spec.threads)
+            .with_driver(driver_for(spec.strategy.as_deref())?)
+            .with_search_budget(budget);
+        if let Some(cap) = spec.eval_cache {
+            cfg = cfg.with_eval_cache(cap);
+        }
+        cfg.ctx = ctx;
+        Ok(Search { seed, cfg })
+    }
+
+    /// Runs the search to its stop reason.
+    pub fn run(self) -> Result<OptimizeResult, String> {
+        match self.seed {
+            Seed::Fresh(init) => Ok(optimize_from(init, &self.cfg)),
+            Seed::Resumed(ckpt) => {
+                optimizer::resume(&ckpt, &self.cfg).map_err(|e| format!("resuming: {e}"))
+            }
+        }
+    }
 }
 
 /// Digest of the deterministic timeline fields — identical for two
@@ -147,31 +194,19 @@ pub fn run_job(
     token: CancelToken,
     progress: Option<Arc<dyn ProgressSink>>,
 ) -> Result<JobResult, String> {
-    let backend = backend_for(spec)?;
     let ckpt_path = dir.join(CKPT_FILE);
-
-    if ckpt_path.exists() {
-        // Crash recovery: continue the interrupted search exactly
-        // where its last checkpoint left it.
-        let ckpt = SearchCheckpoint::read_from(&ckpt_path)
-            .map_err(|e| format!("loading checkpoint: {e}"))?;
-        let objective = objective_for(spec, ckpt.seed_cost)?;
-        let cfg = config_for(spec, objective, &backend, dir, token, progress);
-        let res = optimizer::resume(&ckpt, &cfg).map_err(|e| format!("resuming: {e}"))?;
-        return Ok(result_from(&res));
+    // Crash recovery: a checkpoint in the job directory continues the
+    // interrupted search exactly where it left it.
+    let resume_from = ckpt_path.exists().then_some(ckpt_path.as_path());
+    let backend = backend_for(spec.backend.as_deref())?;
+    let mut search = Search::build(spec, &backend, resume_from)?;
+    search.cfg = search.cfg.with_cancel(token).with_checkpoint(
+        CheckpointPolicy::new(&ckpt_path).with_every(spec.checkpoint_every).with_frontier(true),
+    );
+    if let Some(sink) = progress {
+        search.cfg = search.cfg.with_progress(sink);
     }
-
-    let graph = match (&spec.workload, &spec.graph) {
-        (Some(name), _) => workload_by_name(name)?.build(spec.scale).graph,
-        (None, Some(record)) => magis_graph::io::from_record(record)
-            .map_err(|e| format!("parsing graph record: {e}"))?,
-        (None, None) => return Err("a job needs either 'workload' or 'graph'".into()),
-    };
-    let init = MState::try_initial(graph, &context_for(spec, &backend))
-        .map_err(|e| format!("evaluating the seed graph: {e}"))?;
-    let objective = objective_for(spec, init.cost())?;
-    let cfg = config_for(spec, objective, &backend, dir, token, progress);
-    Ok(result_from(&optimize_from(init, &cfg)))
+    Ok(result_from(&search.run()?))
 }
 
 #[cfg(test)]
@@ -186,15 +221,20 @@ mod tests {
     }
 
     #[test]
-    fn objective_requires_known_mode() {
-        let mut s = JobSpec { workload: Some("unet".into()), ..JobSpec::default() };
-        s.mode = "vibes".into();
-        assert!(objective_for(&s, (100, 1.0)).is_err());
-        s.mode = "latency".into();
-        assert!(matches!(
-            objective_for(&s, (100, 1.0)).unwrap(),
-            Objective::MinLatency { mem_limit: 80 }
-        ));
+    fn a_spec_naming_something_unknown_does_not_validate() {
+        let ok = JobSpec { workload: Some("unet".into()), ..JobSpec::default() };
+        assert_eq!(ok.validate(), Ok(()));
+        for (bad, what) in [
+            (JobSpec { mode: "vibes".into(), ..ok.clone() }, "unknown mode"),
+            (JobSpec { workload: Some("hal9000".into()), ..ok.clone() }, "unknown workload"),
+            (JobSpec { backend: Some("abacus".into()), ..ok.clone() }, "unknown backend"),
+            (JobSpec { strategy: Some("quantum".into()), ..ok.clone() }, "unknown strategy"),
+        ] {
+            let err = bad.validate().unwrap_err();
+            assert!(err.contains(what), "{err}");
+            let wire = magis_obs::json::Json::parse(&bad.to_json().render()).unwrap();
+            assert_eq!(JobSpec::from_json(&wire), Err(err), "the boundary runs the same check");
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub use client::{Client, ServeError, WaitOutcome};
 pub use protocol::{JobResult, JobSpec};
 pub use server::{Server, ServerHandle};
 
+use magis_util::args::Args;
 use std::path::PathBuf;
 
 /// Daemon configuration; every field has a serviceable default.
@@ -87,5 +88,33 @@ impl Default for ServeConfig {
             result_cache: 64,
             port_file: None,
         }
+    }
+}
+
+impl ServeConfig {
+    /// The `--name value` flags [`Self::from_args`] reads, for the flag
+    /// table of a command that starts a daemon.
+    pub const FLAGS: &'static [&'static str] = &[
+        "addr", "state-dir", "workers", "queue-capacity", "client-cap", "retry-cap",
+        "backoff-base-ms", "drain-timeout-ms", "stall-after-ms", "result-cache", "port-file",
+    ];
+
+    /// The configuration `magis serve` and `magis-served` run under:
+    /// the defaults, with each field replaced by its flag when given.
+    pub fn from_args(args: &Args) -> Result<ServeConfig, String> {
+        let d = ServeConfig::default();
+        Ok(ServeConfig {
+            addr: args.value_or("addr", d.addr)?,
+            state_dir: args.value_or("state-dir", d.state_dir)?,
+            workers: args.value_or("workers", d.workers)?.max(1),
+            queue_capacity: args.value_or("queue-capacity", d.queue_capacity)?,
+            client_cap: args.value_or("client-cap", d.client_cap)?,
+            retry_cap: args.value_or("retry-cap", d.retry_cap)?,
+            backoff_base_ms: args.value_or("backoff-base-ms", d.backoff_base_ms)?,
+            drain_timeout_ms: args.value_or("drain-timeout-ms", d.drain_timeout_ms)?,
+            stall_after_ms: args.value_or("stall-after-ms", d.stall_after_ms)?,
+            result_cache: args.value_or("result-cache", d.result_cache)?,
+            port_file: args.value("port-file")?,
+        })
     }
 }

@@ -29,7 +29,7 @@
 //! between expansions, heartbeat frames carry the eval-beat count from
 //! the search's [`CancelToken`](magis_core::CancelToken).
 
-use magis_core::driver::DriverKind;
+use crate::job::{backend_for, driver_for, objective_for, workload_by_name};
 use magis_obs::json::Json;
 use magis_sim::MemObjective;
 
@@ -206,16 +206,28 @@ impl JobSpec {
                 (v.as_u64().ok_or("checkpoint_every must be an integer")? as usize).max(1);
         }
         if let Some(v) = get("strategy") {
-            let name = v.as_str().ok_or("strategy must be a string")?;
-            if DriverKind::parse(name).is_none() {
-                return Err(format!("unknown strategy '{name}' (expected greedy|mcts)"));
-            }
-            s.strategy = Some(name.to_string());
+            s.strategy = Some(v.as_str().ok_or("strategy must be a string")?.to_string());
         }
         if s.workload.is_none() && s.graph.is_none() {
             return Err("a job needs either 'workload' or 'graph'".into());
         }
+        s.validate()?;
         Ok(s)
+    }
+
+    /// Checks every name the spec carries — mode, workload, backend,
+    /// strategy — against the tables that resolve them. A spec that
+    /// fails here fails the same way on every attempt, so the CLI
+    /// refuses it before connecting and [`Self::from_json`] before
+    /// admission: it is never journaled or retried.
+    pub fn validate(&self) -> Result<(), String> {
+        objective_for(self, (0, 0.0))?;
+        if let Some(name) = &self.workload {
+            workload_by_name(name)?;
+        }
+        backend_for(self.backend.as_deref())?;
+        driver_for(self.strategy.as_deref())?;
+        Ok(())
     }
 
     /// Result-cache identity: an FNV-1a hash of the canonical rendering

@@ -4,16 +4,17 @@
 //! The optimizer evaluates thousands of candidate graphs; most share
 //! operator signatures (op kind + input shapes), so per-op latencies
 //! are memoized here. On the paper's system the cache stores *measured*
-//! kernel times; in this reproduction it fronts an [`OpCost`] source —
-//! usually the analytic [`CostModel`] for some registry backend, which
-//! plays the role of the profiler.
+//! kernel times; in this reproduction it fronts the analytic
+//! [`CostModel`] for some registry backend, which plays the role of the
+//! profiler. The model is pure per operator signature (same op + shapes
+//! → the same `f64` bits): the cache stores first answers forever, and
+//! the optimizer's determinism contract rides on replays matching.
 
 use magis_graph::GraphView;
 use crate::backend::Backend;
 use crate::cost::CostModel;
 use crate::device::DeviceSpec;
 use magis_graph::graph::{Graph, NodeId};
-use magis_graph::op::OpKind;
 use magis_graph::tensor::TensorMeta;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -21,51 +22,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// A source of per-operator-signature latencies: the memoizable seam
-/// [`PerfCache`] fronts. Distinct from [`crate::NodeCost`], which is
-/// per graph *node* — an `OpCost` sees only the op and its shapes, so
-/// its answers are cacheable across candidate graphs.
-///
-/// Implementations must be pure per signature (same op + shapes → the
-/// same `f64` bits): the cache stores first answers forever, and the
-/// optimizer's determinism contract rides on replays matching.
-pub trait OpCost: Send + Sync + std::fmt::Debug {
-    /// Latency in seconds of one execution of `op` on the given shapes
-    /// (no fission repeat applied).
-    fn op_latency(&self, op: &OpKind, inputs: &[TensorMeta], output: &TensorMeta) -> f64;
-
-    /// The device the latencies model.
-    fn device(&self) -> &DeviceSpec;
-
-    /// Registry name of the backend the latencies come from. Defaults
-    /// to the device name.
-    fn backend_name(&self) -> &str {
-        self.device().name
-    }
-}
-
-impl OpCost for CostModel {
-    fn op_latency(&self, op: &OpKind, inputs: &[TensorMeta], output: &TensorMeta) -> f64 {
-        CostModel::op_latency(self, op, inputs, output)
-    }
-
-    fn device(&self) -> &DeviceSpec {
-        CostModel::device(self)
-    }
-
-    fn backend_name(&self) -> &str {
-        self.backend().name()
-    }
-}
-
-/// Memoizing wrapper over an [`OpCost`] source.
+/// Memoizing wrapper over a [`CostModel`].
 ///
 /// The cache is `Sync` (interior mutability via a mutex plus atomic
 /// counters) so one instance can be shared by the parallel optimizer's
 /// evaluation workers.
 #[derive(Debug)]
 pub struct PerfCache {
-    source: Box<dyn OpCost>,
+    model: CostModel,
     cache: Mutex<HashMap<u64, f64>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -80,7 +44,12 @@ impl Default for PerfCache {
 impl PerfCache {
     /// Creates a cache fronting the analytic `model`.
     pub fn new(model: CostModel) -> Self {
-        PerfCache::from_source(Box::new(model))
+        PerfCache {
+            model,
+            cache: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
     }
 
     /// Creates a cache fronting the analytic model for a registry
@@ -89,28 +58,12 @@ impl PerfCache {
         PerfCache::new(CostModel::for_backend(backend))
     }
 
-    /// Creates a cache fronting an arbitrary latency source (e.g. a
-    /// table of measured kernel times).
-    pub fn from_source(source: Box<dyn OpCost>) -> Self {
-        PerfCache {
-            source,
-            cache: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// The underlying latency source.
-    pub fn source(&self) -> &dyn OpCost {
-        self.source.as_ref()
-    }
-
-    /// A [`NodeCost`](crate::NodeCost) view over the raw source that
+    /// The model itself, as a [`NodeCost`](crate::NodeCost) that
     /// bypasses memoization — the independent recomputation path the
     /// optimizer's paranoia cross-check uses, so a corrupted cache
     /// entry cannot corroborate itself.
-    pub fn uncached(&self) -> UncachedCost<'_> {
-        UncachedCost { source: self.source.as_ref() }
+    pub fn uncached(&self) -> &CostModel {
+        &self.model
     }
 
     fn signature(g: &Graph, v: NodeId) -> u64 {
@@ -136,7 +89,7 @@ impl PerfCache {
         let n = g.node(v);
         let inputs: Vec<TensorMeta> =
             n.inputs().iter().map(|&i| g.node(i).meta.clone()).collect();
-        let t = self.source.op_latency(&n.op, &inputs, &n.meta);
+        let t = self.model.op_latency(&n.op, &inputs, &n.meta);
         self.cache.lock().unwrap().insert(sig, t);
         t
     }
@@ -144,16 +97,6 @@ impl PerfCache {
     /// Node latency including the fission repeat multiplier.
     pub fn node_latency(&self, g: &Graph, v: NodeId) -> f64 {
         self.op_latency(g, v) * g.node(v).cost_repeat as f64
-    }
-
-    /// [`Self::node_latency`] validated like
-    /// [`CostModel::node_latency_checked`](crate::CostModel::node_latency_checked).
-    pub fn node_latency_checked(
-        &self,
-        g: &Graph,
-        v: NodeId,
-    ) -> Result<f64, crate::cost::CostError> {
-        crate::cost::NodeCost::node_latency_checked(self, g, v)
     }
 
     /// `(hits, misses)` counters.
@@ -178,35 +121,11 @@ impl crate::cost::NodeCost for PerfCache {
     }
 
     fn device(&self) -> &DeviceSpec {
-        self.source.device()
+        self.model.device()
     }
 
     fn backend_name(&self) -> &str {
-        self.source.backend_name()
-    }
-}
-
-/// Borrowed memoization-free [`NodeCost`](crate::NodeCost) view over a
-/// [`PerfCache`]'s source; see [`PerfCache::uncached`].
-#[derive(Debug, Clone, Copy)]
-pub struct UncachedCost<'a> {
-    source: &'a dyn OpCost,
-}
-
-impl crate::cost::NodeCost for UncachedCost<'_> {
-    fn node_latency(&self, g: &Graph, v: NodeId) -> f64 {
-        let n = g.node(v);
-        let inputs: Vec<TensorMeta> =
-            n.inputs().iter().map(|&i| g.node(i).meta.clone()).collect();
-        self.source.op_latency(&n.op, &inputs, &n.meta) * n.cost_repeat as f64
-    }
-
-    fn device(&self) -> &DeviceSpec {
-        self.source.device()
-    }
-
-    fn backend_name(&self) -> &str {
-        self.source.backend_name()
+        self.model.backend().name()
     }
 }
 

@@ -6,6 +6,8 @@
 //! used are reimplemented here, alongside the fan-out primitive the
 //! parallel M-Optimizer needs:
 //!
+//! * [`args`] — the one argv reader ([`args::Args`]) behind `magis`,
+//!   `magis-served` and the experiment binaries,
 //! * [`rng`] — a SplitMix64-based [`rng::SmallRng`] with the familiar
 //!   `seed_from_u64` / `gen_range` / `gen_bool` surface,
 //! * [`prop`] — a miniature property-testing harness (the
@@ -17,6 +19,7 @@
 //!   ([`fault::FaultPlan`]) used to harden and test the search
 //!   pipeline against panicking rewrites and garbage costs.
 
+pub mod args;
 pub mod fault;
 pub mod parallel;
 pub mod prop;

@@ -1,12 +1,12 @@
 //! `magis-served` — the standalone supervision daemon binary.
 //!
-//! A thin argument parser around [`magis_serve::Server`]; the CLI's
-//! `magis serve` subcommand exposes the same knobs. Kept as its own
+//! [`ServeConfig::from_args`] in front of [`magis_serve::Server`]; the
+//! CLI's `magis serve` subcommand reads the same flags the same way. Kept as its own
 //! binary so tests can `kill -9` a real process and exercise journal
 //! replay without going through the full CLI.
 
 use magis_serve::{ServeConfig, Server};
-use std::path::PathBuf;
+use magis_util::args::Args;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -17,53 +17,35 @@ USAGE:
                  [--queue-capacity N] [--client-cap N] [--retry-cap N]
                  [--backoff-base-ms MS] [--drain-timeout-ms MS]
                  [--stall-after-ms MS] [--result-cache N]
-                 [--port-file PATH] [--log-level LEVEL]
+                 [--port-file PATH] [--log-level LEVEL] [--help]
 
 Listens for line-delimited JSON jobs (see magis-serve's protocol docs),
 runs them on a bounded worker pool, journals every accepted job for
 crash-safe recovery, and drains gracefully on SIGTERM/SIGINT.
 ";
 
-fn parse(args: &[String]) -> Result<ServeConfig, String> {
-    let mut cfg = ServeConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--help" || flag == "-h" {
-            return Err(String::new());
-        }
-        let value = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
-        let num = || -> Result<u64, String> {
-            value.parse().map_err(|_| format!("{flag} needs an integer, got '{value}'"))
-        };
-        match flag {
-            "--addr" => cfg.addr = value.clone(),
-            "--state-dir" => cfg.state_dir = PathBuf::from(value),
-            "--workers" => cfg.workers = num()?.max(1) as usize,
-            "--queue-capacity" => cfg.queue_capacity = num()? as usize,
-            "--client-cap" => cfg.client_cap = num()? as usize,
-            "--retry-cap" => cfg.retry_cap = num()? as u32,
-            "--backoff-base-ms" => cfg.backoff_base_ms = num()?,
-            "--drain-timeout-ms" => cfg.drain_timeout_ms = num()?,
-            "--stall-after-ms" => cfg.stall_after_ms = num()?,
-            "--result-cache" => cfg.result_cache = num()? as usize,
-            "--port-file" => cfg.port_file = Some(PathBuf::from(value)),
-            "--log-level" => {
-                let level = value.parse().map_err(|e| format!("--log-level: {e}"))?;
-                magis_obs::log::set_level(level);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-        i += 2;
+/// The configuration the command line asks for; `None` when it asks
+/// for the usage text instead.
+fn config(argv: &[String]) -> Result<Option<ServeConfig>, String> {
+    let args = Args::parse(argv, &[ServeConfig::FLAGS, &["log-level"]], &["help"])?;
+    if args.switch("help") {
+        return Ok(None);
     }
-    Ok(cfg)
+    if let Some(level) = args.value("log-level")? {
+        magis_obs::log::set_level(level);
+    }
+    ServeConfig::from_args(&args).map(Some)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = match parse(&args) {
-        Ok(cfg) => cfg,
-        Err(msg) if msg.is_empty() => {
+    // `-h` is the one short spelling.
+    let argv: Vec<String> = std::env::args()
+        .skip(1)
+        .map(|a| if a == "-h" { "--help".into() } else { a })
+        .collect();
+    let cfg = match config(&argv) {
+        Ok(Some(cfg)) => cfg,
+        Ok(None) => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
         }
@@ -88,5 +70,43 @@ fn main() -> ExitCode {
             eprintln!("magis-served: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn every_flag_the_usage_names_is_accepted_and_a_typo_is_not() {
+        let named: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        assert_eq!(named.len(), ServeConfig::FLAGS.len() + 2, "{named:?}");
+        for flag in named {
+            let line = if flag == "--help" { argv(&[flag]) } else { argv(&[flag, "warn"]) };
+            if let Err(e) = config(&line) {
+                assert!(!e.contains("unknown flag"), "{flag}: {e}");
+            }
+        }
+        assert!(config(&argv(&["--wrokers", "2"])).unwrap_err().contains("unknown flag"));
+        assert!(config(&argv(&["--workers", "two"])).is_err());
+        assert!(config(&argv(&["--workers"])).is_err());
+    }
+
+    #[test]
+    fn flags_replace_defaults() {
+        let cfg = config(&argv(&["--workers", "0", "--retry-cap", "5", "--port-file", "/tmp/p"]))
+            .unwrap()
+            .unwrap();
+        assert_eq!((cfg.workers, cfg.retry_cap), (1, 5), "workers is at least 1");
+        assert_eq!(cfg.port_file.as_deref(), Some(std::path::Path::new("/tmp/p")));
+        assert_eq!(cfg.queue_capacity, ServeConfig::default().queue_capacity);
+        assert!(config(&argv(&["--help"])).unwrap().is_none());
     }
 }

@@ -31,7 +31,7 @@
 //! let tg = magis::models::mlp::mlp(&Default::default());
 //!
 //! // Minimize peak memory, allowing 10% extra latency.
-//! let cfg = OptimizerConfig::new(Objective::MinMemory { lat_limit: f64::MAX })
+//! let cfg = OptimizerConfig::default()
 //!     .with_budget(Duration::from_millis(500))
 //!     .with_max_evals(60);
 //! let result = optimize_memory(tg.graph.clone(), 1.10, &cfg);
