@@ -14,6 +14,15 @@ run() {
     "$@"
 }
 
+# One recorder: a metrics exposition (standard input) may carry no
+# series of the scheduler or simulator libraries, which record nothing.
+no_library_series() {
+    if grep -E '^magis_(sched|sim)_'; then
+        echo "magis-sched and magis-sim record nothing: no writer of these series sees every candidate"
+        exit 1
+    fi
+}
+
 run cargo build --workspace --release
 run cargo test --workspace -q
 run cargo clippy --workspace --all-targets -- -D warnings
@@ -177,6 +186,7 @@ grep -q '^magis_serve_queue_depth ' <<<"$METRICS_OUT" \
 COMPLETED="$(awk '$1 == "magis_serve_jobs_completed" { print $2 }' <<<"$METRICS_OUT")"
 [ -n "$COMPLETED" ] && [ "$COMPLETED" -ge 1 ] \
     || { echo "$METRICS_OUT"; echo "magis_serve_jobs_completed is empty or zero"; exit 1; }
+no_library_series <<<"$METRICS_OUT"
 run ./target/release/magis trace-check \
     --trace "$SRV_DIR/state/jobs/job-$JOB_ID/trace.jsonl" --expect-job "$JOB_ID"
 run ./target/release/magis top --port-file "$SRV_DIR/port" --iterations 1
@@ -186,7 +196,9 @@ wait "$SRV_PID" || { echo "daemon did not exit cleanly after SIGTERM"; exit 1; }
 rm -rf "$SRV_DIR"
 
 # Traced smoke: a short optimize run must produce a JSONL trace where
-# every line parses (trace-check) and a non-empty metrics snapshot.
+# every line parses (trace-check) and a non-empty metrics snapshot, and
+# both must come from the one layer that records: every trace record's
+# target is `magis_core`, no series is `magis_sched_*` / `magis_sim_*`.
 OBS_DIR="$(mktemp -d)"
 echo
 echo "==> traced smoke (artifacts in $OBS_DIR)"
@@ -194,10 +206,16 @@ run ./target/release/magis optimize \
     --workload unet --scale 0.15 --mode memory --budget-ms 3000 \
     --trace-out "$OBS_DIR/trace.jsonl" --metrics-out "$OBS_DIR/metrics.txt" \
     --log-level info
-run ./target/release/magis trace-check --trace "$OBS_DIR/trace.jsonl"
+TRACE_NAMES="$(./target/release/magis trace-check --trace "$OBS_DIR/trace.jsonl")"
+echo "$TRACE_NAMES"
+if grep -E '^ +[^ /]+/[^ ]+: [0-9]+$' <<<"$TRACE_NAMES" | grep -v -E '^ +magis_core/'; then
+    echo "trace records from a layer other than magis_core"
+    exit 1
+fi
 test -s "$OBS_DIR/metrics.txt" || { echo "metrics snapshot is empty"; exit 1; }
 grep -q "magis_core_expansions" "$OBS_DIR/metrics.txt" \
     || { echo "metrics snapshot is missing core counters"; exit 1; }
+no_library_series <"$OBS_DIR/metrics.txt"
 rm -rf "$OBS_DIR"
 
 # Benchmark smoke: one short traced and one short untraced run of every

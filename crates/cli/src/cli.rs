@@ -139,9 +139,9 @@ OPTIONS (optimize):
 
 OBSERVABILITY (optimize):
   --trace-out F   record a structured trace of the search (spans for
-                  expansion / candidate evaluation / scheduling / cost
-                  simulation, events for accept / reject / quarantine /
-                  checkpoint / resume / stop) as JSONL to F.
+                  seed evaluation / expansion / candidate evaluation /
+                  final polish, events for accept / reject / quarantine
+                  / checkpoint / resume / stop) as JSONL to F.
   --metrics-out F write a Prometheus-style text snapshot of all
                   magis_* counters, gauges, and histograms to F at
                   the end of the run.

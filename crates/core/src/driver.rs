@@ -183,8 +183,10 @@ pub struct GreedyDriver {
     queue: BinaryHeap<QueueEntry>,
     seq: usize,
     objective: Objective,
-    delta: f64,
 }
+
+/// Relaxed-push coefficient `δ` (Algorithm 3; 1.1 per §6.2).
+const DELTA: f64 = 1.1;
 
 impl GreedyDriver {
     /// Builds the driver: a fresh search (or frontier-free resume, an
@@ -212,7 +214,7 @@ impl GreedyDriver {
             let restored = frontier.into_iter().map(|(sq, state)| entry(sq as usize, state));
             (restored.collect(), next_seq as usize)
         };
-        GreedyDriver { queue, seq, objective: cfg.objective, delta: cfg.delta }
+        GreedyDriver { queue, seq, objective: cfg.objective }
     }
 }
 
@@ -232,11 +234,11 @@ impl SearchDriver for GreedyDriver {
         let candidates = engine.begin(&mut state);
         let queue = &mut self.queue;
         let seq = &mut self.seq;
-        let (objective, delta) = (self.objective, self.delta);
+        let objective = self.objective;
         engine.evaluate(&state, &candidates, None, true, &mut |_i, child, cost, best_cost| {
             // The δ-relaxed push test reads the incumbent as updated
             // mid-batch (`best_cost`), exactly like Algorithm 3.
-            if objective.better_than(cost, best_cost, delta) {
+            if objective.better_than(cost, best_cost, DELTA) {
                 *seq += 1;
                 queue.push(QueueEntry { key: objective.key(cost.0, cost.1), seq: *seq, state: child });
                 true

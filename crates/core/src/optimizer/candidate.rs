@@ -147,7 +147,9 @@ pub(super) fn check_invariants(child: &MState, ctx: &EvalContext) -> Result<(), 
 /// simulate, with per-phase CPU-time attribution, wrapped in a panic
 /// sandbox. Reads shared search state (`cache` is frozen for the whole
 /// batch) but never writes it, so it is safe to run concurrently for
-/// independent candidates.
+/// independent candidates — and records no metric or trace record:
+/// workers may over-evaluate past the `max_evals` cap, so everything
+/// observable is booked at the merge from the returned outcome.
 ///
 /// `fault_key` keys the config's fault plan, if any: it is derived
 /// from the (expansion, candidate) pair, never from thread identity or
@@ -159,27 +161,19 @@ pub(super) fn evaluate_candidate(
     cache: &EvalCache,
     fault_key: u64,
 ) -> CandOutcome {
-    // Observability is suppressed for the whole evaluation — on worker
-    // threads AND inline — because parallel workers may over-evaluate
-    // past the `max_evals` cap (the merge discards the excess).
-    // Anything the sim/sched layers would record here would therefore
-    // differ across thread counts. The merge re-attributes the
-    // measured durations on the coordinating thread instead.
-    magis_obs::gate::suppress(|| {
-        let t0 = Instant::now();
-        let mut times = PhaseTimes::default();
-        // AssertUnwindSafe: the closure only reads `state`/`cfg`/`cache`
-        // and builds fresh values; a panic can leave no broken shared
-        // state behind.
-        let verdict = catch_unwind(AssertUnwindSafe(|| {
-            evaluate_candidate_inner(state, t, cfg, cache, fault_key, &mut times)
-        }))
-        .unwrap_or_else(|_| {
-            times = PhaseTimes { trans: t0.elapsed(), ..PhaseTimes::default() };
-            Verdict::Rejected(Reject::Panicked)
-        });
-        CandOutcome { times, verdict }
-    })
+    let t0 = Instant::now();
+    let mut times = PhaseTimes::default();
+    // AssertUnwindSafe: the closure only reads `state`/`cfg`/`cache`
+    // and builds fresh values; a panic can leave no broken shared
+    // state behind.
+    let verdict = catch_unwind(AssertUnwindSafe(|| {
+        evaluate_candidate_inner(state, t, cfg, cache, fault_key, &mut times)
+    }))
+    .unwrap_or_else(|_| {
+        times = PhaseTimes { trans: t0.elapsed(), ..PhaseTimes::default() };
+        Verdict::Rejected(Reject::Panicked)
+    });
+    CandOutcome { times, verdict }
 }
 
 fn evaluate_candidate_inner(

@@ -266,8 +266,6 @@ pub struct OptimizerConfig {
     pub max_evals: usize,
     /// F-Tree max-level `L` (Algorithm 1; default 4 per §7.1).
     pub max_level: usize,
-    /// Relaxed-push coefficient `δ` (Algorithm 3; 1.1 per §6.2).
-    pub delta: f64,
     /// Rule generation knobs (hot-spot filter = `naïve-sch-rule`
     /// ablation, TASO on/off).
     pub rules: RuleConfig,
@@ -330,7 +328,6 @@ impl Default for OptimizerConfig {
             budget: Duration::from_secs(10),
             max_evals: usize::MAX,
             max_level: 4,
-            delta: 1.1,
             rules: RuleConfig::default(),
             ctx: EvalContext::default(),
             naive_fission: false,

@@ -73,7 +73,6 @@ pub(super) fn strike_family(
     if quarantine.is_quarantined(family) {
         let purged = cache.purge_family(family);
         stats.eval_cache_purged += purged;
-        core_obs().eval_cache_purged.add(purged as u64);
         if !before {
             core_obs().quarantined_families.inc();
             magis_obs::event!(
@@ -114,6 +113,8 @@ pub struct Engine<'a> {
     pub(super) exp_t0: Instant,
     pub(super) last_candidates: usize,
     pub(super) last_merged: usize,
+    /// What [`OptimizerStats::publish`] last published for this search.
+    pub(super) published: [usize; OptimizerStats::PUBLISHED.len()],
 }
 
 impl<'a> Engine<'a> {
@@ -183,7 +184,6 @@ impl<'a> Engine<'a> {
         self.stats.hash_time += t0.elapsed();
         if !self.seen.insert(h) {
             self.stats.filtered += 1;
-            core_obs().filtered.inc();
             return false;
         }
         true
@@ -195,9 +195,7 @@ impl<'a> Engine<'a> {
     /// by [`Transform::sort_key`] so the fan-out order (and therefore
     /// the whole trajectory) is a pure function of the state.
     pub fn begin(&mut self, state: &mut MState) -> Vec<Transform> {
-        let obs = core_obs();
         self.stats.expanded += 1;
-        obs.expansions.inc();
         if let Some(tok) = &self.cfg.cancel {
             tok.beat();
         }
@@ -213,14 +211,12 @@ impl<'a> Engine<'a> {
         candidates.retain(|t| !self.quarantine.is_quarantined(t.sort_key().0));
         let dropped = before - candidates.len();
         self.stats.quarantined_candidates += dropped;
-        obs.quarantined_candidates.add(dropped as u64);
         // Fix the batch order before the fan-out: the merge in
         // `evaluate` consumes results in this order, making the
         // trajectory independent of thread count and generation order.
         candidates.sort_by_key(Transform::sort_key);
         self.stats.trans_time += t0.elapsed();
         self.stats.candidates += candidates.len();
-        obs.candidates.add(candidates.len() as u64);
         for t in &candidates {
             self.timeline.family_mut(rules::family_name(t.sort_key().0)).proposed += 1;
         }
@@ -387,22 +383,10 @@ impl<'a> Engine<'a> {
                 );
                 f.rejected += 1;
                 match reject {
-                    Reject::Panicked => {
-                        self.stats.panicked += 1;
-                        obs.panicked.inc();
-                    }
-                    Reject::BadCost => {
-                        self.stats.cost_rejections += 1;
-                        obs.cost_rejections.inc();
-                    }
-                    Reject::Invalid => {
-                        self.stats.invariant_rejections += 1;
-                        obs.invariant_rejections.inc();
-                    }
-                    Reject::Duplicate => {
-                        self.stats.filtered += 1;
-                        obs.filtered.inc();
-                    }
+                    Reject::Panicked => self.stats.panicked += 1,
+                    Reject::BadCost => self.stats.cost_rejections += 1,
+                    Reject::Invalid => self.stats.invariant_rejections += 1,
+                    Reject::Duplicate => self.stats.filtered += 1,
                     Reject::ApplyFailed | Reject::Dominated => {}
                 }
                 if matches!(reject, Reject::Panicked | Reject::Invalid) {
@@ -430,7 +414,6 @@ impl<'a> Engine<'a> {
         let expansion = self.stats.expanded as u64;
         let Evaluated { child, hash, cache_hit, tainted } = ev;
         self.stats.evaluated += 1;
-        obs.evaluated.inc();
         if let Some(tok) = &cfg.cancel {
             tok.beat();
         }
@@ -440,7 +423,6 @@ impl<'a> Engine<'a> {
         // counters are deterministic.
         if cache_hit {
             self.stats.eval_cache_hits += 1;
-            obs.eval_cache_hits.inc();
             // LRU refresh: recency only ever advances here, so
             // eviction stays bit-identical across thread counts. No-op
             // if a strike purged the entry earlier in this merge pass.
@@ -454,9 +436,6 @@ impl<'a> Engine<'a> {
             );
         } else {
             self.stats.eval_cache_misses += 1;
-            obs.eval_cache_misses.inc();
-            // Candidates are evaluated with observability suppressed;
-            // the incremental-scheduling counters are recorded here.
             if let Some(inc) = child.eval.inc {
                 obs.incremental_evals.inc();
                 if inc.carried_won {
@@ -470,7 +449,6 @@ impl<'a> Engine<'a> {
                 let evicted =
                     self.eval_cache.insert(hash, (*child).clone(), family, cfg.ctx.mem_objective);
                 self.stats.eval_cache_evictions += evicted;
-                obs.eval_cache_evictions.add(evicted as u64);
             }
         }
 
@@ -519,9 +497,10 @@ impl<'a> Engine<'a> {
 
     /// Expansion-boundary bookkeeping: timeline point + Pareto record,
     /// gauges, the expansion histogram and trace span, the progress
-    /// snapshot, and the periodic checkpoint (calling `snapshot` for
-    /// the driver's frontier when the policy captures one). Drivers
-    /// call this exactly once per completed step.
+    /// snapshot, the periodic checkpoint (calling `snapshot` for the
+    /// driver's frontier when the policy captures one), and the
+    /// publication of the stats-projected counters. Drivers call this
+    /// exactly once per completed step.
     pub fn boundary(&mut self, frontier_size: u64, snapshot: &mut dyn FnMut() -> DriverFrontier) {
         let obs = core_obs();
         let expansion = self.stats.expanded as u64;
@@ -563,12 +542,13 @@ impl<'a> Engine<'a> {
             self.evals_at_last_ckpt = self.stats.evaluated;
             self.write_checkpoint("boundary", snapshot);
         }
+        self.stats.publish(&mut self.published);
     }
 
     /// Delivers a [`ProgressSnapshot`] of the incumbent to the progress
     /// hook, if any. Called on the merge thread after all merge-time
-    /// decisions, outside any suppression gate — snapshot contents are
-    /// deterministic (see the determinism contract).
+    /// decisions — snapshot contents are deterministic (see the
+    /// determinism contract).
     pub(super) fn report_progress(&self, phase: &'static str, frontier_size: u64, pareto_size: u64) {
         if let Some(hook) = &self.cfg.progress {
             hook.0.report(&ProgressSnapshot {
@@ -615,10 +595,8 @@ impl<'a> Engine<'a> {
         let ok = ckpt.write_to(&policy.path).is_ok();
         if ok {
             self.stats.checkpoints_written += 1;
-            core_obs().checkpoints_written.inc();
         } else {
             self.stats.checkpoint_failures += 1;
-            core_obs().checkpoint_failures.inc();
         }
         magis_obs::event!(
             "magis_core",

@@ -12,6 +12,7 @@ use crate::pareto::ParetoSet;
 use crate::state::{EvalError, MState};
 use magis_graph::algo::graph_hash;
 use magis_graph::graph::Graph;
+use magis_obs::metrics::{counter, labeled};
 use magis_obs::timeline::SearchTimeline;
 use magis_sim::memory_profile;
 use std::collections::BTreeSet;
@@ -88,7 +89,7 @@ fn run_search(
 ) -> OptimizeResult {
     let start = Instant::now();
     let obs = core_obs();
-    obs.searches.inc();
+    counter(&labeled("magis_core_searches", &[("backend", cfg.ctx.backend_name())])).inc();
     let blank =
         SearchCheckpoint { seed_cost: init.cost(), driver: cfg.driver, ..SearchCheckpoint::default() };
     let is_resume = resumed.is_some();
@@ -99,8 +100,8 @@ fn run_search(
         resumed: is_resume,
         ..OptimizerStats::default()
     };
-    // Stats and the cumulative metrics continue from the checkpointed
-    // counters, so a resumed run's snapshot covers the whole logical
+    // Stats continue from the checkpointed counters (and are published
+    // from zero), so a resumed run's snapshot covers the whole logical
     // search.
     stats.restore_counters(&from.counters);
     if is_resume {
@@ -184,6 +185,7 @@ fn run_search(
         exp_t0: start,
         last_candidates: 0,
         last_merged: 0,
+        published: Default::default(),
     };
 
     // The stop check comes *before* the driver steps: a
@@ -217,7 +219,10 @@ fn run_search(
     }
     // Final polish: reschedule the incumbent with the full-quality beam
     // and keep whichever is better.
-    let polished = engine.best.rescheduled(&cfg.ctx);
+    let polished = {
+        let _span = magis_obs::span!("magis_core", "polish");
+        engine.best.rescheduled(&cfg.ctx)
+    };
     if cfg.objective.better_than(polished.cost(), engine.best.cost(), 1.0)
         && (cfg.paranoia == ParanoiaLevel::Off || check_invariants(&polished, &cfg.ctx).is_ok())
     {
@@ -228,6 +233,7 @@ fn run_search(
     if !frontier_mode {
         engine.write_checkpoint("final", &mut || driver.frontier_snapshot());
     }
+    engine.stats.publish(&mut engine.published);
     magis_obs::event!(
         "magis_core",
         "stop",

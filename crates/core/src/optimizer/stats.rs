@@ -12,31 +12,17 @@ use magis_obs::timeline::SearchTimeline;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-/// Global metric handles (`magis_core_*`), looked up once. All of
-/// these are updated exclusively on the merge thread, so their values
-/// are bit-identical across `--threads 1` vs `N` (see the module docs'
+/// Handles of the `magis_core_*` series that have no [`OptimizerStats`]
+/// twin, plus the counters projected from it, looked up once. All are
+/// written on the driver / merge thread only, so their values are
+/// bit-identical across `--threads 1` vs `N` (see the module docs'
 /// determinism contract); only the `*_seconds` histograms carry
 /// wall-clock values.
 pub(super) struct CoreObs {
-    pub(super) searches: Counter,
     pub(super) resumes: Counter,
-    pub(super) expansions: Counter,
-    pub(super) candidates: Counter,
-    pub(super) evaluated: Counter,
-    pub(super) filtered: Counter,
-    pub(super) panicked: Counter,
-    pub(super) cost_rejections: Counter,
-    pub(super) invariant_rejections: Counter,
-    pub(super) quarantined_candidates: Counter,
     pub(super) quarantined_families: Counter,
     pub(super) queue_pushes: Counter,
     pub(super) incumbent_improvements: Counter,
-    pub(super) checkpoints_written: Counter,
-    pub(super) checkpoint_failures: Counter,
-    pub(super) eval_cache_hits: Counter,
-    pub(super) eval_cache_misses: Counter,
-    pub(super) eval_cache_evictions: Counter,
-    pub(super) eval_cache_purged: Counter,
     pub(super) incremental_evals: Counter,
     pub(super) incremental_carried_wins: Counter,
     pub(super) incremental_window: Histogram,
@@ -45,31 +31,18 @@ pub(super) struct CoreObs {
     pub(super) best_latency: Gauge,
     pub(super) frontier_size: Gauge,
     pub(super) eval_cache_size: Gauge,
+    /// One counter per [`OptimizerStats::PUBLISHED`] row, in its order.
+    published: [Counter; OptimizerStats::PUBLISHED.len()],
 }
 
 pub(super) fn core_obs() -> &'static CoreObs {
     static OBS: OnceLock<CoreObs> = OnceLock::new();
     use magis_obs::metrics::{counter, gauge, histogram};
     OBS.get_or_init(|| CoreObs {
-        searches: counter("magis_core_searches"),
         resumes: counter("magis_core_resumes"),
-        expansions: counter("magis_core_expansions"),
-        candidates: counter("magis_core_candidates"),
-        evaluated: counter("magis_core_evaluated"),
-        filtered: counter("magis_core_filtered"),
-        panicked: counter("magis_core_panicked"),
-        cost_rejections: counter("magis_core_cost_rejections"),
-        invariant_rejections: counter("magis_core_invariant_rejections"),
-        quarantined_candidates: counter("magis_core_quarantined_candidates"),
         quarantined_families: counter("magis_core_quarantined_families"),
         queue_pushes: counter("magis_core_queue_pushes"),
         incumbent_improvements: counter("magis_core_incumbent_improvements"),
-        checkpoints_written: counter("magis_core_checkpoints_written"),
-        checkpoint_failures: counter("magis_core_checkpoint_failures"),
-        eval_cache_hits: counter("magis_core_eval_cache_hits"),
-        eval_cache_misses: counter("magis_core_eval_cache_misses"),
-        eval_cache_evictions: counter("magis_core_eval_cache_evictions"),
-        eval_cache_purged: counter("magis_core_eval_cache_purged"),
         incremental_evals: counter("magis_core_incremental_evals"),
         incremental_carried_wins: counter("magis_core_incremental_carried_wins"),
         incremental_window: histogram("magis_core_incremental_window"),
@@ -78,6 +51,7 @@ pub(super) fn core_obs() -> &'static CoreObs {
         best_latency: gauge("magis_core_best_latency"),
         frontier_size: gauge("magis_core_frontier_size"),
         eval_cache_size: gauge("magis_core_eval_cache_size"),
+        published: OptimizerStats::PUBLISHED.map(|(name, _)| counter(name)),
     })
 }
 
@@ -196,25 +170,55 @@ impl OptimizerStats {
         }
     }
 
-    /// Continues from checkpointed counters: the stats fields and the
-    /// process-wide `magis_core_*` counters alike (all zero, and so a
-    /// no-op, for a fresh search).
+    /// Continues from checkpointed counters (all zero for a fresh
+    /// search).
     pub(super) fn restore_counters(&mut self, c: &CheckpointCounters) {
-        let obs = core_obs();
-        let load = |stat: &mut usize, metric: &Counter, n: u64| {
-            *stat = n as usize;
-            metric.add(n);
-        };
-        load(&mut self.expanded, &obs.expansions, c.expanded);
-        load(&mut self.evaluated, &obs.evaluated, c.evaluated);
-        load(&mut self.candidates, &obs.candidates, c.candidates);
-        load(&mut self.filtered, &obs.filtered, c.filtered);
-        load(&mut self.panicked, &obs.panicked, c.panicked);
-        load(&mut self.cost_rejections, &obs.cost_rejections, c.cost_rejections);
-        load(&mut self.invariant_rejections, &obs.invariant_rejections, c.invariant_rejections);
-        load(&mut self.quarantined_candidates, &obs.quarantined_candidates, c.quarantined_candidates);
-        load(&mut self.checkpoints_written, &obs.checkpoints_written, c.checkpoints_written);
-        load(&mut self.checkpoint_failures, &obs.checkpoint_failures, c.checkpoint_failures);
+        self.expanded = c.expanded as usize;
+        self.evaluated = c.evaluated as usize;
+        self.candidates = c.candidates as usize;
+        self.filtered = c.filtered as usize;
+        self.panicked = c.panicked as usize;
+        self.cost_rejections = c.cost_rejections as usize;
+        self.invariant_rejections = c.invariant_rejections as usize;
+        self.quarantined_candidates = c.quarantined_candidates as usize;
+        self.checkpoints_written = c.checkpoints_written as usize;
+        self.checkpoint_failures = c.checkpoint_failures as usize;
+    }
+
+    /// The `magis_core_*` counters that are projections of a field of
+    /// these stats: the stats are the ledger, and the search adds to
+    /// each counter what its field gained, at every expansion boundary
+    /// and when it ends. Counts restored from a checkpoint are
+    /// published like any others, so a resumed run's registry covers
+    /// the whole logical search.
+    #[allow(clippy::type_complexity)] // a row is a name and the field it reads
+    pub const PUBLISHED: [(&'static str, fn(&OptimizerStats) -> usize); 14] = [
+        ("magis_core_expansions", |s| s.expanded),
+        ("magis_core_candidates", |s| s.candidates),
+        ("magis_core_evaluated", |s| s.evaluated),
+        ("magis_core_filtered", |s| s.filtered),
+        ("magis_core_panicked", |s| s.panicked),
+        ("magis_core_cost_rejections", |s| s.cost_rejections),
+        ("magis_core_invariant_rejections", |s| s.invariant_rejections),
+        ("magis_core_quarantined_candidates", |s| s.quarantined_candidates),
+        ("magis_core_checkpoints_written", |s| s.checkpoints_written),
+        ("magis_core_checkpoint_failures", |s| s.checkpoint_failures),
+        ("magis_core_eval_cache_hits", |s| s.eval_cache_hits),
+        ("magis_core_eval_cache_misses", |s| s.eval_cache_misses),
+        ("magis_core_eval_cache_evictions", |s| s.eval_cache_evictions),
+        ("magis_core_eval_cache_purged", |s| s.eval_cache_purged),
+    ];
+
+    /// Adds to every [`Self::PUBLISHED`] counter the difference between
+    /// its field now and in `published` (what this search last
+    /// published), then remembers the new values there.
+    pub(super) fn publish(&self, published: &mut [usize; Self::PUBLISHED.len()]) {
+        let counters = &core_obs().published;
+        for (((_, field), counter), last) in Self::PUBLISHED.iter().zip(counters).zip(published) {
+            let now = field(self);
+            counter.add((now - *last) as u64);
+            *last = now;
+        }
     }
 }
 

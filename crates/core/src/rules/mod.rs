@@ -120,22 +120,16 @@ pub struct RuleConfig {
     pub hotspot_filter: bool,
     /// Include TASO aggregation/interim rules.
     pub enable_taso: bool,
-    /// Per-rule-family candidate cap (largest tensors first).
-    pub max_per_rule: usize,
-    /// Minimum tensor size (bytes) for a swap to be worth issuing.
-    pub min_swap_bytes: u64,
 }
 
 impl Default for RuleConfig {
     fn default() -> Self {
-        RuleConfig {
-            hotspot_filter: true,
-            enable_taso: true,
-            max_per_rule: 24,
-            min_swap_bytes: 1 << 18,
-        }
+        RuleConfig { hotspot_filter: true, enable_taso: true }
     }
 }
+
+/// Per-rule-family candidate cap (largest tensors first).
+const MAX_PER_RULE: usize = 24;
 
 /// Error applying a transform (candidate abandoned by the optimizer).
 #[derive(Debug, Clone)]
@@ -172,7 +166,7 @@ pub fn generate(state: &MState, cfg: &RuleConfig) -> Vec<Transform> {
     }
     sched_rules::generate(state, cfg, &mut out);
     if cfg.enable_taso {
-        taso_rules::generate(state, cfg, &mut out);
+        taso_rules::generate(state, &mut out);
     }
     out
 }

@@ -7,7 +7,7 @@
 //! for memory, never to decide *what* to recompute or swap.
 
 use magis_graph::{GraphTxn, GraphView};
-use super::{outside_enabled_regions, Applied, ApplyError, RuleConfig, Transform};
+use super::{outside_enabled_regions, Applied, ApplyError, RuleConfig, Transform, MAX_PER_RULE};
 use crate::state::MState;
 use magis_graph::graph::NodeId;
 use magis_graph::op::OpKind;
@@ -25,6 +25,9 @@ fn is_schedulable_producer(state: &MState, v: NodeId) -> bool {
         && n.size_bytes() > 0
 }
 
+/// Minimum tensor size (bytes) for a swap to be worth issuing.
+const MIN_SWAP_BYTES: u64 = 1 << 18;
+
 /// Generates re-mat, de-re-mat, swap, and de-swap candidates.
 pub fn generate(state: &MState, cfg: &RuleConfig, out: &mut Vec<Transform>) {
     let g = &state.base;
@@ -39,7 +42,7 @@ pub fn generate(state: &MState, cfg: &RuleConfig, out: &mut Vec<Transform>) {
         .filter(|v| g.suc(*v).len() >= 2)
         .collect();
     producers.sort_by_key(|&v| std::cmp::Reverse(g.node(v).size_bytes()));
-    producers.truncate(cfg.max_per_rule);
+    producers.truncate(MAX_PER_RULE);
     for &p in &producers {
         // Separate the *latest* user (Fig. 8 (a): one user switches to
         // the recomputed clone; the later the user, the longer the gap
@@ -53,7 +56,7 @@ pub fn generate(state: &MState, cfg: &RuleConfig, out: &mut Vec<Transform>) {
             let region: BTreeSet<NodeId> = [p, user].into_iter().collect();
             if outside_enabled_regions(&state.ftree, &region) {
                 out.push(Transform::Remat { producer: p, user });
-                if g.node(p).size_bytes() >= cfg.min_swap_bytes {
+                if g.node(p).size_bytes() >= MIN_SWAP_BYTES {
                     out.push(Transform::Swap { producer: p, user });
                 }
             }
@@ -65,10 +68,10 @@ pub fn generate(state: &MState, cfg: &RuleConfig, out: &mut Vec<Transform>) {
         .node_ids()
         .filter(|&v| is_schedulable_producer(state, v))
         .filter(|&v| !cfg.hotspot_filter || hot.contains(&v))
-        .filter(|&v| g.suc(v).len() == 1 && g.node(v).size_bytes() >= cfg.min_swap_bytes)
+        .filter(|&v| g.suc(v).len() == 1 && g.node(v).size_bytes() >= MIN_SWAP_BYTES)
         .collect();
     single.sort_by_key(|&v| std::cmp::Reverse(g.node(v).size_bytes()));
-    single.truncate(cfg.max_per_rule);
+    single.truncate(MAX_PER_RULE);
     for p in single {
         let user = g.suc(p)[0];
         if g.node(user).op.is_swap() {

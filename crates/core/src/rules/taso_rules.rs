@@ -12,7 +12,7 @@
 //!   chains, which exposes new aggregation and fission sites.
 
 use magis_graph::{GraphTxn, GraphView};
-use super::{outside_enabled_regions, Applied, ApplyError, RuleConfig, Transform};
+use super::{outside_enabled_regions, Applied, ApplyError, Transform, MAX_PER_RULE};
 use crate::state::MState;
 use magis_graph::graph::{Graph, NodeId};
 use magis_graph::op::{BinaryKind, Conv2dAttrs, OpKind};
@@ -47,11 +47,11 @@ pub enum TasoTransform {
 }
 
 /// Generates TASO candidates.
-pub fn generate(state: &MState, cfg: &RuleConfig, out: &mut Vec<Transform>) {
+pub fn generate(state: &MState, out: &mut Vec<Transform>) {
     let g = &state.base;
     let mut count = 0usize;
     for x in g.node_ids() {
-        if count >= cfg.max_per_rule {
+        if count >= MAX_PER_RULE {
             break;
         }
         // Sibling matmuls / convs over `x`.
@@ -94,7 +94,7 @@ pub fn generate(state: &MState, cfg: &RuleConfig, out: &mut Vec<Transform>) {
     }
     // I-Trans: rotate left-leaning Add chains.
     for v in g.node_ids() {
-        if count >= cfg.max_per_rule * 2 {
+        if count >= MAX_PER_RULE * 2 {
             break;
         }
         if let OpKind::Binary(BinaryKind::Add) = g.node(v).op {
@@ -277,7 +277,7 @@ mod tests {
     fn merge_matmuls_generated_and_applied() {
         let state = qkv_state();
         let mut cands = Vec::new();
-        generate(&state, &RuleConfig::default(), &mut cands);
+        generate(&state, &mut cands);
         let mm = cands
             .iter()
             .find_map(|t| match t {
@@ -316,7 +316,7 @@ mod tests {
         let state = qkv_state();
         let ctx = EvalContext::default();
         let mut cands = Vec::new();
-        generate(&state, &RuleConfig::default(), &mut cands);
+        generate(&state, &mut cands);
         let mm = cands
             .iter()
             .find_map(|t| match t {

@@ -178,8 +178,7 @@ pub struct Eval {
     pub plan: Option<MemoryPlan>,
     /// Metadata from the incremental-scheduling path, when it produced
     /// this evaluation (`None` for full evaluations, initial states,
-    /// and resumed incumbents). Candidates are evaluated with
-    /// observability suppressed, so the optimizer records these at the
+    /// and resumed incumbents). The optimizer records these at the
     /// merge, as the `magis_core_incremental_*` metrics.
     pub inc: Option<IncrementalEvalInfo>,
     /// Lazily-computed reachability of `graph`, shared (via `Arc`)
@@ -249,6 +248,7 @@ impl MState {
     /// untrusted graphs or exotic cost models).
     pub fn try_initial(g: Graph, ctx: &EvalContext) -> Result<MState, EvalError> {
         let empty = FTree::default();
+        let _span = magis_obs::span!("magis_core", "seed_eval", nodes = g.len());
         let eval = evaluate_state(&g, &empty, None, &BTreeSet::new(), ctx)?;
         Ok(MState { base: g, ftree: empty, eval, tree_stale: true })
     }

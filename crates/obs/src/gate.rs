@@ -1,13 +1,10 @@
 //! Per-thread observability suppression.
 //!
-//! The parallel M-Optimizer evaluates candidates on worker threads and
-//! may evaluate *more* work than the serial path (the merge discards
-//! over-evaluated results past the `max_evals` cap). Any count-type
-//! metric or trace event recorded from inside a worker would therefore
-//! differ between `--threads 1` and `--threads N`, breaking the
-//! determinism contract. Workers wrap candidate evaluation in
-//! [`suppress`]; the merge re-attributes the measured durations on the
-//! single coordinating thread instead.
+//! [`suppress`] turns every metric update and trace record on the
+//! calling thread into a no-op. It is the baseline of the overhead
+//! guard (`obs_overhead --check` runs the same search with and without
+//! it) and keeps `benchmark/`'s replay out of the registry. The search
+//! itself does not use it: the code its workers run records nothing.
 
 use std::cell::Cell;
 
@@ -24,9 +21,8 @@ pub fn suppressed() -> bool {
 /// Runs `f` with metrics and tracing suppressed on this thread.
 ///
 /// Panic-safe: the previous suppression state is restored even if `f`
-/// unwinds (the optimizer's sandbox catches candidate panics, so a
-/// leaked flag would silently disable observability for the rest of
-/// the worker thread's life).
+/// unwinds (a leaked flag would silently disable observability for the
+/// rest of the thread's life).
 pub fn suppress<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {

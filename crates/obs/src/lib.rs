@@ -18,18 +18,18 @@
 //!
 //! Supporting modules: [`json`] (hand-rolled serializer/parser with
 //! exact integer and bit-exact float round-trips), [`gate`]
-//! (per-thread suppression so parallel-search workers cannot skew
-//! deterministic counts), and [`log`] (a leveled stderr logger).
+//! (per-thread suppression: the everything-off baseline the overhead
+//! guard measures against), and [`log`] (a leveled stderr logger).
 //!
 //! # Determinism contract
 //!
 //! All count-type metrics, trace-event identities ([`trace::
 //! TraceEvent::identity`]), and timeline counts are bit-identical for
-//! `--threads 1` vs `--threads N` on the same seed: workers record
-//! nothing (suppressed), and the merge thread re-attributes their
-//! measured durations in candidate order. Only wall-time-valued
-//! fields (timestamps, durations, histogram sums of seconds) may
-//! differ.
+//! `--threads 1` vs `--threads N` on the same seed: the libraries a
+//! worker runs (`magis-sched`, `magis-sim`, `magis-graph`) record
+//! nothing, workers hand their measured durations back, and the merge
+//! thread books them in candidate order. Only wall-time-valued fields
+//! (timestamps, durations, histogram sums of seconds) may differ.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

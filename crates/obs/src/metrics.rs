@@ -2,7 +2,7 @@
 //! histograms, exportable as a Prometheus-style text snapshot.
 //!
 //! Naming scheme: `magis_<crate>_<name>` (`magis_core_expansions`,
-//! `magis_sched_dp_seconds`, …), with optional labels rendered into
+//! `magis_serve_job_seconds`, …), with optional labels rendered into
 //! the metric name (`magis_core_candidate_outcomes{family="remat",
 //! outcome="accept"}`). All handles are cheap `Arc`-backed atomics:
 //! look a metric up once (e.g. in a `OnceLock`) and increment
@@ -10,12 +10,12 @@
 //!
 //! # Determinism
 //!
-//! Counter/gauge/histogram updates respect the per-thread
-//! [`crate::gate`] suppression, so worker-side updates in the parallel
-//! optimizer are dropped and only merge-thread updates count. Counters
-//! and gauges are then bit-identical across `--threads 1` vs `N`;
-//! histograms of wall-clock durations are explicitly *wall-time*
-//! metrics and may differ.
+//! The optimizer updates metrics on its driver / merge thread only
+//! (its workers run code that records nothing), so counters and gauges
+//! are bit-identical across `--threads 1` vs `N`; histograms of
+//! wall-clock durations are explicitly *wall-time* metrics and may
+//! differ. Updates are dropped inside a [`crate::gate::suppress`]
+//! region.
 //!
 //! [`Registry::reset`] zeroes values without invalidating handles, so
 //! cached `OnceLock` handles keep working across test-local resets.

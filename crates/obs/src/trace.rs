@@ -20,9 +20,8 @@
 //! [`TraceEvent::identity`] projection drops the volatile fields so a
 //! trace can be compared as a *set* across thread counts: the
 //! M-Optimizer emits the same identity multiset for `--threads 1` and
-//! `--threads N` (worker-side emission is suppressed via
-//! [`crate::gate`]; the merge re-emits with worker-measured
-//! durations).
+//! `--threads N` (its workers emit nothing; the merge emits one span
+//! per candidate with the worker-measured duration).
 
 use crate::gate;
 use crate::json::{Json, JsonError};
@@ -486,9 +485,9 @@ pub fn event(target: &str, name: &str, mut fields: Vec<(String, FieldValue)>) {
 
 /// Records a completed span with an externally measured duration.
 ///
-/// The parallel optimizer measures phase durations inside (suppressed)
-/// workers and re-attributes them on the merge thread through this
-/// entry point, keeping the emitted record set deterministic.
+/// The parallel optimizer measures phase durations inside its workers
+/// and records them on the merge thread through this entry point,
+/// keeping the emitted record set deterministic.
 pub fn span_with_dur(
     target: &str,
     name: &str,

@@ -61,8 +61,6 @@ pub fn dp_schedule(task: &SchedTask<'_>, cfg: &SchedConfig) -> DpResult {
     if n == 0 {
         return DpResult { order: Vec::new(), peak: task.base, states_expanded: 0 };
     }
-    let start = std::time::Instant::now();
-    let mut span = magis_obs::span!("magis_sched", "dp_schedule", window = n);
     let width = cfg.effective_width(n);
     // The window size picks only the executed-set key type. Word-array
     // keys live on the stack and cover every window up to 1024 nodes
@@ -77,28 +75,7 @@ pub fn dp_schedule(task: &SchedTask<'_>, cfg: &SchedConfig) -> DpResult {
         9..=16 => dp_on(task, width, [0u64; 16]),
         words => dp_on(task, width, vec![0u64; words].into_boxed_slice()),
     };
-    span.record("states_expanded", states_expanded);
-    span.record("peak_bytes", peak);
-    record_obs(states_expanded, start);
     DpResult { order, peak, states_expanded }
-}
-
-fn record_obs(expanded: usize, start: std::time::Instant) {
-    use std::sync::OnceLock;
-    struct DpObs {
-        runs: magis_obs::metrics::Counter,
-        states: magis_obs::metrics::Counter,
-        seconds: magis_obs::metrics::Histogram,
-    }
-    static OBS: OnceLock<DpObs> = OnceLock::new();
-    let obs = OBS.get_or_init(|| DpObs {
-        runs: magis_obs::metrics::counter("magis_sched_dp_runs"),
-        states: magis_obs::metrics::counter("magis_sched_dp_states_expanded"),
-        seconds: magis_obs::metrics::histogram("magis_sched_dp_seconds"),
-    });
-    obs.runs.inc();
-    obs.states.add(expanded as u64);
-    obs.seconds.observe_duration(start.elapsed());
 }
 
 /// An executed-set (or ready-set) key: a bitset over the window's local

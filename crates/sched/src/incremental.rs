@@ -150,7 +150,6 @@ pub fn incremental_schedule_cached(
     params: &IntervalParams,
     reach_old: Option<&Reachability>,
 ) -> Result<IncrementalSchedule, CostError> {
-    let mut span = magis_obs::span!("magis_sched", "incremental_schedule", nodes = g_new.len());
     let (beg, end) = match reschedule_interval_cached(g_old, s_old, psi_old, params, reach_old) {
         Some(r) => r,
         // Pure additions: reschedule only the new nodes, appended where
@@ -158,7 +157,6 @@ pub fn incremental_schedule_cached(
         None => (psi_old.len(), psi_old.len()),
     };
     let window = end.saturating_sub(beg);
-    span.record("window", window);
     let prefix: Vec<NodeId> =
         psi_old[..beg].iter().copied().filter(|&v| g_new.contains(v)).collect();
     let suffix: Vec<NodeId> =
@@ -196,7 +194,6 @@ pub fn incremental_schedule_cached(
             _ => new_prof.peak_bytes > old_prof.peak_bytes,
         }
     });
-    span.record("carried_won", carried_won);
     let (order, (profile, lifetimes, plan)) = match carried_measured {
         Some(m) if carried_won => (carried, m),
         _ => (rescheduled, (new_prof, new_lt, new_plan)),

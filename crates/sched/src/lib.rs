@@ -13,6 +13,9 @@
 //! * [`validate::Schedule`] — typed schedule validation (exactly-once
 //!   coverage + topological order) for the hardened search pipeline.
 //!
+//! A pure library: it records no metric and no trace span (results
+//! carry their own counts, e.g. [`DpResult::states_expanded`]).
+//!
 //! ```
 //! use magis_graph::builder::GraphBuilder;
 //! use magis_graph::tensor::DType;

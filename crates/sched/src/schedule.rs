@@ -74,23 +74,11 @@ pub(crate) fn schedule_pieces(g: &Graph, set: &BTreeSet<NodeId>, cfg: &SchedConf
 /// This is the `InitState` scheduler of Algorithm 3 and the "full
 /// scheduling (FS)" baseline of §7.3.
 pub fn full_schedule(g: &Graph, cfg: &SchedConfig) -> Vec<NodeId> {
-    let start = std::time::Instant::now();
-    let mut span = magis_obs::span!("magis_sched", "full_schedule", nodes = g.len());
     let all: BTreeSet<NodeId> = g.node_ids().collect();
     let dp_order = stabilize_order(g, &schedule_pieces(g, &all, cfg));
     let fallback = magis_graph::algo::topo_order(g);
     let dp_peak = magis_sim::memory_profile(g, &dp_order).peak_bytes;
     let naive_peak = magis_sim::memory_profile(g, &fallback).peak_bytes;
-    span.record("peak_bytes", dp_peak.min(naive_peak));
-    {
-        use std::sync::OnceLock;
-        static RUNS: OnceLock<magis_obs::metrics::Counter> = OnceLock::new();
-        static SECONDS: OnceLock<magis_obs::metrics::Histogram> = OnceLock::new();
-        RUNS.get_or_init(|| magis_obs::metrics::counter("magis_sched_full_runs")).inc();
-        SECONDS
-            .get_or_init(|| magis_obs::metrics::histogram("magis_sched_full_seconds"))
-            .observe_duration(start.elapsed());
-    }
     if dp_peak <= naive_peak {
         dp_order
     } else {

@@ -109,13 +109,6 @@ pub trait NodeCost {
     /// latencies, so the device travels with the cost source.
     fn device(&self) -> &DeviceSpec;
 
-    /// Registry name of the backend the latencies come from (used for
-    /// per-backend metrics labels and reporting). Defaults to the
-    /// device name.
-    fn backend_name(&self) -> &str {
-        self.device().name
-    }
-
     /// [`Self::node_latency`] with the result validated: rejects NaN,
     /// infinite, and negative values with a typed [`CostError`]
     /// attributing the offending node.
@@ -139,10 +132,6 @@ impl NodeCost for CostModel {
     fn device(&self) -> &DeviceSpec {
         self.backend.device()
     }
-
-    fn backend_name(&self) -> &str {
-        self.backend.name()
-    }
 }
 
 impl<T: NodeCost + ?Sized> NodeCost for &T {
@@ -152,10 +141,6 @@ impl<T: NodeCost + ?Sized> NodeCost for &T {
 
     fn device(&self) -> &DeviceSpec {
         (**self).device()
-    }
-
-    fn backend_name(&self) -> &str {
-        (**self).backend_name()
     }
 }
 
@@ -223,20 +208,6 @@ impl CostModel {
     /// [`crate::exec::simulate_latency`] for the overlap-aware figure.
     pub fn graph_latency(&self, g: &Graph) -> f64 {
         g.node_ids().map(|v| self.node_latency(g, v)).sum()
-    }
-
-    /// [`Self::node_latency`] with the result validated: rejects NaN,
-    /// infinite, and negative values with a typed [`CostError`]
-    /// attributing the offending node.
-    pub fn node_latency_checked(&self, g: &Graph, v: NodeId) -> Result<f64, CostError> {
-        let t = self.node_latency(g, v);
-        if !t.is_finite() {
-            return Err(CostError::NonFiniteLatency { node: Some(v), value: t });
-        }
-        if t < 0.0 {
-            return Err(CostError::NegativeLatency { node: Some(v), value: t });
-        }
-        Ok(t)
     }
 }
 

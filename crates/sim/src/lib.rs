@@ -7,6 +7,11 @@
 //! memory profiler with hot-spot extraction, and a two-stream execution
 //! simulator that overlaps swap transfers with compute.
 //!
+//! A pure library: it records no metric and no trace span. Whoever
+//! calls it times and counts what it needs (`magis-core` at its merge,
+//! `benchmark/` with its own recorder); `magis-obs` is a dependency for
+//! [`calibrate`]'s JSON reader only.
+//!
 //! ```
 //! use magis_graph::builder::GraphBuilder;
 //! use magis_graph::tensor::DType;
@@ -51,39 +56,7 @@ pub use plan::{memory_plan, plan_from_lifetimes, MemObjective, MemoryPlan, Plann
 pub use {memory::memory_profile_delta, plan::memory_plan_delta};
 pub use profile::PerfCache;
 
-use magis_graph::GraphView;
 use magis_graph::graph::{Graph, NodeId};
-use std::sync::OnceLock;
-
-/// Observability handles, looked up once. All recording is dropped on
-/// suppressed (worker) threads, so parallel-search over-evaluation
-/// cannot skew these counts — see `magis_obs::gate`.
-struct ObsHandles {
-    evaluations: magis_obs::metrics::Counter,
-    eval_failures: magis_obs::metrics::Counter,
-    eval_seconds: magis_obs::metrics::Histogram,
-}
-
-fn obs() -> &'static ObsHandles {
-    static OBS: OnceLock<ObsHandles> = OnceLock::new();
-    OBS.get_or_init(|| ObsHandles {
-        evaluations: magis_obs::metrics::counter("magis_sim_evaluations"),
-        eval_failures: magis_obs::metrics::counter("magis_sim_eval_failures"),
-        eval_seconds: magis_obs::metrics::histogram("magis_sim_eval_seconds"),
-    })
-}
-
-/// Bumps the per-backend evaluation counter. A separate labeled family
-/// (`magis_sim_evaluations_by_backend{backend="..."}`) rather than
-/// labels on the historical counters, so existing dashboards and the
-/// observability tests keep their unlabeled series untouched.
-fn count_backend_eval(backend: &str) {
-    magis_obs::metrics::counter(&magis_obs::metrics::labeled(
-        "magis_sim_evaluations_by_backend",
-        &[("backend", backend)],
-    ))
-    .inc();
-}
 
 /// Combined latency + memory evaluation of a scheduled graph.
 #[derive(Debug, Clone)]
@@ -109,15 +82,8 @@ pub struct Evaluation {
 ///
 /// Panics if `order` does not cover the graph.
 pub fn evaluate<C: NodeCost + ?Sized>(g: &Graph, order: &[NodeId], cm: &C) -> Evaluation {
-    let start = std::time::Instant::now();
-    let mut span = magis_obs::span!("magis_sim", "evaluate", nodes = g.len());
     let timeline = exec::simulate(g, order, cm);
     let memory = memory::memory_profile(g, order);
-    span.record("peak_bytes", memory.peak_bytes);
-    span.record("latency", timeline.total);
-    obs().evaluations.inc();
-    count_backend_eval(cm.backend_name());
-    obs().eval_seconds.observe_duration(start.elapsed());
     Evaluation {
         latency: timeline.total,
         peak_bytes: memory.peak_bytes,
@@ -133,29 +99,6 @@ pub fn evaluate<C: NodeCost + ?Sized>(g: &Graph, order: &[NodeId], cm: &C) -> Ev
 /// all checked. This is the entry point the hardened optimizer uses
 /// for candidate evaluation.
 pub fn evaluate_checked<C: NodeCost + ?Sized>(
-    g: &Graph,
-    order: &[NodeId],
-    cm: &C,
-) -> Result<Evaluation, CostError> {
-    let start = std::time::Instant::now();
-    let mut span = magis_obs::span!("magis_sim", "evaluate_checked", nodes = g.len());
-    let result = evaluate_checked_inner(g, order, cm);
-    obs().evaluations.inc();
-    obs().eval_seconds.observe_duration(start.elapsed());
-    match &result {
-        Ok(ev) => {
-            span.record("peak_bytes", ev.peak_bytes);
-            span.record("latency", ev.latency);
-        }
-        Err(e) => {
-            obs().eval_failures.inc();
-            span.record("error", e.to_string());
-        }
-    }
-    result
-}
-
-fn evaluate_checked_inner<C: NodeCost + ?Sized>(
     g: &Graph,
     order: &[NodeId],
     cm: &C,
@@ -204,7 +147,6 @@ pub fn evaluate_with_plan<C: NodeCost + ?Sized>(
     // Latencies are validated inline as the simulation consumes them,
     // so a defect is attributed to the node that produced it without a
     // separate whole-schedule pass over the cost source.
-    count_backend_eval(cm.backend_name());
     let timeline = exec::simulate_checked(g, order, cm)?;
     if !timeline.total.is_finite() {
         return Err(CostError::NonFiniteLatency { node: None, value: timeline.total });

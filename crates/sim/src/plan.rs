@@ -25,7 +25,6 @@ use crate::cost::CostError;
 use crate::memory::{check_coverage, compute_lifetimes, Lifetimes};
 use magis_graph::graph::{Graph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
 
 /// Which peak-memory figure the optimizer scores candidates by.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -112,23 +111,6 @@ impl MemoryPlan {
     fn empty() -> MemoryPlan {
         MemoryPlan { planned_peak_bytes: 0, liveness_peak_bytes: 0, steps: 0, allocs: Vec::new() }
     }
-}
-
-/// Planner observability, looked up once. Recording is dropped on
-/// suppressed (worker) threads inside the metrics layer itself.
-struct PlanObs {
-    plans: magis_obs::metrics::Counter,
-    planned_peak: magis_obs::metrics::Gauge,
-    fragmentation: magis_obs::metrics::Gauge,
-}
-
-fn obs() -> &'static PlanObs {
-    static OBS: OnceLock<PlanObs> = OnceLock::new();
-    OBS.get_or_init(|| PlanObs {
-        plans: magis_obs::metrics::counter("magis_sim_plans"),
-        planned_peak: magis_obs::metrics::gauge("magis_sim_planned_peak_bytes"),
-        fragmentation: magis_obs::metrics::gauge("magis_sim_fragmentation_ratio"),
-    })
 }
 
 /// Event kinds, ordered so that at equal times frees happen before
@@ -286,11 +268,7 @@ fn plan_from_parts(lt: &Lifetimes) -> Result<MemoryPlan, CostError> {
     debug_assert!(live.is_empty(), "every allocation is freed by its (inclusive) free step + 1");
     let planned_peak_bytes = allocs.iter().map(|a| a.offset + a.bytes).max().unwrap_or(0);
     let liveness_peak_bytes = liveness_peak_of(&events)?;
-    let plan = MemoryPlan { planned_peak_bytes, liveness_peak_bytes, steps: lt.steps, allocs };
-    obs().plans.inc();
-    obs().planned_peak.set(plan.planned_peak_bytes as f64);
-    obs().fragmentation.set(plan.fragmentation_ratio());
-    Ok(plan)
+    Ok(MemoryPlan { planned_peak_bytes, liveness_peak_bytes, steps: lt.steps, allocs })
 }
 
 /// Plans device offsets for `g` executed in `order`: best-fit free-list

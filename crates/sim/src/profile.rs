@@ -123,10 +123,6 @@ impl crate::cost::NodeCost for PerfCache {
     fn device(&self) -> &DeviceSpec {
         self.model.device()
     }
-
-    fn backend_name(&self) -> &str {
-        self.model.backend().name()
-    }
 }
 
 #[cfg(test)]
@@ -206,8 +202,7 @@ mod tests {
         let _ = NodeCost::node_latency(&raw, &g, a);
         assert_eq!(pc.stats(), (0, 0), "uncached view must not touch counters");
         assert!(pc.is_empty());
-        assert_eq!(NodeCost::backend_name(&pc), "a100");
-        assert_eq!(NodeCost::backend_name(&raw), "a100");
+        assert_eq!(raw.backend().name(), "a100");
         assert_eq!(NodeCost::device(&pc).name, "a100");
     }
 }

@@ -9,7 +9,9 @@
 //! The metrics registry and trace sink are process-global, so every
 //! test that touches them serializes on [`obs_lock`].
 
-use magis::core::optimizer::OptimizeResult;
+use magis::core::budget::SearchBudget;
+use magis::core::checkpoint::SearchCheckpoint;
+use magis::core::optimizer::{resume, CheckpointPolicy, OptimizeResult, OptimizerStats};
 use magis::obs::metrics::default_registry;
 use magis::obs::trace::{self, BufferSink, TraceEvent};
 use magis::prelude::*;
@@ -24,6 +26,7 @@ fn obs_lock() -> MutexGuard<'static, ()> {
 
 struct Capture {
     counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
     histogram_counts: BTreeMap<String, u64>,
     identities: Vec<String>,
     events: Vec<TraceEvent>,
@@ -51,6 +54,7 @@ fn traced_run(threads: usize) -> Capture {
     let snap = default_registry().snapshot();
     Capture {
         counters: snap.counters,
+        gauges: snap.gauges,
         histogram_counts: snap.histograms.iter().map(|(k, &(n, _))| (k.clone(), n)).collect(),
         identities,
         events,
@@ -82,12 +86,13 @@ fn count_metrics_and_trace_set_identical_across_threads() {
     assert!(!serial.identities.is_empty());
 
     // The taxonomy is present: spans for expansion, candidate
-    // evaluation, scheduling, and cost simulation; a stop event.
+    // evaluation, the seed evaluation and the final polish; a stop
+    // event.
     for prefix in [
         "span:magis_core/expansion[",
         "span:magis_core/candidate_eval[",
-        "span:magis_sched/full_schedule[",
-        "span:magis_sim/evaluate",
+        "span:magis_core/seed_eval[",
+        "span:magis_core/polish[",
         "event:magis_core/stop[",
     ] {
         assert!(
@@ -96,10 +101,75 @@ fn count_metrics_and_trace_set_identical_across_threads() {
         );
     }
 
+    // One recorder: everything a search records comes from
+    // `magis_core`; the libraries below it are pure and register no
+    // series at all. (The registry is process-wide and keeps names
+    // through a reset, so the serve test's may sit in it at zero.)
+    for ev in &serial.events {
+        assert_eq!(ev.target, "magis_core", "foreign trace record {}", ev.identity());
+    }
+    let names =
+        serial.counters.keys().chain(serial.gauges.keys()).chain(serial.histogram_counts.keys());
+    for name in names {
+        assert!(
+            name.starts_with("magis_core_") || name.starts_with("magis_serve_"),
+            "a layer below the optimizer registered {name}"
+        );
+    }
+
     // And the search results themselves still agree (the instrumented
     // build keeps the PR-1 determinism guarantee).
     assert_eq!(serial.res.best.cost(), parallel.res.best.cost());
     assert_eq!(serial.res.stats.evaluated, parallel.res.stats.evaluated);
+}
+
+/// `OptimizerStats` is the ledger and the registry a projection of it:
+/// after a search every [`OptimizerStats::PUBLISHED`] counter holds the
+/// value of the field it is projected from — for a fresh search, and
+/// cumulatively for one killed at a frontier checkpoint and resumed
+/// (in a new process, so from an empty registry) — on 1 and 4 threads
+/// alike. The table itself is the list of cases.
+#[test]
+fn published_counters_equal_the_stats_they_are_projected_from() {
+    let _g = obs_lock();
+    let tg = Workload::UNet.build(0.15);
+    let init = MState::initial(tg.graph.clone(), &EvalContext::default());
+    let cfg = |limit: usize, threads: usize| {
+        OptimizerConfig::new(Objective::MinMemory { lat_limit: init.eval.latency * 1.10 })
+            .with_budget(Duration::from_secs(3600))
+            .with_threads(threads)
+            .with_search_budget(SearchBudget::UNLIMITED.with_candidate_limit(limit))
+    };
+    let projected = |res: &OptimizeResult| {
+        let mut counters = default_registry().snapshot().counters;
+        for (name, field) in OptimizerStats::PUBLISHED {
+            assert_eq!(counters[name], field(&res.stats) as u64, "{name}");
+        }
+        // Labeled series register on first use and stay, at zero,
+        // through a reset: compare what the search moved.
+        counters.retain(|_, v| *v > 0);
+        counters
+    };
+    let path = std::env::temp_dir().join(format!("magis_obs_ledger_{}.ckpt", std::process::id()));
+    let per_threads = [1, 4].map(|threads| {
+        default_registry().reset();
+        let policy = CheckpointPolicy::new(path.clone()).with_every(16).with_frontier(true);
+        let killed = optimize(tg.graph.clone(), &cfg(40, threads).with_checkpoint(policy));
+        let fresh = projected(&killed);
+        assert!(fresh["magis_core_evaluated"] >= 40 && fresh["magis_core_checkpoints_written"] > 0);
+
+        default_registry().reset();
+        let ckpt = SearchCheckpoint::read_from(&path).expect("the final frontier checkpoint parses");
+        let resumed = resume(&ckpt, &cfg(120, threads)).expect("resumes");
+        let cumulative = projected(&resumed);
+        assert!(resumed.stats.resumed && resumed.stats.evaluated >= 120);
+        // The resumed run has no checkpoint policy: what it publishes
+        // here is the count its checkpoint carried.
+        assert!(cumulative["magis_core_checkpoints_written"] > 0);
+        (fresh, cumulative)
+    });
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(per_threads[0], per_threads[1], "snapshots differ between 1 and 4 threads");
 }
 
 /// The service extends the determinism contract across its worker
