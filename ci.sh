@@ -98,6 +98,11 @@ run env RUST_TEST_THREADS=1 cargo test -q --test cow_graph
 run env RUST_TEST_THREADS=1 cargo test -q --test overlay_identity
 run env RUST_TEST_THREADS=1 cargo test -q --test ftree_identity
 run env RUST_TEST_THREADS=1 cargo test -q -p magis-sched --test dp_identity
+# The scheduler's identity suites (dp_identity, window_fingerprint's
+# committed digests, the property suites) once more at the optimisation
+# level the search runs at: release builds drop debug assertions and
+# wrap where debug builds panic.
+run cargo test -q -p magis-sched --release
 run env RUST_TEST_THREADS=1 cargo test -q --test incremental_eval
 
 # Front-door smoke: neither binary runs a default when it is handed

@@ -32,7 +32,7 @@ const MIN_SWAP_BYTES: u64 = 1 << 18;
 pub fn generate(state: &MState, cfg: &RuleConfig, out: &mut Vec<Transform>) {
     let g = &state.base;
     let hot = &state.eval.hotspots_base;
-    let pos = &state.eval.base_positions;
+    let pos = state.eval.base_positions();
 
     // --- Re-materialization & swapping sites -------------------------
     let mut producers: Vec<NodeId> = g
@@ -130,7 +130,7 @@ pub fn generate(state: &MState, cfg: &RuleConfig, out: &mut Vec<Transform>) {
 /// both its `dX` and `dW` consumers at the same stage — Fig. 8 (b)'s
 /// rule moves the whole group to the recomputed clone).
 fn late_cluster(state: &MState, producer: NodeId, user: NodeId) -> Vec<NodeId> {
-    let pos = &state.eval.base_positions;
+    let pos = state.eval.base_positions();
     let n = state.eval.order.len().max(1);
     let anchor = pos.get(&user).copied().unwrap_or(usize::MAX);
     let slack = n / 10 + 1;

@@ -29,7 +29,7 @@ use magis_sim::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Why evaluating a state failed: the transform/overlay machinery
 /// rejected it, or the simulator produced a defective cost. Both are
@@ -168,8 +168,6 @@ pub struct Eval {
     /// Memory hot-spots, restricted to base-graph nodes (overlay
     /// bookkeeping nodes filtered out).
     pub hotspots_base: BTreeSet<NodeId>,
-    /// Position of each base node in `order`.
-    pub base_positions: BTreeMap<NodeId, usize>,
     /// Per-root tensor lifetimes of `order`, the table `plan` was
     /// built from.
     pub lifetimes: Lifetimes,
@@ -185,7 +183,10 @@ pub struct Eval {
     /// across clones. Every candidate derived from this state needs it
     /// for the reschedule-interval computation, so it is computed at
     /// most once per state instead of once per candidate.
-    reach: Arc<std::sync::OnceLock<Reachability>>,
+    reach: Arc<OnceLock<Reachability>>,
+    /// Lazily-computed position of each node in `order`, shared like
+    /// `reach`: only states that get expanded read it.
+    positions: Arc<OnceLock<BTreeMap<NodeId, usize>>>,
 }
 
 impl Eval {
@@ -193,6 +194,12 @@ impl Eval {
     /// cached for the state's lifetime.
     pub fn reachability(&self) -> &Reachability {
         self.reach.get_or_init(|| Reachability::compute(&self.graph))
+    }
+
+    /// Position in [`Eval::order`] of each node, computed on first use
+    /// (the schedule rules look base-graph nodes up in it).
+    pub fn base_positions(&self) -> &BTreeMap<NodeId, usize> {
+        self.positions.get_or_init(|| self.order.iter().enumerate().map(|(i, &v)| (v, i)).collect())
     }
 
     /// The peak-memory figure the active objective scores this state
@@ -344,18 +351,18 @@ impl MState {
             profile,
             plan.as_ref(),
         )?;
-        let (hotspots_base, base_positions) = project_to_base(&base, &ev.memory.hotspots, &order);
+        let hotspots_base = project_to_base(&base, &ev.memory.hotspots);
         let eval = Eval {
             graph,
             order,
             latency: ev.latency,
             peak_bytes: ev.peak_bytes,
             hotspots_base,
-            base_positions,
             lifetimes,
             plan,
             inc: None,
             reach: Arc::default(),
+            positions: Arc::default(),
         };
         Ok(MState { base, ftree, eval, tree_stale: true })
     }
@@ -374,25 +381,14 @@ pub fn build_overlay_graph(base: &Graph, ftree: &FTree) -> Result<Graph, ApplyEr
     Ok(txn.commit().0)
 }
 
-/// Restricts simulator hot-spots and schedule positions to base-graph
-/// nodes (overlay bookkeeping nodes filtered out).
-fn project_to_base(
-    base: &Graph,
-    hotspots: &BTreeSet<NodeId>,
-    order: &[NodeId],
-) -> (BTreeSet<NodeId>, BTreeMap<NodeId, usize>) {
-    let hotspots_base = hotspots
+/// Restricts simulator hot-spots to base-graph nodes (overlay
+/// bookkeeping nodes filtered out).
+fn project_to_base(base: &Graph, hotspots: &BTreeSet<NodeId>) -> BTreeSet<NodeId> {
+    hotspots
         .iter()
         .copied()
         .filter(|v| v.index() < base.capacity() && base.contains(*v))
-        .collect();
-    let base_positions = order
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.index() < base.capacity() && base.contains(**v))
-        .map(|(i, &v)| (v, i))
-        .collect();
-    (hotspots_base, base_positions)
+        .collect()
 }
 
 fn evaluate_state(
@@ -472,18 +468,18 @@ pub(crate) fn evaluate_overlay(
     };
     let ev =
         magis_sim::evaluate_with_plan(&g, &placed, ctx.perf.as_ref(), profile, plan.as_ref())?;
-    let (hotspots_base, base_positions) = project_to_base(base, &ev.memory.hotspots, &placed);
+    let hotspots_base = project_to_base(base, &ev.memory.hotspots);
     Ok(Eval {
         graph: g,
         order: placed,
         latency: ev.latency,
         peak_bytes: ev.peak_bytes,
         hotspots_base,
-        base_positions,
         lifetimes,
         plan,
         inc: inc_info,
         reach: Arc::default(),
+        positions: Arc::default(),
     })
 }
 

@@ -141,8 +141,8 @@ fn dp_on<K: Key>(task: &SchedTask<'_>, width: usize, zero: K) -> (Vec<usize>, u6
         nodes.iter().for_each(|&i| m.set(i));
         m
     };
-    let pred_mask: Vec<K> = task.preds.iter().map(|p| mask_of(p)).collect();
-    let root_users: Vec<K> = task.roots.iter().map(|r| mask_of(&r.users)).collect();
+    let pred_mask: Vec<K> = task.preds.iter().map(&mask_of).collect();
+    let root_users: Vec<K> = task.root_users.iter().map(&mask_of).collect();
     let mut ready0 = zero.clone();
     (0..n).filter(|&v| task.preds[v].is_empty()).for_each(|v| ready0.set(v));
     // Parent-link arena: one `(parent, last)` entry per state that
@@ -262,9 +262,7 @@ mod tests {
         }
         let g = b.finish();
         let task = SchedTask::whole_graph(&g);
-        let naive = task.default_order();
-        let naive_ids = task.to_node_ids(&naive);
-        let naive_peak = memory_profile(&g, &naive_ids).peak_bytes;
+        let naive_peak = memory_profile(&g, &magis_graph::algo::topo_order(&g)).peak_bytes;
         let res = dp_schedule(&task, &SchedConfig::default());
         let ids = task.to_node_ids(&res.order);
         assert!(is_topo_order(&g, &ids));

@@ -10,6 +10,7 @@
 use magis_graph::GraphView;
 use crate::dp::SchedConfig;
 use crate::schedule::{schedule_pieces, stabilize_order};
+use crate::workspace::Workspace;
 use magis_graph::algo::reach::Reachability;
 use magis_graph::graph::{Graph, NodeId};
 use magis_sim::{CostError, Lifetimes, MemoryPlan, MemoryProfile};
@@ -51,13 +52,8 @@ pub fn reschedule_interval_cached(
     params: &IntervalParams,
     reach: Option<&Reachability>,
 ) -> Option<(usize, usize)> {
-    let idxs: Vec<usize> = psi_old
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| s_old.contains(v))
-        .map(|(i, _)| i)
-        .collect();
-    let (&lo, &hi) = (idxs.first()?, idxs.last()?);
+    let lo = psi_old.iter().position(|v| s_old.contains(v))?;
+    let hi = psi_old.iter().rposition(|v| s_old.contains(v))?;
     let computed;
     let reach = match reach {
         Some(r) => r,
@@ -157,17 +153,15 @@ pub fn incremental_schedule_cached(
         None => (psi_old.len(), psi_old.len()),
     };
     let window = end.saturating_sub(beg);
-    let prefix: Vec<NodeId> =
-        psi_old[..beg].iter().copied().filter(|&v| g_new.contains(v)).collect();
-    let suffix: Vec<NodeId> =
-        psi_old[end..].iter().copied().filter(|&v| g_new.contains(v)).collect();
-    let kept: BTreeSet<NodeId> = prefix.iter().chain(suffix.iter()).copied().collect();
-    let s_new: BTreeSet<NodeId> =
-        g_new.node_ids().filter(|v| !kept.contains(v)).collect();
-
-    let middle = schedule_pieces(g_new, &s_new, cfg);
-    let desired: Vec<NodeId> =
-        prefix.into_iter().chain(middle).chain(suffix).collect();
+    // The window is every node of `g_new` the old schedule does not
+    // place outside `[beg, end)`. Old entries that died with the
+    // rewrite stay in `desired`: stabilization skips stale ids.
+    let (prefix, suffix) = (&psi_old[..beg], &psi_old[end..]);
+    let mut ws = Workspace::new(g_new);
+    ws.index(prefix.iter().chain(suffix).copied());
+    let s_new: Vec<NodeId> = g_new.node_ids().filter(|&v| ws.local(v).is_none()).collect();
+    let middle = schedule_pieces(g_new, &s_new, cfg, &mut ws);
+    let desired = [prefix, &middle, suffix].concat();
     let rescheduled = stabilize_order(g_new, &desired);
     // Guard: rescheduling a window can occasionally lose to simply
     // carrying the old order over (boundary effects). Keep the better

@@ -40,6 +40,7 @@ pub mod partition;
 pub mod schedule;
 pub mod task;
 pub mod validate;
+mod workspace;
 
 pub use dp::{dp_schedule, DpResult, SchedConfig};
 pub use incremental::{

@@ -5,9 +5,9 @@
 //! them, so cutting the window there splits it into pieces that can be
 //! scheduled independently with bounded loss (§6.1 of the paper).
 
+use crate::task::Csr;
+use crate::workspace::{ReadyRanks, Workspace};
 use magis_graph::GraphView;
-use magis_graph::algo::topo::topo_order_of;
-use magis_graph::algo::weakly_connected_components;
 use magis_graph::graph::{Graph, NodeId};
 use std::collections::BTreeSet;
 
@@ -22,78 +22,101 @@ pub const CUT_NW: usize = 1;
 /// at most [`CUT_NW`]. Pieces are returned in a valid execution order
 /// (concatenating their schedules yields a topological order of `set`).
 pub fn partition(g: &Graph, set: &BTreeSet<NodeId>) -> Vec<Vec<NodeId>> {
+    let window: Vec<NodeId> = set.iter().copied().collect();
+    partition_window(g, &window, &mut Workspace::new(g))
+}
+
+/// [`partition`] of `window` (ascending id) on the caller's scratch:
+/// the one partitioner, behind the search and the public wrapper alike.
+pub(crate) fn partition_window(g: &Graph, window: &[NodeId], ws: &mut Workspace) -> Vec<Vec<NodeId>> {
+    // The window's own adjacency, from one pass over the graph's nodes;
+    // everything below runs on it, in window-local indices (index order
+    // is id order).
+    ws.index(window.iter().copied());
+    let n = window.len();
+    let mut preds = Csr::new();
+    for &v in window {
+        let node = g.node(v);
+        let deps = node.inputs().iter().chain(node.keepalive());
+        preds.push_row(deps.filter_map(|&p| ws.local(p)));
+    }
+    let succs = preds.transposed(n);
+
     let mut pieces = Vec::new();
-    for comp in weakly_connected_components(g, set) {
-        let order = topo_order_of(g, &comp);
-        if comp.len() <= 2 {
-            pieces.push(order);
+    let mut indeg: Vec<usize> = preds.iter().map(<[usize]>::len).collect();
+    let mut ready = ReadyRanks::new(n);
+    let (mut seen, mut pos) = (vec![false; n], vec![0; n]);
+    let (mut stack, mut order) = (Vec::new(), Vec::new());
+    // Weakly connected components by lowest id first.
+    for seed in 0..n {
+        if seen[seed] {
             continue;
         }
-        // Narrow-waist values restricted to the component: build a
-        // component-local reachability by counting anc/des inside it.
-        let nw = component_narrow_waists(g, &order);
+        // Flood fill, handing the component's sources to Kahn.
+        seen[seed] = true;
+        stack.push(seed);
+        while let Some(i) = stack.pop() {
+            if indeg[i] == 0 {
+                ready.push(i);
+            }
+            for &u in preds[i].iter().chain(&succs[i]) {
+                if !seen[u] {
+                    seen[u] = true;
+                    stack.push(u);
+                }
+            }
+        }
+        // Min-id topological order; `pos` is a member's place in it.
+        order.clear();
+        while let Some(i) = ready.pop() {
+            pos[i] = order.len();
+            order.push(i);
+            for &s in &succs[i] {
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+        // Cut after every narrow waist that is not the component's end.
+        let nw = component_narrow_waists(&order, &pos, &preds, &succs);
         let mut cur = Vec::new();
         for (i, &v) in order.iter().enumerate() {
-            cur.push(v);
+            cur.push(window[v]);
             let last = i + 1 == order.len();
             if !last && nw[i] <= CUT_NW && cur.len() > 1 {
                 pieces.push(std::mem::take(&mut cur));
             }
         }
-        if !cur.is_empty() {
-            pieces.push(cur);
-        }
+        pieces.push(cur);
     }
     pieces
 }
 
 /// Narrow-waist value of every node of the component (aligned with
-/// `order`), counting only ancestors/descendants inside it.
-fn component_narrow_waists(g: &Graph, order: &[NodeId]) -> Vec<usize> {
+/// `order`, `pos` the inverse), counting only ancestors/descendants
+/// inside it, on two flat `n × words` bit arrays.
+fn component_narrow_waists(order: &[usize], pos: &[usize], preds: &Csr, succs: &Csr) -> Vec<usize> {
     let n = order.len();
-    // Dense slot→position table: doubles as the membership test, so
-    // the bitset merges below walk raw neighbour slices directly.
-    let mut pos = vec![usize::MAX; g.capacity()];
-    for (i, &v) in order.iter().enumerate() {
-        pos[v.index()] = i;
-    }
     let words = n.div_ceil(64);
-    let mut anc = vec![vec![0u64; words]; n];
-    let mut des = vec![vec![0u64; words]; n];
-    for (i, &v) in order.iter().enumerate() {
-        let node = g.node(v);
-        for &p in node.inputs().iter().chain(node.keepalive()) {
-            let pi = pos[p.index()];
-            if pi == usize::MAX {
-                continue;
-            }
-            let (head, tail) = anc.split_at_mut(i);
-            for (w, pw) in tail[0].iter_mut().zip(head[pi].iter()) {
-                *w |= pw;
-            }
-            anc[i][pi / 64] |= 1 << (pi % 64);
+    let (mut anc, mut des) = (vec![0u64; n * words], vec![0u64; n * words]);
+    // Row `dst` takes in row `src` and `src` itself.
+    let absorb = |bits: &mut [u64], dst: usize, src: usize| {
+        for w in 0..words {
+            bits[dst * words + w] |= bits[src * words + w];
         }
+        bits[dst * words + src / 64] |= 1 << (src % 64);
+    };
+    for (i, &v) in order.iter().enumerate() {
+        preds[v].iter().for_each(|&p| absorb(&mut anc, i, pos[p]));
     }
     for (i, &v) in order.iter().enumerate().rev() {
-        for &s in g.node(v).succs() {
-            let si = pos[s.index()];
-            if si == usize::MAX {
-                continue;
-            }
-            let (head, tail) = des.split_at_mut(si);
-            for (w, sw) in head[i].iter_mut().zip(tail[0].iter()) {
-                *w |= sw;
-            }
-            des[i][si / 64] |= 1 << (si % 64);
-        }
+        succs[v].iter().for_each(|&s| absorb(&mut des, i, pos[s]));
     }
-    (0..n)
-        .map(|i| {
-            let a: usize = anc[i].iter().map(|w| w.count_ones() as usize).sum();
-            let d: usize = des[i].iter().map(|w| w.count_ones() as usize).sum();
-            n - a - d - 1
-        })
-        .collect()
+    let ones = |bits: &[u64], i: usize| -> usize {
+        bits[i * words..][..words].iter().map(|w| w.count_ones() as usize).sum()
+    };
+    (0..n).map(|i| n - ones(&anc, i) - ones(&des, i) - 1).collect()
 }
 
 #[cfg(test)]

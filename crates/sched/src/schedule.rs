@@ -2,11 +2,10 @@
 
 use magis_graph::GraphView;
 use crate::dp::{dp_schedule, SchedConfig};
-use crate::partition::partition;
+use crate::partition::partition_window;
 use crate::task::SchedTask;
+use crate::workspace::{ReadyRanks, Workspace};
 use magis_graph::graph::{Graph, NodeId};
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 /// Repairs a desired node sequence into a valid topological order of
 /// `g`, staying as close to the desired order as dependencies allow
@@ -16,34 +15,34 @@ use std::collections::{BTreeSet, BinaryHeap, HashMap};
 /// Nodes of `g` missing from `desired` are appended by dependency
 /// order; stale ids in `desired` are ignored.
 pub fn stabilize_order(g: &Graph, desired: &[NodeId]) -> Vec<NodeId> {
-    let mut want = vec![usize::MAX; g.capacity()];
-    for (i, &v) in desired.iter().enumerate() {
-        if g.contains(v) && want[v.index()] == usize::MAX {
-            want[v.index()] = i;
+    const NONE: u32 = u32::MAX;
+    // In-degree + 1 of every live slot; 0 marks a dead one.
+    let mut indeg = vec![0u32; g.capacity()];
+    for (i, slot) in indeg.iter_mut().enumerate() {
+        *slot = g.slot(i).map_or(0, |n| (n.inputs().len() + n.keepalive().len()) as u32 + 1);
+    }
+    // Rank = first position in `desired`; unlisted nodes rank after
+    // everything listed, by id.
+    let mut rank = vec![NONE; g.capacity()];
+    let mut by_rank: Vec<NodeId> = Vec::with_capacity(g.len());
+    let listed = desired.iter().copied().filter(|v| v.index() < indeg.len());
+    for v in listed.chain((0..indeg.len()).map(NodeId::from_index)) {
+        if indeg[v.index()] != 0 && rank[v.index()] == NONE {
+            rank[v.index()] = by_rank.len() as u32;
+            by_rank.push(v);
         }
     }
-    // Unlisted nodes sort after everything, by id.
-    let rank = |v: NodeId| -> (usize, usize) { (want[v.index()], v.index()) };
-
-    let mut indeg = vec![0usize; g.capacity()];
-    for v in g.node_ids() {
-        let n = g.node(v);
-        indeg[v.index()] = n.inputs().len() + n.keepalive().len();
-    }
-    let mut heap: BinaryHeap<Reverse<((usize, usize), NodeId)>> = g
-        .node_ids()
-        .filter(|v| indeg[v.index()] == 0)
-        .map(|v| Reverse((rank(v), v)))
-        .collect();
-    let mut out = Vec::with_capacity(g.len());
-    while let Some(Reverse((_, v))) = heap.pop() {
-        out.push(v);
+    let mut ready = ReadyRanks::new(by_rank.len());
+    (0..by_rank.len()).filter(|&r| indeg[by_rank[r].index()] == 1).for_each(|r| ready.push(r));
+    let mut out = Vec::with_capacity(by_rank.len());
+    while let Some(r) = ready.pop() {
+        out.push(by_rank[r]);
         // Raw successor list: one entry per edge, so each occurrence
         // decrements the in-degree exactly once.
-        for &s in g.node(v).succs() {
+        for &s in g.node(by_rank[r]).succs() {
             indeg[s.index()] -= 1;
-            if indeg[s.index()] == 0 {
-                heap.push(Reverse((rank(s), s)));
+            if indeg[s.index()] == 1 {
+                ready.push(rank[s.index()] as usize);
             }
         }
     }
@@ -51,16 +50,22 @@ pub fn stabilize_order(g: &Graph, desired: &[NodeId]) -> Vec<NodeId> {
     out
 }
 
-/// Narrow-waist partition of `set`, then the memory DP on each piece
-/// as its own window; the piece schedules concatenated in partition
-/// order (`GraphPartition` + `DpSchedule`, Algorithm 2). The result
-/// covers `set` exactly but is not yet a topological order of `g`.
-pub(crate) fn schedule_pieces(g: &Graph, set: &BTreeSet<NodeId>, cfg: &SchedConfig) -> Vec<NodeId> {
-    let mut out = Vec::with_capacity(set.len());
-    for piece in partition(g, set) {
-        let piece: BTreeSet<NodeId> = piece.into_iter().collect();
-        let task = SchedTask::subset(g, &piece);
-        out.extend(task.to_node_ids(&dp_schedule(&task, cfg).order));
+/// Narrow-waist partition of `window` (ascending id), then the memory
+/// DP on each piece as its own window; the piece schedules concatenated
+/// in partition order (`GraphPartition` + `DpSchedule`, Algorithm 2).
+/// The result covers `window` exactly but is not yet a topological
+/// order of `g`.
+pub(crate) fn schedule_pieces(
+    g: &Graph,
+    window: &[NodeId],
+    cfg: &SchedConfig,
+    ws: &mut Workspace,
+) -> Vec<NodeId> {
+    let mut out = Vec::with_capacity(window.len());
+    for mut piece in partition_window(g, window, ws) {
+        piece.sort_unstable();
+        let task = SchedTask::build(g, piece, ws);
+        out.extend(dp_schedule(&task, cfg).order.iter().map(|&i| task.nodes[i]));
     }
     out
 }
@@ -74,8 +79,8 @@ pub(crate) fn schedule_pieces(g: &Graph, set: &BTreeSet<NodeId>, cfg: &SchedConf
 /// This is the `InitState` scheduler of Algorithm 3 and the "full
 /// scheduling (FS)" baseline of §7.3.
 pub fn full_schedule(g: &Graph, cfg: &SchedConfig) -> Vec<NodeId> {
-    let all: BTreeSet<NodeId> = g.node_ids().collect();
-    let dp_order = stabilize_order(g, &schedule_pieces(g, &all, cfg));
+    let all: Vec<NodeId> = g.node_ids().collect();
+    let dp_order = stabilize_order(g, &schedule_pieces(g, &all, cfg, &mut Workspace::new(g)));
     let fallback = magis_graph::algo::topo_order(g);
     let dp_peak = magis_sim::memory_profile(g, &dp_order).peak_bytes;
     let naive_peak = magis_sim::memory_profile(g, &fallback).peak_bytes;
@@ -101,19 +106,15 @@ pub fn place_swaps<C: magis_sim::NodeCost + ?Sized>(
     cm: &C,
 ) -> Vec<NodeId> {
     use magis_graph::op::OpKind;
-    let swaps: Vec<NodeId> = order
-        .iter()
-        .copied()
-        .filter(|&v| g.node(v).op.is_swap())
-        .collect();
+    let (swaps, stripped): (Vec<NodeId>, Vec<NodeId>) =
+        order.iter().partition(|&&v| g.node(v).op.is_swap());
     if swaps.is_empty() {
-        return order.to_vec();
+        return stripped;
     }
-    let stripped: Vec<NodeId> =
-        order.iter().copied().filter(|&v| !g.node(v).op.is_swap()).collect();
-    let mut pos: HashMap<NodeId, usize> = HashMap::new();
+    // Slot → index in `stripped` (`None` for swaps).
+    let mut pos = vec![None; g.capacity()];
     for (i, &v) in stripped.iter().enumerate() {
-        pos.insert(v, i);
+        pos[v.index()] = Some(i);
     }
     // Insertion index in `stripped` -> nodes to place before that step.
     let mut inserts: Vec<(usize, NodeId)> = Vec::new();
@@ -121,15 +122,16 @@ pub fn place_swaps<C: magis_sim::NodeCost + ?Sized>(
         match g.node(s).op {
             OpKind::Store => {
                 let producer = g.pre(s)[0];
-                let at = pos.get(&producer).map(|&p| p + 1).unwrap_or(0);
+                let at = pos[producer.index()].map_or(0, |p| p + 1);
                 inserts.push((at, s));
             }
             OpKind::Load => {
                 // Earliest non-swap consumer.
                 let consumer = g
-                    .suc(s)
-                    .into_iter()
-                    .filter_map(|c| pos.get(&c).copied())
+                    .node(s)
+                    .succs()
+                    .iter()
+                    .filter_map(|&c| pos[c.index()])
                     .min()
                     .unwrap_or(stripped.len());
                 let need = cm.node_latency(g, s);

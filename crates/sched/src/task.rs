@@ -6,20 +6,80 @@
 //! index space so the DP/beam schedulers can evaluate memory deltas in
 //! O(degree) per transition.
 
+use crate::workspace::Workspace;
 use magis_graph::GraphView;
-use magis_graph::algo::topo::topo_order_of;
 use magis_graph::graph::{Graph, NodeId};
-use magis_sim::memory::{device_bytes, storage_root};
-use std::collections::{BTreeMap, BTreeSet};
+use magis_sim::memory::device_bytes;
+use std::collections::BTreeSet;
 
-/// A storage root relevant to a scheduling window.
+/// Rows of local indices in one allocation (compressed sparse rows):
+/// row `i` is `data[off[i]..off[i + 1]]`, read as `csr[i]`.
+#[derive(Debug, Clone)]
+pub struct Csr {
+    off: Vec<u32>,
+    data: Vec<usize>,
+}
+
+impl Csr {
+    pub(crate) fn new() -> Self {
+        Csr { off: vec![0], data: Vec::new() }
+    }
+
+    /// Appends `row`, sorted ascending and deduplicated.
+    pub(crate) fn push_row(&mut self, row: impl IntoIterator<Item = usize>) {
+        let start = self.data.len();
+        self.data.extend(row);
+        self.data[start..].sort_unstable();
+        let mut end = start;
+        for i in start..self.data.len() {
+            if end == start || self.data[end - 1] != self.data[i] {
+                self.data[end] = self.data[i];
+                end += 1;
+            }
+        }
+        self.data.truncate(end);
+        self.off.push(end as u32);
+    }
+
+    /// The transpose over `n` columns: row `c` lists, ascending, the
+    /// rows of `self` that hold `c` (two counting passes).
+    pub(crate) fn transposed(&self, n: usize) -> Self {
+        let mut off = vec![0u32; n + 1];
+        self.data.iter().for_each(|&c| off[c + 1] += 1);
+        for c in 0..n {
+            off[c + 1] += off[c];
+        }
+        let (mut next, mut data) = (off.clone(), vec![0; self.data.len()]);
+        for (r, row) in self.iter().enumerate() {
+            for &c in row {
+                data[next[c] as usize] = r;
+                next[c] += 1;
+            }
+        }
+        Csr { off, data }
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        self.off.windows(2).map(|w| &self.data[w[0] as usize..w[1] as usize])
+    }
+}
+
+impl std::ops::Index<usize> for Csr {
+    type Output = [usize];
+
+    fn index(&self, i: usize) -> &[usize] {
+        &self.data[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+}
+
+/// A storage root relevant to a scheduling window. The window nodes
+/// that must execute before it can be freed are its row of
+/// [`SchedTask::root_users`].
 #[derive(Debug, Clone)]
 pub struct RootInfo {
     /// Bytes owned by the root's storage.
     pub bytes: u64,
-    /// Local indices of window nodes that must execute before the root
-    /// can be freed (readers of the storage, through aliases).
-    pub users: Vec<usize>,
     /// Whether the root can be freed inside this window (no users
     /// outside it and it is not a terminal output).
     pub freeable: bool,
@@ -32,19 +92,22 @@ pub struct RootInfo {
 #[derive(Debug, Clone)]
 pub struct SchedTask<'g> {
     g: &'g Graph,
-    /// Window nodes in local-index order.
+    /// Window nodes in local-index order (ascending id).
     pub nodes: Vec<NodeId>,
     /// Local predecessors (dependencies inside the window, deduplicated).
-    pub preds: Vec<Vec<usize>>,
+    pub preds: Csr,
     /// Local successors.
-    pub succs: Vec<Vec<usize>>,
-    /// Storage roots touched by the window.
+    pub succs: Csr,
+    /// Storage roots touched by the window, in ascending root id.
     pub roots: Vec<RootInfo>,
+    /// For each root: local indices of the window nodes that read its
+    /// storage (through aliases), ascending.
+    pub root_users: Csr,
     /// For each local node: indices into `roots` this node allocates.
-    pub allocs: Vec<Vec<usize>>,
+    pub allocs: Csr,
     /// For each local node: indices into `roots` this node uses (its
     /// execution may complete the root's user set and free it).
-    pub uses: Vec<Vec<usize>>,
+    pub uses: Csr,
     /// Bytes resident for the whole window (boundary inputs).
     pub base: u64,
 }
@@ -52,8 +115,7 @@ pub struct SchedTask<'g> {
 impl<'g> SchedTask<'g> {
     /// Prepares a scheduling task over all live nodes of `g`.
     pub fn whole_graph(g: &'g Graph) -> Self {
-        let set: BTreeSet<NodeId> = g.node_ids().collect();
-        Self::subset(g, &set)
+        Self::build(g, g.node_ids().collect(), &mut Workspace::new(g))
     }
 
     /// Prepares a scheduling task over `set ⊆ V(g)`.
@@ -62,61 +124,34 @@ impl<'g> SchedTask<'g> {
     /// charged to `base` for the window's duration; tensors with
     /// readers outside `set` are never freed inside the window.
     pub fn subset(g: &'g Graph, set: &BTreeSet<NodeId>) -> Self {
-        let nodes: Vec<NodeId> = set.iter().copied().collect();
-        // Dense slot→local-index table (usize::MAX = outside the
-        // window): membership tests and index mapping in one probe.
-        let mut local = vec![usize::MAX; g.capacity()];
-        for (i, &v) in nodes.iter().enumerate() {
-            local[v.index()] = i;
-        }
+        Self::build(g, set.iter().copied().collect(), &mut Workspace::new(g))
+    }
+
+    /// [`Self::subset`] over `nodes` (ascending id) on the caller's
+    /// scratch: the one task builder, behind the search and the public
+    /// constructors alike.
+    pub(crate) fn build(g: &'g Graph, nodes: Vec<NodeId>, ws: &mut Workspace) -> Self {
+        ws.index(nodes.iter().copied());
         let n = nodes.len();
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
-        for (i, &v) in nodes.iter().enumerate() {
-            let node = g.node(v);
-            let mut ps: Vec<usize> = node
-                .inputs()
-                .iter()
-                .chain(node.keepalive())
-                .filter_map(|p| {
-                    let li = local[p.index()];
-                    (li != usize::MAX).then_some(li)
-                })
-                .collect();
-            ps.sort_unstable();
-            ps.dedup();
-            for &p in &ps {
-                succs[p].push(i);
-            }
-            preds[i] = ps;
-        }
-
-        // Gather relevant storage roots: roots of window nodes plus
-        // roots read by window nodes. Alias-chain walks are memoized
-        // per slot — a root is queried once per incident edge.
-        let mut root_memo: Vec<u32> = vec![u32::MAX; g.capacity()];
-        let mut root_of = |v: NodeId| -> NodeId {
-            let cached = root_memo[v.index()];
-            if cached != u32::MAX {
-                return NodeId::from_index(cached as usize);
-            }
-            let r = storage_root(g, v);
-            root_memo[v.index()] = r.index() as u32;
-            r
-        };
-        let mut root_ids: BTreeSet<NodeId> = BTreeSet::new();
+        let mut preds = Csr::new();
+        // Relevant storage roots: roots of window nodes plus roots read
+        // by window nodes.
+        let mut root_ids: Vec<NodeId> = Vec::with_capacity(2 * n);
         for &v in &nodes {
-            root_ids.insert(root_of(v));
             let node = g.node(v);
-            for &p in node.inputs().iter().chain(node.keepalive()) {
-                root_ids.insert(root_of(p));
-            }
+            let deps = node.inputs().iter().chain(node.keepalive());
+            preds.push_row(deps.clone().filter_map(|&p| ws.local(p)));
+            root_ids.push(ws.root_of(g, v));
+            root_ids.extend(deps.map(|&p| ws.root_of(g, p)));
         }
+        root_ids.sort_unstable();
+        root_ids.dedup();
 
-        let mut roots = Vec::new();
-        let mut allocs = vec![Vec::new(); n];
-        let mut uses = vec![Vec::new(); n];
+        let mut roots = Vec::with_capacity(root_ids.len());
+        // Per root: its users, and where it is allocated (one entry or none).
+        let (mut root_users, mut alloc_of) = (Csr::new(), Csr::new());
         let mut base = 0u64;
+        let (mut chain, mut users) = (Vec::new(), Vec::new());
         for rid in root_ids {
             let bytes = device_bytes(g, rid);
             if bytes == 0 {
@@ -124,52 +159,45 @@ impl<'g> SchedTask<'g> {
             }
             // Users of the root's storage: successors of the root and of
             // every alias chained onto it. Aliases themselves also count
-            // as (trivial) readers.
-            let mut user_nodes: BTreeSet<NodeId> = BTreeSet::new();
-            let mut alias_stack = vec![rid];
-            while let Some(a) = alias_stack.pop() {
+            // as (trivial) readers. `chain` keeps what it has walked, so
+            // an alias reached twice is walked once.
+            let mut outside_user = false;
+            chain.clear();
+            chain.push(rid);
+            let mut walked = 0;
+            while let Some(&a) = chain.get(walked) {
+                walked += 1;
                 for &s in g.node(a).succs() {
-                    if user_nodes.insert(s)
-                        && g.node(s).op.is_alias()
-                        && root_of(s) == rid
-                    {
-                        alias_stack.push(s);
+                    match ws.local(s) {
+                        Some(li) => users.push(li),
+                        None => outside_user = true,
+                    }
+                    // A descendant rooted at `rid` is an alias onto it.
+                    if ws.root_of(g, s) == rid && !chain.contains(&s) {
+                        chain.push(s);
                     }
                 }
             }
-            let terminal = user_nodes.is_empty();
-            let mut users: Vec<usize> = Vec::new();
-            let mut outside_user = false;
-            for u in &user_nodes {
-                let li = local[u.index()];
-                if li != usize::MAX {
-                    users.push(li);
-                } else {
-                    outside_user = true;
-                }
-            }
-            let freeable = !terminal && !outside_user;
+            // Freeable here: read in the window and nowhere else (a root
+            // nobody reads is a terminal output).
+            let freeable = !outside_user && !users.is_empty();
+            root_users.push_row(users.drain(..));
             // Allocation point.
-            let anchor = g.node(rid).alloc_with.unwrap_or(rid);
-            let alloc_at = if g.node(rid).op.is_input() {
+            let root = g.node(rid);
+            let alloc_at = if root.op.is_input() {
                 None // inputs resident from the start
             } else {
-                let li = local[anchor.index()];
-                (li != usize::MAX).then_some(li)
+                ws.local(root.alloc_with.unwrap_or(rid))
             };
+            alloc_of.push_row(alloc_at);
             if alloc_at.is_none() {
                 base += bytes;
             }
-            let idx = roots.len();
-            roots.push(RootInfo { bytes, users: users.clone(), freeable, alloc_at });
-            if let Some(a) = alloc_at {
-                allocs[a].push(idx);
-            }
-            for &u in &users {
-                uses[u].push(idx);
-            }
+            roots.push(RootInfo { bytes, freeable, alloc_at });
         }
-        SchedTask { g, nodes, preds, succs, roots, allocs, uses, base }
+        let (succs, allocs, uses) =
+            (preds.transposed(n), alloc_of.transposed(n), root_users.transposed(n));
+        SchedTask { g, nodes, preds, succs, roots, root_users, allocs, uses, base }
     }
 
     /// Number of window nodes.
@@ -185,16 +213,6 @@ impl<'g> SchedTask<'g> {
     /// The underlying graph.
     pub fn graph(&self) -> &'g Graph {
         self.g
-    }
-
-    /// A valid (deterministic) topological order of the window, in
-    /// local indices — the fallback schedule.
-    pub fn default_order(&self) -> Vec<usize> {
-        let set: BTreeSet<NodeId> = self.nodes.iter().copied().collect();
-        let order = topo_order_of(self.g, &set);
-        let local: BTreeMap<NodeId, usize> =
-            self.nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        order.into_iter().map(|v| local[&v]).collect()
     }
 
     /// Translates local indices back to node ids.
@@ -243,7 +261,7 @@ mod tests {
         let t = SchedTask::subset(&g, &set);
         assert_eq!(t.base, KB, "boundary tensor a");
         assert_eq!(t.len(), 2);
-        assert_eq!(t.preds[1], vec![0], "d depends on c locally");
+        assert_eq!(t.preds[1], [0], "d depends on c locally");
         let _ = (x, a);
     }
 
@@ -260,9 +278,9 @@ mod tests {
         let a_root = t
             .roots
             .iter()
-            .find(|ri| ri.alloc_at.is_some() && ri.bytes == KB && ri.freeable)
+            .position(|ri| ri.alloc_at.is_some() && ri.bytes == KB && ri.freeable)
             .unwrap();
-        assert_eq!(a_root.users.len(), 2);
+        assert_eq!(t.root_users[a_root].len(), 2);
         let _ = y;
     }
 }

@@ -77,7 +77,7 @@ pub fn dp_map_keyed(task: &SchedTask<'_>, width: usize) -> (Vec<usize>, u64, usi
                 // Free roots whose final user just executed.
                 for &ri in &task.uses[v] {
                     let r = &task.roots[ri];
-                    if r.freeable && r.users.iter().all(|&u| bit(&scratch, u)) {
+                    if r.freeable && task.root_users[ri].iter().all(|&u| bit(&scratch, u)) {
                         mem -= r.bytes;
                     }
                 }
