@@ -138,19 +138,50 @@ if ./target/release/magis optimize --workload unet --driver quantum 2>/dev/null;
     echo "unknown driver was not rejected"; exit 1
 fi
 
-# Crash-recovery smoke: hard-kill a checkpointing CLI search mid-budget,
-# then resume it to completion from the survived checkpoint.
+# Crash-recovery smoke: hard-kill a CLI search that checkpoints its
+# frontier, resume it from the survived checkpoint to 200 evaluations
+# past the kill, and run the same search to the same count without a
+# kill. The two final checkpoints must be the same bytes: a checkpoint
+# is a function of the search state, whether its states share storage
+# (the uninterrupted run's) or were parsed one by one (the resumed
+# run's). One field aside — a checkpoint holds the number of writes
+# before it and cannot count its own, so the run resumed from a
+# periodic write stays one behind in `counters`' ninth figure. (No
+# evaluation cache: a resumed search starts with a cold one, and a
+# cache-served candidate may differ from a fresh one in a latency's
+# last bit.)
 CKPT="$(mktemp -d)/unet.ckpt"
 echo
 echo "==> kill/resume smoke (checkpoint at $CKPT)"
+SEARCH=(--budget-ms 600000 --eval-cache 0 --checkpoint-every 4 --checkpoint-frontier true)
 # Run the built binary directly: killing `cargo run` would orphan the
 # search process and leave it racing the resume step below.
-timeout -s KILL 4 ./target/release/magis optimize \
-    --workload unet --scale 0.2 --mode memory --budget-ms 60000 \
-    --checkpoint "$CKPT" --checkpoint-every 4 || true
+timeout -s KILL 2 ./target/release/magis optimize \
+    --workload unet --scale 0.2 --mode memory "${SEARCH[@]}" --checkpoint "$CKPT" || true
 test -f "$CKPT" || { echo "no checkpoint survived the kill"; exit 1; }
-run ./target/release/magis optimize --resume "$CKPT" --budget-ms 3000
+CAP=$(($(awk '$1 == "counters" { print $3; exit }' "$CKPT") + 200))
+run ./target/release/magis optimize --resume "$CKPT" \
+    "${SEARCH[@]}" --max-candidates "$CAP" --checkpoint "$CKPT.resumed"
+run ./target/release/magis optimize --workload unet --scale 0.2 --mode memory \
+    "${SEARCH[@]}" --max-candidates "$CAP" --checkpoint "$CKPT.straight"
+written() { awk '$1 == "counters" { print $10; exit }' "$1"; }
+but_written() { awk '$1 == "counters" { $10 = "-" } { print }' "$1"; }
+if [ $(($(written "$CKPT.resumed") + 1)) != "$(written "$CKPT.straight")" ] \
+    || ! cmp <(but_written "$CKPT.resumed") <(but_written "$CKPT.straight"); then
+    echo "the resumed search's final checkpoint is not the uninterrupted search's"
+    exit 1
+fi
 rm -rf "$(dirname "$CKPT")"
+
+# Retired-format gate: v5 is the one checkpoint format; nothing reads,
+# writes or documents its predecessor.
+echo
+echo "==> retired checkpoint format check"
+if grep -rn 'magis-checkpoint v4' crates src tests DESIGN.md ARCHITECTURE.md README.md \
+    .claude/skills/verify/SKILL.md; then
+    echo "checkpoint format v4 is retired: v5 is the only format written or read"
+    exit 1
+fi
 
 # Deadline smoke: a hard wall limit returns a best-so-far result and
 # reports the deadline stop reason in the summary.

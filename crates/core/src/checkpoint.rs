@@ -13,6 +13,18 @@
 //! re-simulated rather than re-scheduled — re-scheduling could land on
 //! a different (worse) evaluation than the one that won incumbency.
 //!
+//! The states of one search are a rewrite or two apart, so their graph
+//! records are almost the same lines. A checkpoint — in memory and in
+//! the file alike — holds every distinct record line once, in its
+//! `lines` table, and a state's two records as indices into it
+//! (consecutive indices as `first-last` in the file); restoring puts a
+//! record's text back together and hands it to the one record parser
+//! ([`magis_graph::io::from_record`]). The table is numbered by the
+//! text of a line ([`RecordLines`]) and the file lists it in the order
+//! its sections first name a line, so the bytes are a function of the
+//! search state alone — not of which states still share storage
+//! (DESIGN.md §5d).
+//!
 //! A checkpoint can additionally carry the **frontier**: every entry
 //! still on the priority queue, each with its sequence number,
 //! staleness flag, and the same order/F-Tree/graph-record block as the
@@ -47,16 +59,16 @@ use crate::fission::FissionSpec;
 use crate::ftree::{FTree, FTreeNode};
 use crate::state::{EvalContext, EvalError, MState};
 use magis_graph::graph::NodeId;
-use magis_graph::io::{self, RecordError};
+use magis_graph::io::{self, RecordError, RecordLines};
 use magis_graph::GraphView;
 use magis_sched::{validate_schedule, ScheduleError};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::path::Path;
 use std::str::FromStr;
 
-const CKPT_HEADER: &str = "magis-checkpoint v4";
+const CKPT_HEADER: &str = "magis-checkpoint v5";
 const CKPT_FOOTER: &str = "ckpt-end";
 
 /// Why loading or restoring a checkpoint failed.
@@ -151,17 +163,19 @@ pub struct CheckpointCounters {
 
 /// One M-State as a checkpoint stores it — the incumbent and every
 /// frontier entry alike: the exact schedule, the F-Tree, and two graph
-/// records (the base graph and the overlaid graph that was simulated).
+/// records (the base graph and the overlaid graph that was simulated),
+/// each as the indices of its lines in the checkpoint's table
+/// ([`SearchCheckpoint::lines`]).
 #[derive(Debug, Clone, Default)]
 pub struct StateRecord {
     /// The state's schedule as arena indices into its eval graph.
     pub order: Vec<usize>,
     /// The state's F-Tree nodes.
     pub ftree_nodes: Vec<FTreeNode>,
-    /// Graph record of the state's base graph.
-    pub base_record: String,
+    /// Graph record of the state's base graph, line by line.
+    pub base_record: Vec<u32>,
     /// Graph record of the state's overlaid (simulated) graph.
-    pub eval_record: String,
+    pub eval_record: Vec<u32>,
 }
 
 /// One driver-frontier entry captured in a frontier-bearing
@@ -227,6 +241,11 @@ pub struct SearchCheckpoint {
     pub seen: Vec<u64>,
     /// Quarantine strikes per rule family (`Transform::sort_key().0`).
     pub quarantine: Vec<(u8, u32)>,
+    /// Every distinct graph-record line of the checkpoint's states,
+    /// once ([`RecordLines::into_lines`] of the `RecordLines` they were
+    /// all recorded through, or the file's table). The records of
+    /// `best` and of the `frontier` entries index it.
+    pub lines: Vec<String>,
     /// The incumbent.
     pub best: StateRecord,
     /// The sequence counter's next value (only meaningful when
@@ -259,25 +278,72 @@ fn opt_str<T: ToString>(v: Option<T>) -> String {
     v.map_or_else(|| "-".to_string(), |v| v.to_string())
 }
 
-/// `tag <count>` followed by the values, 16 to a line, each line
+/// `tag <count>` followed by the tokens, 16 to a line, each line
 /// prefixed with `short`.
-fn encode_chunked<T>(out: &mut String, tag: &str, short: char, vals: &[T], fmt: impl Fn(&T) -> String) {
-    out.push_str(&format!("{tag} {}\n", vals.len()));
-    for chunk in vals.chunks(16) {
-        out.push(short);
-        for v in chunk {
-            out.push(' ');
-            out.push_str(&fmt(v));
+fn encode_chunked<T>(
+    out: &mut String,
+    tag: &str,
+    short: char,
+    count: usize,
+    tokens: impl Iterator<Item = T>,
+    fmt: impl Fn(&mut String, T),
+) {
+    let _ = writeln!(out, "{tag} {count}");
+    let mut in_line = 0;
+    for token in tokens {
+        if in_line == 16 {
+            out.push('\n');
+            in_line = 0;
         }
+        if in_line == 0 {
+            out.push(short);
+        }
+        out.push(' ');
+        fmt(out, token);
+        in_line += 1;
+    }
+    if in_line > 0 {
         out.push('\n');
     }
 }
 
-fn encode_graph(out: &mut String, tag: &str, rec: &str) {
-    out.push_str(&format!("{tag} {}\n", rec.lines().count()));
-    out.push_str(rec);
-    if !rec.ends_with('\n') {
-        out.push('\n');
+/// The maximal runs of consecutive numbers in `ids`, as `(first, last)`.
+fn runs(ids: impl Iterator<Item = u32>) -> impl Iterator<Item = (u32, u32)> {
+    let mut ids = ids.peekable();
+    std::iter::from_fn(move || {
+        let first = ids.next()?;
+        let mut last = first;
+        while ids.next_if_eq(&(last + 1)).is_some() {
+            last += 1;
+        }
+        Some((first, last))
+    })
+}
+
+/// The `lines` table of a file being encoded: the checkpoint's lines,
+/// numbered in the order the file's graph sections first name them
+/// (a line no section names is left out).
+struct FileLines {
+    /// By line of the checkpoint: its number in the file.
+    number: Vec<Option<u32>>,
+    /// By number in the file: the line of the checkpoint.
+    named: Vec<u32>,
+}
+
+impl FileLines {
+    /// A graph section: the record's lines by their numbers in the
+    /// file. A state differs from the one written before it in a few
+    /// lines, so most of a record is a few runs.
+    fn encode_graph(&mut self, out: &mut String, tag: &str, rec: &[u32]) {
+        let ids = rec.iter().map(|&line| {
+            *self.number[line as usize].get_or_insert_with(|| {
+                self.named.push(line);
+                self.named.len() as u32 - 1
+            })
+        });
+        encode_chunked(out, tag, 'g', rec.len(), runs(ids), |out, (first, last)| {
+            let _ = if first == last { write!(out, "{first}") } else { write!(out, "{first}-{last}") };
+        });
     }
 }
 
@@ -358,12 +424,13 @@ impl<'a> Cursor<'a> {
             .ok_or_else(|| self.err(format!("expected {key}= field, got '{tok}'")))
     }
 
-    /// Reads what [`encode_chunked`] wrote.
+    /// Reads what [`encode_chunked`] wrote; `parse` appends the values
+    /// of one token.
     fn chunked<T>(
         &mut self,
         tag: &str,
         short: &str,
-        parse: impl Fn(&Self, &str) -> Result<T, CheckpointError>,
+        mut parse: impl FnMut(&Self, &str, &mut Vec<T>) -> Result<(), CheckpointError>,
     ) -> Result<Vec<T>, CheckpointError> {
         let n = self.count(tag)?;
         let mut vals = Vec::new();
@@ -374,7 +441,7 @@ impl<'a> Cursor<'a> {
                 return Err(self.err(format!("expected '{short}' {tag} line, got '{line}'")));
             }
             for tok in toks {
-                vals.push(parse(self, tok)?);
+                parse(self, tok, &mut vals)?;
             }
             if vals.len() > n {
                 return Err(self.err(format!("more {tag} entries than declared ({n})")));
@@ -383,38 +450,84 @@ impl<'a> Cursor<'a> {
         Ok(vals)
     }
 
-    fn graph(&mut self, tag: &str) -> Result<String, CheckpointError> {
-        let n = self.count(tag)?;
-        let mut rec = String::new();
-        for _ in 0..n {
-            rec.push_str(self.next()?);
-            rec.push('\n');
+    /// The `lines` table: distinct lines. The declared count sizes
+    /// nothing — a table shorter or longer than it runs into a line of
+    /// the wrong kind.
+    fn line_table(&mut self) -> Result<Vec<String>, CheckpointError> {
+        let n = self.count("lines")?;
+        let mut table = Vec::new();
+        let mut distinct = HashSet::new();
+        while table.len() < n {
+            let line = self.next()?;
+            let text = line
+                .strip_prefix("l ")
+                .ok_or_else(|| self.err(format!("expected an 'l' line of the table, got '{line}'")))?;
+            if !distinct.insert(text) {
+                return Err(self.err(format!("the table holds '{text}' twice")));
+            }
+            table.push(text.to_string());
         }
-        Ok(rec)
+        Ok(table)
+    }
+
+    /// Reads what [`FileLines::encode_graph`] wrote.
+    fn graph(&mut self, tag: &str, named: &mut NamedLines) -> Result<Vec<u32>, CheckpointError> {
+        named.sections += 1;
+        let (section, last_in) = (named.sections, &mut named.last_in);
+        self.chunked(tag, "g", |c, tok, rec| {
+            let (first, last) = tok.split_once('-').unwrap_or((tok, tok));
+            let (first, last): (u32, u32) = (c.num(first, "line index")?, c.num(last, "line index")?);
+            // Checked before the run is walked: it cannot ask for more
+            // than the table has.
+            if first > last || last as usize >= last_in.len() {
+                return Err(c.err(format!("{tag} names lines '{tok}' of a table of {}", last_in.len())));
+            }
+            for i in first..=last {
+                // No record repeats a line (its slots are distinct),
+                // and a file that did could ask for far more text than
+                // it holds when the record is put back together.
+                if std::mem::replace(&mut last_in[i as usize], section) == section {
+                    return Err(c.err(format!("{tag} names line {i} twice")));
+                }
+                rec.push(i);
+            }
+            Ok(())
+        })
     }
 }
 
+/// For each line of the table of a file being decoded, the last graph
+/// section (counted from 1) that named it.
+struct NamedLines {
+    last_in: Vec<usize>,
+    sections: usize,
+}
+
 impl FrontierEntry {
-    /// Captures `state` as the frontier entry numbered `seq`.
-    pub fn of(seq: u64, state: &MState) -> FrontierEntry {
-        FrontierEntry { seq, tree_stale: state.tree_stale, state: StateRecord::of(state) }
+    /// Captures `state` as the frontier entry numbered `seq`, its
+    /// graphs recorded through the checkpoint's `lines`.
+    pub fn of(seq: u64, state: &MState, lines: &mut RecordLines) -> FrontierEntry {
+        FrontierEntry { seq, tree_stale: state.tree_stale, state: StateRecord::of(state, lines) }
     }
 }
 
 impl StateRecord {
-    /// Captures the serializable parts of `state`.
+    /// Captures the serializable parts of `state`. `lines` is the one
+    /// [`RecordLines`] of the checkpoint being written: every state of
+    /// a checkpoint is recorded through it, so a node the states share
+    /// is rendered once.
     ///
     /// A stale F-Tree is stored as empty: a `tree_stale` state's tree
     /// is discarded and rebuilt by analysis before any expansion, and
     /// an inherited stale tree may dangle (a TASO rewrite can remove
     /// base nodes its spec sets still reference), which would fail the
     /// restore-time validation for a tree that never gets used.
-    pub fn of(state: &MState) -> StateRecord {
+    pub fn of(state: &MState, lines: &mut RecordLines) -> StateRecord {
         StateRecord {
             order: state.eval.order.iter().map(|v| v.index()).collect(),
             ftree_nodes: if state.tree_stale { Vec::new() } else { state.ftree.nodes().to_vec() },
-            base_record: io::to_record(&state.base),
-            eval_record: io::to_record(&state.eval.graph),
+            base_record: lines.record(&state.base),
+            eval_record: lines.record(&state.eval.graph),
         }
     }
 
@@ -422,17 +535,31 @@ impl StateRecord {
     /// re-validated, F-Tree references checked against the base graph,
     /// the stored schedule validated against the eval graph
     /// (topological order, exactly-once coverage) and re-simulated
-    /// under `ctx` to reproduce the evaluation. The state comes back
-    /// `tree_stale`.
+    /// under `ctx` to reproduce the evaluation. `lines` is the table the
+    /// records index ([`SearchCheckpoint::lines`]). The state comes
+    /// back `tree_stale`.
     ///
     /// # Errors
     ///
     /// Any corruption — dangling edges, a schedule that no longer
     /// topo-sorts the graph, defective re-simulated costs — surfaces
     /// as a typed [`CheckpointError`].
-    pub fn restore(&self, ctx: &EvalContext) -> Result<MState, CheckpointError> {
-        let base = io::from_record(&self.base_record)?;
-        let eval_graph = io::from_record(&self.eval_record)?;
+    pub fn restore(&self, lines: &[String], ctx: &EvalContext) -> Result<MState, CheckpointError> {
+        // A record goes to its parser as the text it is the lines of.
+        let graph = |rec: &[u32]| {
+            let mut text = String::new();
+            for &i in rec {
+                let line = lines.get(i as usize).ok_or_else(|| CheckpointError::Parse {
+                    line: 0,
+                    msg: format!("a graph record names line {i} of a table of {}", lines.len()),
+                })?;
+                text.push_str(line);
+                text.push('\n');
+            }
+            Ok::<_, CheckpointError>(io::from_record(&text)?)
+        };
+        let base = graph(&self.base_record)?;
+        let eval_graph = graph(&self.eval_record)?;
         for (i, n) in self.ftree_nodes.iter().enumerate() {
             if let Some(&v) = n.spec.set.iter().find(|v| !base.contains(**v)) {
                 return Err(CheckpointError::Parse {
@@ -451,7 +578,9 @@ impl StateRecord {
     /// sit apart in the file — frontier and MCTS sections between —
     /// a frontier entry's follow each other.)
     fn encode_schedule(&self, out: &mut String) {
-        encode_chunked(out, "order", 'o', &self.order, |i| i.to_string());
+        encode_chunked(out, "order", 'o', self.order.len(), self.order.iter(), |out, i| {
+            let _ = write!(out, "{i}");
+        });
         out.push_str(&format!("ftree {}\n", self.ftree_nodes.len()));
         for n in &self.ftree_nodes {
             let dims: Vec<String> =
@@ -469,7 +598,10 @@ impl StateRecord {
     }
 
     fn decode_schedule(&mut self, cur: &mut Cursor<'_>) -> Result<(), CheckpointError> {
-        self.order = cur.chunked("order", "o", |c, tok| c.num(tok, "order index"))?;
+        self.order = cur.chunked("order", "o", |c, tok, order| {
+            order.push(c.num(tok, "order index")?);
+            Ok(())
+        })?;
         let nf = cur.count("ftree")?;
         for _ in 0..nf {
             let t = cur.kv("f", 6)?;
@@ -502,20 +634,25 @@ impl StateRecord {
         Ok(())
     }
 
-    fn encode_graphs(&self, out: &mut String) {
-        encode_graph(out, "base-graph", &self.base_record);
-        encode_graph(out, "eval-graph", &self.eval_record);
+    fn encode_graphs(&self, out: &mut String, lines: &mut FileLines) {
+        lines.encode_graph(out, "base-graph", &self.base_record);
+        lines.encode_graph(out, "eval-graph", &self.eval_record);
     }
 
-    fn decode_graphs(&mut self, cur: &mut Cursor<'_>) -> Result<(), CheckpointError> {
-        self.base_record = cur.graph("base-graph")?;
-        self.eval_record = cur.graph("eval-graph")?;
+    fn decode_graphs(&mut self, cur: &mut Cursor<'_>, named: &mut NamedLines) -> Result<(), CheckpointError> {
+        self.base_record = cur.graph("base-graph", named)?;
+        self.eval_record = cur.graph("eval-graph", named)?;
         Ok(())
     }
 }
 
 impl SearchCheckpoint {
     /// Serializes the checkpoint to its text form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a state's record names a line [`Self::lines`] does not
+    /// have (a checkpoint put together by hand, wrongly).
     pub fn encode(&self) -> String {
         let mut out = String::new();
         out.push_str(CKPT_HEADER);
@@ -542,23 +679,29 @@ impl SearchCheckpoint {
         for &(m, l) in &self.pareto {
             out.push_str(&format!("p {m} {}\n", f64_hex(l)));
         }
-        encode_chunked(&mut out, "seen", 's', &self.seen, |h| format!("{h:016x}"));
+        encode_chunked(&mut out, "seen", 's', self.seen.len(), self.seen.iter(), |out, h| {
+            let _ = write!(out, "{h:016x}");
+        });
         out.push_str(&format!("quarantine {}\n", self.quarantine.len()));
         for &(fam, strikes) in &self.quarantine {
             out.push_str(&format!("q {fam} {strikes}\n"));
         }
-        self.best.encode_schedule(&mut out);
-        out.push_str(&format!("next_seq {}\n", self.next_seq));
-        out.push_str(&format!("frontier {}\n", self.frontier.len()));
+        // The states name graph-record lines by number in the file, so
+        // the table they number as they are written goes in front.
+        let mut lines = FileLines { number: vec![None; self.lines.len()], named: Vec::new() };
+        let mut states = String::new();
+        self.best.encode_schedule(&mut states);
+        states.push_str(&format!("next_seq {}\n", self.next_seq));
+        states.push_str(&format!("frontier {}\n", self.frontier.len()));
         for e in &self.frontier {
-            out.push_str(&format!("entry {} {}\n", e.seq, e.tree_stale as u8));
-            e.state.encode_schedule(&mut out);
-            e.state.encode_graphs(&mut out);
+            states.push_str(&format!("entry {} {}\n", e.seq, e.tree_stale as u8));
+            e.state.encode_schedule(&mut states);
+            e.state.encode_graphs(&mut states, &mut lines);
         }
         if let Some(m) = &self.mcts {
-            out.push_str(&format!("mcts {} {:016x}\n", m.nodes.len(), m.rng_state));
+            states.push_str(&format!("mcts {} {:016x}\n", m.nodes.len(), m.rng_state));
             for n in &m.nodes {
-                out.push_str(&format!(
+                states.push_str(&format!(
                     "m {} {} {} {} {}\n",
                     opt_str(n.parent),
                     n.cand_index,
@@ -568,7 +711,12 @@ impl SearchCheckpoint {
                 ));
             }
         }
-        self.best.encode_graphs(&mut out);
+        self.best.encode_graphs(&mut states, &mut lines);
+        let _ = writeln!(out, "lines {}", lines.named.len());
+        for &line in &lines.named {
+            let _ = writeln!(out, "l {}", self.lines[line as usize]);
+        }
+        out.push_str(&states);
         out.push_str(CKPT_FOOTER);
         out.push('\n');
         out
@@ -615,13 +763,18 @@ impl SearchCheckpoint {
             let t = cur.kv("p", 2)?;
             ck.pareto.push((cur.num(t[0], "pareto peak")?, cur.f64_hex(t[1], "pareto latency")?));
         }
-        ck.seen = cur.chunked("seen", "s", |c, tok| c.hex(tok, "seen hash"))?;
+        ck.seen = cur.chunked("seen", "s", |c, tok, seen| {
+            seen.push(c.hex(tok, "seen hash")?);
+            Ok(())
+        })?;
         for _ in 0..cur.count("quarantine")? {
             let t = cur.kv("q", 2)?;
             let strikes: u64 = cur.num(t[1], "strikes")?;
             ck.quarantine.push((cur.num(t[0], "family")?, strikes.min(u32::MAX as u64) as u32));
         }
 
+        ck.lines = cur.line_table()?;
+        let mut named = NamedLines { last_in: vec![0; ck.lines.len()], sections: 0 };
         ck.best.decode_schedule(&mut cur)?;
         let t = cur.kv("next_seq", 1)?;
         ck.next_seq = cur.num(t[0], "next_seq")?;
@@ -633,7 +786,7 @@ impl SearchCheckpoint {
                 state: StateRecord::default(),
             };
             e.state.decode_schedule(&mut cur)?;
-            e.state.decode_graphs(&mut cur)?;
+            e.state.decode_graphs(&mut cur, &mut named)?;
             ck.frontier.push(e);
         }
         // An optional MCTS tree section follows the frontier.
@@ -653,7 +806,7 @@ impl SearchCheckpoint {
             }
             ck.mcts = Some(m);
         }
-        ck.best.decode_graphs(&mut cur)?;
+        ck.best.decode_graphs(&mut cur, &mut named)?;
 
         let footer = cur.next()?;
         if footer.trim() != CKPT_FOOTER {
@@ -663,17 +816,20 @@ impl SearchCheckpoint {
     }
 
     /// Writes the checkpoint to `path` via a temp-file + rename so a
-    /// crash mid-write never leaves a torn checkpoint behind.
+    /// crash mid-write never leaves a torn checkpoint behind. Returns
+    /// the size of the file in bytes.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] on filesystem failure.
-    pub fn write_to(&self, path: &Path) -> Result<(), CheckpointError> {
+    pub fn write_to(&self, path: &Path) -> Result<usize, CheckpointError> {
         let tmp = path.with_extension("tmp");
-        fs::write(&tmp, self.encode())
+        let text = self.encode();
+        fs::write(&tmp, &text)
             .map_err(|e| CheckpointError::Io(format!("write {}: {e}", tmp.display())))?;
         fs::rename(&tmp, path)
-            .map_err(|e| CheckpointError::Io(format!("rename to {}: {e}", path.display())))
+            .map_err(|e| CheckpointError::Io(format!("rename to {}: {e}", path.display())))?;
+        Ok(text.len())
     }
 
     /// Reads and parses a checkpoint from `path`.
@@ -693,7 +849,7 @@ impl SearchCheckpoint {
     ///
     /// Any corruption surfaces as a typed [`CheckpointError`].
     pub fn restore_state(&self, ctx: &EvalContext) -> Result<MState, CheckpointError> {
-        self.best.restore(ctx)
+        self.best.restore(&self.lines, ctx)
     }
 
     /// Rebuilds the checkpointed frontier: every entry is restored
@@ -711,7 +867,7 @@ impl SearchCheckpoint {
         self.frontier
             .iter()
             .map(|e| {
-                let mut state = e.state.restore(ctx)?;
+                let mut state = e.state.restore(&self.lines, ctx)?;
                 // A frontier entry must come back with the exact flag
                 // it was queued with, or the resumed expansion would
                 // re-analyze where the original didn't (diverging the
@@ -742,6 +898,8 @@ mod tests {
     }
 
     fn checkpoint_of(s: &MState) -> SearchCheckpoint {
+        let mut lines = RecordLines::default();
+        let best = StateRecord::of(s, &mut lines);
         SearchCheckpoint {
             rng_seed: 0x5eed,
             seed_cost: s.cost(),
@@ -750,7 +908,8 @@ mod tests {
             pareto: vec![s.cost(), (s.cost().0 / 2, s.cost().1 * 2.0)],
             seen: vec![1, 2, 0xdeadbeef],
             quarantine: vec![(4, 2)],
-            best: StateRecord::of(s),
+            lines: lines.into_lines(),
+            best,
             next_seq: 0,
             frontier: Vec::new(),
             driver: DriverKind::Greedy,
@@ -758,8 +917,9 @@ mod tests {
         }
     }
 
-    fn frontier_entry_of(s: &MState, seq: u64, tree_stale: bool) -> FrontierEntry {
-        FrontierEntry { tree_stale, ..FrontierEntry::of(seq, s) }
+    /// A frontier entry holding the incumbent's state once more.
+    fn frontier_entry_of(c: &SearchCheckpoint, seq: u64, tree_stale: bool) -> FrontierEntry {
+        FrontierEntry { seq, tree_stale, state: c.best.clone() }
     }
 
     #[test]
@@ -777,6 +937,7 @@ mod tests {
         assert_eq!(d.seen, c.seen);
         assert_eq!(d.quarantine, c.quarantine);
         assert_eq!(d.best.order, c.best.order);
+        assert_eq!(d.lines, c.lines);
         assert_eq!(d.best.base_record, c.best.base_record);
         assert_eq!(d.best.eval_record, c.best.eval_record);
         // Re-encoding the decoded checkpoint is byte-identical.
@@ -789,7 +950,7 @@ mod tests {
         let s = small_state();
         let mut c = checkpoint_of(&s);
         c.next_seq = 7;
-        c.frontier = vec![frontier_entry_of(&s, 2, true), frontier_entry_of(&s, 5, false)];
+        c.frontier = vec![frontier_entry_of(&c, 2, true), frontier_entry_of(&c, 5, false)];
         let text = c.encode();
         let d = SearchCheckpoint::decode(&text).unwrap();
         assert_eq!(d.next_seq, 7);
@@ -835,7 +996,7 @@ mod tests {
         let mut c = checkpoint_of(&s);
         c.driver = DriverKind::Mcts;
         c.next_seq = 2;
-        c.frontier = vec![frontier_entry_of(&s, 0, false), frontier_entry_of(&s, 1, false)];
+        c.frontier = vec![frontier_entry_of(&c, 0, false), frontier_entry_of(&c, 1, false)];
         c.mcts = Some(MctsCheckpoint {
             rng_state: 0xdead_beef_0bad_cafe,
             nodes: vec![
@@ -870,17 +1031,12 @@ mod tests {
     fn decode_rejects_corruption() {
         let s = small_state();
         let text = checkpoint_of(&s).encode();
-        // Bad header: the retired formats, a version from the future
-        // and a non-checkpoint first line are refused by name, not
-        // parsed.
-        for header in [
-            "magis-checkpoint v1",
-            "magis-checkpoint v2",
-            "magis-checkpoint v3",
-            "magis-checkpoint v9",
-            "\u{7f}ELF garbage",
-        ] {
-            let err = SearchCheckpoint::decode(&text.replacen("magis-checkpoint v4", header, 1))
+        // Bad header: the four retired formats, a version from the
+        // future and a non-checkpoint first line are refused by name,
+        // not parsed.
+        let versions = [1, 2, 3, 4, 9].map(|v| format!("magis-checkpoint v{v}"));
+        for header in versions.iter().map(String::as_str).chain(["\u{7f}ELF garbage"]) {
+            let err = SearchCheckpoint::decode(&text.replacen(CKPT_HEADER, header, 1))
                 .expect_err("old or unknown header decoded");
             assert!(
                 matches!(&err, CheckpointError::UnsupportedVersion { found } if found == header),
@@ -900,6 +1056,10 @@ mod tests {
         c.best.order[0] = 9999;
         let err = SearchCheckpoint::decode(&c.encode()).unwrap().restore_state(&EvalContext::default());
         assert!(err.is_err());
+        // So is a record that names a line the table does not have.
+        let mut c = checkpoint_of(&s);
+        c.best.eval_record[1] = c.lines.len() as u32;
+        assert!(matches!(c.restore_state(&EvalContext::default()), Err(CheckpointError::Parse { .. })));
         // A duplicated schedule entry is caught at restore.
         let mut c = checkpoint_of(&s);
         c.best.order[0] = c.best.order[1];
@@ -907,6 +1067,63 @@ mod tests {
             .unwrap()
             .restore_state(&EvalContext::default())
             .is_err());
+    }
+
+    /// Every defect of the line table and of the index lists into it
+    /// is a parse error naming the line — never a panic, and no count
+    /// in the file sizes an allocation.
+    #[test]
+    fn decode_rejects_hostile_line_tables() {
+        let s = small_state();
+        let mut c = checkpoint_of(&s);
+        c.frontier = vec![frontier_entry_of(&c, 1, false)];
+        let text = c.encode();
+        let n_lines = c.best.base_record.len();
+        let last = n_lines - 1;
+        assert!(text.contains(&format!("lines {n_lines}\nl magis-graph v1\nl cap ")), "{text}");
+        // The one state's records are the whole table, in order.
+        let section = format!("base-graph {n_lines}\ng 0-{last}\n");
+        assert!(text.contains(&section));
+        let parse_error = |bad: String, what: &str| match SearchCheckpoint::decode(&bad) {
+            Err(CheckpointError::Parse { line, msg }) => assert!(line > 0, "{what}: {msg}"),
+            other => panic!("{what}: {other:?}"),
+        };
+        let lines_n = format!("lines {n_lines}\n");
+        for (from, to, what) in [
+            // A line past the table, alone or at the end of a run; a
+            // run backwards; what is no number.
+            (&section, format!("base-graph {n_lines}\ng 0-{}\ng {n_lines}\n", last - 1), "index out of range"),
+            (&section, format!("base-graph {n_lines}\ng 0-{n_lines}\n"), "run out of range"),
+            (&section, format!("base-graph {n_lines}\ng 0-{}\n", u32::MAX), "run to u32::MAX"),
+            (&section, format!("base-graph {n_lines}\ng 0-{}\n", u64::MAX), "run to u64::MAX"),
+            (&section, format!("base-graph {n_lines}\ng {last}-0\n"), "run backwards"),
+            (&section, format!("base-graph {n_lines}\ng 0-{} -2\n", last - 1), "negative index"),
+            (&section, format!("base-graph {n_lines}\ng 0-{}-{last}\n", last - 1), "run of three"),
+            // A line named twice (and so another not at all).
+            (&section, format!("base-graph {n_lines}\ng 0-{} 0\n", last - 1), "line named twice"),
+            (&section, format!("base-graph {n_lines}\ng 0-{} 1-{last}\n", last - 1), "runs that overlap"),
+            // The declared table size against the table.
+            (&lines_n, format!("lines {}\n", n_lines - 1), "count shorter than the table"),
+            (&lines_n, format!("lines {}\n", n_lines + 1), "count longer than the table"),
+            (&lines_n, format!("lines {}\n", usize::MAX), "count of usize::MAX"),
+            (&lines_n, "lines 99999999999999999999999\n".into(), "count that is no usize"),
+            // A table line that is not distinct.
+            (&"\nl end\n".to_string(), "\nl magis-graph v1\n".into(), "table line twice"),
+            // A table line without its prefix.
+            (&"\nl cap ".to_string(), "\ncap ".into(), "table line without 'l '"),
+            (&"\nl end\n".to_string(), "\nlend\n".into(), "table line with a damaged prefix"),
+            // An index list against its declared length.
+            (&section, format!("base-graph {last}\ng 0-{last}\n"), "list longer than declared"),
+            (&section, format!("base-graph {}\ng 0-{last}\n", usize::MAX), "list shorter than declared"),
+            (&section, format!("base-graph {n_lines}\nx 0-{last}\n"), "index line without 'g'"),
+        ] {
+            assert!(text.contains(from), "{what}: '{from}' is not in the checkpoint");
+            parse_error(text.replacen(from, &to, 1), what);
+        }
+        // Truncation inside the table.
+        let table_at = text.find("\nl cap ").unwrap();
+        parse_error(text[..table_at + 4].to_string(), "cut inside a table line");
+        parse_error(text[..table_at + 1].to_string(), "cut between table lines");
     }
 
     #[test]

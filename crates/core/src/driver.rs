@@ -50,6 +50,7 @@
 use crate::checkpoint::{FrontierEntry, MctsCheckpoint, MctsNodeMeta};
 use crate::optimizer::{Engine, Objective, OptimizerConfig};
 use crate::state::MState;
+use magis_graph::io::RecordLines;
 use magis_util::rng::{Rng, SeedableRng, SmallRng};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -136,8 +137,9 @@ pub trait SearchDriver {
     fn frontier_len(&self) -> u64;
 
     /// Captures the driver's complete internal state for a
-    /// trajectory-exact checkpoint.
-    fn frontier_snapshot(&self) -> DriverFrontier;
+    /// trajectory-exact checkpoint, every state's graphs recorded
+    /// through `lines` — the one [`RecordLines`] of that checkpoint.
+    fn frontier_snapshot(&self, lines: &mut RecordLines) -> DriverFrontier;
 }
 
 // ---------------------------------------------------------------- greedy
@@ -246,7 +248,7 @@ impl SearchDriver for GreedyDriver {
                 false
             }
         });
-        engine.boundary(self.queue.len() as u64, &mut || snapshot_greedy(&self.queue, self.seq));
+        engine.boundary(self.queue.len() as u64, &mut |lines| self.frontier_snapshot(lines));
         StepOutcome::Progress
     }
 
@@ -254,19 +256,15 @@ impl SearchDriver for GreedyDriver {
         self.queue.len() as u64
     }
 
-    fn frontier_snapshot(&self) -> DriverFrontier {
-        snapshot_greedy(&self.queue, self.seq)
+    /// The queue, sorted by sequence number (`BinaryHeap` iteration
+    /// order is unspecified; the sort makes the checkpoint bytes a pure
+    /// function of the search state).
+    fn frontier_snapshot(&self, lines: &mut RecordLines) -> DriverFrontier {
+        let mut entries: Vec<FrontierEntry> =
+            self.queue.iter().map(|e| FrontierEntry::of(e.seq as u64, &e.state, lines)).collect();
+        entries.sort_by_key(|e| e.seq);
+        DriverFrontier { next_seq: self.seq as u64, entries, mcts: None }
     }
-}
-
-/// Serializes the greedy queue, sorted by sequence number (BinaryHeap
-/// iteration order is unspecified; the sort makes the checkpoint bytes
-/// a pure function of the search state).
-fn snapshot_greedy(queue: &BinaryHeap<QueueEntry>, seq: usize) -> DriverFrontier {
-    let mut entries: Vec<FrontierEntry> =
-        queue.iter().map(|e| FrontierEntry::of(e.seq as u64, &e.state)).collect();
-    entries.sort_by_key(|e| e.seq);
-    DriverFrontier { next_seq: seq as u64, entries, mcts: None }
 }
 
 // ---------------------------------------------------------------- mcts
@@ -532,7 +530,7 @@ impl SearchDriver for MctsDriver {
             self.nodes[n].visits += 1;
             self.nodes[n].reward_sum += reward;
         }
-        engine.boundary(self.nodes.len() as u64, &mut || self.frontier_snapshot());
+        engine.boundary(self.nodes.len() as u64, &mut |lines| self.frontier_snapshot(lines));
         StepOutcome::Progress
     }
 
@@ -540,9 +538,13 @@ impl SearchDriver for MctsDriver {
         self.nodes.len() as u64
     }
 
-    fn frontier_snapshot(&self) -> DriverFrontier {
-        let entries =
-            self.nodes.iter().enumerate().map(|(id, n)| FrontierEntry::of(id as u64, &n.state)).collect();
+    fn frontier_snapshot(&self, lines: &mut RecordLines) -> DriverFrontier {
+        let entries = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(id, n)| FrontierEntry::of(id as u64, &n.state, lines))
+            .collect();
         DriverFrontier {
             next_seq: self.nodes.len() as u64,
             entries,
@@ -620,7 +622,7 @@ mod tests {
         assert_eq!(d.nodes[0].visits, 3);
         assert_eq!(d.rng.state(), 0xabcd);
         assert_eq!(d.frontier_len(), 3);
-        let snap = d.frontier_snapshot();
+        let snap = d.frontier_snapshot(&mut RecordLines::default());
         assert_eq!(snap.next_seq, 3);
         let m = snap.mcts.unwrap();
         assert_eq!(m.rng_state, 0xabcd);

@@ -16,6 +16,7 @@ use crate::pareto::ParetoSet;
 use crate::rules::{self, Transform};
 use crate::state::MState;
 use magis_graph::algo::graph_hash;
+use magis_graph::io::RecordLines;
 use magis_obs::timeline::{SearchTimeline, TimelinePoint};
 use magis_util::parallel;
 use std::collections::{BTreeMap, BTreeSet};
@@ -501,7 +502,11 @@ impl<'a> Engine<'a> {
     /// driver's frontier when the policy captures one), and the
     /// publication of the stats-projected counters. Drivers call this
     /// exactly once per completed step.
-    pub fn boundary(&mut self, frontier_size: u64, snapshot: &mut dyn FnMut() -> DriverFrontier) {
+    pub fn boundary(
+        &mut self,
+        frontier_size: u64,
+        snapshot: &mut dyn FnMut(&mut RecordLines) -> DriverFrontier,
+    ) {
         let obs = core_obs();
         let expansion = self.stats.expanded as u64;
         let front = self.pareto.front();
@@ -568,16 +573,21 @@ impl<'a> Engine<'a> {
     /// Writes the search state to the policy's path (a no-op without a
     /// policy): the incumbent and all bookkeeping, plus the driver's
     /// complete strategy state from `snapshot` when the policy
-    /// captures the frontier. A failed write is counted, not fatal — a
-    /// full disk must not kill the search.
+    /// captures the frontier. Every state of the checkpoint is recorded
+    /// through one [`RecordLines`], made here and gone with the
+    /// checkpoint. A failed write is counted, not fatal — a full disk
+    /// must not kill the search.
     pub(super) fn write_checkpoint(
         &mut self,
         at: &'static str,
-        snapshot: &mut dyn FnMut() -> DriverFrontier,
+        snapshot: &mut dyn FnMut(&mut RecordLines) -> DriverFrontier,
     ) {
         let cfg = self.cfg;
         let Some(policy) = &cfg.checkpoint else { return };
-        let frontier = if policy.frontier { snapshot() } else { DriverFrontier::default() };
+        let t0 = Instant::now();
+        let mut lines = RecordLines::default();
+        let frontier = if policy.frontier { snapshot(&mut lines) } else { DriverFrontier::default() };
+        let best = StateRecord::of(&self.best, &mut lines);
         let ckpt = SearchCheckpoint {
             rng_seed: cfg.seed,
             seed_cost: self.seed_cost,
@@ -586,24 +596,32 @@ impl<'a> Engine<'a> {
             pareto: self.pareto.points().to_vec(),
             seen: self.seen.iter().copied().collect(),
             quarantine: self.quarantine.entries(),
-            best: StateRecord::of(&self.best),
+            lines: lines.into_lines(),
+            best,
             next_seq: frontier.next_seq,
             frontier: frontier.entries,
             driver: self.stats.driver,
             mcts: frontier.mcts,
         };
-        let ok = ckpt.write_to(&policy.path).is_ok();
-        if ok {
+        // The size is a function of the search state; a write that
+        // failed left nothing behind.
+        let written = ckpt.write_to(&policy.path);
+        let bytes = written.as_ref().copied().unwrap_or(0);
+        if written.is_ok() {
             self.stats.checkpoints_written += 1;
         } else {
             self.stats.checkpoint_failures += 1;
         }
+        let obs = core_obs();
+        obs.checkpoint_seconds.observe_duration(t0.elapsed());
+        obs.checkpoint_bytes.set(bytes as f64);
         magis_obs::event!(
             "magis_core",
             "checkpoint",
             expansion = self.stats.expanded as u64,
-            ok = ok,
+            ok = written.is_ok(),
             at = at,
+            bytes = bytes,
         );
     }
 }

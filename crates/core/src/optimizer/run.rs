@@ -123,7 +123,13 @@ fn run_search(
         pareto.insert(m, l);
     }
     let (init_peak, init_lat) = init.cost();
-    pareto.insert(init_peak, init_lat);
+    // A checkpoint lists its incumbent's cost already (unless it was
+    // re-simulated to another one, under another backend): observing
+    // it a second time would make every checkpoint after a resume one
+    // point longer than the uninterrupted run's.
+    if !from.pareto.iter().any(|&(m, l)| (m, l.to_bits()) == (init_peak, init_lat.to_bits())) {
+        pareto.insert(init_peak, init_lat);
+    }
     let history = vec![ProgressPoint {
         elapsed: start.elapsed().as_secs_f64(),
         peak_bytes: init_peak,
@@ -135,6 +141,13 @@ fn run_search(
     // the incumbent is NOT re-pushed (its hash stays in the seen-set,
     // as it was already expanded when the checkpoint was written).
     let exact_resume = !frontier.is_empty();
+    if exact_resume {
+        // The incumbent is not expanded again (the driver holds its
+        // own frontier), only checkpointed: give it back the staleness
+        // it was stored with — a stale tree is stored as empty — so
+        // that later checkpoints store it as an uninterrupted run does.
+        init.tree_stale = init.ftree.nodes().is_empty();
+    }
     // Read and written on the driver/merge thread only (pops, the
     // merge loop's duplicate probe, checkpoint writes); ordered, so a
     // checkpoint lists the hashes sorted.
@@ -215,7 +228,7 @@ fn run_search(
     // (non-frontier) policies keep recording the polished incumbent.
     let frontier_mode = cfg.checkpoint.as_ref().is_some_and(|p| p.frontier);
     if frontier_mode {
-        engine.write_checkpoint("final", &mut || driver.frontier_snapshot());
+        engine.write_checkpoint("final", &mut |lines| driver.frontier_snapshot(lines));
     }
     // Final polish: reschedule the incumbent with the full-quality beam
     // and keep whichever is better.
@@ -231,7 +244,7 @@ fn run_search(
         engine.best = polished;
     }
     if !frontier_mode {
-        engine.write_checkpoint("final", &mut || driver.frontier_snapshot());
+        engine.write_checkpoint("final", &mut |lines| driver.frontier_snapshot(lines));
     }
     engine.stats.publish(&mut engine.published);
     magis_obs::event!(

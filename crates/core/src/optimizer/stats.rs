@@ -27,6 +27,10 @@ pub(super) struct CoreObs {
     pub(super) incremental_carried_wins: Counter,
     pub(super) incremental_window: Histogram,
     pub(super) expansion_seconds: Histogram,
+    /// One observation per checkpoint: snapshot, encode and write.
+    pub(super) checkpoint_seconds: Histogram,
+    /// Size of the last checkpoint written (0 after a failed write).
+    pub(super) checkpoint_bytes: Gauge,
     pub(super) best_peak_bytes: Gauge,
     pub(super) best_latency: Gauge,
     pub(super) frontier_size: Gauge,
@@ -47,6 +51,8 @@ pub(super) fn core_obs() -> &'static CoreObs {
         incremental_carried_wins: counter("magis_core_incremental_carried_wins"),
         incremental_window: histogram("magis_core_incremental_window"),
         expansion_seconds: histogram("magis_core_expansion_seconds"),
+        checkpoint_seconds: histogram("magis_core_checkpoint_seconds"),
+        checkpoint_bytes: gauge("magis_core_checkpoint_bytes"),
         best_peak_bytes: gauge("magis_core_best_peak_bytes"),
         best_latency: gauge("magis_core_best_latency"),
         frontier_size: gauge("magis_core_frontier_size"),

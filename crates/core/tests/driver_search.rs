@@ -102,7 +102,7 @@ fn mcts_is_thread_count_independent() {
 /// Kill/resume trajectory-exactness under `MctsDriver`: a search
 /// stopped at a deterministic candidate-count boundary and resumed
 /// from its frontier-bearing checkpoint must finish bit-identical to
-/// an uninterrupted run — the v4 checkpoint restores the tree
+/// an uninterrupted run — the v5 checkpoint restores the tree
 /// (parents, visits, rewards, expansion flags) and the rollout RNG
 /// stream exactly.
 #[test]

@@ -196,6 +196,13 @@ impl Graph {
     /// and out-of-range slots. The [`GraphView`] primitive.
     #[inline]
     pub(crate) fn slot_raw(&self, i: usize) -> Option<&Node> {
+        self.slot_shared(i).map(|node| &**node)
+    }
+
+    /// [`Self::slot_raw`] as the shared allocation: a clone of this
+    /// graph that has not rewritten the node holds the same `Arc`.
+    #[inline]
+    pub(crate) fn slot_shared(&self, i: usize) -> Option<&Arc<Node>> {
         match self.pages.get(i >> PAGE_BITS) {
             Some(page) => match page.get(i & PAGE_MASK) {
                 Some(Some(node)) => Some(node),

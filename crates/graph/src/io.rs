@@ -6,14 +6,16 @@
 //! operator attributes, names, keepalive edges, cost repeats, and
 //! allocation anchors exactly.
 
-use crate::graph::{Graph, GraphError, NodeId, NodeRecord};
+use crate::graph::{Graph, GraphError, Node, NodeId, NodeRecord};
 use crate::view::GraphView;
 use crate::op::{
     BinaryKind, Conv2dAttrs, InputKind, MergeKind, OpKind, Pool2dAttrs, PoolKind, ReduceKind,
     UnaryGradKind, UnaryKind,
 };
 use crate::tensor::{DType, Shape, TensorMeta};
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Options for [`to_dot`].
 #[derive(Debug, Clone)]
@@ -271,24 +273,95 @@ pub fn to_record(g: &Graph) -> String {
     let _ = writeln!(out, "{RECORD_HEADER}");
     let _ = writeln!(out, "cap {}", g.capacity());
     for v in g.node_ids() {
-        let n = g.node(v);
-        let aw = n.alloc_with.map_or("-".to_string(), |a| a.index().to_string());
-        let _ = writeln!(
-            out,
-            "node {} {} {}{} r={} aw={} in={} ka={} name={}",
-            v.index(),
-            op_token(&n.op),
-            n.meta.dtype,
-            shape_token(&n.meta.shape),
-            n.cost_repeat,
-            aw,
-            join_ids(n.inputs()),
-            join_ids(n.keepalive()),
-            n.name,
-        );
+        write_node_line(&mut out, v.index(), g.node(v));
+        out.push('\n');
     }
     out.push_str("end\n");
     out
+}
+
+/// The record line of the node in arena slot `slot` (no newline).
+fn write_node_line(out: &mut String, slot: usize, n: &Node) {
+    let aw = n.alloc_with.map_or("-".to_string(), |a| a.index().to_string());
+    let _ = write!(
+        out,
+        "node {} {} {}{} r={} aw={} in={} ka={} name={}",
+        slot,
+        op_token(&n.op),
+        n.meta.dtype,
+        shape_token(&n.meta.shape),
+        n.cost_repeat,
+        aw,
+        join_ids(n.inputs()),
+        join_ids(n.keepalive()),
+        n.name,
+    );
+}
+
+/// [`to_record`] line by line, for a writer that stores many graphs
+/// sharing most of their nodes (a search checkpoint holds a frontier of
+/// states one rewrite apart). Every graph recorded through one
+/// `RecordLines` comes back as the numbers of its record's lines in
+/// one table, which holds each distinct line once however many graphs
+/// carry it.
+///
+/// Lines are numbered by *text*. The node's address is a render cache
+/// in front of that — a graph and its copy-on-write clones hold an
+/// untouched node as the same `Arc<Node>` in the same slot, so its line
+/// is rendered once — and never decides what a line is: graphs that
+/// share no storage (restored from a checkpoint, say) get the same
+/// numbers, each node rendered once.
+#[derive(Debug, Default)]
+pub struct RecordLines {
+    lines: Vec<String>,
+    by_text: HashMap<String, u32>,
+    /// `(node address, slot)` → the node's line. The entry keeps the
+    /// node alive, so its address cannot come to mean another node.
+    rendered: HashMap<(usize, usize), (Arc<Node>, u32)>,
+}
+
+impl RecordLines {
+    /// The lines of `to_record(g)`, in order, as indices into
+    /// [`Self::into_lines`].
+    pub fn record(&mut self, g: &Graph) -> Vec<u32> {
+        let mut record = Vec::with_capacity(g.len() + 3);
+        record.push(self.number(RECORD_HEADER));
+        record.push(self.number(&format!("cap {}", g.capacity())));
+        let mut text = String::new();
+        for slot in 0..g.capacity() {
+            let Some(node) = g.slot_shared(slot) else { continue };
+            let key = (Arc::as_ptr(node) as usize, slot);
+            let line = match self.rendered.get(&key) {
+                Some(&(_, line)) => line,
+                None => {
+                    text.clear();
+                    write_node_line(&mut text, slot, node);
+                    let line = self.number(&text);
+                    self.rendered.insert(key, (node.clone(), line));
+                    line
+                }
+            };
+            record.push(line);
+        }
+        record.push(self.number("end"));
+        record
+    }
+
+    /// The table: every distinct line recorded (no newlines), in the
+    /// order they first came up.
+    pub fn into_lines(self) -> Vec<String> {
+        self.lines
+    }
+
+    fn number(&mut self, text: &str) -> u32 {
+        if let Some(&line) = self.by_text.get(text) {
+            return line;
+        }
+        let line = self.lines.len() as u32;
+        self.lines.push(text.to_string());
+        self.by_text.insert(text.to_string(), line);
+        line
+    }
 }
 
 fn syntax(line: usize, msg: impl Into<String>) -> RecordError {
@@ -718,6 +791,32 @@ mod tests {
         // Determinism: re-serializing the restored graph is identical.
         assert_eq!(rec, to_record(&g2));
         g2.validate().unwrap();
+    }
+
+    #[test]
+    fn record_lines_are_the_records_lines_and_numbered_by_text() {
+        let g = sample();
+        // A copy-on-write clone with one node more, and a copy that
+        // shares no storage with either.
+        let mut grown = crate::txn::GraphTxn::begin(&g);
+        let last = g.node_ids().last().unwrap();
+        grown.add(OpKind::Unary(UnaryKind::Tanh), &[last]).unwrap();
+        let grown = grown.commit().0;
+        let parsed = from_record(&to_record(&g)).unwrap();
+
+        let mut lines = RecordLines::default();
+        let records = [&g, &grown, &parsed].map(|g| lines.record(g));
+        let table = lines.into_lines();
+        for (g, record) in [&g, &grown, &parsed].into_iter().zip(&records) {
+            let text: String = record.iter().flat_map(|&i| [table[i as usize].as_str(), "\n"]).collect();
+            assert_eq!(text, to_record(g));
+        }
+        // Equal text is one line, shared storage or not; the clone adds
+        // its `cap` and its new node (whose input's line — not its
+        // successor list — is as it was).
+        assert_eq!(records[0], records[2]);
+        assert_eq!(table.len(), records[0].len() + 2);
+        assert_eq!(table.iter().collect::<std::collections::BTreeSet<_>>().len(), table.len());
     }
 
     #[test]

@@ -52,11 +52,13 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a daemon.
+    /// Connects to a daemon. Requests are single small lines, so the
+    /// socket sends each at once (`TCP_NODELAY`), like the server's end.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, ServeError> {
-        let stream = TcpStream::connect(addr).map_err(|e| ServeError::Io(e.to_string()))?;
-        let reader =
-            BufReader::new(stream.try_clone().map_err(|e| ServeError::Io(e.to_string()))?);
+        let io = |e: std::io::Error| ServeError::Io(e.to_string());
+        let stream = TcpStream::connect(addr).map_err(io)?;
+        stream.set_nodelay(true).map_err(io)?;
+        let reader = BufReader::new(stream.try_clone().map_err(io)?);
         Ok(Client { stream, reader })
     }
 
@@ -209,5 +211,17 @@ impl Client {
                 _ => return Err(ServeError::Io(format!("unexpected event: {}", ev.render()))),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connections_send_each_request_at_once() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.stream.nodelay().unwrap());
     }
 }

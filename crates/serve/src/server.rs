@@ -748,10 +748,20 @@ fn send(out: &mut TcpStream, j: &Json) -> io::Result<()> {
     out.flush()
 }
 
+/// An accepted connection as the handler uses it: the polling line
+/// reader and the write half. Replies are small frames the client is
+/// waiting on — a `submit` ack, later the result — so the socket sends
+/// each at once (`TCP_NODELAY`) instead of holding the second until the
+/// client's delayed ACK of the first, 40 ms on Linux.
+fn open_conn(stream: TcpStream) -> io::Result<(LineReader, TcpStream)> {
+    stream.set_read_timeout(Some(POLL))?;
+    stream.set_nodelay(true)?;
+    let out = stream.try_clone()?;
+    Ok((LineReader { stream, buf: Vec::new() }, out))
+}
+
 fn handle_conn(stream: TcpStream, inner: &Inner) {
-    let _ = stream.set_read_timeout(Some(POLL));
-    let Ok(mut out) = stream.try_clone() else { return };
-    let mut reader = LineReader { stream, buf: Vec::new() };
+    let Ok((mut reader, mut out)) = open_conn(stream) else { return };
     let stop = || inner.table.lock().unwrap().closed;
     while let Ok(Some(line)) = reader.read_line(&stop) {
         if line.is_empty() {
@@ -1023,5 +1033,19 @@ fn stream_until_done(inner: &Inner, id: u64, out: &mut TcpStream) -> bool {
         }
         let (guard, _) = inner.cv.wait_timeout(t, POLL).unwrap();
         t = guard;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_connections_send_each_frame_at_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let (reader, out) = open_conn(stream).unwrap();
+        assert!(out.nodelay().unwrap() && reader.stream.nodelay().unwrap());
     }
 }
