@@ -50,6 +50,26 @@ if [ -n "$DELTA_USES" ]; then
     exit 1
 fi
 
+# One-overlay-path gate: the region workspace and the recorded scale
+# edits are how the one overlay path works, not a mode of it. A
+# transaction has no state a caller can switch (its only fields are the
+# graph and the delta marks), the search and evaluation configurations
+# have the fields they had, and no stage has a `_fast` / `_cached` twin.
+echo
+echo "==> one-overlay-path check"
+pub_fields() {
+    awk -v open="^pub struct $2 \\{" '$0 ~ open { on = 1; next } on && /^}/ { exit }
+        on && /^    pub [a-z_]+:/ { n++ } END { print n + 0 }' "$1"
+}
+if [ "$(pub_fields crates/graph/src/txn.rs GraphTxn)" != 0 ] \
+    || [ "$(pub_fields crates/core/src/state.rs EvalContext)" != 6 ] \
+    || [ "$(pub_fields crates/core/src/optimizer/config.rs OptimizerConfig)" != 18 ] \
+    || grep -n -E 'pub fn [a-z_]*mode|pub enum [A-Za-z]*Mode' crates/graph/src/txn.rs \
+    || grep -rn -E 'fn [a-z_]+_(fast|cached)\b' crates/graph/src crates/core/src/fission.rs crates/core/src/state.rs; then
+    echo "the overlay has one path: no switch on GraphTxn, no new OptimizerConfig / EvalContext field, no twin"
+    exit 1
+fi
+
 # Documentation gate: rustdoc must build clean (missing_docs is warn
 # in sched/sim/core/obs, promoted to an error here) and every doc
 # example must run.
@@ -88,14 +108,16 @@ done
 # the threads fall": the determinism harness, injected-fault
 # trajectories (fault keys derive from expansion number + candidate
 # index, never thread identity), the greedy goldens and MCTS
-# kill/resume exactness, CoW-vs-deep-copy identity, the overlay /
-# F-Tree / DP oracles, and incremental-vs-full evaluation.
+# kill/resume exactness, CoW-vs-deep-copy identity and parent-child
+# node sharing, the overlay / F-Tree / DP oracles and the overlay's
+# committed digests, and incremental-vs-full evaluation.
 run env RUST_TEST_THREADS=1 cargo test -q --test parallel_search
 run env RUST_TEST_THREADS=1 cargo test -q --test fault_injection
 run env RUST_TEST_THREADS=4 cargo test -q --test fault_injection
 run env RUST_TEST_THREADS=1 cargo test -q -p magis-core --test driver_search
 run env RUST_TEST_THREADS=1 cargo test -q --test cow_graph
 run env RUST_TEST_THREADS=1 cargo test -q --test overlay_identity
+run env RUST_TEST_THREADS=1 cargo test -q -p magis-core --test overlay_fingerprint
 run env RUST_TEST_THREADS=1 cargo test -q --test ftree_identity
 run env RUST_TEST_THREADS=1 cargo test -q -p magis-sched --test dp_identity
 # The scheduler's identity suites (dp_identity, window_fingerprint's

@@ -13,7 +13,7 @@
 
 use magis_graph::GraphView;
 use magis_graph::graph::{Graph, NodeId};
-use magis_graph::op::DimLink;
+use magis_graph::op::{DimLink, DimLinks};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
@@ -64,13 +64,13 @@ impl DimGraph {
         // Edges, unioned as they are found.
         let mut edges = Vec::new();
         let mut uf = UnionFind { parent: (0..verts.len() as u32).collect(), size: vec![1; verts.len()] };
+        let mut links = DimLinks::default();
         for v in g.node_ids() {
             let n = g.node(v);
             if !n.op.in_dim_graph() || n.op.is_input() {
                 continue;
             }
-            let input_metas: Vec<_> = n.inputs().iter().map(|&u| &g.node(u).meta).collect();
-            let links = n.op.input_dim_links(&input_metas, &n.meta);
+            n.op.dim_links_into(n.inputs().iter().map(|&u| &g.node(u).meta), &n.meta, &mut links);
             for (slot, &u) in n.inputs().iter().enumerate() {
                 if !g.node(u).op.in_dim_graph() {
                     continue;

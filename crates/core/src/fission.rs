@@ -21,10 +21,9 @@
 //!   examples).
 
 use magis_graph::algo::topo::topo_order_of;
-use magis_graph::algo::{is_convex, is_weakly_connected, BitSet};
 use magis_graph::graph::{Graph, NodeId};
-use magis_graph::op::{DimLink, MergeKind, OpKind};
-use magis_graph::{GraphTxn, GraphView, TensorMeta};
+use magis_graph::op::{DimLink, DimLinks, MergeKind, OpKind};
+use magis_graph::{GraphTxn, GraphView, ScaleMemo, TensorMeta};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -117,7 +116,7 @@ pub struct OverlayInfo {
 pub struct RegionFacts {
     /// Every region input (ascending), with the axis it must be sliced
     /// along, or `None` if it is shared by all parts.
-    pub slice_axes: BTreeMap<NodeId, Option<usize>>,
+    pub slice_axes: Vec<(NodeId, Option<usize>)>,
     /// Total sliding-window halo accumulated along the split axis
     /// (extension E1): the sum over region operators of the overlap
     /// their windows need at part boundaries. Zero for batch/head
@@ -129,9 +128,52 @@ pub struct RegionFacts {
     /// The region's topological entry: its smallest node without a
     /// predecessor inside `S`.
     pub entry: NodeId,
-    /// Dense membership marks of `S`, by slot (unset for any node added
-    /// to the graph later).
-    in_set: BitSet,
+}
+
+/// The dense scratch of the overlay stage, owned by one
+/// `build_overlay_graph` / [`RegionFacts::compute`] call and reused
+/// across its regions: a region costs its nodes and boundary, never
+/// the graph.
+#[derive(Debug, Default)]
+pub(crate) struct RegionWorkspace {
+    /// Slot → `stamp << 32 | payload`. A region owns the four stamps
+    /// `epoch + `[`UNREACHED`]` ..= epoch + `[`INPUT`], so cells of older
+    /// regions read as unmarked and nothing is ever cleared.
+    cell: Vec<u64>,
+    epoch: u64,
+    /// The dimension links of the node being checked.
+    links: DimLinks,
+    /// Flood-fill stack, then the region inputs in first-read order.
+    nodes: Vec<NodeId>,
+}
+
+/// Stamp kinds. A member before the connectivity flood reaches it, and
+/// after (every member, once the region is connected); payload: its dim.
+const UNREACHED: u64 = 0;
+const MEMBER: u64 = 1;
+/// An outside node the convexity search has seen.
+const SEEN: u64 = 2;
+/// A region input; payload: its slice axis + 1, 0 for shared.
+const INPUT: u64 = 3;
+
+impl RegionWorkspace {
+    fn stamp(&self, v: NodeId) -> u64 {
+        // Nodes added since the region began lie past the table.
+        self.cell.get(v.index()).map_or(0, |c| c >> 32)
+    }
+
+    fn set(&mut self, v: NodeId, kind: u64, payload: u32) {
+        self.cell[v.index()] = (self.epoch + kind) << 32 | u64::from(payload);
+    }
+
+    fn payload(&self, v: NodeId) -> u32 {
+        self.cell[v.index()] as u32
+    }
+
+    /// Whether `v` is in the region last validated.
+    fn is_member(&self, v: NodeId) -> bool {
+        self.stamp(v) == self.epoch + MEMBER
+    }
 }
 
 impl RegionFacts {
@@ -147,12 +189,23 @@ impl RegionFacts {
     /// convexity; each node's own dimension; each internal edge;
     /// agreement on input slice axes.
     pub fn compute<G: GraphView>(g: &G, spec: &FissionSpec) -> Result<Self, FissionError> {
+        Self::compute_in(&mut RegionWorkspace::default(), g, spec)
+    }
+
+    /// [`Self::compute`] on the caller's workspace, which afterwards
+    /// answers `is_member` for this region.
+    pub(crate) fn compute_in<G: GraphView>(
+        ws: &mut RegionWorkspace,
+        g: &G,
+        spec: &FissionSpec,
+    ) -> Result<Self, FissionError> {
         let (set, dims) = (&spec.set, &spec.dims);
         // Both are sorted, so equal length + pairwise equal = same keys.
         if set.is_empty() || dims.len() != set.len() || !dims.keys().eq(set) {
             return Err(FissionError::BadCoverage);
         }
-        let mut dim_of = vec![0i32; g.capacity()];
+        ws.epoch += 4;
+        ws.cell.resize(ws.cell.len().max(g.capacity()), 0);
         for (&v, &d) in dims {
             if !g.contains(v) {
                 return Err(FissionError::DeadNode(v));
@@ -163,21 +216,49 @@ impl RegionFacts {
             ) {
                 return Err(FissionError::ForbiddenOp(v));
             }
-            dim_of[v.index()] = d;
+            ws.set(v, UNREACHED, d as u32);
         }
-        let in_set = BitSet::of_nodes(g.capacity(), set);
-        let inside = |u: &NodeId| in_set.contains(u.index());
-        if !is_weakly_connected(g, *set.first().expect("non-empty"), &in_set, set.len()) {
+        // Constraint 1, weakly connected: one flood fill from any member.
+        let seed = *set.first().expect("non-empty");
+        ws.set(seed, MEMBER, ws.payload(seed));
+        ws.nodes.clear();
+        ws.nodes.push(seed);
+        let mut reached = 1;
+        while let Some(v) = ws.nodes.pop() {
+            let n = g.node(v);
+            for &u in n.inputs().iter().chain(n.keepalive()).chain(n.succs()) {
+                if ws.stamp(u) == ws.epoch + UNREACHED {
+                    ws.set(u, MEMBER, ws.payload(u));
+                    reached += 1;
+                    ws.nodes.push(u);
+                }
+            }
+        }
+        if reached != set.len() {
             return Err(FissionError::NotConnected);
         }
-        if !is_convex(g, set.iter().copied(), &in_set) {
-            return Err(FissionError::NotConvex);
+        // Constraint 2, convex: a forward search from every edge that
+        // exits the region must not re-enter it.
+        let exits = |ws: &mut RegionWorkspace, v: NodeId| {
+            for &s in g.node(v).succs() {
+                if ws.stamp(s) < ws.epoch + MEMBER {
+                    ws.set(s, SEEN, 0);
+                    ws.nodes.push(s);
+                }
+            }
+        };
+        set.iter().for_each(|&v| exits(ws, v));
+        while let Some(v) = ws.nodes.pop() {
+            if g.node(v).succs().iter().any(|&s| ws.is_member(s)) {
+                return Err(FissionError::NotConvex);
+            }
+            exits(ws, v);
         }
         for (&v, &d) in dims {
             let n = g.node(v);
             if d > 0 {
                 let axis = (d - 1) as usize;
-                if axis >= n.meta.shape.rank() || !n.op.splittable_output_dims(&n.meta)[axis] {
+                if axis >= n.meta.shape.rank() || !n.op.splittable_output_dim(&n.meta, axis) {
                     return Err(FissionError::UnsplittableDim(v, d));
                 }
                 let extent = n.meta.shape.dim(axis);
@@ -189,40 +270,39 @@ impl RegionFacts {
                 if r >= n.op.num_reduce_axes() {
                     return Err(FissionError::UnsplittableDim(v, d));
                 }
-                if n.succs().iter().any(inside) {
+                if n.succs().iter().any(|&s| ws.is_member(s)) {
                     return Err(FissionError::InteriorReduce(v));
                 }
             }
         }
-        let mut slice_axes: BTreeMap<NodeId, Option<usize>> = BTreeMap::new();
         // An edge violation at a later node outranks an ambiguous input
         // found earlier, so the ambiguity is only reported at the end.
         let mut ambiguous = None;
         let mut halo = 0u64;
         let mut outputs = Vec::new();
         let mut entry = None;
+        let mut links = std::mem::take(&mut ws.links);
         for (&v, &d) in dims {
             let node = g.node(v);
-            if entry.is_none() && !node.inputs().iter().chain(node.keepalive()).any(inside) {
+            if entry.is_none() && !node.inputs().iter().chain(node.keepalive()).any(|&u| ws.is_member(u)) {
                 entry = Some(v);
             }
-            if node.succs().is_empty() || !node.succs().iter().all(inside) {
+            if node.succs().is_empty() || !node.succs().iter().all(|&s| ws.is_member(s)) {
                 outputs.push(v);
             }
             if node.op.is_input() {
                 continue;
             }
-            let metas: Vec<&TensorMeta> = node.inputs().iter().map(|&u| &g.node(u).meta).collect();
-            let links = node.op.input_dim_links(&metas, &node.meta);
+            node.op.dim_links_into(node.inputs().iter().map(|&u| &g.node(u).meta), &node.meta, &mut links);
             let selected = |l: &DimLink| match d {
                 d if d > 0 => l.spatial_dim() == Some((d - 1) as usize),
                 d => *l == DimLink::Reduce((-d - 1) as usize),
             };
             for (slot, &u) in node.inputs().iter().enumerate() {
-                if inside(&u) {
+                if ws.is_member(u) {
                     // Constraint 3: every internal edge must be covered
                     // by a D-edge between the chosen dims.
-                    let du = dim_of[u.index()];
+                    let du = ws.payload(u) as i32;
                     if du < 0 {
                         return Err(FissionError::InteriorReduce(u));
                     }
@@ -233,30 +313,34 @@ impl RegionFacts {
                     // Weights/labels are never sliced (no D-Graph vertices).
                     let sliceable = g.node(u).op.in_dim_graph();
                     let axis = links[slot].iter().position(selected).filter(|_| sliceable);
-                    // One consumer slices, another shares, or axes
-                    // differ: slicing is ambiguous.
-                    if *slice_axes.entry(u).or_insert(axis) != axis {
+                    let axis = axis.map_or(0, |a| a as u32 + 1);
+                    if ws.stamp(u) != ws.epoch + INPUT {
+                        ws.set(u, INPUT, axis);
+                        ws.nodes.push(u);
+                    } else if ws.payload(u) != axis {
+                        // One consumer slices, another shares, or axes
+                        // differ: slicing is ambiguous.
                         ambiguous = Some(u);
                     }
                 }
             }
             if d > 0 {
-                halo += links
-                    .iter()
-                    .flatten()
-                    .filter_map(|l| match *l {
-                        DimLink::Windowed { dim, halo } if dim == (d - 1) as usize => Some(halo),
-                        _ => None,
-                    })
-                    .max()
-                    .unwrap_or(0);
+                let window = |l: &DimLink| match *l {
+                    DimLink::Windowed { dim, halo } if dim == (d - 1) as usize => Some(halo),
+                    _ => None,
+                };
+                halo += links.all().iter().filter_map(window).max().unwrap_or(0);
             }
         }
+        ws.links = links;
         if let Some(u) = ambiguous {
             return Err(FissionError::AmbiguousInputSlice(u));
         }
+        ws.nodes.sort_unstable();
+        let slice_axes =
+            ws.nodes.iter().map(|&u| (u, ws.payload(u).checked_sub(1).map(|a| a as usize))).collect();
         let entry = entry.expect("an acyclic region has a node without region predecessors");
-        Ok(RegionFacts { slice_axes, halo, outputs, entry, in_set })
+        Ok(RegionFacts { slice_axes, halo, outputs, entry })
     }
 }
 
@@ -272,7 +356,7 @@ impl FissionSpec {
         RegionFacts::compute(g, self).map(drop)
     }
 
-    /// [`RegionFacts::slice_axes`] of this spec in `g`.
+    /// [`RegionFacts::slice_axes`] of this spec in `g`, by input.
     ///
     /// # Errors
     ///
@@ -282,7 +366,7 @@ impl FissionSpec {
         &self,
         g: &G,
     ) -> Result<BTreeMap<NodeId, Option<usize>>, FissionError> {
-        Ok(RegionFacts::compute(g, self)?.slice_axes)
+        Ok(RegionFacts::compute(g, self)?.slice_axes.into_iter().collect())
     }
 
     /// [`RegionFacts::outputs`] of this spec in `g`; empty if the spec
@@ -311,10 +395,21 @@ impl FissionSpec {
 /// Returns a [`FissionError`] if the spec does not validate against
 /// the transaction's current graph.
 pub fn apply_overlay(g: &mut GraphTxn, spec: &FissionSpec) -> Result<OverlayInfo, FissionError> {
+    apply_overlay_in(&mut RegionWorkspace::default(), g, spec, &mut ScaleMemo::Cold)
+}
+
+/// [`apply_overlay`] on the caller's workspace; `memo` says what the
+/// scale step shares or records ([`GraphTxn::scale`]).
+pub(crate) fn apply_overlay_in(
+    ws: &mut RegionWorkspace,
+    g: &mut GraphTxn,
+    spec: &FissionSpec,
+    memo: &mut ScaleMemo<'_>,
+) -> Result<OverlayInfo, FissionError> {
     if spec.parts < 2 {
         return Err(FissionError::TrivialParts);
     }
-    let facts = RegionFacts::compute(g, spec)?;
+    let facts = RegionFacts::compute_in(ws, g, spec)?;
     // Unwrap audit: `compute` has proven every region node and every
     // region input live and well-formed, so the `expect`s on graph
     // edits below (add / add_with_meta / add_keepalive_fan) cannot
@@ -324,26 +419,27 @@ pub fn apply_overlay(g: &mut GraphTxn, spec: &FissionSpec) -> Result<OverlayInfo
     // Original metas and repeats of the outputs, for their merges.
     let original = |&v: &NodeId| (g.node(v).meta.clone(), g.node(v).cost_repeat);
     let merged: Vec<(TensorMeta, u64)> = facts.outputs.iter().map(original).collect();
+    // The region's readers of one input, then the outside readers of
+    // one output, ascending and without repeats.
+    let mut readers = std::mem::take(&mut ws.nodes);
+    fn gather(readers: &mut Vec<NodeId>, users: impl Iterator<Item = NodeId>) {
+        readers.clear();
+        readers.extend(users);
+        readers.sort_unstable();
+        readers.dedup();
+    }
 
     // 1. Slice participating inputs.
     let mut slices = Vec::new();
-    for (&u, &axis) in &facts.slice_axes {
+    for &(u, axis) in &facts.slice_axes {
         let Some(axis) = axis else { continue };
         let ps = g
             .add(OpKind::PartSlice { axis, parts: n, halo: facts.halo }, &[u])
             .expect("slice of live input");
         g.set_cost_repeat(ps, min_repeat);
-        // Rewire the region's readers of `u` in ascending id order.
-        let mut readers: Vec<NodeId> = g
-            .node(u)
-            .succs()
-            .iter()
-            .copied()
-            .filter(|&v| facts.in_set.contains(v.index()) && g.pre(v).contains(&u))
-            .collect();
-        readers.sort_unstable();
-        readers.dedup();
-        for v in readers {
+        let users = g.node(u).succs().iter().copied();
+        gather(&mut readers, users.filter(|&v| ws.is_member(v) && g.pre(v).contains(&u)));
+        for &v in &readers {
             g.replace_input(v, u, ps);
         }
         slices.push(ps);
@@ -351,13 +447,7 @@ pub fn apply_overlay(g: &mut GraphTxn, spec: &FissionSpec) -> Result<OverlayInfo
 
     // 2. Scale shapes and multiply repeats.
     for (&v, &d) in &spec.dims {
-        let rep = g.node(v).cost_repeat;
-        g.set_cost_repeat(v, rep * n);
-        if d > 0 {
-            let meta = &g.node(v).meta;
-            let scaled = TensorMeta::new(meta.shape.split_dim((d - 1) as usize, n), meta.dtype);
-            g.set_meta(v, scaled);
-        }
+        g.scale(v, n, d, memo);
     }
 
     // 3. Merge outputs.
@@ -369,21 +459,19 @@ pub fn apply_overlay(g: &mut GraphTxn, spec: &FissionSpec) -> Result<OverlayInfo
         } else {
             (OpKind::Merge { kind: MergeKind::Sum, axis: 0, parts: n }, repeat * n)
         };
-        let consumers: Vec<NodeId> =
-            g.suc(v).into_iter().filter(|s| !facts.in_set.contains(s.index())).collect();
+        gather(&mut readers, g.node(v).succs().iter().copied().filter(|&s| !ws.is_member(s)));
         let m = g.add_with_meta(op, &[v], meta).expect("merge of live output");
         g.set_cost_repeat(m, repeat);
         g.set_alloc_with(m, facts.entry);
-        for c in consumers {
-            if c != m {
-                g.replace_input(c, v, m);
-            }
+        for &c in &readers {
+            g.replace_input(c, v, m);
         }
         merges.push(m);
     }
+    ws.nodes = readers;
 
     // 4. Pin region inputs (sliced and shared) for the whole region.
-    let inputs: Vec<NodeId> = facts.slice_axes.keys().copied().collect();
+    let inputs: Vec<NodeId> = facts.slice_axes.iter().map(|&(u, _)| u).collect();
     g.add_keepalive_fan(&inputs, &merges).expect("live endpoints");
     Ok(OverlayInfo { slices, merges })
 }
@@ -400,6 +488,7 @@ pub fn apply_full(g: &Graph, spec: &FissionSpec) -> Result<Graph, FissionError> 
         return Err(FissionError::TrivialParts);
     }
     let RegionFacts { slice_axes, outputs, .. } = RegionFacts::compute(g, spec)?;
+    let slice_axes: BTreeMap<NodeId, Option<usize>> = slice_axes.into_iter().collect();
     // Unwrap audit: as in `apply_overlay`, the validated spec makes
     // the graph-edit `expect`s below unreachable.
     let n = spec.parts;

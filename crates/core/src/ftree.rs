@@ -11,7 +11,7 @@
 
 use magis_graph::GraphView;
 use crate::dgraph::{component_dims, DimGraph};
-use crate::fission::FissionSpec;
+use crate::fission::{FissionSpec, RegionFacts, RegionWorkspace};
 use magis_graph::algo::dominator::DomTree;
 use magis_graph::graph::{Graph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -129,6 +129,7 @@ impl FTree {
         let mut stratum = vec![0usize; cap];
         let mut comp_nodes: Vec<NodeId> = Vec::new();
         let mut scored: Vec<(NodeId, f64)> = Vec::new();
+        let mut regions = RegionWorkspace::default();
         for comp in dg.component_slices() {
             // G' := sub-graph of G induced from the component's nodes,
             // with each node's dim choice in the component.
@@ -230,7 +231,7 @@ impl FTree {
                         dims: des.iter().map(|d| (*d, dim_of[d.index()])).collect(),
                         parts: 2,
                     };
-                    if probe.validate(g).is_ok() {
+                    if RegionFacts::compute_in(&mut regions, g, &probe).is_ok() {
                         candidates.push((probe.set, probe.dims, i));
                     }
                 }

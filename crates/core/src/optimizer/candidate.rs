@@ -6,7 +6,7 @@
 use super::config::{OptimizerConfig, ParanoiaLevel};
 use crate::eval_cache::EvalCache;
 use crate::rules::{self, Transform};
-use crate::state::{build_overlay_graph, evaluate_overlay, EvalContext, EvalError, MState};
+use crate::state::{evaluate_overlay, EvalContext, EvalError, MState};
 use magis_graph::algo::graph_hash;
 use magis_sched::validate_schedule;
 use magis_sim::evaluate_checked;
@@ -200,7 +200,7 @@ fn evaluate_candidate_inner(
     // cache, so a candidate whose graph was already evaluated (via any
     // rewrite path) skips the expensive schedule + simulate phases.
     let t0 = Instant::now();
-    let built = build_overlay_graph(&applied.base, &applied.ftree);
+    let built = state.child_overlay(&applied.base, &applied.ftree);
     times.overlay = t0.elapsed();
     times.sched_sim = times.overlay;
     let Ok(graph) = built else { return Verdict::Rejected(Reject::ApplyFailed) };

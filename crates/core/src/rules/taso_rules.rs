@@ -191,7 +191,7 @@ fn merge_matmuls(state: &MState, a: NodeId, b: NodeId) -> Result<Applied, ApplyE
             let _ = g.remove(w);
         }
     }
-    let (base, _) = g.commit();
+    let base = g.into_graph();
     Ok(Applied { base, ftree: state.ftree.clone(), mutated, tree_stale: true })
 }
 
@@ -224,7 +224,7 @@ fn merge_convs(state: &MState, a: NodeId, b: NodeId) -> Result<Applied, ApplyErr
             let _ = g.remove(w);
         }
     }
-    let (base, _) = g.commit();
+    let base = g.into_graph();
     Ok(Applied { base, ftree: state.ftree.clone(), mutated, tree_stale: true })
 }
 
@@ -246,7 +246,7 @@ fn rotate_add(state: &MState, top: NodeId) -> Result<Applied, ApplyError> {
     g.redirect_uses(top, abc);
     g.remove(top).map_err(err)?;
     g.remove(inner).map_err(err)?;
-    let (base, _) = g.commit();
+    let base = g.into_graph();
     Ok(Applied { base, ftree: state.ftree.clone(), mutated, tree_stale: true })
 }
 

@@ -14,8 +14,8 @@
 //!    strategy for asynchronous swapping).
 //! 4. **Simulate** — two-stream latency + step-level memory profile.
 
-use magis_graph::GraphView;
-use crate::fission::apply_overlay;
+use magis_graph::{GraphTxn, GraphView, ScaleEdits, ScaleMemo};
+use crate::fission::{apply_overlay_in, RegionWorkspace};
 use crate::ftree::FTree;
 use crate::rules::{Applied, ApplyError};
 use magis_graph::graph::{Graph, NodeId};
@@ -187,6 +187,10 @@ pub struct Eval {
     /// Lazily-computed position of each node in `order`, shared like
     /// `reach`: only states that get expanded read it.
     positions: Arc<OnceLock<BTreeMap<NodeId, usize>>>,
+    /// Lazily-recorded scale edits of this state's own overlay, shared
+    /// like `reach`: every candidate derived from the state builds its
+    /// overlay through them ([`MState::child_overlay`]).
+    scale_edits: Arc<OnceLock<ScaleEdits>>,
 }
 
 impl Eval {
@@ -265,6 +269,39 @@ impl MState {
     pub fn analyze(&mut self, max_level: usize) {
         self.ftree = self.ftree.refreshed(&self.base, &self.eval.hotspots_base, max_level);
         self.tree_stale = false;
+    }
+
+    /// [`build_overlay_graph`] of a candidate derived from this state:
+    /// the same graph, but a region node whose scale step starts from
+    /// the allocation this state's overlay started from *is* this
+    /// state's scaled node, not a copy of it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates overlay validation failures.
+    pub fn child_overlay(&self, base: &Graph, ftree: &FTree) -> Result<Graph, ApplyError> {
+        let edits = self.eval.scale_edits.get_or_init(|| self.record_scale_edits());
+        overlay_graph(base, ftree, &mut ScaleMemo::Reuse(edits))
+    }
+
+    /// The scale steps of this state's overlay, region by region, and
+    /// nothing else of it: a node that a region's slices, merges or fan
+    /// rewire before a later region scales it is private to each build,
+    /// so no build ever looks its entry up.
+    fn record_scale_edits(&self) -> ScaleEdits {
+        let mut edits = ScaleEdits::default();
+        let mut txn = GraphTxn::begin(&self.base);
+        let mut memo = ScaleMemo::Record { edits: &mut edits, like: &self.eval.graph };
+        let specs = self.ftree.enabled_order().into_iter().map(|i| &self.ftree.node(i).spec);
+        for (spec, (&v, &d)) in specs.flat_map(|spec| spec.dims.iter().map(move |dim| (spec, dim))) {
+            // Each entry stands on its own, so at a node the spec cannot
+            // scale (this state's overlay never built) the record just ends.
+            if txn.slot(v.index()).is_none_or(|n| d > n.meta.shape.rank() as i32) {
+                break;
+            }
+            txn.scale(v, spec.parts, d, &mut memo);
+        }
+        edits
     }
 
     /// Evaluates a transform application into a full child state using
@@ -363,6 +400,7 @@ impl MState {
             inc: None,
             reach: Arc::default(),
             positions: Arc::default(),
+            scale_edits: Arc::default(),
         };
         Ok(MState { base, ftree, eval, tree_stale: true })
     }
@@ -374,11 +412,19 @@ impl MState {
 ///
 /// Propagates overlay validation failures.
 pub fn build_overlay_graph(base: &Graph, ftree: &FTree) -> Result<Graph, ApplyError> {
-    let mut txn = magis_graph::GraphTxn::begin(base);
+    overlay_graph(base, ftree, &mut ScaleMemo::Cold)
+}
+
+/// One transaction and one region workspace for every enabled region,
+/// parents first.
+fn overlay_graph(base: &Graph, ftree: &FTree, memo: &mut ScaleMemo<'_>) -> Result<Graph, ApplyError> {
+    let mut txn = GraphTxn::begin(base);
+    let mut ws = RegionWorkspace::default();
     for i in ftree.enabled_order() {
-        apply_overlay(&mut txn, &ftree.node(i).spec).map_err(|e| ApplyError(e.to_string()))?;
+        apply_overlay_in(&mut ws, &mut txn, &ftree.node(i).spec, memo)
+            .map_err(|e| ApplyError(e.to_string()))?;
     }
-    Ok(txn.commit().0)
+    Ok(txn.into_graph())
 }
 
 /// Restricts simulator hot-spots to base-graph nodes (overlay
@@ -398,7 +444,10 @@ fn evaluate_state(
     mutated: &BTreeSet<NodeId>,
     ctx: &EvalContext,
 ) -> Result<Eval, EvalError> {
-    let g = build_overlay_graph(base, ftree)?;
+    let g = match parent {
+        Some(p) => p.child_overlay(base, ftree)?,
+        None => build_overlay_graph(base, ftree)?,
+    };
     evaluate_overlay(base, g, parent, mutated, ctx)
 }
 
@@ -480,6 +529,7 @@ pub(crate) fn evaluate_overlay(
         inc: inc_info,
         reach: Arc::default(),
         positions: Arc::default(),
+        scale_edits: Arc::default(),
     })
 }
 

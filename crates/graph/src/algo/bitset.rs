@@ -1,7 +1,6 @@
 //! A minimal fixed-capacity bitset used by the reachability and
 //! dominator analyses. Kept local to avoid external dependencies.
 
-use crate::graph::NodeId;
 
 /// Fixed-capacity bitset over `usize` indices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -14,20 +13,6 @@ impl BitSet {
     /// Creates an empty bitset able to hold indices `0..capacity`.
     pub fn new(capacity: usize) -> Self {
         BitSet { words: vec![0; capacity.div_ceil(64)], capacity }
-    }
-
-    /// Dense membership marks of a node set: bit `v.index()` is set for
-    /// every `v` of `nodes`. `capacity` is the graph's arena capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node's slot is not below `capacity`.
-    pub fn of_nodes<'a>(capacity: usize, nodes: impl IntoIterator<Item = &'a NodeId>) -> Self {
-        let mut marks = BitSet::new(capacity);
-        for v in nodes {
-            marks.insert(v.index());
-        }
-        marks
     }
 
     /// Capacity in bits.

@@ -1,6 +1,5 @@
 //! Weakly connected components of node subsets.
 
-use super::bitset::BitSet;
 use crate::graph::NodeId;
 use crate::view::GraphView;
 use std::collections::BTreeSet;
@@ -43,34 +42,6 @@ pub fn weakly_connected_components<G: GraphView>(
     components
 }
 
-/// Whether a non-empty node set induces a weakly connected sub-graph
-/// (constraint (1) of F-Trans validity, §4.2). `in_set` holds the
-/// set's dense membership marks (exactly the slots of its `len` nodes
-/// set, see [`BitSet::of_nodes`]); `seed` is any one of them. One flood
-/// fill over raw neighbour slices, no component sets built.
-pub fn is_weakly_connected<G: GraphView>(
-    g: &G,
-    seed: NodeId,
-    in_set: &BitSet,
-    len: usize,
-) -> bool {
-    let mut remaining = in_set.clone();
-    remaining.remove(seed.index());
-    let mut reached = 1;
-    let mut stack = vec![seed];
-    while let Some(v) = stack.pop() {
-        let n = g.node(v);
-        for &u in n.inputs().iter().chain(n.keepalive()).chain(n.succs()) {
-            if remaining.contains(u.index()) {
-                remaining.remove(u.index());
-                reached += 1;
-                stack.push(u);
-            }
-        }
-    }
-    reached == len
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,14 +65,6 @@ mod tests {
         assert_eq!(comps.len(), 2);
         assert_eq!(comps[0], [x, a].into_iter().collect());
         assert_eq!(comps[1], [y, b].into_iter().collect());
-        // The single-flood verdict agrees with the component count.
-        let connected = |set: &BTreeSet<NodeId>| {
-            let marks = BitSet::of_nodes(g.capacity(), set);
-            is_weakly_connected(&g, *set.first().unwrap(), &marks, set.len())
-        };
-        assert!(!connected(&all));
-        assert!(connected(&comps[0]));
-        assert!(connected(&comps[1]));
     }
 
     #[test]
@@ -114,6 +77,5 @@ mod tests {
         let b = g.add(OpKind::Unary(UnaryKind::Relu), &[a]).unwrap();
         let set: BTreeSet<NodeId> = [x, b].into_iter().collect();
         assert_eq!(weakly_connected_components(&g, &set).len(), 2);
-        assert!(!is_weakly_connected(&g, x, &BitSet::of_nodes(g.capacity(), &set), 2));
     }
 }

@@ -7,7 +7,6 @@
 //! propagate along edges in topological order; the final digest is a
 //! hash of the (order-insensitive) wrapping sum of node digests.
 
-use super::topo::topo_order;
 use crate::graph::NodeId;
 use crate::view::GraphView;
 use std::collections::hash_map::DefaultHasher;
@@ -30,26 +29,41 @@ fn node_label<G: GraphView>(g: &G, v: NodeId) -> u64 {
 /// equal; graphs with different structure, shapes, attributes or
 /// fission multipliers hash differently with overwhelming probability.
 pub fn graph_hash<G: GraphView>(g: &G) -> u64 {
-    let order = topo_order(g);
+    // A node's digest is a function of its predecessors' digests: any
+    // topological order yields the same ones, so this is Kahn's
+    // algorithm on a plain stack (nodes on or behind a cycle are never
+    // ready and stay out of the sum, as with `topo_order`).
+    let mut indeg = vec![0usize; g.capacity()];
+    let mut ready = Vec::new();
+    for v in g.node_ids() {
+        let n = g.node(v);
+        indeg[v.index()] = n.inputs().len() + n.keepalive().len();
+        if indeg[v.index()] == 0 {
+            ready.push(v);
+        }
+    }
     let mut digest = vec![0u64; g.capacity()];
     let mut sum: u64 = 0;
-    for &v in &order {
+    while let Some(v) = ready.pop() {
+        let n = g.node(v);
         let mut h = DefaultHasher::new();
         node_label(g, v).hash(&mut h);
         // Ordered data inputs: operand order is semantically relevant.
-        for &p in g.node(v).inputs() {
+        for &p in n.inputs() {
             digest[p.index()].hash(&mut h);
         }
         // Keepalive edges are orderless: combine commutatively.
-        let ka: u64 = g
-            .node(v)
-            .keepalive()
-            .iter()
-            .fold(0u64, |acc, &p| acc.wrapping_add(digest[p.index()]));
+        let ka: u64 = n.keepalive().iter().fold(0u64, |acc, &p| acc.wrapping_add(digest[p.index()]));
         ka.hash(&mut h);
         let x = h.finish();
         digest[v.index()] = x;
         sum = sum.wrapping_add(x);
+        for &s in n.succs() {
+            indeg[s.index()] -= 1;
+            if indeg[s.index()] == 0 {
+                ready.push(s);
+            }
+        }
     }
     let mut h = DefaultHasher::new();
     sum.hash(&mut h);

@@ -1,17 +1,15 @@
 //! Graph algorithms: topological orders, reachability, dominators,
-//! components, convexity, and graph hashing.
+//! components, and graph hashing.
 
 pub mod bitset;
 pub mod components;
-pub mod convex;
 pub mod dominator;
 pub mod hash;
 pub mod reach;
 pub mod topo;
 
 pub use bitset::BitSet;
-pub use components::{is_weakly_connected, weakly_connected_components};
-pub use convex::is_convex;
+pub use components::weakly_connected_components;
 pub use dominator::DomTree;
 pub use hash::graph_hash;
 pub use reach::Reachability;

@@ -107,6 +107,30 @@ impl Node {
     pub fn size_bytes(&self) -> u64 {
         self.meta.size_bytes()
     }
+
+    /// The output metadata after a `parts`-way fission along `dim`
+    /// (1-based output dimension; a reduce axis, `dim < 0`, keeps it).
+    fn split_meta(&self, parts: u64, dim: i32) -> TensorMeta {
+        match dim {
+            d if d > 0 => TensorMeta::new(self.meta.shape.split_dim((d - 1) as usize, parts), self.meta.dtype),
+            _ => self.meta.clone(),
+        }
+    }
+
+    /// The scale step of a fission overlay: `parts` times the repeats,
+    /// on the split metadata.
+    pub(crate) fn scale(&mut self, parts: u64, dim: i32) {
+        self.meta = self.split_meta(parts, dim);
+        self.cost_repeat *= parts;
+    }
+
+    /// Whether `self` is what [`Self::scale`] makes of `source`.
+    pub(crate) fn is_scaled(&self, source: &Node, parts: u64, dim: i32) -> bool {
+        Some(self.cost_repeat) == source.cost_repeat.checked_mul(parts)
+            && (&self.inputs, &self.keepalive, &self.succs) == (&source.inputs, &source.keepalive, &source.succs)
+            && (&self.op, &self.name, self.alloc_with) == (&source.op, &source.name, source.alloc_with)
+            && self.meta == source.split_meta(parts, dim)
+    }
 }
 
 /// Errors from graph construction and rewriting.
@@ -236,6 +260,14 @@ impl Graph {
         Arc::make_mut(slot)
     }
 
+    /// Puts the shared allocation `node` in the live slot of `id`; it
+    /// must have the edges of the node it replaces.
+    pub(crate) fn install(&mut self, id: NodeId, node: Arc<Node>) {
+        let i = id.index();
+        let slot = self.page_mut(i >> PAGE_BITS)[i & PAGE_MASK].as_mut().expect("live node");
+        *slot = node;
+    }
+
     /// Adds a graph input node with explicit tensor metadata.
     pub(crate) fn add_input(&mut self, kind: InputKind, meta: TensorMeta, name: &str) -> NodeId {
         self.push(Node {
@@ -273,7 +305,9 @@ impl Graph {
         inputs: &[NodeId],
         meta: TensorMeta,
     ) -> Result<NodeId, GraphError> {
-        self.collect_metas(inputs)?;
+        if let Some(&dead) = inputs.iter().find(|&&i| !self.contains(i)) {
+            return Err(GraphError::MissingNode(dead));
+        }
         Ok(self.add_unchecked(op, inputs, meta))
     }
 
@@ -399,8 +433,9 @@ impl Graph {
         for run in targets.chunk_by(|a, b| a == b) {
             let keepalive = &mut self.node_mut(run[0]).keepalive;
             keepalive.reserve(from.len() * run.len());
-            for &u in from {
-                keepalive.extend(std::iter::repeat_n(u, run.len()));
+            match run.len() {
+                1 => keepalive.extend_from_slice(from),
+                k => from.iter().for_each(|&u| keepalive.extend(std::iter::repeat_n(u, k))),
             }
         }
         // A source listed k times receives the target list k times over;
@@ -519,6 +554,14 @@ impl Graph {
     /// instead of wall-clock time.
     pub fn shared_pages_with(&self, other: &Graph) -> usize {
         self.pages.iter().zip(other.pages.iter()).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+    }
+
+    /// Whether `id` is live in both graphs as one shared allocation —
+    /// neither has rewritten the node since they last held it together.
+    /// The node-level twin of [`Self::shared_pages_with`].
+    pub fn shares_node_with(&self, other: &Graph, id: NodeId) -> bool {
+        let node = |g: &Graph| g.slot_shared(id.index()).map(Arc::as_ptr);
+        node(self).is_some() && node(self) == node(other)
     }
 
     /// Validates structural invariants: edge symmetry, acyclicity, shape

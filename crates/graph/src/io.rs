@@ -140,6 +140,14 @@ impl From<GraphError> for RecordError {
     }
 }
 
+/// Ceiling on a record's slot count, two orders of magnitude above any
+/// graph this system builds (the largest workload, unscaled, has ~3k nodes).
+const MAX_RECORD_SLOTS: usize = 1 << 20;
+
+/// Slots a record may declare per line of its text: freed slots are
+/// reused smallest first, so [`to_record`] writes few tombstones.
+const MAX_SLOTS_PER_LINE: usize = 16;
+
 /// Header line of the record format; bump the version when the format
 /// changes incompatibly (readers reject unknown versions).
 const RECORD_HEADER: &str = "magis-graph v1";
@@ -405,6 +413,11 @@ fn parse_shape(s: &str, line: usize) -> Result<Shape, RecordError> {
             _ => Err(syntax(line, format!("bad shape extent '{t}'"))),
         })
         .collect::<Result<_, _>>()?;
+    // A byte count of the shape must fit in 64 bits under the widest
+    // dtype, or `TensorMeta::size_bytes` wraps at simulation.
+    if dims.iter().try_fold(DType::I64.size_bytes(), |bytes, &d| bytes.checked_mul(d)).is_none() {
+        return Err(syntax(line, format!("shape '{s}' overflows a 64-bit byte count")));
+    }
     Ok(Shape::new(dims))
 }
 
@@ -628,6 +641,10 @@ pub fn from_record(text: &str) -> Result<Graph, RecordError> {
         .strip_prefix("cap ")
         .and_then(|s| s.trim().parse::<usize>().ok())
         .ok_or_else(|| syntax(2, format!("bad cap line '{cap_line}'")))?;
+    // The slot table is the one allocation the record's own count sizes.
+    if cap > MAX_RECORD_SLOTS.min(MAX_SLOTS_PER_LINE * text.lines().count()) {
+        return Err(syntax(2, format!("cap {cap} is more than this record's lines can fill")));
+    }
     let mut slots: Vec<Option<NodeRecord>> = (0..cap).map(|_| None).collect();
     let mut saw_end = false;
     for (i, raw) in lines {

@@ -38,7 +38,7 @@ pub mod view;
 
 pub use builder::GraphBuilder;
 pub use graph::{Graph, GraphError, Node, NodeId};
-pub use op::{DimLink, OpError, OpKind};
+pub use op::{DimLink, DimLinks, OpError, OpKind};
 pub use tensor::{DType, Shape, TensorMeta};
-pub use txn::{GraphDelta, GraphTxn};
+pub use txn::{GraphDelta, GraphTxn, ScaleEdits, ScaleMemo};
 pub use view::{GraphView, NodeIds};

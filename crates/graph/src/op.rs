@@ -196,6 +196,42 @@ impl DimLink {
     }
 }
 
+/// The dimension links of one operator ([`OpKind::dim_links_into`]):
+/// one row per input, as end offsets into one data array, so a buffer
+/// refilled per node allocates only while it grows. `links[i]` is the
+/// row of input `i`.
+#[derive(Debug, Clone, Default)]
+pub struct DimLinks {
+    ends: Vec<u32>,
+    data: Vec<DimLink>,
+}
+
+impl DimLinks {
+    /// Every link, the rows end to end.
+    pub fn all(&self) -> &[DimLink] {
+        &self.data
+    }
+
+    fn clear(&mut self) {
+        self.ends.clear();
+        self.data.clear();
+    }
+
+    fn push_row(&mut self, row: impl IntoIterator<Item = DimLink>) {
+        self.data.extend(row);
+        self.ends.push(self.data.len() as u32);
+    }
+}
+
+impl std::ops::Index<usize> for DimLinks {
+    type Output = [DimLink];
+
+    fn index(&self, i: usize) -> &[DimLink] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.data[start..self.ends[i] as usize]
+    }
+}
+
 /// Errors produced by operator shape inference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpError {
@@ -853,315 +889,204 @@ impl OpKind {
     }
 
     /// For each input, how each of that input's dimensions links to this
-    /// operator's output dims / reduce axes (the D-Graph edge labels).
-    ///
-    /// The returned vector has one entry per input; each entry has one
-    /// [`DimLink`] per input dimension. `inputs` may hold the metas
-    /// themselves or borrows of them (`&[&TensorMeta]`), so a caller
-    /// walking a graph need not clone one per edge.
+    /// operator's output dims / reduce axes (the D-Graph edge labels):
+    /// `out` is cleared and given one row per input, one [`DimLink`] per
+    /// input dimension. `inputs` yields the input metas in order; it is
+    /// re-walked (cloned) wherever the table looks one up, so a caller
+    /// walking a graph passes a `map` over the node's input ids and
+    /// collects nothing.
+    pub fn dim_links_into<'a, I>(&self, inputs: I, output: &TensorMeta, out: &mut DimLinks)
+    where
+        I: Iterator<Item = &'a TensorMeta> + Clone,
+    {
+        use DimLink::{Reduce, Spatial, Unlinked};
+        out.clear();
+        let at = |i: usize| inputs.clone().nth(i).expect("operator arity");
+        let ident = |out: &mut DimLinks, i: usize| out.push_row((0..at(i).shape.rank()).map(Spatial));
+        // Every dim but `axis` keeps its place.
+        let all_but = |out: &mut DimLinks, t: &TensorMeta, axis: Option<usize>| {
+            out.push_row((0..t.shape.rank()).map(|i| if Some(i) == axis { Unlinked } else { Spatial(i) }));
+        };
+        // Stride-1 convolutions admit halo-overlap splits along H/W
+        // (extension E1); strided ones stay unlinked.
+        let win = |axis: usize, k: u64, stride: u64| {
+            if stride == 1 {
+                DimLink::Windowed { dim: axis, halo: k.saturating_sub(1) }
+            } else {
+                Unlinked
+            }
+        };
+        match self {
+            OpKind::Input(_) => {}
+            OpKind::MatMul { transpose_a, transpose_b } => {
+                out.push_row(if *transpose_a { [Reduce(0), Spatial(0)] } else { [Spatial(0), Reduce(0)] });
+                out.push_row(if *transpose_b { [Spatial(1), Reduce(0)] } else { [Reduce(0), Spatial(1)] });
+            }
+            OpKind::BatchMatMul { transpose_a, transpose_b } => {
+                let r = at(0).shape.rank();
+                let batch = (0..r - 2).map(Spatial);
+                let a = if *transpose_a { [Reduce(0), Spatial(r - 2)] } else { [Spatial(r - 2), Reduce(0)] };
+                let b = if *transpose_b { [Spatial(r - 1), Reduce(0)] } else { [Reduce(0), Spatial(r - 1)] };
+                out.push_row(batch.clone().chain(a));
+                out.push_row(batch.chain(b));
+            }
+            OpKind::Conv2d(c) | OpKind::Conv2dGradInput(c) => {
+                let w = &at(1).shape;
+                out.push_row([
+                    Spatial(0),
+                    Reduce(0),
+                    win(2, w.dim(2), c.stride.0),
+                    win(3, w.dim(3), c.stride.1),
+                ]);
+                out.push_row(if matches!(self, OpKind::Conv2d(_)) {
+                    [Spatial(1), Reduce(0), Unlinked, Unlinked]
+                } else {
+                    [Reduce(0), Spatial(1), Unlinked, Unlinked]
+                });
+            }
+            OpKind::Conv2dGradWeight(_) => {
+                // Batch, H, and W are all contracted, each through its
+                // own reduce axis: splitting any of them yields partial
+                // weight gradients that sum.
+                out.push_row([Reduce(0), Spatial(1), Reduce(1), Reduce(2)]);
+                out.push_row([Reduce(0), Spatial(0), Reduce(1), Reduce(2)]);
+            }
+            OpKind::Pool2d(p) | OpKind::Pool2dGrad(p) => {
+                // Our pools are non-overlapping (stride == kernel):
+                // output rows map to exact input chunks, halo-free.
+                let exact = p.stride == p.kernel;
+                let hw = |axis: usize| if exact { Spatial(axis) } else { Unlinked };
+                let row = [Spatial(0), Spatial(1), hw(2), hw(3)];
+                out.push_row(row);
+                if matches!(self, OpKind::Pool2dGrad(_)) {
+                    out.push_row(row);
+                }
+            }
+            OpKind::Upsample2d { .. } | OpKind::Upsample2dGrad { .. } => {
+                // Integer up/down scaling: contiguous chunks correspond.
+                out.push_row([Spatial(0), Spatial(1), Spatial(2), Spatial(3)]);
+            }
+            OpKind::Unary(_)
+            | OpKind::Softmax { .. }
+            | OpKind::LayerNorm { .. }
+            | OpKind::Store
+            | OpKind::Load => ident(out, 0),
+            OpKind::UnaryGrad(_)
+            | OpKind::SoftmaxGrad { .. }
+            | OpKind::LayerNormGrad { .. }
+            | OpKind::SgdUpdate => {
+                ident(out, 0);
+                ident(out, 1);
+            }
+            OpKind::Binary(_) => {
+                // Right-aligned broadcast: input dim i maps to output dim
+                // i + (out_rank - in_rank) when extents match.
+                for t in inputs.clone() {
+                    out.push_row(broadcast_links(&t.shape, &output.shape));
+                }
+            }
+            OpKind::Reduce { axes, keep_dims, .. } => {
+                let (mut out_i, mut red_i) = (0usize, 0usize);
+                out.push_row((0..at(0).shape.rank()).map(|i| {
+                    if axes.contains(&i) {
+                        red_i += 1;
+                        out_i += usize::from(*keep_dims);
+                        Reduce(red_i - 1)
+                    } else {
+                        out_i += 1;
+                        Spatial(out_i - 1)
+                    }
+                }));
+            }
+            OpKind::Broadcast { shape } => out.push_row(broadcast_links(&at(0).shape, shape)),
+            OpKind::Embedding => {
+                out.push_row([Unlinked, Spatial(output.shape.rank() - 1)]);
+                ident(out, 1);
+            }
+            OpKind::EmbeddingGrad { .. } => {
+                // Scatter-add contracts every leading (position) dim;
+                // distinct reduce axes keep batch/sequence chains apart.
+                out.push_row((0..at(0).shape.rank()).map(|i| Reduce(i.min(1))));
+                let r = at(1).shape.rank();
+                out.push_row((0..r - 1).map(|i| Reduce(i.min(1))).chain([Spatial(1)]));
+            }
+            OpKind::CrossEntropy => {
+                out.push_row([Reduce(0), Reduce(1)]);
+                out.push_row([Reduce(0)]);
+            }
+            OpKind::CrossEntropyGrad => {
+                out.push_row([Spatial(0), Spatial(1)]);
+                out.push_row([Spatial(0)]);
+            }
+            OpKind::Transpose { perm } => {
+                // Output dim j takes input dim perm[j]; invert.
+                out.push_row((0..perm.len()).map(|p| perm.iter().rposition(|&q| q == p).map_or(Unlinked, Spatial)));
+            }
+            OpKind::Reshape { shape } => out.push_row(reshape_links(&at(0).shape, shape)),
+            OpKind::Slice { axis, .. } | OpKind::Pad { axis, .. } | OpKind::PartSlice { axis, .. } => {
+                all_but(out, at(0), Some(*axis));
+            }
+            OpKind::Concat { axis } => inputs.clone().for_each(|t| all_but(out, t, Some(*axis))),
+            OpKind::Merge { axis, kind, .. } => {
+                let axis = (*kind == MergeKind::Concat).then_some(*axis);
+                inputs.clone().for_each(|t| all_but(out, t, axis));
+            }
+        }
+    }
+
+    /// [`Self::dim_links_into`] as one vector per input, for callers
+    /// that keep the links (tests; the search paths reuse a buffer).
     pub fn input_dim_links<M: Borrow<TensorMeta>>(
         &self,
         inputs: &[M],
         output: &TensorMeta,
     ) -> Vec<Vec<DimLink>> {
-        use DimLink::{Reduce, Spatial, Unlinked};
-        let inputs: Vec<&TensorMeta> = inputs.iter().map(Borrow::borrow).collect();
-        let ident = |t: &TensorMeta| -> Vec<DimLink> {
-            (0..t.shape.rank()).map(Spatial).collect()
-        };
-        match self {
-            OpKind::Input(_) => Vec::new(),
-            OpKind::MatMul { transpose_a, transpose_b } => {
-                let a = if *transpose_a {
-                    vec![Reduce(0), Spatial(0)]
-                } else {
-                    vec![Spatial(0), Reduce(0)]
-                };
-                let b = if *transpose_b {
-                    vec![Spatial(1), Reduce(0)]
-                } else {
-                    vec![Reduce(0), Spatial(1)]
-                };
-                vec![a, b]
-            }
-            OpKind::BatchMatMul { transpose_a, transpose_b } => {
-                let r = inputs[0].shape.rank();
-                let mut a: Vec<DimLink> = (0..r - 2).map(Spatial).collect();
-                let mut b = a.clone();
-                if *transpose_a {
-                    a.push(Reduce(0));
-                    a.push(Spatial(r - 2));
-                } else {
-                    a.push(Spatial(r - 2));
-                    a.push(Reduce(0));
-                }
-                if *transpose_b {
-                    b.push(Spatial(r - 1));
-                    b.push(Reduce(0));
-                } else {
-                    b.push(Reduce(0));
-                    b.push(Spatial(r - 1));
-                }
-                vec![a, b]
-            }
-            OpKind::Conv2d(c) => {
-                // Stride-1 convolutions admit halo-overlap splits along
-                // H/W (extension E1); strided ones stay unlinked.
-                let w = &inputs[1].shape;
-                let win = |axis: usize, k: u64, stride: u64| {
-                    if stride == 1 {
-                        DimLink::Windowed { dim: axis, halo: k.saturating_sub(1) }
-                    } else {
-                        Unlinked
-                    }
-                };
-                vec![
-                    vec![
-                        Spatial(0),
-                        Reduce(0),
-                        win(2, w.dim(2), c.stride.0),
-                        win(3, w.dim(3), c.stride.1),
-                    ],
-                    vec![Spatial(1), Reduce(0), Unlinked, Unlinked],
-                ]
-            }
-            OpKind::Conv2dGradInput(c) => {
-                let w = &inputs[1].shape;
-                let win = |axis: usize, k: u64, stride: u64| {
-                    if stride == 1 {
-                        DimLink::Windowed { dim: axis, halo: k.saturating_sub(1) }
-                    } else {
-                        Unlinked
-                    }
-                };
-                vec![
-                    vec![
-                        Spatial(0),
-                        Reduce(0),
-                        win(2, w.dim(2), c.stride.0),
-                        win(3, w.dim(3), c.stride.1),
-                    ],
-                    vec![Reduce(0), Spatial(1), Unlinked, Unlinked],
-                ]
-            }
-            OpKind::Conv2dGradWeight(_) => vec![
-                // Batch, H, and W are all contracted, each through its
-                // own reduce axis: splitting any of them yields partial
-                // weight gradients that sum.
-                vec![Reduce(0), Spatial(1), Reduce(1), Reduce(2)],
-                vec![Reduce(0), Spatial(0), Reduce(1), Reduce(2)],
-            ],
-            OpKind::Pool2d(p) => {
-                // Our pools are non-overlapping (stride == kernel):
-                // output rows map to exact input chunks, halo-free.
-                let exact = p.stride == p.kernel;
-                let hw = |axis: usize| if exact { Spatial(axis) } else { Unlinked };
-                vec![vec![Spatial(0), Spatial(1), hw(2), hw(3)]]
-            }
-            OpKind::Pool2dGrad(p) => {
-                let exact = p.stride == p.kernel;
-                let hw = |axis: usize| if exact { Spatial(axis) } else { Unlinked };
-                vec![
-                    vec![Spatial(0), Spatial(1), hw(2), hw(3)],
-                    vec![Spatial(0), Spatial(1), hw(2), hw(3)],
-                ]
-            }
-            OpKind::Upsample2d { .. } | OpKind::Upsample2dGrad { .. } => {
-                // Integer up/down scaling: contiguous chunks correspond.
-                vec![vec![Spatial(0), Spatial(1), Spatial(2), Spatial(3)]]
-            }
-            OpKind::Unary(_) => vec![ident(inputs[0])],
-            OpKind::UnaryGrad(_) => vec![ident(inputs[0]), ident(inputs[1])],
-            OpKind::Binary(_) => {
-                // Right-aligned broadcast: input dim i maps to output dim
-                // i + (out_rank - in_rank) when extents match.
-                let or = output.shape.rank();
-                inputs
-                    .iter()
-                    .map(|t| {
-                        let ir = t.shape.rank();
-                        (0..ir)
-                            .map(|i| {
-                                let j = i + or - ir;
-                                if t.shape.dim(i) == output.shape.dim(j) {
-                                    Spatial(j)
-                                } else {
-                                    Unlinked
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect()
-            }
-            OpKind::Reduce { axes, keep_dims, .. } => {
-                let x = &inputs[0];
-                let mut links = Vec::with_capacity(x.shape.rank());
-                let mut out_i = 0usize;
-                let mut red_i = 0usize;
-                for i in 0..x.shape.rank() {
-                    if axes.contains(&i) {
-                        links.push(Reduce(red_i));
-                        red_i += 1;
-                        if *keep_dims {
-                            out_i += 1;
-                        }
-                    } else {
-                        links.push(Spatial(out_i));
-                        out_i += 1;
-                    }
-                }
-                vec![links]
-            }
-            OpKind::Broadcast { shape } => {
-                let x = &inputs[0];
-                let or = shape.rank();
-                let ir = x.shape.rank();
-                vec![(0..ir)
-                    .map(|i| {
-                        let j = i + or - ir;
-                        if x.shape.dim(i) == shape.dim(j) { Spatial(j) } else { Unlinked }
-                    })
-                    .collect()]
-            }
-            OpKind::Softmax { .. } | OpKind::LayerNorm { .. } => vec![ident(inputs[0])],
-            OpKind::SoftmaxGrad { .. } | OpKind::LayerNormGrad { .. } => {
-                vec![ident(inputs[0]), ident(inputs[1])]
-            }
-            OpKind::Embedding => {
-                let ids = &inputs[1];
-                let c_dim = output.shape.rank() - 1;
-                vec![
-                    vec![Unlinked, Spatial(c_dim)],
-                    (0..ids.shape.rank()).map(Spatial).collect(),
-                ]
-            }
-            OpKind::EmbeddingGrad { .. } => {
-                // Scatter-add contracts every leading (position) dim;
-                // distinct reduce axes keep batch/sequence chains apart.
-                let dy = &inputs[1];
-                let r = dy.shape.rank();
-                let mut dy_links: Vec<DimLink> =
-                    (0..r - 1).map(|i| Reduce(i.min(1))).collect();
-                dy_links.push(Spatial(1));
-                vec![
-                    (0..inputs[0].shape.rank()).map(|i| Reduce(i.min(1))).collect(),
-                    dy_links,
-                ]
-            }
-            OpKind::CrossEntropy => {
-                vec![vec![Reduce(0), Reduce(1)], vec![Reduce(0)]]
-            }
-            OpKind::CrossEntropyGrad => {
-                vec![vec![Spatial(0), Spatial(1)], vec![Spatial(0)]]
-            }
-            OpKind::Transpose { perm } => {
-                // Output dim j takes input dim perm[j]; invert.
-                let mut links = vec![Unlinked; perm.len()];
-                for (j, &p) in perm.iter().enumerate() {
-                    links[p] = Spatial(j);
-                }
-                vec![links]
-            }
-            OpKind::Reshape { shape } => {
-                vec![reshape_links(&inputs[0].shape, shape)]
-            }
-            OpKind::Slice { axis, .. } | OpKind::Pad { axis, .. } => {
-                let x = &inputs[0];
-                vec![(0..x.shape.rank())
-                    .map(|i| if i == *axis { Unlinked } else { Spatial(i) })
-                    .collect()]
-            }
-            OpKind::Concat { axis } => inputs
-                .iter()
-                .map(|t| {
-                    (0..t.shape.rank())
-                        .map(|i| if i == *axis { Unlinked } else { Spatial(i) })
-                        .collect()
-                })
-                .collect(),
-            OpKind::PartSlice { axis, .. } => {
-                let x = &inputs[0];
-                vec![(0..x.shape.rank())
-                    .map(|i| if i == *axis { Unlinked } else { Spatial(i) })
-                    .collect()]
-            }
-            OpKind::Merge { axis, kind, .. } => inputs
-                .iter()
-                .map(|t| {
-                    (0..t.shape.rank())
-                        .map(|i| {
-                            if i == *axis && *kind == MergeKind::Concat {
-                                Unlinked
-                            } else {
-                                Spatial(i)
-                            }
-                        })
-                        .collect()
-                })
-                .collect(),
-            OpKind::Store | OpKind::Load => vec![ident(inputs[0])],
-            OpKind::SgdUpdate => vec![ident(inputs[0]), ident(inputs[1])],
-        }
+        let mut links = DimLinks::default();
+        self.dim_links_into(inputs.iter().map(Borrow::borrow), output, &mut links);
+        (0..links.ends.len()).map(|i| links[i].to_vec()).collect()
     }
 
-    /// Which output dimensions a fission transformation may split.
+    /// Whether a fission transformation may split output dimension
+    /// `axis` (0-based, below the output's rank).
     ///
     /// Normalization axes (softmax/layer-norm), gathered axes, sliced or
     /// concatenated axes, and the spatial axes of sliding-window ops are
     /// not splittable; splitting them would change semantics. This is a
     /// correctness tightening over the paper's presentation, which leaves
     /// the restriction implicit in F-Trans validity.
-    pub fn splittable_output_dims(&self, output: &TensorMeta) -> Vec<bool> {
+    pub fn splittable_output_dim(&self, output: &TensorMeta, axis: usize) -> bool {
         let r = output.shape.rank();
-        let mut ok = vec![true; r];
         match self {
-            OpKind::Softmax { axis }
-            | OpKind::SoftmaxGrad { axis }
-            | OpKind::LayerNorm { axis }
-            | OpKind::LayerNormGrad { axis }
-                if *axis < r => {
-                    ok[*axis] = false;
-                }
+            OpKind::Softmax { axis: a }
+            | OpKind::SoftmaxGrad { axis: a }
+            | OpKind::LayerNorm { axis: a }
+            | OpKind::LayerNormGrad { axis: a }
+            | OpKind::Slice { axis: a, .. }
+            | OpKind::Pad { axis: a, .. }
+            | OpKind::Concat { axis: a }
+            | OpKind::PartSlice { axis: a, .. }
+            | OpKind::Merge { axis: a, .. } => axis != *a,
             // Extension E1 (the paper's footnote-2 future work): H/W
             // axes of stride-1 convolutions and non-overlapping pools
             // are splittable with halo accounting; strided windows and
             // kernel dimensions are not.
-            OpKind::Conv2d(c) | OpKind::Conv2dGradInput(c)
-                if r == 4 => {
-                    ok[2] = c.stride.0 == 1;
-                    ok[3] = c.stride.1 == 1;
-                }
-            OpKind::Pool2d(p) | OpKind::Pool2dGrad(p)
-                if r == 4 => {
-                    ok[2] = p.stride == p.kernel;
-                    ok[3] = p.stride == p.kernel;
-                }
-            OpKind::Upsample2d { .. } | OpKind::Upsample2dGrad { .. } => {}
-            OpKind::Conv2dGradWeight(_)
-                if r == 4 => {
-                    ok[2] = false; // kernel dims
-                    ok[3] = false;
-                }
-            OpKind::Slice { axis, .. }
-            | OpKind::Pad { axis, .. }
-            | OpKind::Concat { axis }
-            | OpKind::PartSlice { axis, .. }
-            | OpKind::Merge { axis, .. }
-                if *axis < r => {
-                    ok[*axis] = false;
-                }
-            OpKind::CrossEntropyGrad => {
-                ok[1] = false; // class axis participates in the softmax
-            }
-            OpKind::Embedding => {
-                // gathered positions fine; channel fine; nothing special
-            }
-            OpKind::Input(InputKind::Weight) | OpKind::Input(InputKind::Label) => {
-                ok.iter_mut().for_each(|b| *b = false);
-            }
-            _ => {}
+            OpKind::Conv2d(c) | OpKind::Conv2dGradInput(c) if r == 4 => match axis {
+                2 => c.stride.0 == 1,
+                3 => c.stride.1 == 1,
+                _ => true,
+            },
+            OpKind::Pool2d(p) | OpKind::Pool2dGrad(p) if r == 4 => axis < 2 || p.stride == p.kernel,
+            OpKind::Conv2dGradWeight(_) if r == 4 => axis < 2, // not the kernel dims
+            // The class axis participates in the softmax.
+            OpKind::CrossEntropyGrad => axis != 1,
+            OpKind::Input(InputKind::Weight) | OpKind::Input(InputKind::Label) => false,
+            _ => true,
         }
-        ok
+    }
+
+    /// [`Self::splittable_output_dim`] of every output dimension.
+    pub fn splittable_output_dims(&self, output: &TensorMeta) -> Vec<bool> {
+        (0..output.shape.rank()).map(|axis| self.splittable_output_dim(output, axis)).collect()
     }
 }
 
@@ -1226,6 +1151,19 @@ pub fn broadcast(a: &Shape, b: &Shape) -> Option<Shape> {
 /// F-Tree's divisor rule guarantees) slices the other identically.
 /// This is what lets the batch dimension flow through the
 /// flatten/unflatten reshapes around attention heads (Fig. 4).
+/// Right-aligned broadcast of `from` into `to`: dim `i` maps to dim
+/// `i + (to.rank − from.rank)` where the extents match.
+fn broadcast_links<'a>(from: &'a Shape, to: &'a Shape) -> impl Iterator<Item = DimLink> + 'a {
+    let shift = to.rank() - from.rank();
+    (0..from.rank()).map(move |i| {
+        if from.dim(i) == to.dim(i + shift) {
+            DimLink::Spatial(i + shift)
+        } else {
+            DimLink::Unlinked
+        }
+    })
+}
+
 fn reshape_links(from: &Shape, to: &Shape) -> Vec<DimLink> {
     let mut links = vec![DimLink::Unlinked; from.rank()];
     let mut pre_from: u64 = 1;

@@ -21,11 +21,12 @@
 //!   smallest first), so replaying a transaction — on another thread
 //!   count, or after checkpoint restore — assigns identical ids.
 
-use crate::graph::{Graph, GraphError, NodeId};
+use crate::graph::{Graph, GraphError, Node, NodeId};
 use crate::op::{InputKind, OpKind};
 use crate::tensor::TensorMeta;
 use crate::view::GraphView;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Typed record of what one transaction changed, relative to its base.
 ///
@@ -58,6 +59,55 @@ impl GraphDelta {
     }
 }
 
+/// The scale edits of one fission overlay ([`GraphTxn::scale`]), each
+/// kept as the allocation it started from and the allocation it made.
+/// A scaled node is a function of its source node and `(parts, dim)`
+/// alone, so wherever a later build finds the recorded source still in
+/// the slot it can share the recorded result instead of copying the
+/// node. Holding the source keeps the comparison about one node.
+#[derive(Debug, Default)]
+pub struct ScaleEdits {
+    /// Per slot, one step per enabled region the node is in.
+    by_slot: Vec<Vec<ScaleEdit>>,
+}
+
+/// `(source, parts, dim, scaled)`.
+type ScaleEdit = (Arc<Node>, u64, i32, Arc<Node>);
+
+impl ScaleEdits {
+    fn find(&self, id: NodeId, source: &Arc<Node>, parts: u64, dim: i32) -> Option<&Arc<Node>> {
+        let steps = self.by_slot.get(id.index())?;
+        let step = steps.iter().find(|e| Arc::ptr_eq(&e.0, source) && (e.1, e.2) == (parts, dim))?;
+        Some(&step.3)
+    }
+
+    fn push(&mut self, id: NodeId, source: Arc<Node>, parts: u64, dim: i32, scaled: Arc<Node>) {
+        if self.by_slot.len() <= id.index() {
+            self.by_slot.resize_with(id.index() + 1, Vec::new);
+        }
+        self.by_slot[id.index()].push((source, parts, dim, scaled));
+    }
+}
+
+/// What a [`GraphTxn::scale`] step does besides editing the node.
+#[derive(Debug)]
+pub enum ScaleMemo<'a> {
+    /// Nothing: every node is copied and edited.
+    Cold,
+    /// Install the recorded result wherever the slot still holds the
+    /// recorded source; edit the rest.
+    Reuse(&'a ScaleEdits),
+    /// Record every edit. Where `like`'s node in the same slot is what
+    /// the edit would make, its allocation is installed instead, so the
+    /// record shares nodes with a graph that already exists.
+    Record {
+        /// The record being built.
+        edits: &'a mut ScaleEdits,
+        /// A finished overlay of the same state.
+        like: &'a Graph,
+    },
+}
+
 /// A transactional rewrite of a [`Graph`].
 ///
 /// Mirrors the graph's mutator vocabulary (`add`, `add_with_meta`,
@@ -66,39 +116,65 @@ impl GraphDelta {
 #[derive(Debug, Clone)]
 pub struct GraphTxn {
     g: Graph,
-    delta: GraphDelta,
+    /// What the transaction did to each slot's node, [`UNCHANGED`]
+    /// past the end: the delta as dense marks, turned into sets only
+    /// when asked for.
+    marks: Vec<u8>,
 }
+
+const UNCHANGED: u8 = 0;
+const ADDED: u8 = 1;
+const REMOVED: u8 = 2;
+const TOUCHED: u8 = 3;
 
 impl GraphTxn {
     /// Opens a transaction on a copy-on-write snapshot of `base`.
     /// O(1): no node is copied until it is written.
     pub fn begin(base: &Graph) -> Self {
-        GraphTxn { g: base.clone(), delta: GraphDelta::default() }
+        GraphTxn { g: base.clone(), marks: Vec::new() }
     }
 
     /// Commits: seals slots freed by this transaction for future reuse
     /// and returns the rewritten graph plus the typed delta.
-    pub fn commit(mut self) -> (Graph, GraphDelta) {
+    pub fn commit(self) -> (Graph, GraphDelta) {
+        let delta = self.delta();
+        (self.into_graph(), delta)
+    }
+
+    /// [`Self::commit`] for a caller that does not read the delta.
+    pub fn into_graph(mut self) -> Graph {
         self.g.seal_frees();
-        (self.g, self.delta)
+        self.g
     }
 
     /// The delta recorded so far.
-    pub fn delta(&self) -> &GraphDelta {
-        &self.delta
+    pub fn delta(&self) -> GraphDelta {
+        let marked = |kind: u8| {
+            let slots = self.marks.iter().enumerate().filter(move |&(_, &m)| m == kind);
+            slots.map(|(i, _)| NodeId::from_index(i)).collect()
+        };
+        GraphDelta { added: marked(ADDED), removed: marked(REMOVED), touched: marked(TOUCHED) }
+    }
+
+    fn mark(&mut self, v: NodeId) -> &mut u8 {
+        if self.marks.len() <= v.index() {
+            self.marks.resize(self.g.capacity().max(v.index() + 1), UNCHANGED);
+        }
+        &mut self.marks[v.index()]
     }
 
     /// Marks `v` touched if it pre-exists this transaction.
     fn touch(&mut self, v: NodeId) {
-        if !self.delta.added.contains(&v) {
-            self.delta.touched.insert(v);
+        let mark = self.mark(v);
+        if *mark == UNCHANGED {
+            *mark = TOUCHED;
         }
     }
 
     /// Adds a graph input node with explicit tensor metadata.
     pub fn add_input(&mut self, kind: InputKind, meta: TensorMeta, name: &str) -> NodeId {
         let id = self.g.add_input(kind, meta, name);
-        self.delta.added.insert(id);
+        *self.mark(id) = ADDED;
         id
     }
 
@@ -109,7 +185,7 @@ impl GraphTxn {
     /// Returns an error if an input id is dead or shape inference fails.
     pub fn add(&mut self, op: OpKind, inputs: &[NodeId]) -> Result<NodeId, GraphError> {
         let id = self.g.add(op, inputs)?;
-        self.delta.added.insert(id);
+        *self.mark(id) = ADDED;
         for &i in inputs {
             self.touch(i);
         }
@@ -128,7 +204,7 @@ impl GraphTxn {
         meta: TensorMeta,
     ) -> Result<NodeId, GraphError> {
         let id = self.g.add_with_meta(op, inputs, meta)?;
-        self.delta.added.insert(id);
+        *self.mark(id) = ADDED;
         for &i in inputs {
             self.touch(i);
         }
@@ -188,6 +264,32 @@ impl GraphTxn {
         self.touch(id);
     }
 
+    /// The scale step of a fission overlay: multiplies `id`'s cost
+    /// repeat by `parts` and, for an output dimension (`dim > 0`,
+    /// 1-based), splits its extent `parts` ways. `memo` decides only
+    /// whether the node is a fresh copy or an allocation shared with
+    /// another graph, never its content.
+    pub fn scale(&mut self, id: NodeId, parts: u64, dim: i32, memo: &mut ScaleMemo<'_>) {
+        self.touch(id);
+        let source = self.g.slot_shared(id.index()).expect("live node");
+        if let ScaleMemo::Reuse(edits) = memo {
+            if let Some(scaled) = edits.find(id, source, parts, dim) {
+                self.g.install(id, scaled.clone());
+                return;
+            }
+        }
+        let ScaleMemo::Record { edits, like } = memo else {
+            return self.g.node_mut(id).scale(parts, dim);
+        };
+        let source = source.clone();
+        match like.slot_shared(id.index()).filter(|n| n.is_scaled(&source, parts, dim)) {
+            Some(same) => self.g.install(id, same.clone()),
+            None => self.g.node_mut(id).scale(parts, dim),
+        }
+        let scaled = self.g.slot_shared(id.index()).expect("live node").clone();
+        edits.push(id, source, parts, dim, scaled);
+    }
+
     /// Anchors a node's output allocation to another node's execution.
     ///
     /// # Panics
@@ -233,12 +335,9 @@ impl GraphTxn {
     pub fn remove(&mut self, id: NodeId) -> Result<(), GraphError> {
         let preds = self.g.pre_all(id);
         self.g.remove(id)?;
-        if self.delta.added.remove(&id) {
-            // Added and removed in the same transaction: net zero.
-        } else {
-            self.delta.removed.insert(id);
-            self.delta.touched.remove(&id);
-        }
+        // Added and removed in the same transaction: net zero.
+        let mark = self.mark(id);
+        *mark = if *mark == ADDED { UNCHANGED } else { REMOVED };
         for p in preds {
             if self.g.contains(p) {
                 self.touch(p);

@@ -117,12 +117,12 @@ pub struct IncrementalSchedule {
 ///
 /// The returned order is always a valid topological order of `g_new`.
 ///
-/// `parent_plan: Some(_)` turns planning on: both candidate orders
-/// (rescheduled window and carried-over old order) are additionally
-/// planned ([`magis_sim::plan_from_lifetimes`]) and the
-/// rescheduled-vs-carried guard compares `(planned_peak,
-/// liveness_peak)` lexicographically, so the planned objective steers
-/// the choice without the liveness path losing its tiebreak. The
+/// `parent_plan: Some(_)` turns planning on: the rescheduled-vs-carried
+/// guard compares `(planned_peak, liveness_peak)` of the two candidate
+/// orders lexicographically, so the planned objective steers the choice
+/// without the liveness path losing its tiebreak; an order is planned
+/// ([`magis_sim::plan_from_lifetimes`]) only if its plan can change
+/// that verdict. The
 /// plan's contents and the fifth parameter (a parent lifetime table)
 /// are not read; both stay in the signature for `benchmark/`'s replay,
 /// which passes them positionally.
@@ -167,31 +167,47 @@ pub fn incremental_schedule_cached(
     // carrying the old order over (boundary effects). Keep the better
     // of the two — a profile is far cheaper than the DP.
     let carried = stabilize_order(g_new, psi_old);
-    // Profile, lifetimes and (when planning) plan of one order.
-    let measure = |order: &[NodeId]| -> Result<_, CostError> {
-        let (profile, lifetimes) = magis_sim::memory_profile_lifetimes(g_new, order)?;
-        let plan = parent_plan
-            .map(|_| magis_sim::plan_from_lifetimes(g_new, order, &lifetimes))
-            .transpose()?;
-        Ok((profile, lifetimes, plan))
+    // An order with its profile and lifetimes; planned only on demand.
+    let profile = |order: Vec<NodeId>| -> Result<_, CostError> {
+        let (profile, lifetimes) = magis_sim::memory_profile_lifetimes(g_new, &order)?;
+        Ok((order, profile, lifetimes))
     };
-    let (new_prof, new_lt, new_plan) = measure(&rescheduled)?;
-    // Identical orders measure identically and the strict > below is
-    // false: skip the redundant half outright.
-    let carried_measured = if carried == rescheduled { None } else { Some(measure(&carried)?) };
-    let carried_won = carried_measured.as_ref().is_some_and(|(old_prof, _, old_plan)| {
-        match (&new_plan, old_plan) {
-            (Some(np), Some(op)) => {
-                (np.planned_peak_bytes, new_prof.peak_bytes)
-                    > (op.planned_peak_bytes, old_prof.peak_bytes)
-            }
-            _ => new_prof.peak_bytes > old_prof.peak_bytes,
+    let plan = |(order, _, lifetimes): &(Vec<NodeId>, MemoryProfile, Lifetimes)| -> Result<_, CostError> {
+        parent_plan.map(|_| magis_sim::plan_from_lifetimes(g_new, order, lifetimes)).transpose()
+    };
+    // Identical orders measure identically and the carried one wins
+    // only when strictly better: skip the redundant half outright.
+    let same = carried == rescheduled;
+    let mut best = profile(rescheduled)?;
+    let mut carried_won = false;
+    let mut other = None;
+    if !same {
+        let old = profile(carried)?;
+        // The carried order wins iff its `(planned, liveness)` peaks are
+        // strictly lower (liveness alone when planning is off). The
+        // order with the lower liveness peak — the rescheduled one on
+        // a tie — is planned first.
+        carried_won = old.1.peak_bytes < best.1.peak_bytes;
+        other = Some(if carried_won { std::mem::replace(&mut best, old) } else { old });
+    }
+    let mut best_plan = plan(&best)?;
+    // A plan never undercuts its order's liveness peak
+    // (`planned_peak_dominates_liveness`), so an order whose liveness
+    // peak reaches the first's planned peak has a planned peak that does
+    // too: it loses on the first key, or ties on it with planned =
+    // liveness on both sides and loses on the second, where it is no
+    // lower (strictly higher if it is the rescheduled order, which a
+    // full tie would keep). Its plan cannot change the verdict: skip it.
+    let best_key = best_plan.as_ref().map(|p| (p.planned_peak_bytes, best.1.peak_bytes));
+    if let Some((key, o)) = best_key.zip(other).filter(|(key, o)| o.1.peak_bytes < key.0) {
+        let o_plan = plan(&o)?.expect("planning is on");
+        let o_key = (o_plan.planned_peak_bytes, o.1.peak_bytes);
+        // `carried_won` still says which order `best` is.
+        if o_key < key || (carried_won && o_key == key) {
+            (best, best_plan, carried_won) = (o, Some(o_plan), !carried_won);
         }
-    });
-    let (order, (profile, lifetimes, plan)) = match carried_measured {
-        Some(m) if carried_won => (carried, m),
-        _ => (rescheduled, (new_prof, new_lt, new_plan)),
-    };
+    }
+    let ((order, profile, lifetimes), plan) = (best, best_plan);
     Ok(IncrementalSchedule { order, profile, lifetimes, plan, window, carried_won })
 }
 

@@ -218,8 +218,20 @@ fn incremental_digest(
     let window = set_of(g_new.node_ids().filter(|v| !outside.contains(v)));
     let middle = window_digest(h, g_new, &window, cfg);
     let desired: Vec<NodeId> = prefix.into_iter().chain(middle).chain(suffix).collect();
-    h.ids(&stabilize_order(g_new, &desired));
-    h.ids(&stabilize_order(g_new, psi_old));
+    let (rescheduled, carried) = (stabilize_order(g_new, &desired), stabilize_order(g_new, psi_old));
+    h.ids(&rescheduled);
+    h.ids(&carried);
+    // The plan-guarded choice by its definition — both orders planned,
+    // the carried one kept iff `(planned, liveness)` is strictly lower —
+    // which `incremental_schedule_cached` must reach however few plans
+    // it makes.
+    let measured = |order: &[NodeId]| {
+        let (profile, lifetimes) = magis_sim::memory_profile_lifetimes(g_new, order).expect("valid order");
+        let plan = magis_sim::plan_from_lifetimes(g_new, order, &lifetimes).expect("plannable order");
+        ((plan.planned_peak_bytes, profile.peak_bytes), plan)
+    };
+    let ((new_key, new_plan), (old_key, old_plan)) = (measured(&rescheduled), measured(&carried));
+    let plan_both = if new_key > old_key { (&carried, true, old_plan) } else { (&rescheduled, false, new_plan) };
 
     let (_, lifetimes) = magis_sim::memory_profile_lifetimes(g_old, psi_old).expect("valid parent order");
     let plan = magis_sim::plan_from_lifetimes(g_old, psi_old, &lifetimes).expect("plannable parent");
@@ -234,6 +246,10 @@ fn incremental_digest(
         h.row(&[inc.window, usize::from(inc.carried_won)]);
         h.word(inc.profile.peak_bytes);
         h.word(inc.plan.as_ref().map_or(0, |p| p.planned_peak_bytes));
+        if parent_plan.is_some() {
+            let got = (&inc.order, inc.carried_won, inc.plan.expect("planning is on"));
+            assert_eq!(got, (plan_both.0, plan_both.1, plan_both.2.clone()), "guard differs from plan-both");
+        }
         chosen = inc.order;
     }
     chosen

@@ -185,3 +185,88 @@ fn long_clone_chains_stay_identical() {
     assert_eq!(graph_hash(&cur), graph_hash(&g));
     assert_eq!(eval_fingerprint(&cur), eval_fingerprint(&g));
 }
+
+/// A state whose F-Tree has one enabled region nested in another: a
+/// leaf enabled, then its parent (Fig. 7 (a)), each step a real
+/// candidate evaluation. Returns the state and the tree indices of the
+/// outer and the inner region.
+fn nested_fission_state(ctx: &EvalContext) -> (MState, usize, usize) {
+    use magis::core::ftree::FTreeMutation;
+    use magis::core::rules::Transform;
+    let mut state = MState::initial(Workload::BertBase.build(0.25).graph, ctx);
+    state.analyze(4);
+    let step = |state: &MState, m: FTreeMutation| {
+        let applied = rules::apply(state, &Transform::FTree(m)).expect("legal mutation applies");
+        MState::from_applied(applied, state, ctx).expect("fission state evaluates")
+    };
+    for leaf in 0..state.ftree.len() {
+        let Some(parent) = state.ftree.node(leaf).parent else { continue };
+        if !state.ftree.is_legal(&state.base, FTreeMutation::Enable(leaf)) {
+            continue;
+        }
+        let inner = step(&state, FTreeMutation::Enable(leaf));
+        if inner.ftree.is_legal(&inner.base, FTreeMutation::Enable(parent)) {
+            return (step(&inner, FTreeMutation::Enable(parent)), parent, leaf);
+        }
+    }
+    panic!("no leaf of the F-Tree can be enabled under its parent");
+}
+
+/// Sharing is tested as sharing: a candidate's overlay must hold the
+/// *same allocation* as its parent's overlay for every region node that
+/// neither the rule (base allocation unchanged) nor the boundary
+/// rewiring (overlay edges equal base edges) touched and whose regions
+/// kept their part counts — and must still be a valid state.
+#[test]
+fn candidates_share_untouched_region_nodes_with_the_parent_overlay() {
+    use magis::core::ftree::FTreeMutation;
+    use magis::core::rules::Transform;
+    let ctx = EvalContext::default();
+    let (parent, outer, inner) = nested_fission_state(&ctx);
+    let transforms = rules::generate(&parent, &RuleConfig::default());
+    let first = |pick: &dyn Fn(&Transform) -> bool| {
+        let applies = |t: &&Transform| pick(t) && rules::apply(&parent, t).is_ok();
+        transforms.iter().find(applies).unwrap_or_else(|| panic!("no such candidate")).clone()
+    };
+    let picks = [
+        first(&|t| matches!(t, Transform::Remat { .. })),
+        first(&|t| matches!(t, Transform::Swap { .. })),
+        first(&|t| matches!(t, Transform::Taso(_))),
+        Transform::FTree(FTreeMutation::Mutate(inner)),
+    ];
+    for t in &picks {
+        let applied = rules::apply(&parent, t).expect("picked as applicable");
+        let child = MState::from_applied(applied, &parent, &ctx).expect("candidate evaluates");
+        let (g, pg) = (&child.eval.graph, &parent.eval.graph);
+        let mutated_inner = matches!(t, Transform::FTree(_));
+        let (mut expected, mut members) = (0, 0);
+        for &v in &child.ftree.node(outer).spec.set {
+            members += 1;
+            let in_inner = child.ftree.node(inner).spec.set.contains(&v);
+            let (over, base) = (g.node(v), child.base.node(v));
+            let unrewired = (over.inputs(), over.keepalive(), over.succs())
+                == (base.inputs(), base.keepalive(), base.succs());
+            let untouched = child.base.shares_node_with(&parent.base, v) && unrewired;
+            if untouched && !(mutated_inner && in_inner) {
+                expected += 1;
+                assert!(g.shares_node_with(pg, v), "{t}: {v} is a private copy of an untouched region node");
+            }
+            if mutated_inner && in_inner {
+                assert!(!g.shares_node_with(pg, v), "{t}: {v} of the mutated region is shared");
+                assert_ne!(over.cost_repeat, pg.node(v).cost_repeat, "{t}: {v} kept its repeats");
+            }
+        }
+        // A rule leaves most of the region alone; the mutated inner
+        // region may be most of the outer one.
+        let floor = if mutated_inner { 0 } else { members / 2 };
+        assert!(expected > floor, "{t}: only {expected} of {members} region nodes could be shared");
+        // Shared or not, both states stay what `check_invariants` wants.
+        for state in [&parent, &child] {
+            state.eval.graph.validate().expect("overlay validates");
+            magis::sched::validate_schedule(&state.eval.graph, &state.eval.order).expect("schedule covers");
+            let full = magis::sim::evaluate_checked(&state.eval.graph, &state.eval.order, ctx.cost())
+                .expect("evaluates from scratch");
+            assert_eq!((full.peak_bytes, full.latency.to_bits()), (state.eval.peak_bytes, state.eval.latency.to_bits()));
+        }
+    }
+}

@@ -293,3 +293,105 @@ fn ambiguous_input_yields_to_a_later_uncovered_edge() {
         assert_eq!(spec.validate(&g), reference::validate(&spec, &g));
     }
 }
+
+/// One random defect in a graph record: a line dropped, doubled or cut
+/// short, or — in any field but the operator token, whose attributes
+/// `OpKind::infer` still trusts — a byte replaced or a run of digits
+/// (the cap, a slot, an extent, a repeat, an edge) replaced by a number
+/// that is out of every range.
+fn mutate_record(text: &str, rng: &mut magis_util::rng::SmallRng) -> String {
+    use magis_util::rng::Rng;
+    const HOSTILE: [&str; 6] =
+        ["0", "4294967296", "9223372036854775808", "18446744073709551615", "99999999999999999999999", "-1"];
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    // One time in four the cap line, which sizes the slot table.
+    let at = if rng.gen_range(0..4) == 0 { 1 } else { rng.gen_range(0..lines.len()) };
+    match rng.gen_range(0..5) {
+        0 => drop(lines.remove(at)),
+        1 => lines.insert(at, lines[at].clone()),
+        2 => {
+            let cut = rng.gen_range(0..=lines[at].len());
+            lines[at].truncate(cut);
+        }
+        kind => {
+            let mut fields: Vec<String> = lines[at].split(' ').map(String::from).collect();
+            let k = rng.gen_range(0..fields.len());
+            let op_token = k == 2 && fields[0] == "node";
+            let field = &mut fields[k];
+            // The field's digit runs, as byte ranges (records are ASCII).
+            let bytes = field.as_bytes();
+            let starts = (0..bytes.len())
+                .filter(|&i| bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit()));
+            let runs: Vec<(usize, usize)> = starts
+                .map(|i| (i, (i..bytes.len()).find(|&j| !bytes[j].is_ascii_digit()).unwrap_or(bytes.len())))
+                .collect();
+            if op_token || field.is_empty() {
+            } else if kind == 3 || runs.is_empty() {
+                let i = rng.gen_range(0..field.len());
+                let byte = rng.gen_range(0x21u32..0x7f) as u8 as char;
+                field.replace_range(i..=i, &byte.to_string());
+            } else {
+                let (a, b) = runs[rng.gen_range(0..runs.len())];
+                field.replace_range(a..b, HOSTILE[rng.gen_range(0..HOSTILE.len())]);
+            }
+            lines[at] = fields.join(" ");
+        }
+    }
+    lines.join("\n") + "\n"
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// ROADMAP aim 3, the graph-record decoder: whatever happened to a
+    /// bench model's record, `from_record` ends in a typed error or in a
+    /// graph that validates and re-encodes to a fixed point — never in a
+    /// panic, and a count the record declares sizes no allocation (a
+    /// hostile `cap` would abort the test).
+    #[test]
+    fn mutated_records_decode_to_a_typed_error_or_a_valid_graph(seed in any::<u64>()) {
+        use magis::graph::io::{from_record, to_record, RecordError};
+        static VALID: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+        let records = VALID.get_or_init(|| {
+            [(Workload::BertBase, 0.1), (Workload::UNet, 0.15), (Workload::ResNet50, 0.1)]
+                .map(|(w, scale)| to_record(&w.build(scale).graph))
+                .to_vec()
+        });
+        let mut rng = <magis_util::rng::SmallRng as magis_util::rng::SeedableRng>::seed_from_u64(seed);
+        let mut refused = 0;
+        for text in records {
+            for _ in 0..4 {
+                let bad = mutate_record(text, &mut rng);
+                match from_record(&bad) {
+                    Ok(g) => {
+                        prop_assert!(g.validate().is_ok(), "decoded graph does not validate");
+                        let again = to_record(&g);
+                        prop_assert_eq!(from_record(&again).map(|g| to_record(&g)), Ok(again));
+                    }
+                    Err(e) => {
+                        refused += 1;
+                        prop_assert!(matches!(e, RecordError::Syntax { .. } | RecordError::Graph(_)), "{e}");
+                    }
+                }
+            }
+        }
+        prop_assert!(refused > 0, "no mutation was refused");
+    }
+}
+
+#[test]
+fn records_that_declare_more_than_they_hold_are_refused() {
+    use magis::graph::io::{from_record, to_record, RecordError};
+    let text = to_record(&small_dnn(7));
+    let cap_line = text.lines().nth(1).expect("cap line");
+    for cap in ["18446744073709551615", "1048577", "100000"] {
+        let bad = text.replacen(cap_line, &format!("cap {cap}"), 1);
+        assert!(matches!(from_record(&bad), Err(RecordError::Syntax { line: 2, .. })), "cap {cap} accepted");
+    }
+    // A shape whose byte count wraps a u64: 2^62 elements of any dtype.
+    let node = text.lines().find(|l| l.contains('[') && !l.contains("[]")).expect("a shaped node");
+    let (head, tail) = node.split_once('[').expect("shape");
+    let (_, tail) = tail.split_once(']').expect("shape end");
+    let bad = text.replacen(node, &format!("{head}[4611686018427387904]{tail}"), 1);
+    assert!(matches!(from_record(&bad), Err(RecordError::Syntax { .. })), "overflowing shape accepted");
+}
