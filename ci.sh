@@ -49,6 +49,22 @@ if [ -n "$DELTA_USES" ]; then
     echo "the delta forwards are for benchmark/ only: call memory_profile_lifetimes / plan_from_lifetimes"
     exit 1
 fi
+# The one planner replays counting-sorted events over an offset-ordered
+# free list: the non-test part of plan.rs holds no ordered map or set
+# and calls no sort, and the three entry points benchmark/ calls keep
+# their signatures.
+PLAN_SRC="$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/sim/src/plan.rs)"
+PLAN_FLAT="$(tr -s ' \n' ' ' <<<"$PLAN_SRC")"
+for sig in \
+    'pub fn memory_plan(g: &Graph, order: &[NodeId]) -> Result<MemoryPlan, CostError> {' \
+    'pub fn plan_from_lifetimes( g: &Graph, order: &[NodeId], lt: &Lifetimes, ) -> Result<MemoryPlan, CostError> {' \
+    'pub fn memory_plan_delta( g: &Graph, order: &[NodeId], lt: &Lifetimes, _parent: &MemoryPlan, ) -> Result<MemoryPlan, CostError> {'; do
+    grep -q -F -e "$sig" <<<"$PLAN_FLAT" || { echo "plan.rs: signature changed: $sig"; exit 1; }
+done
+if grep -n -E 'BTreeMap|BTreeSet|\.sort' <<<"$PLAN_SRC"; then
+    echo "plan.rs: the planner keeps no ordered map or set and sorts nothing"
+    exit 1
+fi
 
 # One-overlay-path gate: the region workspace and the recorded scale
 # edits are how the one overlay path works, not a mode of it. A
@@ -109,8 +125,9 @@ done
 # trajectories (fault keys derive from expansion number + candidate
 # index, never thread identity), the greedy goldens and MCTS
 # kill/resume exactness, CoW-vs-deep-copy identity and parent-child
-# node sharing, the overlay / F-Tree / DP oracles and the overlay's
-# committed digests, and incremental-vs-full evaluation.
+# node sharing, the overlay / F-Tree / DP oracles, the overlay's and the
+# memory plans' committed digests (the plans' in debug and release), and
+# incremental-vs-full evaluation.
 run env RUST_TEST_THREADS=1 cargo test -q --test parallel_search
 run env RUST_TEST_THREADS=1 cargo test -q --test fault_injection
 run env RUST_TEST_THREADS=4 cargo test -q --test fault_injection
@@ -118,6 +135,8 @@ run env RUST_TEST_THREADS=1 cargo test -q -p magis-core --test driver_search
 run env RUST_TEST_THREADS=1 cargo test -q --test cow_graph
 run env RUST_TEST_THREADS=1 cargo test -q --test overlay_identity
 run env RUST_TEST_THREADS=1 cargo test -q -p magis-core --test overlay_fingerprint
+run env RUST_TEST_THREADS=1 cargo test -q --test memory_planner
+run env RUST_TEST_THREADS=1 cargo test -q --release --test memory_planner
 run env RUST_TEST_THREADS=1 cargo test -q --test ftree_identity
 run env RUST_TEST_THREADS=1 cargo test -q -p magis-sched --test dp_identity
 # The scheduler's identity suites (dp_identity, window_fingerprint's

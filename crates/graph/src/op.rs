@@ -124,18 +124,23 @@ impl Conv2dAttrs {
     }
 
     fn out_hw(&self, h: u64, w: u64, kh: u64, kw: u64) -> Result<(u64, u64), OpError> {
-        let oh = (h + 2 * self.padding.0)
-            .checked_sub(kh)
-            .ok_or(OpError::InvalidWindow)?
-            / self.stride.0
-            + 1;
-        let ow = (w + 2 * self.padding.1)
-            .checked_sub(kw)
-            .ok_or(OpError::InvalidWindow)?
-            / self.stride.1
-            + 1;
+        let padded = |x: u64, pad: u64| {
+            pad.checked_mul(2)
+                .and_then(|p| p.checked_add(x))
+                .ok_or(OpError::BadAttr("padding overflows the extent"))
+        };
+        let oh = window_extent(padded(h, self.padding.0)?, kh, self.stride.0)?;
+        let ow = window_extent(padded(w, self.padding.1)?, kw, self.stride.1)?;
         Ok((oh, ow))
     }
+}
+
+/// Output extent of a window of `k` sliding over `x` (padding included)
+/// at `stride`. Attributes come from records, so the arithmetic is
+/// checked: a zero stride is a typed error, not a division by zero.
+fn window_extent(x: u64, k: u64, stride: u64) -> Result<u64, OpError> {
+    let span = x.checked_sub(k).ok_or(OpError::InvalidWindow)?;
+    Ok(span.checked_div(stride).ok_or(OpError::BadAttr("window stride must be positive"))? + 1)
 }
 
 /// Attributes of a 2-D pooling operator.
@@ -585,20 +590,8 @@ impl OpKind {
                 if x.shape.rank() != 4 {
                     return Err(OpError::Rank("pool2d", x.shape.rank()));
                 }
-                let oh = x
-                    .shape
-                    .dim(2)
-                    .checked_sub(p.kernel.0)
-                    .ok_or(OpError::InvalidWindow)?
-                    / p.stride.0
-                    + 1;
-                let ow = x
-                    .shape
-                    .dim(3)
-                    .checked_sub(p.kernel.1)
-                    .ok_or(OpError::InvalidWindow)?
-                    / p.stride.1
-                    + 1;
+                let oh = window_extent(x.shape.dim(2), p.kernel.0, p.stride.0)?;
+                let ow = window_extent(x.shape.dim(3), p.kernel.1, p.stride.1)?;
                 Ok(TensorMeta::new([x.shape.dim(0), x.shape.dim(1), oh, ow], x.dtype))
             }
             OpKind::Pool2dGrad(_) => {
@@ -610,13 +603,13 @@ impl OpKind {
                 if x.shape.rank() != 4 {
                     return Err(OpError::Rank("upsample2d", x.shape.rank()));
                 }
+                let up = |d: u64| {
+                    d.checked_mul(*scale)
+                        .filter(|&e| e > 0)
+                        .ok_or(OpError::BadAttr("upsample scale out of range"))
+                };
                 Ok(TensorMeta::new(
-                    [
-                        x.shape.dim(0),
-                        x.shape.dim(1),
-                        x.shape.dim(2) * scale,
-                        x.shape.dim(3) * scale,
-                    ],
+                    [x.shape.dim(0), x.shape.dim(1), up(x.shape.dim(2))?, up(x.shape.dim(3))?],
                     x.dtype,
                 ))
             }
@@ -697,7 +690,10 @@ impl OpKind {
             }
             OpKind::EmbeddingGrad { vocab } => {
                 let (_ids, dy) = (&inputs[0], &inputs[1]);
-                let c = dy.shape.dim(dy.shape.rank() - 1);
+                let &c = dy.shape.dims().last().ok_or(OpError::Rank("embedding_grad", 0))?;
+                if *vocab == 0 {
+                    return Err(OpError::BadAttr("embedding vocabulary must be positive"));
+                }
                 Ok(TensorMeta::new([*vocab, c], dy.dtype))
             }
             OpKind::CrossEntropy => {
@@ -741,7 +737,7 @@ impl OpKind {
             OpKind::Slice { axis, start, len } => {
                 let x = &inputs[0];
                 let d = x.shape.get(*axis).ok_or(OpError::BadAttr("slice axis out of range"))?;
-                if start + len > d || *len == 0 {
+                if start.checked_add(*len).is_none_or(|end| end > d) || *len == 0 {
                     return Err(OpError::BadAttr("slice bounds out of range"));
                 }
                 Ok(TensorMeta::new(x.shape.with_dim(*axis, *len), x.dtype))
@@ -749,7 +745,11 @@ impl OpKind {
             OpKind::Pad { axis, before, after } => {
                 let x = &inputs[0];
                 let d = x.shape.get(*axis).ok_or(OpError::BadAttr("pad axis out of range"))?;
-                Ok(TensorMeta::new(x.shape.with_dim(*axis, d + before + after), x.dtype))
+                let padded = d
+                    .checked_add(*before)
+                    .and_then(|e| e.checked_add(*after))
+                    .ok_or(OpError::BadAttr("padding overflows the extent"))?;
+                Ok(TensorMeta::new(x.shape.with_dim(*axis, padded), x.dtype))
             }
             OpKind::Concat { axis } => {
                 let first = &inputs[0];
@@ -779,6 +779,9 @@ impl OpKind {
                 if x.shape.get(*axis).is_none() {
                     return Err(OpError::BadAttr("part_slice axis out of range"));
                 }
+                if *parts == 0 {
+                    return Err(OpError::BadAttr("part_slice parts must be positive"));
+                }
                 Ok(TensorMeta::new(x.shape.split_dim(*axis, *parts), x.dtype))
             }
             OpKind::Merge { kind, axis, parts } => {
@@ -789,7 +792,11 @@ impl OpKind {
                             .shape
                             .get(*axis)
                             .ok_or(OpError::BadAttr("merge axis out of range"))?;
-                        Ok(TensorMeta::new(x.shape.with_dim(*axis, d * parts), x.dtype))
+                        let merged = d
+                            .checked_mul(*parts)
+                            .filter(|&e| e > 0)
+                            .ok_or(OpError::BadAttr("merge parts out of range"))?;
+                        Ok(TensorMeta::new(x.shape.with_dim(*axis, merged), x.dtype))
                     }
                     MergeKind::Sum => Ok(x.clone()),
                 }
@@ -1254,6 +1261,32 @@ mod tests {
         let op = OpKind::Upsample2dGrad { scale: 2 };
         let out = op.infer(&[t(&[4, 16, 32, 32])]).unwrap();
         assert_eq!(out.shape, Shape::from([4, 16, 16, 16]));
+    }
+
+    #[test]
+    fn hostile_attributes_are_typed_errors() {
+        let x = t(&[4, 16, 32, 32]);
+        let w = t(&[8, 16, 3, 3]);
+        let bad = |op: OpKind, inputs: &[TensorMeta]| match op.infer(inputs) {
+            Err(OpError::BadAttr(_)) => {}
+            other => panic!("{op}: {other:?}"),
+        };
+        let conv = |stride, padding| OpKind::Conv2d(Conv2dAttrs { stride, padding });
+        bad(conv((0, 1), (1, 1)), &[x.clone(), w.clone()]);
+        bad(conv((1, 1), (1, u64::MAX / 2 + 1)), &[x.clone(), w.clone()]);
+        let pool = Pool2dAttrs { kind: PoolKind::Avg, kernel: (2, 2), stride: (2, 0) };
+        bad(OpKind::Pool2d(pool), std::slice::from_ref(&x));
+        bad(OpKind::Upsample2d { scale: 0 }, std::slice::from_ref(&x));
+        bad(OpKind::Upsample2d { scale: u64::MAX }, std::slice::from_ref(&x));
+        bad(OpKind::Slice { axis: 1, start: u64::MAX, len: 2 }, std::slice::from_ref(&x));
+        bad(OpKind::Pad { axis: 1, before: u64::MAX, after: 1 }, std::slice::from_ref(&x));
+        bad(OpKind::PartSlice { axis: 1, parts: 0, halo: 0 }, std::slice::from_ref(&x));
+        let merge = OpKind::Merge { kind: MergeKind::Concat, axis: 1, parts: u64::MAX };
+        bad(merge, std::slice::from_ref(&x));
+        bad(OpKind::EmbeddingGrad { vocab: 0 }, &[t(&[4]), t(&[4, 16])]);
+        // The window checks still come first.
+        let huge = Pool2dAttrs { kind: PoolKind::Max, kernel: (64, 2), stride: (0, 1) };
+        assert_eq!(OpKind::Pool2d(huge).infer(&[x]), Err(OpError::InvalidWindow));
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! mirror `incremental_eval.rs` and `parallel_search.rs`:
 //!
 //! * **paranoia** — with [`ParanoiaLevel::All`] every incremental
-//!   evaluation (delta schedule + delta profile + delta plan) is
-//!   cross-checked against a full re-evaluation, and
-//!   `invariant_rejections == 0` over a whole search proves the delta
-//!   planner never diverged on any candidate the search visited;
+//!   evaluation (windowed reschedule, then the profile and plan of the
+//!   chosen order) is cross-checked against a full re-evaluation, and
+//!   `invariant_rejections == 0` over a whole search proves the plan a
+//!   candidate carries is the from-scratch `memory_plan` of its order
+//!   on every candidate the search visited;
 //! * **determinism** — the planned peak, fragmentation ratio, and the
 //!   whole accepted-candidate history are bit-identical for
 //!   `threads = 1` and `threads = 4`.
@@ -33,7 +34,7 @@ fn capped_planned(objective: Objective, threads: usize) -> OptimizerConfig {
 }
 
 /// Runs a paranoid planned-objective search and asserts every
-/// delta-planned candidate matched its full re-evaluation.
+/// candidate's carried plan matched its full re-evaluation.
 fn assert_planned_paranoid(w: Workload, scale: f64) {
     let tg = w.build(scale);
     let init = MState::initial(tg.graph.clone(), &EvalContext::default());
@@ -46,7 +47,7 @@ fn assert_planned_paranoid(w: Workload, scale: f64) {
     assert!(res.stats.evaluated > 0, "{w:?}: search evaluated candidates");
     assert_eq!(
         res.stats.invariant_rejections, 0,
-        "{w:?}: every delta plan matched its from-scratch re-plan bit-for-bit"
+        "{w:?}: every carried plan matched its from-scratch re-plan bit-for-bit"
     );
     let plan = res.best.eval.plan.as_ref().unwrap_or_else(|| {
         panic!("{w:?}: planned objective carries a memory plan on the incumbent")

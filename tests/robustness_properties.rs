@@ -295,10 +295,9 @@ fn ambiguous_input_yields_to_a_later_uncovered_edge() {
 }
 
 /// One random defect in a graph record: a line dropped, doubled or cut
-/// short, or — in any field but the operator token, whose attributes
-/// `OpKind::infer` still trusts — a byte replaced or a run of digits
-/// (the cap, a slot, an extent, a repeat, an edge) replaced by a number
-/// that is out of every range.
+/// short, or in any field a byte replaced or a run of digits (the cap, a
+/// slot, an operator attribute, an extent, a repeat, an edge) replaced
+/// by a number that is out of every range.
 fn mutate_record(text: &str, rng: &mut magis_util::rng::SmallRng) -> String {
     use magis_util::rng::Rng;
     const HOSTILE: [&str; 6] =
@@ -315,8 +314,8 @@ fn mutate_record(text: &str, rng: &mut magis_util::rng::SmallRng) -> String {
         }
         kind => {
             let mut fields: Vec<String> = lines[at].split(' ').map(String::from).collect();
-            let k = rng.gen_range(0..fields.len());
-            let op_token = k == 2 && fields[0] == "node";
+            // The operator token (`node <slot> <op> ...`) one time in three.
+            let k = if fields.len() > 2 && rng.gen_range(0..3) == 0 { 2 } else { rng.gen_range(0..fields.len()) };
             let field = &mut fields[k];
             // The field's digit runs, as byte ranges (records are ASCII).
             let bytes = field.as_bytes();
@@ -325,7 +324,7 @@ fn mutate_record(text: &str, rng: &mut magis_util::rng::SmallRng) -> String {
             let runs: Vec<(usize, usize)> = starts
                 .map(|i| (i, (i..bytes.len()).find(|&j| !bytes[j].is_ascii_digit()).unwrap_or(bytes.len())))
                 .collect();
-            if op_token || field.is_empty() {
+            if field.is_empty() {
             } else if kind == 3 || runs.is_empty() {
                 let i = rng.gen_range(0..field.len());
                 let byte = rng.gen_range(0x21u32..0x7f) as u8 as char;
