@@ -49,6 +49,16 @@ if [ -n "$DELTA_USES" ]; then
     echo "the delta forwards are for benchmark/ only: call memory_profile_lifetimes / plan_from_lifetimes"
     exit 1
 fi
+# One resume: every checkpoint carries the frontier. `with_frontier`
+# survives as a no-op forward because benchmark/src/layers.rs calls it;
+# nothing else may: its one definition.
+FRONTIER_USES="$(grep -rn 'with_frontier' crates src tests examples \
+    | grep -v -E '^crates/core/src/optimizer/config\.rs:[0-9]+: +pub fn with_frontier\(' || true)"
+if [ -n "$FRONTIER_USES" ]; then
+    echo "$FRONTIER_USES"
+    echo "with_frontier is for benchmark/ only: every checkpoint carries the frontier"
+    exit 1
+fi
 # The one planner replays counting-sorted events over an offset-ordered
 # free list: the non-test part of plan.rs holds no ordered map or set
 # and calls no sort, and the three entry points benchmark/ calls keep
@@ -179,10 +189,9 @@ if ./target/release/magis optimize --workload unet --driver quantum 2>/dev/null;
     echo "unknown driver was not rejected"; exit 1
 fi
 
-# Crash-recovery smoke: hard-kill a CLI search that checkpoints its
-# frontier, resume it from the survived checkpoint to 200 evaluations
-# past the kill, and run the same search to the same count without a
-# kill. The two final checkpoints must be the same bytes: a checkpoint
+# Crash-recovery smoke: hard-kill a CLI search that checkpoints, resume
+# it from the survived checkpoint to 200 evaluations past the kill, and
+# run the same search to the same count without a kill. The two final checkpoints must be the same bytes: a checkpoint
 # is a function of the search state, whether its states share storage
 # (the uninterrupted run's) or were parsed one by one (the resumed
 # run's). One field aside — a checkpoint holds the number of writes
@@ -194,7 +203,7 @@ fi
 CKPT="$(mktemp -d)/unet.ckpt"
 echo
 echo "==> kill/resume smoke (checkpoint at $CKPT)"
-SEARCH=(--budget-ms 600000 --eval-cache 0 --checkpoint-every 4 --checkpoint-frontier true)
+SEARCH=(--budget-ms 600000 --eval-cache 0 --checkpoint-every 4)
 # Run the built binary directly: killing `cargo run` would orphan the
 # search process and leave it racing the resume step below.
 timeout -s KILL 2 ./target/release/magis optimize \

@@ -36,7 +36,6 @@ USAGE:
                  [--paranoia off|incumbent|all]
                  [--eval incremental|full] [--eval-cache N]
                  [--checkpoint FILE] [--checkpoint-every N]
-                 [--checkpoint-frontier true|false]
                  [--emit py|dot|text] [--out FILE]
                  [--trace-out FILE] [--metrics-out FILE] [--log-level L]
   magis optimize --resume FILE [--mode memory|latency] [--limit F]
@@ -45,8 +44,7 @@ USAGE:
                  [--scale F] [--budget-ratio F]
                  [--backend NAME] [--calibrate FILE]
   magis serve    [--addr HOST:PORT] [--state-dir DIR] [--workers N]
-                 [--queue-capacity N] [--client-cap N] [--retry-cap N]
-                 [--backoff-base-ms N] [--drain-timeout-ms N]
+                 [--queue-capacity N] [--client-cap N] [--drain-timeout-ms N]
                  [--stall-after-ms N] [--result-cache N] [--port-file FILE]
                  [--trace-out FILE] [--log-level L]
   magis submit   --addr HOST:PORT | --port-file FILE
@@ -93,12 +91,6 @@ OPTIONS (optimize):
                   hard cap on evaluated candidates — the deterministic
                   stopping knob (`stop reason: eval-cap`), cumulative
                   across --resume.
-  --checkpoint-frontier B
-                  with --checkpoint: also persist the full search
-                  frontier so a --resume continues the trajectory
-                  bit-exactly instead of restarting the queue from the
-                  incumbent (default false; the serve daemon always
-                  enables it).
   --objective O   memory accounting the search steers on: liveness
                   (default, sum of live tensor bytes per step) |
                   planned (allocator-planned high-water mark from a
@@ -131,11 +123,12 @@ OPTIONS (optimize):
   --checkpoint F  write a search checkpoint to F every
                   --checkpoint-every evaluations (default 64) and at
                   search end. Written atomically (temp + rename).
-  --resume F      continue a search from checkpoint F. Budget, thread
-                  count, mode, limit, and backend come from the command
-                  line, not the checkpoint (re-pass --backend if the
-                  original run used one); the workload flag is not
-                  needed.
+  --resume F      continue a search from checkpoint F on the trajectory
+                  the uninterrupted run takes (every checkpoint holds
+                  the search frontier). Budget, thread count, mode,
+                  limit, and backend come from the command line, not
+                  the checkpoint (re-pass --backend if the original run
+                  used one); the workload flag is not needed.
 
 OBSERVABILITY (optimize):
   --trace-out F   record a structured trace of the search (spans for
@@ -159,7 +152,7 @@ MONITORING (serve):
                   progress frames until the job settles.
   top             polls status + metrics into a refreshing terminal
                   summary (queue depth, running jobs, completions,
-                  rejections, retries, cache hits, job wall-time).
+                  rejections, replays, cache hits, job wall-time).
                   --iterations N stops after N refreshes (0 = forever).
   metrics         prints the daemon's metric registry as Prometheus
                   text exposition — pipe it to a scraper.
@@ -216,7 +209,7 @@ fn command(name: &str) -> Option<Command> {
                 JOB,
                 BACKEND,
                 OBS,
-                &["metrics-out", "resume", "paranoia", "eval", "checkpoint", "checkpoint-frontier"],
+                &["metrics-out", "resume", "paranoia", "eval", "checkpoint"],
                 &["emit", "out"],
             ],
             cmd_optimize,
@@ -477,11 +470,9 @@ fn optimize_search(flags: &Args) -> Result<(JobSpec, Backend, Search), CliError>
     })?;
     let checkpoint = match flags.get("checkpoint") {
         None => None,
-        Some(path) => Some(
-            CheckpointPolicy::new(path)
-                .with_every(flags.value_or("checkpoint-every", 64)?)
-                .with_frontier(flags.bool_or("checkpoint-frontier", false)?),
-        ),
+        Some(path) => {
+            Some(CheckpointPolicy::new(path).with_every(flags.value_or("checkpoint-every", 64)?))
+        }
     };
     let backend = backend(flags)?;
     // On resume everything about the search state comes from the
@@ -830,10 +821,7 @@ fn cmd_top(flags: &Args) -> Result<(), CliError> {
                 v("magis_serve_rejected_draining"),
             ),
         );
-        row(
-            "retries / replays",
-            format!("{:.0} / {:.0}", v("magis_serve_retries"), v("magis_serve_jobs_replayed")),
-        );
+        row("replays", format!("{:.0}", v("magis_serve_jobs_replayed")));
         row(
             "result cache",
             format!(
@@ -1114,21 +1102,26 @@ mod tests {
 
     #[test]
     fn a_parent_written_checkpoint_resumes_to_the_parents_result_through_both_doors() {
-        // Written by PR 16's `magis optimize --workload unet --scale 0.1
-        // --max-candidates 40 --threads 1 --checkpoint F`; PR 16's
-        // `magis optimize --resume F --max-candidates 120 --threads 1`
-        // ended at the figures below (its own final checkpoint).
+        // Written by 65232b2's `magis optimize --workload unet --scale 0.1
+        // --max-candidates 40 --threads 1 --checkpoint F
+        // --checkpoint-frontier true`; 65232b2's `magis optimize --resume F
+        // --max-candidates 120 --threads 1` ended at the figures below,
+        // those of the uninterrupted 120-candidate run.
         let fixture =
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/pr16_unet_cap40.ckpt");
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/unet_cap40_frontier.ckpt");
         let want = ((45_921_476, 0x3f61_4507_7ad3_fbe6), (139, 3));
+        let figures = |r: &OptimizeResult| {
+            ((r.best.eval.peak_bytes, r.best.eval.latency.to_bits()),
+             (r.stats.evaluated, r.stats.expanded))
+        };
         let here =
             optimize_result(&["--resume", fixture, "--max-candidates", "120", "--threads", "1"]);
         assert!(here.stats.resumed);
-        assert_eq!(
-            ((here.best.eval.peak_bytes, here.best.eval.latency.to_bits()),
-             (here.stats.evaluated, here.stats.expanded)),
-            want
-        );
+        assert_eq!(figures(&here), want);
+        let uninterrupted = optimize_result(&[
+            "--workload", "unet", "--scale", "0.1", "--max-candidates", "120", "--threads", "1",
+        ]);
+        assert_eq!(figures(&uninterrupted), want);
         // The daemon finds the same file in a job directory.
         let dir = std::env::temp_dir().join(format!("magis_cli_parent_ckpt_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1318,13 +1311,6 @@ mod tests {
         .unwrap();
         assert!(matches!(
             run(&s(&["optimize", "--workload", "unet", "--wall-limit-ms", "soon"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&s(&[
-                "optimize", "--workload", "unet", "--checkpoint", "/tmp/x.ckpt",
-                "--checkpoint-frontier", "maybe",
-            ])),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(

@@ -1,6 +1,6 @@
 //! Search checkpoint/resume: periodic serialization of the
-//! M-Optimizer's state so a killed search can restart from its last
-//! incumbent instead of from the seed graph.
+//! M-Optimizer's state so a killed search continues where it stopped
+//! instead of starting over from the seed graph.
 //!
 //! Format: a versioned, line-oriented text file with no external
 //! dependencies (the repo is fully offline). Floating-point values are
@@ -25,18 +25,17 @@
 //! search state alone — not of which states still share storage
 //! (DESIGN.md §5d).
 //!
-//! A checkpoint can additionally carry the **frontier**: every entry
-//! still on the priority queue, each with its sequence number,
-//! staleness flag, and the same order/F-Tree/graph-record block as the
-//! incumbent. A frontier-bearing checkpoint resumes *exactly* — the
-//! queue, seen-set, and sequence counter are reconstructed verbatim,
-//! so a killed-and-resumed search replays the identical trajectory and
-//! finishes with the incumbent, counts and timeline of an
-//! uninterrupted run (given deterministic stopping, i.e. a candidate
-//! cap rather than wall clock; the evaluation cache is not stored, and
-//! with it on a Pareto point may differ in its last latency bit — see
-//! [`crate::optimizer`]). A checkpoint written without the frontier policy gets the best-effort resume: the
-//! incumbent is re-seeded and the search re-explores from there.
+//! A checkpoint also carries the **frontier**: every entry still on
+//! the priority queue, each with its sequence number, staleness flag,
+//! and the same order/F-Tree/graph-record block as the incumbent. So
+//! every resume is *exact* — the queue, seen-set, and sequence counter
+//! are reconstructed verbatim, and a killed-and-resumed search replays
+//! the identical trajectory and finishes with the incumbent, counts
+//! and timeline of an uninterrupted run (given deterministic stopping,
+//! i.e. a candidate cap rather than wall clock; the evaluation cache
+//! is not stored, and with it on a Pareto point may differ in its last
+//! latency bit — see [`crate::optimizer`]). An empty frontier is a
+//! finished search, and resumes as one.
 //!
 //! A checkpoint is **driver-tagged**: a `driver` line right after the
 //! header names the search engine that wrote it (`greedy` or `mcts`),
@@ -178,9 +177,9 @@ pub struct StateRecord {
     pub eval_record: Vec<u32>,
 }
 
-/// One driver-frontier entry captured in a frontier-bearing
-/// checkpoint: the state plus the bookkeeping (sequence number,
-/// staleness) needed to reconstruct the queue or tree verbatim.
+/// One driver-frontier entry captured in a checkpoint: the state plus
+/// the bookkeeping (sequence number, staleness) needed to reconstruct
+/// the queue or tree verbatim.
 #[derive(Debug, Clone)]
 pub struct FrontierEntry {
     /// The entry's queue sequence number (FIFO tiebreak within equal
@@ -211,10 +210,10 @@ pub struct MctsNodeMeta {
     pub expanded: bool,
 }
 
-/// MCTS engine state stored in a frontier-bearing checkpoint: the
-/// driver's RNG state plus one [`MctsNodeMeta`] per frontier entry (in
-/// arena order). Restoring it resumes the tree — and the rollout RNG
-/// stream — exactly where the checkpoint left off.
+/// MCTS engine state stored in a checkpoint: the driver's RNG state
+/// plus one [`MctsNodeMeta`] per frontier entry (in arena order).
+/// Restoring it resumes the tree — and the rollout RNG stream — exactly
+/// where the checkpoint left off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MctsCheckpoint {
     /// Raw RNG state ([`magis_util::rng::SmallRng::state`]).
@@ -248,18 +247,16 @@ pub struct SearchCheckpoint {
     pub lines: Vec<String>,
     /// The incumbent.
     pub best: StateRecord,
-    /// The sequence counter's next value (only meaningful when
-    /// `frontier` is non-empty).
+    /// The driver's sequence counter (greedy) or node count (MCTS).
     pub next_seq: u64,
     /// The driver frontier at checkpoint time, sorted by sequence
-    /// number (empty when the checkpoint policy doesn't request
-    /// frontier capture). Non-empty frontiers make resume
-    /// trajectory-exact.
+    /// number; empty once the search has run dry.
     pub frontier: Vec<FrontierEntry>,
     /// The search engine that wrote this checkpoint. Resume restores
     /// this engine, not the caller's configured one.
     pub driver: DriverKind,
-    /// MCTS tree metadata (MCTS frontier checkpoints only).
+    /// MCTS tree metadata (MCTS checkpoints only; resuming one
+    /// without it is an error).
     pub mcts: Option<MctsCheckpoint>,
 }
 
@@ -856,7 +853,7 @@ impl SearchCheckpoint {
     /// through the same validation/re-simulation pipeline as the
     /// incumbent, with its checkpointed staleness flag and sequence
     /// number reinstated. Returns `(seq, state)` pairs in stored
-    /// (sequence) order; empty for frontier-free checkpoints.
+    /// (sequence) order; empty for a finished search.
     ///
     /// # Errors
     ///

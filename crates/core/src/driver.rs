@@ -106,7 +106,7 @@ pub enum StepOutcome {
 /// state the driver still holds (queue entries for greedy, tree nodes
 /// for MCTS, keyed by `seq`); `mcts` carries the tree topology,
 /// visit/reward statistics, and RNG state when the driver is MCTS.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DriverFrontier {
     /// The driver's next sequence number (greedy) or node count (MCTS).
     pub next_seq: u64,
@@ -191,32 +191,20 @@ pub struct GreedyDriver {
 const DELTA: f64 = 1.1;
 
 impl GreedyDriver {
-    /// Builds the driver: a fresh search (or frontier-free resume, an
-    /// empty `frontier`) seeds the queue with `init`; a
-    /// trajectory-exact resume restores the checkpointed `frontier`
-    /// entries and sequence counter verbatim and does **not** re-push
-    /// the incumbent.
-    pub(crate) fn new(
-        cfg: &OptimizerConfig,
-        init: MState,
-        frontier: Vec<(u64, MState)>,
-        next_seq: u64,
-    ) -> GreedyDriver {
-        let entry = |seq: usize, state: MState| {
-            let (m, l) = state.cost();
-            QueueEntry { key: cfg.objective.key(m, l), seq, state }
-        };
+    /// Builds the driver over the `(seq, state)` entries of `queue`
+    /// with sequence counter `next_seq`: a fresh search passes the
+    /// seed alone at 0, a resume the checkpointed queue and counter
+    /// verbatim (an empty queue is a finished search).
+    pub(crate) fn new(cfg: &OptimizerConfig, queue: Vec<(u64, MState)>, next_seq: u64) -> GreedyDriver {
         // Re-pushing the checkpointed entry set reproduces the original
         // pop order exactly: `QueueEntry`'s ordering is total (objective
         // key, then sequence number), so the heap's pop sequence is a
         // pure function of its contents.
-        let (queue, seq) = if frontier.is_empty() {
-            (BinaryHeap::from([entry(0, init)]), 0)
-        } else {
-            let restored = frontier.into_iter().map(|(sq, state)| entry(sq as usize, state));
-            (restored.collect(), next_seq as usize)
-        };
-        GreedyDriver { queue, seq, objective: cfg.objective }
+        let queue = queue.into_iter().map(|(seq, state)| {
+            let (m, l) = state.cost();
+            QueueEntry { key: cfg.objective.key(m, l), seq: seq as usize, state }
+        });
+        GreedyDriver { queue: queue.collect(), seq: next_seq as usize, objective: cfg.objective }
     }
 }
 
@@ -325,7 +313,7 @@ const ROLLOUT_DEPTH: usize = 12;
 /// All RNG draws happen on the driver thread from a
 /// [`SmallRng`] seeded with `OptimizerConfig::seed`, so trajectories
 /// are bit-identical across thread counts; the RNG state and full
-/// tree ride in frontier checkpoints for trajectory-exact resume.
+/// tree ride in every checkpoint for trajectory-exact resume.
 pub struct MctsDriver {
     nodes: Vec<Node>,
     rng: SmallRng,

@@ -499,7 +499,7 @@ impl<'a> Engine<'a> {
     /// Expansion-boundary bookkeeping: timeline point + Pareto record,
     /// gauges, the expansion histogram and trace span, the progress
     /// snapshot, the periodic checkpoint (calling `snapshot` for the
-    /// driver's frontier when the policy captures one), and the
+    /// driver's frontier), and the
     /// publication of the stats-projected counters. Drivers call this
     /// exactly once per completed step.
     pub fn boundary(
@@ -572,11 +572,10 @@ impl<'a> Engine<'a> {
 
     /// Writes the search state to the policy's path (a no-op without a
     /// policy): the incumbent and all bookkeeping, plus the driver's
-    /// complete strategy state from `snapshot` when the policy
-    /// captures the frontier. Every state of the checkpoint is recorded
-    /// through one [`RecordLines`], made here and gone with the
-    /// checkpoint. A failed write is counted, not fatal — a full disk
-    /// must not kill the search.
+    /// complete strategy state from `snapshot`. Every state of the
+    /// checkpoint is recorded through one [`RecordLines`], made here
+    /// and gone with the checkpoint. A failed write is counted, not
+    /// fatal — a full disk must not kill the search.
     pub(super) fn write_checkpoint(
         &mut self,
         at: &'static str,
@@ -586,7 +585,7 @@ impl<'a> Engine<'a> {
         let Some(policy) = &cfg.checkpoint else { return };
         let t0 = Instant::now();
         let mut lines = RecordLines::default();
-        let frontier = if policy.frontier { snapshot(&mut lines) } else { DriverFrontier::default() };
+        let frontier = snapshot(&mut lines);
         let best = StateRecord::of(&self.best, &mut lines);
         let ckpt = SearchCheckpoint {
             rng_seed: cfg.seed,

@@ -35,7 +35,7 @@
 //! the one place caching shows: a hit hands back a hash-equal state
 //! that may have been reached through another lineage (another node
 //! order, hence another float summation order), so a run resumed from
-//! a frontier checkpoint reproduces the uninterrupted run's incumbent,
+//! a checkpoint reproduces the uninterrupted run's incumbent,
 //! counts and timeline exactly, and every Pareto point too only with
 //! the cache off (`tests/checkpoint_resume.rs`).
 //!
@@ -81,7 +81,7 @@
 //!   periodically serializes the search (incumbent, frontier,
 //!   seen-set, quarantine, counters) through
 //!   [`crate::checkpoint::SearchCheckpoint`]; [`resume`] continues a
-//!   killed search from its last checkpoint.
+//!   killed search from its last checkpoint on the same trajectory.
 //!
 //! # Layout
 //!

@@ -10,7 +10,6 @@ use crate::driver::{DriverKind, GreedyDriver, MctsDriver, SearchDriver, StepOutc
 use crate::eval_cache::EvalCache;
 use crate::pareto::ParetoSet;
 use crate::state::{EvalError, MState};
-use magis_graph::algo::graph_hash;
 use magis_graph::graph::Graph;
 use magis_obs::metrics::{counter, labeled};
 use magis_obs::timeline::SearchTimeline;
@@ -46,45 +45,51 @@ pub fn optimize_from(init: MState, cfg: &OptimizerConfig) -> OptimizeResult {
 
 /// Continues a search from a [`SearchCheckpoint`]: the incumbent is
 /// restored (both graphs re-validated, its schedule re-checked and
-/// re-simulated), the frontier / seen-set / quarantine / counters are
-/// reloaded, and the search resumes under the **caller's** config —
-/// budget, thread count, and objective are taken from `cfg`, not from
-/// the checkpoint.
+/// re-simulated), the driver frontier / seen-set / quarantine /
+/// counters are reloaded verbatim, and the search resumes under the
+/// **caller's** config — budget, thread count, and objective are taken
+/// from `cfg`, not from the checkpoint. A checkpoint whose frontier is
+/// empty holds a finished search, and resumes to its end.
 ///
 /// # Errors
 ///
 /// Returns a typed [`CheckpointError`] if the checkpoint is corrupt
-/// (bad record, invalid schedule, defective re-simulated costs).
+/// (bad record, invalid schedule, defective re-simulated costs, an
+/// MCTS checkpoint without a tree that pairs with its frontier).
 pub fn resume(ckpt: &SearchCheckpoint, cfg: &OptimizerConfig) -> Result<OptimizeResult, CheckpointError> {
     let best = ckpt.restore_state(&cfg.ctx)?;
     let frontier = ckpt.restore_frontier(&cfg.ctx)?;
-    // An MCTS frontier is a tree: the metadata must pair one-to-one
-    // with the restored states (dense node ids, in-range parent links)
-    // or the driver cannot be rebuilt.
-    if ckpt.driver == DriverKind::Mcts && !frontier.is_empty() {
-        let ok = ckpt.mcts.as_ref().is_some_and(|m| {
-            m.nodes.len() == frontier.len()
-                && frontier.iter().enumerate().all(|(i, (sq, _))| *sq == i as u64)
-                && m.nodes.iter().enumerate().all(|(i, n)| {
-                    n.parent.map_or(i == 0, |p| (p as usize) < m.nodes.len() && p as usize != i)
-                })
-        });
-        if !ok {
-            return Err(CheckpointError::Parse {
-                line: 0,
-                msg: "mcts tree metadata does not match the frontier".to_string(),
+    let driver: Box<dyn SearchDriver> = match ckpt.driver {
+        DriverKind::Greedy => Box::new(GreedyDriver::new(cfg, frontier, ckpt.next_seq)),
+        // An MCTS frontier is a tree: the metadata must pair one-to-one
+        // with the restored states (dense node ids, in-range parent
+        // links) or the driver cannot be rebuilt.
+        DriverKind::Mcts => {
+            let meta = ckpt.mcts.as_ref().filter(|m| {
+                m.nodes.len() == frontier.len()
+                    && frontier.iter().enumerate().all(|(i, (sq, _))| *sq == i as u64)
+                    && m.nodes.iter().enumerate().all(|(i, n)| {
+                        n.parent.map_or(i == 0, |p| (p as usize) < m.nodes.len() && p as usize != i)
+                    })
             });
+            let Some(meta) = meta else {
+                return Err(CheckpointError::Parse {
+                    line: 0,
+                    msg: "mcts checkpoint has no tree metadata matching its frontier".to_string(),
+                });
+            };
+            Box::new(MctsDriver::resume(frontier, meta))
         }
-    }
-    Ok(run_search(best, Some((ckpt, frontier)), cfg))
+    };
+    Ok(run_search(best, Some((ckpt, driver)), cfg))
 }
 
 /// The search proper. `resumed` is the checkpoint to continue from
-/// with its restored frontier; a fresh search starts from the blank
-/// checkpoint.
+/// with the driver rebuilt from its frontier; a fresh search starts
+/// from the blank checkpoint with a driver holding `init` alone.
 fn run_search(
     mut init: MState,
-    resumed: Option<(&SearchCheckpoint, Vec<(u64, MState)>)>,
+    resumed: Option<(&SearchCheckpoint, Box<dyn SearchDriver>)>,
     cfg: &OptimizerConfig,
 ) -> OptimizeResult {
     let start = Instant::now();
@@ -92,19 +97,21 @@ fn run_search(
     counter(&labeled("magis_core_searches", &[("backend", cfg.ctx.backend_name())])).inc();
     let blank =
         SearchCheckpoint { seed_cost: init.cost(), driver: cfg.driver, ..SearchCheckpoint::default() };
-    let is_resume = resumed.is_some();
-    let (from, frontier) = resumed.unwrap_or((&blank, Vec::new()));
+    let (from, restored) = match resumed {
+        Some((ckpt, driver)) => (ckpt, Some(driver)),
+        None => (&blank, None),
+    };
     let mut stats = OptimizerStats {
         threads: cfg.threads.max(1),
         driver: from.driver,
-        resumed: is_resume,
+        resumed: restored.is_some(),
         ..OptimizerStats::default()
     };
     // Stats continue from the checkpointed counters (and are published
     // from zero), so a resumed run's snapshot covers the whole logical
     // search.
     stats.restore_counters(&from.counters);
-    if is_resume {
+    if restored.is_some() {
         obs.resumes.inc();
         magis_obs::event!(
             "magis_core",
@@ -112,10 +119,14 @@ fn run_search(
             expanded = from.counters.expanded,
             evaluated = from.counters.evaluated,
         );
+        // The incumbent is not expanded again (the driver holds its
+        // own frontier), only checkpointed: give it back the staleness
+        // it was stored with — a stale tree is stored as empty — so
+        // that later checkpoints store it as an uninterrupted run does.
+        init.tree_stale = init.ftree.nodes().is_empty();
     } else {
         // A fresh seed is analyzed up front so that the incumbent
-        // carries its F-Tree from the start; a restored incumbent stays
-        // stale until it is next expanded.
+        // carries its F-Tree from the start.
         analyze(&mut init, cfg, &mut stats);
     }
     let mut pareto = ParetoSet::new();
@@ -136,46 +147,24 @@ fn run_search(
         latency: init_lat,
     }];
 
-    // Trajectory-exact resume: a frontier-bearing checkpoint restores
-    // the driver frontier, seen-set, and sequence counter verbatim —
-    // the incumbent is NOT re-pushed (its hash stays in the seen-set,
-    // as it was already expanded when the checkpoint was written).
-    let exact_resume = !frontier.is_empty();
-    if exact_resume {
-        // The incumbent is not expanded again (the driver holds its
-        // own frontier), only checkpointed: give it back the staleness
-        // it was stored with — a stale tree is stored as empty — so
-        // that later checkpoints store it as an uninterrupted run does.
-        init.tree_stale = init.ftree.nodes().is_empty();
-    }
     // Read and written on the driver/merge thread only (pops, the
     // merge loop's duplicate probe, checkpoint writes); ordered, so a
-    // checkpoint lists the hashes sorted.
-    let mut seen: BTreeSet<u64> = from.seen.iter().copied().collect();
-    if !exact_resume {
-        // Frontier-free-resume trap: the incumbent's own hash is in
-        // the checkpointed seen-set (it was inserted when first
-        // expanded). Preloading it verbatim would make the first pop
-        // filter the resumed incumbent as a duplicate and end the
-        // search immediately.
-        seen.remove(&graph_hash(&init.eval.graph));
-    }
+    // checkpoint lists the hashes sorted. A resumed incumbent's hash
+    // stays in it: the incumbent was expanded before the checkpoint
+    // was written, and is not re-pushed.
+    let seen: BTreeSet<u64> = from.seen.iter().copied().collect();
     let quarantine = Quarantine::new(cfg.quarantine_threshold, &from.quarantine);
 
     let best = init.clone();
     // The driver owns the strategy state (greedy queue or MCTS tree);
     // everything else — evaluation, bookkeeping, observability,
     // checkpointing — lives on the engine below.
-    let mut driver: Box<dyn SearchDriver> = match (from.driver, &from.mcts, exact_resume) {
-        (DriverKind::Greedy, ..) => {
-            Box::new(GreedyDriver::new(cfg, init, frontier, from.next_seq))
-        }
-        // Trajectory-exact resume: tree topology, statistics, and RNG
-        // state come back verbatim.
-        (DriverKind::Mcts, Some(meta), true) => Box::new(MctsDriver::resume(frontier, meta)),
-        // Fresh search (or frontier-free resume): a new tree rooted at
-        // the incumbent, RNG reseeded from the config.
-        (DriverKind::Mcts, ..) => Box::new(MctsDriver::new(cfg, init)),
+    let mut driver: Box<dyn SearchDriver> = match restored {
+        Some(driver) => driver,
+        None => match cfg.driver {
+            DriverKind::Greedy => Box::new(GreedyDriver::new(cfg, vec![(0, init)], 0)),
+            DriverKind::Mcts => Box::new(MctsDriver::new(cfg, init)),
+        },
     };
 
     let mut engine = Engine {
@@ -221,15 +210,11 @@ fn run_search(
     };
     engine.stats.stop_reason = engine.stop.unwrap_or(ran_dry);
 
-    // Frontier checkpoints are exact in-flight snapshots: the final one
-    // is written *before* the polish below, and the resumed run
+    // Checkpoints are exact in-flight snapshots: the final one is
+    // written *before* the polish below, and the resumed run
     // re-polishes at its own true end — that keeps kill/resume
-    // trajectories bit-identical to the uninterrupted run. Legacy
-    // (non-frontier) policies keep recording the polished incumbent.
-    let frontier_mode = cfg.checkpoint.as_ref().is_some_and(|p| p.frontier);
-    if frontier_mode {
-        engine.write_checkpoint("final", &mut |lines| driver.frontier_snapshot(lines));
-    }
+    // trajectories bit-identical to the uninterrupted run.
+    engine.write_checkpoint("final", &mut |lines| driver.frontier_snapshot(lines));
     // Final polish: reschedule the incumbent with the full-quality beam
     // and keep whichever is better.
     let polished = {
@@ -242,9 +227,6 @@ fn run_search(
         let (p_peak, p_lat) = polished.cost();
         engine.pareto.insert(p_peak, p_lat);
         engine.best = polished;
-    }
-    if !frontier_mode {
-        engine.write_checkpoint("final", &mut |lines| driver.frontier_snapshot(lines));
     }
     engine.stats.publish(&mut engine.published);
     magis_obs::event!(

@@ -125,7 +125,7 @@ fn mcts_kill_resume_is_trajectory_exact() {
     let killed_cfg = config(&g, DriverKind::Mcts, 2)
         .with_max_evals(usize::MAX)
         .with_search_budget(SearchBudget::default().with_candidate_limit(40))
-        .with_checkpoint(CheckpointPolicy::new(&ckpt_path).with_every(10).with_frontier(true));
+        .with_checkpoint(CheckpointPolicy::new(&ckpt_path).with_every(10));
     let killed = optimize(g.clone(), &killed_cfg);
     assert!(killed.stats.evaluated >= 40, "killed run must reach its cap");
     assert!(killed.stats.evaluated < full.stats.evaluated);

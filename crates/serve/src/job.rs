@@ -7,7 +7,7 @@
 //! [`OptimizerConfig`]. `magis optimize` and [`run_job`] both call it
 //! and then add only what is their own. For the daemon that is the
 //! service's supervision hooks: a [`CancelToken`] for cooperative
-//! cancellation and heartbeat, a progress sink, and a frontier
+//! cancellation and heartbeat, a progress sink, and a
 //! [`CheckpointPolicy`] writing into the job's journal directory. A
 //! checkpoint already present in the directory means the previous
 //! daemon died mid-job: the run resumes from it trajectory-exactly
@@ -184,7 +184,7 @@ fn result_from(res: &OptimizeResult) -> JobResult {
 
 /// Runs (or resumes) the job journaled in `dir`. Blocking; the search
 /// polls `token` cooperatively, so a cancel returns promptly with a
-/// `cancelled` stop reason and a freshly written frontier checkpoint.
+/// `cancelled` stop reason and a freshly written checkpoint.
 /// When `progress` is set, the search reports a deterministic
 /// [`magis_core::optimizer::ProgressSnapshot`] at every expansion
 /// boundary (the daemon fans these out to `watch` subscribers).
@@ -200,9 +200,10 @@ pub fn run_job(
     let resume_from = ckpt_path.exists().then_some(ckpt_path.as_path());
     let backend = backend_for(spec.backend.as_deref())?;
     let mut search = Search::build(spec, &backend, resume_from)?;
-    search.cfg = search.cfg.with_cancel(token).with_checkpoint(
-        CheckpointPolicy::new(&ckpt_path).with_every(spec.checkpoint_every).with_frontier(true),
-    );
+    search.cfg = search
+        .cfg
+        .with_cancel(token)
+        .with_checkpoint(CheckpointPolicy::new(&ckpt_path).with_every(spec.checkpoint_every));
     if let Some(sink) = progress {
         search.cfg = search.cfg.with_progress(sink);
     }
@@ -229,6 +230,7 @@ mod tests {
             (JobSpec { workload: Some("hal9000".into()), ..ok.clone() }, "unknown workload"),
             (JobSpec { backend: Some("abacus".into()), ..ok.clone() }, "unknown backend"),
             (JobSpec { strategy: Some("quantum".into()), ..ok.clone() }, "unknown strategy"),
+            (JobSpec { workload: None, graph: Some("garbage".into()), ..ok.clone() }, "graph record"),
         ] {
             let err = bad.validate().unwrap_err();
             assert!(err.contains(what), "{err}");

@@ -68,7 +68,7 @@ pub fn record_result(dir: &Path, result: &JobResult) -> io::Result<()> {
     write_atomic(&dir.join(RESULT_FILE), &(result.to_json().render() + "\n"))
 }
 
-/// Journals a terminal failure (retries exhausted).
+/// Journals a terminal failure (a failed run is never retried).
 pub fn record_failure(dir: &Path, error: &str) -> io::Result<()> {
     let j = Json::Obj(vec![
         ("ok".to_string(), Json::Bool(false)),

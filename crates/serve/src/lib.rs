@@ -57,10 +57,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Maximum queued+running jobs per client identity.
     pub client_cap: usize,
-    /// Failed attempts are retried up to this many times.
-    pub retry_cap: u32,
-    /// First retry backoff; doubles per attempt.
-    pub backoff_base_ms: u64,
     /// How long a drain waits for jobs before cancel-and-checkpoint.
     pub drain_timeout_ms: u64,
     /// Watchdog flags a running job after this long without an
@@ -81,8 +77,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 16,
             client_cap: 8,
-            retry_cap: 2,
-            backoff_base_ms: 50,
             drain_timeout_ms: 10_000,
             stall_after_ms: 5_000,
             result_cache: 64,
@@ -95,8 +89,8 @@ impl ServeConfig {
     /// The `--name value` flags [`Self::from_args`] reads, for the flag
     /// table of a command that starts a daemon.
     pub const FLAGS: &'static [&'static str] = &[
-        "addr", "state-dir", "workers", "queue-capacity", "client-cap", "retry-cap",
-        "backoff-base-ms", "drain-timeout-ms", "stall-after-ms", "result-cache", "port-file",
+        "addr", "state-dir", "workers", "queue-capacity", "client-cap", "drain-timeout-ms",
+        "stall-after-ms", "result-cache", "port-file",
     ];
 
     /// The configuration `magis serve` and `magis-served` run under:
@@ -109,8 +103,6 @@ impl ServeConfig {
             workers: args.value_or("workers", d.workers)?.max(1),
             queue_capacity: args.value_or("queue-capacity", d.queue_capacity)?,
             client_cap: args.value_or("client-cap", d.client_cap)?,
-            retry_cap: args.value_or("retry-cap", d.retry_cap)?,
-            backoff_base_ms: args.value_or("backoff-base-ms", d.backoff_base_ms)?,
             drain_timeout_ms: args.value_or("drain-timeout-ms", d.drain_timeout_ms)?,
             stall_after_ms: args.value_or("stall-after-ms", d.stall_after_ms)?,
             result_cache: args.value_or("result-cache", d.result_cache)?,

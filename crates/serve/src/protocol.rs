@@ -216,14 +216,17 @@ impl JobSpec {
     }
 
     /// Checks every name the spec carries — mode, workload, backend,
-    /// strategy — against the tables that resolve them. A spec that
-    /// fails here fails the same way on every attempt, so the CLI
-    /// refuses it before connecting and [`Self::from_json`] before
-    /// admission: it is never journaled or retried.
+    /// strategy — against the tables that resolve them, and decodes an
+    /// inline graph record. A spec that fails here could never run, so
+    /// the CLI refuses it before connecting and [`Self::from_json`]
+    /// before admission: it is never journaled.
     pub fn validate(&self) -> Result<(), String> {
         objective_for(self, (0, 0.0))?;
         if let Some(name) = &self.workload {
             workload_by_name(name)?;
+        }
+        if let Some(record) = &self.graph {
+            magis_graph::io::from_record(record).map_err(|e| format!("parsing graph record: {e}"))?;
         }
         backend_for(self.backend.as_deref())?;
         driver_for(self.strategy.as_deref())?;

@@ -7,7 +7,7 @@
 //! Server::run
 //! ├── accept loop (main thread; refuses connections once draining)
 //! │   └── one handler thread per connection (line protocol)
-//! ├── N worker threads (bounded pool; pull due jobs from the queue)
+//! ├── N worker threads (bounded pool; pull jobs from the queue in order)
 //! ├── watchdog thread (flags running jobs whose heartbeat stalls)
 //! └── drain phase (after SIGTERM/shutdown: finish queued + running
 //!     jobs, cancel + checkpoint whatever the drain timeout cuts off)
@@ -17,16 +17,16 @@
 //!
 //! ```text
 //! Queued ──→ Running ──→ Done
-//!   ↑           │ └────→ Interrupted   (drain cancel; journaled,
-//!   │           │                       resumed on next start)
-//!   └─(backoff)─┴──────→ Failed        (retries exhausted)
+//!               ├──────→ Failed        (run_job erred or panicked)
+//!               └──────→ Interrupted   (drain cancel; journaled,
+//!                                       resumed on next start)
 //! ```
 //!
-//! A failed attempt (panic or error) re-queues the job with
-//! exponential backoff (`backoff_base_ms · 2^(attempt-1)`) until the
-//! retry cap, then settles as `Failed`. Every transition that must
-//! survive `kill -9` goes through the [`journal`]
-//! before it is acknowledged.
+//! A failed run settles as `Failed` at once. Every error `run_job` can
+//! return fails the same way on every attempt — a bad graph record, a
+//! seed that does not evaluate, a corrupt checkpoint, a panic — so
+//! there is nothing to retry. Every transition that must survive
+//! `kill -9` goes through the [`journal`] before it is acknowledged.
 
 use crate::cache::ResultCache;
 use crate::job::run_job;
@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 /// File name of the per-job JSONL trace inside a job directory. The
 /// trace id is the job id: every record in the file (and every copy
 /// routed to a `--trace-out` global sink) carries a `job` field, so
-/// one job's lifecycle — admission, queue wait, run attempts, the
+/// one job's lifecycle — admission, queue wait, the run, the
 /// search's own spans — reads as a single correlated trace.
 pub const TRACE_FILE: &str = "trace.jsonl";
 
@@ -62,7 +62,7 @@ const PROGRESS_EVERY: Duration = Duration::from_millis(200);
 
 #[derive(Debug)]
 enum JobState {
-    Queued { not_before: Instant },
+    Queued,
     Running { token: CancelToken, last_beats: u64, last_progress: Instant, stalled: bool },
     Done { result: JobResult, cached: bool },
     Failed { error: String },
@@ -126,7 +126,6 @@ fn scoped_job(sink: Arc<JsonlSink>, id: u64) -> trace::ScopedSinkGuard {
 struct Job {
     spec: JobSpec,
     state: JobState,
-    attempts: u32,
     dir: std::path::PathBuf,
     /// Wall-clock admission (or replay) instant, for the queue-wait
     /// histogram.
@@ -159,7 +158,6 @@ struct Metrics {
     rejected_draining: Counter,
     completed: Counter,
     failed: Counter,
-    retries: Counter,
     replayed: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
@@ -181,7 +179,6 @@ impl Metrics {
             rejected_draining: counter("magis_serve_rejected_draining"),
             completed: counter("magis_serve_jobs_completed"),
             failed: counter("magis_serve_jobs_failed"),
-            retries: counter("magis_serve_retries"),
             replayed: counter("magis_serve_jobs_replayed"),
             cache_hits: counter("magis_serve_result_cache_hits"),
             cache_misses: counter("magis_serve_result_cache_misses"),
@@ -275,7 +272,7 @@ impl Server {
                         tsink = job_trace_sink(&j.dir);
                         let _g = tsink.clone().map(|s| scoped_job(s, j.id));
                         magis_obs::event!("magis_serve", "replay", id = j.id);
-                        JobState::Queued { not_before: Instant::now() }
+                        JobState::Queued
                     }
                 };
                 t.jobs.insert(
@@ -283,7 +280,6 @@ impl Server {
                     Job {
                         spec: j.spec,
                         state,
-                        attempts: 0,
                         dir: j.dir,
                         admitted: Instant::now(),
                         progress: Arc::new(ProgressCell::default()),
@@ -424,7 +420,7 @@ fn admit(inner: &Inner, spec: JobSpec) -> Result<u64, Json> {
         .jobs
         .values()
         .filter(|j| {
-            matches!(j.state, JobState::Queued { .. } | JobState::Running { .. })
+            matches!(j.state, JobState::Queued | JobState::Running { .. })
                 && j.spec.client == spec.client
         })
         .count();
@@ -446,8 +442,7 @@ fn admit(inner: &Inner, spec: JobSpec) -> Result<u64, Json> {
         id,
         Job {
             spec,
-            state: JobState::Queued { not_before: Instant::now() },
-            attempts: 0,
+            state: JobState::Queued,
             dir,
             admitted: Instant::now(),
             progress: Arc::new(ProgressCell::default()),
@@ -468,26 +463,20 @@ fn worker_loop(inner: &Arc<Inner>) {
         if t.closed {
             return;
         }
-        let now = Instant::now();
-        let pos = t.queue.iter().position(|id| {
-            matches!(t.jobs.get(id).map(|j| &j.state),
-                Some(JobState::Queued { not_before }) if *not_before <= now)
-        });
-        let Some(pos) = pos else {
-            if inner.stopping() && t.queue.is_empty() && t.running == 0 {
+        let Some(id) = t.queue.pop_front() else {
+            if inner.stopping() && t.running == 0 {
                 return;
             }
             let _unused = inner.cv.wait_timeout(t, POLL).unwrap();
             continue;
         };
-        let id = t.queue.remove(pos).expect("position came from the queue");
         let token = CancelToken::new();
         let (spec, dir, cell, tsink, admitted) = {
             let j = t.jobs.get_mut(&id).expect("queued id is in the table");
             j.state = JobState::Running {
                 token: token.clone(),
                 last_beats: 0,
-                last_progress: now,
+                last_progress: Instant::now(),
                 stalled: false,
             };
             (j.spec.clone(), j.dir.clone(), j.progress.clone(), j.trace.clone(), j.admitted)
@@ -618,40 +607,10 @@ fn settle(
             JobState::Interrupted
         }
         Attempt::Failed(e) => {
-            let mut t = inner.table.lock().unwrap();
-            let job = t.jobs.get_mut(&id).expect("running id is in the table");
-            job.attempts += 1;
-            let attempt = job.attempts as u64;
-            if job.attempts <= inner.cfg.retry_cap {
-                let backoff = Duration::from_millis(
-                    inner.cfg.backoff_base_ms.saturating_mul(1 << (job.attempts - 1).min(16)),
-                );
-                job.state = JobState::Queued { not_before: Instant::now() + backoff };
-                t.queue.push_back(id);
-                t.running -= 1;
-                inner.m.retries.inc();
-                inner.m.queue_depth.set(t.queue.len() as f64);
-                inner.m.running.set(t.running as f64);
-                magis_obs::event!(
-                    "magis_serve",
-                    "retry",
-                    id = id,
-                    attempt = attempt,
-                    backoff_ms = backoff.as_millis() as u64
-                );
-                magis_obs::obs_warn!(
-                    "magis_serve",
-                    "job {id} attempt failed ({e}); retrying in {backoff:?}"
-                );
-                drop(t);
-                inner.cv.notify_all();
-                return;
-            }
-            drop(t);
             let _ = journal::record_failure(dir, &e);
             inner.m.failed.inc();
             magis_obs::event!("magis_serve", "job_failed", id = id);
-            magis_obs::obs_warn!("magis_serve", "job {id} failed permanently: {e}");
+            magis_obs::obs_warn!("magis_serve", "job {id} failed: {e}");
             JobState::Failed { error: e }
         }
     };
@@ -883,7 +842,7 @@ fn status_reply(inner: &Inner, id: u64) -> Json {
     };
     let mut extra = vec![("id".to_string(), Json::UInt(id))];
     match &job.state {
-        JobState::Queued { .. } => extra.push(("state".into(), Json::Str("queued".into()))),
+        JobState::Queued => extra.push(("state".into(), Json::Str("queued".into()))),
         JobState::Running { token, stalled, .. } => {
             extra.push(("state".into(), Json::Str("running".into())));
             extra.push(("beats".into(), Json::UInt(token.beats())));

@@ -14,9 +14,8 @@ magis-served — supervised optimization service
 
 USAGE:
     magis-served [--addr HOST:PORT] [--state-dir DIR] [--workers N]
-                 [--queue-capacity N] [--client-cap N] [--retry-cap N]
-                 [--backoff-base-ms MS] [--drain-timeout-ms MS]
-                 [--stall-after-ms MS] [--result-cache N]
+                 [--queue-capacity N] [--client-cap N]
+                 [--drain-timeout-ms MS] [--stall-after-ms MS] [--result-cache N]
                  [--port-file PATH] [--log-level LEVEL] [--help]
 
 Listens for line-delimited JSON jobs (see magis-serve's protocol docs),
@@ -101,10 +100,10 @@ mod tests {
 
     #[test]
     fn flags_replace_defaults() {
-        let cfg = config(&argv(&["--workers", "0", "--retry-cap", "5", "--port-file", "/tmp/p"]))
+        let cfg = config(&argv(&["--workers", "0", "--client-cap", "5", "--port-file", "/tmp/p"]))
             .unwrap()
             .unwrap();
-        assert_eq!((cfg.workers, cfg.retry_cap), (1, 5), "workers is at least 1");
+        assert_eq!((cfg.workers, cfg.client_cap), (1, 5), "workers is at least 1");
         assert_eq!(cfg.port_file.as_deref(), Some(std::path::Path::new("/tmp/p")));
         assert_eq!(cfg.queue_capacity, ServeConfig::default().queue_capacity);
         assert!(config(&argv(&["--help"])).unwrap().is_none());

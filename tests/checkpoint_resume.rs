@@ -155,7 +155,7 @@ fn frontier_resume_reproduces_uninterrupted_run_bit_exactly() {
     // evaluation past it, forcing at least one further expansion.
     let path = scratch("frontier_exact");
     let cfg_killed = planned(1, 1)
-        .with_checkpoint(CheckpointPolicy::new(path.clone()).with_every(4).with_frontier(true));
+        .with_checkpoint(CheckpointPolicy::new(path.clone()).with_every(4));
     let killed = optimizer::optimize(g.clone(), &cfg_killed);
     let target = killed.stats.evaluated + 1;
     let ckpt = SearchCheckpoint::read_from(&path).expect("frontier checkpoint parses");
@@ -189,7 +189,7 @@ fn frontier_resume_is_bit_exact_across_thread_counts() {
     let killed = optimizer::optimize(
         g.clone(),
         &cap(1, 2)
-            .with_checkpoint(CheckpointPolicy::new(path.clone()).with_every(3).with_frontier(true)),
+            .with_checkpoint(CheckpointPolicy::new(path.clone()).with_every(3)),
     );
     let target = killed.stats.evaluated + 1;
     let full = optimizer::optimize(g, &cap(target, 1));
@@ -251,7 +251,7 @@ fn deep_frontier_resume_is_exact_up_to_the_cold_eval_cache() {
         // "Kill" at the first expansion boundary past 1000 evaluations;
         // only the final (pre-polish) frontier checkpoint is written.
         let path = scratch(if cache_on { "deep_cached" } else { "deep_uncached" });
-        let policy = CheckpointPolicy::new(path.clone()).with_every(usize::MAX).with_frontier(true);
+        let policy = CheckpointPolicy::new(path.clone()).with_every(usize::MAX);
         let killed = optimizer::optimize(g.clone(), &cap(1000).with_checkpoint(policy));
         let ckpt = SearchCheckpoint::read_from(&path).expect("frontier checkpoint parses");
         assert!(killed.stats.evaluated >= 1000 && ckpt.frontier.len() > 100, "the kill is deep");
@@ -274,6 +274,44 @@ fn deep_frontier_resume_is_exact_up_to_the_cold_eval_cache() {
     }
 }
 
+/// A search that ran dry leaves a final checkpoint with an empty
+/// frontier. Resuming it is resuming a finished search: it ends at once,
+/// where the uninterrupted run ended — same incumbent, counts, Pareto
+/// front and stop reason — without expanding the incumbent again. Both
+/// ways to run dry: a queue exhausted on a small graph under a tight
+/// latency limit, and the queue a total fault storm empties.
+#[test]
+fn a_search_that_ran_dry_resumes_to_its_own_end() {
+    use magis::core::optimizer::StopReason;
+    use magis::models::mlp::{mlp, MlpConfig};
+    use magis_util::fault::{FaultPlan, FaultSite};
+    // 54 evaluations in 13 expansions.
+    let small = mlp(&MlpConfig { batch: 16, input: 32, hidden: 32, layers: 2, ..Default::default() });
+    let storm = FaultPlan::new(99).with_rate(FaultSite::EvalPanic, 1.0);
+    for (stop, g, limit, faults) in [
+        (StopReason::QueueExhausted, small.graph, 1.0, None),
+        (StopReason::FaultStorm, Workload::UNet.build(0.15).graph, 1.25, Some(storm)),
+    ] {
+        let seed = MState::initial(g.clone(), &EvalContext::default());
+        let path = scratch(&format!("dry_{stop}"));
+        let mut cfg = capped(Objective::MinMemory { lat_limit: seed.eval.latency * limit }, 20_000, 1)
+            .with_checkpoint(CheckpointPolicy::new(path.clone()).with_every(usize::MAX));
+        cfg.fault_plan = faults;
+        let full = optimizer::optimize(g, &cfg);
+        assert_eq!(full.stats.stop_reason, stop);
+        let ckpt = SearchCheckpoint::read_from(&path).expect("final checkpoint parses");
+        assert!(ckpt.frontier.is_empty(), "{stop}: the queue ran dry");
+        let resumed = optimizer::resume(&ckpt, &cfg).expect("resume succeeds");
+        assert!(resumed.stats.resumed);
+        assert_eq!(
+            (fingerprint(&resumed), resumed.stats.stop_reason),
+            (fingerprint(&full), stop),
+            "resuming a finished search searched again"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 /// A search under `driver` to `limit` evaluations (stops fall on
 /// expansion boundaries only) that writes a frontier checkpoint at
 /// every boundary and when it stops. The evaluation cache is off: a
@@ -285,7 +323,7 @@ fn frontier_search(driver: DriverKind, objective: Objective, limit: usize, path:
         .with_driver(driver)
         .with_eval_cache(0)
         .with_search_budget(SearchBudget::UNLIMITED.with_candidate_limit(limit))
-        .with_checkpoint(CheckpointPolicy::new(path).with_every(1).with_frontier(true))
+        .with_checkpoint(CheckpointPolicy::new(path).with_every(1))
 }
 
 /// The served jobs' objective: least memory within 1.10 × the
@@ -360,6 +398,32 @@ fn mcts_checkpoint_bytes_do_not_depend_on_storage_sharing() {
     // kind of incumbent a checkpoint stores with its F-Tree, and that
     // a resumed run has to store with it again.
     assert!(!at_kill.best.ftree_nodes.is_empty());
+}
+
+/// An MCTS checkpoint is its tree: stripped of the `mcts` section it
+/// still decodes (the section is the format's last optional one), but
+/// resuming it is a typed error, not a search from a fresh tree.
+#[test]
+fn an_mcts_checkpoint_without_its_tree_does_not_resume() {
+    let g = Workload::UNet.build(0.1).graph;
+    let path = scratch("mcts_treeless");
+    let cfg = frontier_search(DriverKind::Mcts, least_memory(&g), 24, &path);
+    optimizer::optimize(g, &cfg);
+    let text = std::fs::read_to_string(&path).expect("final checkpoint");
+    let _ = std::fs::remove_file(&path);
+    let treeless: String = text
+        .lines()
+        .filter(|l| !l.starts_with("mcts ") && !l.starts_with("m "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(treeless.len() < text.len(), "the checkpoint had a tree");
+    let ckpt = SearchCheckpoint::decode(&treeless).expect("still a checkpoint");
+    assert!(ckpt.driver == DriverKind::Mcts && ckpt.mcts.is_none() && !ckpt.frontier.is_empty());
+    match optimizer::resume(&ckpt, &cfg) {
+        Err(CheckpointError::Parse { msg, .. }) => assert!(msg.contains("tree"), "{msg}"),
+        Err(e) => panic!("expected a parse error, got {e}"),
+        Ok(res) => panic!("a treeless MCTS checkpoint searched {} candidates", res.stats.evaluated),
+    }
 }
 
 /// The frontier checkpoints the mutation property below starts from

@@ -1,6 +1,7 @@
 //! The protocol boundary of the one front door: a spec that names
-//! something unknown is refused before admission, and specs journaled
-//! by earlier daemons still read back byte for byte.
+//! something unknown, or carries a graph record that does not decode,
+//! is refused before admission, and specs journaled by earlier daemons
+//! still read back byte for byte.
 
 use magis::obs::json::Json;
 use magis::serve::{Client, JobSpec, ServeConfig, ServeError, Server};
@@ -28,7 +29,7 @@ fn a_spec_that_can_never_run_is_refused_at_once_and_never_admitted() {
     let join = std::thread::spawn(move || server.run());
     let mut c = Client::connect(handle.addr()).expect("connect");
 
-    let counters = ["magis_serve_jobs_accepted", "magis_serve_retries", "magis_serve_jobs_failed"];
+    let counters = ["magis_serve_jobs_accepted", "magis_serve_jobs_failed"];
     let before = c.metrics().expect("metrics");
     let ok = JobSpec { workload: Some("unet".into()), ..JobSpec::default() };
     for (bad, what) in [
@@ -36,6 +37,7 @@ fn a_spec_that_can_never_run_is_refused_at_once_and_never_admitted() {
         (JobSpec { workload: Some("hal9000".into()), ..ok.clone() }, "unknown workload"),
         (JobSpec { backend: Some("abacus".into()), ..ok.clone() }, "unknown backend"),
         (JobSpec { strategy: Some("quantum".into()), ..ok.clone() }, "unknown strategy"),
+        (JobSpec { workload: None, graph: Some("garbage".into()), ..ok.clone() }, "parsing graph record"),
     ] {
         // A 400 is the boundary's answer; a job that was admitted and
         // then failed ends in a `done` event instead.

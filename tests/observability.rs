@@ -153,7 +153,7 @@ fn published_counters_equal_the_stats_they_are_projected_from() {
     let path = std::env::temp_dir().join(format!("magis_obs_ledger_{}.ckpt", std::process::id()));
     let per_threads = [1, 4].map(|threads| {
         default_registry().reset();
-        let policy = CheckpointPolicy::new(path.clone()).with_every(16).with_frontier(true);
+        let policy = CheckpointPolicy::new(path.clone()).with_every(16);
         let killed = optimize(tg.graph.clone(), &cfg(40, threads).with_checkpoint(policy));
         let fresh = projected(&killed);
         assert!(fresh["magis_core_evaluated"] >= 40 && fresh["magis_core_checkpoints_written"] > 0);

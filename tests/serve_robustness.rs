@@ -320,6 +320,38 @@ fn drain_journals_interrupted_jobs_and_restart_completes_them() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
+/// A job whose run fails fails the same way every time, so it settles
+/// `failed` on its first attempt: one `run` span in its trace, one
+/// failure counted. The failure here is a corrupt checkpoint in a
+/// journaled job's directory, which the replay at start-up runs into.
+#[test]
+fn a_failed_job_settles_on_its_first_attempt() {
+    let state = scratch("fail_once");
+    let dir = journal::record_admission(&state, 1, &unet_spec(40)).expect("journaled");
+    std::fs::write(dir.join(journal::CKPT_FILE), "not a checkpoint\n").unwrap();
+    let failed = magis::obs::metrics::counter("magis_serve_jobs_failed");
+    let before = failed.get();
+
+    let (handle, join) =
+        start(ServeConfig { state_dir: state.clone(), workers: 1, ..ServeConfig::default() });
+    let st = wait_settled(handle.addr(), 1, Duration::from_secs(60));
+    assert_eq!(st.get("state").and_then(Json::as_str), Some("failed"));
+    let error = st.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(error.contains("loading checkpoint"), "{error}");
+    assert_eq!(failed.get(), before + 1);
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+
+    let trace = std::fs::read_to_string(dir.join(magis::serve::server::TRACE_FILE)).expect("trace");
+    let runs = trace
+        .lines()
+        .filter_map(|l| magis::obs::trace::TraceEvent::parse_line(l).ok())
+        .filter(|ev| ev.target == "magis_serve" && ev.name == "run")
+        .count();
+    assert_eq!(runs, 1, "the job ran more than once:\n{trace}");
+    let _ = std::fs::remove_dir_all(&state);
+}
+
 /// The headline crash-safety contract: `kill -9` the daemon mid-job,
 /// restart it on the same state directory, and the journal replay
 /// resumes the search from its last checkpoint to a result
