@@ -6,19 +6,21 @@
 //! dependencies (the repo is fully offline). Floating-point values are
 //! stored as bit patterns (`f64::to_bits` in hex) so a checkpoint
 //! round-trip is bit-exact and resume preserves determinism. A state
-//! — the incumbent, and each frontier entry — is one [`StateRecord`]:
-//! **two** graph records plus the exact schedule, its base graph and
-//! the overlaid (fission-applied) graph that was actually simulated.
-//! On resume the stored schedule is
-//! re-simulated rather than re-scheduled — re-scheduling could land on
-//! a different (worse) evaluation than the one that won incumbency.
+//! — the incumbent, and each frontier entry — is one [`StateRecord`],
+//! what an M-State is: its base graph's record, its F-Tree, the tree's
+//! staleness and the exact schedule. The overlaid (fission-applied)
+//! graph that schedule runs on is derived, not stored: restoring
+//! builds it from the base graph and the tree, as the search does. The
+//! stored schedule is then re-simulated rather than re-scheduled —
+//! re-scheduling could land on a different (worse) evaluation than the
+//! one that won incumbency.
 //!
 //! The states of one search are a rewrite or two apart, so their graph
 //! records are almost the same lines. A checkpoint — in memory and in
 //! the file alike — holds every distinct record line once, in its
-//! `lines` table, and a state's two records as indices into it
-//! (consecutive indices as `first-last` in the file); restoring puts a
-//! record's text back together and hands it to the one record parser
+//! `lines` table, and a state's record as indices into it (consecutive
+//! indices as `first-last` in the file); restoring puts a record's
+//! text back together and hands it to the one record parser
 //! ([`magis_graph::io::from_record`]). The table is numbered by the
 //! text of a line ([`RecordLines`]) and the file lists it in the order
 //! its sections first name a line, so the bytes are a function of the
@@ -26,12 +28,12 @@
 //! (DESIGN.md §5d).
 //!
 //! A checkpoint also carries the **frontier**: every entry still on
-//! the priority queue, each with its sequence number, staleness flag,
-//! and the same order/F-Tree/graph-record block as the incumbent. So
-//! every resume is *exact* — the queue, seen-set, and sequence counter
-//! are reconstructed verbatim, and a killed-and-resumed search replays
-//! the identical trajectory and finishes with the incumbent, counts
-//! and timeline of an uninterrupted run (given deterministic stopping,
+//! the priority queue, each with its sequence number and the same
+//! order/F-Tree/graph-record block as the incumbent. So every resume
+//! is *exact* — the queue, seen-set, and sequence counter are
+//! reconstructed verbatim, and a killed-and-resumed search replays the
+//! identical trajectory and finishes with the incumbent, counts and
+//! timeline of an uninterrupted run (given deterministic stopping,
 //! i.e. a candidate cap rather than wall clock; the evaluation cache
 //! is not stored, and with it on a Pareto point may differ in its last
 //! latency bit — see [`crate::optimizer`]). An empty frontier is a
@@ -56,8 +58,8 @@
 use crate::driver::DriverKind;
 use crate::fission::FissionSpec;
 use crate::ftree::{FTree, FTreeNode};
-use crate::state::{EvalContext, EvalError, MState};
-use magis_graph::graph::NodeId;
+use crate::state::{build_overlay_graph, evaluate_order, EvalContext, EvalError, MState};
+use magis_graph::graph::{Graph, NodeId};
 use magis_graph::io::{self, RecordError, RecordLines};
 use magis_graph::GraphView;
 use magis_sched::{validate_schedule, ScheduleError};
@@ -67,7 +69,7 @@ use std::fs;
 use std::path::Path;
 use std::str::FromStr;
 
-const CKPT_HEADER: &str = "magis-checkpoint v5";
+const CKPT_HEADER: &str = "magis-checkpoint v6";
 const CKPT_FOOTER: &str = "ckpt-end";
 
 /// Why loading or restoring a checkpoint failed.
@@ -161,33 +163,35 @@ pub struct CheckpointCounters {
 }
 
 /// One M-State as a checkpoint stores it — the incumbent and every
-/// frontier entry alike: the exact schedule, the F-Tree, and two graph
-/// records (the base graph and the overlaid graph that was simulated),
-/// each as the indices of its lines in the checkpoint's table
-/// ([`SearchCheckpoint::lines`]).
+/// frontier entry alike — which is what an M-State is (§3): its base
+/// graph (the indices of its record's lines in the checkpoint's table,
+/// [`SearchCheckpoint::lines`]), its F-Tree, whether that tree awaits
+/// re-analysis, and the exact schedule of its overlay. The overlay is
+/// not stored: restoring builds it from the base graph and the tree, as
+/// the search does.
 #[derive(Debug, Clone, Default)]
 pub struct StateRecord {
-    /// The state's schedule as arena indices into its eval graph.
+    /// The state's schedule as arena indices into its overlay.
     pub order: Vec<usize>,
-    /// The state's F-Tree nodes.
+    /// The state's F-Tree nodes; a stale tree's enabled nodes alone
+    /// ([`StateRecord::of`]).
     pub ftree_nodes: Vec<FTreeNode>,
+    /// Whether the F-Tree is re-analyzed before the state is expanded
+    /// ([`MState::tree_stale`]).
+    pub tree_stale: bool,
     /// Graph record of the state's base graph, line by line.
     pub base_record: Vec<u32>,
-    /// Graph record of the state's overlaid (simulated) graph.
-    pub eval_record: Vec<u32>,
 }
 
 /// One driver-frontier entry captured in a checkpoint: the state plus
-/// the bookkeeping (sequence number, staleness) needed to reconstruct
-/// the queue or tree verbatim.
+/// the sequence number needed to reconstruct the queue or tree
+/// verbatim.
 #[derive(Debug, Clone)]
 pub struct FrontierEntry {
     /// The entry's queue sequence number (FIFO tiebreak within equal
     /// objective keys — restoring it preserves pop order exactly) or
     /// MCTS node id.
     pub seq: u64,
-    /// Whether the state's F-Tree needed re-analysis before expansion.
-    pub tree_stale: bool,
     /// The entry's state.
     pub state: StateRecord,
 }
@@ -406,8 +410,8 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// `+`-joined list of usizes; `-` for empty.
-    fn plus(&self, tok: &str, what: &str) -> Result<Vec<usize>, CheckpointError> {
+    /// `+`-joined list of numbers; `-` for empty.
+    fn plus<T: FromStr>(&self, tok: &str, what: &str) -> Result<Vec<T>, CheckpointError> {
         if tok == "-" {
             return Ok(Vec::new());
         }
@@ -504,7 +508,7 @@ impl FrontierEntry {
     /// Captures `state` as the frontier entry numbered `seq`, its
     /// graphs recorded through the checkpoint's `lines`.
     pub fn of(seq: u64, state: &MState, lines: &mut RecordLines) -> FrontierEntry {
-        FrontierEntry { seq, tree_stale: state.tree_stale, state: StateRecord::of(state, lines) }
+        FrontierEntry { seq, state: StateRecord::of(state, lines) }
     }
 }
 
@@ -514,71 +518,102 @@ impl StateRecord {
     /// a checkpoint is recorded through it, so a node the states share
     /// is rendered once.
     ///
-    /// A stale F-Tree is stored as empty: a `tree_stale` state's tree
-    /// is discarded and rebuilt by analysis before any expansion, and
-    /// an inherited stale tree may dangle (a TASO rewrite can remove
-    /// base nodes its spec sets still reference), which would fail the
-    /// restore-time validation for a tree that never gets used.
+    /// A stale F-Tree is stored as its enabled nodes, in tree order,
+    /// with their parent and child links cleared. That is all of it
+    /// anything reads: the state's overlay applies those regions in
+    /// that order ([`FTree::enabled_order`]), and the analysis that
+    /// rebuilds the tree before the state is expanded keeps them and
+    /// nothing else of it ([`FTree::refreshed`]). The rest may not even
+    /// hold any more — a TASO rewrite can remove base nodes that a
+    /// disabled region still names.
     pub fn of(state: &MState, lines: &mut RecordLines) -> StateRecord {
+        let ftree_nodes = if state.tree_stale {
+            let enabled = state.ftree.nodes().iter().filter(|n| n.enabled());
+            enabled.map(|n| FTreeNode { parent: None, children: Vec::new(), ..n.clone() }).collect()
+        } else {
+            state.ftree.nodes().to_vec()
+        };
         StateRecord {
             order: state.eval.order.iter().map(|v| v.index()).collect(),
-            ftree_nodes: if state.tree_stale { Vec::new() } else { state.ftree.nodes().to_vec() },
+            ftree_nodes,
+            tree_stale: state.tree_stale,
             base_record: lines.record(&state.base),
-            eval_record: lines.record(&state.eval.graph),
         }
     }
 
-    /// Rebuilds the [`MState`]: both graph records restored and
-    /// re-validated, F-Tree references checked against the base graph,
-    /// the stored schedule validated against the eval graph
-    /// (topological order, exactly-once coverage) and re-simulated
-    /// under `ctx` to reproduce the evaluation. `lines` is the table the
-    /// records index ([`SearchCheckpoint::lines`]). The state comes
-    /// back `tree_stale`.
+    /// Rebuilds the [`MState`]: the base graph's record restored and
+    /// re-validated, the F-Tree checked against it, the overlay built
+    /// from the two as the search builds it ([`build_overlay_graph`]),
+    /// the stored schedule validated against the overlay (topological
+    /// order, exactly-once coverage) and re-simulated under `ctx` — not
+    /// re-scheduled: an incrementally scheduled order is not
+    /// reproducible from scratch. `lines` is the table the record
+    /// indexes ([`SearchCheckpoint::lines`]).
     ///
     /// # Errors
     ///
-    /// Any corruption — dangling edges, a schedule that no longer
-    /// topo-sorts the graph, defective re-simulated costs — surfaces
-    /// as a typed [`CheckpointError`].
+    /// Any corruption — dangling edges, a region the base graph does
+    /// not have, a schedule that does not topo-sort the overlay,
+    /// defective re-simulated costs — surfaces as a typed
+    /// [`CheckpointError`].
     pub fn restore(&self, lines: &[String], ctx: &EvalContext) -> Result<MState, CheckpointError> {
-        // A record goes to its parser as the text it is the lines of.
-        let graph = |rec: &[u32]| {
-            let mut text = String::new();
-            for &i in rec {
-                let line = lines.get(i as usize).ok_or_else(|| CheckpointError::Parse {
-                    line: 0,
-                    msg: format!("a graph record names line {i} of a table of {}", lines.len()),
-                })?;
-                text.push_str(line);
-                text.push('\n');
-            }
-            Ok::<_, CheckpointError>(io::from_record(&text)?)
-        };
-        let base = graph(&self.base_record)?;
-        let eval_graph = graph(&self.eval_record)?;
-        for (i, n) in self.ftree_nodes.iter().enumerate() {
-            if let Some(&v) = n.spec.set.iter().find(|v| !base.contains(**v)) {
-                return Err(CheckpointError::Parse {
-                    line: 0,
-                    msg: format!("ftree node {i} references node {v} absent from the base graph"),
-                });
-            }
+        // The record goes to its parser as the text it is the lines of.
+        let mut text = String::new();
+        for &i in &self.base_record {
+            let line = lines.get(i as usize).ok_or_else(|| CheckpointError::Parse {
+                line: 0,
+                msg: format!("a graph record names line {i} of a table of {}", lines.len()),
+            })?;
+            text.push_str(line);
+            text.push('\n');
         }
-        let order: Vec<NodeId> = self.order.iter().map(|&i| NodeId::from_index(i)).collect();
-        validate_schedule(&eval_graph, &order)?;
+        let base = io::from_record(&text)?;
+        self.check_tree(&base)?;
         let ftree = FTree::from_nodes(self.ftree_nodes.clone());
-        Ok(MState::resume(base, ftree, eval_graph, order, ctx)?)
+        let graph = build_overlay_graph(&base, &ftree).map_err(EvalError::from)?;
+        let order: Vec<NodeId> = self.order.iter().map(|&i| NodeId::from_index(i)).collect();
+        validate_schedule(&graph, &order)?;
+        let eval = evaluate_order(&base, graph, order, None, None, ctx)?;
+        Ok(MState { base, ftree, eval, tree_stale: self.tree_stale })
     }
 
-    /// The `order` and `ftree` sections. (The incumbent's two halves
-    /// sit apart in the file — frontier and MCTS sections between —
-    /// a frontier entry's follow each other.)
+    /// Checks the F-Tree against the base graph before any of it is
+    /// applied: each node a region names is live and has the dimension
+    /// chosen for it, and no part count is past what the tree's
+    /// mutations reach — the smallest extent of the region's split
+    /// output dimensions, or 2 when it splits reduce axes only
+    /// (`Enable` and `Lift` set 2, `Mutate` steps up to a divisor of
+    /// that extent), so no hostile count reaches the overlay's
+    /// arithmetic.
+    fn check_tree(&self, base: &Graph) -> Result<(), CheckpointError> {
+        for (i, n) in self.ftree_nodes.iter().enumerate() {
+            let bad = |msg: String| CheckpointError::Parse { line: 0, msg: format!("ftree node {i}: {msg}") };
+            let mut most = None;
+            for (&v, &d) in &n.spec.dims {
+                let node = base.slot(v.index()).ok_or_else(|| bad(format!("{v} is not in the base graph")))?;
+                let rank = node.meta.shape.rank();
+                if d > 0 && d as usize <= rank {
+                    let extent = node.meta.shape.dim(d as usize - 1);
+                    most = Some(most.map_or(extent, |m: u64| m.min(extent)));
+                } else if d >= 0 || d.unsigned_abs() as usize > node.op.num_reduce_axes() {
+                    return Err(bad(format!("{v} has no dimension {d}")));
+                }
+            }
+            if n.spec.parts == 0 || n.spec.parts > most.unwrap_or(2) {
+                return Err(bad(format!("{} parts", n.spec.parts)));
+            }
+        }
+        Ok(())
+    }
+
+    /// The `order` and `ftree` sections. (The incumbent's base graph
+    /// sits apart from them in the file — frontier and MCTS sections
+    /// between — a frontier entry's follows them.)
     fn encode_schedule(&self, out: &mut String) {
         encode_chunked(out, "order", 'o', self.order.len(), self.order.iter(), |out, i| {
             let _ = write!(out, "{i}");
         });
-        out.push_str(&format!("ftree {}\n", self.ftree_nodes.len()));
+        out.push_str(&format!("ftree {} {}\n", self.ftree_nodes.len(), self.tree_stale as u8));
         for n in &self.ftree_nodes {
             let dims: Vec<String> =
                 n.spec.dims.iter().map(|(v, d)| format!("{}:{}", v.index(), d)).collect();
@@ -599,46 +634,45 @@ impl StateRecord {
             order.push(c.num(tok, "order index")?);
             Ok(())
         })?;
-        let nf = cur.count("ftree")?;
+        let t = cur.kv("ftree", 2)?;
+        let nf: usize = cur.num(t[0], "ftree")?;
+        self.tree_stale = cur.flag(t[1], "ftree staleness")?;
         for _ in 0..nf {
             let t = cur.kv("f", 6)?;
-            let set = cur.plus(cur.field(t[4], "set")?, "set node")?;
+            // Node ids are `u32`s: a larger number names no node, and
+            // must not wrap around to one.
+            let named: Vec<u32> = cur.plus(cur.field(t[4], "set")?, "set node")?;
+            let set: BTreeSet<NodeId> = named.iter().map(|&v| NodeId::from_index(v as usize)).collect();
             let mut dims: BTreeMap<NodeId, i32> = BTreeMap::new();
             let dims_tok = cur.field(t[5], "dims")?;
-            for pair in dims_tok.split('+').filter(|_| dims_tok != "-") {
+            let pairs = if dims_tok == "-" { Vec::new() } else { dims_tok.split('+').collect() };
+            for pair in &pairs {
                 let (v, d) = pair
                     .split_once(':')
                     .ok_or_else(|| cur.err(format!("bad dims pair '{pair}'")))?;
-                dims.insert(NodeId::from_index(cur.num(v, "dims node")?), cur.num(d, "dims value")?);
+                let v: u32 = cur.num(v, "dims node")?;
+                dims.insert(NodeId::from_index(v as usize), cur.num(d, "dims value")?);
+            }
+            // A region's dims choose one dimension for each of its
+            // nodes, and for nothing else.
+            if set.len() != named.len() || dims.len() != pairs.len() || !dims.keys().eq(&set) {
+                return Err(cur.err("the set and dims of an ftree node name different nodes".into()));
             }
             self.ftree_nodes.push(FTreeNode {
-                spec: FissionSpec {
-                    set: set.into_iter().map(NodeId::from_index).collect::<BTreeSet<_>>(),
-                    dims,
-                    parts: cur.num(t[2], "parts")?,
-                },
+                spec: FissionSpec { set, dims, parts: cur.num(t[2], "parts")? },
                 parent: cur.opt_num(t[0], "parent")?,
                 children: cur.plus(cur.field(t[3], "ch")?, "child index")?,
                 level: cur.num(t[1], "level")?,
             });
         }
-        // Parent/children indices must stay inside the forest.
+        // A node hangs under an earlier one (`FTree` appends each node
+        // under a node it already has), so the links stay inside the
+        // forest and close no cycle.
         for (i, n) in self.ftree_nodes.iter().enumerate() {
-            if let Some(&j) = n.parent.iter().chain(&n.children).find(|&&j| j >= nf) {
-                return Err(cur.err(format!("ftree node {i} references out-of-range node {j}")));
+            if n.parent.is_some_and(|p| p >= i) || n.children.iter().any(|&c| c <= i || c >= nf) {
+                return Err(cur.err(format!("ftree node {i} links to a node that is not below it")));
             }
         }
-        Ok(())
-    }
-
-    fn encode_graphs(&self, out: &mut String, lines: &mut FileLines) {
-        lines.encode_graph(out, "base-graph", &self.base_record);
-        lines.encode_graph(out, "eval-graph", &self.eval_record);
-    }
-
-    fn decode_graphs(&mut self, cur: &mut Cursor<'_>, named: &mut NamedLines) -> Result<(), CheckpointError> {
-        self.base_record = cur.graph("base-graph", named)?;
-        self.eval_record = cur.graph("eval-graph", named)?;
         Ok(())
     }
 }
@@ -691,9 +725,9 @@ impl SearchCheckpoint {
         states.push_str(&format!("next_seq {}\n", self.next_seq));
         states.push_str(&format!("frontier {}\n", self.frontier.len()));
         for e in &self.frontier {
-            states.push_str(&format!("entry {} {}\n", e.seq, e.tree_stale as u8));
+            states.push_str(&format!("entry {}\n", e.seq));
             e.state.encode_schedule(&mut states);
-            e.state.encode_graphs(&mut states, &mut lines);
+            lines.encode_graph(&mut states, "base-graph", &e.state.base_record);
         }
         if let Some(m) = &self.mcts {
             states.push_str(&format!("mcts {} {:016x}\n", m.nodes.len(), m.rng_state));
@@ -708,7 +742,7 @@ impl SearchCheckpoint {
                 ));
             }
         }
-        self.best.encode_graphs(&mut states, &mut lines);
+        lines.encode_graph(&mut states, "base-graph", &self.best.base_record);
         let _ = writeln!(out, "lines {}", lines.named.len());
         for &line in &lines.named {
             let _ = writeln!(out, "l {}", self.lines[line as usize]);
@@ -776,14 +810,10 @@ impl SearchCheckpoint {
         let t = cur.kv("next_seq", 1)?;
         ck.next_seq = cur.num(t[0], "next_seq")?;
         for _ in 0..cur.count("frontier")? {
-            let t = cur.kv("entry", 2)?;
-            let mut e = FrontierEntry {
-                seq: cur.num(t[0], "entry seq")?,
-                tree_stale: cur.flag(t[1], "entry staleness")?,
-                state: StateRecord::default(),
-            };
+            let t = cur.kv("entry", 1)?;
+            let mut e = FrontierEntry { seq: cur.num(t[0], "entry seq")?, state: StateRecord::default() };
             e.state.decode_schedule(&mut cur)?;
-            e.state.decode_graphs(&mut cur, &mut named)?;
+            e.state.base_record = cur.graph("base-graph", &mut named)?;
             ck.frontier.push(e);
         }
         // An optional MCTS tree section follows the frontier.
@@ -803,7 +833,7 @@ impl SearchCheckpoint {
             }
             ck.mcts = Some(m);
         }
-        ck.best.decode_graphs(&mut cur, &mut named)?;
+        ck.best.base_record = cur.graph("base-graph", &mut named)?;
 
         let footer = cur.next()?;
         if footer.trim() != CKPT_FOOTER {
@@ -851,9 +881,8 @@ impl SearchCheckpoint {
 
     /// Rebuilds the checkpointed frontier: every entry is restored
     /// through the same validation/re-simulation pipeline as the
-    /// incumbent, with its checkpointed staleness flag and sequence
-    /// number reinstated. Returns `(seq, state)` pairs in stored
-    /// (sequence) order; empty for a finished search.
+    /// incumbent. Returns `(seq, state)` pairs in stored (sequence)
+    /// order; empty for a finished search.
     ///
     /// # Errors
     ///
@@ -861,18 +890,7 @@ impl SearchCheckpoint {
     /// [`CheckpointError`] — a partially restored frontier would
     /// silently diverge from the checkpointed trajectory.
     pub fn restore_frontier(&self, ctx: &EvalContext) -> Result<Vec<(u64, MState)>, CheckpointError> {
-        self.frontier
-            .iter()
-            .map(|e| {
-                let mut state = e.state.restore(&self.lines, ctx)?;
-                // A frontier entry must come back with the exact flag
-                // it was queued with, or the resumed expansion would
-                // re-analyze where the original didn't (diverging the
-                // trajectory).
-                state.tree_stale = e.tree_stale;
-                Ok((e.seq, state))
-            })
-            .collect()
+        self.frontier.iter().map(|e| Ok((e.seq, e.state.restore(&self.lines, ctx)?))).collect()
     }
 }
 
@@ -916,7 +934,7 @@ mod tests {
 
     /// A frontier entry holding the incumbent's state once more.
     fn frontier_entry_of(c: &SearchCheckpoint, seq: u64, tree_stale: bool) -> FrontierEntry {
-        FrontierEntry { seq, tree_stale, state: c.best.clone() }
+        FrontierEntry { seq, state: StateRecord { tree_stale, ..c.best.clone() } }
     }
 
     #[test]
@@ -936,7 +954,7 @@ mod tests {
         assert_eq!(d.best.order, c.best.order);
         assert_eq!(d.lines, c.lines);
         assert_eq!(d.best.base_record, c.best.base_record);
-        assert_eq!(d.best.eval_record, c.best.eval_record);
+        assert_eq!(d.best.tree_stale, c.best.tree_stale);
         // Re-encoding the decoded checkpoint is byte-identical.
         assert_eq!(d.encode(), text);
     }
@@ -953,9 +971,9 @@ mod tests {
         assert_eq!(d.next_seq, 7);
         assert_eq!(d.frontier.len(), 2);
         assert_eq!(d.frontier[0].seq, 2);
-        assert!(d.frontier[0].tree_stale);
+        assert!(d.frontier[0].state.tree_stale);
         assert_eq!(d.frontier[1].seq, 5);
-        assert!(!d.frontier[1].tree_stale);
+        assert!(!d.frontier[1].state.tree_stale);
         assert_eq!(d.encode(), text, "frontier re-encode is byte-identical");
         let restored = d.restore_frontier(&ctx).unwrap();
         assert_eq!(restored.len(), 2);
@@ -964,7 +982,7 @@ mod tests {
         assert!(st.tree_stale);
         assert_eq!(st.eval.latency.to_bits(), s.eval.latency.to_bits());
         assert_eq!(st.eval.peak_bytes, s.eval.peak_bytes);
-        // The staleness flag is reinstated verbatim, not forced on.
+        // The staleness flag comes back as stored, not forced on.
         assert!(!restored[1].1.tree_stale);
         // A corrupt frontier entry fails the whole restore.
         let mut bad = d.clone();
@@ -982,7 +1000,7 @@ mod tests {
         assert_eq!(restored.eval.latency.to_bits(), s.eval.latency.to_bits());
         assert_eq!(restored.eval.peak_bytes, s.eval.peak_bytes);
         assert_eq!(restored.eval.order, s.eval.order);
-        assert!(restored.tree_stale, "resume must re-analyze the F-Tree");
+        assert!(restored.tree_stale, "a stale seed comes back stale");
         restored.base.validate().unwrap();
         restored.eval.graph.validate().unwrap();
     }
@@ -1028,10 +1046,10 @@ mod tests {
     fn decode_rejects_corruption() {
         let s = small_state();
         let text = checkpoint_of(&s).encode();
-        // Bad header: the four retired formats, a version from the
+        // Bad header: the five retired formats, a version from the
         // future and a non-checkpoint first line are refused by name,
         // not parsed.
-        let versions = [1, 2, 3, 4, 9].map(|v| format!("magis-checkpoint v{v}"));
+        let versions = [1, 2, 3, 4, 5, 9].map(|v| format!("magis-checkpoint v{v}"));
         for header in versions.iter().map(String::as_str).chain(["\u{7f}ELF garbage"]) {
             let err = SearchCheckpoint::decode(&text.replacen(CKPT_HEADER, header, 1))
                 .expect_err("old or unknown header decoded");
@@ -1055,7 +1073,7 @@ mod tests {
         assert!(err.is_err());
         // So is a record that names a line the table does not have.
         let mut c = checkpoint_of(&s);
-        c.best.eval_record[1] = c.lines.len() as u32;
+        c.best.base_record[1] = c.lines.len() as u32;
         assert!(matches!(c.restore_state(&EvalContext::default()), Err(CheckpointError::Parse { .. })));
         // A duplicated schedule entry is caught at restore.
         let mut c = checkpoint_of(&s);

@@ -44,12 +44,13 @@ pub fn optimize_from(init: MState, cfg: &OptimizerConfig) -> OptimizeResult {
 }
 
 /// Continues a search from a [`SearchCheckpoint`]: the incumbent is
-/// restored (both graphs re-validated, its schedule re-checked and
-/// re-simulated), the driver frontier / seen-set / quarantine /
-/// counters are reloaded verbatim, and the search resumes under the
-/// **caller's** config — budget, thread count, and objective are taken
-/// from `cfg`, not from the checkpoint. A checkpoint whose frontier is
-/// empty holds a finished search, and resumes to its end.
+/// restored (its base graph re-validated, its overlay rebuilt, its
+/// schedule re-checked and re-simulated), the driver frontier /
+/// seen-set / quarantine / counters are reloaded verbatim, and the
+/// search resumes under the **caller's** config — budget, thread
+/// count, and objective are taken from `cfg`, not from the checkpoint.
+/// A checkpoint whose frontier is empty holds a finished search, and
+/// resumes to its end.
 ///
 /// # Errors
 ///
@@ -119,11 +120,6 @@ fn run_search(
             expanded = from.counters.expanded,
             evaluated = from.counters.evaluated,
         );
-        // The incumbent is not expanded again (the driver holds its
-        // own frontier), only checkpointed: give it back the staleness
-        // it was stored with — a stale tree is stored as empty — so
-        // that later checkpoints store it as an uninterrupted run does.
-        init.tree_stale = init.ftree.nodes().is_empty();
     } else {
         // A fresh seed is analyzed up front so that the incumbent
         // carries its F-Tree from the start.

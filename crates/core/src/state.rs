@@ -25,7 +25,7 @@ use magis_sched::{
 };
 pub use magis_sched::schedule::place_swaps;
 use magis_sim::{
-    Backend, CostError, CostModel, Lifetimes, MemObjective, MemoryPlan, PerfCache,
+    Backend, CostError, CostModel, Lifetimes, MemObjective, MemoryPlan, MemoryProfile, PerfCache,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -354,56 +354,6 @@ impl MState {
             Err(_) => self.clone(),
         }
     }
-
-    /// Rebuilds a state from checkpointed parts: the base graph, its
-    /// F-Tree, the overlaid graph that was actually simulated, and the
-    /// exact schedule it was simulated under. The stored order is
-    /// **re-simulated, not re-scheduled** — checkpointed incumbents may
-    /// have been found through incremental scheduling, and a fresh full
-    /// schedule could land on a different (worse) evaluation. The
-    /// F-Tree is marked stale so resume re-analyzes before expanding.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the stored order does not cover `graph`
-    /// or the re-simulation produces defective costs.
-    pub fn resume(
-        base: Graph,
-        ftree: FTree,
-        graph: Graph,
-        order: Vec<NodeId>,
-        ctx: &EvalContext,
-    ) -> Result<MState, EvalError> {
-        let (profile, lifetimes) = magis_sim::memory_profile_lifetimes(&graph, &order)?;
-        let plan = match ctx.mem_objective {
-            MemObjective::Planned => {
-                Some(magis_sim::plan_from_lifetimes(&graph, &order, &lifetimes)?)
-            }
-            MemObjective::Liveness => None,
-        };
-        let ev = magis_sim::evaluate_with_plan(
-            &graph,
-            &order,
-            ctx.perf.as_ref(),
-            profile,
-            plan.as_ref(),
-        )?;
-        let hotspots_base = project_to_base(&base, &ev.memory.hotspots);
-        let eval = Eval {
-            graph,
-            order,
-            latency: ev.latency,
-            peak_bytes: ev.peak_bytes,
-            hotspots_base,
-            lifetimes,
-            plan,
-            inc: None,
-            reach: Arc::default(),
-            positions: Arc::default(),
-            scale_edits: Arc::default(),
-        };
-        Ok(MState { base, ftree, eval, tree_stale: true })
-    }
 }
 
 /// Builds the overlay graph of `base` + `ftree`.
@@ -500,10 +450,27 @@ pub(crate) fn evaluate_overlay(
             (place_swaps(&g, &order, ctx.perf.as_ref()), None, None)
         }
     };
+    evaluate_order(base, g, placed, measured, inc_info, ctx)
+}
+
+/// The evaluation of `order` on `g`, the overlay of `base`: the memory
+/// profile and tensor lifetimes of the order (unless the scheduler
+/// `measured` them), its plan under [`MemObjective::Planned`], the
+/// simulation, and the hot-spots restricted to `base`. A candidate's
+/// evaluation ends here, and so does a checkpointed state's, whose
+/// stored order is re-simulated rather than re-scheduled.
+pub(crate) fn evaluate_order(
+    base: &Graph,
+    g: Graph,
+    order: Vec<NodeId>,
+    measured: Option<(MemoryProfile, Lifetimes, Option<MemoryPlan>)>,
+    inc: Option<IncrementalEvalInfo>,
+    ctx: &EvalContext,
+) -> Result<Eval, EvalError> {
     let (profile, lifetimes, plan) = match measured {
         Some(m) => m,
         None => {
-            let (profile, lifetimes) = magis_sim::memory_profile_lifetimes(&g, &placed)?;
+            let (profile, lifetimes) = magis_sim::memory_profile_lifetimes(&g, &order)?;
             (profile, lifetimes, None)
         }
     };
@@ -512,21 +479,22 @@ pub(crate) fn evaluate_overlay(
     // liveness checkpoint) plans here.
     let plan = match plan {
         Some(plan) => Some(plan),
-        None if planned => Some(magis_sim::plan_from_lifetimes(&g, &placed, &lifetimes)?),
+        None if ctx.mem_objective == MemObjective::Planned => {
+            Some(magis_sim::plan_from_lifetimes(&g, &order, &lifetimes)?)
+        }
         None => None,
     };
-    let ev =
-        magis_sim::evaluate_with_plan(&g, &placed, ctx.perf.as_ref(), profile, plan.as_ref())?;
+    let ev = magis_sim::evaluate_with_plan(&g, &order, ctx.perf.as_ref(), profile, plan.as_ref())?;
     let hotspots_base = project_to_base(base, &ev.memory.hotspots);
     Ok(Eval {
         graph: g,
-        order: placed,
+        order,
         latency: ev.latency,
         peak_bytes: ev.peak_bytes,
         hotspots_base,
         lifetimes,
         plan,
-        inc: inc_info,
+        inc,
         reach: Arc::default(),
         positions: Arc::default(),
         scale_edits: Arc::default(),

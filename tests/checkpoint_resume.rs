@@ -3,14 +3,17 @@
 //! checkpoint to a valid incumbent no worse than the checkpointed one.
 
 use magis::core::budget::SearchBudget;
-use magis::core::checkpoint::{CheckpointError, SearchCheckpoint};
+use magis::core::checkpoint::{CheckpointError, SearchCheckpoint, StateRecord};
 use magis::core::driver::DriverKind;
+use magis::core::ftree::FTreeMutation;
 use magis::core::optimizer::{self, CheckpointPolicy, Objective, OptimizerConfig};
+use magis::core::rules::{self, RuleConfig, Transform};
+use magis::graph::io::{self, RecordLines};
 use magis::prelude::*;
 use magis::sched::validate_schedule;
 use magis::sim::MemObjective;
 use magis_util::prop::prelude::*;
-use magis_util::rng::{Rng, SmallRng};
+use magis_util::rng::{Rng, SeedableRng, SmallRng};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -274,6 +277,99 @@ fn deep_frontier_resume_is_exact_up_to_the_cold_eval_cache() {
     }
 }
 
+/// A stale state's F-Tree is part of the state: the enabled regions it
+/// holds are what its overlay applies, and what the analysis before its
+/// expansion keeps. BERT's search queues such states — a remat or TASO
+/// child of a fission child — and a checkpoint that stored their trees
+/// as nothing resumed into another search: killed at 303 evaluations,
+/// it ended at 618 evaluated, 17 expanded and 311,394,372 B, where the
+/// uninterrupted run ends at 610, 32 and 295,856,196 B.
+#[test]
+fn a_resumed_search_keeps_the_regions_of_its_stale_states() {
+    let g = Workload::BertBase.build(0.25).graph;
+    let init = MState::initial(g.clone(), &EvalContext::default());
+    let obj = Objective::MinMemory { lat_limit: init.eval.latency * 1.25 };
+    let search = |limit: usize| {
+        capped(obj, usize::MAX, 1)
+            .with_eval_cache(0)
+            .with_search_budget(SearchBudget::UNLIMITED.with_candidate_limit(limit))
+    };
+    let path = scratch("stale_regions");
+    let policy = CheckpointPolicy::new(path.clone()).with_every(usize::MAX);
+    let killed = optimizer::optimize(g.clone(), &search(300).with_checkpoint(policy));
+    let ckpt = SearchCheckpoint::read_from(&path).expect("checkpoint parses");
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        ckpt.frontier.iter().any(|e| e.state.tree_stale && !e.state.ftree_nodes.is_empty()),
+        "the kill leaves stale states with enabled regions on the queue"
+    );
+    let target = killed.stats.evaluated + 300;
+    let full = optimizer::optimize(g, &search(target));
+    let resumed = optimizer::resume(&ckpt, &search(target)).expect("resume succeeds");
+    assert_eq!(fingerprint(&full), fingerprint(&resumed));
+}
+
+/// `StateRecord::of` then `restore` gives back what the search reads of
+/// a state. Seeded lineages alternate F-Tree steps (Enable, Lift,
+/// Mutate) with remat, swap and TASO rewrites, so they pass through the
+/// states a checkpoint once lost: stale children of fission children,
+/// whose tree was stored as nothing. Every state comes back with the
+/// same overlay, schedule, cost bits, plan and staleness, and — analyzed
+/// as its expansion analyzes it — the same F-Tree and candidate list.
+#[test]
+fn every_state_of_a_rewrite_lineage_comes_back_from_its_record() {
+    let ctx = EvalContext { mem_objective: MemObjective::Planned, ..EvalContext::default() };
+    let rule_cfg = RuleConfig::default();
+    let evaluated = |s: &MState| {
+        let e = &s.eval;
+        (io::to_record(&e.graph), e.order.clone(), e.peak_bytes, e.latency.to_bits(), e.plan.clone(), s.tree_stale)
+    };
+    let mut stale_with_regions = 0;
+    for (w, scale) in [(Workload::UNet, 0.15), (Workload::BertBase, 0.25), (Workload::ResNet50, 0.1)] {
+        let seed_state = MState::initial(w.build(scale).graph, &ctx);
+        for seed in 0..3 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut state = seed_state.clone();
+            for step in 0..12 {
+                let what = format!("{w:?}@{scale} seed {seed} step {step}");
+                let mut lines = RecordLines::default();
+                let record = StateRecord::of(&state, &mut lines);
+                let mut back = record.restore(&lines.into_lines(), &ctx).expect(&what);
+                assert!(evaluated(&state) == evaluated(&back), "{what}: evaluation");
+                stale_with_regions += usize::from(state.tree_stale && state.ftree.nodes().iter().any(|n| n.enabled()));
+                if state.tree_stale {
+                    state.analyze(4);
+                    back.analyze(4);
+                }
+                let tree = |s: &MState| format!("{:?}", s.ftree.nodes());
+                assert_eq!(tree(&state), tree(&back), "{what}: F-Tree");
+                let candidates = rules::generate(&state, &rule_cfg);
+                assert_eq!(candidates, rules::generate(&back, &rule_cfg), "{what}: candidates");
+
+                let fission = step % 2 == 0;
+                let mut pool: Vec<&Transform> = candidates
+                    .iter()
+                    .filter(|t| match t {
+                        Transform::FTree(m) => fission && !matches!(m, FTreeMutation::Disable(_)),
+                        Transform::Remat { .. } | Transform::Swap { .. } | Transform::Taso(_) => !fission,
+                        _ => false,
+                    })
+                    .collect();
+                let mut child = None;
+                while child.is_none() && !pool.is_empty() {
+                    let t = pool.swap_remove(rng.gen_range(0..pool.len()));
+                    child = rules::apply(&state, t).ok().and_then(|a| MState::from_applied(a, &state, &ctx).ok());
+                }
+                match child {
+                    Some(c) => state = c,
+                    None => break,
+                }
+            }
+        }
+    }
+    assert!(stale_with_regions > 0, "no lineage reached a stale state with an enabled region");
+}
+
 /// A search that ran dry leaves a final checkpoint with an empty
 /// frontier. Resuming it is resuming a finished search: it ends at once,
 /// where the uninterrupted run ended — same incumbent, counts, Pareto
@@ -394,9 +490,8 @@ fn mcts_checkpoint_bytes_do_not_depend_on_storage_sharing() {
         Workload::BertBase.build(0.1).graph,
         (100, 160),
     );
-    // This kill falls where the incumbent is a fission child: the one
-    // kind of incumbent a checkpoint stores with its F-Tree, and that
-    // a resumed run has to store with it again.
+    // This kill falls where the incumbent is a fission child, whose
+    // F-Tree the checkpoint holds and a resumed run has to store again.
     assert!(!at_kill.best.ftree_nodes.is_empty());
 }
 
@@ -526,6 +621,120 @@ proptest! {
     }
 }
 
+/// The checkpoint the F-Tree damage below starts from: an MCTS search
+/// on BERT at 5% keeps fission children, expanded and analyzed, and
+/// their stale children in its tree — full trees and enabled regions
+/// alone, both kinds of `f` line.
+fn fission_checkpoint() -> &'static str {
+    static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    TEXT.get_or_init(|| {
+        let g = Workload::BertBase.build(0.05).graph;
+        let path = scratch("fission_lines");
+        optimizer::optimize(g.clone(), &frontier_search(DriverKind::Mcts, least_memory(&g), 60, &path));
+        let text = std::fs::read_to_string(&path).expect("final checkpoint");
+        let _ = std::fs::remove_file(&path);
+        let ckpt = SearchCheckpoint::decode(&text).expect("parses");
+        let stale_with_regions = ckpt.frontier.iter().filter(|e| e.state.tree_stale && !e.state.ftree_nodes.is_empty());
+        assert!(stale_with_regions.count() > 1, "the tree holds stale states with enabled regions");
+        text
+    })
+}
+
+/// The `f` lines of a checkpoint, each with the state it belongs to:
+/// 0 for the incumbent, `k` for frontier entry `k - 1`.
+fn ftree_lines(text: &str) -> Vec<(usize, usize)> {
+    let mut state = 0;
+    let mut out = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        match line.split(' ').next() {
+            Some("entry") => state += 1,
+            Some("f") => out.push((i, state)),
+            _ => {}
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// ROADMAP "Hostile inputs", the F-Tree lines. Restoring a state
+    /// hands its stored regions to the overlay, so a region its base
+    /// graph cannot have must be refused before that. One `f` line of a
+    /// real checkpoint is damaged in a way of
+    /// `one_pass_validate_keeps_the_multi_pass_verdict` — no parts, one
+    /// part for an enabled region, more parts than any extent, a
+    /// dimension past the rank or a reduce axis past the operator's, a
+    /// member that is a dead or out-of-capacity slot, a member named
+    /// twice — and decoding or restoring it is a typed error: never a
+    /// panic, and no count in the line sizes an allocation.
+    #[test]
+    fn damaged_ftree_lines_are_refused(pick in 0usize..100_000, kind in 0usize..8, at in 0usize..1000, by in 0usize..3) {
+        let ctx = EvalContext::default();
+        let text = fission_checkpoint();
+        // Taking one part away needs a region that has more.
+        let lines: Vec<(usize, usize)> = ftree_lines(text)
+            .into_iter()
+            .filter(|&(i, _)| kind != 1 || text.lines().nth(i).is_some_and(|l| l.split(' ').nth(3) != Some("1")))
+            .collect();
+        let (at_line, state) = lines[pick % lines.len()];
+        let ckpt = SearchCheckpoint::decode(text).expect("parses");
+        let state_of = |c: &SearchCheckpoint, k: usize| if k == 0 { c.best.clone() } else { c.frontier[k - 1].state.clone() };
+        let clean = state_of(&ckpt, state).restore(&ckpt.lines, &ctx).expect("the undamaged state restores");
+
+        let line = text.lines().nth(at_line).expect("an f line");
+        let mut toks: Vec<String> = line.split(' ').map(String::from).collect();
+        let members: Vec<String> = toks[5]["set=".len()..].split('+').map(String::from).collect();
+        let member = members[at % members.len()].clone();
+        let node = clean.base.node(NodeId::from_index(member.parse().expect("a node id")));
+        // The dims with `member`'s pair rewritten by `f`.
+        let old_dims = toks[6]["dims=".len()..].to_string();
+        let dims = |f: &dyn Fn(&str, &str) -> String| {
+            let pairs: Vec<String> = old_dims
+                .split('+')
+                .map(|p| p.split_once(':').expect("v:d"))
+                .map(|(v, d)| if v == member { f(v, d) } else { format!("{v}:{d}") })
+                .collect();
+            format!("dims={}", pairs.join("+"))
+        };
+        let rank = node.meta.shape.rank() as i64;
+        let reduce = node.op.num_reduce_axes() as i64;
+        let base = &clean.base;
+        let dead = (0..base.capacity()).find(|&i| !base.contains(NodeId::from_index(i)));
+        // The last one is `member` itself, were ids read as anything
+        // wider than the `u32`s they are.
+        let past_u32 = (1usize << 32) + member.parse::<usize>().expect("a node id");
+        let ghost = [dead.unwrap_or(base.capacity() + at % 9), base.capacity() + at % 9, past_u32][by];
+        match kind {
+            // Parts: none, one for an enabled region, past any extent.
+            0 => toks[3] = "0".into(),
+            1 => toks[3] = "1".into(),
+            2 => toks[3] = [1u64 << 32, 1 << (40 + at % 24), u64::MAX][by].to_string(),
+            // A dimension past the rank, a reduce axis past the op's.
+            3 => toks[6] = dims(&|v, _| format!("{v}:{}", [rank + 1, rank + 2, i32::MAX as i64][by])),
+            4 => toks[6] = dims(&|v, _| format!("{v}:{}", [-reduce - 1, -reduce - 2, i32::MIN as i64][by])),
+            // A member that is a dead slot, past the arena, past `u32`.
+            5 => {
+                let set: Vec<String> =
+                    members.iter().map(|m| if *m == member { ghost.to_string() } else { m.clone() }).collect();
+                toks[5] = format!("set={}", set.join("+"));
+                toks[6] = dims(&|_, d| format!("{ghost}:{d}"));
+            }
+            // A member named twice, in the set or in the dims.
+            6 => toks[5] = format!("{}+{member}", toks[5]),
+            _ => toks[6] = dims(&|v, d| format!("{v}:{d}+{v}:{d}")),
+        }
+        let damaged = toks.join(" ");
+        let bad: String = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| if i == at_line { format!("{damaged}\n") } else { format!("{l}\n") })
+            .collect();
+        let restored = SearchCheckpoint::decode(&bad).and_then(|c| state_of(&c, state).restore(&c.lines, &ctx));
+        prop_assert!(restored.is_err(), "'{line}' damaged to '{damaged}' restored");
+    }
+}
+
 #[test]
 fn corrupt_checkpoints_are_rejected_with_typed_errors() {
     let (g, init) = seed_state();
@@ -540,7 +749,7 @@ fn corrupt_checkpoints_are_rejected_with_typed_errors() {
     // corruption must both fail to parse — never produce a state.
     for corrupt in [
         text[..text.len() / 2].to_string(),
-        text.replacen("magis-checkpoint v5", "magis-checkpoint v9", 1),
+        text.replacen("magis-checkpoint v6", "magis-checkpoint v9", 1),
         text.replacen("ckpt-end", "", 1),
     ] {
         let p2 = scratch("corrupt2");
