@@ -78,9 +78,9 @@ fi
 
 # One-overlay-path gate: the region workspace and the recorded scale
 # edits are how the one overlay path works, not a mode of it. A
-# transaction has no state a caller can switch (its only fields are the
-# graph and the delta marks), the search and evaluation configurations
-# have the fields they had, and no stage has a `_fast` / `_cached` twin.
+# transaction has no state a caller can switch (its only field is the
+# graph), the search and evaluation configurations have the fields they
+# had, and no stage has a `_fast` / `_cached` twin.
 echo
 echo "==> one-overlay-path check"
 pub_fields() {
@@ -93,6 +93,21 @@ if [ "$(pub_fields crates/graph/src/txn.rs GraphTxn)" != 0 ] \
     || grep -n -E 'pub fn [a-z_]*mode|pub enum [A-Za-z]*Mode' crates/graph/src/txn.rs \
     || grep -rn -E 'fn [a-z_]+_(fast|cached)\b' crates/graph/src crates/core/src/fission.rs crates/core/src/state.rs; then
     echo "the overlay has one path: no switch on GraphTxn, no new OptimizerConfig / EvalContext field, no twin"
+    exit 1
+fi
+
+# Twins gate: one of each where benchmark/ pins nothing. The simulator's
+# entry points are the checked ones, a transaction ends one way
+# (`commit`, returning the graph), and a search has one wall-clock limit
+# (`budget`, stopping with `deadline`). The one exception is the
+# front-door fixture proving a journaled spec's retired hard deadline is
+# ignored.
+echo
+echo "==> twins check"
+if grep -rn -E 'pub fn (evaluate|simulate|simulate_latency|memory_profile)[<(]' crates/sim/src \
+    || grep -rn -E 'GraphDelta|into_graph|fn delta\(|wall_limit|budget-expired' crates src tests examples \
+        | grep -v -E '^tests/front_door\.rs:[0-9]+: .*"wall_limit_ms":'; then
+    echo "one of each: checked simulator entries, GraphTxn::commit, OptimizerConfig::budget"
     exit 1
 fi
 
@@ -234,12 +249,12 @@ if grep -rn -E 'magis-checkpoint v[45]\b' --exclude=unet_cap40_v5.ckpt crates sr
     exit 1
 fi
 
-# Deadline smoke: a hard wall limit returns a best-so-far result and
-# reports the deadline stop reason in the summary.
+# Deadline smoke: the one wall-clock limit returns a best-so-far result
+# and reports the deadline stop reason in the summary.
 echo
 echo "==> deadline smoke"
 DEADLINE_OUT="$(./target/release/magis optimize --workload unet --scale 0.15 \
-    --mode memory --budget-ms 60000 --wall-limit-ms 300 2>&1)"
+    --mode memory --budget-ms 300 2>&1)"
 grep -q "stop reason *deadline" <<<"$DEADLINE_OUT" \
     || { echo "$DEADLINE_OUT"; echo "deadline stop reason missing"; exit 1; }
 

@@ -14,7 +14,7 @@ use magis_graph::GraphView;
 use crate::BaselineResult;
 use magis_graph::graph::{Graph, NodeId};
 use magis_graph::op::OpKind;
-use magis_sim::{memory_profile, NodeCost};
+use magis_sim::{memory_profile_checked, NodeCost};
 
 /// Whether `v` can melt into its producer (elementwise epilogue).
 fn fusable(g: &Graph, v: NodeId) -> bool {
@@ -65,7 +65,8 @@ fn run_compiler<C: NodeCost + ?Sized>(
     fusion_strength: f64,
 ) -> BaselineResult {
     let order = crate::pytorch::program_order(g);
-    let peak = memory_profile(g, &order).peak_bytes;
+    let profile = memory_profile_checked(g, &order).expect("the program order covers the graph");
+    let peak = profile.peak_bytes;
     let latency = fused_latency(g, &order, cm, fusion_strength);
     let feasible = budget.is_none_or(|b| peak <= b);
     BaselineResult { peak_bytes: peak, latency, feasible }

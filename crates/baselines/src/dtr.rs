@@ -135,11 +135,8 @@ impl<'g> Runtime<'g> {
 
 /// Runs the DTR runtime simulation.
 pub fn run<C: NodeCost + ?Sized>(g: &Graph, budget: Option<u64>, cm: &C) -> BaselineResult {
+    let Some(b) = budget else { return crate::pytorch::run(g, cm) };
     let order = crate::pytorch::program_order(g);
-    let Some(b) = budget else {
-        let ev = magis_sim::evaluate(g, &order, cm);
-        return BaselineResult { peak_bytes: ev.peak_bytes, latency: ev.latency, feasible: true };
-    };
     let mut rt = Runtime::new(g, cm);
     let thrash_limit = THRASH_FACTOR * g.len();
     if rt.mem > b {

@@ -26,7 +26,10 @@ use magis_graph::{GraphTxn, GraphView};
 use crate::BaselineResult;
 use magis_graph::graph::{Graph, NodeId};
 use magis_sched::{place_swaps, stabilize_order};
-use magis_sim::{memory_profile, NodeCost};
+use magis_sim::{evaluate_checked, NodeCost};
+
+/// Why a stabilized order evaluates.
+const COVERED: &str = "a stabilized order covers the graph";
 
 /// Minimum tensor size POFO bothers to manage.
 const MIN_BYTES: u64 = 1 << 16;
@@ -111,13 +114,10 @@ fn plans<C: NodeCost + ?Sized>(g: &Graph, order: &[NodeId], cm: &C) -> Vec<Plan>
 /// Runs the POFO-like planner under `budget`.
 pub fn run<C: NodeCost + ?Sized>(g: &Graph, budget: Option<u64>, cm: &C) -> BaselineResult {
     let order0 = crate::pytorch::program_order(g);
-    let base = memory_profile(g, &order0);
-    let base_lat = magis_sim::simulate_latency(g, &order0, cm);
-    let Some(b) = budget else {
-        return BaselineResult { peak_bytes: base.peak_bytes, latency: base_lat, feasible: true };
-    };
-    if base.peak_bytes <= b {
-        return BaselineResult { peak_bytes: base.peak_bytes, latency: base_lat, feasible: true };
+    let anchor = crate::pytorch::run(g, cm);
+    let Some(b) = budget else { return anchor };
+    if anchor.peak_bytes <= b {
+        return anchor;
     }
     let mut plans = plans(g, &order0, cm);
     // Density-greedy: cheapest overhead per byte first.
@@ -141,7 +141,7 @@ pub fn run<C: NodeCost + ?Sized>(g: &Graph, budget: Option<u64>, cm: &C) -> Base
             for &u in &plan.late_users {
                 txn.replace_input(u, plan.tensor, ld);
             }
-            g2 = txn.commit().0;
+            g2 = txn.commit();
             let at = desired.iter().position(|&v| v == first_late).expect("user scheduled");
             desired.insert(at, ld);
             let pat = desired.iter().position(|&v| v == plan.tensor).expect("producer scheduled");
@@ -156,7 +156,7 @@ pub fn run<C: NodeCost + ?Sized>(g: &Graph, budget: Option<u64>, cm: &C) -> Base
             for &u in &plan.late_users {
                 txn.replace_input(u, plan.tensor, clone);
             }
-            g2 = txn.commit().0;
+            g2 = txn.commit();
             let at = desired.iter().position(|&v| v == first_late).expect("user scheduled");
             desired.insert(at, clone);
         }
@@ -164,7 +164,7 @@ pub fn run<C: NodeCost + ?Sized>(g: &Graph, budget: Option<u64>, cm: &C) -> Base
         // Re-measure every few applications (profiles are cheap).
         if applied.is_multiple_of(4) || applied < 4 {
             let order = place_swaps(&g2, &stabilize_order(&g2, &desired), cm);
-            let ev = magis_sim::evaluate(&g2, &order, cm);
+            let ev = evaluate_checked(&g2, &order, cm).expect(COVERED);
             if ev.peak_bytes <= b {
                 return BaselineResult {
                     peak_bytes: ev.peak_bytes,
@@ -175,7 +175,7 @@ pub fn run<C: NodeCost + ?Sized>(g: &Graph, budget: Option<u64>, cm: &C) -> Base
         }
     }
     let order = place_swaps(&g2, &stabilize_order(&g2, &desired), cm);
-    let ev = magis_sim::evaluate(&g2, &order, cm);
+    let ev = evaluate_checked(&g2, &order, cm).expect(COVERED);
     BaselineResult { peak_bytes: ev.peak_bytes, latency: ev.latency, feasible: ev.peak_bytes <= b }
 }
 

@@ -12,7 +12,7 @@ use crate::compilers::fused_latency;
 use crate::BaselineResult;
 use magis_graph::graph::{Graph, NodeId};
 use magis_sched::stabilize_order;
-use magis_sim::{memory_profile, storage_root, NodeCost};
+use magis_sim::{memory_profile_checked, storage_root, NodeCost};
 
 /// Maximum rematerializations before declaring the budget unreachable.
 const MAX_REMATS: usize = 4000;
@@ -26,7 +26,8 @@ fn rematable(g: &Graph, v: NodeId) -> bool {
 pub fn run<C: NodeCost + ?Sized>(g: &Graph, budget: Option<u64>, cm: &C) -> BaselineResult {
     let mut g = g.clone();
     let mut order = crate::pytorch::program_order(&g);
-    let mut prof = memory_profile(&g, &order);
+    let covered = "the program order, and each stabilized order, covers the graph";
+    let mut prof = memory_profile_checked(&g, &order).expect(covered);
     let Some(b) = budget else {
         return BaselineResult {
             peak_bytes: prof.peak_bytes,
@@ -100,7 +101,7 @@ pub fn run<C: NodeCost + ?Sized>(g: &Graph, budget: Option<u64>, cm: &C) -> Base
         for &u in &far {
             txn.replace_input(u, v, clone);
         }
-        g = txn.commit().0;
+        g = txn.commit();
         remats += 1;
         // Desired position: clone right before its earliest user.
         let mut desired: Vec<NodeId> = Vec::with_capacity(order.len() + 1);
@@ -111,7 +112,7 @@ pub fn run<C: NodeCost + ?Sized>(g: &Graph, budget: Option<u64>, cm: &C) -> Base
             desired.push(o);
         }
         order = stabilize_order(&g, &desired);
-        let new_prof = memory_profile(&g, &order);
+        let new_prof = memory_profile_checked(&g, &order).expect(covered);
         if new_prof.peak_bytes >= prof.peak_bytes {
             stuck += 1;
         } else {

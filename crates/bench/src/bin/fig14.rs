@@ -10,7 +10,7 @@ use magis_core::rules::{self, RuleConfig, Transform};
 use magis_core::state::{EvalContext, MState};
 use magis_sched::{full_schedule, incremental_schedule_cached, IntervalParams, SchedConfig};
 use magis_models::random_dnn::{random_dnn, RandomDnnConfig};
-use magis_sim::memory_profile;
+use magis_sim::memory_profile_checked;
 use std::time::Instant;
 
 fn main() {
@@ -64,8 +64,11 @@ fn main() {
             let fs_order = full_schedule(&g_new, &sched_cfg);
             let fs_time = t0.elapsed();
 
-            let is_peak = memory_profile(&g_new, &is_order).peak_bytes;
-            let fs_peak = memory_profile(&g_new, &fs_order).peak_bytes;
+            let peak = |order: &[_]| {
+                let profile = memory_profile_checked(&g_new, order);
+                profile.expect("a schedule covers its graph").peak_bytes
+            };
+            let (is_peak, fs_peak) = (peak(&is_order), peak(&fs_order));
             let speedup = fs_time.as_secs_f64() / is_time.as_secs_f64().max(1e-9);
             let quality = is_peak as f64 / fs_peak as f64;
             speedups.push(speedup);

@@ -29,7 +29,7 @@ USAGE:
                  [--calibrate FILE]
   magis optimize --workload NAME [--scale F] [--mode memory|latency]
                  [--limit F] [--budget-ms N] [--threads N]
-                 [--wall-limit-ms N] [--max-candidates N]
+                 [--max-candidates N]
                  [--backend NAME] [--calibrate FILE]
                  [--objective liveness|planned]
                  [--driver greedy|mcts]
@@ -51,7 +51,7 @@ USAGE:
                  --workload NAME [--scale F] [--mode memory|latency]
                  [--limit F] [--objective liveness|planned]
                  [--driver greedy|mcts]
-                 [--backend NAME] [--budget-ms N] [--wall-limit-ms N]
+                 [--backend NAME] [--budget-ms N]
                  [--max-candidates N] [--threads N] [--eval-cache N]
                  [--checkpoint-every N] [--client NAME] [--wait true|false]
   magis watch    --addr HOST:PORT | --port-file FILE  --id N
@@ -82,11 +82,11 @@ MODES (optimize):
 OPTIONS (optimize):
   --threads N     candidate-evaluation worker threads (default: all
                   cores; 1 = serial). Results are identical for every N.
-  --wall-limit-ms N
-                  hard deadline: the search stops at N ms and returns
-                  its best-so-far incumbent with `stop reason:
-                  deadline` (anytime semantics; wall-clock dependent,
-                  so not reproducible run-to-run).
+  --budget-ms N   the search's one wall-clock limit (default 15000):
+                  at N ms it stops and returns its best-so-far
+                  incumbent with `stop reason: deadline` (anytime
+                  semantics; wall-clock dependent, so not reproducible
+                  run-to-run).
   --max-candidates N
                   hard cap on evaluated candidates — the deterministic
                   stopping knob (`stop reason: eval-cap`), cumulative
@@ -186,7 +186,7 @@ impl From<String> for CliError {
 /// it to a daemon ([`job_spec`] reads them for both).
 const JOB: &[&str] = &[
     "workload", "scale", "mode", "limit", "objective", "driver", "backend", "budget-ms",
-    "wall-limit-ms", "max-candidates", "threads", "eval-cache", "checkpoint-every",
+    "max-candidates", "threads", "eval-cache", "checkpoint-every",
 ];
 const BACKEND: &[&str] = &["backend", "calibrate"];
 const OBS: &[&str] = &["log-level", "trace-out"];
@@ -617,7 +617,6 @@ fn job_spec(flags: &Args, default_threads: usize) -> Result<JobSpec, CliError> {
             .unwrap_or(d.objective),
         backend: flags.value("backend")?,
         budget_ms: flags.value_or("budget-ms", d.budget_ms)?,
-        wall_limit_ms: flags.value("wall-limit-ms")?,
         max_candidates: flags.value("max-candidates")?,
         threads: flags.value_or("threads", default_threads)?.max(1),
         eval_cache: flags.value("eval-cache")?,
@@ -1326,23 +1325,45 @@ mod tests {
     }
 
     #[test]
-    fn optimize_deadline_and_candidate_caps() {
-        // A tight deadline still returns a valid best-so-far summary.
-        run(&s(&[
-            "optimize", "--workload", "unet", "--scale", "0.1", "--budget-ms", "5000",
-            "--threads", "2", "--wall-limit-ms", "150",
-        ]))
-        .unwrap();
+    fn one_wall_clock_limit_stops_every_front_door_with_deadline() {
+        use magis_core::optimizer::{optimize, OptimizerConfig, StopReason};
+        // UNet at 0.15 cannot run its queue dry in 100 ms, so each run
+        // ends on the clock and returns its best-so-far incumbent.
+        let cfg =
+            OptimizerConfig::default().with_budget(Duration::from_millis(100)).with_threads(1);
+        let library = optimize(Workload::UNet.build(0.15).graph, &cfg).stats.stop_reason;
+        let flag = optimize_result(&[
+            "--workload", "unet", "--scale", "0.15", "--budget-ms", "100", "--threads", "1",
+        ])
+        .stats
+        .stop_reason;
+        for reason in [library, flag] {
+            assert_eq!(reason, StopReason::Deadline);
+            assert_eq!(reason.to_string(), "deadline");
+            assert!(!reason.is_deterministic());
+        }
+        let spec = JobSpec {
+            workload: Some("unet".into()),
+            scale: 0.15,
+            budget_ms: 100,
+            ..JobSpec::default()
+        };
+        let dir = std::env::temp_dir().join(format!("magis_cli_deadline_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let job = magis_serve::job::run_job(&spec, &dir, Default::default(), None).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!((job.stop_reason.as_str(), job.deterministic), ("deadline", false));
+    }
+
+    #[test]
+    fn optimize_candidate_cap() {
         // The candidate cap is the deterministic stopping knob.
         run(&s(&[
             "optimize", "--workload", "unet", "--scale", "0.1", "--threads", "2",
             "--max-candidates", "5",
         ]))
         .unwrap();
-        assert!(matches!(
-            run(&s(&["optimize", "--workload", "unet", "--wall-limit-ms", "soon"])),
-            Err(CliError::Usage(_))
-        ));
         assert!(matches!(
             run(&s(&["submit", "--workload", "unet"])),
             Err(CliError::Usage(_)),

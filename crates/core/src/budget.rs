@@ -1,22 +1,21 @@
 //! Cooperative deadlines and cancellation for the search loop.
 //!
-//! The optimizer's original stopping knobs — [`OptimizerConfig::budget`]
-//! (a soft wall-clock budget) and `max_evals` — predate the service
-//! layer. [`SearchBudget`] and [`CancelToken`] put an *anytime*
-//! contract on top of them: a search that runs out of wall-clock
-//! deadline, exhausts its candidate allowance, or is cancelled from
-//! outside stops at the next expansion boundary and returns its
-//! best-so-far incumbent with a truthful
+//! A search has one wall-clock limit, [`OptimizerConfig::budget`], and
+//! two evaluation caps, `max_evals` and [`SearchBudget`]'s candidate
+//! limit. Together with a [`CancelToken`] they make the search
+//! *anytime*: a search that runs out of wall clock, exhausts its
+//! candidate allowance, or is cancelled from outside stops and returns
+//! its best-so-far incumbent with a truthful
 //! [`StopReason`](crate::optimizer::StopReason) (`Deadline` /
 //! `EvalCapReached` / `Cancelled`) instead of being killed.
 //!
 //! All checks are cooperative: the search polls at expansion
 //! boundaries and inside the parallel fan-out (a worker that observes
-//! the deadline/cancellation skips its candidate, and the merge
-//! discards everything from the first skip on, exactly like the
-//! pre-existing budget check). Cancellation therefore never interrupts
-//! a candidate mid-evaluation and never corrupts search state — the
-//! incumbent, frontier, and counters remain checkpointable.
+//! the deadline or the cancellation skips its candidate, and the merge
+//! discards everything from the first skip on). Cancellation therefore
+//! never interrupts a candidate mid-evaluation and never corrupts
+//! search state — the incumbent, frontier, and counters remain
+//! checkpointable.
 //!
 //! The token doubles as the search's **heartbeat**: the merge thread
 //! bumps a monotonic beat counter once per merged evaluation and once
@@ -28,19 +27,12 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Deadline contract for one search: a hard wall-clock limit and/or a
-/// hard candidate-evaluation cap. The default is unlimited on both
-/// axes (the legacy `budget` / `max_evals` knobs still apply).
+/// The deterministic stopping contract of one search: a hard
+/// candidate-evaluation cap. The default is unlimited (`max_evals`
+/// still applies).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchBudget {
-    /// Hard wall-clock deadline. When it passes, the search stops at
-    /// the next expansion boundary with
-    /// [`StopReason::Deadline`](crate::optimizer::StopReason::Deadline)
-    /// and returns the best-so-far incumbent. Checked *before* the
-    /// legacy soft budget so the deadline wins when both expire.
-    pub wall_limit: Option<Duration>,
     /// Hard cap on candidate evaluations, checked **only at expansion
     /// boundaries**: every expansion merges its full candidate batch
     /// atomically, so the evaluated count may overshoot the limit by
@@ -54,26 +46,14 @@ pub struct SearchBudget {
 }
 
 impl SearchBudget {
-    /// No deadline and no candidate cap.
-    pub const UNLIMITED: SearchBudget =
-        SearchBudget { wall_limit: None, candidate_limit: None };
-
-    /// Sets the wall-clock deadline.
-    pub fn with_wall_limit(mut self, limit: Duration) -> Self {
-        self.wall_limit = Some(limit);
-        self
-    }
+    /// No candidate cap.
+    pub const UNLIMITED: SearchBudget = SearchBudget { candidate_limit: None };
 
     /// Sets the candidate-evaluation cap (0 is treated as "stop
     /// immediately after the seed evaluation").
     pub fn with_candidate_limit(mut self, limit: usize) -> Self {
         self.candidate_limit = Some(limit);
         self
-    }
-
-    /// Whether neither axis is limited (the default).
-    pub fn is_unlimited(&self) -> bool {
-        self.wall_limit.is_none() && self.candidate_limit.is_none()
     }
 }
 
@@ -148,14 +128,8 @@ mod tests {
     }
 
     #[test]
-    fn budget_builders_compose() {
-        let b = SearchBudget::default();
-        assert!(b.is_unlimited());
-        let b = b
-            .with_wall_limit(Duration::from_millis(200))
-            .with_candidate_limit(64);
-        assert_eq!(b.wall_limit, Some(Duration::from_millis(200)));
-        assert_eq!(b.candidate_limit, Some(64));
-        assert!(!b.is_unlimited());
+    fn candidate_limit_builder_sets_the_cap() {
+        assert_eq!(SearchBudget::default(), SearchBudget::UNLIMITED);
+        assert_eq!(SearchBudget::UNLIMITED.with_candidate_limit(64).candidate_limit, Some(64));
     }
 }

@@ -399,7 +399,7 @@ mod tests {
         let st = txn.add(OpKind::Store, &[a]).unwrap();
         let ld = txn.add(OpKind::Load, &[st]).unwrap();
         let _f = txn.add(OpKind::Unary(UnaryKind::Gelu), &[ld]).unwrap();
-        let g = txn.commit().0;
+        let g = txn.commit();
         let order = magis_graph::algo::topo_order(&g);
         let code = generate_pytorch(&g, &order).unwrap();
         assert!(code.contains("torch.cuda.stream(xfer)"));
@@ -419,7 +419,7 @@ mod tests {
             .add(OpKind::PartSlice { axis: 0, parts: 2, halo: 0 }, &[x])
             .unwrap();
         let _r = txn.add(OpKind::Unary(UnaryKind::Relu), &[ps]).unwrap();
-        let g = txn.commit().0;
+        let g = txn.commit();
         let order = magis_graph::algo::topo_order(&g);
         assert!(generate_pytorch(&g, &order).is_err());
     }

@@ -6,14 +6,9 @@
 //! seen-set only filters a duplicate *after* its evaluation has been
 //! paid for; this cache remembers the evaluated [`MState`] keyed by
 //! the Weisfeiler–Lehman hash of its overlay graph, letting a repeat
-//! candidate skip scheduling and simulation entirely.
-//!
-//! Entries are keyed by `(hash, memory objective)`, not the hash
-//! alone: a `liveness`-mode evaluation carries no memory plan and its
-//! `cost()` differs from what a `planned`-mode search would have
-//! computed for the same graph, so serving it across objectives would
-//! poison the trajectory. Two objectives can cache the same hash side
-//! by side.
+//! candidate skip scheduling and simulation entirely. One cache serves
+//! one search, under the one memory objective of its evaluation
+//! context, so the hash alone is the key.
 //!
 //! Concurrency / determinism contract (see the `optimizer` module
 //! docs): workers read a **frozen** cache during a fan-out — hits are
@@ -45,12 +40,7 @@
 //! built it.
 
 use crate::state::MState;
-use magis_sim::MemObjective;
 use std::collections::BTreeMap;
-
-/// Cache key: overlay-graph hash plus the memory objective the state
-/// was evaluated under.
-type Key = (u64, MemObjective);
 
 #[derive(Debug, Clone)]
 struct CacheEntry {
@@ -78,19 +68,19 @@ fn cost_class(state: &MState) -> u8 {
     (usize::BITS - 1 - work.leading_zeros()) as u8
 }
 
-/// A bounded map from `(overlay-graph hash, memory objective)` to the
-/// evaluated state it produced, evicting the least-recently-used entry
-/// of the cheapest recompute-cost class. See the module docs for the
-/// determinism contract.
+/// A bounded map from overlay-graph hash to the evaluated state it
+/// produced, evicting the least-recently-used entry of the cheapest
+/// recompute-cost class. See the module docs for the determinism
+/// contract.
 #[derive(Debug, Clone)]
 pub struct EvalCache {
     capacity: usize,
-    entries: BTreeMap<Key, CacheEntry>,
-    /// Inverse index `(cost class, tick) → key` for O(log n) eviction:
-    /// the first entry is the oldest member of the cheapest class.
-    /// Every live entry has exactly one index slot; ticks are never
-    /// reused.
-    recency: BTreeMap<(u8, u64), Key>,
+    entries: BTreeMap<u64, CacheEntry>,
+    /// Inverse index `(cost class, tick) → hash` for O(log n)
+    /// eviction: the first entry is the oldest member of the cheapest
+    /// class. Every live entry has exactly one index slot; ticks are
+    /// never reused.
+    recency: BTreeMap<(u8, u64), u64>,
     tick: u64,
 }
 
@@ -117,28 +107,27 @@ impl EvalCache {
         self.entries.is_empty()
     }
 
-    /// Looks up the evaluated state for an overlay-graph hash under
-    /// one memory objective — a hit recorded under the other objective
-    /// is invisible here. Read-only: safe to call concurrently from
-    /// evaluation workers while the merge thread owns the only `&mut`.
-    /// Does **not** refresh recency — the merge thread records hits
-    /// via [`Self::touch`].
-    pub fn get(&self, hash: u64, mem: MemObjective) -> Option<&MState> {
-        self.entries.get(&(hash, mem)).map(|e| &e.state)
+    /// Looks up the evaluated state for an overlay-graph hash.
+    /// Read-only: safe to call concurrently from evaluation workers
+    /// while the merge thread owns the only `&mut`. Does **not**
+    /// refresh recency — the merge thread records hits via
+    /// [`Self::touch`].
+    pub fn get(&self, hash: u64) -> Option<&MState> {
+        self.entries.get(&hash).map(|e| &e.state)
     }
 
-    /// Marks `(hash, mem)` as just used, moving it to the back of the
+    /// Marks `hash` as just used, moving it to the back of the
     /// eviction order. Called by the merge thread, in candidate order,
     /// for every cache hit it commits — the single place recency
     /// advances, which is what keeps eviction deterministic across
     /// thread counts. A key not present (e.g. purged earlier in the
     /// same merge) is a no-op.
-    pub fn touch(&mut self, hash: u64, mem: MemObjective) {
-        let Some(e) = self.entries.get_mut(&(hash, mem)) else { return };
+    pub fn touch(&mut self, hash: u64) {
+        let Some(e) = self.entries.get_mut(&hash) else { return };
         self.recency.remove(&(e.class, e.last_used));
         self.tick += 1;
         e.last_used = self.tick;
-        self.recency.insert((e.class, self.tick), (hash, mem));
+        self.recency.insert((e.class, self.tick), hash);
     }
 
     /// Inserts an evaluated state as most-recently-used within its cost
@@ -147,15 +136,14 @@ impl EvalCache {
     /// left untouched (the two states are hash-equal, and keeping the
     /// first matches what `threads == 1` would have produced). Returns
     /// the number of entries evicted.
-    pub fn insert(&mut self, hash: u64, state: MState, family: u8, mem: MemObjective) -> usize {
-        if self.capacity == 0 || self.entries.contains_key(&(hash, mem)) {
+    pub fn insert(&mut self, hash: u64, state: MState, family: u8) -> usize {
+        if self.capacity == 0 || self.entries.contains_key(&hash) {
             return 0;
         }
         self.tick += 1;
         let class = cost_class(&state);
-        self.entries
-            .insert((hash, mem), CacheEntry { state, family, class, last_used: self.tick });
-        self.recency.insert((class, self.tick), (hash, mem));
+        self.entries.insert(hash, CacheEntry { state, family, class, last_used: self.tick });
+        self.recency.insert((class, self.tick), hash);
         let mut evicted = 0;
         while self.entries.len() > self.capacity {
             let Some((&cheapest_oldest, &victim)) = self.recency.iter().next() else { break };
@@ -194,10 +182,6 @@ mod tests {
     use magis_graph::builder::GraphBuilder;
     use magis_graph::tensor::DType;
 
-    /// The historical single-objective tests all run under the default.
-    const LV: MemObjective = MemObjective::Liveness;
-    const PL: MemObjective = MemObjective::Planned;
-
     fn tiny_state() -> MState {
         let mut b = GraphBuilder::new(DType::F32);
         let x = b.input([16], "x");
@@ -209,53 +193,29 @@ mod tests {
     fn hit_miss_and_first_insert_wins() {
         let s = tiny_state();
         let mut c = EvalCache::new(4);
-        assert!(c.get(1, LV).is_none());
-        assert_eq!(c.insert(1, s.clone(), 2, LV), 0);
-        assert!(c.get(1, LV).is_some());
+        assert!(c.get(1).is_none());
+        assert_eq!(c.insert(1, s.clone(), 2), 0);
+        assert!(c.get(1).is_some());
         // Re-inserting the same key is a no-op (first wins).
         let mut dup = s.clone();
         dup.eval.peak_bytes += 1;
-        assert_eq!(c.insert(1, dup, 3, LV), 0);
-        assert_eq!(c.get(1, LV).unwrap().eval.peak_bytes, s.eval.peak_bytes);
+        assert_eq!(c.insert(1, dup, 3), 0);
+        assert_eq!(c.get(1).unwrap().eval.peak_bytes, s.eval.peak_bytes);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn objectives_never_share_entries() {
-        // The cross-objective cache-poisoning regression: a state
-        // evaluated under the liveness objective (no memory plan, so
-        // `cost()` is the liveness peak) must never satisfy a
-        // planned-mode lookup of the same overlay hash — and vice
-        // versa. Both objectives coexist under one hash instead.
-        let s = tiny_state();
-        assert!(s.eval.plan.is_none(), "liveness-mode states carry no plan");
-        let mut c = EvalCache::new(4);
-        c.insert(1, s.clone(), 0, LV);
-        assert!(c.get(1, PL).is_none(), "liveness hit must not serve a planned request");
-        let ctx = EvalContext { mem_objective: PL, ..Default::default() };
-        let sp = MState::initial(s.base.clone(), &ctx);
-        assert!(sp.eval.plan.is_some(), "planned-mode states carry a plan");
-        c.insert(1, sp, 0, PL);
-        assert_eq!(c.len(), 2, "both objectives cached side by side");
-        assert!(c.get(1, LV).unwrap().eval.plan.is_none());
-        assert!(c.get(1, PL).unwrap().eval.plan.is_some());
-        // Touch/purge operate per key, not per hash.
-        c.touch(1, PL);
-        assert_eq!(c.purge_family(0), 2);
     }
 
     #[test]
     fn evicts_least_recently_used_not_oldest_inserted() {
         let s = tiny_state();
         let mut c = EvalCache::new(2);
-        assert_eq!(c.insert(1, s.clone(), 0, LV), 0);
-        assert_eq!(c.insert(2, s.clone(), 0, LV), 0);
+        assert_eq!(c.insert(1, s.clone(), 0), 0);
+        assert_eq!(c.insert(2, s.clone(), 0), 0);
         // Refresh 1: the insertion-older entry is now recency-newer.
-        c.touch(1, LV);
-        assert_eq!(c.insert(3, s.clone(), 0, LV), 1);
-        assert!(c.get(2, LV).is_none(), "LRU entry evicted, not FIFO-oldest");
-        assert!(c.get(1, LV).is_some());
-        assert!(c.get(3, LV).is_some());
+        c.touch(1);
+        assert_eq!(c.insert(3, s.clone(), 0), 1);
+        assert!(c.get(2).is_none(), "LRU entry evicted, not FIFO-oldest");
+        assert!(c.get(1).is_some());
+        assert!(c.get(3).is_some());
     }
 
     #[test]
@@ -266,13 +226,13 @@ mod tests {
         // leave the eviction sequence unchanged.
         let s = tiny_state();
         let mut c = EvalCache::new(2);
-        c.insert(1, s.clone(), 0, LV);
-        c.insert(2, s.clone(), 0, LV);
+        c.insert(1, s.clone(), 0);
+        c.insert(2, s.clone(), 0);
         for _ in 0..100 {
-            assert!(c.get(1, LV).is_some()); // heavy read traffic, no touch
+            assert!(c.get(1).is_some()); // heavy read traffic, no touch
         }
-        c.insert(3, s.clone(), 0, LV);
-        assert!(c.get(1, LV).is_none(), "reads alone must not save an entry");
+        c.insert(3, s.clone(), 0);
+        assert!(c.get(1).is_none(), "reads alone must not save an entry");
     }
 
     #[test]
@@ -297,15 +257,15 @@ mod tests {
             for &(kind, h) in &ops {
                 match kind {
                     0 => {
-                        let evicted = c.insert(h, s.clone(), 0, LV);
+                        let evicted = c.insert(h, s.clone(), 0);
                         log.push((h, evicted));
                     }
-                    _ => c.touch(h, LV),
+                    _ => c.touch(h),
                 }
             }
             let mut live: Vec<u64> = Vec::new();
             for h in 0..50 {
-                if c.get(h, LV).is_some() {
+                if c.get(h).is_some() {
                     live.push(h);
                 }
             }
@@ -314,10 +274,10 @@ mod tests {
         let mut a = EvalCache::new(3);
         let mut b = EvalCache::new(3);
         // Simulated worker reads on `b` between merges: &self only.
-        b.insert(0xdead, s.clone(), 0, LV);
+        b.insert(0xdead, s.clone(), 0);
         b.purge_family(0); // drop it again so states match
         let ra = run(&mut a);
-        let _ = (b.get(1, LV), b.get(2, LV), b.get(3, LV));
+        let _ = (b.get(1), b.get(2), b.get(3));
         let rb = run(&mut b);
         assert_eq!(ra, rb, "same merge ops → same evictions and survivors");
     }
@@ -341,35 +301,35 @@ mod tests {
         );
 
         let mut c = EvalCache::new(2);
-        c.insert(1, costly.clone(), 0, LV);
-        c.insert(2, cheap.clone(), 0, LV);
+        c.insert(1, costly.clone(), 0);
+        c.insert(2, cheap.clone(), 0);
         // Key 2 is more recent but cheaper to recompute: it is evicted.
-        assert_eq!(c.insert(3, cheap.clone(), 0, LV), 1);
-        assert!(c.get(1, LV).is_some(), "expensive entry survives");
-        assert!(c.get(2, LV).is_none(), "cheap, recency-newer entry evicted first");
-        assert!(c.get(3, LV).is_some());
+        assert_eq!(c.insert(3, cheap.clone(), 0), 1);
+        assert!(c.get(1).is_some(), "expensive entry survives");
+        assert!(c.get(2).is_none(), "cheap, recency-newer entry evicted first");
+        assert!(c.get(3).is_some());
 
         // Within one cost class, LRU still decides: refresh the
         // insertion-older cheap entry and the untouched one is the
         // victim — the expensive incumbent is never considered.
         let mut c = EvalCache::new(3);
-        c.insert(1, costly.clone(), 0, LV);
-        c.insert(2, cheap.clone(), 0, LV);
-        c.insert(3, cheap.clone(), 0, LV);
-        c.touch(2, LV);
-        assert_eq!(c.insert(4, cheap.clone(), 0, LV), 1);
-        assert!(c.get(3, LV).is_none(), "untouched cheap entry is the within-class victim");
-        assert!(c.get(1, LV).is_some() && c.get(2, LV).is_some() && c.get(4, LV).is_some());
+        c.insert(1, costly.clone(), 0);
+        c.insert(2, cheap.clone(), 0);
+        c.insert(3, cheap.clone(), 0);
+        c.touch(2);
+        assert_eq!(c.insert(4, cheap.clone(), 0), 1);
+        assert!(c.get(3).is_none(), "untouched cheap entry is the within-class victim");
+        assert!(c.get(1).is_some() && c.get(2).is_some() && c.get(4).is_some());
     }
 
     #[test]
     fn zero_capacity_disables() {
         let s = tiny_state();
         let mut c = EvalCache::new(0);
-        assert_eq!(c.insert(1, s, 0, LV), 0);
-        assert!(c.get(1, LV).is_none());
+        assert_eq!(c.insert(1, s, 0), 0);
+        assert!(c.get(1).is_none());
         assert!(c.is_empty());
-        c.touch(1, LV); // no-op, must not panic
+        c.touch(1); // no-op, must not panic
     }
 
     #[test]
@@ -380,15 +340,15 @@ mod tests {
         // state consistent.
         let s = tiny_state();
         let mut c = EvalCache::new(4);
-        c.insert(1, s.clone(), 7, LV);
-        c.insert(2, s.clone(), 3, LV);
+        c.insert(1, s.clone(), 7);
+        c.insert(2, s.clone(), 3);
         assert_eq!(c.purge_family(7), 1);
-        c.touch(1, LV); // purged above
-        assert!(c.get(1, LV).is_none());
+        c.touch(1); // purged above
+        assert!(c.get(1).is_none());
         // Internal recency index stayed consistent: filling far past
         // capacity still caps the size and evicts cleanly.
         for h in 10..30 {
-            c.insert(h, s.clone(), 3, LV);
+            c.insert(h, s.clone(), 3);
         }
         assert_eq!(c.len(), 4);
     }
@@ -397,17 +357,17 @@ mod tests {
     fn purge_family_removes_only_that_family() {
         let s = tiny_state();
         let mut c = EvalCache::new(8);
-        c.insert(1, s.clone(), 4, LV);
-        c.insert(2, s.clone(), 4, LV);
-        c.insert(3, s.clone(), 5, LV);
+        c.insert(1, s.clone(), 4);
+        c.insert(2, s.clone(), 4);
+        c.insert(3, s.clone(), 5);
         assert_eq!(c.purge_family(4), 2);
-        assert!(c.get(1, LV).is_none() && c.get(2, LV).is_none());
-        assert!(c.get(3, LV).is_some());
+        assert!(c.get(1).is_none() && c.get(2).is_none());
+        assert!(c.get(3).is_some());
         // Recency entries from the purge don't break later eviction.
-        c.insert(4, s.clone(), 5, LV);
-        c.insert(5, s.clone(), 5, LV);
+        c.insert(4, s.clone(), 5);
+        c.insert(5, s.clone(), 5);
         for h in 6..20 {
-            c.insert(h, s.clone(), 5, LV);
+            c.insert(h, s.clone(), 5);
         }
         assert!(c.len() <= 8);
     }

@@ -573,7 +573,7 @@ pub fn apply_full(g: &Graph, spec: &FissionSpec) -> Result<Graph, FissionError> 
         // merges; originals now have no users.
         out.remove(v).expect("region node no longer used");
     }
-    Ok(out.commit().0)
+    Ok(out.commit())
 }
 
 #[cfg(test)]
@@ -583,7 +583,7 @@ mod tests {
     use magis_graph::algo::topo_order;
     use magis_graph::builder::GraphBuilder;
     use magis_graph::tensor::DType;
-    use magis_sim::{evaluate, CostModel};
+    use magis_sim::{evaluate_checked, CostModel};
 
     /// Two-layer MLP segment on the batch dimension (Fig. 5 shape).
     fn mlp_segment() -> (Graph, FissionSpec) {
@@ -622,7 +622,7 @@ mod tests {
         let (g0, spec) = mlp_segment();
         let mut txn = GraphTxn::begin(&g0);
         let info = apply_overlay(&mut txn, &spec).unwrap();
-        let g = txn.commit().0;
+        let g = txn.commit();
         g.validate().unwrap();
         assert_eq!(info.slices.len(), 1);
         assert_eq!(info.merges.len(), 1, "only y is an output");
@@ -639,11 +639,11 @@ mod tests {
     fn overlay_reduces_peak_memory() {
         let (g0, spec) = mlp_segment();
         let cm = CostModel::default();
-        let base = evaluate(&g0, &topo_order(&g0), &cm);
+        let base = evaluate_checked(&g0, &topo_order(&g0), &cm).unwrap();
         let mut txn = GraphTxn::begin(&g0);
         apply_overlay(&mut txn, &spec).unwrap();
-        let g = txn.commit().0;
-        let ev = evaluate(&g, &topo_order(&g), &cm);
+        let g = txn.commit();
+        let ev = evaluate_checked(&g, &topo_order(&g), &cm).unwrap();
         assert!(
             ev.peak_bytes < base.peak_bytes,
             "fission peak {} < base {}",
@@ -659,11 +659,11 @@ mod tests {
         let cm = CostModel::default();
         let mut txn = GraphTxn::begin(&g0);
         apply_overlay(&mut txn, &spec).unwrap();
-        let overlay = txn.commit().0;
+        let overlay = txn.commit();
         let full = apply_full(&g0, &spec).unwrap();
         full.validate().unwrap();
-        let ev_o = evaluate(&overlay, &topo_order(&overlay), &cm);
-        let ev_f = evaluate(&full, &topo_order(&full), &cm);
+        let ev_o = evaluate_checked(&overlay, &topo_order(&overlay), &cm).unwrap();
+        let ev_f = evaluate_checked(&full, &topo_order(&full), &cm).unwrap();
         // Node counts: overlay stays O(|S|); full grows with n.
         assert!(full.len() > overlay.len());
         // Latency of the representative-part overlay approximates the
@@ -687,7 +687,7 @@ mod tests {
         spec.validate(&g0).unwrap();
         let mut txn = GraphTxn::begin(&g0);
         let info = apply_overlay(&mut txn, &spec).unwrap();
-        let g = txn.commit().0;
+        let g = txn.commit();
         let m = info.merges[0];
         assert!(matches!(g.node(m).op, OpKind::Merge { kind: MergeKind::Sum, .. }));
         // dw keeps its full shape (partial sums are full-sized).
@@ -781,7 +781,7 @@ mod tests {
             parts: 2,
         };
         apply_overlay(&mut txn, &child).unwrap();
-        let g = txn.commit().0;
+        let g = txn.commit();
         assert_eq!(g.node(relu).cost_repeat, 8, "4 x 2 nested parts");
         assert_eq!(g.node(relu).meta.shape.dim(0), 8, "64 / 4 / 2");
         g.validate().unwrap();

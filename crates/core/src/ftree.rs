@@ -500,7 +500,7 @@ mod tests {
     use magis_graph::algo::topo_order;
     use magis_graph::builder::GraphBuilder;
     use magis_graph::tensor::DType;
-    use magis_sim::memory_profile;
+    use magis_sim::memory_profile_checked;
 
     /// Deep MLP whose activations dominate memory.
     fn mlp(depth: usize) -> Graph {
@@ -515,7 +515,7 @@ mod tests {
     }
 
     fn hotspots(g: &Graph) -> BTreeSet<NodeId> {
-        memory_profile(g, &topo_order(g)).hotspots
+        memory_profile_checked(g, &topo_order(g)).unwrap().hotspots
     }
 
     #[test]

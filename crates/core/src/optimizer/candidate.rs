@@ -210,7 +210,7 @@ fn evaluate_candidate_inner(
 
     let t0 = Instant::now();
     let tree_stale = applied.tree_stale || state.tree_stale;
-    let looked_up = match cache.get(hash, ctx.mem_objective) {
+    let looked_up = match cache.get(hash) {
         // Hash-equal states are interchangeable to the search (the
         // equivalence the seen-set dedup already relies on), so the
         // cached state is reused wholesale; staleness is inherited

@@ -115,15 +115,13 @@ pub enum StopReason {
     /// relaxed-dominance frontier was explored.
     #[default]
     QueueExhausted,
-    /// The wall-clock budget expired.
-    BudgetExpired,
     /// The `max_evals` cap was reached.
     EvalCapReached,
     /// The queue ran dry *because* rule families were quarantined:
     /// faults (injected or real) shut down enough of the rule
     /// vocabulary that the search could no longer expand.
     FaultStorm,
-    /// The hard [`SearchBudget::wall_limit`] deadline passed; the
+    /// The wall-clock [`OptimizerConfig::budget`] ran out; the
     /// best-so-far incumbent was returned (anytime semantics).
     Deadline,
     /// An external [`CancelToken`] requested cancellation (e.g. a
@@ -137,7 +135,7 @@ impl StopReason {
     /// reachable space was exhausted or a candidate cap (a pure
     /// function of the trajectory, unlike wall clock) was hit. Results
     /// with a deterministic stop are safe to serve from caches keyed on
-    /// the job spec; deadline/budget/cancel stops are anytime snapshots
+    /// the job spec; deadline and cancel stops are anytime snapshots
     /// that depend on machine speed.
     pub fn is_deterministic(&self) -> bool {
         matches!(
@@ -151,7 +149,6 @@ impl std::fmt::Display for StopReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StopReason::QueueExhausted => write!(f, "queue-exhausted"),
-            StopReason::BudgetExpired => write!(f, "budget-expired"),
             StopReason::EvalCapReached => write!(f, "eval-cap-reached"),
             StopReason::FaultStorm => write!(f, "fault-storm"),
             StopReason::Deadline => write!(f, "deadline"),
@@ -257,8 +254,10 @@ impl std::fmt::Debug for ProgressHook {
 pub struct OptimizerConfig {
     /// What to optimize.
     pub objective: Objective,
-    /// Wall-clock search budget (the paper uses 3 minutes; scaled-down
-    /// budgets reproduce the same dynamics on the simulator).
+    /// The search's one wall-clock limit (the paper uses 3 minutes;
+    /// scaled-down budgets reproduce the same dynamics on the
+    /// simulator). When it runs out the search stops with
+    /// [`StopReason::Deadline`] and returns its best-so-far incumbent.
     pub budget: Duration,
     /// Hard cap on candidate evaluations (tests / determinism).
     pub max_evals: usize,
@@ -294,10 +293,8 @@ pub struct OptimizerConfig {
     /// rewrite paths skip scheduling + simulation). `0` disables
     /// caching. Default 1024.
     pub eval_cache: usize,
-    /// Hard anytime deadline contract: wall-clock limit (stops with
-    /// [`StopReason::Deadline`], checked before the soft `budget`) and
-    /// candidate cap (combined with `max_evals` as the min). Default
-    /// unlimited.
+    /// Boundary-checked candidate cap (combined with `max_evals` as the
+    /// min). Default unlimited.
     pub search_budget: SearchBudget,
     /// Cooperative cancellation + heartbeat token. When set, the
     /// search polls it at expansion boundaries and inside the fan-out
@@ -350,7 +347,7 @@ impl OptimizerConfig {
         OptimizerConfig { objective, ..OptimizerConfig::default() }
     }
 
-    /// Replaces the time budget.
+    /// Replaces the wall-clock limit.
     pub fn with_budget(mut self, budget: Duration) -> Self {
         self.budget = budget;
         self
@@ -398,8 +395,7 @@ impl OptimizerConfig {
         self
     }
 
-    /// Sets the hard anytime deadline contract (wall limit and/or
-    /// candidate cap).
+    /// Sets the boundary-checked candidate cap.
     pub fn with_search_budget(mut self, budget: SearchBudget) -> Self {
         self.search_budget = budget;
         self

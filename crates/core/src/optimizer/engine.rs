@@ -120,20 +120,13 @@ pub struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     /// Cooperative stop probe shared by the loop head and the fan-out
-    /// workers: cancellation, then the hard deadline, then the soft
-    /// budget (the returned reason reflects that priority).
+    /// workers: cancellation, then the wall-clock limit (the returned
+    /// reason reflects that priority).
     fn probe_stop(cfg: &OptimizerConfig, start: Instant) -> Option<StopReason> {
         if cfg.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Some(StopReason::Cancelled);
         }
-        let elapsed = start.elapsed();
-        if cfg.search_budget.wall_limit.is_some_and(|w| elapsed > w) {
-            return Some(StopReason::Deadline);
-        }
-        if elapsed > cfg.budget {
-            return Some(StopReason::BudgetExpired);
-        }
-        None
+        (start.elapsed() > cfg.budget).then_some(StopReason::Deadline)
     }
 
     /// Loop-head stop check: wall-clock probes first, then the
@@ -427,7 +420,7 @@ impl<'a> Engine<'a> {
             // LRU refresh: recency only ever advances here, so
             // eviction stays bit-identical across thread counts. No-op
             // if a strike purged the entry earlier in this merge pass.
-            self.eval_cache.touch(hash, cfg.ctx.mem_objective);
+            self.eval_cache.touch(hash);
             magis_obs::event!(
                 "magis_core",
                 "eval_cache_hit",
@@ -447,8 +440,7 @@ impl<'a> Engine<'a> {
             // Tainted children (post-eval fault injections) and
             // quarantined families are never cached.
             if !tainted && !self.quarantine.is_quarantined(family) {
-                let evicted =
-                    self.eval_cache.insert(hash, (*child).clone(), family, cfg.ctx.mem_objective);
+                let evicted = self.eval_cache.insert(hash, (*child).clone(), family);
                 self.stats.eval_cache_evictions += evicted;
             }
         }

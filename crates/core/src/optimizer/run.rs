@@ -13,7 +13,7 @@ use crate::state::{EvalError, MState};
 use magis_graph::graph::Graph;
 use magis_obs::metrics::{counter, labeled};
 use magis_obs::timeline::SearchTimeline;
-use magis_sim::memory_profile;
+use magis_sim::memory_profile_checked;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -237,8 +237,10 @@ fn run_search(
     // Terminal snapshot: the post-polish incumbent. Deterministic like
     // every other snapshot — the polish itself is.
     engine.report_progress("done", driver.frontier_len(), engine.pareto.front().len() as u64);
-    engine.timeline.memory_profile =
-        memory_profile(&engine.best.eval.graph, &engine.best.eval.order).step_bytes;
+    let best = &engine.best.eval;
+    engine.timeline.memory_profile = memory_profile_checked(&best.graph, &best.order)
+        .expect("the incumbent's order covers its graph")
+        .step_bytes;
     // Planner outcome for the timeline: the winning state's allocator
     // high-water mark and fragmentation overhead (zeros = planner off).
     if let Some(plan) = &engine.best.eval.plan {

@@ -279,22 +279,21 @@ fn eval_cache_disabled_matches_enabled_trajectory() {
 fn quarantine_purges_eval_cache() {
     let g = train_mlp(2);
     let s = MState::initial(g, &EvalContext::default());
-    let lv = magis_sim::MemObjective::Liveness;
     let mut cache = EvalCache::new(16);
-    cache.insert(11, s.clone(), 4, lv);
-    cache.insert(12, s.clone(), 4, lv);
-    cache.insert(13, s, 5, lv);
+    cache.insert(11, s.clone(), 4);
+    cache.insert(12, s.clone(), 4);
+    cache.insert(13, s, 5);
     let mut q = Quarantine::new(2, &[]);
     let mut stats = OptimizerStats::default();
     strike_family(&mut q, &mut cache, &mut stats, 4);
     assert_eq!(stats.eval_cache_purged, 0, "below threshold: no purge");
-    assert!(cache.get(11, lv).is_some());
+    assert!(cache.get(11).is_some());
     // Second strike quarantines family 4: its entries must go so a
     // later hash hit can't resurrect a distrusted rule's result.
     strike_family(&mut q, &mut cache, &mut stats, 4);
     assert_eq!(stats.eval_cache_purged, 2);
-    assert!(cache.get(11, lv).is_none() && cache.get(12, lv).is_none());
-    assert!(cache.get(13, lv).is_some(), "other families keep their entries");
+    assert!(cache.get(11).is_none() && cache.get(12).is_none());
+    assert!(cache.get(13).is_some(), "other families keep their entries");
 }
 
 #[test]

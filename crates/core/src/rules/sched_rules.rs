@@ -171,7 +171,7 @@ pub fn apply_remat(state: &MState, producer: NodeId, user: NodeId) -> Result<App
         txn.replace_input(u, producer, clone);
         mutated.insert(u);
     }
-    let base = txn.into_graph();
+    let base = txn.commit();
     Ok(Applied { base, ftree: state.ftree.clone(), mutated, tree_stale: true })
 }
 
@@ -188,7 +188,7 @@ pub fn apply_deremat(state: &MState, keep: NodeId, drop: NodeId) -> Result<Appli
         [keep, drop].into_iter().chain(txn.suc(drop)).collect();
     txn.redirect_uses(drop, keep);
     txn.remove(drop).map_err(|e| ApplyError(e.to_string()))?;
-    let base = txn.into_graph();
+    let base = txn.commit();
     Ok(Applied { base, ftree: state.ftree.clone(), mutated, tree_stale: true })
 }
 
@@ -210,7 +210,7 @@ pub fn apply_swap(state: &MState, producer: NodeId, user: NodeId) -> Result<Appl
         txn.replace_input(u, producer, ld);
         mutated.insert(u);
     }
-    let base = txn.into_graph();
+    let base = txn.commit();
     Ok(Applied { base, ftree: state.ftree.clone(), mutated, tree_stale: true })
 }
 
@@ -233,7 +233,7 @@ pub fn apply_deswap(state: &MState, load: NodeId) -> Result<Applied, ApplyError>
     if txn.use_count(store) == 0 {
         txn.remove(store).map_err(|e| ApplyError(e.to_string()))?;
     }
-    let base = txn.into_graph();
+    let base = txn.commit();
     Ok(Applied { base, ftree: state.ftree.clone(), mutated, tree_stale: true })
 }
 

@@ -374,7 +374,7 @@ fn overlay_graph(base: &Graph, ftree: &FTree, memo: &mut ScaleMemo<'_>) -> Resul
         apply_overlay_in(&mut ws, &mut txn, &ftree.node(i).spec, memo)
             .map_err(|e| ApplyError(e.to_string()))?;
     }
-    Ok(txn.into_graph())
+    Ok(txn.commit())
 }
 
 /// Restricts simulator hot-spots to base-graph nodes (overlay
@@ -646,7 +646,7 @@ mod tests {
         let fin = txn
             .add(OpKind::Binary(magis_graph::op::BinaryKind::Add), &[last, ld])
             .unwrap();
-        let g = txn.commit().0;
+        let g = txn.commit();
         let order = magis_graph::algo::topo_order(&g);
         let placed = place_swaps(&g, &order, &CostModel::default());
         assert!(magis_graph::algo::is_topo_order(&g, &placed));

@@ -818,7 +818,7 @@ mod tests {
         let mut grown = crate::txn::GraphTxn::begin(&g);
         let last = g.node_ids().last().unwrap();
         grown.add(OpKind::Unary(UnaryKind::Tanh), &[last]).unwrap();
-        let grown = grown.commit().0;
+        let grown = grown.commit();
         let parsed = from_record(&to_record(&g)).unwrap();
 
         let mut lines = RecordLines::default();

@@ -40,5 +40,5 @@ pub use builder::GraphBuilder;
 pub use graph::{Graph, GraphError, Node, NodeId};
 pub use op::{DimLink, DimLinks, OpError, OpKind};
 pub use tensor::{DType, Shape, TensorMeta};
-pub use txn::{GraphDelta, GraphTxn, ScaleEdits, ScaleMemo};
+pub use txn::{GraphTxn, ScaleEdits, ScaleMemo};
 pub use view::{GraphView, NodeIds};

@@ -40,7 +40,7 @@ fn random_dag(rng: &mut SmallRng, n: usize) -> Graph {
             txn.remove(v).expect("unused sink");
         }
     }
-    txn.commit().0
+    txn.commit()
 }
 
 proptest! {

@@ -16,6 +16,12 @@
 
 use std::fmt;
 
+/// The deepest nesting [`Json::parse`] accepts. The parser recurses once
+/// per level, so without a bound a line of brackets from a client would
+/// overflow the stack of the thread reading it; nothing this workspace
+/// writes nests more than a few levels.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed or to-be-serialized JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -130,7 +136,7 @@ impl Json {
     /// Returns a [`JsonError`] with the byte offset of the first
     /// defect.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -206,6 +212,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -247,12 +255,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(&format!("unexpected byte '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -448,6 +469,16 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "{\"a\":}", "nul", "1x", "{}z", "\"\\u12\""] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.pos, err.msg.as_str()), (MAX_DEPTH, "nested too deep"));
+        // Far past any stack: refused at the bound, not overflowed.
+        assert!(Json::parse(&"{\"a\":".repeat(1 << 20)).is_err());
     }
 
     #[test]

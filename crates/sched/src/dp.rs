@@ -237,7 +237,7 @@ mod tests {
     use magis_graph::algo::is_topo_order;
     use magis_graph::builder::GraphBuilder;
     use magis_graph::tensor::DType;
-    use magis_sim::memory::memory_profile;
+    use magis_sim::memory_profile_checked;
 
     /// Two parallel chains from one input: a long heavy chain and a
     /// short light one joining at the end. Greedy program order (heavy
@@ -262,11 +262,12 @@ mod tests {
         }
         let g = b.finish();
         let task = SchedTask::whole_graph(&g);
-        let naive_peak = memory_profile(&g, &magis_graph::algo::topo_order(&g)).peak_bytes;
+        let naive = magis_graph::algo::topo_order(&g);
+        let naive_peak = memory_profile_checked(&g, &naive).unwrap().peak_bytes;
         let res = dp_schedule(&task, &SchedConfig::default());
         let ids = task.to_node_ids(&res.order);
         assert!(is_topo_order(&g, &ids));
-        let dp_peak = memory_profile(&g, &ids).peak_bytes;
+        let dp_peak = memory_profile_checked(&g, &ids).unwrap().peak_bytes;
         assert!(
             dp_peak < naive_peak,
             "dp {dp_peak} should beat naive {naive_peak}"
@@ -346,7 +347,7 @@ mod tests {
             let res = dp_schedule(&task, &SchedConfig::default());
             let ids = task.to_node_ids(&res.order);
             assert!(is_topo_order(&g, &ids));
-            assert_eq!(memory_profile(&g, &ids).peak_bytes, res.peak);
+            assert_eq!(memory_profile_checked(&g, &ids).unwrap().peak_bytes, res.peak);
         }
     }
 }

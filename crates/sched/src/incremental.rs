@@ -252,7 +252,7 @@ mod tests {
         let clone = txn.add(OpKind::Unary(UnaryKind::Relu), &[input]).unwrap();
         let user = txn.suc(target)[0];
         txn.replace_input(user, target, clone);
-        let g_new = txn.commit().0;
+        let g_new = txn.commit();
         g_new.validate().unwrap();
 
         let s_old: BTreeSet<NodeId> = [target, user].into_iter().collect();
@@ -288,7 +288,7 @@ mod tests {
         let mut txn = magis_graph::GraphTxn::begin(&g_old);
         txn.redirect_uses(dup, a);
         txn.remove(dup).unwrap();
-        let g_new = txn.commit().0;
+        let g_new = txn.commit();
         let s_old: BTreeSet<NodeId> = [dup, u2].into_iter().collect();
         let psi_new = incremental_schedule_cached(
             &g_old,

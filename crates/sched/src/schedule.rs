@@ -82,9 +82,11 @@ pub fn full_schedule(g: &Graph, cfg: &SchedConfig) -> Vec<NodeId> {
     let all: Vec<NodeId> = g.node_ids().collect();
     let dp_order = stabilize_order(g, &schedule_pieces(g, &all, cfg, &mut Workspace::new(g)));
     let fallback = magis_graph::algo::topo_order(g);
-    let dp_peak = magis_sim::memory_profile(g, &dp_order).peak_bytes;
-    let naive_peak = magis_sim::memory_profile(g, &fallback).peak_bytes;
-    if dp_peak <= naive_peak {
+    let peak = |order: &[NodeId]| {
+        let profile = magis_sim::memory_profile_checked(g, order);
+        profile.expect("a stabilized or topological order covers the graph").peak_bytes
+    };
+    if peak(&dp_order) <= peak(&fallback) {
         dp_order
     } else {
         fallback
@@ -167,7 +169,7 @@ mod tests {
     use magis_graph::algo::{is_topo_order, topo_order};
     use magis_graph::builder::GraphBuilder;
     use magis_graph::tensor::DType;
-    use magis_sim::memory::memory_profile;
+    use magis_sim::memory_profile_checked;
 
     #[test]
     fn stabilize_fixes_violations() {
@@ -222,10 +224,10 @@ mod tests {
             acc = b.add_op(acc, p);
         }
         let g = b.finish();
-        let naive_peak = memory_profile(&g, &topo_order(&g)).peak_bytes;
+        let naive_peak = memory_profile_checked(&g, &topo_order(&g)).unwrap().peak_bytes;
         let sched = full_schedule(&g, &SchedConfig::default());
         assert!(is_topo_order(&g, &sched));
-        let peak = memory_profile(&g, &sched).peak_bytes;
+        let peak = memory_profile_checked(&g, &sched).unwrap().peak_bytes;
         assert!(peak <= naive_peak);
     }
 }

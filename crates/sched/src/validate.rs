@@ -196,7 +196,7 @@ mod tests {
         let c = b.gelu(x);
         let mut txn = magis_graph::GraphTxn::begin(&b.finish());
         txn.add_keepalive(a, c).unwrap();
-        let g = txn.commit().0;
+        let g = txn.commit();
         // a before c satisfies the keepalive; c before a violates it.
         assert_eq!(validate_schedule(&g, &[x, a, c]), Ok(()));
         assert!(matches!(

@@ -7,7 +7,7 @@ use magis_graph::GraphView;
 use magis_graph::op::MergeKind;
 use magis_graph::tensor::DType;
 use magis_sched::{dp_schedule, full_schedule, SchedConfig, SchedTask};
-use magis_sim::memory_profile;
+use magis_sim::memory_profile_checked;
 use std::collections::BTreeSet;
 
 #[test]
@@ -32,11 +32,11 @@ fn window_with_anchored_allocation() {
     let m = b.merge(a, MergeKind::Concat, 0, 4);
     let mut txn = magis_graph::GraphTxn::begin(&b.finish());
     txn.set_alloc_with(m, a);
-    let g = txn.commit().0;
+    let g = txn.commit();
     let task = SchedTask::whole_graph(&g);
     let res = dp_schedule(&task, &SchedConfig::default());
     let ids = task.to_node_ids(&res.order);
-    let prof = memory_profile(&g, &ids);
+    let prof = memory_profile_checked(&g, &ids).unwrap();
     assert_eq!(res.peak, prof.peak_bytes, "DP accounting matches profiler");
 }
 
@@ -50,7 +50,7 @@ fn keepalive_constrains_order() {
         let mut txn = magis_graph::GraphTxn::begin(&b.finish());
         // c must run after a even though no data flows.
         txn.add_keepalive(a, c).unwrap();
-        txn.commit().0
+        txn.commit()
     };
     let order = full_schedule(&g, &SchedConfig::default());
     let pa = order.iter().position(|&v| v == a).unwrap();
@@ -158,7 +158,7 @@ fn rewrite_touching_graph_source() {
     let inserted =
         txn.add(OpKind::Unary(UnaryKind::Relu), &[src]).expect("insert after source");
     txn.replace_input(user, src, inserted);
-    let g_new = txn.commit().0;
+    let g_new = txn.commit();
     g_new.validate().expect("valid mutation");
     let s_old: BTreeSet<NodeId> = [src, user].into_iter().collect();
     check_incremental(&g_old, &g_new, &s_old);
@@ -173,7 +173,7 @@ fn rewrite_touching_graph_sink() {
     let sink = g_old.node_ids().find(|&v| g_old.suc(v).is_empty()).expect("sink");
     let mut txn = magis_graph::GraphTxn::begin(&g_old);
     txn.add(OpKind::Unary(UnaryKind::Tanh), &[sink]).expect("append after sink");
-    let g_new = txn.commit().0;
+    let g_new = txn.commit();
     g_new.validate().expect("valid mutation");
     let s_old: BTreeSet<NodeId> = [sink].into_iter().collect();
     check_incremental(&g_old, &g_new, &s_old);
@@ -189,7 +189,7 @@ fn fission_style_split_of_peak_region() {
     let g_old = chain_graph();
     let cfg = SchedConfig::default();
     let psi_old = full_schedule(&g_old, &cfg);
-    let prof = memory_profile(&g_old, &psi_old);
+    let prof = memory_profile_checked(&g_old, &psi_old).unwrap();
     let peak_step = prof
         .step_bytes
         .iter()
@@ -224,7 +224,7 @@ fn fission_style_split_of_peak_region() {
     let r1 = txn.add(g_old.node(v).op.clone(), &[s1]).expect("part 1");
     let cat = txn.add(OpKind::Concat { axis: 0 }, &[r0, r1]).expect("stitch");
     txn.replace_input(user, v, cat);
-    let g_new = txn.commit().0;
+    let g_new = txn.commit();
     g_new.validate().expect("valid split");
     let s_old: BTreeSet<NodeId> = [src, v, user].into_iter().collect();
     check_incremental(&g_old, &g_new, &s_old);

@@ -15,7 +15,7 @@ use magis_sched::{
     full_schedule, incremental_schedule_cached, reschedule_interval_cached, IntervalParams,
     SchedConfig,
 };
-use magis_sim::memory_profile;
+use magis_sim::memory_profile_checked;
 use magis_util::prop::prelude::*;
 use std::collections::BTreeSet;
 
@@ -38,7 +38,7 @@ fn remat_mutation(g: &Graph, pick: usize) -> Option<(Graph, BTreeSet<NodeId>)> {
     let clone = txn.add(g.node(v).op.clone(), &inputs).ok()?;
     let user = g.suc(v)[0];
     txn.replace_input(user, v, clone);
-    let g_new = txn.commit().0;
+    let g_new = txn.commit();
     g_new.validate().ok()?;
     Some((g_new, [v, user].into_iter().collect()))
 }
@@ -84,9 +84,9 @@ proptest! {
         prop_assert!(is_topo_order(&g_new, &psi_new), "merged order is a valid topo order");
         prop_assert_eq!(psi_new.len(), g_new.len());
 
-        let inc_peak = memory_profile(&g_new, &psi_new).peak_bytes;
+        let inc_peak = memory_profile_checked(&g_new, &psi_new).unwrap().peak_bytes;
         let full_peak =
-            memory_profile(&g_new, &full_schedule(&g_new, &cfg)).peak_bytes;
+            memory_profile_checked(&g_new, &full_schedule(&g_new, &cfg)).unwrap().peak_bytes;
         prop_assert!(
             inc_peak as f64 <= full_peak as f64 * 1.25,
             "windowed peak {inc_peak} within 1.25x of full rerun {full_peak}"
@@ -111,8 +111,8 @@ proptest! {
         .expect("memory accounting conserved")
         .order;
         prop_assert!(is_topo_order(&g, &psi_new));
-        let new_peak = memory_profile(&g, &psi_new).peak_bytes;
-        let old_peak = memory_profile(&g, &psi_old).peak_bytes;
+        let new_peak = memory_profile_checked(&g, &psi_new).unwrap().peak_bytes;
+        let old_peak = memory_profile_checked(&g, &psi_old).unwrap().peak_bytes;
         prop_assert!(
             new_peak <= old_peak,
             "rescheduling never hurts: {new_peak} vs {old_peak}"

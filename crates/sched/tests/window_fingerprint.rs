@@ -156,7 +156,7 @@ fn remat_mutation(g: &Graph, pick: usize) -> Option<(Graph, BTreeSet<NodeId>, (N
     let clone = txn.add(g.node(v).op.clone(), &inputs).ok()?;
     let user = g.suc(v)[0];
     txn.replace_input(user, v, clone);
-    let g_new = txn.commit().0;
+    let g_new = txn.commit();
     g_new.validate().ok()?;
     Some((g_new, set_of([v, user]), (v, clone)))
 }
@@ -169,7 +169,7 @@ fn deremat_mutation(g: &Graph, v: NodeId, clone: NodeId) -> Option<(Graph, BTree
     let mut txn = GraphTxn::begin(g);
     txn.redirect_uses(v, clone);
     txn.remove(v).ok()?;
-    let g_new = txn.commit().0;
+    let g_new = txn.commit();
     g_new.validate().ok()?;
     Some((g_new, touched))
 }
@@ -188,7 +188,7 @@ fn swap_mutation(g: &Graph, pick: usize) -> Option<(Graph, BTreeSet<NodeId>)> {
     let store = txn.add(OpKind::Store, &[v]).ok()?;
     let load = txn.add(OpKind::Load, &[store]).ok()?;
     txn.replace_input(user, v, load);
-    let g_new = txn.commit().0;
+    let g_new = txn.commit();
     g_new.validate().ok()?;
     Some((g_new, set_of([v, user])))
 }
@@ -358,7 +358,7 @@ fn random_dag(rng: &mut SmallRng, n: usize) -> Graph {
             txn.remove(v).expect("sink removes cleanly");
         }
     }
-    txn.commit().0
+    txn.commit()
 }
 
 proptest! {

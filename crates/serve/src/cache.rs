@@ -6,8 +6,9 @@
 //! the completed result without re-running the search.
 //!
 //! **Only deterministic completions are cached.** A result whose stop
-//! reason is wall-clock dependent (`deadline`, `budget-expired`,
-//! `cancelled`) is different every run by nature; caching it would
+//! reason is wall-clock dependent (`deadline` — the job's one
+//! wall-clock limit, `budget_ms`, ran out — or `cancelled`) is
+//! different every run by nature; caching it would
 //! make a repeat submission's answer depend on which run happened to
 //! populate the cache. `StopReason::is_deterministic` gates insertion,
 //! so a cache hit is bit-identical to what a fresh run would have

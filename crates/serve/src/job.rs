@@ -121,9 +121,6 @@ impl Search {
         };
         let objective = objective_for(spec, seed_cost)?;
         let mut budget = SearchBudget::UNLIMITED;
-        if let Some(ms) = spec.wall_limit_ms {
-            budget = budget.with_wall_limit(Duration::from_millis(ms));
-        }
         if let Some(n) = spec.max_candidates {
             budget = budget.with_candidate_limit(n);
         }

@@ -6,11 +6,10 @@
 //! knobs) over a line-delimited JSON TCP protocol and runs them on a
 //! bounded worker pool with supervision:
 //!
-//! * **Deadlines everywhere** — each job's `wall_limit_ms` /
-//!   `max_candidates` thread into the search as a
-//!   [`SearchBudget`](magis_core::SearchBudget) with cooperative
-//!   cancellation; a deadline returns the best-so-far incumbent
-//!   (anytime semantics), and a watchdog flags jobs whose
+//! * **Deadlines everywhere** — each job's one wall-clock limit,
+//!   `budget_ms`, and its `max_candidates` cap thread into the search
+//!   with cooperative cancellation; a deadline returns the best-so-far
+//!   incumbent (anytime semantics), and a watchdog flags jobs whose
 //!   candidate-eval heartbeat stalls.
 //! * **Admission control** — a bounded queue with 429-style rejection
 //!   when full, per-client concurrent-job caps, and load shedding

@@ -33,7 +33,7 @@ use crate::job::{backend_for, driver_for, objective_for, workload_by_name};
 use magis_obs::json::Json;
 use magis_sim::MemObjective;
 
-/// Default job soft budget (matches the one-shot CLI default).
+/// Default job wall-clock limit (matches the one-shot CLI default).
 pub const DEFAULT_BUDGET_MS: u64 = 15_000;
 /// Default checkpoint cadence for service jobs, in merged evaluations.
 /// Deliberately small: the journal's crash-recovery window is one
@@ -64,11 +64,10 @@ pub struct JobSpec {
     pub objective: MemObjective,
     /// Cost-model backend profile name.
     pub backend: Option<String>,
-    /// Soft wall-clock budget in milliseconds.
+    /// The job's one wall-clock limit, in milliseconds (anytime
+    /// semantics: when it runs out the job returns its best-so-far
+    /// incumbent with `stop reason: deadline`).
     pub budget_ms: u64,
-    /// Hard deadline in milliseconds (anytime semantics: the job
-    /// returns its best-so-far incumbent with `stop reason: deadline`).
-    pub wall_limit_ms: Option<u64>,
     /// Hard candidate-evaluation cap — the deterministic stopping knob
     /// (cumulative across crash/resume).
     pub max_candidates: Option<usize>,
@@ -98,7 +97,6 @@ impl Default for JobSpec {
             objective: MemObjective::default(),
             backend: None,
             budget_ms: DEFAULT_BUDGET_MS,
-            wall_limit_ms: None,
             max_candidates: None,
             threads: 1,
             eval_cache: None,
@@ -137,9 +135,6 @@ impl JobSpec {
             o.push(("backend".into(), Json::Str(b.clone())));
         }
         o.push(("budget_ms".into(), Json::UInt(self.budget_ms)));
-        if let Some(w) = self.wall_limit_ms {
-            o.push(("wall_limit_ms".into(), Json::UInt(w)));
-        }
         if let Some(m) = self.max_candidates {
             o.push(("max_candidates".into(), Json::UInt(m as u64)));
         }
@@ -155,7 +150,8 @@ impl JobSpec {
     }
 
     /// Parses a spec from a JSON object, filling defaults for missing
-    /// fields. Unknown fields are ignored (forward compatibility).
+    /// fields. Unknown fields are ignored (forward compatibility), and
+    /// so is the retired hard-deadline field older journals carry.
     pub fn from_json(j: &Json) -> Result<JobSpec, String> {
         let mut s = JobSpec::default();
         let get = |k: &str| j.get(k);
@@ -188,9 +184,6 @@ impl JobSpec {
         if let Some(v) = get("budget_ms") {
             s.budget_ms = v.as_u64().ok_or("budget_ms must be an integer")?;
         }
-        if let Some(v) = get("wall_limit_ms") {
-            s.wall_limit_ms = Some(v.as_u64().ok_or("wall_limit_ms must be an integer")?);
-        }
         if let Some(v) = get("max_candidates") {
             s.max_candidates =
                 Some(v.as_u64().ok_or("max_candidates must be an integer")? as usize);
@@ -216,11 +209,16 @@ impl JobSpec {
     }
 
     /// Checks every name the spec carries — mode, workload, backend,
-    /// strategy — against the tables that resolve them, and decodes an
-    /// inline graph record. A spec that fails here could never run, so
+    /// strategy — against the tables that resolve them, decodes an
+    /// inline graph record, and requires `scale` and `limit` to be
+    /// finite (a float past `f64` would be journaled as `null`, which no
+    /// later read accepts). A spec that fails here could never run, so
     /// the CLI refuses it before connecting and [`Self::from_json`]
     /// before admission: it is never journaled.
     pub fn validate(&self) -> Result<(), String> {
+        if !self.scale.is_finite() || self.limit.is_some_and(|l| !l.is_finite()) {
+            return Err("scale and limit must be finite numbers".into());
+        }
         objective_for(self, (0, 0.0))?;
         if let Some(name) = &self.workload {
             workload_by_name(name)?;
@@ -420,7 +418,7 @@ mod tests {
     fn spec() -> JobSpec {
         JobSpec {
             workload: Some("unet".into()),
-            wall_limit_ms: Some(200),
+            budget_ms: 200,
             max_candidates: Some(64),
             limit: Some(1.1),
             ..JobSpec::default()
@@ -444,6 +442,14 @@ mod tests {
         assert_eq!(a.cache_key(), b.cache_key());
         b.max_candidates = Some(65);
         assert_ne!(a.cache_key(), b.cache_key());
+    }
+
+    #[test]
+    fn numbers_past_f64_are_refused() {
+        for line in [r#"{"workload":"unet","scale":1e999}"#, r#"{"workload":"unet","limit":-1e999}"#] {
+            let err = JobSpec::from_json(&Json::parse(line).unwrap()).unwrap_err();
+            assert_eq!(err, "scale and limit must be finite numbers");
+        }
     }
 
     #[test]

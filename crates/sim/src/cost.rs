@@ -205,7 +205,7 @@ impl CostModel {
     }
 
     /// `cost(G) ≈ Σ_v cost(v)` (§2.1), ignoring swap overlap. Use
-    /// [`crate::exec::simulate_latency`] for the overlap-aware figure.
+    /// [`crate::exec::simulate_checked`] for the overlap-aware figure.
     pub fn graph_latency(&self, g: &Graph) -> f64 {
         g.node_ids().map(|v| self.node_latency(g, v)).sum()
     }
@@ -298,7 +298,7 @@ mod tests {
         let one = m.node_latency(&g, r);
         let mut txn = magis_graph::GraphTxn::begin(&g);
         txn.set_cost_repeat(r, 3);
-        let g = txn.commit().0;
+        let g = txn.commit();
         assert!((m.node_latency(&g, r) - 3.0 * one).abs() < 1e-15);
     }
 }

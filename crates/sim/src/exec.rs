@@ -5,10 +5,11 @@
 //! when a consumer has to wait for it.
 
 use magis_graph::GraphView;
-use crate::cost::NodeCost;
+use crate::cost::{CostError, NodeCost};
+use crate::memory::memory_profile_checked;
 use magis_graph::graph::{Graph, NodeId};
 
-/// Result of [`simulate`].
+/// Result of [`simulate_checked`].
 #[derive(Debug, Clone)]
 pub struct ExecTimeline {
     /// End-to-end latency in seconds.
@@ -44,36 +45,22 @@ impl ExecTimeline {
 /// [`CostModel`](crate::CostModel) or the memoizing
 /// [`crate::PerfCache`] the optimizer shares across candidate
 /// evaluations (bit-identical, since `PerfCache` stores exact model
-/// outputs).
+/// outputs). Each per-node latency is validated as the simulation
+/// consumes it (NaN / infinite / negative rejected with the offending
+/// node attributed).
+///
+/// # Errors
+///
+/// The first invalid per-node latency, as a typed [`CostError`].
 ///
 /// # Panics
 ///
 /// Panics if `order` doesn't cover the graph.
-pub fn simulate<C: NodeCost + ?Sized>(g: &Graph, order: &[NodeId], cm: &C) -> ExecTimeline {
-    match simulate_inner(g, order, |v| Ok::<f64, std::convert::Infallible>(cm.node_latency(g, v)))
-    {
-        Ok(t) => t,
-        Err(never) => match never {},
-    }
-}
-
-/// [`simulate`] with each per-node latency validated on the fly
-/// (NaN / infinite / negative rejected with the offending node
-/// attributed) — one cost-source probe per node instead of the
-/// validate-then-simulate double pass.
 pub fn simulate_checked<C: NodeCost + ?Sized>(
     g: &Graph,
     order: &[NodeId],
     cm: &C,
-) -> Result<ExecTimeline, crate::cost::CostError> {
-    simulate_inner(g, order, |v| cm.node_latency_checked(g, v))
-}
-
-fn simulate_inner<E>(
-    g: &Graph,
-    order: &[NodeId],
-    mut latency: impl FnMut(NodeId) -> Result<f64, E>,
-) -> Result<ExecTimeline, E> {
+) -> Result<ExecTimeline, CostError> {
     assert_eq!(order.len(), g.len(), "schedule must cover the graph");
     // Dense finish-time table indexed by slot; unexecuted deps read 0.
     let mut finish_at = vec![0.0f64; g.capacity()];
@@ -90,7 +77,7 @@ fn simulate_inner<E>(
             .chain(n.keepalive())
             .map(|d| finish_at[d.index()])
             .fold(0.0f64, f64::max);
-        let dur = latency(v)?;
+        let dur = cm.node_latency_checked(g, v)?;
         let end = if n.op.is_swap() {
             let start = t_xfer.max(deps_ready);
             t_xfer = start + dur;
@@ -108,20 +95,20 @@ fn simulate_inner<E>(
     Ok(ExecTimeline { total: t_compute.max(t_xfer), finish, compute_busy, xfer_busy })
 }
 
-/// End-to-end latency only.
-pub fn simulate_latency<C: NodeCost + ?Sized>(g: &Graph, order: &[NodeId], cm: &C) -> f64 {
-    simulate(g, order, cm).total
-}
-
 /// Execution-time/memory-usage curve for case studies (Fig. 16): one
 /// `(finish_time_seconds, active_bytes)` point per schedule step.
+///
+/// # Panics
+///
+/// Panics if `order` does not cover `g` or a latency is invalid: the
+/// figures plot schedules the optimizer has already evaluated.
 pub fn memory_timeline<C: NodeCost + ?Sized>(
     g: &Graph,
     order: &[NodeId],
     cm: &C,
 ) -> Vec<(f64, u64)> {
-    let exec = simulate(g, order, cm);
-    let mem = crate::memory::memory_profile(g, order);
+    let exec = simulate_checked(g, order, cm).expect("an evaluated schedule simulates");
+    let mem = memory_profile_checked(g, order).expect("an evaluated schedule profiles");
     // Transfer-stream steps can finish after later compute steps start;
     // report each step at the wall-clock time its state is in effect.
     let mut t = 0.0f64;
@@ -163,14 +150,14 @@ mod tests {
         let c = g.add(OpKind::Binary(BinaryKind::Add), &[cur, ld]).unwrap();
         order.push(ld);
         order.push(c);
-        (g.commit().0, order)
+        (g.commit(), order)
     }
 
     #[test]
     fn long_chain_hides_transfer() {
         let cm = CostModel::default();
         let (g, order) = swap_graph(60);
-        let t = simulate(&g, &order, &cm);
+        let t = simulate_checked(&g, &order, &cm).unwrap();
         // With enough independent compute, the swap is almost free:
         // total ≈ compute_busy.
         assert!(t.total < t.compute_busy * 1.05, "total {} busy {}", t.total, t.compute_busy);
@@ -181,7 +168,7 @@ mod tests {
     fn short_chain_exposes_transfer() {
         let cm = CostModel::default();
         let (g, order) = swap_graph(1);
-        let t = simulate(&g, &order, &cm);
+        let t = simulate_checked(&g, &order, &cm).unwrap();
         // Transfers dominate: total must exceed pure compute time.
         assert!(t.total > t.compute_busy * 1.5);
     }
@@ -193,9 +180,9 @@ mod tests {
         let x = txn.add_input(InputKind::Activation, big_meta(), "x");
         let a = txn.add(OpKind::Unary(UnaryKind::Relu), &[x]).unwrap();
         let b = txn.add(OpKind::Unary(UnaryKind::Relu), &[a]).unwrap();
-        let g = txn.commit().0;
+        let g = txn.commit();
         let order = vec![x, a, b];
-        let t = simulate(&g, &order, &cm);
+        let t = simulate_checked(&g, &order, &cm).unwrap();
         assert!((t.total - cm.graph_latency(&g)).abs() < 1e-12);
         assert_eq!(t.xfer_busy, 0.0);
     }

@@ -16,7 +16,7 @@
 //! use magis_graph::builder::GraphBuilder;
 //! use magis_graph::tensor::DType;
 //! use magis_graph::algo::topo_order;
-//! use magis_sim::{CostModel, evaluate};
+//! use magis_sim::{CostModel, evaluate_checked};
 //!
 //! let mut b = GraphBuilder::new(DType::F32);
 //! let x = b.input([512, 512], "x");
@@ -24,8 +24,9 @@
 //! let y = b.matmul(x, w);
 //! let g = b.finish();
 //! let order = topo_order(&g);
-//! let ev = evaluate(&g, &order, &CostModel::default());
+//! let ev = evaluate_checked(&g, &order, &CostModel::default())?;
 //! assert!(ev.latency > 0.0 && ev.peak_bytes > 0);
+//! # Ok::<(), magis_sim::CostError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -45,10 +46,9 @@ pub use backend::{
 pub use calibrate::{CalibrationError, TraceSample};
 pub use cost::{CostError, CostModel, NodeCost};
 pub use device::DeviceSpec;
-pub use exec::{memory_timeline, simulate, simulate_checked, simulate_latency, ExecTimeline};
+pub use exec::{memory_timeline, simulate_checked, ExecTimeline};
 pub use memory::{
-    memory_profile, memory_profile_checked, memory_profile_lifetimes, storage_root, Lifetimes,
-    MemoryProfile,
+    memory_profile_checked, memory_profile_lifetimes, storage_root, Lifetimes, MemoryProfile,
 };
 pub use plan::{memory_plan, plan_from_lifetimes, MemObjective, MemoryPlan, PlannedAlloc};
 // The two names `benchmark/src/replay.rs` still calls; see their definitions.
@@ -73,38 +73,21 @@ pub struct Evaluation {
     pub memory: MemoryProfile,
 }
 
-/// Evaluates a graph under a schedule: latency and peak memory.
+/// Evaluates a graph under a schedule: latency and peak memory, with
+/// every failure mode surfaced as a typed [`CostError`] instead of a
+/// panic or silent garbage: schedule coverage, per-node latency
+/// validity (NaN / infinite / negative), total-latency finiteness, and
+/// memory-accounting conservation are all checked.
 ///
 /// Generic over any [`NodeCost`] source — the raw [`CostModel`] for a
 /// registry [`Backend`], or the shared [`PerfCache`].
-///
-/// # Panics
-///
-/// Panics if `order` does not cover the graph.
-pub fn evaluate<C: NodeCost + ?Sized>(g: &Graph, order: &[NodeId], cm: &C) -> Evaluation {
-    let timeline = exec::simulate(g, order, cm);
-    let memory = memory::memory_profile(g, order);
-    Evaluation {
-        latency: timeline.total,
-        peak_bytes: memory.peak_bytes,
-        planned_peak_bytes: None,
-        memory,
-    }
-}
-
-/// [`evaluate`] with every failure mode surfaced as a typed
-/// [`CostError`] instead of a panic or silent garbage: schedule
-/// coverage, per-node latency validity (NaN / infinite / negative),
-/// total-latency finiteness, and memory-accounting conservation are
-/// all checked. This is the entry point the hardened optimizer uses
-/// for candidate evaluation.
 pub fn evaluate_checked<C: NodeCost + ?Sized>(
     g: &Graph,
     order: &[NodeId],
     cm: &C,
 ) -> Result<Evaluation, CostError> {
     // The memory check goes first: it establishes exact schedule
-    // coverage, without which `simulate` below could index with an
+    // coverage, without which the simulation could index with an
     // unscheduled node's position and panic.
     let memory = memory::memory_profile_checked(g, order)?;
     evaluate_with_plan(g, order, cm, memory, None)
@@ -182,24 +165,10 @@ mod tests {
         let _y = b.relu(h);
         let g = b.finish();
         let order = topo_order(&g);
-        let ev = evaluate(&g, &order, &CostModel::default());
+        let ev = evaluate_checked(&g, &order, &CostModel::default()).unwrap();
         assert!(ev.latency > 0.0);
         assert_eq!(ev.peak_bytes, ev.memory.peak_bytes);
         assert!(ev.peak_bytes >= 3 * 256 * 256 * 4);
-    }
-
-    #[test]
-    fn evaluate_checked_accepts_valid_and_matches_unchecked() {
-        let mut b = GraphBuilder::new(DType::F32);
-        let x = b.input([128, 128], "x");
-        let _ = b.relu(x);
-        let g = b.finish();
-        let order = topo_order(&g);
-        let cm = CostModel::default();
-        let a = evaluate(&g, &order, &cm);
-        let c = evaluate_checked(&g, &order, &cm).unwrap();
-        assert_eq!(a.latency.to_bits(), c.latency.to_bits());
-        assert_eq!(a.peak_bytes, c.peak_bytes);
     }
 
     #[test]

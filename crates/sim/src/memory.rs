@@ -22,7 +22,7 @@ use magis_graph::graph::{Graph, NodeId};
 use magis_graph::op::OpKind;
 use std::collections::BTreeSet;
 
-/// Result of [`memory_profile`].
+/// Result of [`memory_profile_checked`].
 #[derive(Debug, Clone)]
 pub struct MemoryProfile {
     /// Peak device memory in bytes (`M_peak`).
@@ -53,28 +53,11 @@ pub fn device_bytes(g: &Graph, v: NodeId) -> u64 {
     }
 }
 
-/// Computes the memory profile of `g` executed in `order`.
-///
-/// `order` must be a topological order over all live nodes of `g`
-/// (checked in debug builds).
-///
-/// # Panics
-///
-/// Panics if `order` has the wrong length or references dead nodes.
-pub fn memory_profile(g: &Graph, order: &[NodeId]) -> MemoryProfile {
-    assert_eq!(order.len(), g.len(), "schedule must cover the graph");
-    debug_assert!(magis_graph::algo::is_topo_order(g, order), "schedule must be topological");
-    // A conservation violation here means the graph or schedule is
-    // already corrupt; panicking beats the silent `as u64` wrap this
-    // used to produce. Callers that must survive corruption use
-    // `memory_profile_checked`.
-    profile_impl(g, order).expect("memory accounting conserved").0
-}
-
-/// [`memory_profile`] with every failure mode surfaced as a typed
-/// [`CostError`]: schedule/graph coverage mismatch, accumulator
-/// overflow, and negative running usage (conservation violations) all
-/// return errors instead of panicking or wrapping.
+/// Computes the memory profile of `g` executed in `order`, which must
+/// be a topological order over all live nodes of `g`. Every failure
+/// mode is a typed [`CostError`]: schedule/graph coverage mismatch,
+/// accumulator overflow, and negative running usage (conservation
+/// violations).
 pub fn memory_profile_checked(g: &Graph, order: &[NodeId]) -> Result<MemoryProfile, CostError> {
     check_coverage(g, order)?;
     profile_impl(g, order).map(|(profile, _)| profile)
@@ -277,7 +260,7 @@ mod tests {
     fn chain_peak_is_two_tensors() {
         let g = chain(3);
         let order = topo_order(&g);
-        let p = memory_profile(&g, &order);
+        let p = memory_profile_checked(&g, &order).unwrap();
         // During each relu: its input + its output = 2 KiB... except the
         // final tensor is terminal (lives to the end), which still gives
         // a 2 KiB peak.
@@ -294,7 +277,7 @@ mod tests {
         let c = bld.add_op(a, b2);
         let g = bld.finish();
         let order = vec![x, a, b2, c];
-        let p = memory_profile(&g, &order);
+        let p = memory_profile_checked(&g, &order).unwrap();
         // Step of b2: x, a, b2 alive = 3 KiB; step of c: a, b2, c = 3 KiB.
         assert_eq!(p.peak_bytes, 3 * KB);
         assert!(p.hotspots.len() >= 3);
@@ -312,7 +295,7 @@ mod tests {
         let y = bld.mul(b2, w);
         let g = bld.finish();
         let order = vec![x, a, b2, w, y];
-        let p = memory_profile(&g, &order);
+        let p = memory_profile_checked(&g, &order).unwrap();
         // Step 0 (x runs): x + w resident.
         assert_eq!(p.step_bytes[0], 2 * KB);
     }
@@ -326,7 +309,7 @@ mod tests {
         let y = bld.relu(r);
         let g = bld.finish();
         let order = vec![x, a, r, y];
-        let p = memory_profile(&g, &order);
+        let p = memory_profile_checked(&g, &order).unwrap();
         // At y: a's storage (via alias r) + y = 2 KiB; reshape adds none.
         assert_eq!(p.step_bytes[3], 2 * KB);
         assert_eq!(p.peak_bytes, 2 * KB);
@@ -344,9 +327,9 @@ mod tests {
         let b2 = txn.add(OpKind::Unary(UnaryKind::Relu), &[b1]).unwrap();
         let ld = txn.add(OpKind::Load, &[st]).unwrap();
         let c = txn.add(OpKind::Binary(magis_graph::op::BinaryKind::Add), &[b2, ld]).unwrap();
-        let g = txn.commit().0;
+        let g = txn.commit();
         let order = vec![x, a, st, b1, b2, ld, c];
-        let p = memory_profile(&g, &order);
+        let p = memory_profile_checked(&g, &order).unwrap();
         // During b2 (step 4): device holds b1 and b2 — `a` was stored
         // out after step 2 and not yet loaded, x freed after b1: 2 KiB.
         assert_eq!(p.step_bytes[4], 2 * KB);
@@ -364,9 +347,9 @@ mod tests {
         let m = bld.merge(a, MergeKind::Concat, 0, 4);
         let mut txn = magis_graph::GraphTxn::begin(&bld.finish());
         txn.set_alloc_with(m, a);
-        let g = txn.commit().0;
+        let g = txn.commit();
         let order = vec![x, a, m];
-        let p = memory_profile(&g, &order);
+        let p = memory_profile_checked(&g, &order).unwrap();
         // During a (step 1): x (1K) + a (1K) + merge output (4K) = 6 KiB.
         assert_eq!(p.step_bytes[1], 6 * KB);
     }
@@ -375,7 +358,7 @@ mod tests {
     fn hotspots_at_peak_only() {
         let g = chain(5);
         let order = topo_order(&g);
-        let p = memory_profile(&g, &order);
+        let p = memory_profile_checked(&g, &order).unwrap();
         for &h in &p.hotspots {
             assert!(g.contains(h));
         }
@@ -384,9 +367,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "schedule must cover")]
-    fn wrong_length_schedule_panics() {
+    fn wrong_length_schedule_is_an_error() {
         let g = chain(2);
-        memory_profile(&g, &[]);
+        let err = memory_profile_checked(&g, &[]).unwrap_err();
+        assert_eq!(err, CostError::BadSchedule { expected: 3, got: 0 });
     }
 }

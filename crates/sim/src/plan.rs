@@ -291,7 +291,7 @@ pub fn memory_plan_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::memory_profile;
+    use crate::memory::memory_profile_checked;
     use magis_graph::algo::topo_order;
     use magis_graph::builder::GraphBuilder;
     use magis_graph::graph::Graph;
@@ -325,7 +325,7 @@ mod tests {
         }
         let g = b.finish();
         let (plan, order) = plan_of(&g);
-        let prof = memory_profile(&g, &order);
+        let prof = memory_profile_checked(&g, &order).unwrap();
         assert_eq!(plan.liveness_peak_bytes, prof.peak_bytes);
         assert_eq!(plan.planned_peak_bytes, prof.peak_bytes, "chain reuse is exact");
         assert_eq!(plan.fragmentation_ratio(), 1.0);
@@ -341,7 +341,7 @@ mod tests {
         let _y = b.matmul(h2, w);
         let g = b.finish();
         let (plan, order) = plan_of(&g);
-        let prof = memory_profile(&g, &order);
+        let prof = memory_profile_checked(&g, &order).unwrap();
         assert!(plan.planned_peak_bytes >= prof.peak_bytes);
         assert_eq!(plan.liveness_peak_bytes, prof.peak_bytes);
     }

@@ -5,7 +5,7 @@ use magis_graph::GraphView;
 use magis_graph::builder::GraphBuilder;
 use magis_graph::op::{Conv2dAttrs, OpKind};
 use magis_graph::tensor::{DType, TensorMeta};
-use magis_sim::{memory_profile, CostModel, DeviceSpec};
+use magis_sim::{memory_profile_checked, CostModel, DeviceSpec};
 use magis_util::prop::prelude::*;
 
 proptest! {
@@ -53,7 +53,7 @@ proptest! {
         }
         let g = b.finish();
         let order = magis_graph::algo::topo_order(&g);
-        let p = memory_profile(&g, &order);
+        let p = memory_profile_checked(&g, &order).unwrap();
         // Inputs (x + all weights) resident at step 0.
         let inputs: u64 = g
             .node_ids()

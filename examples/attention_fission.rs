@@ -11,6 +11,7 @@ use magis::core::dgraph::DimGraph;
 use magis::core::state::build_overlay_graph;
 use magis::core::{FTree, FTreeMutation};
 use magis::prelude::*;
+use magis::sim::evaluate_checked;
 use magis_graph::algo::topo_order;
 
 fn main() {
@@ -62,7 +63,7 @@ fn main() {
     // 3. Enable the deepest candidate and walk lift/mutate upward,
     // printing the trade-off at each step (the §5.1 search path).
     let cm = CostModel::default();
-    let base = evaluate(&g, &topo_order(&g), &cm);
+    let base = evaluate_checked(&g, &topo_order(&g), &cm).expect("the graph evaluates");
     println!(
         "\nbaseline: peak {:5.1} MiB latency {:5.2} ms",
         base.peak_bytes as f64 / (1 << 20) as f64,
@@ -71,7 +72,8 @@ fn main() {
     let mut tree = state.ftree.clone();
     let step = |tree: &FTree, label: &str| {
         let overlaid = build_overlay_graph(&g, tree).expect("valid overlay");
-        let ev = evaluate(&overlaid, &topo_order(&overlaid), &cm);
+        let order = topo_order(&overlaid);
+        let ev = evaluate_checked(&overlaid, &order, &cm).expect("the overlay evaluates");
         println!(
             "{label:12} peak {:5.1} MiB ({:4.1}%)  latency {:5.2} ms ({:+5.1}%)",
             ev.peak_bytes as f64 / (1 << 20) as f64,

@@ -58,9 +58,7 @@ pub mod prelude {
     pub use magis_core::{FTree, FissionSpec};
     pub use magis_graph::builder::GraphBuilder;
     pub use magis_graph::grad::{append_backward, TrainOptions};
-    pub use magis_graph::{
-        DType, Graph, GraphDelta, GraphTxn, GraphView, NodeId, OpKind, Shape, TensorMeta,
-    };
+    pub use magis_graph::{DType, Graph, GraphTxn, GraphView, NodeId, OpKind, Shape, TensorMeta};
     pub use magis_models::Workload;
-    pub use magis_sim::{evaluate, CostModel, DeviceSpec};
+    pub use magis_sim::{CostModel, DeviceSpec};
 }

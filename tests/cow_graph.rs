@@ -157,7 +157,7 @@ fn clone_cost_is_bounded_by_touched_nodes_not_graph_size() {
         let tail = c.node_ids().last().expect("chain tail");
         txn.add(OpKind::Unary(magis::graph::op::UnaryKind::Gelu), &[tail])
             .expect("append to chain");
-        let (mutated, _) = txn.commit();
+        let mutated = txn.commit();
         let unshared = mutated.page_count() - mutated.shared_pages_with(&g);
         (unshared, mutated.page_count())
     };

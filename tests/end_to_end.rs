@@ -4,6 +4,7 @@
 //! schedule validity of the winning state).
 
 use magis::prelude::*;
+use magis::sim::evaluate_checked;
 use std::time::Duration;
 
 fn quick(objective: Objective) -> OptimizerConfig {
@@ -19,7 +20,7 @@ fn check_state_consistency(s: &MState) {
         "schedule is a valid topological order"
     );
     // Re-simulating the stored schedule reproduces the stored metrics.
-    let ev = evaluate(&s.eval.graph, &s.eval.order, &CostModel::default());
+    let ev = evaluate_checked(&s.eval.graph, &s.eval.order, &CostModel::default()).unwrap();
     assert_eq!(ev.peak_bytes, s.eval.peak_bytes);
     assert!((ev.latency - s.eval.latency).abs() < 1e-9);
 }

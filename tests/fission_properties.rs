@@ -7,6 +7,7 @@
 use magis::core::dgraph::{component_dims, DimGraph};
 use magis::core::fission::{apply_full, apply_overlay, FissionSpec};
 use magis::prelude::*;
+use magis::sim::evaluate_checked;
 use magis_graph::algo::{topo_order, weakly_connected_components};
 use magis_graph::{GraphTxn, GraphView};
 use magis_util::prop::prelude::*;
@@ -77,7 +78,7 @@ proptest! {
             // Overlay path.
             let mut txn = GraphTxn::begin(&g);
             apply_overlay(&mut txn, spec).expect("validated spec overlays");
-            let ov = txn.commit().0;
+            let ov = txn.commit();
             ov.validate().expect("overlay graph well-formed");
             // Full materialization path.
             let full = apply_full(&g, spec).expect("validated spec materializes");
@@ -85,8 +86,8 @@ proptest! {
             // Node-count relationship: overlay is O(|S|); full is O(n·|S|).
             prop_assert!(full.len() > ov.len());
             // Latency agreement within 35%.
-            let ev_o = evaluate(&ov, &topo_order(&ov), &cm);
-            let ev_f = evaluate(&full, &topo_order(&full), &cm);
+            let ev_o = evaluate_checked(&ov, &topo_order(&ov), &cm).unwrap();
+            let ev_f = evaluate_checked(&full, &topo_order(&full), &cm).unwrap();
             let ratio = ev_o.latency / ev_f.latency;
             prop_assert!((0.65..1.55).contains(&ratio), "latency ratio {ratio}");
             // Both transforms keep every original graph output shape:
@@ -111,7 +112,7 @@ proptest! {
         for spec in specs.iter().take(4) {
             let mut txn = GraphTxn::begin(&g);
             apply_overlay(&mut txn, spec).expect("overlay");
-            let ov = txn.commit().0;
+            let ov = txn.commit();
             for (&v, &d) in &spec.dims {
                 let before = g.node(v).meta.size_bytes();
                 let after = ov.node(v).meta.size_bytes();
@@ -142,7 +143,7 @@ fn nested_specs_compose_on_training_graph() {
         let mut txn = GraphTxn::begin(&g);
         apply_overlay(&mut txn, &outer).expect("outer overlay");
         if apply_overlay(&mut txn, &inner).is_ok() {
-            let gg = txn.commit().0;
+            let gg = txn.commit();
             gg.validate().expect("nested overlay well-formed");
             for &v in &inner.set {
                 assert_eq!(gg.node(v).cost_repeat, 4, "2 x 2 nested parts");

@@ -1,7 +1,7 @@
 //! The protocol boundary of the one front door: a spec that names
 //! something unknown, or carries a graph record that does not decode,
 //! is refused before admission, and specs journaled by earlier daemons
-//! still read back byte for byte.
+//! still read back byte for byte, the retired hard deadline ignored.
 
 use magis::obs::json::Json;
 use magis::serve::{Client, JobSpec, ServeConfig, ServeError, Server};
@@ -61,35 +61,47 @@ fn a_spec_that_can_never_run_is_refused_at_once_and_never_admitted() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
+/// The `spec.json` lines of two `magis submit` lines, one setting every
+/// flag and one none, each with the `JobSpec::cache_key` earlier
+/// daemons computed for it: a spec renders and keys as it always did.
+const JOURNALED: [(&str, u64); 2] = [
+    (
+        concat!(
+            r#"{"client":"fixture","workload":"unet","scale":0.1,"mode":"latency","limit":0.75,"#,
+            r#""objective":"planned","backend":"a100","budget_ms":15000,"#,
+            r#""max_candidates":30,"threads":1,"eval_cache":512,"checkpoint_every":16,"#,
+            r#""strategy":"mcts"}"#,
+            "\n"
+        ),
+        0xa570_34e9_b679_be75,
+    ),
+    (
+        concat!(
+            r#"{"client":"anon","workload":"bert","scale":0.1,"mode":"memory","#,
+            r#""objective":"liveness","budget_ms":15000,"max_candidates":20,"threads":1,"#,
+            r#""checkpoint_every":16}"#,
+            "\n"
+        ),
+        0xa5f6_1a8c_c99f_121f,
+    ),
+];
+
 #[test]
 fn specs_journaled_by_the_parent_read_back_byte_for_byte_under_the_same_cache_key() {
-    // `spec.json` files PR 16's daemon wrote for two `magis submit`
-    // lines (one setting every flag, one none), each with the
-    // `JobSpec::cache_key` PR 16 computed for it.
-    let journaled = [
-        (
-            concat!(
-                r#"{"client":"fixture","workload":"unet","scale":0.1,"mode":"latency","limit":0.75,"#,
-                r#""objective":"planned","backend":"a100","budget_ms":15000,"wall_limit_ms":60000,"#,
-                r#""max_candidates":30,"threads":1,"eval_cache":512,"checkpoint_every":16,"#,
-                r#""strategy":"mcts"}"#,
-                "\n"
-            ),
-            0xbfc3_4431_1a65_a8ee_u64,
-        ),
-        (
-            concat!(
-                r#"{"client":"anon","workload":"bert","scale":0.1,"mode":"memory","#,
-                r#""objective":"liveness","budget_ms":15000,"max_candidates":20,"threads":1,"#,
-                r#""checkpoint_every":16}"#,
-                "\n"
-            ),
-            0xa5f6_1a8c_c99f_121f_u64,
-        ),
-    ];
-    for (text, key) in journaled {
+    for (text, key) in JOURNALED {
         let spec = JobSpec::from_json(&Json::parse(text).expect("json")).expect("a valid spec");
         assert_eq!(spec.to_json().render() + "\n", text);
         assert_eq!(spec.cache_key(), key);
     }
+}
+
+#[test]
+fn a_journaled_spec_with_the_retired_deadline_decodes_with_the_key_ignored() {
+    // The every-flag line as daemons with a second, hard deadline
+    // journaled it: `budget_ms` is now the one wall-clock limit.
+    let (text, key) = JOURNALED[0];
+    let retired = text.replacen(r#""max_candidates""#, r#""wall_limit_ms":60000,"max_candidates""#, 1);
+    let spec = JobSpec::from_json(&Json::parse(&retired).expect("json")).expect("a valid spec");
+    assert_eq!(spec.to_json().render() + "\n", text);
+    assert_eq!(spec.cache_key(), key);
 }

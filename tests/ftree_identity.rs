@@ -17,7 +17,7 @@ use magis::core::ftree::{FTree, FTreeMutation, FTreeNode};
 use magis::core::rules::{self, RuleConfig, Transform};
 use magis::prelude::*;
 use magis_models::random_dnn::{random_dnn, RandomDnnConfig};
-use magis_sim::memory_profile;
+use magis_sim::memory_profile_checked;
 use magis_util::prop::prelude::*;
 use magis_util::rng::{Rng, SeedableRng, SmallRng};
 use std::collections::BTreeSet;
@@ -104,7 +104,7 @@ fn walk_lineage(mut state: MState, ctx: &EvalContext, seed: u64, steps: usize, w
         // merge), so it stands in as the analyzer's keepalive input.
         let overlaid = &state.eval.graph;
         if overlaid.node_ids().any(|v| !overlaid.node(v).keepalive().is_empty()) {
-            let hot = memory_profile(overlaid, &state.eval.order).hotspots;
+            let hot = memory_profile_checked(overlaid, &state.eval.order).unwrap().hotspots;
             assert_analysis_identical(overlaid, &hot, &format!("{what} (overlaid)"));
             seen.keepalive += 1;
         }
@@ -181,7 +181,7 @@ fn empty_hotspots_and_nonpositive_scores_yield_no_candidates() {
     // exactly 0.0, every other region scores below — `smax <= 0`.
     assert_eq!(assert_analysis_identical(&g, &[x].into_iter().collect(), "hot input only"), 0);
     // The real hot-spots of the same graph do produce candidates.
-    let hot = memory_profile(&g, &magis::graph::algo::topo_order(&g)).hotspots;
+    let hot = memory_profile_checked(&g, &magis::graph::algo::topo_order(&g)).unwrap().hotspots;
     assert!(assert_analysis_identical(&g, &hot, "profiled hot-spots") > 0);
 }
 
@@ -191,7 +191,7 @@ proptest! {
     #[test]
     fn random_dnns_analyze_identically(seed in 0u64..10_000, cells in 2usize..5, hot_every in 1usize..5) {
         let g = random_dnn(&RandomDnnConfig { cells, ..RandomDnnConfig::default() }, seed);
-        let profiled = memory_profile(&g, &magis::graph::algo::topo_order(&g)).hotspots;
+        let profiled = memory_profile_checked(&g, &magis::graph::algo::topo_order(&g)).unwrap().hotspots;
         assert_analysis_identical(&g, &profiled, &format!("random_dnn {seed}"));
         // An arbitrary hot set: strata and scores unlike a real profile's.
         let arbitrary: BTreeSet<NodeId> = g.node_ids().filter(|v| v.index() % hot_every == 0).collect();

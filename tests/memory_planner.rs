@@ -19,7 +19,7 @@ use magis::graph::algo::topo_order;
 use magis::models::{random_dnn, RandomDnnConfig, Workload};
 use magis::prelude::*;
 use magis::sched::{full_schedule, stabilize_order, SchedConfig};
-use magis::sim::{memory_plan, memory_profile, MemoryPlan};
+use magis::sim::{memory_plan, memory_profile_checked, MemoryPlan};
 use magis_util::rng::{Rng, SeedableRng, SmallRng};
 
 /// Schedules `g` and plans it, asserting the planner's internal
@@ -83,7 +83,7 @@ fn planned_allocations_never_overlap_in_time_and_address() {
 fn planned_peak_dominates_liveness_peak() {
     for (name, g) in property_graphs() {
         let (order, plan) = plan_of(&g);
-        let prof = memory_profile(&g, &order);
+        let prof = memory_profile_checked(&g, &order).unwrap();
         assert_eq!(
             plan.liveness_peak_bytes, prof.peak_bytes,
             "{name}: the plan's liveness peak is the profiler's peak"

@@ -8,8 +8,7 @@
 //! here means the same canonical record *and* the same `inputs` /
 //! `keepalive` / `succs` vectors in the same order on every node, the
 //! same `cost_repeat` and `alloc_with`, the same inserted slice/merge
-//! ids, the same transaction delta — and, for a rejected region, the
-//! same error.
+//! ids — and, for a rejected region, the same error.
 
 #[path = "overlay_identity/reference.rs"]
 mod reference;
@@ -42,12 +41,7 @@ fn overlay_both(base: &Graph, specs: &[&FissionSpec], what: &str) -> Option<Grap
             return None;
         }
     }
-    let ((new, dn), (old, dold)) = (new.commit(), old.commit());
-    assert_eq!(
-        (&dn.added, &dn.removed, &dn.touched),
-        (&dold.added, &dold.removed, &dold.touched),
-        "{what}: transaction delta"
-    );
+    let (new, old) = (new.commit(), old.commit());
     assert_eq!(to_record(&new), to_record(&old), "{what}: canonical record");
     assert_eq!(new.capacity(), old.capacity(), "{what}: capacity");
     for v in new.node_ids() {

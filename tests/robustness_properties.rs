@@ -394,3 +394,139 @@ fn records_that_declare_more_than_they_hold_are_refused() {
     let bad = text.replacen(node, &format!("{head}[4611686018427387904]{tail}"), 1);
     assert!(matches!(from_record(&bad), Err(RecordError::Syntax { .. })), "overflowing shape accepted");
 }
+
+/// Values no honest client sends: integers past every range, floats past
+/// `f64`, the wrong type, a lone surrogate escape.
+const HOSTILE_VALUES: [&str; 14] = [
+    "18446744073709551616",
+    "18446744073709551615",
+    "-9223372036854775809",
+    "-1",
+    "0",
+    "1e999",
+    "-1e999",
+    "1e-999",
+    "null",
+    "true",
+    r#""\ud800""#,
+    r#""""#,
+    "[]",
+    "{}",
+];
+
+/// One random defect in an ASCII JSON line: a byte replaced, a span
+/// dropped or repeated up to 64 times, one field's value replaced by a
+/// hostile one, or the line opened under up to 100,000 brackets.
+fn mutate_json_line(line: &str, rng: &mut magis_util::rng::SmallRng) -> String {
+    use magis_util::rng::Rng;
+    let mut b = line.as_bytes().to_vec();
+    let at = rng.gen_range(0..=b.len());
+    match rng.gen_range(0..5) {
+        0 => {
+            if let Some(byte) = b.get_mut(at) {
+                *byte = rng.gen_range(0x20u32..0x7f) as u8;
+            }
+        }
+        1 => drop(b.drain(at..rng.gen_range(at..=b.len()))),
+        2 => {
+            let span = b[at..rng.gen_range(at..=b.len().min(at + 16))].to_vec();
+            for _ in 0..rng.gen_range(1..64) {
+                b.splice(at..at, span.iter().copied());
+            }
+        }
+        3 => {
+            let values: Vec<usize> = line.match_indices("\":").map(|(i, _)| i + 2).collect();
+            if let Some(&start) = values.get(rng.gen_range(0..values.len().max(1))) {
+                let end = (start..b.len()).find(|&i| b[i] == b',' || b[i] == b'}').unwrap_or(b.len());
+                let value = HOSTILE_VALUES[rng.gen_range(0..HOSTILE_VALUES.len())];
+                b.splice(start..end, value.bytes());
+            }
+        }
+        _ => {
+            let open: &[u8] = if rng.gen_range(0..2) == 0 { b"[" } else { br#"{"job":"# };
+            let depth = rng.gen_range(1..100_000usize);
+            b.splice(0..0, open.iter().copied().cycle().take(open.len() * depth));
+        }
+    }
+    String::from_utf8(b).expect("the lines and the mutations are ASCII")
+}
+
+/// ROADMAP aim 3, the daemon's request lines: whatever happened to a
+/// `submit` line, `Json::parse` → `JobSpec::from_json` (which runs
+/// `validate`) ends in a typed error or in a spec that the journal can
+/// write and read back as itself — never in a panic or a blown stack.
+#[test]
+fn mutated_request_lines_end_in_a_typed_error_or_a_spec_that_round_trips() {
+    use magis::obs::json::Json;
+    use magis::serve::JobSpec;
+    let every = JobSpec {
+        workload: Some("unet".into()),
+        limit: Some(0.75),
+        backend: Some("a100".into()),
+        max_candidates: Some(30),
+        eval_cache: Some(512),
+        strategy: Some("mcts".into()),
+        ..JobSpec::default()
+    };
+    let inline = JobSpec { graph: Some(magis::graph::io::to_record(&small_dnn(3))), ..JobSpec::default() };
+    let lines = [every, inline].map(|spec| {
+        let submit = vec![("cmd".to_string(), Json::Str("submit".into())), ("job".into(), spec.to_json())];
+        Json::Obj(submit).render()
+    });
+    let (mut accepted, mut refused) = (0, 0);
+    magis_util::prop::run_cases(ProptestConfig::with_cases(2000), "request_lines", |rng| {
+        for line in &lines {
+            let bad = mutate_json_line(line, rng);
+            let spec = Json::parse(&bad)
+                .map_err(|e| e.to_string())
+                .and_then(|req| req.get("job").cloned().ok_or_else(|| "no job".to_string()))
+                .and_then(|job| JobSpec::from_json(&job));
+            let Ok(spec) = spec else {
+                refused += 1;
+                continue;
+            };
+            accepted += 1;
+            let journaled = spec.to_json().render();
+            let back = Json::parse(&journaled)
+                .map_err(|e| e.to_string())
+                .and_then(|j| JobSpec::from_json(&j));
+            let key = back.as_ref().map(JobSpec::cache_key);
+            prop_assert!(back.as_ref() == Ok(&spec), "{journaled:.300} reads back as {key:?}");
+        }
+        Ok(())
+    });
+    assert!(accepted > 0 && refused > 0, "{accepted} accepted, {refused} refused");
+}
+
+/// ROADMAP aim 3, calibration traces: whatever happened to one line of a
+/// trace, `parse_trace` ends in a typed error or in samples that
+/// re-render to themselves, and refitting a backend on them ends in a
+/// typed error or a backend that validates.
+#[test]
+fn mutated_calibration_traces_end_in_a_typed_error_or_a_backend() {
+    use magis::sim::calibrate::{parse_trace, render_trace, synthesize_trace};
+    use magis::sim::{Backend, OpClass};
+    let base = Backend::default();
+    let shapes: Vec<(OpClass, f64, f64)> =
+        OpClass::all().into_iter().flat_map(|c| [(c, 2.0e9, 6.0e6), (c, 0.0, 2.0e8)]).collect();
+    let trace = render_trace(&synthesize_trace(&base, &shapes));
+    let (mut accepted, mut refused) = (0, 0);
+    magis_util::prop::run_cases(ProptestConfig::with_cases(2000), "calibration_traces", |rng| {
+        use magis_util::rng::Rng;
+        let mut lines: Vec<String> = trace.lines().map(String::from).collect();
+        let at = rng.gen_range(0..lines.len());
+        lines[at] = mutate_json_line(&lines[at], rng);
+        let Ok(samples) = parse_trace(&lines.join("\n")) else {
+            refused += 1;
+            return Ok(());
+        };
+        accepted += 1;
+        prop_assert_eq!(parse_trace(&render_trace(&samples)), Ok(samples.clone()));
+        if let Ok(fitted) = base.calibrated("hostile", &samples) {
+            prop_assert!(fitted.device().validate().is_ok());
+            prop_assert!(fitted.efficiency().validate().is_ok());
+        }
+        Ok(())
+    });
+    assert!(accepted > 0 && refused > 0, "{accepted} accepted, {refused} refused");
+}

@@ -8,7 +8,7 @@ use magis::core::rules::{self, RuleConfig, Transform};
 use magis::core::state::{EvalContext, MState};
 use magis::prelude::*;
 use magis::sched::{full_schedule, incremental_schedule_cached, IntervalParams, SchedConfig};
-use magis::sim::memory_profile;
+use magis::sim::memory_profile_checked;
 use magis_graph::algo::{is_topo_order, topo_order};
 use magis_models::random_dnn::{random_dnn, RandomDnnConfig};
 use magis_util::prop::prelude::*;
@@ -22,8 +22,8 @@ proptest! {
         let g = random_dnn(&cfg, seed);
         let sched = full_schedule(&g, &SchedConfig::default());
         prop_assert!(is_topo_order(&g, &sched));
-        let naive_peak = memory_profile(&g, &topo_order(&g)).peak_bytes;
-        let dp_peak = memory_profile(&g, &sched).peak_bytes;
+        let naive_peak = memory_profile_checked(&g, &topo_order(&g)).unwrap().peak_bytes;
+        let dp_peak = memory_profile_checked(&g, &sched).unwrap().peak_bytes;
         prop_assert!(dp_peak <= naive_peak, "DP {dp_peak} <= naive {naive_peak}");
     }
 
@@ -54,8 +54,8 @@ proptest! {
         prop_assert!(is_topo_order(&applied.base, &order));
         // Quality: incremental within 25% of scheduling from scratch.
         let fs = full_schedule(&applied.base, &SchedConfig::default());
-        let is_peak = memory_profile(&applied.base, &order).peak_bytes as f64;
-        let fs_peak = memory_profile(&applied.base, &fs).peak_bytes as f64;
+        let is_peak = memory_profile_checked(&applied.base, &order).unwrap().peak_bytes as f64;
+        let fs_peak = memory_profile_checked(&applied.base, &fs).unwrap().peak_bytes as f64;
         prop_assert!(is_peak <= fs_peak * 1.25, "IS {is_peak} vs FS {fs_peak}");
     }
 
@@ -78,7 +78,7 @@ proptest! {
         let cfg = RandomDnnConfig { cells: 2, blocks: 3, ..RandomDnnConfig::default() };
         let g = random_dnn(&cfg, seed);
         let order = topo_order(&g);
-        let prof = memory_profile(&g, &order);
+        let prof = memory_profile_checked(&g, &order).unwrap();
         let pos: std::collections::HashMap<NodeId, usize> =
             order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
         // Reference: per-step sum over storage roots with root-level

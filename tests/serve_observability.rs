@@ -25,7 +25,7 @@ fn unet_spec(max_candidates: usize) -> JobSpec {
         workload: Some("unet".into()),
         scale: 0.15,
         max_candidates: Some(max_candidates),
-        budget_ms: 3_600_000, // the soft budget must never fire here
+        budget_ms: 3_600_000, // the wall-clock limit must never fire here
         threads: 1,
         ..JobSpec::default()
     }

@@ -25,7 +25,7 @@ fn unet_spec(max_candidates: usize) -> JobSpec {
         workload: Some("unet".into()),
         scale: 0.15,
         max_candidates: Some(max_candidates),
-        budget_ms: 3_600_000, // the soft budget must never fire here
+        budget_ms: 3_600_000, // the wall-clock limit must never fire here
         threads: 1,
         checkpoint_every: 2,
         ..JobSpec::default()
@@ -65,7 +65,7 @@ fn deadline_job_returns_valid_best_so_far() {
         start(ServeConfig { state_dir: state.clone(), workers: 1, ..ServeConfig::default() });
     let mut spec = unet_spec(0);
     spec.max_candidates = None; // only the deadline stops this job
-    spec.wall_limit_ms = Some(200);
+    spec.budget_ms = 200;
 
     let mut c = Client::connect(handle.addr()).expect("connect");
     let out = c.submit_and_wait(&spec).expect("submit");
