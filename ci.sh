@@ -75,6 +75,22 @@ if grep -n -E 'BTreeMap|BTreeSet|\.sort' <<<"$PLAN_SRC"; then
     echo "plan.rs: the planner keeps no ordered map or set and sorts nothing"
     exit 1
 fi
+# One DP: the non-test part of crates/sched/src defines `dp_schedule`
+# and its level loop `dp_on` and no other DP or beam routine, and the
+# map-keyed DP lives only as dp_identity's oracle.
+echo
+echo "==> one-DP check"
+DP_FNS="$(for f in crates/sched/src/*.rs; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
+    done | grep -E 'fn [a-z0-9_]*(dp|beam)[a-z0-9_]*[<(]' \
+    | grep -v -E ': (pub )?fn (dp_schedule|dp_on)[<(]' || true)"
+MAP_KEYED="$(grep -rln 'fn dp_map_keyed' crates src tests examples \
+    | grep -v -x 'crates/sched/tests/dp_identity/reference.rs' || true)"
+if [ -n "$DP_FNS$MAP_KEYED" ]; then
+    echo "$DP_FNS$MAP_KEYED"
+    echo "one DP: dp_schedule and dp_on; the map-keyed DP stays in dp_identity/reference.rs"
+    exit 1
+fi
 
 # One-overlay-path gate: the region workspace and the recorded scale
 # edits are how the one overlay path works, not a mode of it. A
@@ -164,8 +180,10 @@ run env RUST_TEST_THREADS=1 cargo test -q --test memory_planner
 run env RUST_TEST_THREADS=1 cargo test -q --release --test memory_planner
 run env RUST_TEST_THREADS=1 cargo test -q --test ftree_identity
 run env RUST_TEST_THREADS=1 cargo test -q -p magis-sched --test dp_identity
-# The scheduler's identity suites (dp_identity, window_fingerprint's
-# committed digests, the property suites) once more at the optimisation
+run env RUST_TEST_THREADS=1 cargo test -q -p magis-sched --test dp_optimality
+# The scheduler's identity suites (dp_identity, dp_optimality's gap
+# table, window_fingerprint's committed digests, the property suites)
+# once more at the optimisation
 # level the search runs at: release builds drop debug assertions and
 # wrap where debug builds panic.
 run cargo test -q -p magis-sched --release

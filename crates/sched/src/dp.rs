@@ -11,6 +11,7 @@
 //! D6 in DESIGN.md).
 
 use crate::task::SchedTask;
+use std::cmp::Ordering;
 
 /// Tuning for the DP/beam scheduler.
 #[derive(Debug, Clone)]
@@ -80,10 +81,11 @@ pub fn dp_schedule(task: &SchedTask<'_>, cfg: &SchedConfig) -> DpResult {
 
 /// An executed-set (or ready-set) key: a bitset over the window's local
 /// indices, bit `i` in word `i / 64`. `[u64; W]` and `Box<[u64]>` both
-/// qualify; both order lexicographically by word, so the level order —
-/// and with it beam truncation and every tie-break — does not depend
-/// on which one a window gets.
-trait Key: Clone + Ord + AsRef<[u64]> + AsMut<[u64]> {
+/// qualify. A level is ordered by its keys compared lexicographically
+/// by word (`key_cmp`), so the level order — and with it beam
+/// truncation and every tie-break — does not depend on which one a
+/// window gets.
+trait Key: Clone + AsRef<[u64]> + AsMut<[u64]> {
     #[inline]
     fn set(&mut self, i: usize) {
         self.as_mut()[i / 64] |= 1 << (i % 64);
@@ -101,38 +103,50 @@ trait Key: Clone + Ord + AsRef<[u64]> + AsMut<[u64]> {
     }
 }
 
-impl<K: Clone + Ord + AsRef<[u64]> + AsMut<[u64]>> Key for K {}
+impl<K: Clone + AsRef<[u64]> + AsMut<[u64]>> Key for K {}
 
-/// A surviving DP state. The schedule itself is *not* stored per state
-/// — each state records only the arena index of its `(parent,
+/// One transition out of a level: state `parent` runs `node`. Its keys
+/// are the parent's plus one bit, so none is built unless it survives;
+/// a survivor is the next level's state. The schedule itself is *not*
+/// stored per state — a state's arena entry holds only its `(parent,
 /// last-node)` link, and the winning order is reconstructed by walking
 /// parents at the end.
-struct State<K> {
-    executed: K,
-    /// Nodes whose predecessors are all executed, not yet run. Pure
-    /// function of `executed`, carried incrementally so a transition
-    /// costs O(out-degree) instead of an O(n) scan.
-    ready: K,
-    mem: u64,
+#[derive(Clone, Copy)]
+struct Trans {
     peak: u64,
-    /// Index into the parent-link arena (`u32::MAX` for the root).
-    link: u32,
+    mem: u64,
+    /// The executed set's dedup hash: the XOR of [`salt`] over its nodes.
+    hash: u64,
+    parent: u32,
+    node: u32,
 }
 
-/// One transition out of a level, before dedup and truncation.
-struct Trans<K> {
-    executed: K,
-    ready: K,
-    peak: u64,
-    mem: u64,
-    parent: u32,
-    last: u32,
+/// Node `i`'s term in an executed set's hash: splitmix64's finaliser of
+/// `i`, a fixed function, so the dedup table probes alike on every run.
+fn salt(i: usize) -> u64 {
+    let mut z = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Compares the executed sets transitions `a` and `b` reach, word by
+/// word from word 0, without building either.
+fn key_cmp<K: Key>(executed: &[K], a: &Trans, b: &Trans) -> Ordering {
+    let words = |t: &Trans| {
+        let (w, bit) = (t.node as usize / 64, 1u64 << (t.node % 64));
+        let key = executed[t.parent as usize].as_ref().iter().enumerate();
+        key.map(move |(i, &x)| if i == w { x | bit } else { x })
+    };
+    words(a).cmp(words(b))
 }
 
 /// The level loop of [`dp_schedule`] on keys shaped like `zero` (all
 /// bits clear, at least `task.len()` bits wide): readiness and
-/// root-freeing are mask tests, and a level is deduplicated by one
-/// stable sort. Returns `(order, peak, transitions generated)`.
+/// root-freeing are mask tests. A level's transitions are deduplicated
+/// through an open-addressed table on the executed-set hash, every hash
+/// match confirmed on the keys, and only the survivors of the beam
+/// build keys. Returns `(order, peak, transitions generated)`.
 fn dp_on<K: Key>(task: &SchedTask<'_>, width: usize, zero: K) -> (Vec<usize>, u64, usize) {
     let n = task.len();
     debug_assert!(n <= 64 * zero.as_ref().len());
@@ -143,92 +157,134 @@ fn dp_on<K: Key>(task: &SchedTask<'_>, width: usize, zero: K) -> (Vec<usize>, u6
     };
     let pred_mask: Vec<K> = task.preds.iter().map(&mask_of).collect();
     let root_users: Vec<K> = task.root_users.iter().map(&mask_of).collect();
+    let salts: Vec<u64> = (0..n).map(salt).collect();
     let mut ready0 = zero.clone();
     (0..n).filter(|&v| task.preds[v].is_empty()).for_each(|v| ready0.set(v));
     // Parent-link arena: one `(parent, last)` entry per state that
-    // survives a level's truncation.
-    let mut arena: Vec<(u32, u32)> = Vec::new();
-    let mut level =
-        vec![State { executed: zero, ready: ready0, mem: task.base, peak: task.base, link: u32::MAX }];
+    // survives a level's truncation, the root at 0; `level[i]`'s entry
+    // is `first + i`.
+    let mut arena: Vec<(u32, u32)> = vec![(0, 0)];
+    let mut first = 0;
+    let root = Trans { peak: task.base, mem: task.base, hash: 0, parent: 0, node: 0 };
+    let (mut level, mut trans, mut slots) = (vec![root], Vec::new(), Vec::new());
+    let (mut executed, mut ready) = (vec![zero], vec![ready0]);
+    let (mut next_executed, mut next_ready) = (Vec::new(), Vec::new());
     let mut expanded = 0usize;
-    let mut trans: Vec<Trans<K>> = Vec::new();
     for _ in 0..n {
-        for st in &level {
+        trans.clear();
+        for (parent, (st, (exec, rdy))) in
+            level.iter().zip(executed.iter_mut().zip(&ready)).enumerate()
+        {
             // Ready bits in ascending node order: low words, low bits
             // first.
-            for (w, &word) in st.ready.as_ref().iter().enumerate() {
+            for (w, &word) in rdy.as_ref().iter().enumerate() {
                 let mut bits = word;
                 while bits != 0 {
                     let v = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    expanded += 1;
-                    let mut executed = st.executed.clone();
-                    executed.set(v);
-                    let mut ready = st.ready.clone();
-                    ready.clear(v);
-                    for &s in &task.succs[v] {
-                        if executed.contains(&pred_mask[s]) {
-                            ready.set(s);
-                        }
-                    }
                     let mut mem = st.mem;
                     for &ri in &task.allocs[v] {
                         mem += task.roots[ri].bytes;
                     }
                     let peak = st.peak.max(mem);
-                    // Free roots whose final user just executed.
+                    // Free roots whose final user just executed: `v` is
+                    // run in place on the parent's key and taken back.
+                    exec.set(v);
                     for &ri in &task.uses[v] {
                         let r = &task.roots[ri];
-                        if r.freeable && executed.contains(&root_users[ri]) {
+                        if r.freeable && exec.contains(&root_users[ri]) {
                             mem -= r.bytes;
                         }
                     }
-                    trans.push(Trans { executed, ready, peak, mem, parent: st.link, last: v as u32 });
+                    exec.clear(v);
+                    let hash = st.hash ^ salts[v];
+                    trans.push(Trans { peak, mem, hash, parent: parent as u32, node: v as u32 });
                 }
             }
         }
-        // Dedup by a stable sort on the key, not a hash: the level
-        // comes out in ascending-key order on every run, process and
-        // thread count, and among transitions to the same executed set
-        // the first-generated one wins (peak, mem) ties.
-        trans.sort_by(|a, b| a.executed.cmp(&b.executed));
-        trans.dedup_by(|t, best| {
-            if t.executed != best.executed {
-                return false;
+        expanded += trans.len();
+        // Dedup in generation order: the first transition to reach an
+        // executed set holds its slot, and a later one takes it only
+        // with a strictly lower (peak, mem).
+        let mask = (2 * trans.len()).next_power_of_two() - 1;
+        slots.clear();
+        slots.resize(mask + 1, u32::MAX);
+        let mut kept = 0;
+        for i in 0..trans.len() {
+            let t = trans[i];
+            let mut slot = t.hash as usize & mask;
+            loop {
+                let held = slots[slot] as usize;
+                if held == u32::MAX as usize {
+                    slots[slot] = kept as u32;
+                    trans[kept] = t;
+                    kept += 1;
+                    break;
+                }
+                let best = &mut trans[held];
+                if best.hash == t.hash && key_cmp(&executed, best, &t).is_eq() {
+                    if (t.peak, t.mem) < (best.peak, best.mem) {
+                        *best = t;
+                    }
+                    break;
+                }
+                slot = (slot + 1) & mask;
             }
-            if (t.peak, t.mem) < (best.peak, best.mem) {
-                std::mem::swap(t, best);
-            }
-            true
-        });
+        }
+        trans.truncate(kept);
+        // The level order is the key's; past the beam, the `width`
+        // lowest (peak, mem) survive, ties to the lower key. Keys are
+        // distinct, so both are total orders.
         if trans.len() > width {
-            trans.sort_by_key(|t| (t.peak, t.mem));
+            let by_score = |a: &Trans, b: &Trans| {
+                (a.peak, a.mem).cmp(&(b.peak, b.mem)).then_with(|| key_cmp(&executed, a, b))
+            };
+            trans.select_nth_unstable_by(width, by_score);
             trans.truncate(width);
+            trans.sort_unstable_by(by_score);
+        } else {
+            trans.sort_unstable_by(|a, b| key_cmp(&executed, a, b));
         }
         debug_assert!(!trans.is_empty(), "DAG window must always have a ready node");
-        level = trans
-            .drain(..)
-            .map(|t| {
-                let link = arena.len() as u32;
-                arena.push((t.parent, t.last));
-                State { executed: t.executed, ready: t.ready, mem: t.mem, peak: t.peak, link }
-            })
-            .collect();
+        // Only the survivors build their keys.
+        next_executed.clear();
+        next_ready.clear();
+        let parents = first;
+        first = arena.len();
+        for t in &trans {
+            let (parent, v) = (t.parent as usize, t.node as usize);
+            let mut exec = executed[parent].clone();
+            exec.set(v);
+            let mut rdy = ready[parent].clone();
+            rdy.clear(v);
+            for &s in &task.succs[v] {
+                if exec.contains(&pred_mask[s]) {
+                    rdy.set(s);
+                }
+            }
+            next_executed.push(exec);
+            next_ready.push(rdy);
+            arena.push(((parents + parent) as u32, t.node));
+        }
+        std::mem::swap(&mut level, &mut trans);
+        std::mem::swap(&mut executed, &mut next_executed);
+        std::mem::swap(&mut ready, &mut next_ready);
     }
-    let best = level
+    let (best, state) = level
         .iter()
-        .min_by_key(|s| (s.peak, s.mem))
+        .enumerate()
+        .min_by_key(|(_, s)| (s.peak, s.mem))
         .expect("at least one complete schedule");
     // Reconstruct the winning order by walking the parent chain.
     let mut order = Vec::with_capacity(n);
-    let mut cur = best.link;
-    while cur != u32::MAX {
-        let (parent, last) = arena[cur as usize];
+    let mut cur = first + best;
+    while cur != 0 {
+        let (parent, last) = arena[cur];
         order.push(last as usize);
-        cur = parent;
+        cur = parent as usize;
     }
     order.reverse();
-    (order, best.peak, expanded)
+    (order, state.peak, expanded)
 }
 
 #[cfg(test)]

@@ -668,21 +668,41 @@ fn watchdog_loop(inner: &Inner) {
     }
 }
 
+/// The longest request line the daemon buffers, newline excluded. It is
+/// sized from the largest model the tests and the benchmark build: a
+/// `submit` carrying BERT-base at scale 1.0 as an inline record is
+/// 73,290 bytes, and the cap is 14.3× that. A longer line is refused
+/// with a 400 and its connection closed, so a peer holds at most the
+/// cap plus one read of buffer.
+const MAX_LINE: usize = 1 << 20;
+
 /// Buffered line reader over a read-timeout socket: tolerates timeouts
 /// mid-line and checks `stop` between reads so handler threads exit
-/// when the server closes.
+/// when the server closes. Each read's bytes are scanned for the
+/// newline once.
 struct LineReader {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// `buf[..scanned]` holds no newline.
+    scanned: usize,
 }
 
 impl LineReader {
+    /// The next line, `None` at end of stream or on `stop`; an
+    /// `InvalidData` error for a line longer than [`MAX_LINE`].
     fn read_line(&mut self, stop: &dyn Fn() -> bool) -> io::Result<Option<String>> {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=pos).collect();
+            let newline = self.buf[self.scanned..].iter().position(|&b| b == b'\n');
+            let len = newline.map_or(self.buf.len(), |at| self.scanned + at);
+            if len > MAX_LINE {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "request line too long"));
+            }
+            if newline.is_some() {
+                let line: Vec<u8> = self.buf.drain(..=len).collect();
+                self.scanned = 0;
                 return Ok(Some(String::from_utf8_lossy(&line).trim().to_string()));
             }
+            self.scanned = self.buf.len();
             if stop() {
                 return Ok(None);
             }
@@ -716,13 +736,21 @@ fn open_conn(stream: TcpStream) -> io::Result<(LineReader, TcpStream)> {
     stream.set_read_timeout(Some(POLL))?;
     stream.set_nodelay(true)?;
     let out = stream.try_clone()?;
-    Ok((LineReader { stream, buf: Vec::new() }, out))
+    Ok((LineReader { stream, buf: Vec::new(), scanned: 0 }, out))
 }
 
 fn handle_conn(stream: TcpStream, inner: &Inner) {
     let Ok((mut reader, mut out)) = open_conn(stream) else { return };
     let stop = || inner.table.lock().unwrap().closed;
-    while let Ok(Some(line)) = reader.read_line(&stop) {
+    loop {
+        let line = match reader.read_line(&stop) {
+            Ok(Some(line)) => line,
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                let _ = send(&mut out, &reply::err(400, &e.to_string()));
+                return;
+            }
+            _ => return,
+        };
         if line.is_empty() {
             continue;
         }

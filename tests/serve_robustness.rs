@@ -12,6 +12,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::thread;
 use std::time::{Duration, Instant};
+use magis_util::prop::prelude::*;
 
 fn scratch(name: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("magis_serve_{}_{name}", std::process::id()));
@@ -461,4 +462,132 @@ fn kill_dash_nine_restart_resumes_bit_identical() {
 
 extern "C" {
     fn kill(pid: i32, sig: i32) -> i32;
+}
+
+/// The daemon's request-line cap (`MAX_LINE` in `magis-serve`'s
+/// server), newline excluded.
+const LINE_CAP: usize = 1 << 20;
+
+/// The `submit` line of a job carrying `g` as an inline record.
+fn inline_submit_line(g: &magis::graph::Graph, max_candidates: usize) -> String {
+    let spec = JobSpec {
+        graph: Some(magis::graph::io::to_record(g)),
+        max_candidates: Some(max_candidates),
+        threads: 1,
+        ..JobSpec::default()
+    };
+    let req = Json::Obj(vec![
+        ("cmd".to_string(), Json::Str("submit".into())),
+        ("wait".into(), Json::Bool(false)),
+        ("job".into(), spec.to_json()),
+    ]);
+    req.render()
+}
+
+#[test]
+fn the_line_cap_holds_the_largest_request_sent() {
+    let bert = magis::models::Workload::BertBase.build(1.0).graph;
+    let line = inline_submit_line(&bert, 1).len();
+    // The ratio the server's `MAX_LINE` doc states.
+    assert_eq!((LINE_CAP * 10 / line) as f64 / 10.0, 14.3, "BERT-base submit line: {line} bytes");
+}
+
+/// One request of [`request_lines_in_any_chunks_get_a_typed_reply`] and
+/// what its reply must read.
+enum Expect {
+    Ok,
+    /// `ok: false` with this code and an error starting with this text.
+    Err(u64, &'static str),
+}
+
+proptest! {
+    // Each case sends ~2 MiB through one connection of a fresh daemon.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Requests written in random chunk splits, up to a line of exactly
+    /// the cap, each get their own typed reply in order; a line past the
+    /// cap gets a typed 400 and a closed connection without its newline
+    /// ever arriving — the daemon buffers at most the cap plus one read.
+    #[test]
+    fn request_lines_in_any_chunks_get_a_typed_reply(
+        seed in any::<u64>(),
+        lines in 1usize..8,
+        over in 0usize..3,
+        with_newline in any::<bool>(),
+    ) {
+        use magis::models::{random_dnn, RandomDnnConfig};
+        use magis_util::rng::{Rng, SeedableRng, SmallRng};
+        use std::io::{BufRead, BufReader, Write};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let tiny = random_dnn(&RandomDnnConfig { cells: 1, blocks: 1, ..RandomDnnConfig::default() }, seed);
+        let mut sent: Vec<u8> = Vec::new();
+        let mut expect = Vec::new();
+        for _ in 0..lines {
+            let (line, e) = match rng.gen_range(0..5u32) {
+                0 => (r#"{"cmd":"ping"}"#.to_string(), Expect::Ok),
+                1 => ("{\"cmd\":".to_string(), Expect::Err(400, "bad request")),
+                2 => (r#"{"cmd":"teleport"}"#.to_string(), Expect::Err(400, "unknown cmd")),
+                3 => (inline_submit_line(&tiny, 1), Expect::Ok),
+                _ => ("x".repeat(LINE_CAP), Expect::Err(400, "bad request")),
+            };
+            sent.extend_from_slice(line.as_bytes());
+            sent.push(b'\n');
+            expect.push(e);
+        }
+        // `over` 1 and 2: a line one byte, or one read and more, past the cap.
+        let too_long = [0, 1, 4096 + rng.gen_range(1..4096usize)][over];
+        if too_long > 0 {
+            sent.extend(std::iter::repeat_n(b'y', LINE_CAP + too_long));
+            if with_newline {
+                sent.push(b'\n');
+            }
+            expect.push(Expect::Err(400, "request line too long"));
+        }
+
+        let state = scratch(&format!("lines_{seed:x}"));
+        let (handle, join) =
+            start(ServeConfig { state_dir: state.clone(), workers: 1, ..ServeConfig::default() });
+        let stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
+        let mut writer = stream.try_clone().expect("clone");
+        let chunks: Vec<usize> = (0..sent.len()).map(|_| rng.gen_range(1..20_000usize)).collect();
+        let write = thread::spawn(move || {
+            let mut rest = &sent[..];
+            for n in chunks {
+                let n = n.min(rest.len());
+                if n == 0 || writer.write_all(&rest[..n]).is_err() {
+                    break; // the daemon closed a connection it refused
+                }
+                rest = &rest[n..];
+            }
+        });
+        let mut reader = BufReader::new(stream);
+        for (i, e) in expect.iter().enumerate() {
+            let mut reply = String::new();
+            prop_assert!(reader.read_line(&mut reply).is_ok_and(|n| n > 0), "reply {i}: none");
+            let reply = Json::parse(reply.trim()).expect("a reply is one JSON object");
+            let ok = match reply.get("ok") {
+                Some(Json::Bool(ok)) => Some(*ok),
+                _ => None,
+            };
+            match e {
+                Expect::Ok => prop_assert_eq!(ok, Some(true), "reply {i}: {reply:?}"),
+                Expect::Err(code, what) => {
+                    prop_assert_eq!(ok, Some(false), "reply {i}");
+                    prop_assert_eq!(reply.get("code").and_then(Json::as_u64), Some(*code));
+                    let error = reply.get("error").and_then(Json::as_str).unwrap_or("");
+                    prop_assert!(error.starts_with(what), "reply {i}: {error}");
+                }
+            }
+        }
+        if too_long > 0 {
+            let mut tail = String::new();
+            prop_assert!(!reader.read_line(&mut tail).is_ok_and(|n| n > 0), "refused, then closed");
+        }
+        drop(reader);
+        write.join().unwrap();
+        handle.shutdown();
+        join.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&state);
+    }
 }
