@@ -189,9 +189,9 @@ run env RUST_TEST_THREADS=1 cargo test -q -p magis-sched --test dp_optimality
 run cargo test -q -p magis-sched --release
 run env RUST_TEST_THREADS=1 cargo test -q --test incremental_eval
 
-# Front-door smoke: neither binary runs a default when it is handed
-# something it does not understand — usage, exit 2.
-for cmd in "magis optimize" magis-served; do
+# Front-door smoke: neither the search nor the daemon runs a default
+# when it is handed something it does not understand — usage, exit 2.
+for cmd in "magis optimize" "magis serve"; do
     status=0
     # shellcheck disable=SC2086
     ./target/release/$cmd --no-such-flag x 2>/dev/null || status=$?
@@ -282,7 +282,7 @@ grep -q "stop reason *deadline" <<<"$DEADLINE_OUT" \
 SRV_DIR="$(mktemp -d)"
 echo
 echo "==> serve smoke (state in $SRV_DIR)"
-./target/release/magis-served --addr 127.0.0.1:0 \
+./target/release/magis serve --addr 127.0.0.1:0 \
     --state-dir "$SRV_DIR/state" --port-file "$SRV_DIR/port" --workers 2 &
 SRV_PID=$!
 for _ in $(seq 1 100); do test -s "$SRV_DIR/port" && break; sleep 0.1; done

@@ -17,29 +17,13 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Options for [`to_dot`].
-#[derive(Debug, Clone)]
-pub struct DotOptions {
-    /// Include tensor shapes in node labels.
-    pub shapes: bool,
-    /// Include byte sizes in node labels.
-    pub sizes: bool,
-    /// Highlight these nodes (e.g. a fission region or hot-spots).
-    pub highlight: Vec<NodeId>,
-}
-
-impl Default for DotOptions {
-    fn default() -> Self {
-        DotOptions { shapes: true, sizes: false, highlight: Vec::new() }
-    }
-}
-
-/// Renders the graph in Graphviz DOT format.
+/// Renders the graph in Graphviz DOT format, each node labelled with
+/// its name (or id), operator and output shape.
 ///
 /// Data edges are solid; keepalive (lifetime-only) edges are dashed.
-/// Weight/label inputs are boxes, activations ellipses; highlighted
-/// nodes are filled.
-pub fn to_dot(g: &Graph, opts: &DotOptions) -> String {
+/// Weight/label inputs are boxes, activations ellipses; swap nodes are
+/// filled.
+pub fn to_dot(g: &Graph) -> String {
     let mut out = String::from("digraph magis {\n  rankdir=TB;\n  node [fontsize=10];\n");
     for v in g.node_ids() {
         let n = g.node(v);
@@ -48,23 +32,12 @@ pub fn to_dot(g: &Graph, opts: &DotOptions) -> String {
         } else {
             format!("{}\\n{}", n.name, n.op.name())
         };
-        if opts.shapes {
-            let _ = write!(label, "\\n{}", n.meta.shape);
-        }
-        if opts.sizes {
-            let _ = write!(label, "\\n{}B", n.size_bytes());
-        }
+        let _ = write!(label, "\\n{}", n.meta.shape);
         if n.cost_repeat > 1 {
             let _ = write!(label, "\\nx{}", n.cost_repeat);
         }
         let shape = if n.op.is_input() { "box" } else { "ellipse" };
-        let fill = if opts.highlight.contains(&v) {
-            ", style=filled, fillcolor=lightgoldenrod"
-        } else if n.op.is_swap() {
-            ", style=filled, fillcolor=lightblue"
-        } else {
-            ""
-        };
+        let fill = if n.op.is_swap() { ", style=filled, fillcolor=lightblue" } else { "" };
         let _ = writeln!(out, "  {v} [label=\"{label}\", shape={shape}{fill}];");
     }
     for v in g.node_ids() {
@@ -734,24 +707,12 @@ mod tests {
     #[test]
     fn dot_contains_nodes_and_edges() {
         let g = sample();
-        let dot = to_dot(&g, &DotOptions::default());
+        let dot = to_dot(&g);
         assert!(dot.starts_with("digraph"));
         assert!(dot.contains("matmul"));
         assert!(dot.contains("shape=box"), "weights boxed");
         assert!(dot.contains("n0 -> n2"));
         assert!(dot.ends_with("}\n"));
-    }
-
-    #[test]
-    fn dot_highlight_and_sizes() {
-        let g = sample();
-        let h = g.node_ids().nth(2).unwrap();
-        let dot = to_dot(
-            &g,
-            &DotOptions { sizes: true, highlight: vec![h], ..DotOptions::default() },
-        );
-        assert!(dot.contains("lightgoldenrod"));
-        assert!(dot.contains("B\""));
     }
 
     #[test]

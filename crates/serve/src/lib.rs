@@ -85,15 +85,15 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The `--name value` flags [`Self::from_args`] reads, for the flag
-    /// table of a command that starts a daemon.
+    /// The `--name value` flags [`Self::from_args`] reads: the flag
+    /// table of `magis serve`.
     pub const FLAGS: &'static [&'static str] = &[
         "addr", "state-dir", "workers", "queue-capacity", "client-cap", "drain-timeout-ms",
         "stall-after-ms", "result-cache", "port-file",
     ];
 
-    /// The configuration `magis serve` and `magis-served` run under:
-    /// the defaults, with each field replaced by its flag when given.
+    /// The configuration `magis serve` runs under: the defaults, with
+    /// each field replaced by its flag when given.
     pub fn from_args(args: &Args) -> Result<ServeConfig, String> {
         let d = ServeConfig::default();
         Ok(ServeConfig {
@@ -107,5 +107,24 @@ impl ServeConfig {
             result_cache: args.value_or("result-cache", d.result_cache)?,
             port_file: args.value("port-file")?,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(argv: &[&str]) -> Result<ServeConfig, String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        ServeConfig::from_args(&Args::parse(&argv, &[ServeConfig::FLAGS], &[])?)
+    }
+
+    #[test]
+    fn flags_replace_defaults() {
+        let cfg = config(&["--workers", "0", "--client-cap", "5", "--port-file", "/tmp/p"]).unwrap();
+        assert_eq!((cfg.workers, cfg.client_cap), (1, 5), "workers is at least 1");
+        assert_eq!(cfg.port_file.as_deref(), Some(std::path::Path::new("/tmp/p")));
+        assert_eq!(cfg.queue_capacity, ServeConfig::default().queue_capacity);
+        assert!(config(&["--workers", "two"]).is_err());
     }
 }

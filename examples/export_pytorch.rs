@@ -7,7 +7,7 @@
 //! ```
 
 use magis::core::codegen::generate_pytorch;
-use magis::graph::io::{to_dot, DotOptions};
+use magis::graph::io::to_dot;
 use magis::prelude::*;
 use std::time::Duration;
 
@@ -50,5 +50,5 @@ fn main() {
     let code = generate_pytorch(&g, &order).expect("materialized graph exports");
     println!("{code}");
     eprintln!("--- also wrote optimized.dot ---");
-    std::fs::write("optimized.dot", to_dot(&g, &DotOptions::default())).expect("write dot");
+    std::fs::write("optimized.dot", to_dot(&g)).expect("write dot");
 }

@@ -9,7 +9,7 @@ use magis_core::fission::apply_full;
 use magis_core::optimizer::{CheckpointPolicy, OptimizeResult, ParanoiaLevel};
 use magis_core::state::{EvalContext, EvalMode, MState};
 use magis_graph::graph::Graph;
-use magis_graph::io::{to_dot, to_text, DotOptions};
+use magis_graph::io::{to_dot, to_text};
 use magis_graph::GraphView;
 use magis_models::Workload;
 use magis_serve::job::{backend_for, workload_by_name, Search, Seed};
@@ -121,7 +121,7 @@ OPTIONS (optimize):
                   paths skip scheduling + simulation). 0 disables;
                   default 1024.
   --checkpoint F  write a search checkpoint to F every
-                  --checkpoint-every evaluations (default 64) and at
+                  --checkpoint-every evaluations (default 16) and at
                   search end. Written atomically (temp + rename).
   --resume F      continue a search from checkpoint F on the trajectory
                   the uninterrupted run takes (every checkpoint holds
@@ -468,12 +468,6 @@ fn optimize_search(flags: &Args) -> Result<(JobSpec, Backend, Search), CliError>
         "full" => Some(EvalMode::Full),
         _ => None,
     })?;
-    let checkpoint = match flags.get("checkpoint") {
-        None => None,
-        Some(path) => {
-            Some(CheckpointPolicy::new(path).with_every(flags.value_or("checkpoint-every", 64)?))
-        }
-    };
     let backend = backend(flags)?;
     // On resume everything about the search state comes from the
     // checkpoint; everything about *how to keep searching* (budget,
@@ -484,7 +478,9 @@ fn optimize_search(flags: &Args) -> Result<(JobSpec, Backend, Search), CliError>
     // The seed has no parent to be incremental against, so the mode
     // only matters from here on.
     search.cfg.ctx.mode = eval.unwrap_or_default();
-    search.cfg.checkpoint = checkpoint;
+    search.cfg.checkpoint = flags
+        .get("checkpoint")
+        .map(|path| CheckpointPolicy::new(path).with_every(spec.checkpoint_every));
     Ok((spec, backend, search))
 }
 
@@ -542,7 +538,7 @@ fn cmd_optimize_inner(flags: &Args) -> Result<(), CliError> {
 
 fn render(best: &MState, emit: &str, cm: &CostModel) -> Result<String, CliError> {
     match emit {
-        "dot" => Ok(to_dot(&best.eval.graph, &DotOptions::default())),
+        "dot" => Ok(to_dot(&best.eval.graph)),
         "text" => Ok(to_text(&best.eval.graph)),
         "py" => {
             // Materialize fission, then schedule and emit.
@@ -1109,7 +1105,7 @@ mod tests {
         // the figures below, those of the uninterrupted 120-candidate
         // run, and this file must too.
         let fixture =
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/unet_cap40_frontier.ckpt");
+            concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/unet_cap40_frontier.ckpt");
         let want = ((45_921_476, 0x3f61_4507_7ad3_fbe6), (139, 3));
         let figures = |r: &OptimizeResult| {
             ((r.best.eval.peak_bytes, r.best.eval.latency.to_bits()),
@@ -1146,7 +1142,7 @@ mod tests {
 
     #[test]
     fn a_retired_format_checkpoint_is_refused_by_name_through_both_doors() {
-        let old = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/unet_cap40_v5.ckpt");
+        let old = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/unet_cap40_v5.ckpt");
         let text = std::fs::read_to_string(old).unwrap();
         let header = format!("'{}'", text.lines().next().unwrap());
         let refused = |msg: &str| msg.contains("unsupported checkpoint version") && msg.contains(&header);
@@ -1277,6 +1273,26 @@ mod tests {
             run(&s(&["optimize", "--resume", "/nonexistent/path.ckpt"])),
             Err(CliError::Runtime(_))
         ));
+    }
+
+    #[test]
+    fn optimize_checkpoints_at_the_cadence_of_the_job_it_describes() {
+        use magis_serve::protocol::DEFAULT_CHECKPOINT_EVERY;
+        let table = command("optimize").unwrap().0;
+        let cases: [(&[&str], usize); 2] =
+            [(&[], DEFAULT_CHECKPOINT_EVERY), (&["--checkpoint-every", "5"], 5)];
+        for (extra, want) in cases {
+            let mut flags = s(&[
+                "--workload", "unet", "--scale", "0.1", "--threads", "1",
+                "--checkpoint", "/nonexistent/never-written.ckpt",
+            ]);
+            flags.extend(s(extra));
+            let (spec, _, search) =
+                optimize_search(&Args::parse(&flags, table, SWITCHES).unwrap()).unwrap();
+            let every = search.cfg.checkpoint.as_ref().map(|p| p.every_evals);
+            assert_eq!((every, spec.checkpoint_every), (Some(want), want), "{extra:?}");
+        }
+        assert!(USAGE.contains(&format!("(default {DEFAULT_CHECKPOINT_EVERY})")));
     }
 
     #[test]

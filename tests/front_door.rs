@@ -1,7 +1,9 @@
-//! The protocol boundary of the one front door: a spec that names
-//! something unknown, or carries a graph record that does not decode,
-//! is refused before admission, and specs journaled by earlier daemons
-//! still read back byte for byte, the retired hard deadline ignored.
+//! The one front door. The `magis` binary answers a flag it does not
+//! know with usage and exit 2. At the protocol boundary, a spec that
+//! names something unknown, or carries a graph record that does not
+//! decode, is refused before admission, and specs journaled by earlier
+//! daemons still read back byte for byte, the retired hard deadline
+//! ignored.
 
 use magis::obs::json::Json;
 use magis::serve::{Client, JobSpec, ServeConfig, ServeError, Server};
@@ -12,6 +14,20 @@ fn sample(metrics: &str, name: &str) -> f64 {
         .lines()
         .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.trim().parse().ok())
         .unwrap_or(0.0)
+}
+
+#[test]
+fn optimize_and_serve_refuse_an_unknown_flag_with_usage_and_exit_2() {
+    for cmd in ["optimize", "serve"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_magis"))
+            .args([cmd, "--no-such-flag", "x"])
+            .output()
+            .expect("magis runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "magis {cmd}: {stderr}");
+        assert!(stderr.contains("unknown flag --no-such-flag"), "{stderr}");
+        assert!(stderr.contains("USAGE:"), "magis {cmd} prints the usage: {stderr}");
+    }
 }
 
 #[test]

@@ -353,18 +353,19 @@ fn a_failed_job_settles_on_its_first_attempt() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
-/// The headline crash-safety contract: `kill -9` the daemon mid-job,
-/// restart it on the same state directory, and the journal replay
-/// resumes the search from its last checkpoint to a result
-/// bit-identical to an uninterrupted run.
+/// The headline crash-safety contract: `kill -9` the daemon (a real
+/// `magis serve` process) mid-job, restart it on the same state
+/// directory, and the journal replay resumes the search from its last
+/// checkpoint to a result bit-identical to an uninterrupted run.
 #[test]
 fn kill_dash_nine_restart_resumes_bit_identical() {
     let state = scratch("kill9");
     std::fs::create_dir_all(&state).unwrap();
     let port_file = state.join("port");
     let spawn_daemon = || {
-        std::process::Command::new(env!("CARGO_BIN_EXE_magis-served"))
+        std::process::Command::new(env!("CARGO_BIN_EXE_magis"))
             .args([
+                "serve",
                 "--addr",
                 "127.0.0.1:0",
                 "--state-dir",
