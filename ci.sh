@@ -4,7 +4,7 @@
 # again under the runner regimes that differ from it
 # (RUST_TEST_THREADS=1 and =4 — the optimizer spawns its own workers
 # either way), the grep gates, CLI and daemon smokes, and the
-# benchmark's trajectory gate.
+# benchmark's trajectory gate and peak-memory ceiling.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -57,6 +57,15 @@ FRONTIER_USES="$(grep -rn 'with_frontier' crates src tests examples \
 if [ -n "$FRONTIER_USES" ]; then
     echo "$FRONTIER_USES"
     echo "with_frontier is for benchmark/ only: every checkpoint carries the frontier"
+    exit 1
+fi
+# No state keeps a lifetime table: `Eval::lifetimes` survives, always
+# the empty table, because benchmark/src/replay.rs names it; nothing
+# else may read it.
+LIFETIME_USES="$(grep -rn -E '\beval\.lifetimes\b' crates src tests examples || true)"
+if [ -n "$LIFETIME_USES" ]; then
+    echo "$LIFETIME_USES"
+    echo "Eval::lifetimes is for benchmark/ only: plan from the profile's table, then drop it"
     exit 1
 fi
 # The one planner replays counting-sorted events over an offset-ordered
@@ -380,6 +389,16 @@ for workload in bert_full unet_small unet_small_mt2 resnet_planned_mcts serve_mi
         paste <(tr '\t' '\n' <<<"$COUNTS_HEADER") <(tr '\t' '\n' <<<"$EXPECTED") <(tr '\t' '\n' <<<"$ACTUAL") \
             | awk -F'\t' '$2 != $3 { print "  " $1 ": committed " $2 ", this run " $3 }'
         exit 1
+    fi
+    # Retained-memory gate: a search keeps one copy of each evaluated
+    # state. The ceiling is 1.2 x 25.67 MiB, the median `rss_peak_mb` of
+    # ten alternating 20 s unet_small runs of the change that made it so
+    # (its parent read 49.01 MiB); DESIGN.md D10 names the file that
+    # lists them.
+    if [ "$workload" = unet_small ]; then
+        RSS="$(grep -o '"rss_peak_mb":{"value":[^,]*' "$BENCH_OUT/unet_small.json" | sed 's/.*"value"://')"
+        awk -v rss="$RSS" 'BEGIN { exit !(rss != "" && rss <= 30.8) }' \
+            || { echo "peak-memory gate: unet_small rss_peak_mb $RSS MiB is over its 30.8 MiB ceiling"; exit 1; }
     fi
     rm -rf "$BENCH_OUT"
 done

@@ -54,6 +54,7 @@ use magis_graph::io::RecordLines;
 use magis_util::rng::{Rng, SeedableRng, SmallRng};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Which search strategy drives the M-Optimizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,11 +147,12 @@ pub trait SearchDriver {
 
 /// One entry on the greedy best-first priority queue: ordered by the
 /// objective key, then by sequence number (insertion order) so the pop
-/// sequence is total and deterministic.
+/// sequence is total and deterministic. The state is the evaluated
+/// child's one allocation, shared with the evaluation cache.
 struct QueueEntry {
     key: (f64, f64),
     seq: usize,
-    state: MState,
+    state: Arc<MState>,
 }
 
 impl PartialEq for QueueEntry {
@@ -195,7 +197,7 @@ impl GreedyDriver {
     /// with sequence counter `next_seq`: a fresh search passes the
     /// seed alone at 0, a resume the checkpointed queue and counter
     /// verbatim (an empty queue is a finished search).
-    pub(crate) fn new(cfg: &OptimizerConfig, queue: Vec<(u64, MState)>, next_seq: u64) -> GreedyDriver {
+    pub(crate) fn new(cfg: &OptimizerConfig, queue: Vec<(u64, Arc<MState>)>, next_seq: u64) -> GreedyDriver {
         // Re-pushing the checkpointed entry set reproduces the original
         // pop order exactly: `QueueEntry`'s ordering is total (objective
         // key, then sequence number), so the heap's pop sequence is a
@@ -257,9 +259,10 @@ impl SearchDriver for GreedyDriver {
 
 // ---------------------------------------------------------------- mcts
 
-/// One MCTS tree node: an evaluated M-State plus the UCT statistics.
+/// One MCTS tree node: an evaluated M-State (the allocation the
+/// evaluation cache shares) plus the UCT statistics.
 struct Node {
-    state: MState,
+    state: Arc<MState>,
     parent: Option<usize>,
     /// Candidate index (within the parent's sorted batch) of the
     /// transform that produced this node — stable across thread counts
@@ -321,7 +324,7 @@ pub struct MctsDriver {
 
 impl MctsDriver {
     /// A fresh tree rooted at `init`.
-    pub(crate) fn new(cfg: &OptimizerConfig, init: MState) -> MctsDriver {
+    pub(crate) fn new(cfg: &OptimizerConfig, init: Arc<MState>) -> MctsDriver {
         MctsDriver {
             nodes: vec![Node {
                 state: init,
@@ -340,7 +343,7 @@ impl MctsDriver {
     /// frontier entries keyed by node id, `meta` the topology /
     /// statistics / RNG state. The caller (`optimizer::resume`) has
     /// already validated that ids are dense and counts match.
-    pub(crate) fn resume(states: Vec<(u64, MState)>, meta: &MctsCheckpoint) -> MctsDriver {
+    pub(crate) fn resume(states: Vec<(u64, Arc<MState>)>, meta: &MctsCheckpoint) -> MctsDriver {
         let mut nodes: Vec<Node> = states
             .into_iter()
             .zip(&meta.nodes)
@@ -415,7 +418,7 @@ impl MctsDriver {
     /// from `start`, evaluating only the chosen candidate at each step
     /// (inline, on this thread). Returns the best reward seen.
     fn rollout(&mut self, engine: &mut Engine<'_>, start: usize) -> f64 {
-        let mut cur = self.nodes[start].state.clone();
+        let mut cur = Arc::clone(&self.nodes[start].state);
         let mut best_r = Self::reward(engine, cur.cost());
         for _ in 0..ROLLOUT_DEPTH {
             let candidates = engine.begin(&mut cur);
@@ -426,7 +429,7 @@ impl MctsDriver {
             // is a pure function of the trajectory, not of evaluation
             // outcomes.
             let i = self.rng.gen_range(0..candidates.len());
-            let mut picked: Option<(MState, (u64, f64))> = None;
+            let mut picked: Option<(Arc<MState>, (u64, f64))> = None;
             engine.evaluate(&cur, &candidates, Some(i), false, &mut |_, child, cost, _| {
                 picked = Some((child, cost));
                 true
@@ -466,11 +469,12 @@ impl SearchDriver for MctsDriver {
         } else {
             // Expansion: full-batch evaluation through the engine's
             // deterministic fan-out; every evaluated child becomes a
-            // node (dedup off — transpositions are legitimate).
-            let mut state = self.nodes[cur].state.clone();
-            let candidates = engine.begin(&mut state);
+            // node (dedup off — transpositions are legitimate). The
+            // node keeps the analyzed F-Tree.
+            let candidates = engine.begin(&mut self.nodes[cur].state);
+            let state = Arc::clone(&self.nodes[cur].state);
             let objective = engine.objective();
-            let mut new_children: Vec<(usize, MState)> = Vec::new();
+            let mut new_children: Vec<(usize, Arc<MState>)> = Vec::new();
             // Offset (into the new-children run) of the best-cost
             // child; candidate-order iteration with strict `<` makes
             // the tie-break the lowest candidate index.
@@ -485,7 +489,6 @@ impl SearchDriver for MctsDriver {
                 new_children.push((i, child));
                 true
             });
-            self.nodes[cur].state = state; // keep the analyzed F-Tree
             self.nodes[cur].expanded = true;
             let first_new = self.nodes.len();
             for (i, child) in new_children {
@@ -586,7 +589,7 @@ mod tests {
         let mut q: BinaryHeap<QueueEntry> = BinaryHeap::new();
         let s = tiny_state();
         for (i, (m, l)) in [(100u64, 0.5), (50, 0.5), (70, 0.5)].iter().enumerate() {
-            q.push(QueueEntry { key: obj.key(*m, *l), seq: i, state: s.clone() });
+            q.push(QueueEntry { key: obj.key(*m, *l), seq: i, state: Arc::new(s.clone()) });
         }
         assert_eq!(q.pop().unwrap().key, obj.key(50, 0.5));
         assert_eq!(q.pop().unwrap().key, obj.key(70, 0.5));
@@ -603,6 +606,7 @@ mod tests {
                 MctsNodeMeta { parent: Some(0), cand_index: 2, visits: 2, reward_sum: 0.25, expanded: false },
             ],
         };
+        let s = Arc::new(s);
         let states = vec![(0, s.clone()), (1, s.clone()), (2, s)];
         let d = MctsDriver::resume(states, &meta);
         assert_eq!(d.nodes[0].children, vec![1, 2]);

@@ -10,6 +10,12 @@
 //! one search, under the one memory objective of its evaluation
 //! context, so the hash alone is the key.
 //!
+//! An entry is the evaluated child's one allocation, an `Arc` the
+//! driver's frontier (a greedy queue entry, an MCTS node) holds too; a
+//! hit hands out the same `Arc`. Nobody writes through a shared state:
+//! a writer takes its own copy (`Arc::make_mut`), so a cached state is
+//! never changed after its insert.
+//!
 //! Concurrency / determinism contract (see the `optimizer` module
 //! docs): workers read a **frozen** cache during a fan-out — hits are
 //! counted and new entries inserted only at the single-threaded merge,
@@ -41,10 +47,11 @@
 
 use crate::state::MState;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    state: MState,
+    state: Arc<MState>,
     family: u8,
     /// Recompute-cost class (log₂ bucket of the scheduling work a hit
     /// saves). Fixed at insert; see [`cost_class`].
@@ -112,7 +119,7 @@ impl EvalCache {
     /// while the merge thread owns the only `&mut`. Does **not**
     /// refresh recency — the merge thread records hits via
     /// [`Self::touch`].
-    pub fn get(&self, hash: u64) -> Option<&MState> {
+    pub fn get(&self, hash: u64) -> Option<&Arc<MState>> {
         self.entries.get(&hash).map(|e| &e.state)
     }
 
@@ -136,7 +143,7 @@ impl EvalCache {
     /// left untouched (the two states are hash-equal, and keeping the
     /// first matches what `threads == 1` would have produced). Returns
     /// the number of entries evicted.
-    pub fn insert(&mut self, hash: u64, state: MState, family: u8) -> usize {
+    pub fn insert(&mut self, hash: u64, state: Arc<MState>, family: u8) -> usize {
         if self.capacity == 0 || self.entries.contains_key(&hash) {
             return 0;
         }
@@ -182,11 +189,11 @@ mod tests {
     use magis_graph::builder::GraphBuilder;
     use magis_graph::tensor::DType;
 
-    fn tiny_state() -> MState {
+    fn tiny_state() -> Arc<MState> {
         let mut b = GraphBuilder::new(DType::F32);
         let x = b.input([16], "x");
         let _ = b.relu(x);
-        MState::initial(b.finish(), &EvalContext::default())
+        Arc::new(MState::initial(b.finish(), &EvalContext::default()))
     }
 
     #[test]
@@ -197,11 +204,31 @@ mod tests {
         assert_eq!(c.insert(1, s.clone(), 2), 0);
         assert!(c.get(1).is_some());
         // Re-inserting the same key is a no-op (first wins).
-        let mut dup = s.clone();
+        let mut dup = MState::clone(&s);
         dup.eval.peak_bytes += 1;
-        assert_eq!(c.insert(1, dup, 3), 0);
+        assert_eq!(c.insert(1, Arc::new(dup), 3), 0);
         assert_eq!(c.get(1).unwrap().eval.peak_bytes, s.eval.peak_bytes);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn a_hit_is_the_inserted_allocation() {
+        // One copy of each evaluated state: the entry is the `Arc` the
+        // merge inserted (and the frontier holds), not a copy of it,
+        // and every hit hands that same allocation back.
+        let s = tiny_state();
+        let mut c = EvalCache::new(4);
+        c.insert(7, Arc::clone(&s), 0);
+        assert!(Arc::ptr_eq(c.get(7).unwrap(), &s));
+        assert_eq!(Arc::strong_count(&s), 2, "the caller's handle and the entry");
+        // A writer to a hit copies it first; the entry stays as it was.
+        let mut hit = Arc::clone(c.get(7).unwrap());
+        Arc::make_mut(&mut hit).eval.latency = f64::NAN;
+        assert!(Arc::ptr_eq(c.get(7).unwrap(), &s));
+        assert_eq!(c.get(7).unwrap().eval.latency.to_bits(), s.eval.latency.to_bits());
+        // Eviction drops the cache's handle only.
+        c.purge_family(0);
+        assert_eq!(Arc::strong_count(&s), 1);
     }
 
     #[test]
@@ -294,7 +321,7 @@ mod tests {
         for _ in 0..40 {
             x = b.relu(x);
         }
-        let costly = MState::initial(b.finish(), &EvalContext::default());
+        let costly = Arc::new(MState::initial(b.finish(), &EvalContext::default()));
         assert!(
             super::cost_class(&costly) > super::cost_class(&cheap),
             "test premise: the chain state must land in a pricier class"

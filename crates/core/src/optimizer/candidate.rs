@@ -12,6 +12,7 @@ use magis_sched::validate_schedule;
 use magis_sim::evaluate_checked;
 use magis_util::fault::{FaultPlan, FaultSite};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Worker-measured CPU time of one candidate's phases, booked into
@@ -70,8 +71,10 @@ impl Reject {
 
 /// A fully evaluated, hashed child state.
 pub(super) struct Evaluated {
-    /// Boxed: ~20× the size of the other verdicts.
-    pub(super) child: Box<MState>,
+    /// The child's one allocation: the evaluation cache and the
+    /// driver's frontier hold this same `Arc`, and a cache hit is the
+    /// cached entry's.
+    pub(super) child: Arc<MState>,
     pub(super) hash: u64,
     /// Served from the (batch-frozen) evaluation cache: schedule +
     /// simulate were skipped. Counted at the merge so the counters
@@ -213,11 +216,10 @@ fn evaluate_candidate_inner(
     let looked_up = match cache.get(hash) {
         // Hash-equal states are interchangeable to the search (the
         // equivalence the seen-set dedup already relies on), so the
-        // cached state is reused wholesale; staleness is inherited
-        // from every lineage so re-analysis is never skipped.
-        Some(cached) => Ok((MState { tree_stale: cached.tree_stale || tree_stale, ..cached.clone() }, true)),
+        // cached state is reused wholesale: the same allocation.
+        Some(cached) => Ok((Arc::clone(cached), true)),
         None => evaluate_overlay(&applied.base, graph, Some(state), &applied.mutated, ctx)
-            .map(|eval| (MState { base: applied.base, ftree: applied.ftree, eval, tree_stale }, false)),
+            .map(|eval| (Arc::new(MState { base: applied.base, ftree: applied.ftree, eval, tree_stale }), false)),
     };
     times.sched_sim += t0.elapsed();
     let (mut child, cache_hit) = match looked_up {
@@ -225,27 +227,36 @@ fn evaluate_candidate_inner(
         Err(EvalError::Apply(_)) => return Verdict::Rejected(Reject::ApplyFailed),
         Err(EvalError::Cost(_)) => return Verdict::Rejected(Reject::BadCost),
     };
+    // Staleness is inherited from every lineage so re-analysis is never
+    // skipped — on this candidate's own copy: the cached entry keeps its
+    // flag.
+    if tree_stale && !child.tree_stale {
+        Arc::make_mut(&mut child).tree_stale = true;
+    }
 
+    // The injections below write to the candidate's own copy too
+    // (`Arc::make_mut` copies a cache hit), never to the cached entry.
     let mut tainted = false;
     // Simulates a buggy rewrite: the state's schedule no longer covers
     // the graph exactly once. Only invariant enforcement can catch
     // this — cost values stay plausible. Injected after the cache
-    // lookup so cached clones replay the fault too.
+    // lookup so cache hits replay the fault too.
     if inject(FaultSite::CorruptRewrite) && child.eval.order.len() >= 2 {
-        let first = child.eval.order[0];
-        let last = child.eval.order.len() - 1;
-        child.eval.order[last] = first;
+        let order = &mut Arc::make_mut(&mut child).eval.order;
+        let last = order.len() - 1;
+        order[last] = order[0];
         tainted = true;
     }
     // Simulates a defective cost model *after* the (real) evaluation
     // ran, so the defect reaches the always-on cost validation below
     // rather than being pre-empted by it.
     if inject(FaultSite::NanCost) {
-        child.eval.latency = f64::NAN;
+        Arc::make_mut(&mut child).eval.latency = f64::NAN;
         tainted = true;
     }
     if inject(FaultSite::NegativeCost) {
-        child.eval.latency = -child.eval.latency.abs() - 1.0;
+        let latency = &mut Arc::make_mut(&mut child).eval.latency;
+        *latency = -latency.abs() - 1.0;
         tainted = true;
     }
 
@@ -257,7 +268,7 @@ fn evaluate_candidate_inner(
     if cfg.paranoia == ParanoiaLevel::All && check_invariants(&child, ctx).is_err() {
         return Verdict::Rejected(Reject::Invalid);
     }
-    Verdict::Evaluated(Evaluated { child: Box::new(child), hash, cache_hit, tainted })
+    Verdict::Evaluated(Evaluated { child, hash, cache_hit, tainted })
 }
 
 // The fan-out shares states and the evaluation context across scoped

@@ -21,7 +21,12 @@ use magis_obs::timeline::{SearchTimeline, TimelinePoint};
 use magis_util::parallel;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
+
+/// A driver's retain decision on one evaluated child (see
+/// [`Engine::evaluate`]).
+type Retain<'r> = dyn FnMut(usize, Arc<MState>, (u64, f64), (u64, f64)) -> bool + 'r;
 
 /// Strike accounting for rule families (`Transform::sort_key().0`):
 /// a family that panics or corrupts state `threshold` times stops
@@ -103,7 +108,9 @@ pub struct Engine<'a> {
     pub(super) timeline: SearchTimeline,
     pub(super) pareto: ParetoSet,
     pub(super) history: Vec<ProgressPoint>,
-    pub(super) best: MState,
+    /// The incumbent: the same allocation as the evaluated child it
+    /// was, which the cache and the frontier may hold too.
+    pub(super) best: Arc<MState>,
     pub(super) seen: BTreeSet<u64>,
     pub(super) quarantine: Quarantine,
     pub(super) eval_cache: EvalCache,
@@ -187,15 +194,17 @@ impl<'a> Engine<'a> {
     /// re-runs the F-Tree analysis if the state is stale, then
     /// generates the candidate batch — quarantine-filtered and sorted
     /// by [`Transform::sort_key`] so the fan-out order (and therefore
-    /// the whole trajectory) is a pure function of the state.
-    pub fn begin(&mut self, state: &mut MState) -> Vec<Transform> {
+    /// the whole trajectory) is a pure function of the state. The
+    /// analysis writes to `state` alone: a state the evaluation cache
+    /// (or anyone else) still shares is copied first.
+    pub fn begin(&mut self, state: &mut Arc<MState>) -> Vec<Transform> {
         self.stats.expanded += 1;
         if let Some(tok) = &self.cfg.cancel {
             tok.beat();
         }
         self.exp_t0 = Instant::now();
         if state.tree_stale {
-            analyze(state, self.cfg, &mut self.stats);
+            analyze(Arc::make_mut(state), self.cfg, &mut self.stats);
         }
 
         let t0 = Instant::now();
@@ -231,10 +240,11 @@ impl<'a> Engine<'a> {
     ///
     /// For every successfully evaluated child the `retain` callback
     /// decides whether the driver keeps it (queue push / tree node):
-    /// it receives the candidate index, the child (by value), its
-    /// cost, and the incumbent cost *after* any incumbent update from
-    /// this child. Returning `true` records an accept (metrics, trace
-    /// span, timeline); `false` records a `dominated` reject.
+    /// it receives the candidate index, the child (the allocation the
+    /// evaluation cache shares), its cost, and the incumbent cost
+    /// *after* any incumbent update from this child. Returning `true`
+    /// records an accept (metrics, trace span, timeline); `false`
+    /// records a `dominated` reject.
     ///
     /// Returns the number of merged (evaluated) candidates.
     pub fn evaluate(
@@ -243,7 +253,7 @@ impl<'a> Engine<'a> {
         candidates: &[Transform],
         only: Option<usize>,
         dedup: bool,
-        retain: &mut dyn FnMut(usize, MState, (u64, f64), (u64, f64)) -> bool,
+        retain: &mut Retain<'_>,
     ) -> usize {
         let (cfg, start) = (self.cfg, self.start);
         let expansion = self.stats.expanded as u64;
@@ -315,7 +325,7 @@ impl<'a> Engine<'a> {
         parent_cost: (u64, f64),
         outcome: CandOutcome,
         dedup: bool,
-        retain: &mut dyn FnMut(usize, MState, (u64, f64), (u64, f64)) -> bool,
+        retain: &mut Retain<'_>,
     ) -> bool {
         let obs = core_obs();
         let expansion = self.stats.expanded as u64;
@@ -401,7 +411,7 @@ impl<'a> Engine<'a> {
         family: u8,
         ev: Evaluated,
         dedup: bool,
-        retain: &mut dyn FnMut(usize, MState, (u64, f64), (u64, f64)) -> bool,
+        retain: &mut Retain<'_>,
     ) -> Result<(u64, f64), Reject> {
         let obs = core_obs();
         let cfg = self.cfg;
@@ -440,7 +450,7 @@ impl<'a> Engine<'a> {
             // Tainted children (post-eval fault injections) and
             // quarantined families are never cached.
             if !tainted && !self.quarantine.is_quarantined(family) {
-                let evicted = self.eval_cache.insert(hash, (*child).clone(), family);
+                let evicted = self.eval_cache.insert(hash, Arc::clone(&child), family);
                 self.stats.eval_cache_evictions += evicted;
             }
         }
@@ -462,7 +472,7 @@ impl<'a> Engine<'a> {
         }
         self.pareto.insert(cost.0, cost.1);
         if leads {
-            self.best = (*child).clone();
+            self.best = Arc::clone(&child);
             self.history.push(ProgressPoint {
                 elapsed: self.start.elapsed().as_secs_f64(),
                 peak_bytes: cost.0,
@@ -481,7 +491,7 @@ impl<'a> Engine<'a> {
         // reflects any update from this very child (the greedy δ-test
         // reads the incumbent as updated mid-batch, exactly like
         // Algorithm 3).
-        if retain(i, *child, cost, self.best.cost()) {
+        if retain(i, child, cost, self.best.cost()) {
             Ok(cost)
         } else {
             Err(Reject::Dominated)

@@ -28,7 +28,9 @@
 //! overlay graph's structural hash short-circuits duplicate candidates
 //! reached via different rewrite paths: the hash is computed *before*
 //! scheduling, and a hit reuses the previously evaluated state
-//! wholesale. Workers read a cache frozen for the whole batch; hits are
+//! wholesale: the cache, the driver's frontier and the incumbent hold
+//! one `Arc` of each evaluated state, and a writer copies it first.
+//! Workers read a cache frozen for the whole batch; hits are
 //! counted and new entries inserted only at the merge, in candidate
 //! order, so caching never perturbs the determinism contract below. The cache is not
 //! persisted in checkpoints — a resumed search starts cold, which is

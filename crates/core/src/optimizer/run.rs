@@ -15,6 +15,7 @@ use magis_obs::metrics::{counter, labeled};
 use magis_obs::timeline::SearchTimeline;
 use magis_sim::memory_profile_checked;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Runs Algorithm 3 on `g`.
@@ -59,7 +60,8 @@ pub fn optimize_from(init: MState, cfg: &OptimizerConfig) -> OptimizeResult {
 /// MCTS checkpoint without a tree that pairs with its frontier).
 pub fn resume(ckpt: &SearchCheckpoint, cfg: &OptimizerConfig) -> Result<OptimizeResult, CheckpointError> {
     let best = ckpt.restore_state(&cfg.ctx)?;
-    let frontier = ckpt.restore_frontier(&cfg.ctx)?;
+    let frontier: Vec<(u64, Arc<MState>)> =
+        ckpt.restore_frontier(&cfg.ctx)?.into_iter().map(|(seq, state)| (seq, Arc::new(state))).collect();
     let driver: Box<dyn SearchDriver> = match ckpt.driver {
         DriverKind::Greedy => Box::new(GreedyDriver::new(cfg, frontier, ckpt.next_seq)),
         // An MCTS frontier is a tree: the metadata must pair one-to-one
@@ -151,15 +153,15 @@ fn run_search(
     let seen: BTreeSet<u64> = from.seen.iter().copied().collect();
     let quarantine = Quarantine::new(cfg.quarantine_threshold, &from.quarantine);
 
-    let best = init.clone();
+    let best = Arc::new(init);
     // The driver owns the strategy state (greedy queue or MCTS tree);
     // everything else — evaluation, bookkeeping, observability,
     // checkpointing — lives on the engine below.
     let mut driver: Box<dyn SearchDriver> = match restored {
         Some(driver) => driver,
         None => match cfg.driver {
-            DriverKind::Greedy => Box::new(GreedyDriver::new(cfg, vec![(0, init)], 0)),
-            DriverKind::Mcts => Box::new(MctsDriver::new(cfg, init)),
+            DriverKind::Greedy => Box::new(GreedyDriver::new(cfg, vec![(0, Arc::clone(&best))], 0)),
+            DriverKind::Mcts => Box::new(MctsDriver::new(cfg, Arc::clone(&best))),
         },
     };
 
@@ -222,7 +224,7 @@ fn run_search(
     {
         let (p_peak, p_lat) = polished.cost();
         engine.pareto.insert(p_peak, p_lat);
-        engine.best = polished;
+        engine.best = Arc::new(polished);
     }
     engine.stats.publish(&mut engine.published);
     magis_obs::event!(
@@ -248,7 +250,7 @@ fn run_search(
         engine.timeline.fragmentation_ratio = plan.fragmentation_ratio();
     }
     OptimizeResult {
-        best: engine.best,
+        best: Arc::unwrap_or_clone(engine.best),
         pareto: engine.pareto,
         history: engine.history,
         stats: engine.stats,

@@ -1,10 +1,13 @@
 //! Unit tests of the M-Optimizer as a whole.
 
+use super::candidate::{evaluate_candidate, Evaluated, Reject, Verdict};
 use super::engine::{strike_family, Quarantine};
 use super::*;
 use crate::driver::DriverKind;
 use crate::eval_cache::EvalCache;
+use crate::rules::{self, Transform};
 use crate::state::{EvalContext, MState};
+use magis_util::fault::{FaultPlan, FaultSite};
 use magis_graph::graph::Graph;
 use std::sync::Arc;
 use std::time::Duration;
@@ -258,7 +261,7 @@ fn eval_cache_hits_on_duplicate_states() {
 
 #[test]
 fn eval_cache_disabled_matches_enabled_trajectory() {
-    // Cache hits clone previously evaluated states that are
+    // Cache hits share previously evaluated states that are
     // bit-identical to re-evaluation, so caching must not change
     // the search trajectory at all.
     let g = train_mlp(3);
@@ -278,7 +281,7 @@ fn eval_cache_disabled_matches_enabled_trajectory() {
 #[test]
 fn quarantine_purges_eval_cache() {
     let g = train_mlp(2);
-    let s = MState::initial(g, &EvalContext::default());
+    let s = Arc::new(MState::initial(g, &EvalContext::default()));
     let mut cache = EvalCache::new(16);
     cache.insert(11, s.clone(), 4);
     cache.insert(12, s.clone(), 4);
@@ -316,4 +319,84 @@ fn paranoia_all_matches_default_when_healthy() {
     assert_eq!(off.best.eval.latency.to_bits(), all.best.eval.latency.to_bits());
     assert_eq!(inc.stats.invariant_rejections, 0);
     assert_eq!(all.stats.invariant_rejections, 0);
+}
+
+/// An analyzed seed, its search config, and its first candidate whose
+/// rewrite leaves the F-Tree stale (`stale`) or fresh, evaluated once
+/// against an empty cache.
+fn evaluated_candidate(stale: bool) -> (MState, OptimizerConfig, Transform, Evaluated) {
+    let g = train_mlp(3);
+    let cfg = quick_cfg(Objective::MinMemory { lat_limit: f64::INFINITY });
+    let mut seed = MState::initial(g, &cfg.ctx);
+    seed.analyze(cfg.max_level);
+    let mut transforms = rules::generate(&seed, &cfg.rules);
+    transforms.sort_by_key(Transform::sort_key);
+    for t in transforms {
+        if rules::apply(&seed, &t).is_ok_and(|a| a.tree_stale == stale) {
+            if let Verdict::Evaluated(ev) = evaluate_candidate(&seed, &t, &cfg, &EvalCache::new(0), 0).verdict {
+                return (seed, cfg, t, ev);
+            }
+        }
+    }
+    panic!("no candidate of the seed evaluates with tree_stale = {stale}");
+}
+
+fn evaluated(verdict: Verdict) -> Evaluated {
+    match verdict {
+        Verdict::Evaluated(ev) => ev,
+        _ => panic!("the candidate did not evaluate"),
+    }
+}
+
+#[test]
+fn a_stale_lineage_flags_its_own_copy_of_a_hit() {
+    // The cached state was reached along a lineage with a fresh F-Tree;
+    // this candidate's rewrite leaves it stale. The candidate must be
+    // re-analyzed before expansion, and the cached entry must not be.
+    let (seed, cfg, t, ev) = evaluated_candidate(true);
+    assert!(ev.child.tree_stale);
+    let mut fresh = MState::clone(&ev.child);
+    fresh.tree_stale = false;
+    let fresh = Arc::new(fresh);
+    let mut cache = EvalCache::new(4);
+    cache.insert(ev.hash, Arc::clone(&fresh), 0);
+    let hit = evaluated(evaluate_candidate(&seed, &t, &cfg, &cache, 0).verdict);
+    assert!(hit.cache_hit);
+    assert!(hit.child.tree_stale, "the candidate inherits its lineage's staleness");
+    assert!(!Arc::ptr_eq(&hit.child, &fresh), "a flagged hit is the candidate's own copy");
+    assert!(Arc::ptr_eq(cache.get(ev.hash).unwrap(), &fresh));
+    assert!(!cache.get(ev.hash).unwrap().tree_stale, "the cached entry keeps its own flag");
+    assert_eq!(hit.child.eval.order, fresh.eval.order);
+}
+
+#[test]
+fn a_hit_shares_the_cached_allocation_and_injections_copy_it() {
+    let (seed, cfg, t, ev) = evaluated_candidate(false);
+    let cached = Arc::clone(&ev.child);
+    let (order, latency) = (cached.eval.order.clone(), cached.eval.latency.to_bits());
+    let mut cache = EvalCache::new(4);
+    cache.insert(ev.hash, Arc::clone(&cached), 0);
+    let clean = |cache: &EvalCache| {
+        let entry = cache.get(ev.hash).unwrap();
+        assert!(Arc::ptr_eq(entry, &cached));
+        assert_eq!(entry.eval.order, order);
+        assert_eq!(entry.eval.latency.to_bits(), latency);
+    };
+    let hit = evaluated(evaluate_candidate(&seed, &t, &cfg, &cache, 0).verdict);
+    assert!(hit.cache_hit && !hit.tainted);
+    assert!(Arc::ptr_eq(&hit.child, &cached), "a clean hit is the cached allocation");
+
+    // A corrupted rewrite and a defective cost injected into a hit
+    // reach the candidate, never the entry the next hit reads.
+    let faulty = |site| cfg.clone().with_fault_plan(FaultPlan::new(1).with_rate(site, 1.0));
+    let corrupt = evaluated(evaluate_candidate(&seed, &t, &faulty(FaultSite::CorruptRewrite), &cache, 0).verdict);
+    assert!(corrupt.cache_hit && corrupt.tainted);
+    assert_ne!(corrupt.child.eval.order, order, "the injection corrupted the candidate's order");
+    clean(&cache);
+    let nan = evaluate_candidate(&seed, &t, &faulty(FaultSite::NanCost), &cache, 0).verdict;
+    assert!(matches!(nan, Verdict::Rejected(Reject::BadCost)));
+    clean(&cache);
+    let next = evaluated(evaluate_candidate(&seed, &t, &cfg, &cache, 0).verdict);
+    assert!(next.cache_hit && !next.tainted && next.child.eval.latency.is_finite());
+    assert!(Arc::ptr_eq(&next.child, &cached));
 }

@@ -168,8 +168,11 @@ pub struct Eval {
     /// Memory hot-spots, restricted to base-graph nodes (overlay
     /// bookkeeping nodes filtered out).
     pub hotspots_base: BTreeSet<NodeId>,
-    /// Per-root tensor lifetimes of `order`, the table `plan` was
-    /// built from.
+    // Still named by `benchmark/src/replay.rs`, which passes it to
+    // parameters nothing reads: always the empty table, since nothing
+    // reads a state's lifetimes after its plan is built from them. Goes
+    // when the benchmark stops naming it.
+    #[doc(hidden)]
     pub lifetimes: Lifetimes,
     /// Offset-assigning memory plan of `order`, present when the
     /// context's objective is [`MemObjective::Planned`].
@@ -456,9 +459,11 @@ pub(crate) fn evaluate_overlay(
 /// The evaluation of `order` on `g`, the overlay of `base`: the memory
 /// profile and tensor lifetimes of the order (unless the scheduler
 /// `measured` them), its plan under [`MemObjective::Planned`], the
-/// simulation, and the hot-spots restricted to `base`. A candidate's
-/// evaluation ends here, and so does a checkpointed state's, whose
-/// stored order is re-simulated rather than re-scheduled.
+/// simulation, and the hot-spots restricted to `base`. The lifetime
+/// table is dropped once planned from: the state keeps none. A
+/// candidate's evaluation ends here, and so does a checkpointed
+/// state's, whose stored order is re-simulated rather than
+/// re-scheduled.
 pub(crate) fn evaluate_order(
     base: &Graph,
     g: Graph,
@@ -492,7 +497,7 @@ pub(crate) fn evaluate_order(
         latency: ev.latency,
         peak_bytes: ev.peak_bytes,
         hotspots_base,
-        lifetimes,
+        lifetimes: Lifetimes::default(),
         plan,
         inc,
         reach: Arc::default(),

@@ -110,8 +110,9 @@ pub(crate) fn check_coverage(g: &Graph, order: &[NodeId]) -> Result<(), CostErro
 /// Per-storage-root tensor lifetimes of one scheduled graph: for every
 /// sized root, the schedule step its storage is allocated at and the
 /// last step it is live. Produced by [`memory_profile_lifetimes`],
-/// consumed by [`crate::plan::plan_from_lifetimes`].
-#[derive(Debug, Clone, PartialEq)]
+/// consumed by [`crate::plan::plan_from_lifetimes`]. The default is the
+/// empty table, of a zero-step schedule.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Lifetimes {
     /// Schedule length this table was computed against.
     pub(crate) steps: usize,

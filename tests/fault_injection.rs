@@ -12,11 +12,13 @@
 //!   (fault keys derive from expansion number and sorted candidate
 //!   index, never from thread identity).
 
+use magis::core::driver::DriverKind;
 use magis::core::optimizer::{self, Objective, OptimizerConfig, ParanoiaLevel, StopReason};
+use magis::obs::trace::{self, BufferSink, FieldValue};
 use magis::prelude::*;
 use magis::sched::validate_schedule;
 use magis_util::fault::{FaultPlan, FaultSite};
-use std::sync::Once;
+use std::sync::{Arc, Once};
 use std::time::Duration;
 
 /// Injected panics are expected and caught by the sandbox; silence
@@ -234,4 +236,58 @@ fn faultless_plan_changes_nothing() {
     assert_eq!(with_plan.evaluated, res.stats.evaluated);
     assert_eq!(with_plan.panicked, 0);
     assert_eq!(with_plan.cost_rejections, 0);
+}
+
+#[test]
+fn injections_into_cache_hits_leave_the_cached_entry_clean() {
+    // A cache hit hands its candidate the cached state itself, and a
+    // fault injected into the hit copies it first. Written through to
+    // the entry instead, a corrupted order or a NaN latency would
+    // reject the next hit on that hash, where the plan injected
+    // nothing. So the rejections of the injected kind fall on exactly
+    // the candidates the plan injected: read off the merge's
+    // per-candidate trace spans, whose (expansion, candidate) pair is
+    // the fault key. MCTS, whose tree keeps transpositions, hits one
+    // hash many times; at this seed, rate and cap both sites inject
+    // into hits whose hash is hit again later.
+    silence_injected_panics();
+    let (g, init) = seed_state();
+    let obj = Objective::MinMemory { lat_limit: init.eval.latency * 1.25 };
+    for (site, paranoia, reason) in [
+        (FaultSite::NanCost, ParanoiaLevel::Incumbent, "bad-cost"),
+        (FaultSite::CorruptRewrite, ParanoiaLevel::All, "invalid"),
+    ] {
+        let plan = FaultPlan::new(31).with_rate(site, 0.3);
+        let cfg = capped(obj, 1, plan)
+            .with_max_evals(600)
+            .with_paranoia(paranoia)
+            .with_quarantine_threshold(0)
+            .with_driver(DriverKind::Mcts);
+        let sink = Arc::new(BufferSink::new());
+        let res = {
+            let _scope = trace::scoped(sink.clone(), Vec::new());
+            optimizer::optimize(g.clone(), &cfg)
+        };
+        assert!(res.stats.eval_cache_hits > 0, "{site:?}: the search hit its cache");
+        let (mut injected, mut clean) = (0, 0);
+        for span in sink.take().iter().filter(|e| e.target == "magis_core" && e.name == "candidate_eval") {
+            let field = |key: &str| span.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
+            let (Some(FieldValue::U64(expansion)), Some(FieldValue::U64(candidate)), Some(FieldValue::Str(outcome))) =
+                (field("expansion"), field("candidate"), field("outcome"))
+            else {
+                panic!("candidate_eval span without its key fields: {span:?}");
+            };
+            if outcome == "apply-failed" {
+                continue; // the injection point comes after apply
+            }
+            let hit = plan.should_inject(site, (expansion << 20) | (candidate & 0xfffff));
+            assert_eq!(outcome == reason, hit, "{site:?}: expansion {expansion}, candidate {candidate}: {outcome}");
+            if hit {
+                injected += 1;
+            } else {
+                clean += 1;
+            }
+        }
+        assert!(injected > 0 && clean > 0, "{site:?}: {injected} injected, {clean} clean");
+    }
 }
