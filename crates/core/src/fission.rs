@@ -13,7 +13,8 @@
 //! * [`apply_overlay`] — the F-Tree representation (§4.3): keep only
 //!   one *representative part* in the graph, scale shapes by `1/n`,
 //!   multiply the region's `cost_repeat`, and insert
-//!   `PartSlice`/`Merge` boundary nodes plus keepalive edges so the
+//!   `PartSlice`/`Merge` boundary nodes plus one pin group (the region's
+//!   inputs resident until its last merge, [`magis_graph::pins`]) so the
 //!   memory/latency simulation sees exactly the split execution. Graph
 //!   size stays O(|S|) instead of O(n·|S|).
 //! * [`apply_full`] — materialize all `n` parts explicitly (what the
@@ -224,13 +225,26 @@ impl RegionFacts {
         ws.nodes.clear();
         ws.nodes.push(seed);
         let mut reached = 1;
+        // A graph without pin groups (every base graph) skips their
+        // lookups below.
+        let pins = g.pins();
+        let pinned = !pins.is_empty();
+        let reach = |ws: &mut RegionWorkspace, u: NodeId| {
+            let unreached = ws.stamp(u) == ws.epoch + UNREACHED;
+            if unreached {
+                ws.set(u, MEMBER, ws.payload(u));
+                ws.nodes.push(u);
+            }
+            usize::from(unreached)
+        };
         while let Some(v) = ws.nodes.pop() {
             let n = g.node(v);
             for &u in n.inputs().iter().chain(n.keepalive()).chain(n.succs()) {
-                if ws.stamp(u) == ws.epoch + UNREACHED {
-                    ws.set(u, MEMBER, ws.payload(u));
-                    reached += 1;
-                    ws.nodes.push(u);
+                reached += reach(ws, u);
+            }
+            if pinned {
+                for u in pins.pinned_before(v).chain(pins.pinned_until(v)) {
+                    reached += reach(ws, u);
                 }
             }
         }
@@ -238,21 +252,46 @@ impl RegionFacts {
             return Err(FissionError::NotConnected);
         }
         // Constraint 2, convex: a forward search from every edge that
-        // exits the region must not re-enter it.
-        let exits = |ws: &mut RegionWorkspace, v: NodeId| {
-            for &s in g.node(v).succs() {
-                if ws.stamp(s) < ws.epoch + MEMBER {
-                    ws.set(s, SEEN, 0);
-                    ws.nodes.push(s);
+        // exits the region must not re-enter it. A pin group's merges
+        // are pushed once (`PUSHED`), and checked for members once, from
+        // the first input outside the region (`CHECKED`).
+        const PUSHED: u8 = 1;
+        const CHECKED: u8 = 2;
+        let mut walked = vec![0u8; pins.groups().len()];
+        let push = |ws: &mut RegionWorkspace, s: NodeId| {
+            if ws.stamp(s) < ws.epoch + MEMBER {
+                ws.set(s, SEEN, 0);
+                ws.nodes.push(s);
+            }
+        };
+        let exits = |ws: &mut RegionWorkspace, walked: &mut [u8], v: NodeId| {
+            g.node(v).succs().iter().for_each(|&s| push(ws, s));
+            if !pinned {
+                return;
+            }
+            for p in pins.of(v).iter().filter(|p| !p.merge) {
+                let state = &mut walked[p.group as usize];
+                if *state & PUSHED == 0 {
+                    *state |= PUSHED;
+                    pins.group(p.group).merges().iter().for_each(|&m| push(ws, m));
                 }
             }
         };
-        set.iter().for_each(|&v| exits(ws, v));
+        set.iter().for_each(|&v| exits(ws, &mut walked, v));
         while let Some(v) = ws.nodes.pop() {
             if g.node(v).succs().iter().any(|&s| ws.is_member(s)) {
                 return Err(FissionError::NotConvex);
             }
-            exits(ws, v);
+            for p in pins.of(v).iter().filter(|p| pinned && !p.merge) {
+                let state = &mut walked[p.group as usize];
+                if *state & CHECKED == 0 {
+                    if pins.group(p.group).merges().iter().any(|&m| ws.is_member(m)) {
+                        return Err(FissionError::NotConvex);
+                    }
+                    *state |= CHECKED;
+                }
+            }
+            exits(ws, &mut walked, v);
         }
         for (&v, &d) in dims {
             let n = g.node(v);
@@ -270,7 +309,8 @@ impl RegionFacts {
                 if r >= n.op.num_reduce_axes() {
                     return Err(FissionError::UnsplittableDim(v, d));
                 }
-                if n.succs().iter().any(|&s| ws.is_member(s)) {
+                let inside = |s: NodeId| ws.is_member(s);
+                if n.succs().iter().any(|&s| inside(s)) || pinned && pins.pinned_until(v).any(inside) {
                     return Err(FissionError::InteriorReduce(v));
                 }
             }
@@ -284,10 +324,19 @@ impl RegionFacts {
         let mut links = std::mem::take(&mut ws.links);
         for (&v, &d) in dims {
             let node = g.node(v);
-            if entry.is_none() && !node.inputs().iter().chain(node.keepalive()).any(|&u| ws.is_member(u)) {
+            let inside = |u: NodeId| ws.is_member(u);
+            let fed = || {
+                node.inputs().iter().chain(node.keepalive()).any(|&u| inside(u))
+                    || pinned && pins.pinned_before(v).any(inside)
+            };
+            if entry.is_none() && !fed() {
                 entry = Some(v);
             }
-            if node.succs().is_empty() || !node.succs().iter().all(|&s| ws.is_member(s)) {
+            // An output is read by nobody, or by someone outside.
+            let read = !node.succs().is_empty() || pinned && pins.pinned_until(v).next().is_some();
+            let read_outside = node.succs().iter().any(|&s| !inside(s))
+                || pinned && pins.pinned_until(v).any(|s| !inside(s));
+            if !read || read_outside {
                 outputs.push(v);
             }
             if node.op.is_input() {
@@ -384,7 +433,8 @@ impl FissionSpec {
 
 /// Applies the representative-part overlay of `spec` to the graph
 /// under transaction `g`, in time linear in the region and its
-/// boundary (plus the `|inputs| · |outputs|` keepalive edges written).
+/// boundary: the region's inputs are pinned to its merges as one pin
+/// group, not `|inputs| · |outputs|` keepalive edges.
 ///
 /// Needs `parts ≥ 2`. Composes with itself: a nested (child) region can
 /// be overlaid in the same transaction afterwards, further scaling the
@@ -466,11 +516,14 @@ pub(crate) fn apply_overlay_in(
         for &c in &readers {
             g.replace_input(c, v, m);
         }
+        // The merges of earlier regions' pin groups wait for `m` now.
+        g.repin(v, m);
         merges.push(m);
     }
     ws.nodes = readers;
 
-    // 4. Pin region inputs (sliced and shared) for the whole region.
+    // 4. Pin region inputs (sliced and shared) for the whole region:
+    // one pin group.
     let inputs: Vec<NodeId> = facts.slice_axes.iter().map(|&(u, _)| u).collect();
     g.add_keepalive_fan(&inputs, &merges).expect("live endpoints");
     Ok(OverlayInfo { slices, merges })

@@ -109,7 +109,10 @@ pub enum FTreeMutation {
 impl FTree {
     /// Builds the F-Tree for `g` with hot-spots `h` and max-level `l`
     /// (Algorithm 1).
+    /// `g` holds no pin group: the analyzer reads base graphs, which
+    /// hold none (a fission overlay adds them), and reads edges alone.
     pub fn build(g: &Graph, hotspots: &BTreeSet<NodeId>, l: usize) -> Self {
+        debug_assert!(g.pins().is_empty(), "the M-Analyzer reads base graphs");
         /// `dim_of` entry of a node with two dims in the component
         /// (constraint (3) of §4.2 wants exactly one).
         const AMBIGUOUS: i32 = i32::MIN;

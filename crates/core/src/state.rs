@@ -288,7 +288,7 @@ impl MState {
     }
 
     /// The scale steps of this state's overlay, region by region, and
-    /// nothing else of it: a node that a region's slices, merges or fan
+    /// nothing else of it: a node that a region's slices or merges
     /// rewire before a later region scales it is private to each build,
     /// so no build ever looks its entry up.
     fn record_scale_edits(&self) -> ScaleEdits {

@@ -4,7 +4,8 @@
 //! WL hash reads edge lists, the DP breaks ties by id and position, the
 //! profile reads metas, repeats and anchors), so a digest here covers a
 //! graph's canonical record **and** every node's `inputs` / `keepalive`
-//! / `succs` vectors in order, its `cost_repeat` and its `alloc_with`.
+//! / `succs` vectors in order, its `cost_repeat` and its `alloc_with`,
+//! with each pin group written as its edges (`Graph::expand_pins`).
 //! Per bench model, a capped greedy descent (the shape of
 //! `benchmark/src/replay.rs`) yields two digests: `expanded`, over
 //! `build_overlay_graph` of every state the descent expands, and
@@ -58,8 +59,10 @@ impl Fnv {
         ids.iter().for_each(|v| self.word(v.index() as u64));
     }
 
-    /// Everything of `g` a later stage can read.
+    /// Everything of `g` a later stage can read, with each pin group
+    /// written as the keepalive edges it stands for.
     fn graph(&mut self, g: &Graph) {
+        let g = &g.expand_pins();
         let record = to_record(g);
         self.word(record.len() as u64);
         self.bytes(record.as_bytes());

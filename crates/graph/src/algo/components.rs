@@ -6,7 +6,8 @@ use std::collections::BTreeSet;
 
 /// Splits `set` into weakly connected components of the induced
 /// sub-graph (edges with both endpoints inside `set`, direction
-/// ignored). Components are returned in ascending order of their
+/// ignored; a pin group joins its members in `set` when it has one on
+/// each side). Components are returned in ascending order of their
 /// smallest node id; each component is sorted.
 pub fn weakly_connected_components<G: GraphView>(
     g: &G,
@@ -18,6 +19,9 @@ pub fn weakly_connected_components<G: GraphView>(
     for &v in set {
         remaining[v.index()] = true;
     }
+    let pins = g.pins();
+    // A group's members are all in one component, so it is walked once.
+    let mut walked = vec![false; pins.groups().len()];
     let mut components = Vec::new();
     let mut stack = Vec::new();
     for &seed in set {
@@ -30,10 +34,20 @@ pub fn weakly_connected_components<G: GraphView>(
         while let Some(v) = stack.pop() {
             comp.insert(v);
             let n = g.node(v);
-            for &u in n.inputs().iter().chain(n.keepalive()).chain(n.succs()) {
+            let mut visit = |u: NodeId| {
                 if remaining[u.index()] {
                     remaining[u.index()] = false;
                     stack.push(u);
+                }
+            };
+            n.inputs().iter().chain(n.keepalive()).chain(n.succs()).for_each(|&u| visit(u));
+            for p in pins.of(v) {
+                let group = pins.group(p.group);
+                if !std::mem::replace(&mut walked[p.group as usize], true)
+                    && group.inputs().iter().any(|u| set.contains(u))
+                    && group.merges().iter().any(|m| set.contains(m))
+                {
+                    group.inputs().iter().chain(group.merges()).for_each(|&u| visit(u));
                 }
             }
         }

@@ -77,18 +77,18 @@ impl DomTree {
         // through both a data edge and a keepalive edge) are harmless —
         // the CHK fixpoint intersects idempotently and converges to the
         // unique dominator assignment regardless of pred multiplicity
-        // or order.
+        // or order. A pin group is read expanded: the analyzer runs on
+        // base graphs, which hold none.
         let mut preds: Vec<usize> = Vec::new();
         let mut preds_start = vec![0usize];
+        let pins = g.pins();
+        let at = |p: NodeId| Some(pos[p.index()]).filter(|&i| i != usize::MAX);
         for &v in &order {
             let node = g.node(v);
-            preds.extend(
-                node.inputs()
-                    .iter()
-                    .chain(node.keepalive())
-                    .map(|p| pos[p.index()])
-                    .filter(|&i| i != usize::MAX),
-            );
+            preds.extend(node.inputs().iter().chain(node.keepalive()).filter_map(|&p| at(p)));
+            if !pins.is_empty() {
+                preds.extend(pins.pinned_before(v).filter_map(at));
+            }
             preds_start.push(preds.len());
         }
         let preds_of = |i: usize| &preds[preds_start[i]..preds_start[i + 1]];

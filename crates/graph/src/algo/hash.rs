@@ -8,6 +8,7 @@
 //! hash of the (order-insensitive) wrapping sum of node digests.
 
 use crate::graph::NodeId;
+use crate::pins::PinCounts;
 use crate::view::GraphView;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -33,11 +34,16 @@ pub fn graph_hash<G: GraphView>(g: &G) -> u64 {
     // topological order yields the same ones, so this is Kahn's
     // algorithm on a plain stack (nodes on or behind a cycle are never
     // ready and stay out of the sum, as with `topo_order`).
+    // A pin group's keepalive sum is its inputs' digests, once: the sum
+    // each of its merges' edges would fold, with the same value.
+    let pins = g.pins();
     let mut indeg = vec![0usize; g.capacity()];
+    let mut groups = PinCounts::new(pins, |_| true, |m| indeg[m.index()] += 1);
+    let mut group_ka = vec![0u64; pins.groups().len()];
     let mut ready = Vec::new();
     for v in g.node_ids() {
         let n = g.node(v);
-        indeg[v.index()] = n.inputs().len() + n.keepalive().len();
+        indeg[v.index()] += n.inputs().len() + n.keepalive().len();
         if indeg[v.index()] == 0 {
             ready.push(v);
         }
@@ -54,16 +60,25 @@ pub fn graph_hash<G: GraphView>(g: &G) -> u64 {
         }
         // Keepalive edges are orderless: combine commutatively.
         let ka: u64 = n.keepalive().iter().fold(0u64, |acc, &p| acc.wrapping_add(digest[p.index()]));
+        let pinned = pins.of(v).iter().filter(|p| p.merge);
+        let ka = pinned.fold(ka, |acc, p| acc.wrapping_add(group_ka[p.group as usize]));
         ka.hash(&mut h);
         let x = h.finish();
         digest[v.index()] = x;
         sum = sum.wrapping_add(x);
-        for &s in n.succs() {
+        let mut release = |s: NodeId| {
             indeg[s.index()] -= 1;
             if indeg[s.index()] == 0 {
                 ready.push(s);
             }
-        }
+        };
+        n.succs().iter().for_each(|&s| release(s));
+        groups.ran(pins, v, |k| {
+            let group = pins.group(k);
+            let sum = group.inputs().iter().fold(0u64, |acc, &p| acc.wrapping_add(digest[p.index()]));
+            group_ka[k as usize] = sum;
+            group.merges().iter().for_each(|&m| release(m));
+        });
     }
     let mut h = DefaultHasher::new();
     sum.hash(&mut h);

@@ -27,23 +27,44 @@ impl Reachability {
         let order = topo_order(g);
         let mut anc = vec![BitSet::new(cap); cap];
         let mut des = vec![BitSet::new(cap); cap];
+        // A pin group's side, taken in once per group: the union over
+        // its inputs (for a merge's ancestors) or its merges (for an
+        // input's descendants), built where the first member needs it,
+        // when every node of the other side is final.
+        let pins = g.pins();
+        let absorb = |u: &mut BitSet, sets: &[BitSet], nodes: &[NodeId]| {
+            for &p in nodes {
+                u.union_with(&sets[p.index()]);
+                u.insert(p.index());
+            }
+        };
+        let side = |sets: &[BitSet], nodes: &[NodeId]| {
+            let mut u = BitSet::new(cap);
+            absorb(&mut u, sets, nodes);
+            u
+        };
+        let mut group_anc: Vec<Option<BitSet>> = vec![None; pins.groups().len()];
+        let mut group_des = group_anc.clone();
         // Raw neighbour slices throughout: unions are idempotent, so
         // per-edge duplicates cannot change the result.
         for &v in &order {
             // anc(v) = union over preds p of anc(p) ∪ {p}
             let n = g.node(v);
-            let mut a = BitSet::new(cap);
-            for &p in n.inputs().iter().chain(n.keepalive()) {
-                a.union_with(&anc[p.index()]);
-                a.insert(p.index());
+            let mut a = side(&anc, n.inputs());
+            absorb(&mut a, &anc, n.keepalive());
+            for p in pins.of(v).iter().filter(|p| p.merge) {
+                let k = p.group as usize;
+                let group = group_anc[k].get_or_insert_with(|| side(&anc, pins.group(p.group).inputs()));
+                a.union_with(group);
             }
             anc[v.index()] = a;
         }
         for &v in order.iter().rev() {
-            let mut d = BitSet::new(cap);
-            for &s in g.node(v).succs() {
-                d.union_with(&des[s.index()]);
-                d.insert(s.index());
+            let mut d = side(&des, g.node(v).succs());
+            for p in pins.of(v).iter().filter(|p| !p.merge) {
+                let k = p.group as usize;
+                let group = group_des[k].get_or_insert_with(|| side(&des, pins.group(p.group).merges()));
+                d.union_with(group);
             }
             des[v.index()] = d;
         }

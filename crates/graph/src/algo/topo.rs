@@ -5,12 +5,14 @@
 //! mid-transaction [`GraphTxn`](crate::txn::GraphTxn) alike.
 
 use crate::graph::NodeId;
+use crate::pins::PinCounts;
 use crate::view::GraphView;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
 /// Deterministic topological order of all live nodes (Kahn's algorithm
-/// with a min-id tie-break).
+/// with a min-id tie-break). A pin group is read as its pairs: its
+/// merges become ready with its last input.
 ///
 /// If the graph has a cycle the returned order is shorter than
 /// [`GraphView::len`]; [`Graph::validate`](crate::graph::Graph::validate)
@@ -21,19 +23,27 @@ pub fn topo_order<G: GraphView>(g: &G) -> Vec<NodeId> {
         let n = g.node(v);
         indeg[v.index()] = n.inputs().len() + n.keepalive().len();
     }
+    let pins = g.pins();
+    let mut groups = PinCounts::new(pins, |_| true, |m| indeg[m.index()] += 1);
     let mut heap: BinaryHeap<Reverse<NodeId>> =
         g.node_ids().filter(|v| indeg[v.index()] == 0).map(Reverse).collect();
     let mut order = Vec::with_capacity(g.len());
+    let release = |indeg: &mut [usize], heap: &mut BinaryHeap<_>, s: NodeId| {
+        indeg[s.index()] -= 1;
+        if indeg[s.index()] == 0 {
+            heap.push(Reverse(s));
+        }
+    };
     while let Some(Reverse(v)) = heap.pop() {
         order.push(v);
         // Raw successor list: one entry per edge, so each occurrence
         // decrements the in-degree exactly once.
         for &s in g.node(v).succs() {
-            indeg[s.index()] -= 1;
-            if indeg[s.index()] == 0 {
-                heap.push(Reverse(s));
-            }
+            release(&mut indeg, &mut heap, s);
         }
+        groups.ran(pins, v, |k| {
+            pins.group(k).merges().iter().for_each(|&m| release(&mut indeg, &mut heap, m));
+        });
     }
     order
 }
@@ -57,20 +67,33 @@ pub fn topo_order_of<G: GraphView>(g: &G, set: &BTreeSet<NodeId>) -> Vec<NodeId>
             .filter(|p| indeg[p.index()] != 0)
             .count();
     }
+    let pins = g.pins();
+    let inside = |v: NodeId| set.contains(&v);
+    let mut groups = PinCounts::new(pins, inside, |m| {
+        if inside(m) {
+            indeg[m.index()] += 1;
+        }
+    });
     let mut heap: BinaryHeap<Reverse<NodeId>> =
         set.iter().copied().filter(|v| indeg[v.index()] == 1).map(Reverse).collect();
     let mut order = Vec::with_capacity(set.len());
+    let release = |indeg: &mut [usize], heap: &mut BinaryHeap<_>, s: NodeId| {
+        if indeg[s.index()] == 0 {
+            return;
+        }
+        indeg[s.index()] -= 1;
+        if indeg[s.index()] == 1 {
+            heap.push(Reverse(s));
+        }
+    };
     while let Some(Reverse(v)) = heap.pop() {
         order.push(v);
         for &s in g.node(v).succs() {
-            if indeg[s.index()] == 0 {
-                continue;
-            }
-            indeg[s.index()] -= 1;
-            if indeg[s.index()] == 1 {
-                heap.push(Reverse(s));
-            }
+            release(&mut indeg, &mut heap, s);
         }
+        groups.ran(pins, v, |k| {
+            pins.group(k).merges().iter().for_each(|&m| release(&mut indeg, &mut heap, m));
+        });
     }
     order
 }
@@ -96,7 +119,12 @@ pub fn is_topo_order<G: GraphView>(g: &G, order: &[NodeId]) -> bool {
             }
         }
     }
-    true
+    // A pin group: its last input before its first merge.
+    g.pins().groups().iter().all(|group| {
+        let last_input = group.inputs().iter().map(|u| pos[u.index()]).max();
+        let first_merge = group.merges().iter().map(|m| pos[m.index()]).min();
+        last_input < first_merge
+    })
 }
 
 #[cfg(test)]

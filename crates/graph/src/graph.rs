@@ -26,6 +26,7 @@
 //! transaction layer.
 
 use crate::op::{InputKind, OpError, OpKind};
+use crate::pins::PinTable;
 use crate::tensor::TensorMeta;
 use crate::view::GraphView;
 use std::fmt;
@@ -67,11 +68,12 @@ pub struct Node {
     pub name: String,
     /// Ordered data inputs (duplicates allowed, e.g. `x * x`).
     inputs: Vec<NodeId>,
-    /// Extra lifetime/ordering dependencies that carry no data. Used by
-    /// the fission overlay: a region input must stay resident until the
-    /// region's merge node runs even though no tensor flows on the edge.
+    /// Extra lifetime/ordering dependencies that carry no data (the
+    /// explicit fission's part-to-part chain). A fission overlay's fan
+    /// is a pin group of the graph instead ([`crate::pins`]).
     keepalive: Vec<NodeId>,
-    /// Reverse edges (data + keepalive), with multiplicity.
+    /// Reverse edges (data + keepalive), with multiplicity; pin groups
+    /// are not listed.
     succs: Vec<NodeId>,
     /// Sequential-repeat multiplier for the cost model: a node inside an
     /// `n`-way fission region executes `n` times (once per part).
@@ -90,13 +92,15 @@ impl Node {
         &self.inputs
     }
 
-    /// Keepalive-only dependencies.
+    /// Keepalive-only dependencies written as edges; a pin group's are
+    /// [`PinTable::pinned_before`].
     #[inline]
     pub fn keepalive(&self) -> &[NodeId] {
         &self.keepalive
     }
 
-    /// Successors with multiplicity (data and keepalive uses).
+    /// Successors with multiplicity (data and keepalive-edge uses; a pin
+    /// group's are [`PinTable::pinned_until`]).
     #[inline]
     pub fn succs(&self) -> &[NodeId] {
         &self.succs
@@ -208,6 +212,8 @@ pub struct Graph {
     /// Slots freed since the last [`Graph::seal_frees`]; not reusable
     /// yet (a transaction must never reuse a slot it freed itself).
     pending_free: Vec<u32>,
+    /// The keepalive fans, one pin group each, shared between clones.
+    pins: Arc<PinTable>,
 }
 
 impl Graph {
@@ -234,6 +240,11 @@ impl Graph {
             },
             None => None,
         }
+    }
+
+    #[inline]
+    pub(crate) fn pins_raw(&self) -> &PinTable {
+        &self.pins
     }
 
     #[inline]
@@ -410,10 +421,9 @@ impl Graph {
         Ok(())
     }
 
-    /// Adds the keepalive edge `u → m` for every pair of `from × to`,
-    /// checking and unsharing each endpoint once instead of once per
-    /// pair; vectors and error are those of the pairwise loop (contract
-    /// on [`GraphTxn::add_keepalive_fan`](crate::txn::GraphTxn::add_keepalive_fan)).
+    /// Adds the pin group `from × to`: the keepalive edge `u → m` for
+    /// every pair, stored once (contract on
+    /// [`GraphTxn::add_keepalive_fan`](crate::txn::GraphTxn::add_keepalive_fan)).
     pub(crate) fn add_keepalive_fan(
         &mut self,
         from: &[NodeId],
@@ -422,32 +432,45 @@ impl Graph {
         if from.is_empty() || to.is_empty() {
             return Ok(());
         }
-        // Pair order is (from[0], to[..]), (from[1], to[..]), …
+        // The first dead endpoint in pair order: (from[0], to[..]),
+        // (from[1], to[..]), …
         let mut endpoints = from[..1].iter().chain(to).chain(&from[1..]);
         if let Some(&dead) = endpoints.find(|&&v| !self.contains(v)) {
             return Err(GraphError::MissingNode(dead));
         }
-        // A target listed k times receives every source k times in a row.
-        let mut targets = to.to_vec();
-        targets.sort_unstable();
-        for run in targets.chunk_by(|a, b| a == b) {
-            let keepalive = &mut self.node_mut(run[0]).keepalive;
-            keepalive.reserve(from.len() * run.len());
-            match run.len() {
-                1 => keepalive.extend_from_slice(from),
-                k => from.iter().for_each(|&u| keepalive.extend(std::iter::repeat_n(u, k))),
-            }
-        }
-        // A source listed k times receives the target list k times over;
-        // visiting each occurrence in turn gives exactly that.
-        for &u in from {
-            self.node_mut(u).succs.extend_from_slice(to);
-        }
+        Arc::make_mut(&mut self.pins).push(from, to);
         Ok(())
     }
 
+    /// Moves every pin of `old` as a group input to `new`: each merge
+    /// that waited for `old` waits for `new` instead.
+    pub(crate) fn repin(&mut self, old: NodeId, new: NodeId) {
+        if self.pins.of(old).iter().any(|p| !p.merge) {
+            Arc::make_mut(&mut self.pins).repin(old, new);
+        }
+    }
+
+    /// This graph with every pin group written as the keepalive edges
+    /// it stands for: the edge model before pin groups, which a graph
+    /// record reads back as. Slots, orders, profiles and
+    /// [`graph_hash`](crate::algo::graph_hash) are those of `self`.
+    pub fn expand_pins(&self) -> Graph {
+        let mut g = self.clone();
+        // Each group in the order the fans were added, inputs outermost.
+        for group in std::mem::take(&mut g.pins).groups() {
+            for &u in group.inputs() {
+                for &m in group.merges() {
+                    g.node_mut(m).keepalive.push(u);
+                    g.node_mut(u).succs.push(m);
+                }
+            }
+        }
+        g
+    }
+
     /// Replaces every use of `old` as an input of `user` with `new`
-    /// (data and keepalive edges), maintaining reverse edges.
+    /// (data and keepalive edges), maintaining reverse edges. Pin groups
+    /// are rewired as a whole, by [`Self::repin`].
     ///
     /// # Panics
     ///
@@ -482,15 +505,25 @@ impl Graph {
         }
     }
 
-    /// Redirects *all* uses of `old` to `new`. `old` keeps its own inputs
-    /// and can then be removed with [`Graph::remove`].
+    /// Redirects *all* uses of `old` to `new`, pins included. `old`
+    /// keeps its own inputs and can then be removed with
+    /// [`Graph::remove`].
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if a pin group pins `old` to `new`: moving it
+    /// would pin `new` to itself.
     pub(crate) fn redirect_uses(&mut self, old: NodeId, new: NodeId) {
-        let users: Vec<NodeId> = self.suc(old);
+        debug_assert!(!self.pins.pinned_until(old).any(|m| m == new), "{old} is pinned to {new}");
+        let mut users = self.node(old).succs.clone();
+        users.sort_unstable();
+        users.dedup();
         for user in users {
             if user != new {
                 self.replace_input(user, old, new);
             }
         }
+        self.repin(old, new);
     }
 
     /// Removes a node that has no remaining users. The slot is
@@ -505,9 +538,13 @@ impl Graph {
         if !self.contains(id) {
             return Err(GraphError::MissingNode(id));
         }
-        let users = self.node(id).succs.len();
+        // A group input has the group's merges as users.
+        let users = self.use_count(id);
         if users > 0 {
             return Err(GraphError::HasUsers(id, users));
+        }
+        if !self.pins.of(id).is_empty() {
+            Arc::make_mut(&mut self.pins).unpin_merge(id);
         }
         let i = id.index();
         let node = self.page_mut(i >> PAGE_BITS)[i & PAGE_MASK].take().expect("checked live");
@@ -564,8 +601,9 @@ impl Graph {
         node(self).is_some() && node(self) == node(other)
     }
 
-    /// Validates structural invariants: edge symmetry, acyclicity, shape
-    /// consistency. Used by tests and debug assertions.
+    /// Validates structural invariants: edge symmetry, live pin-group
+    /// members, acyclicity, shape consistency. Used by tests and debug
+    /// assertions.
     ///
     /// # Errors
     ///
@@ -604,6 +642,11 @@ impl Graph {
                         return Err(GraphError::Op(OpError::BadAttr("stored meta mismatch")));
                     }
                 }
+            }
+        }
+        for group in self.pins.groups() {
+            if let Some(&dead) = group.inputs().iter().chain(group.merges()).find(|&&v| !self.contains(v)) {
+                return Err(GraphError::MissingNode(dead));
             }
         }
         // Acyclicity via Kahn.

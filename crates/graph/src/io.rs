@@ -45,7 +45,7 @@ pub fn to_dot(g: &Graph) -> String {
         for &p in n.inputs() {
             let _ = writeln!(out, "  {p} -> {v};");
         }
-        for &p in n.keepalive() {
+        for p in n.keepalive().iter().copied().chain(g.pins().pinned_before(v)) {
             let _ = writeln!(out, "  {p} -> {v} [style=dashed, color=gray];");
         }
     }
@@ -72,9 +72,9 @@ pub fn to_text(g: &Graph) -> String {
         if n.cost_repeat > 1 {
             let _ = write!(out, " x{}", n.cost_repeat);
         }
-        if !n.keepalive().is_empty() {
-            let ka: Vec<String> =
-                n.keepalive().iter().map(|p| format!("%{}", rank[p.index()])).collect();
+        let keepalive = n.keepalive().iter().copied().chain(g.pins().pinned_before(v));
+        let ka: Vec<String> = keepalive.map(|p| format!("%{}", rank[p.index()])).collect();
+        if !ka.is_empty() {
             let _ = write!(out, " keepalive[{}]", ka.join(", "));
         }
         out.push('\n');
@@ -254,16 +254,20 @@ pub fn to_record(g: &Graph) -> String {
     let _ = writeln!(out, "{RECORD_HEADER}");
     let _ = writeln!(out, "cap {}", g.capacity());
     for v in g.node_ids() {
-        write_node_line(&mut out, v.index(), g.node(v));
+        write_node_line(&mut out, g, v.index(), g.node(v));
         out.push('\n');
     }
     out.push_str("end\n");
     out
 }
 
-/// The record line of the node in arena slot `slot` (no newline).
-fn write_node_line(out: &mut String, slot: usize, n: &Node) {
+/// The record line of the node in arena slot `slot` of `g` (no
+/// newline). Its keepalive list is its edges, then the inputs of every
+/// pin group it is a merge of: a record holds only edges.
+fn write_node_line(out: &mut String, g: &Graph, slot: usize, n: &Node) {
     let aw = n.alloc_with.map_or("-".to_string(), |a| a.index().to_string());
+    let pinned: Vec<NodeId> = g.pins().pinned_before(NodeId::from_index(slot)).collect();
+    let keepalive = if pinned.is_empty() { join_ids(n.keepalive()) } else { join_ids(&[n.keepalive(), &pinned].concat()) };
     let _ = write!(
         out,
         "node {} {} {}{} r={} aw={} in={} ka={} name={}",
@@ -274,7 +278,7 @@ fn write_node_line(out: &mut String, slot: usize, n: &Node) {
         n.cost_repeat,
         aw,
         join_ids(n.inputs()),
-        join_ids(n.keepalive()),
+        keepalive,
         n.name,
     );
 }
@@ -311,14 +315,19 @@ impl RecordLines {
         let mut text = String::new();
         for slot in 0..g.capacity() {
             let Some(node) = g.slot_shared(slot) else { continue };
+            // A pin group's merge renders the group too, which its
+            // allocation does not hold: never cached.
             let key = (Arc::as_ptr(node) as usize, slot);
-            let line = match self.rendered.get(&key) {
+            let pinned = g.pins().of(NodeId::from_index(slot)).iter().any(|p| p.merge);
+            let line = match self.rendered.get(&key).filter(|_| !pinned) {
                 Some(&(_, line)) => line,
                 None => {
                     text.clear();
-                    write_node_line(&mut text, slot, node);
+                    write_node_line(&mut text, g, slot, node);
                     let line = self.number(&text);
-                    self.rendered.insert(key, (node.clone(), line));
+                    if !pinned {
+                        self.rendered.insert(key, (node.clone(), line));
+                    }
                     line
                 }
             };

@@ -32,6 +32,7 @@ pub mod grad;
 pub mod graph;
 pub mod io;
 pub mod op;
+pub mod pins;
 pub mod tensor;
 pub mod txn;
 pub mod view;
@@ -39,6 +40,7 @@ pub mod view;
 pub use builder::GraphBuilder;
 pub use graph::{Graph, GraphError, Node, NodeId};
 pub use op::{DimLink, DimLinks, OpError, OpKind};
+pub use pins::{Pin, PinGroup, PinTable};
 pub use tensor::{DType, Shape, TensorMeta};
 pub use txn::{GraphTxn, ScaleEdits, ScaleMemo};
 pub use view::{GraphView, NodeIds};

@@ -138,20 +138,27 @@ impl GraphTxn {
         self.g.add_keepalive(from, to)
     }
 
-    /// Adds the keepalive edge `u → m` for every `u` in `from` and `m`
-    /// in `to`. The graph ends up exactly as after calling
-    /// [`GraphTxn::add_keepalive`] for each pair with `from` as the
-    /// outer loop: every `m` gains `from`, in order, at the end of its
-    /// keepalive list, and every `u` gains `to`, in order, at the end of
-    /// its successor list. An empty side means no pair: nothing is
-    /// checked or changed.
+    /// Pins every `u` in `from` until every `m` in `to` has run: one
+    /// pin group ([`crate::pins`]) standing for the keepalive edge
+    /// `u → m` of every pair, with multiplicity. No node's `keepalive`
+    /// or `succs` list changes, so no node is copied. Every pass reads
+    /// the group as exactly those edges, and a graph record writes them
+    /// ([`Graph::expand_pins`]). An empty side means no pair: nothing
+    /// is checked or changed.
     ///
     /// # Errors
     ///
-    /// Returns the error the pairwise loop would hit first for a dead
-    /// endpoint; nothing has been modified then.
+    /// Returns the error the pairwise [`GraphTxn::add_keepalive`] loop
+    /// (sources outermost) would hit first for a dead endpoint; nothing
+    /// has been modified then.
     pub fn add_keepalive_fan(&mut self, from: &[NodeId], to: &[NodeId]) -> Result<(), GraphError> {
         self.g.add_keepalive_fan(from, to)
+    }
+
+    /// Moves every pin of `old` as a pin-group input to `new`: each
+    /// merge that waited for `old` waits for `new` instead.
+    pub fn repin(&mut self, old: NodeId, new: NodeId) {
+        self.g.repin(old, new);
     }
 
     /// Sets a node's display name.
@@ -212,7 +219,7 @@ impl GraphTxn {
         self.g.replace_input(user, old, new);
     }
 
-    /// Redirects *all* uses of `old` to `new`.
+    /// Redirects *all* uses of `old` to `new`, pins included.
     pub fn redirect_uses(&mut self, old: NodeId, new: NodeId) {
         self.g.redirect_uses(old, new);
     }
@@ -248,6 +255,11 @@ impl GraphView for GraphTxn {
     #[inline]
     fn len(&self) -> usize {
         GraphView::len(&self.g)
+    }
+
+    #[inline]
+    fn pins(&self) -> &crate::pins::PinTable {
+        self.g.pins()
     }
 
     #[inline]

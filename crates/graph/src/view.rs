@@ -12,6 +12,7 @@
 //! read API (`node`/`pre`/`suc`/`node_ids`/`graph_inputs`/…) from them.
 
 use crate::graph::{Node, NodeId};
+use crate::pins::{PinTable, NO_PINS};
 use std::collections::BTreeSet;
 
 /// Read-only view of a computation graph (Table 1 of the paper:
@@ -31,6 +32,13 @@ pub trait GraphView {
     /// Arena capacity: one greater than the largest slot in use. Size
     /// bitsets with this.
     fn capacity(&self) -> usize;
+
+    /// The graph's pin groups ([`crate::pins`]): keepalive fans stored
+    /// once each. A view without any reads as the empty table.
+    #[inline]
+    fn pins(&self) -> &PinTable {
+        &NO_PINS
+    }
 
     /// Whether the graph has no nodes.
     #[inline]
@@ -68,34 +76,45 @@ pub trait GraphView {
         self.node(v).inputs()
     }
 
-    /// All predecessors of `v` (data + keepalive), deduplicated and sorted.
-    fn pre_all(&self, v: NodeId) -> Vec<NodeId> {
+    /// Every predecessor of `v` with multiplicity: data inputs, then
+    /// keepalive edges, then the inputs of each pin group `v` is a
+    /// merge of. Expands groups per node: a pass over the whole graph
+    /// that must stay linear in its groups reads [`Self::pins`] instead.
+    fn deps(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let n = self.node(v);
-        if n.keepalive().is_empty() {
-            // Fast path: data inputs are usually few and often already
-            // distinct; sort + dedup in place without a BTreeSet.
-            let mut out = n.inputs().to_vec();
-            out.sort_unstable();
-            out.dedup();
-            return out;
-        }
-        let mut set: BTreeSet<NodeId> = n.inputs().iter().copied().collect();
-        set.extend(n.keepalive().iter().copied());
-        set.into_iter().collect()
+        n.inputs().iter().chain(n.keepalive()).copied().chain(self.pins().pinned_before(v))
     }
 
-    /// Successors of `v` (`G.suc(v)`), deduplicated and sorted.
-    fn suc(&self, v: NodeId) -> Vec<NodeId> {
-        let mut out = self.node(v).succs().to_vec();
+    /// Every successor of `v` with multiplicity: data and keepalive-edge
+    /// users, then the merges of each pin group `v` is an input of.
+    fn users(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.node(v).succs().iter().copied().chain(self.pins().pinned_until(v))
+    }
+
+    /// All predecessors of `v` (data, keepalive and pins), deduplicated
+    /// and sorted.
+    fn pre_all(&self, v: NodeId) -> Vec<NodeId> {
+        let mut out: Vec<NodeId> = self.deps(v).collect();
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// Number of uses of `v`'s output (with multiplicity).
+    /// Successors of `v` (`G.suc(v)`, pins included), deduplicated and
+    /// sorted.
+    fn suc(&self, v: NodeId) -> Vec<NodeId> {
+        let mut out: Vec<NodeId> = self.users(v).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Number of uses of `v`'s output (with multiplicity), pins included.
     #[inline]
     fn use_count(&self, v: NodeId) -> usize {
-        self.node(v).succs().len()
+        let pins = self.pins();
+        let pinned = pins.of(v).iter().filter(|p| !p.merge);
+        self.node(v).succs().len() + pinned.map(|p| pins.group(p.group).merges().len()).sum::<usize>()
     }
 
     /// Graph inputs (`inps(G)`): nodes without predecessors.
@@ -104,10 +123,7 @@ pub trait GraphView {
         Self: Sized,
     {
         self.node_ids()
-            .filter(|&v| {
-                let n = self.node(v);
-                n.inputs().is_empty() && n.keepalive().is_empty()
-            })
+            .filter(|&v| self.deps(v).next().is_none())
             .collect()
     }
 
@@ -116,7 +132,7 @@ pub trait GraphView {
     where
         Self: Sized,
     {
-        self.node_ids().filter(|&v| self.node(v).succs().is_empty()).collect()
+        self.node_ids().filter(|&v| self.users(v).next().is_none()).collect()
     }
 
     /// `G.inps(S)`: nodes outside `S` consumed by `S`.
@@ -168,6 +184,11 @@ impl GraphView for crate::graph::Graph {
     #[inline]
     fn len(&self) -> usize {
         self.len_raw()
+    }
+
+    #[inline]
+    fn pins(&self) -> &PinTable {
+        self.pins_raw()
     }
 
     #[inline]

@@ -10,7 +10,7 @@
 //! exceeds the beam width, the worst states are dropped (quality knob
 //! D6 in DESIGN.md).
 
-use crate::task::SchedTask;
+use crate::task::{Csr, SchedTask};
 use std::cmp::Ordering;
 
 /// Tuning for the DP/beam scheduler.
@@ -141,6 +141,40 @@ fn key_cmp<K: Key>(executed: &[K], a: &Trans, b: &Trans) -> Ordering {
     words(a).cmp(words(b))
 }
 
+/// What the DP knows of a window's pin groups to free the roots they
+/// keep.
+struct Pinned<'a, K> {
+    /// Per group row, its merges in the window.
+    merge_mask: &'a [K],
+    /// Per group row, the roots it keeps.
+    pin_roots: &'a Csr,
+    /// Per root, every user: edge readers and kept-by-group merges.
+    root_users: &'a [K],
+}
+
+impl<K: Key> Pinned<'_, K> {
+    /// Bytes of the roots a pin group keeps that `v`, just run (set in
+    /// `exec`), frees: only when `v` is the last of the group's merges
+    /// to run, each root once, and only those `v` does not read along
+    /// an edge (those are `task.uses[v]`'s). `scratch` comes back empty.
+    fn freed(&self, task: &SchedTask<'_>, v: usize, exec: &K, scratch: &mut Vec<usize>) -> u64 {
+        for &k in task.pins.merge_of(v) {
+            if exec.contains(&self.merge_mask[k]) {
+                scratch.extend(&self.pin_roots[k]);
+            }
+        }
+        scratch.sort_unstable();
+        scratch.dedup();
+        let freeable = |&&ri: &&usize| {
+            let r = &task.roots[ri];
+            r.freeable && task.uses[v].binary_search(&ri).is_err() && exec.contains(&self.root_users[ri])
+        };
+        let bytes = scratch.iter().filter(freeable).map(|&ri| task.roots[ri].bytes).sum();
+        scratch.clear();
+        bytes
+    }
+}
+
 /// The level loop of [`dp_schedule`] on keys shaped like `zero` (all
 /// bits clear, at least `task.len()` bits wide): readiness and
 /// root-freeing are mask tests. A level's transitions are deduplicated
@@ -155,11 +189,33 @@ fn dp_on<K: Key>(task: &SchedTask<'_>, width: usize, zero: K) -> (Vec<usize>, u6
         nodes.iter().for_each(|&i| m.set(i));
         m
     };
-    let pred_mask: Vec<K> = task.preds.iter().map(&mask_of).collect();
-    let root_users: Vec<K> = task.root_users.iter().map(&mask_of).collect();
+    // A merge's mask also holds the inputs of each of its pin groups:
+    // one group mask, OR'd in.
+    let group_mask: Vec<K> = task.pins.inputs.iter().map(&mask_of).collect();
+    let mut pred_mask: Vec<K> = task.preds.iter().map(&mask_of).collect();
+    for (k, merges) in task.pins.merges.iter().enumerate() {
+        for &m in merges {
+            let words = pred_mask[m].as_mut().iter_mut().zip(group_mask[k].as_ref());
+            words.for_each(|(w, g)| *w |= g);
+        }
+    }
+    // A root's users are its edge readers and the merges of each pin
+    // group that keeps it: one merge mask per group, OR'd in.
+    let merge_mask: Vec<K> = task.pins.merges.iter().map(&mask_of).collect();
+    let mut root_users: Vec<K> = task.root_users.iter().map(&mask_of).collect();
+    for (users, groups) in root_users.iter_mut().zip(task.root_pins.iter()) {
+        for &k in groups {
+            users.as_mut().iter_mut().zip(merge_mask[k].as_ref()).for_each(|(w, m)| *w |= m);
+        }
+    }
+    let pin_roots =
+        if task.pins.is_empty() { Csr::default() } else { task.root_pins.transposed(task.pins.merges.len()) };
+    let pinned = (!task.pins.is_empty())
+        .then(|| Pinned { merge_mask: &merge_mask, pin_roots: &pin_roots, root_users: &root_users });
+    let mut pinned_roots: Vec<usize> = Vec::new();
     let salts: Vec<u64> = (0..n).map(salt).collect();
     let mut ready0 = zero.clone();
-    (0..n).filter(|&v| task.preds[v].is_empty()).for_each(|v| ready0.set(v));
+    (0..n).filter(|&v| pred_mask[v].as_ref().iter().all(|&w| w == 0)).for_each(|v| ready0.set(v));
     // Parent-link arena: one `(parent, last)` entry per state that
     // survives a level's truncation, the root at 0; `level[i]`'s entry
     // is `first + i`.
@@ -195,6 +251,9 @@ fn dp_on<K: Key>(task: &SchedTask<'_>, width: usize, zero: K) -> (Vec<usize>, u6
                         if r.freeable && exec.contains(&root_users[ri]) {
                             mem -= r.bytes;
                         }
+                    }
+                    if let Some(pinned) = &pinned {
+                        mem -= pinned.freed(task, v, exec, &mut pinned_roots);
                     }
                     exec.clear(v);
                     let hash = st.hash ^ salts[v];
@@ -260,6 +319,17 @@ fn dp_on<K: Key>(task: &SchedTask<'_>, width: usize, zero: K) -> (Vec<usize>, u6
             for &s in &task.succs[v] {
                 if exec.contains(&pred_mask[s]) {
                     rdy.set(s);
+                }
+            }
+            // A group's merges are looked at only once its last input
+            // has run.
+            for &k in task.pins.input_of(v) {
+                if exec.contains(&group_mask[k]) {
+                    for &m in &task.pins.merges[k] {
+                        if exec.contains(&pred_mask[m]) {
+                            rdy.set(m);
+                        }
+                    }
                 }
             }
             next_executed.push(exec);

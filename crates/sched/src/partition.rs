@@ -5,7 +5,7 @@
 //! them, so cutting the window there splits it into pieces that can be
 //! scheduled independently with bounded loss (§6.1 of the paper).
 
-use crate::task::Csr;
+use crate::task::{Csr, PinRows};
 use crate::workspace::{ReadyRanks, Workspace};
 use magis_graph::GraphView;
 use magis_graph::graph::{Graph, NodeId};
@@ -41,9 +41,15 @@ pub(crate) fn partition_window(g: &Graph, window: &[NodeId], ws: &mut Workspace)
         preds.push_row(deps.filter_map(|&p| ws.local(p)));
     }
     let succs = preds.transposed(n);
+    let pins = PinRows::new(g, ws, n);
 
     let mut pieces = Vec::new();
-    let mut indeg: Vec<usize> = preds.iter().map(<[usize]>::len).collect();
+    // A merge waits on each of its groups as on one more predecessor.
+    let orders = |k: &&usize| pins.orders(**k);
+    let mut indeg: Vec<usize> =
+        (0..n).map(|i| preds[i].len() + pins.merge_of(i).iter().filter(orders).count()).collect();
+    let mut waiting: Vec<usize> = pins.inputs.iter().map(<[usize]>::len).collect();
+    let mut walked = vec![false; waiting.len()];
     let mut ready = ReadyRanks::new(n);
     let (mut seen, mut pos) = (vec![false; n], vec![0; n]);
     let (mut stack, mut order) = (Vec::new(), Vec::new());
@@ -52,7 +58,8 @@ pub(crate) fn partition_window(g: &Graph, window: &[NodeId], ws: &mut Workspace)
         if seen[seed] {
             continue;
         }
-        // Flood fill, handing the component's sources to Kahn.
+        // Flood fill, handing the component's sources to Kahn. A pin
+        // group's members are all one component's, walked once.
         seen[seed] = true;
         stack.push(seed);
         while let Some(i) = stack.pop() {
@@ -65,21 +72,38 @@ pub(crate) fn partition_window(g: &Graph, window: &[NodeId], ws: &mut Workspace)
                     stack.push(u);
                 }
             }
+            for &k in pins.input_of(i).iter().chain(pins.merge_of(i)).filter(orders) {
+                if !std::mem::replace(&mut walked[k], true) {
+                    for &u in pins.inputs[k].iter().chain(&pins.merges[k]) {
+                        if !seen[u] {
+                            seen[u] = true;
+                            stack.push(u);
+                        }
+                    }
+                }
+            }
         }
         // Min-id topological order; `pos` is a member's place in it.
         order.clear();
         while let Some(i) = ready.pop() {
             pos[i] = order.len();
             order.push(i);
-            for &s in &succs[i] {
+            let mut release = |s: usize| {
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
                     ready.push(s);
                 }
+            };
+            succs[i].iter().for_each(|&s| release(s));
+            for &k in pins.input_of(i) {
+                waiting[k] -= 1;
+                if waiting[k] == 0 {
+                    pins.merges[k].iter().for_each(|&m| release(m));
+                }
             }
         }
         // Cut after every narrow waist that is not the component's end.
-        let nw = component_narrow_waists(&order, &pos, &preds, &succs);
+        let nw = component_narrow_waists(&order, &pos, &preds, &succs, &pins);
         let mut cur = Vec::new();
         for (i, &v) in order.iter().enumerate() {
             cur.push(window[v]);
@@ -96,7 +120,13 @@ pub(crate) fn partition_window(g: &Graph, window: &[NodeId], ws: &mut Workspace)
 /// Narrow-waist value of every node of the component (aligned with
 /// `order`, `pos` the inverse), counting only ancestors/descendants
 /// inside it, on two flat `n × words` bit arrays.
-fn component_narrow_waists(order: &[usize], pos: &[usize], preds: &Csr, succs: &Csr) -> Vec<usize> {
+fn component_narrow_waists(
+    order: &[usize],
+    pos: &[usize],
+    preds: &Csr,
+    succs: &Csr,
+    pins: &PinRows,
+) -> Vec<usize> {
     let n = order.len();
     let words = n.div_ceil(64);
     let (mut anc, mut des) = (vec![0u64; n * words], vec![0u64; n * words]);
@@ -107,11 +137,34 @@ fn component_narrow_waists(order: &[usize], pos: &[usize], preds: &Csr, succs: &
         }
         bits[dst * words + src / 64] |= 1 << (src % 64);
     };
+    // A pin group's side as one row, built where its first member needs
+    // it (every node of the other side is final by then) and OR'd into
+    // each member of this side.
+    let mut side: Vec<Option<Vec<u64>>> = vec![None; pins.inputs.len()];
+    let take_side = |bits: &mut [u64], i: usize, k: usize, members: &[usize], side: &mut [Option<Vec<u64>>]| {
+        let row = side[k].get_or_insert_with(|| {
+            let mut row = vec![0u64; words];
+            for &u in members {
+                let p = pos[u];
+                row.iter_mut().zip(&bits[p * words..][..words]).for_each(|(r, b)| *r |= b);
+                row[p / 64] |= 1 << (p % 64);
+            }
+            row
+        });
+        bits[i * words..][..words].iter_mut().zip(row.iter()).for_each(|(b, r)| *b |= r);
+    };
     for (i, &v) in order.iter().enumerate() {
         preds[v].iter().for_each(|&p| absorb(&mut anc, i, pos[p]));
+        for &k in pins.merge_of(v) {
+            take_side(&mut anc, i, k, &pins.inputs[k], &mut side);
+        }
     }
+    side.iter_mut().for_each(|s| *s = None);
     for (i, &v) in order.iter().enumerate().rev() {
         succs[v].iter().for_each(|&s| absorb(&mut des, i, pos[s]));
+        for &k in pins.input_of(v) {
+            take_side(&mut des, i, k, &pins.merges[k], &mut side);
+        }
     }
     let ones = |bits: &[u64], i: usize| -> usize {
         bits[i * words..][..words].iter().map(|w| w.count_ones() as usize).sum()

@@ -6,6 +6,7 @@ use crate::partition::partition_window;
 use crate::task::SchedTask;
 use crate::workspace::{ReadyRanks, Workspace};
 use magis_graph::graph::{Graph, NodeId};
+use magis_graph::pins::PinCounts;
 
 /// Repairs a desired node sequence into a valid topological order of
 /// `g`, staying as close to the desired order as dependencies allow
@@ -32,19 +33,29 @@ pub fn stabilize_order(g: &Graph, desired: &[NodeId]) -> Vec<NodeId> {
             by_rank.push(v);
         }
     }
+    // A merge waits on each of its pin groups as on one edge.
+    let pins = g.pins();
+    let mut groups = PinCounts::new(pins, |_| true, |m| indeg[m.index()] += 1);
     let mut ready = ReadyRanks::new(by_rank.len());
     (0..by_rank.len()).filter(|&r| indeg[by_rank[r].index()] == 1).for_each(|r| ready.push(r));
     let mut out = Vec::with_capacity(by_rank.len());
+    let release = |indeg: &mut [u32], ready: &mut ReadyRanks, s: NodeId| {
+        indeg[s.index()] -= 1;
+        if indeg[s.index()] == 1 {
+            ready.push(rank[s.index()] as usize);
+        }
+    };
     while let Some(r) = ready.pop() {
-        out.push(by_rank[r]);
+        let v = by_rank[r];
+        out.push(v);
         // Raw successor list: one entry per edge, so each occurrence
         // decrements the in-degree exactly once.
-        for &s in g.node(by_rank[r]).succs() {
-            indeg[s.index()] -= 1;
-            if indeg[s.index()] == 1 {
-                ready.push(rank[s.index()] as usize);
-            }
+        for &s in g.node(v).succs() {
+            release(&mut indeg, &mut ready, s);
         }
+        groups.ran(pins, v, |k| {
+            pins.group(k).merges().iter().for_each(|&m| release(&mut indeg, &mut ready, m));
+        });
     }
     debug_assert_eq!(out.len(), g.len(), "stabilize requires an acyclic graph");
     out
@@ -129,13 +140,8 @@ pub fn place_swaps<C: magis_sim::NodeCost + ?Sized>(
             }
             OpKind::Load => {
                 // Earliest non-swap consumer.
-                let consumer = g
-                    .node(s)
-                    .succs()
-                    .iter()
-                    .filter_map(|&c| pos[c.index()])
-                    .min()
-                    .unwrap_or(stripped.len());
+                let consumer =
+                    g.users(s).filter_map(|c| pos[c.index()]).min().unwrap_or(stripped.len());
                 let need = cm.node_latency(g, s);
                 let mut acc = 0.0;
                 let mut at = consumer;

@@ -13,8 +13,9 @@ use magis_sim::memory::device_bytes;
 use std::collections::BTreeSet;
 
 /// Rows of local indices in one allocation (compressed sparse rows):
-/// row `i` is `data[off[i]..off[i + 1]]`, read as `csr[i]`.
-#[derive(Debug, Clone)]
+/// row `i` is `data[off[i]..off[i + 1]]`, read as `csr[i]`. The
+/// default holds no row and allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct Csr {
     off: Vec<u32>,
     data: Vec<usize>,
@@ -59,6 +60,16 @@ impl Csr {
         Csr { off, data }
     }
 
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.off.len().saturating_sub(1)
+    }
+
+    /// Whether there is no row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// The rows in order.
     pub fn iter(&self) -> impl Iterator<Item = &[usize]> + '_ {
         self.off.windows(2).map(|w| &self.data[w[0] as usize..w[1] as usize])
@@ -70,6 +81,74 @@ impl std::ops::Index<usize> for Csr {
 
     fn index(&self, i: usize) -> &[usize] {
         &self.data[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+}
+
+/// The pin groups of a window with a merge inside it, in window-local
+/// indices: every merge of row `k` of `merges` runs after all of row
+/// `k` of `inputs`, the group's inputs inside the window (possibly
+/// none). A window without any holds no row and allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PinRows {
+    /// Each group's inputs in the window.
+    pub inputs: Csr,
+    /// Each group's merges in the window (never empty).
+    pub merges: Csr,
+    /// Per node, the groups it is an input of / a merge of.
+    input_of: Csr,
+    merge_of: Csr,
+    /// Per group of the graph, its row here, if it has one.
+    row: Vec<Option<usize>>,
+    /// Per row, whether every merge of the group is in the window.
+    whole: Vec<bool>,
+}
+
+impl PinRows {
+    /// The groups of `g` on the window `ws` indexes, `n` nodes long.
+    pub(crate) fn new(g: &Graph, ws: &Workspace, n: usize) -> Self {
+        if g.pins().is_empty() {
+            return PinRows::default();
+        }
+        let (mut inputs, mut merges) = (Csr::new(), Csr::new());
+        let (mut row, mut whole) = (Vec::new(), Vec::new());
+        let local = |nodes: &[NodeId]| nodes.iter().filter_map(|&v| ws.local(v)).collect::<Vec<_>>();
+        for group in g.pins().groups() {
+            let outs = local(group.merges());
+            if outs.is_empty() {
+                row.push(None);
+                continue;
+            }
+            row.push(Some(whole.len()));
+            whole.push(outs.len() == group.merges().len());
+            inputs.push_row(local(group.inputs()));
+            merges.push_row(outs);
+        }
+        let (input_of, merge_of) = (inputs.transposed(n), merges.transposed(n));
+        PinRows { inputs, merges, input_of, merge_of, row, whole }
+    }
+
+    /// Whether the window has no pin group.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.merges.is_empty()
+    }
+
+    /// The groups node `i` is an input of.
+    #[inline]
+    pub fn input_of(&self, i: usize) -> &[usize] {
+        if self.is_empty() { &[] } else { &self.input_of[i] }
+    }
+
+    /// The groups node `i` is a merge of.
+    #[inline]
+    pub fn merge_of(&self, i: usize) -> &[usize] {
+        if self.is_empty() { &[] } else { &self.merge_of[i] }
+    }
+
+    /// Whether row `k` orders anything: it has inputs in the window.
+    #[inline]
+    pub fn orders(&self, k: usize) -> bool {
+        !self.inputs[k].is_empty()
     }
 }
 
@@ -94,19 +173,28 @@ pub struct SchedTask<'g> {
     g: &'g Graph,
     /// Window nodes in local-index order (ascending id).
     pub nodes: Vec<NodeId>,
-    /// Local predecessors (dependencies inside the window, deduplicated).
+    /// Local predecessors (dependencies inside the window, deduplicated)
+    /// along edges; a pin group's are in [`Self::pins`].
     pub preds: Csr,
-    /// Local successors.
+    /// Local successors along edges.
     pub succs: Csr,
+    /// The window's pin groups: a merge's predecessors besides
+    /// [`Self::preds`] are the inputs of its groups.
+    pub pins: PinRows,
     /// Storage roots touched by the window, in ascending root id.
     pub roots: Vec<RootInfo>,
     /// For each root: local indices of the window nodes that read its
-    /// storage (through aliases), ascending.
+    /// storage (through aliases) along edges, ascending.
     pub root_users: Csr,
+    /// For each root: the rows of [`Self::pins`] whose merges also keep
+    /// it (a pin group's inputs are read until its last merge). No row
+    /// at all when the window has no pin group.
+    pub root_pins: Csr,
     /// For each local node: indices into `roots` this node allocates.
     pub allocs: Csr,
-    /// For each local node: indices into `roots` this node uses (its
-    /// execution may complete the root's user set and free it).
+    /// For each local node: indices into `roots` this node uses along
+    /// edges (its execution may complete the root's user set and free
+    /// it; a merge may also complete a group of [`Self::root_pins`]).
     pub uses: Csr,
     /// Bytes resident for the whole window (boundary inputs).
     pub base: u64,
@@ -144,14 +232,23 @@ impl<'g> SchedTask<'g> {
             root_ids.push(ws.root_of(g, v));
             root_ids.extend(deps.map(|&p| ws.root_of(g, p)));
         }
+        // A merge in the window reads the roots of its groups' inputs:
+        // taken once per group.
+        let pins = PinRows::new(g, ws, n);
+        for (group, row) in g.pins().groups().iter().zip(&pins.row) {
+            if row.is_some() {
+                root_ids.extend(group.inputs().iter().map(|&p| ws.root_of(g, p)));
+            }
+        }
         root_ids.sort_unstable();
         root_ids.dedup();
 
         let mut roots = Vec::with_capacity(root_ids.len());
         // Per root: its users, and where it is allocated (one entry or none).
         let (mut root_users, mut alloc_of) = (Csr::new(), Csr::new());
+        let mut root_pins = if pins.is_empty() { Csr::default() } else { Csr::new() };
         let mut base = 0u64;
-        let (mut chain, mut users) = (Vec::new(), Vec::new());
+        let (mut chain, mut users, mut groups) = (Vec::new(), Vec::new(), Vec::new());
         for rid in root_ids {
             let bytes = device_bytes(g, rid);
             if bytes == 0 {
@@ -177,11 +274,25 @@ impl<'g> SchedTask<'g> {
                         chain.push(s);
                     }
                 }
+                // A pin group keeps it for its merges: one row, not one
+                // user per merge.
+                for p in g.pins().of(a).iter().filter(|p| !p.merge) {
+                    match pins.row[p.group as usize] {
+                        Some(k) => {
+                            groups.push(k);
+                            outside_user |= !pins.whole[k];
+                        }
+                        None => outside_user = true,
+                    }
+                }
             }
             // Freeable here: read in the window and nowhere else (a root
             // nobody reads is a terminal output).
-            let freeable = !outside_user && !users.is_empty();
+            let freeable = !outside_user && (!users.is_empty() || !groups.is_empty());
             root_users.push_row(users.drain(..));
+            if !pins.is_empty() {
+                root_pins.push_row(groups.drain(..));
+            }
             // Allocation point.
             let root = g.node(rid);
             let alloc_at = if root.op.is_input() {
@@ -197,7 +308,7 @@ impl<'g> SchedTask<'g> {
         }
         let (succs, allocs, uses) =
             (preds.transposed(n), alloc_of.transposed(n), root_users.transposed(n));
-        SchedTask { g, nodes, preds, succs, roots, root_users, allocs, uses, base }
+        SchedTask { g, nodes, preds, succs, pins, roots, root_users, root_pins, allocs, uses, base }
     }
 
     /// Number of window nodes.

@@ -77,7 +77,8 @@ impl<'a> Schedule<'a> {
 
     /// Checks the order against `g`: every live node exactly once, no
     /// dead nodes, and topological with respect to data inputs *and*
-    /// keepalive edges. Returns the first violation found.
+    /// keepalive edges, pin groups read as their edges. Returns the first
+    /// violation found.
     pub fn validate(&self, g: &Graph) -> Result<(), ScheduleError> {
         // Position of each node in the order; also detects duplicates
         // and dead references in one pass.
@@ -103,15 +104,36 @@ impl<'a> Schedule<'a> {
             }
             return Err(ScheduleError::LengthMismatch { expected: g.len(), got: self.order.len() });
         }
+        // Each pin group, once: the latest position among its inputs, a
+        // dead input counting as past every step. A merge then checks
+        // its group's inputs one by one only when that flags it.
+        let pins = g.pins();
+        let latest: Vec<usize> = pins
+            .groups()
+            .iter()
+            .map(|group| {
+                let at = |u: &NodeId| if g.contains(*u) { pos[u.index()] } else { usize::MAX };
+                group.inputs().iter().map(at).max().unwrap_or(0)
+            })
+            .collect();
+        let check = |v: NodeId, at: usize, dep: NodeId| {
+            if !g.contains(dep) {
+                return Err(ScheduleError::DeadNode(dep));
+            }
+            if pos[dep.index()] >= at {
+                return Err(ScheduleError::DependencyViolation { node: v, dep });
+            }
+            Ok(())
+        };
         for &v in self.order {
             let at = pos[v.index()];
             let n = g.node(v);
             for &dep in n.inputs().iter().chain(n.keepalive()) {
-                if !g.contains(dep) {
-                    return Err(ScheduleError::DeadNode(dep));
-                }
-                if pos[dep.index()] >= at {
-                    return Err(ScheduleError::DependencyViolation { node: v, dep });
+                check(v, at, dep)?;
+            }
+            for p in pins.of(v).iter().filter(|p| p.merge && latest[p.group as usize] >= at) {
+                for &dep in pins.group(p.group).inputs() {
+                    check(v, at, dep)?;
                 }
             }
         }

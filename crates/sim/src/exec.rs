@@ -69,13 +69,19 @@ pub fn simulate_checked<C: NodeCost + ?Sized>(
     let mut t_xfer = 0.0f64;
     let mut compute_busy = 0.0f64;
     let mut xfer_busy = 0.0f64;
+    // Per pin group, the latest finish among its inputs so far: what
+    // each of its merges would read off the group's edges.
+    let pins = g.pins();
+    let mut group_done = vec![0.0f64; pins.groups().len()];
     for &v in order {
         let n = g.node(v);
+        let pinned = pins.of(v).iter().filter(|p| p.merge).map(|p| group_done[p.group as usize]);
         let deps_ready = n
             .inputs()
             .iter()
             .chain(n.keepalive())
             .map(|d| finish_at[d.index()])
+            .chain(pinned)
             .fold(0.0f64, f64::max);
         let dur = cm.node_latency_checked(g, v)?;
         let end = if n.op.is_swap() {
@@ -91,6 +97,10 @@ pub fn simulate_checked<C: NodeCost + ?Sized>(
         };
         finish_at[v.index()] = end;
         finish.push(end);
+        for p in pins.of(v).iter().filter(|p| !p.merge) {
+            let done = &mut group_done[p.group as usize];
+            *done = done.max(end);
+        }
     }
     Ok(ExecTimeline { total: t_compute.max(t_xfer), finish, compute_busy, xfer_busy })
 }

@@ -147,6 +147,13 @@ pub(crate) fn compute_lifetimes(g: &Graph, order: &[NodeId]) -> Lifetimes {
     }
     let mut lt =
         Lifetimes { steps, bytes: vec![0; cap], alloc: vec![0; cap], free: vec![0; cap] };
+    // A pin group's inputs are used until its last merge has run.
+    let pins = g.pins();
+    let group_last: Vec<usize> = pins
+        .groups()
+        .iter()
+        .map(|group| group.merges().iter().map(|m| pos[m.index()]).max().unwrap_or(0))
+        .collect();
 
     for &v in order {
         let root = storage_root(g, v);
@@ -173,8 +180,9 @@ pub(crate) fn compute_lifetimes(g: &Graph, order: &[NodeId]) -> Lifetimes {
         // `v` and its uses pin the root's storage; a terminal tensor
         // (graph output) stays live to the end. A max over positions,
         // so the raw successor list's per-edge duplicates are harmless.
-        let last_use =
-            g.node(v).succs().iter().map(|s| pos[s.index()]).max().unwrap_or(steps - 1);
+        let succs = g.node(v).succs().iter().map(|s| pos[s.index()]).max();
+        let pinned = pins.of(v).iter().filter(|p| !p.merge).map(|p| group_last[p.group as usize]).max();
+        let last_use = succs.max(pinned).unwrap_or(steps - 1);
         lt.free[r] = lt.free[r].max(p).max(last_use);
     }
     lt

@@ -100,9 +100,10 @@ fn walk_lineage(mut state: MState, ctx: &EvalContext, seed: u64, steps: usize, w
         }
         // The search only ever analyzes base graphs, and no rule puts a
         // keepalive edge there. The overlaid graph of a state with an
-        // enabled region has them (every region input pinned to every
-        // merge), so it stands in as the analyzer's keepalive input.
-        let overlaid = &state.eval.graph;
+        // enabled region, its pin groups written as edges (every region
+        // input to every merge), stands in as the analyzer's keepalive
+        // input.
+        let overlaid = &state.eval.graph.expand_pins();
         if overlaid.node_ids().any(|v| !overlaid.node(v).keepalive().is_empty()) {
             let hot = memory_profile_checked(overlaid, &state.eval.order).unwrap().hotspots;
             assert_analysis_identical(overlaid, &hot, &format!("{what} (overlaid)"));

@@ -6,7 +6,8 @@
 //! WL hash reads edge lists, the DP breaks ties by node id and position,
 //! the memory profile reads metas, repeats and anchors. So "same graph"
 //! here means the same canonical record *and* the same `inputs` /
-//! `keepalive` / `succs` vectors in the same order on every node, the
+//! `keepalive` / `succs` vectors in the same order on every node (a pin
+//! group written as the edges it stands for), the
 //! same `cost_repeat` and `alloc_with`, the same inserted slice/merge
 //! ids — and, for a rejected region, the same error.
 
@@ -17,7 +18,8 @@ use magis::core::dgraph::{component_dims, DimGraph};
 use magis::core::fission::{apply_overlay, FissionSpec};
 use magis::core::ftree::{FTree, FTreeMutation};
 use magis::core::state::build_overlay_graph;
-use magis::graph::io::to_record;
+use magis::graph::algo::graph_hash;
+use magis::graph::io::{from_record, to_dot, to_record, to_text};
 use magis::graph::{GraphTxn, GraphView};
 use magis::prelude::*;
 use magis_models::random_dnn::{random_dnn, RandomDnnConfig};
@@ -44,8 +46,10 @@ fn overlay_both(base: &Graph, specs: &[&FissionSpec], what: &str) -> Option<Grap
     let (new, old) = (new.commit(), old.commit());
     assert_eq!(to_record(&new), to_record(&old), "{what}: canonical record");
     assert_eq!(new.capacity(), old.capacity(), "{what}: capacity");
+    // The region's fan is one pin group, the reference's its edges.
+    let expanded = new.expand_pins();
     for v in new.node_ids() {
-        let (n, o) = (new.node(v), old.node(v));
+        let (n, o) = (expanded.node(v), old.node(v));
         assert_eq!(n.inputs(), o.inputs(), "{what}: inputs of {v}");
         assert_eq!(n.keepalive(), o.keepalive(), "{what}: keepalive of {v}");
         assert_eq!(n.succs(), o.succs(), "{what}: succs of {v}");
@@ -119,6 +123,31 @@ fn bench_model_lineages_overlay_identically() {
         }
     }
     assert!(nested > 0, "no lineage ever nested one enabled region in another");
+}
+
+/// A fanned overlay keeps the outputs that show edges: `to_record`,
+/// `to_text` and `to_dot` write each pin group as the keepalive pairs
+/// it stands for, byte for byte what the pairwise edges write, and a
+/// record reads back as plain edges with the same hash.
+#[test]
+fn a_fanned_overlay_shows_its_fan_as_edges() {
+    let ctx = EvalContext::default();
+    let mut state = MState::initial(Workload::BertBase.build(0.1).graph, &ctx);
+    state.analyze(4);
+    let enable = state.ftree.legal_mutations(&state.base).into_iter().find(|m| matches!(m, FTreeMutation::Enable(_)));
+    let tree = state.ftree.apply(&state.base, enable.expect("a region to enable")).expect("legal").0;
+    let grouped = build_overlay_graph(&state.base, &tree).expect("the region overlays");
+    assert!(!grouped.pins().is_empty(), "the overlay pins its region's inputs");
+    let pairs: usize = grouped.pins().groups().iter().map(|k| k.inputs().len() * k.merges().len()).sum();
+    let edges = grouped.expand_pins();
+    assert_eq!(edges.node_ids().map(|v| edges.node(v).keepalive().len()).sum::<usize>(), pairs);
+    assert_eq!(to_record(&grouped), to_record(&edges), "graph record");
+    assert_eq!(to_text(&grouped), to_text(&edges), "--emit text");
+    assert_eq!(to_dot(&grouped), to_dot(&edges), "--emit dot");
+    let read = from_record(&to_record(&grouped)).expect("the record reads back");
+    assert!(read.pins().is_empty(), "a record holds only edges");
+    assert_eq!(graph_hash(&read), graph_hash(&grouped), "the hash of the edges");
+    assert_eq!(to_record(&read), to_record(&grouped));
 }
 
 /// The stride-1 conv chain of `tests/halo_fission.rs`: splits along H
