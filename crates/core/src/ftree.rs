@@ -15,6 +15,7 @@ use crate::fission::{FissionSpec, RegionFacts, RegionWorkspace};
 use magis_graph::algo::dominator::DomTree;
 use magis_graph::graph::{Graph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// One node of the F-Tree.
 #[derive(Debug, Clone)]
@@ -37,9 +38,13 @@ impl FTreeNode {
 }
 
 /// The F-Tree: a forest of nested fission candidates.
+///
+/// The node list is copy-on-write: a clone shares it and only
+/// [`Self::apply`] copies it, so a child state whose transform leaves
+/// the tree alone holds its parent's.
 #[derive(Debug, Clone, Default)]
 pub struct FTree {
-    nodes: Vec<FTreeNode>,
+    nodes: Arc<Vec<FTreeNode>>,
 }
 
 /// Restricts a component to the nodes reachable from its "dominant"
@@ -248,7 +253,7 @@ impl FTree {
     /// (`parent`/`children` in range); specs are re-validated against
     /// the base graph the next time the tree is applied or refreshed.
     pub fn from_nodes(nodes: Vec<FTreeNode>) -> Self {
-        FTree { nodes }
+        FTree { nodes: Arc::new(nodes) }
     }
 
     /// Builds a *naïve* F-Tree (ablation §7.2.5 "naïve-fission"):
@@ -296,7 +301,7 @@ impl FTree {
         // Dedup by set, keep first (lowest interval).
         candidates.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then_with(|| a.0.cmp(&b.0)));
         candidates.dedup_by(|a, b| a.0 == b.0);
-        let mut tree = FTree { nodes: Vec::new() };
+        let mut tree = FTree::default();
         for (set, dims, level) in candidates {
             tree.hook(FissionSpec { set, dims, parts: 1 }, level);
         }
@@ -315,11 +320,12 @@ impl FTree {
                 parent = Some(i);
             }
         }
-        let idx = self.nodes.len();
+        let nodes = Arc::make_mut(&mut self.nodes);
+        let idx = nodes.len();
         if let Some(p) = parent {
-            self.nodes[p].children.push(idx);
+            nodes[p].children.push(idx);
         }
-        self.nodes.push(FTreeNode { spec, parent, children: Vec::new(), level });
+        nodes.push(FTreeNode { spec, parent, children: Vec::new(), level });
     }
 
     /// Number of tree nodes.
@@ -340,6 +346,12 @@ impl FTree {
     /// All nodes.
     pub fn nodes(&self) -> &[FTreeNode] {
         &self.nodes
+    }
+
+    /// Whether both trees hold one shared node list.
+    #[cfg(test)]
+    pub(crate) fn shares_nodes_with(&self, other: &FTree) -> bool {
+        Arc::ptr_eq(&self.nodes, &other.nodes)
     }
 
     /// Enabled node indices, parents before children (application
@@ -372,7 +384,7 @@ impl FTree {
     /// any fission region (transformations must not span region
     /// boundaries, §3).
     pub fn allows_transform(&self, set: &BTreeSet<NodeId>) -> bool {
-        for n in &self.nodes {
+        for n in self.nodes.iter() {
             if !n.enabled() {
                 continue;
             }
@@ -449,7 +461,7 @@ impl FTree {
         let mut t = FTree::build(g, hotspots, l);
         for old in self.nodes.iter().filter(|n| n.enabled()) {
             if let Some(pos) = t.nodes.iter().position(|n| n.spec.set == old.spec.set) {
-                t.nodes[pos].spec.parts = old.spec.parts;
+                Arc::make_mut(&mut t.nodes)[pos].spec.parts = old.spec.parts;
             } else if old.spec.validate(g).is_ok() {
                 // Re-insert as a candidate.
                 t.hook(old.spec.clone(), old.level);
@@ -468,32 +480,22 @@ impl FTree {
         if !self.is_legal(g, m) {
             return Err(format!("illegal F-Tree mutation {m:?}"));
         }
-        let mut t = self.clone();
-        let region = match m {
-            FTreeMutation::Enable(i) => {
-                t.nodes[i].spec.parts = 2;
-                t.nodes[i].spec.set.clone()
-            }
-            FTreeMutation::Lift(i) => {
-                // Unwrap audit: `is_legal` (checked above) admits Lift
-                // only for nodes with a parent, and Mutate only for
-                // nodes whose split dimension has a next divisor.
-                let p = t.nodes[i].parent.expect("lift requires a parent");
-                t.nodes[i].spec.parts = 1;
-                t.nodes[p].spec.parts = 2;
-                t.nodes[p].spec.set.clone()
-            }
-            FTreeMutation::Disable(i) => {
-                t.nodes[i].spec.parts = 1;
-                t.nodes[i].spec.set.clone()
-            }
-            FTreeMutation::Mutate(i) => {
-                let next = t.next_parts(g, i).expect("legal mutate has next parts");
-                t.nodes[i].spec.parts = next;
-                t.nodes[i].spec.set.clone()
-            }
+        // Unwrap audit: `is_legal` (checked above) admits Lift only for
+        // nodes with a parent, and Mutate only for nodes whose split
+        // dimension has a next divisor.
+        let (i, parts) = match m {
+            FTreeMutation::Enable(i) => (i, 2),
+            FTreeMutation::Lift(i) => (self.nodes[i].parent.expect("lift requires a parent"), 2),
+            FTreeMutation::Disable(i) => (i, 1),
+            FTreeMutation::Mutate(i) => (i, self.next_parts(g, i).expect("legal mutate has next parts")),
         };
-        Ok((t, region))
+        let mut t = self.clone();
+        let nodes = Arc::make_mut(&mut t.nodes);
+        if let FTreeMutation::Lift(child) = m {
+            nodes[child].spec.parts = 1;
+        }
+        nodes[i].spec.parts = parts;
+        Ok((t, self.nodes[i].spec.set.clone()))
     }
 }
 
@@ -593,6 +595,38 @@ mod tests {
             // Batch extent 256: next divisor after 2 is 4.
             assert_eq!(t3.node(j).spec.parts, 4);
         }
+    }
+
+    /// The tree a mutation starts from keeps every part count: the
+    /// child copies the shared node list before it writes.
+    #[test]
+    fn apply_leaves_the_parent_tree_alone() {
+        let g = mlp(8);
+        let parts = |t: &FTree| t.nodes().iter().map(|n| n.spec.parts).collect::<Vec<_>>();
+        let kind = |m: FTreeMutation| match m {
+            FTreeMutation::Enable(_) => 0,
+            FTreeMutation::Lift(_) => 1,
+            FTreeMutation::Disable(_) => 2,
+            FTreeMutation::Mutate(_) => 3,
+        };
+        let mut covered = [false; 4];
+        let mut level = vec![FTree::build(&g, &hotspots(&g), 4)];
+        for _ in 0..3 {
+            let mut next = Vec::new();
+            for from in &level {
+                for m in from.legal_mutations(&g) {
+                    let (before, shared) = (parts(from), from.clone());
+                    let (child, _) = from.apply(&g, m).unwrap();
+                    assert_eq!(parts(from), before, "{m:?} wrote into its parent's tree");
+                    assert!(from.shares_nodes_with(&shared) && !child.shares_nodes_with(from), "{m:?}");
+                    assert_ne!(parts(&child), before, "{m:?} changed nothing");
+                    covered[kind(m)] = true;
+                    next.push(child);
+                }
+            }
+            level = next;
+        }
+        assert_eq!(covered, [true; 4], "Enable / Lift / Disable / Mutate each applied");
     }
 
     #[test]

@@ -45,8 +45,9 @@
 //!
 //! Each expansion generates all candidate transforms, sorts them by
 //! [`crate::rules::Transform::sort_key`], evaluates the batch (apply → hash → cache
-//! lookup → incremental reschedule + simulate on a miss) across up to
-//! [`OptimizerConfig::threads`] scoped threads, then merges the
+//! lookup → incremental reschedule + simulate on a miss) on up to
+//! [`OptimizerConfig::threads`] workers (the search thread and scoped
+//! threads beside it), then merges the
 //! results back **in candidate order**: queue pushes, incumbent
 //! updates, sequence numbers, quarantine strikes, and the `max_evals`
 //! cap are all applied single-threaded at the merge. The search

@@ -51,7 +51,7 @@ pub fn generate(state: &MState, cfg: &RuleConfig, out: &mut Vec<Transform>) {
             .suc(p)
             .into_iter()
             .filter(|&u| !g.node(u).op.is_swap())
-            .max_by_key(|u| pos.get(u).copied().unwrap_or(0));
+            .max_by_key(|&u| pos.get(u).unwrap_or(0));
         if let Some(user) = user {
             let region: BTreeSet<NodeId> = [p, user].into_iter().collect();
             if outside_enabled_regions(&state.ftree, &region) {
@@ -78,11 +78,7 @@ pub fn generate(state: &MState, cfg: &RuleConfig, out: &mut Vec<Transform>) {
             continue;
         }
         // Only worthwhile when producer and user are far apart.
-        let gap = pos
-            .get(&user)
-            .copied()
-            .unwrap_or(0)
-            .saturating_sub(pos.get(&p).copied().unwrap_or(0));
+        let gap = pos.get(user).unwrap_or(0).saturating_sub(pos.get(p).unwrap_or(0));
         if gap < 8 {
             continue;
         }
@@ -132,18 +128,13 @@ pub fn generate(state: &MState, cfg: &RuleConfig, out: &mut Vec<Transform>) {
 fn late_cluster(state: &MState, producer: NodeId, user: NodeId) -> Vec<NodeId> {
     let pos = state.eval.base_positions();
     let n = state.eval.order.len().max(1);
-    let anchor = pos.get(&user).copied().unwrap_or(usize::MAX);
+    let anchor = pos.get(user).unwrap_or(usize::MAX);
     let slack = n / 10 + 1;
     state
         .base
         .suc(producer)
         .into_iter()
-        .filter(|u| {
-            *u == user
-                || pos
-                    .get(u)
-                    .is_some_and(|&p| p + slack >= anchor)
-        })
+        .filter(|&u| u == user || pos.get(u).is_some_and(|p| p + slack >= anchor))
         .collect()
 }
 

@@ -27,7 +27,7 @@ pub use magis_sched::schedule::place_swaps;
 use magis_sim::{
     Backend, CostError, CostModel, Lifetimes, MemObjective, MemoryPlan, MemoryProfile, PerfCache,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -189,7 +189,7 @@ pub struct Eval {
     reach: Arc<OnceLock<Reachability>>,
     /// Lazily-computed position of each node in `order`, shared like
     /// `reach`: only states that get expanded read it.
-    positions: Arc<OnceLock<BTreeMap<NodeId, usize>>>,
+    positions: Arc<OnceLock<Positions>>,
     /// Lazily-recorded scale edits of this state's own overlay, shared
     /// like `reach`: every candidate derived from the state builds its
     /// overlay through them ([`MState::child_overlay`]).
@@ -205,8 +205,8 @@ impl Eval {
 
     /// Position in [`Eval::order`] of each node, computed on first use
     /// (the schedule rules look base-graph nodes up in it).
-    pub fn base_positions(&self) -> &BTreeMap<NodeId, usize> {
-        self.positions.get_or_init(|| self.order.iter().enumerate().map(|(i, &v)| (v, i)).collect())
+    pub fn base_positions(&self) -> &Positions {
+        self.positions.get_or_init(|| Positions::of(&self.order))
     }
 
     /// The peak-memory figure the active objective scores this state
@@ -217,6 +217,27 @@ impl Eval {
             Some(p) => p.planned_peak_bytes,
             None => self.peak_bytes,
         }
+    }
+}
+
+/// Each node's position in a schedule, as one `u32` per slot
+/// (`u32::MAX`: the slot is not scheduled).
+#[derive(Debug)]
+pub struct Positions(Box<[u32]>);
+
+impl Positions {
+    fn of(order: &[NodeId]) -> Self {
+        let slots = order.iter().map(|v| v.index() + 1).max().unwrap_or(0);
+        let mut table = vec![u32::MAX; slots];
+        for (i, v) in order.iter().enumerate() {
+            table[v.index()] = u32::try_from(i).expect("a schedule has fewer than 2^32 - 1 steps");
+        }
+        Positions(table.into_boxed_slice())
+    }
+
+    /// `v`'s position, if the schedule holds it.
+    pub fn get(&self, v: NodeId) -> Option<usize> {
+        self.0.get(v.index()).filter(|&&p| p != u32::MAX).map(|&p| p as usize)
     }
 }
 
@@ -611,6 +632,39 @@ mod tests {
             "fission path lowers peak by >5%: {best_peak} vs {base_peak}"
         );
         assert!(cur.eval.latency > base_lat, "fission costs latency");
+    }
+
+    /// A remat, swap or TASO child holds its parent's F-Tree node list
+    /// itself, not a copy of it.
+    #[test]
+    fn a_graph_rewrite_shares_the_parents_ftree() {
+        use crate::rules::{generate, RuleConfig};
+        let ctx = EvalContext::default();
+        let mut s = MState::initial(magis_models::Workload::BertBase.build(0.25).graph, &ctx);
+        s.analyze(4);
+        let enable = s
+            .ftree
+            .legal_mutations(&s.base)
+            .into_iter()
+            .find(|m| matches!(m, FTreeMutation::Enable(_)))
+            .expect("a leaf enable");
+        let parent = MState::from_applied(apply(&s, &Transform::FTree(enable)).unwrap(), &s, &ctx).unwrap();
+        let transforms = generate(&parent, &RuleConfig::default());
+        let picks: [fn(&Transform) -> bool; 3] = [
+            |t| matches!(t, Transform::Remat { .. }),
+            |t| matches!(t, Transform::Swap { .. }),
+            |t| matches!(t, Transform::Taso(_)),
+        ];
+        for pick in picks {
+            let (t, applied) = transforms
+                .iter()
+                .filter(|t| pick(t))
+                .find_map(|t| apply(&parent, t).ok().map(|a| (t, a)))
+                .unwrap_or_else(|| panic!("no applicable candidate among {}", transforms.len()));
+            assert!(applied.ftree.shares_nodes_with(&parent.ftree), "{t}: applied copy");
+            let child = MState::from_applied(applied, &parent, &ctx).unwrap();
+            assert!(child.ftree.shares_nodes_with(&parent.ftree), "{t}: evaluated copy");
+        }
     }
 
     #[test]
