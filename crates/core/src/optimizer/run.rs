@@ -87,10 +87,30 @@ pub fn resume(ckpt: &SearchCheckpoint, cfg: &OptimizerConfig) -> Result<Optimize
     Ok(run_search(best, Some((ckpt, driver)), cfg))
 }
 
+/// [`search`], the one path [`optimize_from`] and [`resume`] share.
+fn run_search(
+    init: MState,
+    resumed: Option<(&SearchCheckpoint, Box<dyn SearchDriver>)>,
+    cfg: &OptimizerConfig,
+) -> OptimizeResult {
+    let result = search(init, resumed, cfg);
+    // The engine and driver are dropped: hand the pages a threaded
+    // search's worker freed into its own arena back (DESIGN D10).
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    if cfg.threads > 1 {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: glibc's `malloc_trim` releases only free memory.
+        unsafe { malloc_trim(0) };
+    }
+    result
+}
+
 /// The search proper. `resumed` is the checkpoint to continue from
 /// with the driver rebuilt from its frontier; a fresh search starts
 /// from the blank checkpoint with a driver holding `init` alone.
-fn run_search(
+fn search(
     mut init: MState,
     resumed: Option<(&SearchCheckpoint, Box<dyn SearchDriver>)>,
     cfg: &OptimizerConfig,

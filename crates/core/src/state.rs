@@ -182,10 +182,11 @@ pub struct Eval {
     /// and resumed incumbents). The optimizer records these at the
     /// merge, as the `magis_core_incremental_*` metrics.
     pub inc: Option<IncrementalEvalInfo>,
-    /// Lazily-computed reachability of `graph`, shared (via `Arc`)
-    /// across clones. Every candidate derived from this state needs it
-    /// for the reschedule-interval computation, so it is computed at
-    /// most once per state instead of once per candidate.
+    /// Lazily-computed narrow-waist table of `graph` (one `u32` per
+    /// slot), shared (via `Arc`) across clones. Every candidate derived
+    /// from this state reads it for the reschedule-interval
+    /// computation, so it is computed at most once per state instead of
+    /// once per candidate.
     reach: Arc<OnceLock<Reachability>>,
     /// Lazily-computed position of each node in `order`, shared like
     /// `reach`: only states that get expanded read it.
@@ -197,8 +198,8 @@ pub struct Eval {
 }
 
 impl Eval {
-    /// Reachability of [`Eval::graph`], computed on first use and
-    /// cached for the state's lifetime.
+    /// Narrow-waist table of [`Eval::graph`], computed on first use
+    /// and cached for the state's lifetime.
     pub fn reachability(&self) -> &Reachability {
         self.reach.get_or_init(|| Reachability::compute(&self.graph))
     }

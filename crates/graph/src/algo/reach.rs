@@ -1,4 +1,5 @@
-//! Reachability: ancestor/descendant sets and narrow-waist values.
+//! Reachability: narrow-waist values, and ancestor / descendant sets on
+//! demand.
 //!
 //! The narrow-waist value `nw(v) = |V| − |anc(v)| − |des(v)| − 1` (§6.1)
 //! counts the nodes order-independent of `v`; the incremental scheduler
@@ -9,99 +10,74 @@ use super::topo::topo_order;
 use crate::graph::NodeId;
 use crate::view::GraphView;
 
-/// Precomputed transitive reachability over a graph snapshot.
+/// Narrow-waist table of a graph snapshot: one `u32` per slot.
 #[derive(Debug, Clone)]
 pub struct Reachability {
-    anc: Vec<BitSet>,
-    des: Vec<BitSet>,
+    /// `|anc(v)| + |des(v)|` at slot `v` (0 for a dead slot).
+    related: Vec<u32>,
     alive: usize,
-    capacity: usize,
 }
 
 impl Reachability {
-    /// Computes ancestor and descendant bitsets for every live node.
+    /// Counts the ancestors and descendants of every live node.
     ///
-    /// Runs in `O(V · E / 64)` via DP over a topological order.
+    /// Runs in `O(V · E / 64)` via DP over a topological order, on one
+    /// bit row per slot that the ancestor pass fills and the descendant
+    /// pass reuses; only each row's count is kept.
     pub fn compute<G: GraphView>(g: &G) -> Self {
-        let cap = g.capacity();
-        let order = topo_order(g);
-        let mut anc = vec![BitSet::new(cap); cap];
-        let mut des = vec![BitSet::new(cap); cap];
-        // A pin group's side, taken in once per group: the union over
-        // its inputs (for a merge's ancestors) or its merges (for an
-        // input's descendants), built where the first member needs it,
-        // when every node of the other side is final.
-        let pins = g.pins();
-        let absorb = |u: &mut BitSet, sets: &[BitSet], nodes: &[NodeId]| {
-            for &p in nodes {
-                u.union_with(&sets[p.index()]);
-                u.insert(p.index());
+        let (cap, order, pins) = (g.capacity(), topo_order(g), g.pins());
+        let w = cap.div_ceil(64);
+        // Row-major: the slots' rows, then one row per pin group side.
+        let mut rows = vec![0u64; (cap + pins.groups().len()) * w];
+        let (mut row, mut related) = (vec![0u64; w], vec![0u32; cap]);
+        for anc in [true, false] {
+            // anc(v) = union over preds p of anc(p) ∪ {p}; des(v) the
+            // same over succs, in reverse order. A pin group's side is
+            // taken in once per group: the union over its inputs (for a
+            // merge's ancestors) or its merges (for an input's
+            // descendants), built where the first member needs it, when
+            // every node of the other side is final. Raw neighbour
+            // slices throughout: unions are idempotent, so per-edge
+            // duplicates cannot change the result.
+            let mut built = vec![false; pins.groups().len()];
+            rows[cap * w..].fill(0);
+            for i in 0..order.len() {
+                let v = order[if anc { i } else { order.len() - 1 - i }];
+                let n = g.node(v);
+                let direct = if anc { [n.inputs(), n.keepalive()] } else { [n.succs(), &[]] };
+                for nodes in direct {
+                    or_rows(&rows, w, &mut row, nodes);
+                }
+                for p in pins.of(v).iter().filter(|p| p.merge == anc) {
+                    let (k, group) = (p.group as usize, pins.group(p.group));
+                    let (slots, sides) = rows.split_at_mut(cap * w);
+                    let side = &mut sides[k * w..(k + 1) * w];
+                    if !std::mem::replace(&mut built[k], true) {
+                        or_rows(slots, w, side, if anc { group.inputs() } else { group.merges() });
+                    }
+                    row.iter_mut().zip(&*side).for_each(|(a, b)| *a |= b);
+                }
+                rows[v.index() * w..][..w].copy_from_slice(&row);
+                related[v.index()] += row.iter().map(|x| x.count_ones()).sum::<u32>();
+                row.fill(0);
             }
-        };
-        let side = |sets: &[BitSet], nodes: &[NodeId]| {
-            let mut u = BitSet::new(cap);
-            absorb(&mut u, sets, nodes);
-            u
-        };
-        let mut group_anc: Vec<Option<BitSet>> = vec![None; pins.groups().len()];
-        let mut group_des = group_anc.clone();
-        // Raw neighbour slices throughout: unions are idempotent, so
-        // per-edge duplicates cannot change the result.
-        for &v in &order {
-            // anc(v) = union over preds p of anc(p) ∪ {p}
-            let n = g.node(v);
-            let mut a = side(&anc, n.inputs());
-            absorb(&mut a, &anc, n.keepalive());
-            for p in pins.of(v).iter().filter(|p| p.merge) {
-                let k = p.group as usize;
-                let group = group_anc[k].get_or_insert_with(|| side(&anc, pins.group(p.group).inputs()));
-                a.union_with(group);
-            }
-            anc[v.index()] = a;
         }
-        for &v in order.iter().rev() {
-            let mut d = side(&des, g.node(v).succs());
-            for p in pins.of(v).iter().filter(|p| !p.merge) {
-                let k = p.group as usize;
-                let group = group_des[k].get_or_insert_with(|| side(&des, pins.group(p.group).merges()));
-                d.union_with(group);
-            }
-            des[v.index()] = d;
-        }
-        Reachability { anc, des, alive: g.len(), capacity: cap }
-    }
-
-    /// Ancestors of `v` (`G.anc(v)`), as a bitset over node indices.
-    #[inline]
-    pub fn ancestors(&self, v: NodeId) -> &BitSet {
-        &self.anc[v.index()]
-    }
-
-    /// Descendants of `v` (`G.des(v)`).
-    #[inline]
-    pub fn descendants(&self, v: NodeId) -> &BitSet {
-        &self.des[v.index()]
-    }
-
-    /// Whether `a` can reach `b` through directed edges.
-    #[inline]
-    pub fn reaches(&self, a: NodeId, b: NodeId) -> bool {
-        self.des[a.index()].contains(b.index())
+        Reachability { related, alive: g.len() }
     }
 
     /// Narrow-waist value `nw(v)` (§6.1).
     #[inline]
     pub fn narrow_waist(&self, v: NodeId) -> usize {
-        self.alive
-            .saturating_sub(self.anc[v.index()].count())
-            .saturating_sub(self.des[v.index()].count())
-            .saturating_sub(1)
+        self.alive.saturating_sub(self.related[v.index()] as usize).saturating_sub(1)
     }
+}
 
-    /// Bit capacity (indexable range) of the stored sets.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
+/// `into |= row(p) ∪ {p}` for each `p` in `nodes`, over `w`-word rows.
+fn or_rows(rows: &[u64], w: usize, into: &mut [u64], nodes: &[NodeId]) {
+    for &p in nodes {
+        let i = p.index();
+        into.iter_mut().zip(&rows[i * w..][..w]).for_each(|(a, b)| *a |= b);
+        into[i / 64] |= 1 << (i % 64);
     }
 }
 
@@ -165,15 +141,17 @@ mod tests {
     #[test]
     fn ancestors_descendants() {
         let (g, [x, a, b, c, y, z]) = fixture();
-        let r = Reachability::compute(&g);
-        assert!(r.reaches(x, c));
-        assert!(!r.reaches(c, x));
-        assert!(!r.reaches(x, z));
-        assert_eq!(r.ancestors(c).count(), 3);
-        assert_eq!(r.descendants(x).count(), 3);
-        assert_eq!(r.descendants(y).count(), 1);
         assert_eq!(ancestors_of(&g, c), vec![x, a, b]);
         assert_eq!(descendants_of(&g, x), vec![a, b, c]);
+        assert_eq!(descendants_of(&g, y), vec![z]);
+        assert!(descendants_of(&g, c).is_empty());
+        assert!(!descendants_of(&g, x).contains(&z));
+        // The table counts what the on-demand walks list.
+        let r = Reachability::compute(&g);
+        for v in g.node_ids() {
+            let related = ancestors_of(&g, v).len() + descendants_of(&g, v).len();
+            assert_eq!(r.narrow_waist(v), g.len() - related - 1, "{v}");
+        }
     }
 
     #[test]

@@ -40,11 +40,12 @@ impl Default for IntervalParams {
 /// Returns `None` when no mutated node appears in the old schedule
 /// (e.g. the transformation only added nodes).
 ///
-/// `reach` is an optional precomputed reachability of `g_old`. A
-/// parent state's reachability is identical for every candidate
-/// derived from it, so the search computes it once and hands it to
-/// each evaluation instead of paying `Reachability::compute` per
-/// candidate; with `None` it is computed here.
+/// `reach` is an optional precomputed narrow-waist table of `g_old`,
+/// the one thing the interval reads of reachability. A parent state's
+/// table is identical for every candidate derived from it, so the
+/// search computes it once and hands it to each evaluation instead of
+/// paying `Reachability::compute` per candidate; with `None` it is
+/// computed here.
 pub fn reschedule_interval_cached(
     g_old: &Graph,
     s_old: &BTreeSet<NodeId>,
@@ -127,8 +128,8 @@ pub struct IncrementalSchedule {
 /// are not read; both stay in the signature for `benchmark/`'s replay,
 /// which passes them positionally.
 ///
-/// `reach_old` is an optional precomputed reachability of `g_old`
-/// (see [`reschedule_interval_cached`]).
+/// `reach_old` is an optional precomputed narrow-waist table of
+/// `g_old` (see [`reschedule_interval_cached`]).
 ///
 /// # Errors
 ///
