@@ -9,7 +9,7 @@ use crate::rules::{self, Transform};
 use crate::state::{evaluate_overlay, EvalContext, EvalError, MState};
 use magis_graph::algo::graph_hash;
 use magis_sched::validate_schedule;
-use magis_sim::evaluate_checked;
+use magis_sim::{evaluate_checked, MemoryPlan};
 use magis_util::fault::{FaultPlan, FaultSite};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -111,6 +111,13 @@ pub(super) struct CandOutcome {
 /// means one of them (or a rewrite) corrupted the state. Used by the
 /// paranoia gates.
 pub(super) fn check_invariants(child: &MState, ctx: &EvalContext) -> Result<(), String> {
+    // The search drops a child's placements only once it cannot lead,
+    // and keeps them all under `ParanoiaLevel::All`: no gate reads a
+    // plan without them.
+    debug_assert!(
+        child.eval.plan.as_ref().is_none_or(MemoryPlan::has_placements),
+        "an invariant check read a plan whose placements were dropped"
+    );
     child.eval.graph.validate().map_err(|e| format!("graph: {e}"))?;
     validate_schedule(&child.eval.graph, &child.eval.order)
         .map_err(|e| format!("schedule: {e}"))?;

@@ -126,6 +126,47 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
+    /// An engine that continues `from` (the blank checkpoint for a
+    /// fresh search) with `best` as its incumbent: the seen-set and
+    /// the quarantine strikes are the checkpoint's, the evaluation
+    /// cache starts cold (checkpoints do not persist it; the first
+    /// duplicate re-primes it).
+    pub(super) fn new(
+        cfg: &'a OptimizerConfig,
+        start: Instant,
+        from: &SearchCheckpoint,
+        stats: OptimizerStats,
+        pareto: ParetoSet,
+        history: Vec<ProgressPoint>,
+        best: Arc<MState>,
+    ) -> Self {
+        Engine {
+            cfg,
+            start,
+            seed_cost: from.seed_cost,
+            evals_at_last_ckpt: stats.evaluated,
+            stats,
+            timeline: SearchTimeline::new(),
+            pareto,
+            history,
+            best,
+            // Read and written on the driver/merge thread only (pops,
+            // the merge loop's duplicate probe, checkpoint writes);
+            // ordered, so a checkpoint lists the hashes sorted. A
+            // resumed incumbent's hash stays in it: the incumbent was
+            // expanded before the checkpoint was written, and is not
+            // re-pushed.
+            seen: from.seen.iter().copied().collect(),
+            quarantine: Quarantine::new(cfg.quarantine_threshold, &from.quarantine),
+            eval_cache: EvalCache::new(cfg.eval_cache),
+            stop: None,
+            exp_t0: start,
+            last_candidates: 0,
+            last_merged: 0,
+            published: Default::default(),
+        }
+    }
+
     /// Cooperative stop probe shared by the loop head and the fan-out
     /// workers: cancellation, then the wall-clock limit (the returned
     /// reason reflects that priority).
@@ -401,11 +442,12 @@ impl<'a> Engine<'a> {
         evaluated
     }
 
-    /// Admits one evaluated child: evaluation and cache accounting,
-    /// the duplicate filter, the incumbent gate and update, and the
-    /// driver's retain decision. `Ok` carries the retained child's
-    /// cost.
-    fn admit(
+    /// Admits one evaluated child, in this order: evaluation and cache
+    /// accounting, the incumbent gate, the placements of a child that
+    /// does not lead, the cache insert, the duplicate filter, the
+    /// incumbent update and the driver's retain decision. `Ok` carries
+    /// the retained child's cost.
+    pub(super) fn admit(
         &mut self,
         i: usize,
         family: u8,
@@ -416,13 +458,13 @@ impl<'a> Engine<'a> {
         let obs = core_obs();
         let cfg = self.cfg;
         let expansion = self.stats.expanded as u64;
-        let Evaluated { child, hash, cache_hit, tainted } = ev;
+        let Evaluated { mut child, hash, cache_hit, tainted } = ev;
         self.stats.evaluated += 1;
         if let Some(tok) = &cfg.cancel {
             tok.beat();
         }
 
-        // Cache accounting + insertion happen here — on the merge
+        // Cache accounting and insertion happen here — on the merge
         // thread, in candidate order — so the cache's contents and
         // counters are deterministic.
         if cache_hit {
@@ -447,28 +489,45 @@ impl<'a> Engine<'a> {
                 }
                 obs.incremental_window.observe(inc.window as f64);
             }
-            // Tainted children (post-eval fault injections) and
-            // quarantined families are never cached.
-            if !tainted && !self.quarantine.is_quarantined(family) {
-                let evicted = self.eval_cache.insert(hash, Arc::clone(&child), family);
-                self.stats.eval_cache_evictions += evicted;
-            }
         }
 
         // Cheap duplicate pre-filter before the retain decision
         // (greedy only: MCTS treats transpositions as legitimate tree
-        // branches).
-        if dedup && self.seen.contains(&hash) {
-            return Err(Reject::Duplicate);
-        }
+        // branches). A duplicate never becomes the incumbent, so the
+        // gate below skips it.
+        let duplicate = dedup && self.seen.contains(&hash);
         let cost = child.cost();
         let leads = cfg.objective.better_than(cost, self.best.cost(), 1.0);
         // Invariant gate: a state may only become the incumbent after
         // its graph, schedule, and memory accounting re-validate. A
-        // violator is dropped entirely (not queued, not on the
-        // frontier) and strikes its rule family.
-        if leads && cfg.paranoia == ParanoiaLevel::Incumbent && check_invariants(&child, &cfg.ctx).is_err() {
+        // violator is dropped entirely (not cached, not queued, not on
+        // the frontier) and strikes its rule family.
+        if leads
+            && !duplicate
+            && cfg.paranoia == ParanoiaLevel::Incumbent
+            && check_invariants(&child, &cfg.ctx).is_err()
+        {
             return Err(Reject::Invalid);
+        }
+        // The incumbent only improves, so a child that does not lead
+        // now never will: the search reads its planned peak alone, and
+        // its placements go before the cache or the driver shares it
+        // (a hit is shared already and keeps what it has). Under
+        // `ParanoiaLevel::All` every hit is re-checked against a full
+        // plan, so every state keeps its placements.
+        if !leads && cfg.paranoia != ParanoiaLevel::All {
+            if let Some(plan) = Arc::get_mut(&mut child).and_then(|c| c.eval.plan.as_mut()) {
+                plan.drop_placements();
+            }
+        }
+        // Tainted children (post-eval fault injections) and
+        // quarantined families are never cached.
+        if !cache_hit && !tainted && !self.quarantine.is_quarantined(family) {
+            let evicted = self.eval_cache.insert(hash, Arc::clone(&child), family);
+            self.stats.eval_cache_evictions += evicted;
+        }
+        if duplicate {
+            return Err(Reject::Duplicate);
         }
         self.pareto.insert(cost.0, cost.1);
         if leads {

@@ -3,18 +3,15 @@
 
 use super::candidate::check_invariants;
 use super::config::{Objective, OptimizerConfig, ParanoiaLevel, StopReason};
-use super::engine::{analyze, Engine, Quarantine};
+use super::engine::{analyze, Engine};
 use super::stats::{core_obs, OptimizeResult, OptimizerStats, ProgressPoint};
 use crate::checkpoint::{CheckpointError, SearchCheckpoint};
 use crate::driver::{DriverKind, GreedyDriver, MctsDriver, SearchDriver, StepOutcome};
-use crate::eval_cache::EvalCache;
 use crate::pareto::ParetoSet;
 use crate::state::{EvalError, MState};
 use magis_graph::graph::Graph;
 use magis_obs::metrics::{counter, labeled};
-use magis_obs::timeline::SearchTimeline;
 use magis_sim::memory_profile_checked;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -60,8 +57,19 @@ pub fn optimize_from(init: MState, cfg: &OptimizerConfig) -> OptimizeResult {
 /// MCTS checkpoint without a tree that pairs with its frontier).
 pub fn resume(ckpt: &SearchCheckpoint, cfg: &OptimizerConfig) -> Result<OptimizeResult, CheckpointError> {
     let best = ckpt.restore_state(&cfg.ctx)?;
-    let frontier: Vec<(u64, Arc<MState>)> =
-        ckpt.restore_frontier(&cfg.ctx)?.into_iter().map(|(seq, state)| (seq, Arc::new(state))).collect();
+    // A restored frontier state is re-evaluated in full, but no gate
+    // reads its plan (only children are admitted): like every state
+    // the search retains that does not lead, it keeps the peaks alone.
+    let frontier: Vec<(u64, Arc<MState>)> = ckpt
+        .restore_frontier(&cfg.ctx)?
+        .into_iter()
+        .map(|(seq, mut state)| {
+            if let Some(plan) = &mut state.eval.plan {
+                plan.drop_placements();
+            }
+            (seq, Arc::new(state))
+        })
+        .collect();
     let driver: Box<dyn SearchDriver> = match ckpt.driver {
         DriverKind::Greedy => Box::new(GreedyDriver::new(cfg, frontier, ckpt.next_seq)),
         // An MCTS frontier is a tree: the metadata must pair one-to-one
@@ -165,14 +173,6 @@ fn search(
         latency: init_lat,
     }];
 
-    // Read and written on the driver/merge thread only (pops, the
-    // merge loop's duplicate probe, checkpoint writes); ordered, so a
-    // checkpoint lists the hashes sorted. A resumed incumbent's hash
-    // stays in it: the incumbent was expanded before the checkpoint
-    // was written, and is not re-pushed.
-    let seen: BTreeSet<u64> = from.seen.iter().copied().collect();
-    let quarantine = Quarantine::new(cfg.quarantine_threshold, &from.quarantine);
-
     let best = Arc::new(init);
     // The driver owns the strategy state (greedy queue or MCTS tree);
     // everything else — evaluation, bookkeeping, observability,
@@ -185,28 +185,7 @@ fn search(
         },
     };
 
-    let mut engine = Engine {
-        cfg,
-        start,
-        seed_cost: from.seed_cost,
-        evals_at_last_ckpt: stats.evaluated,
-        stats,
-        timeline: SearchTimeline::new(),
-        pareto,
-        history,
-        best,
-        seen,
-        quarantine,
-        // Not restored on resume: checkpoints don't persist the cache,
-        // so a resumed search starts cold (the first duplicate
-        // re-primes it).
-        eval_cache: EvalCache::new(cfg.eval_cache),
-        stop: None,
-        exp_t0: start,
-        last_candidates: 0,
-        last_merged: 0,
-        published: Default::default(),
-    };
+    let mut engine = Engine::new(cfg, start, from, stats, pareto, history, best);
 
     // The stop check comes *before* the driver steps: a
     // deadline/budget/cap stop leaves the driver's frontier intact, so

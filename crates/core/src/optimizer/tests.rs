@@ -1,16 +1,19 @@
 //! Unit tests of the M-Optimizer as a whole.
 
 use super::candidate::{evaluate_candidate, Evaluated, Reject, Verdict};
-use super::engine::{strike_family, Quarantine};
+use super::engine::{strike_family, Engine, Quarantine};
 use super::*;
+use crate::checkpoint::SearchCheckpoint;
 use crate::driver::DriverKind;
 use crate::eval_cache::EvalCache;
+use crate::pareto::ParetoSet;
 use crate::rules::{self, Transform};
 use crate::state::{EvalContext, MState};
 use magis_util::fault::{FaultPlan, FaultSite};
 use magis_graph::graph::Graph;
+use magis_sim::{memory_plan, MemObjective};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use magis_graph::builder::GraphBuilder;
 use magis_graph::grad::{append_backward, TrainOptions};
 use magis_graph::tensor::DType;
@@ -399,4 +402,70 @@ fn a_hit_shares_the_cached_allocation_and_injections_copy_it() {
     let next = evaluated(evaluate_candidate(&seed, &t, &cfg, &cache, 0).verdict);
     assert!(next.cache_hit && !next.tainted && next.child.eval.latency.is_finite());
     assert!(Arc::ptr_eq(&next.child, &cached));
+}
+
+/// A fresh search's engine over `cfg`, with `best` as its incumbent.
+fn engine(cfg: &OptimizerConfig, best: Arc<MState>) -> Engine<'_> {
+    let stats = OptimizerStats { threads: cfg.threads.max(1), ..OptimizerStats::default() };
+    Engine::new(cfg, Instant::now(), &SearchCheckpoint::default(), stats, ParetoSet::new(), Vec::new(), best)
+}
+
+#[test]
+fn a_gate_violator_is_neither_cached_nor_retained() {
+    let (seed, cfg, _, mut ev) = evaluated_candidate(false);
+    assert!(!ev.cache_hit && !ev.tainted);
+    // A defect the worker did not look for: the schedule runs one node
+    // twice and another never.
+    let order = &mut Arc::get_mut(&mut ev.child).expect("a fresh child is unshared").eval.order;
+    let last = order.len() - 1;
+    order[last] = order[0];
+    // An incumbent every child beats, so the child meets the gate.
+    let mut worst = seed;
+    worst.eval.peak_bytes = u64::MAX;
+    let mut engine = engine(&cfg, Arc::new(worst));
+    let hash = ev.hash;
+    let mut retained = 0;
+    let verdict = engine.admit(0, 0, ev, true, &mut |_, _, _, _| {
+        retained += 1;
+        true
+    });
+    assert_eq!(verdict, Err(Reject::Invalid));
+    assert!(engine.eval_cache.get(hash).is_none(), "the violator is not cached");
+    assert_eq!((retained, engine.history.len()), (0, 0), "nor retained, nor the incumbent");
+}
+
+#[test]
+fn a_retained_child_that_does_not_lead_keeps_its_planned_peak_alone() {
+    let g = train_mlp(3);
+    for threads in [1, 2] {
+        let mut cfg = quick_cfg(Objective::MinMemory { lat_limit: f64::INFINITY }).with_threads(threads);
+        cfg.ctx.mem_objective = MemObjective::Planned;
+        let mut seed = Arc::new(MState::initial(g.clone(), &cfg.ctx));
+        let mut engine = engine(&cfg, Arc::clone(&seed));
+        let batch = engine.begin(&mut seed);
+        let mut kept = Vec::new();
+        let merged = engine.evaluate(&seed, &batch, None, true, &mut |_, child, _, _| {
+            kept.push(child);
+            true
+        });
+        assert_eq!(merged, kept.len(), "{threads} threads: every child is retained");
+        // A child that led when it was admitted keeps its placements:
+        // the incumbent, and each one it replaced.
+        let whole = |s: &MState| s.eval.plan.as_ref().expect("planned objective").has_placements();
+        let led = kept.iter().filter(|s| whole(s)).count();
+        assert!(led > 0 && led < kept.len(), "{threads} threads: {led} of {} led", kept.len());
+        assert_eq!(led, engine.history.len(), "{threads} threads");
+        assert!(whole(&engine.best) && kept.iter().any(|s| Arc::ptr_eq(s, &engine.best)));
+        for s in &kept {
+            let plan = s.eval.plan.as_ref().unwrap();
+            let full = memory_plan(&s.eval.graph, &s.eval.order).expect("a child's order plans");
+            if plan.has_placements() {
+                assert_eq!(*plan, full, "{threads} threads");
+            } else {
+                assert!(plan.allocations().is_empty());
+                let peaks = |p: &magis_sim::MemoryPlan| (p.planned_peak_bytes, p.liveness_peak_bytes, p.steps());
+                assert_eq!(peaks(plan), peaks(&full), "{threads} threads: the peaks stay");
+            }
+        }
+    }
 }

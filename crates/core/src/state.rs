@@ -175,7 +175,14 @@ pub struct Eval {
     #[doc(hidden)]
     pub lifetimes: Lifetimes,
     /// Offset-assigning memory plan of `order`, present when the
-    /// context's objective is [`MemObjective::Planned`].
+    /// context's objective is [`MemObjective::Planned`]. A search keeps
+    /// the placements only where a full plan may be read: on the
+    /// incumbent, on each child that led when it was admitted, on every
+    /// child under `ParanoiaLevel::All`, and on states built outside a
+    /// search ([`MState::initial`], [`MState::from_applied`]). The other
+    /// states it retains (children that did not lead, a resumed
+    /// search's frontier) keep the peaks and the step count alone
+    /// ([`MemoryPlan::drop_placements`]).
     pub plan: Option<MemoryPlan>,
     /// Metadata from the incremental-scheduling path, when it produced
     /// this evaluation (`None` for full evaluations, initial states,
@@ -201,7 +208,7 @@ impl Eval {
     /// Narrow-waist table of [`Eval::graph`], computed on first use
     /// and cached for the state's lifetime.
     pub fn reachability(&self) -> &Reachability {
-        self.reach.get_or_init(|| Reachability::compute(&self.graph))
+        self.reach.get_or_init(|| Reachability::compute_in_order(&self.graph, &self.order))
     }
 
     /// Position in [`Eval::order`] of each node, computed on first use

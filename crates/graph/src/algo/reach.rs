@@ -20,12 +20,19 @@ pub struct Reachability {
 
 impl Reachability {
     /// Counts the ancestors and descendants of every live node.
-    ///
-    /// Runs in `O(V · E / 64)` via DP over a topological order, on one
-    /// bit row per slot that the ancestor pass fills and the descendant
-    /// pass reuses; only each row's count is kept.
     pub fn compute<G: GraphView>(g: &G) -> Self {
-        let (cap, order, pins) = (g.capacity(), topo_order(g), g.pins());
+        Self::compute_in_order(g, &topo_order(g))
+    }
+
+    /// [`Reachability::compute`] over `order`, a topological order of
+    /// `g` that lists every live node once (a schedule of `g` is one).
+    ///
+    /// Runs in `O(V · E / 64)` via DP over `order`, on one bit row per
+    /// slot that the ancestor pass fills and the descendant pass
+    /// reuses; only each row's count is kept.
+    pub fn compute_in_order<G: GraphView>(g: &G, order: &[NodeId]) -> Self {
+        debug_assert_eq!(order.len(), g.len(), "the order lists every live node once");
+        let (cap, pins) = (g.capacity(), g.pins());
         let w = cap.div_ceil(64);
         // Row-major: the slots' rows, then one row per pin group side.
         let mut rows = vec![0u64; (cap + pins.groups().len()) * w];

@@ -108,6 +108,21 @@ fn jostled(rng: &mut SmallRng, order: &[NodeId]) -> Vec<NodeId> {
     out
 }
 
+/// A topological order of `g` drawn at random: each step places any
+/// node whose predecessors, pin groups read as their edges, are placed.
+fn random_topo_order(rng: &mut SmallRng, g: &Graph) -> Vec<NodeId> {
+    let (mut left, mut placed): (Vec<NodeId>, BTreeSet<NodeId>) = (g.node_ids().collect(), BTreeSet::new());
+    let mut order = Vec::with_capacity(left.len());
+    while !left.is_empty() {
+        let ready: Vec<usize> =
+            (0..left.len()).filter(|&i| g.pre_all(left[i]).iter().all(|p| placed.contains(p))).collect();
+        let v = left.swap_remove(ready[rng.gen_range(0..ready.len())]);
+        placed.insert(v);
+        order.push(v);
+    }
+    order
+}
+
 /// A task's predecessor rows with each pin group read as its edges.
 fn effective_preds(task: &SchedTask<'_>) -> Vec<Vec<usize>> {
     (0..task.len())
@@ -177,12 +192,20 @@ fn assert_agree(grouped: &Graph, plain: &Graph, rng: &mut SmallRng) -> Result<()
     let psi = topo_order(grouped);
     prop_assert_eq!(&psi, &topo_order(plain), "{}", what("topo_order"));
     // The narrow-waist table against a counting oracle: the on-demand
-    // walks, on each copy.
+    // walks, on each copy; and over any topological order, the table
+    // `compute` builds over its own.
     for g in [grouped, plain] {
         let r = Reachability::compute(g);
         for v in g.node_ids() {
             let related = ancestors_of(g, v).len() + descendants_of(g, v).len();
             prop_assert_eq!(r.narrow_waist(v), g.len() - related - 1, "narrow_waist of {} miscounts", v);
+        }
+        for order in [psi.clone(), random_topo_order(rng, g), random_topo_order(rng, g)] {
+            prop_assert!(is_topo_order(g, &order));
+            let ro = Reachability::compute_in_order(g, &order);
+            for v in g.node_ids() {
+                prop_assert_eq!(ro.narrow_waist(v), r.narrow_waist(v), "compute_in_order: narrow_waist of {}", v);
+            }
         }
     }
     for v in grouped.node_ids() {

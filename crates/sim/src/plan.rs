@@ -91,7 +91,9 @@ pub struct MemoryPlan {
     /// liveness profile's `peak_bytes`).
     pub liveness_peak_bytes: u64,
     steps: usize,
-    allocs: Vec<PlannedAlloc>,
+    /// `None` once [`MemoryPlan::drop_placements`] ran (a niche: the
+    /// plan is no larger than with a bare `Vec`).
+    allocs: Option<Vec<PlannedAlloc>>,
 }
 
 impl MemoryPlan {
@@ -101,9 +103,23 @@ impl MemoryPlan {
     }
 
     /// The placements, in canonical replay order (allocation step,
-    /// then root id).
+    /// then root id): one per sized storage root, or none once
+    /// [`MemoryPlan::drop_placements`] ran (see
+    /// [`MemoryPlan::has_placements`]).
     pub fn allocations(&self) -> &[PlannedAlloc] {
-        &self.allocs
+        self.allocs.as_deref().unwrap_or_default()
+    }
+
+    /// Frees the placements and keeps the peaks and the step count:
+    /// what a search reads of a plan it only ranks by. The plan then
+    /// compares unequal to every plan that holds its placements.
+    pub fn drop_placements(&mut self) {
+        self.allocs = None;
+    }
+
+    /// Whether the plan still holds its placements.
+    pub fn has_placements(&self) -> bool {
+        self.allocs.is_some()
     }
 
     /// Fragmentation overhead of the plan: `planned / liveness` peak
@@ -117,7 +133,7 @@ impl MemoryPlan {
     }
 
     fn empty() -> MemoryPlan {
-        MemoryPlan { planned_peak_bytes: 0, liveness_peak_bytes: 0, steps: 0, allocs: Vec::new() }
+        MemoryPlan { planned_peak_bytes: 0, liveness_peak_bytes: 0, steps: 0, allocs: Some(Vec::new()) }
     }
 }
 
@@ -247,7 +263,7 @@ fn plan_from_parts(lt: &Lifetimes) -> Result<MemoryPlan, CostError> {
         }
     }
     debug_assert!(fl.top == 0, "every allocation is freed by its (inclusive) free step + 1");
-    Ok(MemoryPlan { planned_peak_bytes, liveness_peak_bytes, steps: lt.steps, allocs })
+    Ok(MemoryPlan { planned_peak_bytes, liveness_peak_bytes, steps: lt.steps, allocs: Some(allocs) })
 }
 
 /// Plans device offsets for `g` executed in `order`: best-fit free-list
@@ -312,6 +328,32 @@ mod tests {
         assert_eq!(plan.planned_peak_bytes, 0);
         assert_eq!(plan.allocations().len(), 0);
         assert_eq!(plan.fragmentation_ratio(), 1.0);
+    }
+
+    #[test]
+    fn dropping_placements_keeps_the_peaks() {
+        let mut b = GraphBuilder::new(DType::F32);
+        let x = b.input([64, 64], "x");
+        let h = b.relu(x);
+        b.gelu(h);
+        let (plan, _) = plan_of(&b.finish());
+        let mut summary = plan.clone();
+        summary.drop_placements();
+        assert!(plan.has_placements() && !summary.has_placements());
+        assert!(summary.allocations().is_empty() && !plan.allocations().is_empty());
+        assert_eq!(
+            (summary.planned_peak_bytes, summary.liveness_peak_bytes, summary.steps()),
+            (plan.planned_peak_bytes, plan.liveness_peak_bytes, plan.steps())
+        );
+        assert_ne!(summary, plan, "a plan without placements is not the full plan");
+        let mut empty = memory_plan(&Graph::new(), &[]).unwrap();
+        let full = empty.clone();
+        empty.drop_placements();
+        assert_ne!(empty, full, "not even where there was nothing to place");
+        // Every evaluated state holds an `Option<MemoryPlan>`: telling
+        // the two kinds apart costs it no byte.
+        let bare = 3 * std::mem::size_of::<u64>() + std::mem::size_of::<Vec<PlannedAlloc>>();
+        assert_eq!(std::mem::size_of::<Option<MemoryPlan>>(), bare);
     }
 
     #[test]

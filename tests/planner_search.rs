@@ -16,9 +16,10 @@
 //!   whole accepted-candidate history are bit-identical for
 //!   `threads = 1` and `threads = 4`.
 
+use magis::core::driver::DriverKind;
 use magis::core::optimizer::ParanoiaLevel;
 use magis::prelude::*;
-use magis::sim::MemObjective;
+use magis::sim::{memory_plan, MemObjective};
 use std::time::Duration;
 
 /// A capped, never-timing-out planned-objective configuration (same
@@ -171,4 +172,36 @@ fn planned_and_liveness_objectives_are_independently_cached() {
             >= planned.best.eval.peak_bytes,
         "planned incumbent dominates its own liveness peak"
     );
+}
+
+#[test]
+fn the_incumbent_keeps_its_whole_plan_under_either_driver() {
+    // A search keeps the planned peak alone on the states it retains
+    // that do not lead; the incumbent it returns keeps every placement,
+    // and a paranoid search, which re-checks every candidate's plan
+    // against a fresh one, rejects none.
+    let tg = Workload::UNet.build(0.15);
+    let init = MState::initial(tg.graph.clone(), &EvalContext::default());
+    let obj = Objective::MinMemory { lat_limit: init.eval.latency * 1.25 };
+    for driver in [DriverKind::Greedy, DriverKind::Mcts] {
+        for threads in [1, 2] {
+            for paranoia in [ParanoiaLevel::Incumbent, ParanoiaLevel::All] {
+                let what = format!("{driver:?}, {threads} threads, {paranoia:?}");
+                let cfg = capped_planned(obj, threads)
+                    .with_max_evals(300)
+                    .with_driver(driver)
+                    .with_paranoia(paranoia);
+                let res = optimize(tg.graph.clone(), &cfg);
+                assert!(res.history.len() >= 2, "{what}: the incumbent improved");
+                // Hits of states that did not lead: under `All` a hit
+                // is re-checked, and must still carry its placements.
+                assert!(res.stats.eval_cache_hits > 0, "{what}: the search hit its cache");
+                let best = &res.best.eval;
+                let full = memory_plan(&best.graph, &best.order).expect("the incumbent's order plans");
+                assert!(best.plan.as_ref() == Some(&full), "{what}: the incumbent's plan is its order's whole plan");
+                let rejected = (res.stats.invariant_rejections, res.stats.panicked);
+                assert_eq!(rejected, (0, 0), "{what}: no check rejected or panicked on a state");
+            }
+        }
+    }
 }

@@ -294,9 +294,17 @@ fn drain_journals_interrupted_jobs_and_restart_completes_them() {
     });
     let addr = handle.addr();
     let mut c = Client::connect(addr).expect("connect");
-    let id = c.submit_nowait(&unet_spec(400)).expect("accepted");
-    // Let the job actually start before pulling the plug.
-    thread::sleep(Duration::from_millis(300));
+    // ~0.5 s of search in a release build, against the ~50 ms the
+    // shutdown below leaves it once its first checkpoint is on disk.
+    let id = c.submit_nowait(&unet_spec(1500)).expect("accepted");
+    // Pull the plug once the job has started: its first checkpoint
+    // (every 2 evaluations) is written at its first expansion boundary.
+    let ckpt = journal::job_dir(&state, id).join(journal::CKPT_FILE);
+    let t0 = Instant::now();
+    while !ckpt.exists() {
+        assert!(t0.elapsed() < Duration::from_secs(60), "job {id} never checkpointed");
+        thread::sleep(Duration::from_millis(2));
+    }
     handle.shutdown();
     join.join().unwrap().unwrap();
 
