@@ -155,7 +155,8 @@ echo "==> doc-path check"
 RUNTIME_FILES="result.json failed.json metrics_inc.txt metrics_full.txt"
 TRACKED="$(git ls-files --cached --others --exclude-standard)"
 DOC_PATHS_OK=1
-for doc in README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md benchmark/README.md; do
+for doc in README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md benchmark/README.md \
+    .claude/skills/verify/SKILL.md; do
     while IFS= read -r path; do
         case "$path" in
         /* | *'<'* | *'*'* | *'$'* | *'{'* | *…*) continue ;;
@@ -167,6 +168,35 @@ for doc in README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md benchmark/README.m
     done < <(grep -o '`[^` ]*\.\(rs\|sh\|json\|csv\|txt\|md\)`' "$doc" | tr -d '`' | sort -u)
 done
 [ "$DOC_PATHS_OK" = 1 ] || exit 1
+
+# Doc-budget gate: each fact has one home, so the documentation stays
+# small. The four docs together hold at most 115,000 bytes and the
+# verify skill 10,000. A CHANGES.md entry (a line `- PR N: …`) from
+# PR 41 on holds at most 1,500 bytes, not counting a closing
+# ` Runs: …` pointer to its results/prN_benchmark_runs.txt file;
+# earlier entries stay as they were written.
+echo
+echo "==> doc-budget check"
+DOC_BYTES="$(cat README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md | wc -c)"
+SKILL_BYTES="$(wc -c <.claude/skills/verify/SKILL.md)"
+if [ "$DOC_BYTES" -gt 115000 ] || [ "$SKILL_BYTES" -gt 10000 ]; then
+    echo "README + DESIGN + ARCHITECTURE + EXPERIMENTS: $DOC_BYTES bytes (budget 115000); verify skill: $SKILL_BYTES (budget 10000)"
+    exit 1
+fi
+LONG_ENTRIES="$(LC_ALL=C awk 'match($0, /^- PR [0-9]+:/) {
+        n = substr($0, 6, RLENGTH - 6) + 0
+        if (n < 41) next
+        entry = $0
+        p = 0
+        while ((i = index(substr(entry, p + 1), " Runs: ")) > 0) p += i
+        if (p > 0 && index(substr(entry, p), "_benchmark_runs.txt") > 0) entry = substr(entry, 1, p - 1)
+        if (length(entry) > 1500) print "PR " n ": " length(entry) " bytes"
+    }' CHANGES.md)"
+if [ -n "$LONG_ENTRIES" ]; then
+    echo "$LONG_ENTRIES"
+    echo "a CHANGES.md entry is at most 1,500 bytes plus its runs-file pointer"
+    exit 1
+fi
 
 # `cargo test --workspace` above ran every suite under the default
 # runner. The legs below repeat, single-threaded (and once with four

@@ -157,6 +157,9 @@ impl std::fmt::Display for StopReason {
     }
 }
 
+/// The CLI's and the daemon's interval, in merged evaluations: a crash loses one at most.
+pub const DEFAULT_CHECKPOINT_EVERY: usize = 16;
+
 /// Periodic checkpointing policy. Every checkpoint carries the driver
 /// frontier, so every resume is **trajectory-exact**: the queue (or
 /// tree), seen-set, and sequence counter come back verbatim, and a
@@ -169,14 +172,14 @@ impl std::fmt::Display for StopReason {
 pub struct CheckpointPolicy {
     /// Where to write the checkpoint (atomically, via temp + rename).
     pub path: PathBuf,
-    /// Write after every this many candidate evaluations (default 64).
+    /// Write after every this many evaluations ([`DEFAULT_CHECKPOINT_EVERY`] by default).
     pub every_evals: usize,
 }
 
 impl CheckpointPolicy {
-    /// A policy writing to `path` every 64 evaluations.
+    /// A policy writing to `path` every [`DEFAULT_CHECKPOINT_EVERY`] evaluations.
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        CheckpointPolicy { path: path.into(), every_evals: 64 }
+        CheckpointPolicy { path: path.into(), every_evals: DEFAULT_CHECKPOINT_EVERY }
     }
 
     /// Replaces the evaluation interval (0 is treated as 1).

@@ -104,7 +104,7 @@ mod tests;
 
 pub use config::{
     CheckpointPolicy, Objective, OptimizerConfig, ParanoiaLevel, ProgressHook, ProgressSink,
-    ProgressSnapshot, StopReason,
+    ProgressSnapshot, StopReason, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use engine::Engine;
 pub use run::{

@@ -35,10 +35,7 @@ use magis_sim::MemObjective;
 
 /// Default job wall-clock limit (matches the one-shot CLI default).
 pub const DEFAULT_BUDGET_MS: u64 = 15_000;
-/// Default checkpoint cadence for service jobs, in merged evaluations.
-/// Deliberately small: the journal's crash-recovery window is one
-/// checkpoint interval.
-pub const DEFAULT_CHECKPOINT_EVERY: usize = 16;
+pub use magis_core::optimizer::DEFAULT_CHECKPOINT_EVERY;
 
 /// Everything a client specifies about one optimization job. The
 /// canonical JSON rendering (minus the `client` field) doubles as the

@@ -1293,6 +1293,7 @@ mod tests {
             assert_eq!((every, spec.checkpoint_every), (Some(want), want), "{extra:?}");
         }
         assert!(USAGE.contains(&format!("(default {DEFAULT_CHECKPOINT_EVERY})")));
+        assert_eq!(CheckpointPolicy::new("p").every_evals, DEFAULT_CHECKPOINT_EVERY);
     }
 
     #[test]
