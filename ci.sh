@@ -124,15 +124,21 @@ fi
 # Twins gate: one of each where benchmark/ pins nothing. The simulator's
 # entry points are the checked ones, a transaction ends one way
 # (`commit`, returning the graph), and a search has one wall-clock limit
-# (`budget`, stopping with `deadline`). The one exception is the
-# front-door fixture proving a journaled spec's retired hard deadline is
-# ignored.
+# (`budget`, stopping with `deadline`). Diagnostics have one channel,
+# the trace recorder (no leveled stderr logger), and a cost model is
+# built over a backend (`CostModel::for_backend`, or its default), never
+# over a raw device spec.
+# The one exception is the front-door fixture proving a journaled
+# spec's retired hard deadline is ignored.
 echo
 echo "==> twins check"
 if grep -rn -E 'pub fn (evaluate|simulate|simulate_latency|memory_profile)[<(]' crates/sim/src \
     || grep -rn -E 'GraphDelta|into_graph|fn delta\(|wall_limit|budget-expired' crates src tests examples \
-        | grep -v -E '^tests/front_door\.rs:[0-9]+: .*"wall_limit_ms":'; then
-    echo "one of each: checked simulator entries, GraphTxn::commit, OptimizerConfig::budget"
+        | grep -v -E '^tests/front_door\.rs:[0-9]+: .*"wall_limit_ms":' \
+    || grep -rn -E 'obs_(log|error|warn|info|debug|trace)!|magis_obs::log|CostModel::new\(' \
+        crates src tests examples; then
+    echo "one of each: checked simulator entries, GraphTxn::commit, OptimizerConfig::budget," \
+        "the trace recorder, CostModel::for_backend"
     exit 1
 fi
 
@@ -363,8 +369,7 @@ echo
 echo "==> traced smoke (artifacts in $OBS_DIR)"
 run ./target/release/magis optimize \
     --workload unet --scale 0.15 --mode memory --budget-ms 3000 \
-    --trace-out "$OBS_DIR/trace.jsonl" --metrics-out "$OBS_DIR/metrics.txt" \
-    --log-level info
+    --trace-out "$OBS_DIR/trace.jsonl" --metrics-out "$OBS_DIR/metrics.txt"
 TRACE_NAMES="$(./target/release/magis trace-check --trace "$OBS_DIR/trace.jsonl")"
 echo "$TRACE_NAMES"
 if grep -E '^ +[^ /]+/[^ ]+: [0-9]+$' <<<"$TRACE_NAMES" | grep -v -E '^ +magis_core/'; then

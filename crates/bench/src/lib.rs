@@ -146,14 +146,16 @@ pub fn anchor(g: &Graph) -> (u64, f64) {
     (r.peak_bytes, r.latency)
 }
 
-/// Runs MAGIS in memory-minimization mode under `lat_factor` × anchor
-/// latency.
+/// Runs MAGIS in memory-minimization mode under `lat_factor` × the
+/// seed state's latency (its `cost()`, under the DP schedule), not the
+/// program-order [`anchor`]'s.
 pub fn magis_min_memory(g: &Graph, lat_factor: f64, opts: &ExpOpts) -> OptimizeResult {
     optimize_memory(g.clone(), lat_factor, &OptimizerConfig::default().with_budget(opts.budget))
 }
 
-/// Runs MAGIS in latency-minimization mode under `mem_factor` × anchor
-/// peak memory.
+/// Runs MAGIS in latency-minimization mode under `mem_factor` × the
+/// seed state's DP-scheduled peak (its `cost()`), not the
+/// program-order [`anchor`]'s peak.
 pub fn magis_min_latency(g: &Graph, mem_factor: f64, opts: &ExpOpts) -> OptimizeResult {
     optimize_latency(g.clone(), mem_factor, &OptimizerConfig::default().with_budget(opts.budget))
 }

@@ -87,8 +87,7 @@ pub enum EvalMode {
 /// latencies are memoized across every candidate evaluation of a
 /// search (the paper's "simulator with an operator performance cache",
 /// §6.2). Construct with [`EvalContext::for_backend`] to target a
-/// registry backend, or [`EvalContext::with_cost`] for a raw cost
-/// model.
+/// registry backend.
 #[derive(Debug, Clone)]
 pub struct EvalContext {
     /// Memoizing wrapper over the device cost model, shared by all
@@ -119,9 +118,9 @@ impl Default for EvalContext {
 }
 
 impl EvalContext {
-    /// An evaluation context over `cost` (e.g. a mobile device
-    /// profile), with default scheduler tuning.
-    pub fn with_cost(cost: CostModel) -> Self {
+    /// An evaluation context over `cost`, with default scheduler
+    /// tuning.
+    fn with_cost(cost: CostModel) -> Self {
         EvalContext {
             perf: Arc::new(PerfCache::new(cost)),
             sched: SchedConfig::default(),

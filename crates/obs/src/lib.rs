@@ -17,9 +17,9 @@
 //!   steps, serializable as one JSON artifact.
 //!
 //! Supporting modules: [`json`] (hand-rolled serializer/parser with
-//! exact integer and bit-exact float round-trips), [`gate`]
+//! exact integer and bit-exact float round-trips) and [`gate`]
 //! (per-thread suppression: the everything-off baseline the overhead
-//! guard measures against), and [`log`] (a leveled stderr logger).
+//! guard measures against).
 //!
 //! # Determinism contract
 //!
@@ -36,7 +36,6 @@
 
 pub mod gate;
 pub mod json;
-pub mod log;
 pub mod metrics;
 pub mod timeline;
 pub mod trace;
@@ -44,9 +43,9 @@ pub mod trace;
 #[cfg(test)]
 pub(crate) mod test_support {
     //! Tests in this crate mutate process-global state (the trace
-    //! sink, the log level). `cargo test` runs tests concurrently, so
-    //! such tests serialize on this lock. The guard also survives a
-    //! poisoned mutex — a failed test must not cascade.
+    //! sink). `cargo test` runs tests concurrently, so such tests
+    //! serialize on this lock. The guard also survives a poisoned
+    //! mutex — a failed test must not cascade.
 
     use std::sync::{Mutex, MutexGuard};
 

@@ -259,7 +259,7 @@ pub struct JobResult {
     pub latency: f64,
     /// Incumbent allocator-planned peak (planned objective only).
     pub planned_peak_bytes: Option<u64>,
-    /// Why the search stopped (`deadline`, `eval-cap`, …).
+    /// Why the search stopped (`deadline`, `eval-cap-reached`, …).
     pub stop_reason: String,
     /// Whether the stop reason is deterministic (independent of
     /// wall-clock), i.e. `StopReason::is_deterministic` — the gate for

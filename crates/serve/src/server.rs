@@ -334,7 +334,8 @@ impl Server {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
                 Err(e) => {
-                    magis_obs::obs_warn!("magis_serve", "accept failed: {e}");
+                    let fields = magis_obs::fields!(error = e.to_string());
+                    warn("accept_failed", fields, format_args!("accept failed: {e}"));
                     thread::sleep(POLL);
                 }
             }
@@ -579,7 +580,8 @@ fn settle(
         {
             // Unjournalable success: still serve it to the waiting
             // client, but warn — a crash would re-run this job.
-            magis_obs::obs_warn!("magis_serve", "job {id}: result journaling failed");
+            let fields = magis_obs::fields!(id = id);
+            warn("result_journal_failed", fields, format_args!("job {id}: result journaling failed"));
             JobState::Done { result: res, cached: false }
         }
         Attempt::Finished(res) => {
@@ -609,8 +611,8 @@ fn settle(
         Attempt::Failed(e) => {
             let _ = journal::record_failure(dir, &e);
             inner.m.failed.inc();
-            magis_obs::event!("magis_serve", "job_failed", id = id);
-            magis_obs::obs_warn!("magis_serve", "job {id} failed: {e}");
+            let fields = magis_obs::fields!(id = id, error = e.as_str());
+            warn("job_failed", fields, format_args!("job {id} failed: {e}"));
             JobState::Failed { error: e }
         }
     };
@@ -632,10 +634,18 @@ fn settle(
     inner.cv.notify_all();
 }
 
+/// Says one daemon warning in both places it is read: `msg` as a
+/// `[warn magis_serve]` line on stderr, and the `magis_serve` trace
+/// event `name` with `fields`, which a job's `trace.jsonl` keeps.
+fn warn(name: &str, fields: Vec<(String, trace::FieldValue)>, msg: std::fmt::Arguments<'_>) {
+    eprintln!("[warn magis_serve] {msg}");
+    trace::event("magis_serve", name, fields);
+}
+
 /// Flags running jobs whose candidate-eval heartbeat has stalled. The
 /// watchdog never kills a job — evaluation is sandboxed and
 /// cancellation cooperative — it makes the stall observable
-/// (`magis_serve_watchdog_stalls`, a warn log, a trace event).
+/// (`magis_serve_watchdog_stalls`, a [`warn`] line, a trace event).
 fn watchdog_loop(inner: &Inner) {
     let stall_after = Duration::from_millis(inner.cfg.stall_after_ms);
     loop {
@@ -657,11 +667,8 @@ fn watchdog_loop(inner: &Inner) {
                 } else if !*stalled && now.duration_since(*last_progress) > stall_after {
                     *stalled = true;
                     inner.m.watchdog_stalls.inc();
-                    magis_obs::obs_warn!(
-                        "magis_serve",
-                        "job {id}: no eval heartbeat for {stall_after:?}"
-                    );
-                    magis_obs::event!("magis_serve", "watchdog_stall", id = id);
+                    let msg = format_args!("job {id}: no eval heartbeat for {stall_after:?}");
+                    warn("watchdog_stall", magis_obs::fields!(id = id), msg);
                 }
             }
         }
@@ -868,28 +875,61 @@ fn status_reply(inner: &Inner, id: u64) -> Json {
     let Some(job) = t.jobs.get(&id) else {
         return reply::err(404, &format!("no such job {id}"));
     };
-    let mut extra = vec![("id".to_string(), Json::UInt(id))];
-    match &job.state {
-        JobState::Queued => extra.push(("state".into(), Json::Str("queued".into()))),
-        JobState::Running { token, stalled, .. } => {
-            extra.push(("state".into(), Json::Str("running".into())));
-            extra.push(("beats".into(), Json::UInt(token.beats())));
-            extra.push(("stalled".into(), Json::Bool(*stalled)));
-        }
-        JobState::Done { result, cached } => {
-            extra.push(("state".into(), Json::Str("done".into())));
-            extra.push(("cached".into(), Json::Bool(*cached)));
-            extra.push(("result".into(), result.to_json()));
-        }
-        JobState::Failed { error } => {
-            extra.push(("state".into(), Json::Str("failed".into())));
-            extra.push(("error".into(), Json::Str(error.clone())));
-        }
-        JobState::Interrupted => {
-            extra.push(("state".into(), Json::Str("interrupted".into())));
+    let mut extra = vec![
+        ("id".to_string(), Json::UInt(id)),
+        ("state".into(), Json::Str(job.state.name().into())),
+    ];
+    if let JobState::Running { token, stalled, .. } = &job.state {
+        extra.push(("beats".into(), Json::UInt(token.beats())));
+        extra.push(("stalled".into(), Json::Bool(*stalled)));
+    }
+    extra.extend(job.state.outcome());
+    reply::ok(extra)
+}
+
+impl JobState {
+    /// The state's name on the wire (`status` replies, heartbeats).
+    fn name(&self) -> &'static str {
+        match self {
+            JobState::Queued => "queued",
+            JobState::Running { .. } => "running",
+            JobState::Done { .. } => "done",
+            JobState::Failed { .. } => "failed",
+            JobState::Interrupted => "interrupted",
         }
     }
-    reply::ok(extra)
+
+    /// A settled job's outcome fields, as both the `status` reply and
+    /// the `done` frame carry them: `cached` and `result` for a job
+    /// that finished, `error` for one that failed, none otherwise.
+    fn outcome(&self) -> Vec<(String, Json)> {
+        match self {
+            JobState::Done { result, cached } => {
+                vec![("cached".into(), Json::Bool(*cached)), ("result".into(), result.to_json())]
+            }
+            JobState::Failed { error } => vec![("error".into(), Json::Str(error.clone()))],
+            _ => Vec::new(),
+        }
+    }
+
+    /// The `done` frame that ends a progress stream on this state, or
+    /// `None` while the job has yet to settle and the server is open.
+    fn done_frame(&self, id: u64, closed: bool) -> Option<Json> {
+        let error = |e: &str| vec![("error".to_string(), Json::Str(e.into()))];
+        let outcome = match self {
+            JobState::Done { .. } | JobState::Failed { .. } => self.outcome(),
+            JobState::Interrupted => error("interrupted by shutdown; journaled for restart"),
+            _ if closed => error("server closed"),
+            _ => return None,
+        };
+        let mut f = vec![
+            ("event".to_string(), Json::Str("done".into())),
+            ("id".into(), Json::UInt(id)),
+            ("ok".into(), Json::Bool(matches!(self, JobState::Done { .. }))),
+        ];
+        f.extend(outcome);
+        Some(Json::Obj(f))
+    }
 }
 
 /// Renders one search-progress snapshot as a `progress` frame. The
@@ -959,64 +999,32 @@ fn stream_until_done(inner: &Inner, id: u64, out: &mut TcpStream) -> bool {
             continue;
         }
         let final_event = match t.jobs.get(&id).map(|j| &j.state) {
-            Some(JobState::Done { result, cached }) => Some(Json::Obj(vec![
-                ("event".to_string(), Json::Str("done".into())),
-                ("id".into(), Json::UInt(id)),
-                ("ok".into(), Json::Bool(true)),
-                ("cached".into(), Json::Bool(*cached)),
-                ("result".into(), result.to_json()),
-            ])),
-            Some(JobState::Failed { error }) => Some(Json::Obj(vec![
-                ("event".to_string(), Json::Str("done".into())),
-                ("id".into(), Json::UInt(id)),
-                ("ok".into(), Json::Bool(false)),
-                ("error".into(), Json::Str(error.clone())),
-            ])),
-            Some(JobState::Interrupted) => Some(Json::Obj(vec![
-                ("event".to_string(), Json::Str("done".into())),
-                ("id".into(), Json::UInt(id)),
-                ("ok".into(), Json::Bool(false)),
-                (
-                    "error".into(),
-                    Json::Str("interrupted by shutdown; journaled for restart".into()),
-                ),
-            ])),
             None => Some(reply::err(404, &format!("job {id} vanished"))),
-            Some(_) if t.closed => Some(Json::Obj(vec![
-                ("event".to_string(), Json::Str("done".into())),
-                ("id".into(), Json::UInt(id)),
-                ("ok".into(), Json::Bool(false)),
-                ("error".into(), Json::Str("server closed".into())),
-            ])),
-            Some(state) => {
-                if last_sent.elapsed() >= PROGRESS_EVERY {
-                    last_sent = Instant::now();
-                    let (name, beats) = match state {
-                        JobState::Running { token, .. } => ("running", token.beats()),
-                        _ => ("queued", 0),
-                    };
-                    let progress = Json::Obj(vec![
-                        ("event".to_string(), Json::Str("progress".into())),
-                        ("id".into(), Json::UInt(id)),
-                        ("state".into(), Json::Str(name.into())),
-                        ("beats".into(), Json::UInt(beats)),
-                        (
-                            "elapsed_ms".into(),
-                            Json::UInt(started.elapsed().as_millis() as u64),
-                        ),
-                    ]);
-                    drop(t);
-                    if send(out, &progress).is_err() {
-                        return false;
-                    }
-                    t = inner.table.lock().unwrap();
-                }
-                None
-            }
+            Some(state) => state.done_frame(id, t.closed),
         };
         if let Some(ev) = final_event {
             drop(t);
             return send(out, &ev).is_ok();
+        }
+        if last_sent.elapsed() >= PROGRESS_EVERY {
+            last_sent = Instant::now();
+            let state = &t.jobs[&id].state;
+            let beats = match state {
+                JobState::Running { token, .. } => token.beats(),
+                _ => 0,
+            };
+            let progress = Json::Obj(vec![
+                ("event".to_string(), Json::Str("progress".into())),
+                ("id".into(), Json::UInt(id)),
+                ("state".into(), Json::Str(state.name().into())),
+                ("beats".into(), Json::UInt(beats)),
+                ("elapsed_ms".into(), Json::UInt(started.elapsed().as_millis() as u64)),
+            ]);
+            drop(t);
+            if send(out, &progress).is_err() {
+                return false;
+            }
+            t = inner.table.lock().unwrap();
         }
         let (guard, _) = inner.cv.wait_timeout(t, POLL).unwrap();
         t = guard;
@@ -1034,5 +1042,108 @@ mod tests {
         let (stream, _) = listener.accept().unwrap();
         let (reader, out) = open_conn(stream).unwrap();
         assert!(out.nodelay().unwrap() && reader.stream.nodelay().unwrap());
+    }
+
+    /// The `status` reply and the `done` frame for every job state, byte
+    /// for byte: the wire format clients parse.
+    #[test]
+    fn status_replies_and_done_frames_are_pinned_per_state() {
+        let state_dir = std::env::temp_dir()
+            .join(format!("magis_serve_outcome_wire_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&state_dir);
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            state_dir: state_dir.clone(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let result = JobResult {
+            peak_bytes: 4096,
+            latency: 0.5,
+            planned_peak_bytes: None,
+            stop_reason: "eval-cap-reached".into(),
+            deterministic: true,
+            evaluated: 40,
+            expanded: 3,
+            resumed: false,
+            pareto: vec![(4096, 0.5)],
+            trajectory_digest: 7,
+            timeline: Json::Null,
+        };
+        let r = result.to_json().render();
+        let failed = r#""error":"loading checkpoint: bad \"magic\"""#;
+        let closed = r#"{"event":"done","id":1,"ok":false,"error":"server closed"}"#;
+        let running = JobState::Running {
+            token: CancelToken::new(),
+            last_beats: 0,
+            last_progress: Instant::now(),
+            stalled: false,
+        };
+        // (state, server closed, status reply, done frame)
+        let cases: Vec<(JobState, bool, String, String)> = vec![
+            (
+                JobState::Done { result: result.clone(), cached: false },
+                false,
+                format!(r#"{{"ok":true,"id":1,"state":"done","cached":false,"result":{r}}}"#),
+                format!(r#"{{"event":"done","id":1,"ok":true,"cached":false,"result":{r}}}"#),
+            ),
+            (
+                JobState::Done { result, cached: true },
+                false,
+                format!(r#"{{"ok":true,"id":1,"state":"done","cached":true,"result":{r}}}"#),
+                format!(r#"{{"event":"done","id":1,"ok":true,"cached":true,"result":{r}}}"#),
+            ),
+            (
+                JobState::Failed { error: "loading checkpoint: bad \"magic\"".into() },
+                false,
+                format!(r#"{{"ok":true,"id":1,"state":"failed",{failed}}}"#),
+                format!(r#"{{"event":"done","id":1,"ok":false,{failed}}}"#),
+            ),
+            (
+                JobState::Interrupted,
+                false,
+                r#"{"ok":true,"id":1,"state":"interrupted"}"#.into(),
+                r#"{"event":"done","id":1,"ok":false,"error":"interrupted by shutdown; journaled for restart"}"#.into(),
+            ),
+            (JobState::Queued, true, r#"{"ok":true,"id":1,"state":"queued"}"#.into(), closed.into()),
+            (
+                running,
+                true,
+                r#"{"ok":true,"id":1,"state":"running","beats":0,"stalled":false}"#.into(),
+                closed.into(),
+            ),
+        ];
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        // The one frame a stream on a settled (or unknown) job sends.
+        let done_line = |id: u64| {
+            let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (mut out, _) = listener.accept().unwrap();
+            assert!(stream_until_done(&server.inner, id, &mut out));
+            drop(out);
+            let mut frame = String::new();
+            io::BufRead::read_line(&mut io::BufReader::new(client), &mut frame).unwrap();
+            frame
+        };
+        for (state, closed, status, done) in cases {
+            {
+                let mut t = server.inner.table.lock().unwrap();
+                t.closed = closed;
+                let job = Job {
+                    spec: JobSpec::default(),
+                    state,
+                    dir: state_dir.clone(),
+                    admitted: Instant::now(),
+                    progress: Arc::new(ProgressCell::default()),
+                    trace: None,
+                };
+                t.jobs.insert(1, job);
+            }
+            assert_eq!(status_reply(&server.inner, 1).render(), status);
+            assert_eq!(done_line(1), done + "\n");
+        }
+        let missing = r#"{"ok":false,"code":404,"error":"no such job 2"}"#;
+        assert_eq!(status_reply(&server.inner, 2).render(), missing);
+        assert_eq!(done_line(2), "{\"ok\":false,\"code\":404,\"error\":\"job 2 vanished\"}\n");
+        let _ = std::fs::remove_dir_all(&state_dir);
     }
 }

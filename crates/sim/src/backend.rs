@@ -275,13 +275,6 @@ impl Backend {
         Ok(Backend { name, device, eff })
     }
 
-    /// Unvalidated adapter for raw [`DeviceSpec`]s: default efficiency
-    /// table, name taken from the spec. Backs the legacy
-    /// `CostModel::new(device)` path, which never validated.
-    pub(crate) fn from_device(device: DeviceSpec) -> Backend {
-        Backend { name: device.name.to_string(), device, eff: EfficiencyTable::default() }
-    }
-
     /// The backend's registry name.
     pub fn name(&self) -> &str {
         &self.name

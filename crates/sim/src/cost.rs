@@ -152,14 +152,6 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Creates a cost model for `device` with the default efficiency
-    /// table (the historical constants). Unvalidated, for backward
-    /// compatibility with raw specs; prefer [`CostModel::for_backend`]
-    /// with a registry profile.
-    pub fn new(device: DeviceSpec) -> Self {
-        CostModel { backend: Backend::from_device(device) }
-    }
-
     /// Creates a cost model for a (validated) registry backend.
     pub fn for_backend(backend: &Backend) -> Self {
         CostModel { backend: backend.clone() }

@@ -5,7 +5,7 @@ use magis_graph::GraphView;
 use magis_graph::builder::GraphBuilder;
 use magis_graph::op::{Conv2dAttrs, OpKind};
 use magis_graph::tensor::{DType, TensorMeta};
-use magis_sim::{memory_profile_checked, CostModel, DeviceSpec};
+use magis_sim::{memory_profile_checked, Backend, CostModel, DeviceSpec, EfficiencyTable};
 use magis_util::prop::prelude::*;
 
 proptest! {
@@ -28,8 +28,13 @@ proptest! {
     /// A slower device never makes an op faster.
     #[test]
     fn device_dominance(m in 16u64..256) {
-        let fast = CostModel::new(DeviceSpec::rtx3090());
-        let slow = CostModel::new(DeviceSpec::mobile());
+        // The same efficiency table on both: only the device differs.
+        let model = |device: DeviceSpec| {
+            let backend = Backend::new(device.name.to_string(), device, EfficiencyTable::default());
+            CostModel::for_backend(&backend.expect("a valid spec"))
+        };
+        let fast = model(DeviceSpec::rtx3090());
+        let slow = model(DeviceSpec::mobile());
         let op = OpKind::Conv2d(Conv2dAttrs::same(1));
         let i = [
             TensorMeta::new([2, 8, m, m], DType::F32),

@@ -1,6 +1,7 @@
-//! End-to-end export: optimize a training graph, then emit the
-//! PyTorch program that executes the optimized plan (§7.1's code
-//! generation backend) and a Graphviz rendering of the final graph.
+//! End-to-end export: optimize a training graph, then emit a PyTorch
+//! program for the optimized graph (§7.1's code generation backend)
+//! and a Graphviz rendering of it. The program runs a fresh schedule
+//! of the optimized graph, not the order the search found.
 //!
 //! ```sh
 //! cargo run --release --example export_pytorch > optimized.py
@@ -38,13 +39,7 @@ fn main() {
         g = magis::core::fission::apply_full(&g, &best.ftree.node(i).spec)
             .expect("enabled specs are valid");
     }
-    let order = if best.ftree.enabled_order().is_empty() {
-        // No fission: the optimizer's schedule applies directly to the
-        // base graph modulo overlay nodes; regenerate a fresh one.
-        magis::sched::full_schedule(&g, &Default::default())
-    } else {
-        magis::sched::full_schedule(&g, &Default::default())
-    };
+    let order = magis::sched::full_schedule(&g, &Default::default());
     let order = magis::sched::place_swaps(&g, &order, &CostModel::default());
 
     let code = generate_pytorch(&g, &order).expect("materialized graph exports");

@@ -37,7 +37,7 @@ USAGE:
                  [--eval incremental|full] [--eval-cache N]
                  [--checkpoint FILE] [--checkpoint-every N]
                  [--emit py|dot|text] [--out FILE]
-                 [--trace-out FILE] [--metrics-out FILE] [--log-level L]
+                 [--trace-out FILE] [--metrics-out FILE]
   magis optimize --resume FILE [--mode memory|latency] [--limit F]
                  [--budget-ms N] [--threads N] [...]
   magis baseline --workload NAME --system pofo|dtr|xla|tvm|ti
@@ -46,7 +46,7 @@ USAGE:
   magis serve    [--addr HOST:PORT] [--state-dir DIR] [--workers N]
                  [--queue-capacity N] [--client-cap N] [--drain-timeout-ms N]
                  [--stall-after-ms N] [--result-cache N] [--port-file FILE]
-                 [--trace-out FILE] [--log-level L]
+                 [--trace-out FILE]
   magis submit   --addr HOST:PORT | --port-file FILE
                  --workload NAME [--scale F] [--mode memory|latency]
                  [--limit F] [--objective liveness|planned]
@@ -89,8 +89,8 @@ OPTIONS (optimize):
                   run-to-run).
   --max-candidates N
                   hard cap on evaluated candidates — the deterministic
-                  stopping knob (`stop reason: eval-cap`), cumulative
-                  across --resume.
+                  stopping knob (`stop reason: eval-cap-reached`),
+                  cumulative across --resume.
   --objective O   memory accounting the search steers on: liveness
                   (default, sum of live tensor bytes per step) |
                   planned (allocator-planned high-water mark from a
@@ -138,8 +138,6 @@ OBSERVABILITY (optimize):
   --metrics-out F write a Prometheus-style text snapshot of all
                   magis_* counters, gauges, and histograms to F at
                   the end of the run.
-  --log-level L   diagnostic logging on stderr: error | warn (default)
-                  | info | debug | trace.
   Count-type metrics and the trace event *set* are identical for every
   --threads value; only wall-time measurements vary.
 
@@ -189,7 +187,6 @@ const JOB: &[&str] = &[
     "max-candidates", "threads", "eval-cache", "checkpoint-every",
 ];
 const BACKEND: &[&str] = &["backend", "calibrate"];
-const OBS: &[&str] = &["log-level", "trace-out"];
 const DAEMON: &[&str] = &["addr", "port-file"];
 /// Valueless flags, accepted by every subcommand and on their own.
 const SWITCHES: &[&str] = &["backend-list"];
@@ -208,14 +205,13 @@ fn command(name: &str) -> Option<Command> {
             &[
                 JOB,
                 BACKEND,
-                OBS,
-                &["metrics-out", "resume", "paranoia", "eval", "checkpoint"],
+                &["trace-out", "metrics-out", "resume", "paranoia", "eval", "checkpoint"],
                 &["emit", "out"],
             ],
             cmd_optimize,
         ),
         "baseline" => (&[&["workload", "scale", "system", "budget-ratio"], BACKEND], cmd_baseline),
-        "serve" => (&[ServeConfig::FLAGS, OBS], cmd_serve),
+        "serve" => (&[ServeConfig::FLAGS, &["trace-out"]], cmd_serve),
         "submit" => (&[JOB, DAEMON, &["client", "wait"]], cmd_submit),
         "watch" => (&[DAEMON, &["id"]], cmd_watch),
         "top" => (&[DAEMON, &["interval-ms", "iterations"]], cmd_top),
@@ -344,12 +340,9 @@ fn inspect(flags: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Configures observability from the `optimize` flags: log level and
-/// the JSONL trace sink. Must run before the search starts.
+/// Installs the `--trace-out` JSONL trace sink. Must run before the
+/// search starts.
 fn setup_obs(flags: &Args) -> Result<(), CliError> {
-    if let Some(level) = flags.value("log-level")? {
-        magis_obs::log::set_level(level);
-    }
     if let Some(path) = flags.get("trace-out") {
         let sink = magis_obs::trace::JsonlSink::create(Path::new(path))
             .map_err(|e| CliError::Runtime(format!("creating trace file {path}: {e}")))?;
@@ -541,7 +534,9 @@ fn render(best: &MState, emit: &str, cm: &CostModel) -> Result<String, CliError>
         "dot" => Ok(to_dot(&best.eval.graph)),
         "text" => Ok(to_text(&best.eval.graph)),
         "py" => {
-            // Materialize fission, then schedule and emit.
+            // Materialize fission, then schedule the result afresh: the
+            // program runs a fresh schedule of the optimized graph, not
+            // the order the search found.
             let mut g: Graph = best.base.clone();
             for i in best.ftree.enabled_order() {
                 g = apply_full(&g, &best.ftree.node(i).spec)
@@ -989,6 +984,12 @@ mod tests {
     }
 
     #[test]
+    fn usage_names_the_stop_reason_a_capped_search_prints() {
+        let capped = magis_core::optimizer::StopReason::EvalCapReached.to_string();
+        assert!(USAGE.contains(&format!("`stop reason: {capped}`")), "{capped}");
+    }
+
+    #[test]
     fn a_typo_or_a_bad_value_is_a_usage_error_on_every_subcommand() {
         let cases: &[&[&str]] = &[
             &["list", "--verbose", "1"],
@@ -1001,6 +1002,7 @@ mod tests {
             &["baseline", "--workload", "unet", "--system", "dtr", "--budget-ratio", "half"],
             &["serve", "--wrokers", "2"],
             &["serve", "--workers", "two"],
+            &["serve", "--log-level", "warn"],
             &["submit", "--addr", "127.0.0.1:1", "--workload", "unet", "--max-candidate", "4"],
             &["submit", "--addr", "127.0.0.1:1", "--workload", "unet", "--threads", "two"],
             &["submit", "--addr", "127.0.0.1:1", "--workload", "unet", "--backend", "abacus"],
@@ -1304,8 +1306,7 @@ mod tests {
         let _ = std::fs::remove_file(metrics);
         run(&s(&[
             "optimize", "--workload", "unet", "--scale", "0.1", "--budget-ms", "400",
-            "--threads", "2", "--trace-out", trace, "--metrics-out", metrics, "--log-level",
-            "warn",
+            "--threads", "2", "--trace-out", trace, "--metrics-out", metrics,
         ]))
         .unwrap();
         run(&s(&["trace-check", "--trace", trace])).unwrap();
@@ -1317,8 +1318,9 @@ mod tests {
             run(&s(&["trace-check", "--trace", "/nonexistent.jsonl"])),
             Err(CliError::Runtime(_))
         ));
+        // `--log-level` is an unknown flag: a usage error, exit 2.
         assert!(matches!(
-            run(&s(&["optimize", "--workload", "unet", "--log-level", "loud"])),
+            run(&s(&["optimize", "--workload", "unet", "--log-level", "info"])),
             Err(CliError::Usage(_))
         ));
     }

@@ -331,7 +331,8 @@ fn drain_journals_interrupted_jobs_and_restart_completes_them() {
 
 /// A job whose run fails fails the same way every time, so it settles
 /// `failed` on its first attempt: one `run` span in its trace, one
-/// failure counted. The failure here is a corrupt checkpoint in a
+/// failure counted, and one `job_failed` event carrying the error the
+/// `status` reply shows. The failure here is a corrupt checkpoint in a
 /// journaled job's directory, which the replay at start-up runs into.
 #[test]
 fn a_failed_job_settles_on_its_first_attempt() {
@@ -352,12 +353,18 @@ fn a_failed_job_settles_on_its_first_attempt() {
     join.join().unwrap().unwrap();
 
     let trace = std::fs::read_to_string(dir.join(magis::serve::server::TRACE_FILE)).expect("trace");
-    let runs = trace
-        .lines()
-        .filter_map(|l| magis::obs::trace::TraceEvent::parse_line(l).ok())
-        .filter(|ev| ev.target == "magis_serve" && ev.name == "run")
-        .count();
-    assert_eq!(runs, 1, "the job ran more than once:\n{trace}");
+    let serve_records = |name: &str| {
+        trace
+            .lines()
+            .filter_map(|l| magis::obs::trace::TraceEvent::parse_line(l).ok())
+            .filter(|ev| ev.target == "magis_serve" && ev.name == name)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(serve_records("run").len(), 1, "the job ran more than once:\n{trace}");
+    let failures = serve_records("job_failed");
+    assert_eq!(failures.len(), 1, "{trace}");
+    let recorded = failures[0].fields.iter().find(|(k, _)| k == "error").map(|(_, v)| v);
+    assert_eq!(recorded, Some(&magis::obs::trace::FieldValue::Str(error.to_string())), "{trace}");
     let _ = std::fs::remove_dir_all(&state);
 }
 
