@@ -141,6 +141,20 @@ if grep -rn -E 'pub fn (evaluate|simulate|simulate_latency|memory_profile)[<(]' 
         "the trace recorder, CostModel::for_backend"
     exit 1
 fi
+# The daemon keeps each job in one table under one lock: the non-test
+# part of crates/serve/src names `Mutex<` once, spawns threads at two
+# sites (the workers and the connection handlers), and has no per-job
+# progress cell, result-cache module or watchdog thread.
+SERVE_SRC="$(for f in crates/serve/src/*.rs; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
+    done)"
+if [ "$(grep -c 'Mutex<' <<<"$SERVE_SRC")" != 1 ] \
+    || [ "$(grep -c 'thread::spawn' <<<"$SERVE_SRC")" != 2 ] \
+    || grep -E 'ProgressCell|ResultCache|watchdog_loop' <<<"$SERVE_SRC"; then
+    grep -E 'Mutex<|thread::spawn' <<<"$SERVE_SRC"
+    echo "one table under one lock: one Mutex<, two thread::spawn sites in crates/serve/src"
+    exit 1
+fi
 
 # Documentation gate: rustdoc must build clean (missing_docs is warn
 # in sched/sim/core/obs, promoted to an error here) and every doc

@@ -32,7 +32,7 @@
 
 use magis_bench::{print_table, ExpOpts};
 use magis_core::driver::DriverKind;
-use magis_core::optimizer::{optimize_memory, OptimizeResult, OptimizerConfig};
+use magis_core::optimizer::{optimize_from, Objective, OptimizeResult, OptimizerConfig};
 use magis_core::state::{EvalContext, EvalMode, MState};
 use magis_graph::graph::Graph;
 use magis_models::Workload;
@@ -80,7 +80,10 @@ impl Spread {
 /// — seed evaluation included, once — and the result.
 fn timed_search(g: &Graph, lat_factor: f64, cfg: &OptimizerConfig) -> (f64, OptimizeResult) {
     let t0 = Instant::now();
-    let res = optimize_memory(g.clone(), lat_factor, cfg);
+    let seed = MState::initial(g.clone(), &cfg.ctx);
+    let mut cfg = cfg.clone();
+    cfg.objective = Objective::relative("memory", Some(lat_factor), seed.cost()).expect("a mode");
+    let res = optimize_from(seed, &cfg);
     let elapsed = t0.elapsed().as_secs_f64();
     (res.stats.evaluated as f64 / elapsed.max(1e-9), res)
 }

@@ -27,7 +27,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use magis_baselines::{BaselineKind, BaselineResult};
-use magis_core::optimizer::{optimize_latency, optimize_memory, OptimizeResult, OptimizerConfig};
+use magis_core::optimizer::{optimize_from, Objective, OptimizeResult, OptimizerConfig};
+use magis_core::state::{EvalContext, MState};
 use magis_graph::graph::Graph;
 use magis_sim::CostModel;
 use magis_util::args::Args;
@@ -150,14 +151,18 @@ pub fn anchor(g: &Graph) -> (u64, f64) {
 /// seed state's latency (its `cost()`, under the DP schedule), not the
 /// program-order [`anchor`]'s.
 pub fn magis_min_memory(g: &Graph, lat_factor: f64, opts: &ExpOpts) -> OptimizeResult {
-    optimize_memory(g.clone(), lat_factor, &OptimizerConfig::default().with_budget(opts.budget))
+    let seed = MState::initial(g.clone(), &EvalContext::default());
+    let objective = Objective::relative("memory", Some(lat_factor), seed.cost()).expect("a mode");
+    optimize_from(seed, &OptimizerConfig::new(objective).with_budget(opts.budget))
 }
 
 /// Runs MAGIS in latency-minimization mode under `mem_factor` × the
 /// seed state's DP-scheduled peak (its `cost()`), not the
 /// program-order [`anchor`]'s peak.
 pub fn magis_min_latency(g: &Graph, mem_factor: f64, opts: &ExpOpts) -> OptimizeResult {
-    optimize_latency(g.clone(), mem_factor, &OptimizerConfig::default().with_budget(opts.budget))
+    let seed = MState::initial(g.clone(), &EvalContext::default());
+    let objective = Objective::relative("latency", Some(mem_factor), seed.cost()).expect("a mode");
+    optimize_from(seed, &OptimizerConfig::new(objective).with_budget(opts.budget))
 }
 
 /// Finds the smallest memory ratio a baseline reaches while staying

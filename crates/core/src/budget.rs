@@ -19,7 +19,7 @@
 //!
 //! The token doubles as the search's **heartbeat**: the merge thread
 //! bumps a monotonic beat counter once per merged evaluation and once
-//! per expansion, so an external watchdog (e.g. `magis-serve`'s) can
+//! per expansion, so an external watchdog (`magis-serve`'s stall check) can
 //! distinguish a slow-but-alive search from a stalled one without
 //! instrumenting the search itself.
 //!

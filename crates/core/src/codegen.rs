@@ -13,11 +13,16 @@
 //!   compute only blocks when it actually consumes a loaded tensor;
 //! * fission must be materialized first ([`crate::fission::apply_full`])
 //!   — representative-part overlays are a search-time abstraction, not
-//!   an executable program.
+//!   an executable program. [`export_pytorch`] does that for a search
+//!   state and is the one export path (`magis optimize --emit py`, the
+//!   `export_pytorch` example).
 
+use crate::fission::apply_full;
+use crate::state::MState;
 use magis_graph::GraphView;
 use magis_graph::graph::{Graph, NodeId};
 use magis_graph::op::{BinaryKind, OpKind, PoolKind, ReduceKind, UnaryGradKind, UnaryKind};
+use magis_sim::CostModel;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -63,6 +68,29 @@ fn unary_grad_expr(k: UnaryGradKind, x: &str, dy: &str) -> String {
         }
         UnaryGradKind::Dropout => format!("{dy} * 1.1111"),
     }
+}
+
+/// The PyTorch program of search state `s`: its enabled fission
+/// regions materialized in [`crate::ftree::FTree::enabled_order`] with
+/// [`apply_full`], the result scheduled afresh
+/// ([`magis_sched::full_schedule`]) with swaps placed under `cm`
+/// ([`magis_sched::place_swaps`]), then [`generate_pytorch`]. The
+/// program runs a fresh schedule of the optimized graph, not the order
+/// the search found.
+///
+/// # Errors
+///
+/// Returns [`CodegenError`] if a region fails to materialize or the
+/// graph has no PyTorch form.
+pub fn export_pytorch(s: &MState, cm: &CostModel) -> Result<String, CodegenError> {
+    let mut g = s.base.clone();
+    for i in s.ftree.enabled_order() {
+        g = apply_full(&g, &s.ftree.node(i).spec)
+            .map_err(|e| CodegenError(format!("materializing fission: {e}")))?;
+    }
+    let order = magis_sched::full_schedule(&g, &Default::default());
+    let order = magis_sched::place_swaps(&g, &order, cm);
+    generate_pytorch(&g, &order)
 }
 
 /// Generates a Python module executing `g` in `order`.
@@ -405,6 +433,44 @@ mod tests {
         assert!(code.contains("torch.cuda.stream(xfer)"));
         assert!(code.contains("to('cpu', non_blocking=True)"));
         assert!(code.contains("wait_event"), "compute waits on the load");
+    }
+
+    /// A state with one enabled fission region exports its
+    /// materialized graph: every part computed, no overlay node left.
+    #[test]
+    fn export_materializes_the_enabled_region() {
+        use crate::ftree::FTreeMutation;
+        use crate::rules::{apply, Transform};
+        use crate::state::EvalContext;
+        let mut b = GraphBuilder::new(DType::F32);
+        let mut cur = b.input([256, 64], "x");
+        for i in 0..8 {
+            let w = b.weight([64, 64], &format!("w{i}"));
+            let h = b.matmul(cur, w);
+            cur = b.relu(h);
+        }
+        let ctx = EvalContext::default();
+        let mut seed = MState::initial(b.finish(), &ctx);
+        seed.analyze(4);
+        let enable = seed
+            .ftree
+            .legal_mutations(&seed.base)
+            .into_iter()
+            .find(|m| matches!(m, FTreeMutation::Enable(_)))
+            .unwrap();
+        let applied = apply(&seed, &Transform::FTree(enable)).unwrap();
+        let s = MState::from_applied(applied, &seed, &ctx).unwrap();
+        assert_eq!(s.ftree.enabled_order().len(), 1);
+        let overlay = generate_pytorch(&s.eval.graph, &s.eval.order);
+        assert!(overlay.is_err(), "the search's overlay graph has no program");
+        let code = export_pytorch(&s, &CostModel::default()).unwrap();
+        let base = export_pytorch(&seed, &CostModel::default()).unwrap();
+        assert!(code.contains("def run(params"));
+        assert!(!code.contains("PartSlice") && !code.contains("Merge"));
+        assert!(
+            code.matches("torch.matmul").count() > base.matches("torch.matmul").count(),
+            "the region's parts each compute"
+        );
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! * [`codegen`] — the PyTorch code-generation backend (§7.1).
 //!
 //! ```
-//! use magis_core::optimizer::{optimize_memory, OptimizerConfig};
+//! use magis_core::optimizer::{optimize_from, Objective, OptimizerConfig};
+//! use magis_core::state::{EvalContext, MState};
 //! use magis_graph::builder::GraphBuilder;
 //! use magis_graph::tensor::DType;
 //! use std::time::Duration;
@@ -30,11 +31,13 @@
 //!     let h = b.matmul(cur, w);
 //!     cur = b.relu(h);
 //! }
-//! let g = b.finish();
-//! let cfg = OptimizerConfig::default()
+//! // Minimize peak memory, allowing 25% more latency than the seed.
+//! let seed = MState::initial(b.finish(), &EvalContext::default());
+//! let objective = Objective::relative("memory", Some(1.25), seed.cost()).unwrap();
+//! let cfg = OptimizerConfig::new(objective)
 //!     .with_budget(Duration::from_millis(300))
 //!     .with_max_evals(40);
-//! let res = optimize_memory(g, 1.25, &cfg);
+//! let res = optimize_from(seed, &cfg);
 //! assert!(res.best.eval.peak_bytes > 0);
 //! ```
 
@@ -63,8 +66,7 @@ pub use eval_cache::EvalCache;
 pub use fission::FissionSpec;
 pub use ftree::{FTree, FTreeMutation};
 pub use optimizer::{
-    optimize, optimize_latency, optimize_memory, resume, try_optimize, CheckpointPolicy,
-    Objective, OptimizeResult, OptimizerConfig, ParanoiaLevel, ProgressHook, ProgressSink,
-    ProgressSnapshot, StopReason,
+    optimize, optimize_from, resume, try_optimize, CheckpointPolicy, Objective, OptimizeResult,
+    OptimizerConfig, ParanoiaLevel, ProgressHook, ProgressSink, ProgressSnapshot, StopReason,
 };
 pub use state::{EvalContext, EvalError, EvalMode, IncrementalEvalInfo, MState};

@@ -318,8 +318,9 @@ pub struct OptimizerConfig {
 
 impl Default for OptimizerConfig {
     /// The paper's settings, minimising peak memory with no latency
-    /// bound — the base [`super::optimize_memory`] and
-    /// [`super::optimize_latency`] put their relative objective on.
+    /// bound. A relative search replaces the objective with
+    /// [`Objective::relative`] against its seed's cost and runs
+    /// [`super::optimize_from`] from that seed.
     fn default() -> Self {
         OptimizerConfig {
             objective: Objective::MinMemory { lat_limit: f64::INFINITY },

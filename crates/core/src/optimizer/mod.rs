@@ -107,7 +107,5 @@ pub use config::{
     ProgressSnapshot, StopReason, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use engine::Engine;
-pub use run::{
-    optimize, optimize_from, optimize_latency, optimize_memory, resume, try_optimize,
-};
+pub use run::{optimize, optimize_from, resume, try_optimize};
 pub use stats::{OptimizeResult, OptimizerStats, ProgressPoint};

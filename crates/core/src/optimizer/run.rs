@@ -2,7 +2,7 @@
 //! search loop both run.
 
 use super::candidate::check_invariants;
-use super::config::{Objective, OptimizerConfig, ParanoiaLevel, StopReason};
+use super::config::{OptimizerConfig, ParanoiaLevel, StopReason};
 use super::engine::{analyze, Engine};
 use super::stats::{core_obs, OptimizeResult, OptimizerStats, ProgressPoint};
 use crate::checkpoint::{CheckpointError, SearchCheckpoint};
@@ -255,25 +255,4 @@ fn search(
         stats: engine.stats,
         timeline: engine.timeline,
     }
-}
-
-/// Convenience: optimize for minimum memory with a relative latency
-/// budget `lat_factor` × the unoptimized latency (the §7.2.1 setting).
-/// `cfg_base.objective` is replaced.
-pub fn optimize_memory(g: Graph, lat_factor: f64, cfg_base: &OptimizerConfig) -> OptimizeResult {
-    optimize_relative(g, "memory", lat_factor, cfg_base)
-}
-
-/// Convenience: optimize for minimum latency with a relative memory
-/// budget `mem_factor` × the unoptimized peak (the §7.2.2 setting).
-/// `cfg_base.objective` is replaced.
-pub fn optimize_latency(g: Graph, mem_factor: f64, cfg_base: &OptimizerConfig) -> OptimizeResult {
-    optimize_relative(g, "latency", mem_factor, cfg_base)
-}
-
-fn optimize_relative(g: Graph, mode: &str, limit: f64, cfg_base: &OptimizerConfig) -> OptimizeResult {
-    let init = MState::initial(g, &cfg_base.ctx);
-    let mut cfg = cfg_base.clone();
-    cfg.objective = Objective::relative(mode, Some(limit), init.cost()).expect("a known mode");
-    optimize_from(init, &cfg)
 }

@@ -9,8 +9,8 @@
 //! * **Deadlines everywhere** — each job's one wall-clock limit,
 //!   `budget_ms`, and its `max_candidates` cap thread into the search
 //!   with cooperative cancellation; a deadline returns the best-so-far
-//!   incumbent (anytime semantics), and a watchdog flags jobs whose
-//!   candidate-eval heartbeat stalls.
+//!   incumbent (anytime semantics), and a job whose candidate-eval
+//!   heartbeat stalls is flagged in its `status`.
 //! * **Admission control** — a bounded queue with 429-style rejection
 //!   when full, per-client concurrent-job caps, and load shedding
 //!   while draining.
@@ -22,13 +22,18 @@
 //!   queued and running jobs, and checkpoints whatever the drain
 //!   timeout cuts off.
 //!
+//! * **One table** — a job's state, its latest progress snapshot and
+//!   its trace sink sit in one entry of one table under one mutex,
+//!   beside the queue and the result-cache index (an index into
+//!   settled jobs); the daemon runs no thread besides its workers and
+//!   connection handlers.
+//!
 //! The crate is zero-dependency (workspace crates only) like the rest
 //! of the repository. See `server` for the supervision tree and
 //! `protocol` for the wire format.
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod job;
 pub mod journal;
@@ -58,10 +63,11 @@ pub struct ServeConfig {
     pub client_cap: usize,
     /// How long a drain waits for jobs before cancel-and-checkpoint.
     pub drain_timeout_ms: u64,
-    /// Watchdog flags a running job after this long without an
+    /// A running job is flagged stalled after this long without an
     /// eval heartbeat.
     pub stall_after_ms: u64,
-    /// Cross-request result-cache capacity (0 disables).
+    /// Result-cache capacity: how many settled jobs a repeat
+    /// submission may be served from (0 disables).
     pub result_cache: usize,
     /// When set, the bound address is written here after listen —
     /// lets scripts and tests find a port-0 daemon.

@@ -1,17 +1,28 @@
-//! The supervised job server: admission control, worker pool,
-//! watchdog, journal replay, and graceful drain.
+//! The supervised job server: admission control, worker pool, journal
+//! replay, stall flags, and graceful drain.
 //!
 //! ## Supervision tree
 //!
 //! ```text
 //! Server::run
-//! ├── accept loop (main thread; refuses connections once draining)
+//! ├── accept loop (main thread; refuses connections once draining,
+//! │   │            flags stalled jobs every POLL)
 //! │   └── one handler thread per connection (line protocol)
 //! ├── N worker threads (bounded pool; pull jobs from the queue in order)
-//! ├── watchdog thread (flags running jobs whose heartbeat stalls)
 //! └── drain phase (after SIGTERM/shutdown: finish queued + running
-//!     jobs, cancel + checkpoint whatever the drain timeout cuts off)
+//!     jobs, cancel + checkpoint whatever the drain timeout cuts off;
+//!     flags stalled jobs every POLL)
 //! ```
+//!
+//! ## One table
+//!
+//! Everything the daemon knows about its jobs sits in one table under
+//! one mutex, paired with one condvar: each job's state and latest
+//! search snapshot, the queue, and the result-cache index. A search's
+//! progress sink stores into its job's entry and notifies; watchers
+//! and waiting submits wait on the condvar and read the entry. Frames
+//! are built under the lock and sent after it is released, so nothing
+//! waits on a client while holding it.
 //!
 //! ## Job states
 //!
@@ -28,7 +39,6 @@
 //! there is nothing to retry. Every transition that must survive
 //! `kill -9` goes through the [`journal`] before it is acknowledged.
 
-use crate::cache::ResultCache;
 use crate::job::run_job;
 use crate::journal;
 use crate::protocol::{reply, JobResult, JobSpec};
@@ -43,6 +53,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -55,7 +66,7 @@ use std::time::{Duration, Instant};
 /// search's own spans — reads as a single correlated trace.
 pub const TRACE_FILE: &str = "trace.jsonl";
 
-/// How often blocked loops re-check for shutdown/progress.
+/// How often blocked loops re-check for shutdown, progress and stalls.
 const POLL: Duration = Duration::from_millis(20);
 /// Cadence of `progress` events streamed to waiting clients.
 const PROGRESS_EVERY: Duration = Duration::from_millis(200);
@@ -71,48 +82,28 @@ enum JobState {
     Interrupted,
 }
 
-/// Latest progress snapshot for one job, shared between the worker
-/// running its search and any number of `watch` subscribers. The
-/// worker only stores and notifies — it never waits on subscribers —
-/// so a slow or disconnected watcher cannot stall or perturb the
-/// search.
-#[derive(Default)]
-struct ProgressCell {
-    /// `(sequence number, latest snapshot)`; the sequence increments
-    /// once per stored snapshot so subscribers detect news cheaply.
-    latest: Mutex<(u64, Option<ProgressSnapshot>)>,
-}
-
-impl ProgressCell {
-    fn store(&self, snap: &ProgressSnapshot) {
-        let mut l = self.latest.lock().unwrap();
-        l.0 += 1;
-        l.1 = Some(snap.clone());
-    }
-
-    fn read(&self) -> (u64, Option<ProgressSnapshot>) {
-        self.latest.lock().unwrap().clone()
-    }
-}
-
-/// The per-job [`ProgressSink`] handed to the search: stores the
-/// snapshot in the job's cell and wakes every condvar waiter (watch
-/// streams, waiting submits).
+/// The [`ProgressSink`] handed to a job's search: stores each snapshot
+/// in the job's table entry and wakes every condvar waiter (watch
+/// streams, waiting submits). It never waits on a subscriber, so a
+/// slow or disconnected watcher cannot stall or perturb the search.
 struct JobProgress {
-    cell: Arc<ProgressCell>,
     inner: Arc<Inner>,
+    id: u64,
 }
 
 impl ProgressSink for JobProgress {
     fn report(&self, snap: &ProgressSnapshot) {
-        self.cell.store(snap);
+        if let Some(j) = self.inner.table.lock().unwrap().jobs.get_mut(&self.id) {
+            let seq = j.progress.as_ref().map_or(0, |p| p.0) + 1;
+            j.progress = Some((seq, snap.clone()));
+        }
         self.inner.cv.notify_all();
     }
 }
 
 /// Opens (append mode) a job's `trace.jsonl` sink. Best-effort: a job
 /// whose trace file cannot be opened still runs, just untraced.
-fn job_trace_sink(dir: &std::path::Path) -> Option<Arc<JsonlSink>> {
+fn job_trace_sink(dir: &Path) -> Option<Arc<JsonlSink>> {
     JsonlSink::append(&dir.join(TRACE_FILE)).ok().map(Arc::new)
 }
 
@@ -123,30 +114,103 @@ fn scoped_job(sink: Arc<JsonlSink>, id: u64) -> trace::ScopedSinkGuard {
     trace::scoped(sink, vec![("job".to_string(), trace::FieldValue::U64(id))])
 }
 
+/// Records the `magis_serve` span `name` of job `id`, `dur` long, in
+/// the job's trace.
+fn job_span(sink: &Option<Arc<JsonlSink>>, id: u64, name: &str, dur: Duration) {
+    let _g = sink.clone().map(|s| scoped_job(s, id));
+    trace::span_with_dur(
+        "magis_serve",
+        name,
+        dur,
+        vec![("id".to_string(), trace::FieldValue::U64(id))],
+    );
+}
+
 struct Job {
     spec: JobSpec,
     state: JobState,
-    dir: std::path::PathBuf,
+    dir: PathBuf,
     /// Wall-clock admission (or replay) instant, for the queue-wait
     /// histogram.
     admitted: Instant,
-    /// Live progress broadcast cell (see [`ProgressCell`]).
-    progress: Arc<ProgressCell>,
+    /// The search's latest progress snapshot and its sequence number,
+    /// which counts snapshots from 1 so a subscriber detects news
+    /// cheaply. It sits beside `state`, so the last frame outlives
+    /// settlement.
+    progress: Option<(u64, ProgressSnapshot)>,
     /// Per-job JSONL trace sink (`trace.jsonl` in the job dir). `None`
     /// when the file could not be opened — tracing is best-effort and
     /// must never fail a job — and once the job is done or failed.
     trace: Option<Arc<JsonlSink>>,
 }
 
+impl Job {
+    /// A job entering the table now, with no progress yet.
+    fn new(spec: JobSpec, state: JobState, dir: PathBuf, trace: Option<Arc<JsonlSink>>) -> Job {
+        Job { spec, state, dir, admitted: Instant::now(), progress: None, trace }
+    }
+}
+
 #[derive(Default)]
 struct Table {
     jobs: BTreeMap<u64, Job>,
     queue: VecDeque<u64>,
+    /// The cross-request result cache, an index into settled jobs:
+    /// `(JobSpec::cache_key, id)` of the first `Done` job per key,
+    /// oldest first, at most `ServeConfig::result_cache` entries (0
+    /// disables it). It is the service-level analogue of the search's
+    /// structural-hash `EvalCache`: a repeat submission of the same job
+    /// (same model, objective and budget knobs) is served that job's
+    /// result without a search.
+    ///
+    /// Only deterministic results enter. A result whose stop reason is
+    /// wall-clock dependent (`deadline` — the job's one wall-clock
+    /// limit, `budget_ms`, ran out — or `cancelled`) differs run to
+    /// run, and caching it would make a repeat's answer depend on which
+    /// run filled the cache. Gated on `StopReason::is_deterministic`, a
+    /// hit is bit-identical to what a fresh run would produce, so the
+    /// same-job-twice contract holds whether a repeat hits or misses.
+    /// The in-search `EvalCache` is deliberately not shared across
+    /// concurrent jobs: its contents would depend on job interleaving,
+    /// and per-job trajectories would stop being reproducible.
+    cache: VecDeque<(u64, u64)>,
     running: usize,
     draining: bool,
-    /// Set after the drain completes: waiters and helper threads must
-    /// give up promptly.
+    /// Set after the drain completes: waiters and connection handlers
+    /// must give up promptly.
     closed: bool,
+}
+
+impl Table {
+    /// The result of the cached job with `spec`'s key, if any.
+    fn cached(&self, spec: &JobSpec) -> Option<JobResult> {
+        if self.cache.is_empty() {
+            return None;
+        }
+        let key = spec.cache_key();
+        let &(_, id) = self.cache.iter().find(|(k, _)| *k == key)?;
+        match &self.jobs.get(&id)?.state {
+            JobState::Done { result, .. } => Some(result.clone()),
+            _ => None,
+        }
+    }
+
+    /// Indexes settled job `id` unless a job with its key is indexed
+    /// already (the first one wins), evicting the oldest entry past
+    /// `capacity`. The caller applies the determinism gate.
+    fn remember(&mut self, id: u64, capacity: usize) {
+        if capacity == 0 {
+            return;
+        }
+        let key = self.jobs[&id].spec.cache_key();
+        if self.cache.iter().any(|&(k, _)| k == key) {
+            return;
+        }
+        self.cache.push_back((key, id));
+        if self.cache.len() > capacity {
+            self.cache.pop_front();
+        }
+    }
 }
 
 /// `magis_serve_*` metrics, registered once per process.
@@ -197,7 +261,6 @@ struct Inner {
     shutdown: AtomicBool,
     table: Mutex<Table>,
     cv: Condvar,
-    cache: Mutex<ResultCache>,
     next_id: AtomicU64,
     m: Metrics,
 }
@@ -252,7 +315,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             table: Mutex::new(Table::default()),
             cv: Condvar::new(),
-            cache: Mutex::new(ResultCache::new(cfg.result_cache)),
             next_id: AtomicU64::new(max_id + 1),
             m: Metrics::new(),
             cfg,
@@ -275,17 +337,7 @@ impl Server {
                         JobState::Queued
                     }
                 };
-                t.jobs.insert(
-                    j.id,
-                    Job {
-                        spec: j.spec,
-                        state,
-                        dir: j.dir,
-                        admitted: Instant::now(),
-                        progress: Arc::new(ProgressCell::default()),
-                        trace: tsink,
-                    },
-                );
+                t.jobs.insert(j.id, Job::new(j.spec, state, j.dir, tsink));
             }
             inner.m.queue_depth.set(t.queue.len() as f64);
         }
@@ -310,23 +362,21 @@ impl Server {
     /// finishes queued and running jobs, and past the drain timeout
     /// cancels what is left — cancelled searches checkpoint and their
     /// journal entries resume on the next start. Returns once every
-    /// helper thread has exited.
+    /// worker has exited.
     pub fn run(self) -> io::Result<()> {
         signals::install();
         let inner = self.inner;
-        let mut helpers = Vec::new();
-        for _ in 0..inner.cfg.workers.max(1) {
-            let w = inner.clone();
-            helpers.push(thread::spawn(move || worker_loop(&w)));
-        }
-        {
-            let w = inner.clone();
-            helpers.push(thread::spawn(move || watchdog_loop(&w)));
-        }
+        let workers: Vec<_> = (0..inner.cfg.workers.max(1))
+            .map(|_| {
+                let w = inner.clone();
+                thread::spawn(move || worker_loop(&w))
+            })
+            .collect();
 
         // Accept until shutdown. Connection handlers are detached; they
         // exit on their own once the table is marked closed.
         while !inner.stopping() {
+            flag_stalls(&inner, &mut inner.table.lock().unwrap(), Instant::now());
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let c = inner.clone();
@@ -353,37 +403,25 @@ impl Server {
                 if t.queue.is_empty() && t.running == 0 {
                     break;
                 }
+                flag_stalls(&inner, &mut t, Instant::now());
                 if Instant::now() >= deadline && !cancelled {
                     cancelled = true;
                     // Cut off: cancel running searches (they stop
                     // cooperatively and write a final frontier
                     // checkpoint) and park the still-queued jobs; all
                     // of them replay on the next start.
-                    while let Some(id) = t.queue.pop_front() {
-                        if let Some(j) = t.jobs.get_mut(&id) {
-                            j.state = JobState::Interrupted;
-                            let _g = j.trace.clone().map(|s| scoped_job(s, id));
-                            magis_obs::event!(
-                                "magis_serve",
-                                "drain_cancel",
-                                id = id,
-                                was = "queued"
-                            );
-                        }
-                    }
-                    for (&id, j) in t.jobs.iter() {
-                        if let JobState::Running { token, .. } = &j.state {
-                            token.cancel();
-                            let _g = j.trace.clone().map(|s| scoped_job(s, id));
-                            magis_obs::event!(
-                                "magis_serve",
-                                "drain_cancel",
-                                id = id,
-                                was = "running"
-                            );
-                        }
-                    }
+                    t.queue.clear();
                     inner.m.queue_depth.set(0.0);
+                    for (&id, j) in t.jobs.iter_mut() {
+                        let was = j.state.name();
+                        match &j.state {
+                            JobState::Queued => j.state = JobState::Interrupted,
+                            JobState::Running { token, .. } => token.cancel(),
+                            _ => continue,
+                        }
+                        let _g = j.trace.clone().map(|s| scoped_job(s, id));
+                        magis_obs::event!("magis_serve", "drain_cancel", id = id, was = was);
+                    }
                 }
                 let (guard, _) = inner.cv.wait_timeout(t, POLL).unwrap();
                 t = guard;
@@ -391,8 +429,8 @@ impl Server {
             t.closed = true;
         }
         inner.cv.notify_all();
-        for h in helpers {
-            let _ = h.join();
+        for w in workers {
+            let _ = w.join();
         }
         inner.m.drain_seconds.set(t0.elapsed().as_secs_f64());
         // Deliberately field-less: the wall time lives in the
@@ -439,17 +477,7 @@ fn admit(inner: &Inner, spec: JobSpec) -> Result<u64, Json> {
         let _g = tsink.clone().map(|s| scoped_job(s, id));
         magis_obs::event!("magis_serve", "admitted", id = id, client = spec.client.clone());
     }
-    t.jobs.insert(
-        id,
-        Job {
-            spec,
-            state: JobState::Queued,
-            dir,
-            admitted: Instant::now(),
-            progress: Arc::new(ProgressCell::default()),
-            trace: tsink,
-        },
-    );
+    t.jobs.insert(id, Job::new(spec, JobState::Queued, dir, tsink));
     t.queue.push_back(id);
     inner.m.accepted.inc();
     inner.m.queue_depth.set(t.queue.len() as f64);
@@ -472,16 +500,18 @@ fn worker_loop(inner: &Arc<Inner>) {
             continue;
         };
         let token = CancelToken::new();
-        let (spec, dir, cell, tsink, admitted) = {
-            let j = t.jobs.get_mut(&id).expect("queued id is in the table");
-            j.state = JobState::Running {
-                token: token.clone(),
-                last_beats: 0,
-                last_progress: Instant::now(),
-                stalled: false,
-            };
-            (j.spec.clone(), j.dir.clone(), j.progress.clone(), j.trace.clone(), j.admitted)
+        let j = t.jobs.get_mut(&id).expect("queued id is in the table");
+        j.state = JobState::Running {
+            token: token.clone(),
+            last_beats: 0,
+            last_progress: Instant::now(),
+            stalled: false,
         };
+        let (spec, dir, tsink, admitted) =
+            (j.spec.clone(), j.dir.clone(), j.trace.clone(), j.admitted);
+        // An identical submission that already completed
+        // deterministically is served its result without a search.
+        let hit = t.cached(&spec);
         t.running += 1;
         inner.m.queue_depth.set(t.queue.len() as f64);
         inner.m.running.set(t.running as f64);
@@ -489,144 +519,90 @@ fn worker_loop(inner: &Arc<Inner>) {
 
         let waited = admitted.elapsed();
         inner.m.queue_wait_seconds.observe(waited.as_secs_f64());
-        {
-            let _g = tsink.clone().map(|s| scoped_job(s, id));
-            trace::span_with_dur(
-                "magis_serve",
-                "queue_wait",
-                waited,
-                vec![("id".to_string(), trace::FieldValue::U64(id))],
-            );
-        }
-
-        // Cross-request cache: identical submissions that already
-        // completed deterministically are served without a search.
-        let cached = inner.cache.lock().unwrap().get(spec.cache_key()).cloned();
-        let outcome = match cached {
-            Some(hit) => {
+        job_span(&tsink, id, "queue_wait", waited);
+        let state = match hit {
+            Some(result) => {
                 inner.m.cache_hits.inc();
-                Attempt::CacheHit(hit)
+                JobState::Done { result, cached: true }
             }
             None => {
                 inner.m.cache_misses.inc();
                 let progress: Arc<dyn ProgressSink> =
-                    Arc::new(JobProgress { cell, inner: inner.clone() });
+                    Arc::new(JobProgress { inner: inner.clone(), id });
                 let run_t0 = Instant::now();
                 let attempt = catch_unwind(AssertUnwindSafe(|| {
                     // The scoped guard lives inside the search thread:
                     // every span/event the optimizer emits lands in the
                     // job's trace.jsonl tagged `job = id`.
                     let _g = tsink.clone().map(|s| scoped_job(s, id));
-                    run_job(&spec, &dir, token.clone(), Some(progress))
+                    run_job(&spec, &dir, token, Some(progress))
                 }));
                 let dur = run_t0.elapsed();
                 inner.m.job_seconds.observe(dur.as_secs_f64());
-                {
-                    let _g = tsink.clone().map(|s| scoped_job(s, id));
-                    trace::span_with_dur(
-                        "magis_serve",
-                        "run",
-                        dur,
-                        vec![("id".to_string(), trace::FieldValue::U64(id))],
-                    );
-                }
+                job_span(&tsink, id, "run", dur);
                 match attempt {
-                    Ok(Ok(res)) if res.stop_reason == "cancelled" => Attempt::Cancelled,
-                    Ok(Ok(res)) => Attempt::Finished(res),
-                    Ok(Err(e)) => Attempt::Failed(e),
-                    Err(p) => Attempt::Failed(panic_text(p)),
+                    Ok(Ok(res)) if res.stop_reason == "cancelled" => JobState::Interrupted,
+                    Ok(Ok(result)) => JobState::Done { result, cached: false },
+                    Ok(Err(error)) => JobState::Failed { error },
+                    Err(p) => JobState::Failed { error: panic_text(p) },
                 }
             }
         };
-        settle(inner, id, &dir, outcome, tsink);
+        settle(inner, id, &dir, state, tsink);
     }
-}
-
-enum Attempt {
-    Finished(JobResult),
-    CacheHit(JobResult),
-    Cancelled,
-    Failed(String),
 }
 
 fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        format!("worker panicked: {s}")
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        format!("worker panicked: {s}")
-    } else {
-        "worker panicked".into()
-    }
+    let text = p.downcast_ref::<&str>().copied().or(p.downcast_ref::<String>().map(String::as_str));
+    text.map_or("worker panicked".into(), |s| format!("worker panicked: {s}"))
 }
 
-/// Applies one attempt's outcome: journal first, then the in-memory
-/// transition, then wake waiters.
-fn settle(
-    inner: &Inner,
-    id: u64,
-    dir: &std::path::Path,
-    outcome: Attempt,
-    tsink: Option<Arc<JsonlSink>>,
-) {
+/// Settles running job `id` into `state` (`Done`, `Failed` or
+/// `Interrupted`): journal first, then the in-memory transition, then
+/// wake waiters.
+fn settle(inner: &Inner, id: u64, dir: &Path, state: JobState, tsink: Option<Arc<JsonlSink>>) {
     // Every lifecycle event below is also routed (tagged `job = id`)
     // into the job's trace.jsonl; dropping the guard flushes it, so a
     // settled job's trace is complete on disk.
     let guard = tsink.map(|s| scoped_job(s, id));
     // Terminal journal writes happen outside the table lock; the job
     // is still in `Running` state so no other worker can touch it.
-    let state = match outcome {
-        Attempt::Finished(res) | Attempt::CacheHit(res)
-            if journal::record_result(dir, &res).is_err() =>
-        {
-            // Unjournalable success: still serve it to the waiting
-            // client, but warn — a crash would re-run this job.
-            let fields = magis_obs::fields!(id = id);
-            warn("result_journal_failed", fields, format_args!("job {id}: result journaling failed"));
-            JobState::Done { result: res, cached: false }
-        }
-        Attempt::Finished(res) => {
-            if res.deterministic {
-                let t = inner.table.lock().unwrap();
-                let key = t.jobs.get(&id).map(|j| j.spec.cache_key());
-                drop(t);
-                if let Some(key) = key {
-                    inner.cache.lock().unwrap().insert(key, res.clone());
-                }
+    match &state {
+        JobState::Done { result, cached } => {
+            if journal::record_result(dir, result).is_err() {
+                // Still served, counted and cached; but a crash would
+                // re-run this job.
+                let msg = format_args!("job {id}: result journaling failed");
+                warn("result_journal_failed", magis_obs::fields!(id = id), msg);
             }
             inner.m.completed.inc();
-            magis_obs::event!("magis_serve", "job_done", id = id, stop = res.stop_reason.clone());
-            JobState::Done { result: res, cached: false }
+            let stop = if *cached { "cache-hit" } else { result.stop_reason.as_str() };
+            magis_obs::event!("magis_serve", "job_done", id = id, stop = stop);
         }
-        Attempt::CacheHit(res) => {
-            inner.m.completed.inc();
-            magis_obs::event!("magis_serve", "job_done", id = id, stop = "cache-hit");
-            JobState::Done { result: res, cached: true }
-        }
-        Attempt::Cancelled => {
-            // Journal entry stays unsettled: the next start resumes it
-            // from the checkpoint the cancelled search just wrote.
-            magis_obs::event!("magis_serve", "job_interrupted", id = id);
-            JobState::Interrupted
-        }
-        Attempt::Failed(e) => {
-            let _ = journal::record_failure(dir, &e);
+        JobState::Failed { error } => {
+            let _ = journal::record_failure(dir, error);
             inner.m.failed.inc();
-            let fields = magis_obs::fields!(id = id, error = e.as_str());
-            warn("job_failed", fields, format_args!("job {id} failed: {e}"));
-            JobState::Failed { error: e }
+            let fields = magis_obs::fields!(id = id, error = error.as_str());
+            warn("job_failed", fields, format_args!("job {id} failed: {error}"));
         }
-    };
+        // The journal entry stays unsettled: the next start resumes it
+        // from the checkpoint the cancelled search just wrote.
+        _ => magis_obs::event!("magis_serve", "job_interrupted", id = id),
+    }
     // Flush before the state becomes visible: whoever sees the job
     // settled finds its complete trace on disk.
     drop(guard);
     let mut t = inner.table.lock().unwrap();
-    if let Some(j) = t.jobs.get_mut(&id) {
-        if matches!(state, JobState::Done { .. } | JobState::Failed { .. }) {
-            // A settled job records nothing more: release its sink, or
-            // the daemon holds one open descriptor per job ever served.
-            j.trace = None;
-        }
-        j.state = state;
+    let j = t.jobs.get_mut(&id).expect("a settling job is in the table");
+    let deterministic = matches!(&state, JobState::Done { result, .. } if result.deterministic);
+    if matches!(state, JobState::Done { .. } | JobState::Failed { .. }) {
+        // A settled job records nothing more: release its sink, or the
+        // daemon holds one open descriptor per job ever served.
+        j.trace = None;
+    }
+    j.state = state;
+    if deterministic {
+        t.remember(id, inner.cfg.result_cache);
     }
     t.running -= 1;
     inner.m.running.set(t.running as f64);
@@ -642,34 +618,27 @@ fn warn(name: &str, fields: Vec<(String, trace::FieldValue)>, msg: std::fmt::Arg
     trace::event("magis_serve", name, fields);
 }
 
-/// Flags running jobs whose candidate-eval heartbeat has stalled. The
-/// watchdog never kills a job — evaluation is sandboxed and
-/// cancellation cooperative — it makes the stall observable
-/// (`magis_serve_watchdog_stalls`, a [`warn`] line, a trace event).
-fn watchdog_loop(inner: &Inner) {
+/// Flags each running job whose candidate-eval heartbeat has not moved
+/// for `stall_after_ms` as of `now`, once per stall, and clears the
+/// flag when it moves again. A flag never kills a job — evaluation is
+/// sandboxed and cancellation cooperative — it makes the stall
+/// observable: `status` shows `"stalled":true`,
+/// `magis_serve_watchdog_stalls` counts it, and a [`warn`] says it.
+/// The accept loop and the drain loop call this every `POLL`.
+fn flag_stalls(inner: &Inner, t: &mut Table, now: Instant) {
     let stall_after = Duration::from_millis(inner.cfg.stall_after_ms);
-    loop {
-        let t = inner.table.lock().unwrap();
-        if t.closed {
-            return;
-        }
-        let mut t = inner.cv.wait_timeout(t, POLL.max(Duration::from_millis(50))).unwrap().0;
-        let now = Instant::now();
-        for (&id, job) in t.jobs.iter_mut() {
-            if let JobState::Running { token, last_beats, last_progress, stalled } =
-                &mut job.state
-            {
-                let beats = token.beats();
-                if beats != *last_beats {
-                    *last_beats = beats;
-                    *last_progress = now;
-                    *stalled = false;
-                } else if !*stalled && now.duration_since(*last_progress) > stall_after {
-                    *stalled = true;
-                    inner.m.watchdog_stalls.inc();
-                    let msg = format_args!("job {id}: no eval heartbeat for {stall_after:?}");
-                    warn("watchdog_stall", magis_obs::fields!(id = id), msg);
-                }
+    for (&id, job) in t.jobs.iter_mut() {
+        if let JobState::Running { token, last_beats, last_progress, stalled } = &mut job.state {
+            let beats = token.beats();
+            if beats != *last_beats {
+                *last_beats = beats;
+                *last_progress = now;
+                *stalled = false;
+            } else if !*stalled && now.duration_since(*last_progress) > stall_after {
+                *stalled = true;
+                inner.m.watchdog_stalls.inc();
+                let msg = format_args!("job {id}: no eval heartbeat for {stall_after:?}");
+                warn("watchdog_stall", magis_obs::fields!(id = id), msg);
             }
         }
     }
@@ -746,127 +715,88 @@ fn open_conn(stream: TcpStream) -> io::Result<(LineReader, TcpStream)> {
     Ok((LineReader { stream, buf: Vec::new(), scanned: 0 }, out))
 }
 
+/// Answers each request line with one reply and, for a waiting submit
+/// or a watch, the job's frames after it. A line past [`MAX_LINE`] is
+/// answered with a 400 and ends the connection.
 fn handle_conn(stream: TcpStream, inner: &Inner) {
     let Ok((mut reader, mut out)) = open_conn(stream) else { return };
     let stop = || inner.table.lock().unwrap().closed;
     loop {
-        let line = match reader.read_line(&stop) {
-            Ok(Some(line)) => line,
+        let line = reader.read_line(&stop);
+        let (reply, watch) = match &line {
+            Ok(Some(line)) if line.is_empty() => continue,
+            Ok(Some(line)) => answer(inner, line),
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let _ = send(&mut out, &reply::err(400, &e.to_string()));
-                return;
+                (reply::err(400, &e.to_string()), None)
             }
             _ => return,
         };
-        if line.is_empty() {
-            continue;
+        if send(&mut out, &reply).is_err()
+            || line.is_err()
+            || watch.is_some_and(|id| !stream_until_done(inner, id, &mut out))
+        {
+            return;
         }
-        let req = match Json::parse(&line) {
-            Ok(j) => j,
-            Err(e) => {
-                let _ = send(&mut out, &reply::err(400, &format!("bad request: {e}")));
-                continue;
-            }
-        };
-        let cmd = req.get("cmd").and_then(Json::as_str).unwrap_or("");
-        match cmd {
-            "ping" => {
-                let t = inner.table.lock().unwrap();
-                let r = reply::ok(vec![
-                    ("pong".into(), Json::Bool(true)),
-                    ("queued".into(), Json::UInt(t.queue.len() as u64)),
-                    ("running".into(), Json::UInt(t.running as u64)),
-                ]);
-                drop(t);
-                if send(&mut out, &r).is_err() {
-                    return;
+    }
+}
+
+/// The reply to one request line, and the job whose frames follow it:
+/// the job of a waiting submit or of a watch.
+fn answer(inner: &Inner, line: &str) -> (Json, Option<u64>) {
+    let req = match Json::parse(line) {
+        Ok(j) => j,
+        Err(e) => return (reply::err(400, &format!("bad request: {e}")), None),
+    };
+    let id = req.get("id").and_then(Json::as_u64);
+    match req.get("cmd").and_then(Json::as_str).unwrap_or("") {
+        "ping" => {
+            let t = inner.table.lock().unwrap();
+            let pong = reply::ok(vec![
+                ("pong".into(), Json::Bool(true)),
+                ("queued".into(), Json::UInt(t.queue.len() as u64)),
+                ("running".into(), Json::UInt(t.running as u64)),
+            ]);
+            (pong, None)
+        }
+        "status" => match id {
+            None => (reply::err(400, "status needs an 'id'"), None),
+            Some(id) => (status_reply(inner, id), None),
+        },
+        "submit" => {
+            let spec = match req.get("job").map(JobSpec::from_json) {
+                Some(Ok(spec)) => spec,
+                Some(Err(e)) => return (reply::err(400, &e), None),
+                None => return (reply::err(400, "submit needs a 'job' object"), None),
+            };
+            match admit(inner, spec) {
+                Ok(id) => {
+                    let wait = matches!(req.get("wait"), Some(Json::Bool(true)));
+                    (reply::ok(vec![("id".into(), Json::UInt(id))]), wait.then_some(id))
                 }
-            }
-            "status" => {
-                let r = match req.get("id").and_then(Json::as_u64) {
-                    None => reply::err(400, "status needs an 'id'"),
-                    Some(id) => status_reply(inner, id),
-                };
-                if send(&mut out, &r).is_err() {
-                    return;
-                }
-            }
-            "submit" => {
-                let wait = matches!(req.get("wait"), Some(Json::Bool(true)));
-                let spec = match req.get("job").ok_or("submit needs a 'job' object") {
-                    Ok(j) => match JobSpec::from_json(j) {
-                        Ok(s) => s,
-                        Err(e) => {
-                            let _ = send(&mut out, &reply::err(400, &e));
-                            continue;
-                        }
-                    },
-                    Err(e) => {
-                        let _ = send(&mut out, &reply::err(400, e));
-                        continue;
-                    }
-                };
-                match admit(inner, spec) {
-                    Err(rejection) => {
-                        if send(&mut out, &rejection).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(id) => {
-                        let ack =
-                            reply::ok(vec![("id".to_string(), Json::UInt(id))]);
-                        if send(&mut out, &ack).is_err() {
-                            return;
-                        }
-                        if wait && !stream_until_done(inner, id, &mut out) {
-                            return;
-                        }
-                    }
-                }
-            }
-            "watch" => {
-                // Mid-flight attach: ack with the current state, then
-                // stream the same progress/done frames a waiting submit
-                // gets. Any number of watchers may subscribe; each gets
-                // its own frame stream off the job's progress cell.
-                match req.get("id").and_then(Json::as_u64) {
-                    None => {
-                        let _ = send(&mut out, &reply::err(400, "watch needs an 'id'"));
-                    }
-                    Some(id) => {
-                        let known = inner.table.lock().unwrap().jobs.contains_key(&id);
-                        if !known {
-                            let _ =
-                                send(&mut out, &reply::err(404, &format!("no such job {id}")));
-                            continue;
-                        }
-                        let ack = reply::ok(vec![
-                            ("id".to_string(), Json::UInt(id)),
-                            ("watching".into(), Json::Bool(true)),
-                        ]);
-                        if send(&mut out, &ack).is_err() {
-                            return;
-                        }
-                        if !stream_until_done(inner, id, &mut out) {
-                            return;
-                        }
-                    }
-                }
-            }
-            "metrics" => {
-                // Prometheus text exposition of the whole process
-                // registry (`magis_serve_*` plus any search metrics
-                // registered by jobs run in-process).
-                let text = magis_obs::metrics::default_registry().render();
-                let r = reply::ok(vec![("metrics".to_string(), Json::Str(text))]);
-                if send(&mut out, &r).is_err() {
-                    return;
-                }
-            }
-            other => {
-                let _ = send(&mut out, &reply::err(400, &format!("unknown cmd '{other}'")));
+                Err(rejection) => (rejection, None),
             }
         }
+        // Mid-flight attach: an ack, then the frames a waiting submit
+        // gets. Any number of watchers may follow one job.
+        "watch" => match id {
+            None => (reply::err(400, "watch needs an 'id'"), None),
+            Some(id) if !inner.table.lock().unwrap().jobs.contains_key(&id) => {
+                (reply::err(404, &format!("no such job {id}")), None)
+            }
+            Some(id) => {
+                let ack =
+                    vec![("id".into(), Json::UInt(id)), ("watching".into(), Json::Bool(true))];
+                (reply::ok(ack), Some(id))
+            }
+        },
+        // Prometheus text exposition of the whole process registry
+        // (`magis_serve_*` plus any search metrics registered by jobs
+        // run in-process).
+        "metrics" => {
+            let text = magis_obs::metrics::default_registry().render();
+            (reply::ok(vec![("metrics".into(), Json::Str(text))]), None)
+        }
+        other => (reply::err(400, &format!("unknown cmd '{other}'")), None),
     }
 }
 
@@ -930,6 +860,22 @@ impl JobState {
         f.extend(outcome);
         Some(Json::Obj(f))
     }
+
+    /// The heartbeat `progress` frame: the state and, while running,
+    /// the eval-beat counter.
+    fn heartbeat(&self, id: u64, started: Instant) -> Json {
+        let beats = match self {
+            JobState::Running { token, .. } => token.beats(),
+            _ => 0,
+        };
+        Json::Obj(vec![
+            ("event".to_string(), Json::Str("progress".into())),
+            ("id".into(), Json::UInt(id)),
+            ("state".into(), Json::Str(self.name().into())),
+            ("beats".into(), Json::UInt(beats)),
+            ("elapsed_ms".into(), Json::UInt(started.elapsed().as_millis() as u64)),
+        ])
+    }
 }
 
 /// Renders one search-progress snapshot as a `progress` frame. The
@@ -947,10 +893,7 @@ fn snapshot_frame(id: u64, seq: u64, snap: &ProgressSnapshot, started: Instant) 
         ("evaluated".into(), Json::UInt(snap.evaluated)),
         ("best_peak_bytes".into(), Json::UInt(snap.best_peak_bytes)),
         ("best_latency".into(), Json::Float(snap.best_latency)),
-        (
-            "best_latency_bits".into(),
-            Json::Str(format!("{:016x}", snap.best_latency.to_bits())),
-        ),
+        ("best_latency_bits".into(), Json::Str(format!("{:016x}", snap.best_latency.to_bits()))),
         ("frontier".into(), Json::UInt(snap.frontier_size)),
         ("pareto".into(), Json::UInt(snap.pareto_size)),
         ("eval_cache_hits".into(), Json::UInt(snap.eval_cache_hits)),
@@ -965,69 +908,48 @@ fn snapshot_frame(id: u64, seq: u64, snap: &ProgressSnapshot, started: Instant) 
 /// Streams `progress` events while the job runs and one final `done`
 /// event. Returns `false` when the client went away.
 ///
-/// Progress comes from two sources: whenever the job's
-/// [`ProgressCell`] holds a newer search snapshot a full
-/// [`snapshot_frame`] goes out immediately, and while there is no
-/// search news (job still queued, search between expansions) a
-/// heartbeat frame with the eval-beat counter goes out every
-/// [`PROGRESS_EVERY`].
+/// Progress comes from two sources: whenever the job's entry holds a
+/// newer search snapshot a full [`snapshot_frame`] goes out at once,
+/// and while there is no search news (job still queued, search between
+/// expansions) a heartbeat frame goes out every [`PROGRESS_EVERY`].
 fn stream_until_done(inner: &Inner, id: u64, out: &mut TcpStream) -> bool {
     let started = Instant::now();
-    let mut last_sent = Instant::now();
+    let mut last_sent = started;
     let mut last_seq = 0u64;
-    let cell = {
-        let t = inner.table.lock().unwrap();
-        t.jobs.get(&id).map(|j| j.progress.clone())
-    };
     let mut t = inner.table.lock().unwrap();
     loop {
-        // Flush any unseen search snapshot first, so the final `done`
-        // event never beats the job's last progress frame to the wire.
-        let news = cell
-            .as_ref()
-            .map(|c| c.read())
-            .filter(|(seq, snap)| *seq > last_seq && snap.is_some());
-        if let Some((seq, Some(snap))) = news {
-            last_seq = seq;
-            last_sent = Instant::now();
-            let frame = snapshot_frame(id, seq, &snap, started);
-            drop(t);
-            if send(out, &frame).is_err() {
-                return false;
-            }
-            t = inner.table.lock().unwrap();
-            continue;
-        }
-        let final_event = match t.jobs.get(&id).map(|j| &j.state) {
-            None => Some(reply::err(404, &format!("job {id} vanished"))),
-            Some(state) => state.done_frame(id, t.closed),
+        // `(frame, whether it ends the stream)`.
+        let next = match t.jobs.get(&id) {
+            None => Some((reply::err(404, &format!("job {id} vanished")), true)),
+            Some(job) => match &job.progress {
+                // Any unseen search snapshot goes first, so the `done`
+                // event never beats the job's last progress frame.
+                Some((seq, snap)) if *seq > last_seq => {
+                    last_seq = *seq;
+                    Some((snapshot_frame(id, *seq, snap, started), false))
+                }
+                _ => match job.state.done_frame(id, t.closed) {
+                    Some(done) => Some((done, true)),
+                    None if last_sent.elapsed() >= PROGRESS_EVERY => {
+                        Some((job.state.heartbeat(id, started), false))
+                    }
+                    None => None,
+                },
+            },
         };
-        if let Some(ev) = final_event {
-            drop(t);
-            return send(out, &ev).is_ok();
+        let Some((frame, last)) = next else {
+            t = inner.cv.wait_timeout(t, POLL).unwrap().0;
+            continue;
+        };
+        drop(t);
+        last_sent = Instant::now();
+        if send(out, &frame).is_err() {
+            return false;
         }
-        if last_sent.elapsed() >= PROGRESS_EVERY {
-            last_sent = Instant::now();
-            let state = &t.jobs[&id].state;
-            let beats = match state {
-                JobState::Running { token, .. } => token.beats(),
-                _ => 0,
-            };
-            let progress = Json::Obj(vec![
-                ("event".to_string(), Json::Str("progress".into())),
-                ("id".into(), Json::UInt(id)),
-                ("state".into(), Json::Str(state.name().into())),
-                ("beats".into(), Json::UInt(beats)),
-                ("elapsed_ms".into(), Json::UInt(started.elapsed().as_millis() as u64)),
-            ]);
-            drop(t);
-            if send(out, &progress).is_err() {
-                return false;
-            }
-            t = inner.table.lock().unwrap();
+        if last {
+            return true;
         }
-        let (guard, _) = inner.cv.wait_timeout(t, POLL).unwrap();
-        t = guard;
+        t = inner.table.lock().unwrap();
     }
 }
 
@@ -1133,7 +1055,7 @@ mod tests {
                     state,
                     dir: state_dir.clone(),
                     admitted: Instant::now(),
-                    progress: Arc::new(ProgressCell::default()),
+                    progress: None,
                     trace: None,
                 };
                 t.jobs.insert(1, job);
@@ -1144,6 +1066,195 @@ mod tests {
         let missing = r#"{"ok":false,"code":404,"error":"no such job 2"}"#;
         assert_eq!(status_reply(&server.inner, 2).render(), missing);
         assert_eq!(done_line(2), "{\"ok\":false,\"code\":404,\"error\":\"job 2 vanished\"}\n");
+        let _ = std::fs::remove_dir_all(&state_dir);
+    }
+
+    /// Every reply a request line gets that is not a job's outcome, byte
+    /// for byte: `ping`, the submit and watch acks, the 400s and 404s,
+    /// and the frame that ends a watch when the server closes.
+    #[test]
+    fn request_replies_are_pinned() {
+        let (server, state_dir) = bind("request_wire");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        let mut lines = io::BufRead::lines(io::BufReader::new(client.try_clone().unwrap()));
+        let cases = [
+            (r#"{"cmd":"ping"}"#, r#"{"ok":true,"pong":true,"queued":0,"running":0}"#),
+            (r#"{"cmd":"submit","job":{"workload":"unet"}}"#, r#"{"ok":true,"id":1}"#),
+            (r#"{"cmd":"ping"}"#, r#"{"ok":true,"pong":true,"queued":1,"running":0}"#),
+            (r#"{"cmd":"status","id":9}"#, r#"{"ok":false,"code":404,"error":"no such job 9"}"#),
+            (r#"{"cmd":"watch","id":9}"#, r#"{"ok":false,"code":404,"error":"no such job 9"}"#),
+            (r#"{"cmd":"status"}"#, r#"{"ok":false,"code":400,"error":"status needs an 'id'"}"#),
+            (r#"{"cmd":"watch"}"#, r#"{"ok":false,"code":400,"error":"watch needs an 'id'"}"#),
+            (
+                r#"{"cmd":"submit"}"#,
+                r#"{"ok":false,"code":400,"error":"submit needs a 'job' object"}"#,
+            ),
+            (
+                r#"{"cmd":"submit","job":{"mode":"vibes","workload":"unet"}}"#,
+                r#"{"ok":false,"code":400,"error":"unknown mode 'vibes' (expected memory|latency)"}"#,
+            ),
+            (r#"{"cmd":"dance"}"#, r#"{"ok":false,"code":400,"error":"unknown cmd 'dance'"}"#),
+            (
+                "{",
+                r#"{"ok":false,"code":400,"error":"bad request: json error at byte 1: expected '\"'"}"#,
+            ),
+            (r#"{"cmd":"watch","id":1}"#, r#"{"ok":true,"id":1,"watching":true}"#),
+        ];
+        let replies: Vec<String> = thread::scope(|s| {
+            s.spawn(|| handle_conn(conn, &server.inner));
+            let mut replies = Vec::new();
+            for (request, _) in cases {
+                writeln!(&client, "{request}").unwrap();
+                replies.push(lines.next().unwrap().unwrap());
+            }
+            server.inner.table.lock().unwrap().closed = true;
+            server.inner.cv.notify_all();
+            // Heartbeats carry wall-clock fields; the frame after them is pinned.
+            replies.extend(
+                lines.map(Result::unwrap).find(|l| !l.starts_with(r#"{"event":"progress""#)),
+            );
+            replies
+        });
+        let closed = r#"{"event":"done","id":1,"ok":false,"error":"server closed"}"#;
+        let expected: Vec<&str> = cases.iter().map(|c| c.1).chain([closed]).collect();
+        assert_eq!(replies, expected);
+        let _ = std::fs::remove_dir_all(&state_dir);
+    }
+
+    /// A server bound to a fresh state directory, never run.
+    fn bind(name: &str) -> (Server, PathBuf) {
+        let state_dir =
+            std::env::temp_dir().join(format!("magis_serve_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&state_dir);
+        let cfg = ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            state_dir: state_dir.clone(),
+            ..ServeConfig::default()
+        };
+        (Server::bind(cfg).unwrap(), state_dir)
+    }
+
+    /// A deterministic result, as a capped search returns it.
+    fn capped_result(peak_bytes: u64) -> JobResult {
+        JobResult {
+            peak_bytes,
+            latency: 0.5,
+            planned_peak_bytes: None,
+            stop_reason: "eval-cap-reached".into(),
+            deterministic: true,
+            evaluated: 40,
+            expanded: 3,
+            resumed: false,
+            pareto: vec![(peak_bytes, 0.5)],
+            trajectory_digest: 7,
+            timeline: Json::Null,
+        }
+    }
+
+    fn unet_at(scale: f64) -> JobSpec {
+        JobSpec { workload: Some("unet".into()), scale, ..JobSpec::default() }
+    }
+
+    #[test]
+    fn the_result_cache_keeps_the_first_job_per_key_and_evicts_the_oldest() {
+        let mut t = Table::default();
+        let peak = |t: &Table, scale| t.cached(&unet_at(scale)).map(|r| r.peak_bytes);
+        let settle = |t: &mut Table, id, scale, peak_bytes| {
+            let done = JobState::Done { result: capped_result(peak_bytes), cached: false };
+            t.jobs.insert(id, Job::new(unet_at(scale), done, PathBuf::new(), None));
+            t.remember(id, 2);
+        };
+        settle(&mut t, 1, 0.1, 10);
+        settle(&mut t, 2, 0.1, 11);
+        assert_eq!(peak(&t, 0.1), Some(10), "the first job per key wins");
+        settle(&mut t, 3, 0.2, 20);
+        settle(&mut t, 4, 0.3, 30);
+        assert_eq!((peak(&t, 0.1), peak(&t, 0.2), peak(&t, 0.3)), (None, Some(20), Some(30)));
+        assert_eq!(t.cache.len(), 2, "the oldest entry is evicted");
+    }
+
+    #[test]
+    fn a_zero_result_cache_indexes_nothing() {
+        let mut t = Table::default();
+        let done = JobState::Done { result: capped_result(10), cached: false };
+        t.jobs.insert(1, Job::new(unet_at(0.1), done, PathBuf::new(), None));
+        t.remember(1, 0);
+        assert!(t.cache.is_empty());
+        assert_eq!(t.cached(&unet_at(0.1)), None);
+    }
+
+    fn running(token: CancelToken, since: Instant) -> JobState {
+        JobState::Running { token, last_beats: 0, last_progress: since, stalled: false }
+    }
+
+    /// A finished job whose `result.json` cannot be written is still
+    /// served with its own `cached` flag, counted as completed, and
+    /// indexed in the result cache.
+    #[test]
+    fn a_done_job_whose_result_journal_fails_is_counted_and_cached() {
+        let (server, state_dir) = bind("unjournaled");
+        let inner = &server.inner;
+        let spec = unet_at(0.15);
+        {
+            let mut t = inner.table.lock().unwrap();
+            let job = Job::new(
+                spec.clone(),
+                running(CancelToken::new(), Instant::now()),
+                state_dir.clone(),
+                None,
+            );
+            t.jobs.insert(1, job);
+            t.running = 1;
+        }
+        let result = capped_result(4096);
+        let completed = inner.m.completed.get();
+        let missing = state_dir.join("no-such-job-dir");
+        settle(inner, 1, &missing, JobState::Done { result: result.clone(), cached: true }, None);
+        assert!(!missing.join("result.json").exists());
+        let status = status_reply(inner, 1).render();
+        assert!(status.contains(r#""state":"done","cached":true"#), "{status}");
+        assert_eq!(inner.m.completed.get() - completed, 1, "the served job is counted");
+        assert_eq!(inner.table.lock().unwrap().cached(&spec), Some(result));
+        let _ = std::fs::remove_dir_all(&state_dir);
+    }
+
+    /// The stall check, at explicit instants: a running job whose
+    /// heartbeat never moves is flagged once after `stall_after_ms`,
+    /// counted once, shown in `status`, and cleared by a beat.
+    #[test]
+    fn a_stalled_heartbeat_is_flagged_once_and_cleared_by_a_beat() {
+        let (server, state_dir) = bind("stall");
+        let inner = &server.inner;
+        let token = CancelToken::new();
+        let t0 = Instant::now();
+        let job = Job::new(JobSpec::default(), running(token.clone(), t0), state_dir.clone(), None);
+        inner.table.lock().unwrap().jobs.insert(1, job);
+        let after = Duration::from_millis(inner.cfg.stall_after_ms);
+        let ms = Duration::from_millis;
+        let check = |now: Instant| flag_stalls(inner, &mut inner.table.lock().unwrap(), now);
+        let stalled = || {
+            let status = status_reply(inner, 1).render();
+            assert!(status.contains(r#""state":"running""#), "{status}");
+            status.contains(r#""stalled":true"#)
+        };
+        let stalls = inner.m.watchdog_stalls.get();
+        check(t0 + after);
+        assert!(!stalled(), "not flagged before stall_after_ms has passed");
+        check(t0 + after + ms(1));
+        assert!(stalled());
+        check(t0 + after + ms(2));
+        assert!(stalled());
+        assert_eq!(inner.m.watchdog_stalls.get() - stalls, 1, "one stall counts once");
+        token.beat();
+        check(t0 + after + ms(3));
+        assert!(!stalled(), "a beat clears the flag");
+        check(t0 + after + after + ms(3));
+        assert!(!stalled(), "the beat restarted the clock");
+        check(t0 + after + after + ms(4));
+        assert!(stalled(), "a second stall is flagged");
+        assert_eq!(inner.m.watchdog_stalls.get() - stalls, 2);
         let _ = std::fs::remove_dir_all(&state_dir);
     }
 }

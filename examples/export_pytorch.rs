@@ -1,13 +1,14 @@
 //! End-to-end export: optimize a training graph, then emit a PyTorch
 //! program for the optimized graph (§7.1's code generation backend)
-//! and a Graphviz rendering of it. The program runs a fresh schedule
-//! of the optimized graph, not the order the search found.
+//! and a Graphviz rendering of the search's graph, as `--emit dot`
+//! writes it. The program runs a fresh schedule of the optimized
+//! graph, not the order the search found.
 //!
 //! ```sh
 //! cargo run --release --example export_pytorch > optimized.py
 //! ```
 
-use magis::core::codegen::generate_pytorch;
+use magis::core::codegen::export_pytorch;
 use magis::graph::io::to_dot;
 use magis::prelude::*;
 use std::time::Duration;
@@ -33,17 +34,8 @@ fn main() {
         100.0 * (best.eval.latency / before.eval.latency - 1.0),
     );
 
-    // Fission regions (if any) must be materialized before export.
-    let mut g = best.base.clone();
-    for i in best.ftree.enabled_order() {
-        g = magis::core::fission::apply_full(&g, &best.ftree.node(i).spec)
-            .expect("enabled specs are valid");
-    }
-    let order = magis::sched::full_schedule(&g, &Default::default());
-    let order = magis::sched::place_swaps(&g, &order, &CostModel::default());
-
-    let code = generate_pytorch(&g, &order).expect("materialized graph exports");
+    let code = export_pytorch(best, &CostModel::default()).expect("the incumbent exports");
     println!("{code}");
     eprintln!("--- also wrote optimized.dot ---");
-    std::fs::write("optimized.dot", to_dot(&g)).expect("write dot");
+    std::fs::write("optimized.dot", to_dot(&best.eval.graph)).expect("write dot");
 }

@@ -4,11 +4,9 @@
 //! table of accepted flags ([`command`]).
 
 use magis_baselines::BaselineKind;
-use magis_core::codegen::generate_pytorch;
-use magis_core::fission::apply_full;
+use magis_core::codegen::export_pytorch;
 use magis_core::optimizer::{CheckpointPolicy, OptimizeResult, ParanoiaLevel};
 use magis_core::state::{EvalContext, EvalMode, MState};
-use magis_graph::graph::Graph;
 use magis_graph::io::{to_dot, to_text};
 use magis_graph::GraphView;
 use magis_models::Workload;
@@ -533,19 +531,7 @@ fn render(best: &MState, emit: &str, cm: &CostModel) -> Result<String, CliError>
     match emit {
         "dot" => Ok(to_dot(&best.eval.graph)),
         "text" => Ok(to_text(&best.eval.graph)),
-        "py" => {
-            // Materialize fission, then schedule the result afresh: the
-            // program runs a fresh schedule of the optimized graph, not
-            // the order the search found.
-            let mut g: Graph = best.base.clone();
-            for i in best.ftree.enabled_order() {
-                g = apply_full(&g, &best.ftree.node(i).spec)
-                    .map_err(|e| CliError::Runtime(format!("materializing fission: {e}")))?;
-            }
-            let order = magis_sched::full_schedule(&g, &Default::default());
-            let order = magis_sched::place_swaps(&g, &order, cm);
-            generate_pytorch(&g, &order).map_err(|e| CliError::Runtime(e.to_string()))
-        }
+        "py" => export_pytorch(best, cm).map_err(|e| CliError::Runtime(e.to_string())),
         other => Err(CliError::Usage(format!("unknown --emit format '{other}'"))),
     }
 }
@@ -1482,5 +1468,29 @@ mod tests {
         .unwrap();
         let t = std::fs::read_to_string("/tmp/magis_cli_test.txt").unwrap();
         assert!(t.contains("conv2d"));
+    }
+
+    #[test]
+    fn emit_py_writes_the_exported_program() {
+        let out = std::env::temp_dir().join(format!("magis_cli_emit_{}.py", std::process::id()));
+        run(&s(&[
+            "optimize",
+            "--workload",
+            "unet",
+            "--scale",
+            "0.1",
+            "--max-candidates",
+            "40",
+            "--threads",
+            "1",
+            "--emit",
+            "py",
+            "--out",
+            out.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let program = std::fs::read_to_string(&out).unwrap();
+        assert!(program.contains("def run("), "{program}");
+        let _ = std::fs::remove_file(&out);
     }
 }

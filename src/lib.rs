@@ -31,13 +31,14 @@
 //! let tg = magis::models::mlp::mlp(&Default::default());
 //!
 //! // Minimize peak memory, allowing 10% extra latency.
-//! let cfg = OptimizerConfig::default()
+//! let seed = MState::initial(tg.graph, &EvalContext::default());
+//! let seed_peak = seed.eval.peak_bytes;
+//! let objective = Objective::relative("memory", Some(1.10), seed.cost()).unwrap();
+//! let cfg = OptimizerConfig::new(objective)
 //!     .with_budget(Duration::from_millis(500))
 //!     .with_max_evals(60);
-//! let result = optimize_memory(tg.graph.clone(), 1.10, &cfg);
-//!
-//! let before = MState::initial(tg.graph, &EvalContext::default());
-//! assert!(result.best.eval.peak_bytes <= before.eval.peak_bytes);
+//! let result = optimize_from(seed, &cfg);
+//! assert!(result.best.eval.peak_bytes <= seed_peak);
 //! ```
 
 pub use magis_baselines as baselines;
@@ -51,9 +52,7 @@ pub use magis_sim as sim;
 
 /// The names most programs need.
 pub mod prelude {
-    pub use magis_core::optimizer::{
-        optimize, optimize_latency, optimize_memory, Objective, OptimizerConfig,
-    };
+    pub use magis_core::optimizer::{optimize, optimize_from, Objective, OptimizerConfig};
     pub use magis_core::state::{EvalContext, MState};
     pub use magis_core::{FTree, FissionSpec};
     pub use magis_graph::builder::GraphBuilder;
