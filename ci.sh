@@ -141,6 +141,22 @@ if grep -rn -E 'pub fn (evaluate|simulate|simulate_latency|memory_profile)[<(]' 
         "the trace recorder, CostModel::for_backend"
     exit 1
 fi
+# One digest function: the full hash and the carried one make a node's
+# digest with the one `node_digest` of hash.rs (called once by each, and
+# the only reader of a node's label), and outside its tests
+# candidate.rs hashes a whole graph only to cross-check a carried hash
+# under `ParanoiaLevel::All`.
+non_test() { awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
+HASH_SRC="$(non_test crates/graph/src/algo/hash.rs)"
+CAND_HASHES="$(non_test crates/core/src/optimizer/candidate.rs | grep 'graph_hash(' || true)"
+if [ "$(grep -c 'fn node_digest' <<<"$HASH_SRC")" != 1 ] \
+    || [ "$(grep -c 'node_digest(' <<<"$HASH_SRC")" != 2 ] \
+    || [ "$(grep -c 'node_label(' <<<"$HASH_SRC")" != 1 ] \
+    || [ "$(grep -c . <<<"$CAND_HASHES")" != 1 ] \
+    || ! grep -q 'ParanoiaLevel::All' <<<"$CAND_HASHES"; then
+    echo "one digest function: node_digest in hash.rs; candidate.rs calls graph_hash( only to cross-check"
+    exit 1
+fi
 # The daemon keeps each job in one table under one lock: the non-test
 # part of crates/serve/src names `Mutex<` once, spawns threads at two
 # sites (the workers and the connection handlers), and has no per-job

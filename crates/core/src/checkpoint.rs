@@ -573,7 +573,7 @@ impl StateRecord {
         let graph = build_overlay_graph(&base, &ftree).map_err(EvalError::from)?;
         let order: Vec<NodeId> = self.order.iter().map(|&i| NodeId::from_index(i)).collect();
         validate_schedule(&graph, &order)?;
-        let eval = evaluate_order(&base, graph, order, None, None, ctx)?;
+        let eval = evaluate_order(&base, graph, order, None, None, ctx, ctx.perf.as_ref())?;
         Ok(MState { base, ftree, eval, tree_stale: self.tree_stale })
     }
 

@@ -1,15 +1,17 @@
 //! One candidate, evaluated: apply → overlay → hash → cache lookup →
 //! incremental reschedule + simulate in a panic sandbox, and the
 //! invariant re-check the paranoia gates use. Workers run this; the
-//! engine's merge consumes the [`CandOutcome`]s.
+//! engine's merge consumes the [`CandOutcome`]s. A fan-out's children
+//! carry their hash and node latencies from [`ParentTables`].
 
 use super::config::{OptimizerConfig, ParanoiaLevel};
 use crate::eval_cache::EvalCache;
 use crate::rules::{self, Transform};
 use crate::state::{evaluate_overlay, EvalContext, EvalError, MState};
-use magis_graph::algo::graph_hash;
+use magis_graph::algo::{child_hash, graph_hash, ParentDigests};
+use magis_graph::GraphView;
 use magis_sched::validate_schedule;
-use magis_sim::{evaluate_checked, MemoryPlan};
+use magis_sim::{evaluate_checked, LatencyTable, MemoryPlan};
 use magis_util::fault::{FaultPlan, FaultSite};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -102,6 +104,28 @@ pub(super) struct CandOutcome {
     pub(super) verdict: Verdict,
 }
 
+/// What each child of one fan-out reads from its parent's overlay
+/// instead of recomputing it: the forward digests of the graph hash and
+/// the node latencies. Built once per batch on the driver thread and
+/// dropped after its merge, so no retained state grows.
+pub(super) struct ParentTables<'c> {
+    digests: ParentDigests,
+    latencies: LatencyTable<'c>,
+}
+
+impl<'c> ParentTables<'c> {
+    /// The tables of `parent`'s overlay, and the time each took.
+    pub(super) fn of(parent: &MState, ctx: &'c EvalContext) -> (Self, PhaseTimes) {
+        let t0 = Instant::now();
+        let digests = ParentDigests::of(&parent.eval.graph);
+        let hash = t0.elapsed();
+        let t0 = Instant::now();
+        let latencies = ctx.perf.table(&parent.eval.graph);
+        let times = PhaseTimes { sched_sim: t0.elapsed(), hash, ..PhaseTimes::default() };
+        (ParentTables { digests, latencies }, times)
+    }
+}
+
 /// Re-checks the structural invariants of an evaluated state: the
 /// overlay graph validates, the schedule is a topological exactly-once
 /// cover of it, and — the cross-check — an independent evaluation of
@@ -164,11 +188,17 @@ pub(super) fn check_invariants(child: &MState, ctx: &EvalContext) -> Result<(), 
 /// `fault_key` keys the config's fault plan, if any: it is derived
 /// from the (expansion, candidate) pair, never from thread identity or
 /// timing, so injections are bit-identical across thread counts.
+///
+/// With `tables` (`state`'s), the child's hash and latencies are
+/// carried from them over the slots where the two overlays differ;
+/// without, or where that diff is no smaller than the child, both are
+/// computed whole.
 pub(super) fn evaluate_candidate(
     state: &MState,
     t: &Transform,
     cfg: &OptimizerConfig,
     cache: &EvalCache,
+    tables: Option<&ParentTables<'_>>,
     fault_key: u64,
 ) -> CandOutcome {
     let t0 = Instant::now();
@@ -177,7 +207,7 @@ pub(super) fn evaluate_candidate(
     // and builds fresh values; a panic can leave no broken shared
     // state behind.
     let verdict = catch_unwind(AssertUnwindSafe(|| {
-        evaluate_candidate_inner(state, t, cfg, cache, fault_key, &mut times)
+        evaluate_candidate_inner(state, t, cfg, cache, tables, fault_key, &mut times)
     }))
     .unwrap_or_else(|_| {
         times = PhaseTimes { trans: t0.elapsed(), ..PhaseTimes::default() };
@@ -191,6 +221,7 @@ fn evaluate_candidate_inner(
     t: &Transform,
     cfg: &OptimizerConfig,
     cache: &EvalCache,
+    tables: Option<&ParentTables<'_>>,
     fault_key: u64,
     times: &mut PhaseTimes,
 ) -> Verdict {
@@ -215,8 +246,18 @@ fn evaluate_candidate_inner(
     times.sched_sim = times.overlay;
     let Ok(graph) = built else { return Verdict::Rejected(Reject::ApplyFailed) };
     let t0 = Instant::now();
-    let hash = graph_hash(&graph);
+    let parent = &state.eval.graph;
+    let carry = tables
+        .map(|tables| (tables, graph.rewritten_slots(parent)))
+        .filter(|(_, rewritten)| rewritten.len() < graph.len());
+    let from = carry.as_ref().map(|(tables, rewritten)| (&tables.digests, parent, &rewritten[..]));
+    let hash = child_hash(&graph, from);
     times.hash = t0.elapsed();
+    // The carried hash must be the full one: under `ParanoiaLevel::All`
+    // every carried candidate is hashed again, whole.
+    if carry.is_some() && cfg.paranoia == ParanoiaLevel::All && graph_hash(&graph) != hash {
+        return Verdict::Rejected(Reject::Invalid);
+    }
 
     let t0 = Instant::now();
     let tree_stale = applied.tree_stale || state.tree_stale;
@@ -225,8 +266,18 @@ fn evaluate_candidate_inner(
         // equivalence the seen-set dedup already relies on), so the
         // cached state is reused wholesale: the same allocation.
         Some(cached) => Ok((Arc::clone(cached), true)),
-        None => evaluate_overlay(&applied.base, graph, Some(state), &applied.mutated, ctx)
-            .map(|eval| (Arc::new(MState { base: applied.base, ftree: applied.ftree, eval, tree_stale }), false)),
+        None => {
+            let (base, mutated) = (&applied.base, &applied.mutated);
+            let eval = match &carry {
+                Some((tables, rewritten)) => {
+                    let latencies = tables.latencies.carry(&graph, rewritten);
+                    evaluate_overlay(base, graph, Some(state), mutated, ctx, &latencies)
+                }
+                None => evaluate_overlay(base, graph, Some(state), mutated, ctx, ctx.perf.as_ref()),
+            };
+            let child = |eval| MState { base: applied.base, ftree: applied.ftree, eval, tree_stale };
+            eval.map(|eval| (Arc::new(child(eval)), false))
+        }
     };
     times.sched_sim += t0.elapsed();
     let (mut child, cache_hit) = match looked_up {

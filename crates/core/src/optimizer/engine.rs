@@ -4,7 +4,8 @@
 //! the checkpoint writer.
 
 use super::candidate::{
-    check_invariants, evaluate_candidate, CandOutcome, Evaluated, PhaseTimes, Reject, Verdict,
+    check_invariants, evaluate_candidate, CandOutcome, Evaluated, ParentTables, PhaseTimes, Reject,
+    Verdict,
 };
 use super::config::{Objective, OptimizerConfig, ParanoiaLevel, ProgressSnapshot, StopReason};
 use super::stats::{core_obs, outcome_counter, OptimizerStats, ProgressPoint};
@@ -308,6 +309,15 @@ impl<'a> Engine<'a> {
             Some(i) => (i, &candidates[i..=i], 1),
             None => (0, candidates, self.stats.threads),
         };
+        // A batch's children carry their hash and latencies from the
+        // parent's tables, built here once and dropped with the batch; a
+        // rollout step's one child computes both whole.
+        let tables = only.is_none().then(|| {
+            let (tables, times) = ParentTables::of(state, &cfg.ctx);
+            self.stats.hash_time += times.hash;
+            self.stats.sched_sim_time += times.sched_sim;
+            tables
+        });
         // The cache is frozen (shared borrow) for the whole fan-out:
         // workers see identical contents regardless of thread count or
         // completion order; insertions happen below, at the merge.
@@ -328,7 +338,7 @@ impl<'a> Engine<'a> {
             // Injection keys depend only on (expansion, candidate
             // index): identical across thread counts and across reruns.
             let fault_key = (expansion << 20) | ((first + k) as u64 & 0xfffff);
-            let o = evaluate_candidate(state, t, cfg, cache, fault_key);
+            let o = evaluate_candidate(state, t, cfg, cache, tables.as_ref(), fault_key);
             if matches!(o.verdict, Verdict::Evaluated(_)) {
                 done.fetch_add(1, Ordering::Relaxed);
             }

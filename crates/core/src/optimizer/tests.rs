@@ -336,7 +336,7 @@ fn evaluated_candidate(stale: bool) -> (MState, OptimizerConfig, Transform, Eval
     transforms.sort_by_key(Transform::sort_key);
     for t in transforms {
         if rules::apply(&seed, &t).is_ok_and(|a| a.tree_stale == stale) {
-            if let Verdict::Evaluated(ev) = evaluate_candidate(&seed, &t, &cfg, &EvalCache::new(0), 0).verdict {
+            if let Verdict::Evaluated(ev) = evaluate_candidate(&seed, &t, &cfg, &EvalCache::new(0), None, 0).verdict {
                 return (seed, cfg, t, ev);
             }
         }
@@ -363,7 +363,7 @@ fn a_stale_lineage_flags_its_own_copy_of_a_hit() {
     let fresh = Arc::new(fresh);
     let mut cache = EvalCache::new(4);
     cache.insert(ev.hash, Arc::clone(&fresh), 0);
-    let hit = evaluated(evaluate_candidate(&seed, &t, &cfg, &cache, 0).verdict);
+    let hit = evaluated(evaluate_candidate(&seed, &t, &cfg, &cache, None, 0).verdict);
     assert!(hit.cache_hit);
     assert!(hit.child.tree_stale, "the candidate inherits its lineage's staleness");
     assert!(!Arc::ptr_eq(&hit.child, &fresh), "a flagged hit is the candidate's own copy");
@@ -385,21 +385,21 @@ fn a_hit_shares_the_cached_allocation_and_injections_copy_it() {
         assert_eq!(entry.eval.order, order);
         assert_eq!(entry.eval.latency.to_bits(), latency);
     };
-    let hit = evaluated(evaluate_candidate(&seed, &t, &cfg, &cache, 0).verdict);
+    let hit = evaluated(evaluate_candidate(&seed, &t, &cfg, &cache, None, 0).verdict);
     assert!(hit.cache_hit && !hit.tainted);
     assert!(Arc::ptr_eq(&hit.child, &cached), "a clean hit is the cached allocation");
 
     // A corrupted rewrite and a defective cost injected into a hit
     // reach the candidate, never the entry the next hit reads.
     let faulty = |site| cfg.clone().with_fault_plan(FaultPlan::new(1).with_rate(site, 1.0));
-    let corrupt = evaluated(evaluate_candidate(&seed, &t, &faulty(FaultSite::CorruptRewrite), &cache, 0).verdict);
+    let corrupt = evaluated(evaluate_candidate(&seed, &t, &faulty(FaultSite::CorruptRewrite), &cache, None, 0).verdict);
     assert!(corrupt.cache_hit && corrupt.tainted);
     assert_ne!(corrupt.child.eval.order, order, "the injection corrupted the candidate's order");
     clean(&cache);
-    let nan = evaluate_candidate(&seed, &t, &faulty(FaultSite::NanCost), &cache, 0).verdict;
+    let nan = evaluate_candidate(&seed, &t, &faulty(FaultSite::NanCost), &cache, None, 0).verdict;
     assert!(matches!(nan, Verdict::Rejected(Reject::BadCost)));
     clean(&cache);
-    let next = evaluated(evaluate_candidate(&seed, &t, &cfg, &cache, 0).verdict);
+    let next = evaluated(evaluate_candidate(&seed, &t, &cfg, &cache, None, 0).verdict);
     assert!(next.cache_hit && !next.tainted && next.child.eval.latency.is_finite());
     assert!(Arc::ptr_eq(&next.child, &cached));
 }

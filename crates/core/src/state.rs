@@ -25,7 +25,8 @@ use magis_sched::{
 };
 pub use magis_sched::schedule::place_swaps;
 use magis_sim::{
-    Backend, CostError, CostModel, Lifetimes, MemObjective, MemoryPlan, MemoryProfile, PerfCache,
+    Backend, CostError, CostModel, Lifetimes, MemObjective, MemoryPlan, MemoryProfile, NodeCost,
+    PerfCache,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -429,7 +430,7 @@ fn evaluate_state(
         Some(p) => p.child_overlay(base, ftree)?,
         None => build_overlay_graph(base, ftree)?,
     };
-    evaluate_overlay(base, g, parent, mutated, ctx)
+    evaluate_overlay(base, g, parent, mutated, ctx, ctx.perf.as_ref())
 }
 
 /// Evaluates an already-built overlay graph — the optimizer hashes the
@@ -439,13 +440,17 @@ fn evaluate_state(
 /// With [`EvalMode::Incremental`] and a parent, the schedule comes
 /// from Algorithm 2 splicing; the memory profile (and plan) of the
 /// final order is always computed from scratch, by the scheduler when
-/// swap placement leaves its order alone and here otherwise.
-pub(crate) fn evaluate_overlay(
+/// swap placement leaves its order alone and here otherwise. Swap
+/// placement and the simulation read node latencies from `cost`: the
+/// context's [`PerfCache`], or a table of `g`'s latencies carried from
+/// the parent's ([`magis_sim::LatencyTable`]), which answers the same.
+pub(crate) fn evaluate_overlay<C: NodeCost + ?Sized>(
     base: &Graph,
     g: Graph,
     parent: Option<&MState>,
     mutated: &BTreeSet<NodeId>,
     ctx: &EvalContext,
+    cost: &C,
 ) -> Result<Eval, EvalError> {
     let parent = match ctx.mode {
         EvalMode::Incremental => parent,
@@ -471,17 +476,17 @@ pub(crate) fn evaluate_overlay(
             )?;
             let info =
                 IncrementalEvalInfo { window: inc.window, carried_won: inc.carried_won };
-            let placed = place_swaps(&g, &inc.order, ctx.perf.as_ref());
+            let placed = place_swaps(&g, &inc.order, cost);
             let measured =
                 (placed == inc.order).then_some((inc.profile, inc.lifetimes, inc.plan));
             (placed, measured, Some(info))
         }
         None => {
             let order = full_schedule(&g, &ctx.sched);
-            (place_swaps(&g, &order, ctx.perf.as_ref()), None, None)
+            (place_swaps(&g, &order, cost), None, None)
         }
     };
-    evaluate_order(base, g, placed, measured, inc_info, ctx)
+    evaluate_order(base, g, placed, measured, inc_info, ctx, cost)
 }
 
 /// The evaluation of `order` on `g`, the overlay of `base`: the memory
@@ -492,13 +497,14 @@ pub(crate) fn evaluate_overlay(
 /// candidate's evaluation ends here, and so does a checkpointed
 /// state's, whose stored order is re-simulated rather than
 /// re-scheduled.
-pub(crate) fn evaluate_order(
+pub(crate) fn evaluate_order<C: NodeCost + ?Sized>(
     base: &Graph,
     g: Graph,
     order: Vec<NodeId>,
     measured: Option<(MemoryProfile, Lifetimes, Option<MemoryPlan>)>,
     inc: Option<IncrementalEvalInfo>,
     ctx: &EvalContext,
+    cost: &C,
 ) -> Result<Eval, EvalError> {
     let (profile, lifetimes, plan) = match measured {
         Some(m) => m,
@@ -517,7 +523,7 @@ pub(crate) fn evaluate_order(
         }
         None => None,
     };
-    let ev = magis_sim::evaluate_with_plan(&g, &order, ctx.perf.as_ref(), profile, plan.as_ref())?;
+    let ev = magis_sim::evaluate_with_plan(&g, &order, cost, profile, plan.as_ref())?;
     let hotspots_base = project_to_base(base, &ev.memory.hotspots);
     Ok(Eval {
         graph: g,

@@ -11,11 +11,15 @@
 //! 3. a killed `MctsDriver` search resumed from a frontier-bearing
 //!    checkpoint replays the identical trajectory (same incumbent, bit
 //!    for bit, as the uninterrupted run).
+//!
+//! The greedy goldens also run under `ParanoiaLevel::All`, where every
+//! candidate's carried hash and latencies are checked against a full
+//! pass.
 
 use magis_core::checkpoint::SearchCheckpoint;
 use magis_core::driver::DriverKind;
 use magis_core::optimizer::{
-    optimize, resume, CheckpointPolicy, Objective, OptimizerConfig, StopReason,
+    optimize, resume, CheckpointPolicy, Objective, OptimizerConfig, ParanoiaLevel, StopReason,
 };
 use magis_core::state::{EvalContext, MState};
 use magis_core::SearchBudget;
@@ -34,23 +38,26 @@ fn config(g: &magis_graph::graph::Graph, driver: DriverKind, threads: usize) -> 
         .with_driver(driver)
 }
 
-/// Pins `GreedyDriver` to the exact incumbents the pre-refactor
-/// monolithic search loop produced on four bench models (captured at
-/// the commit before the `SearchDriver` extraction, threads = 1,
-/// `max_evals = 120`). Any drift in peak bytes, latency bits, or the
-/// headline counters means the refactor changed search behavior.
-#[test]
-fn greedy_driver_matches_pre_refactor_incumbents() {
-    // (workload, scale, peak_bytes, latency_bits, evaluated, expanded, filtered)
-    let golden: [(Workload, f64, u64, u64, usize, usize, usize); 4] = [
-        (Workload::UNet, 0.15, 214_392_868, 0x3f74c7d5196af2bd, 120, 3, 2),
-        (Workload::BertBase, 0.1, 34_313_604, 0x3f590766c9f2fa6e, 120, 4, 3),
-        (Workload::VitBase, 0.1, 10_828_164, 0x3f629e383f446990, 120, 5, 3),
-        (Workload::ResNet50, 0.1, 18_622_340, 0x3f69d1531301bd74, 120, 3, 1),
-    ];
-    for (w, scale, peak, lat_bits, evaluated, expanded, filtered) in golden {
+/// The exact incumbents the pre-refactor monolithic search loop
+/// produced on four bench models (captured at the commit before the
+/// `SearchDriver` extraction, threads = 1, `max_evals = 120`):
+/// (workload, scale, peak_bytes, latency_bits, evaluated, expanded,
+/// filtered).
+const GOLDEN: [(Workload, f64, u64, u64, usize, usize, usize); 4] = [
+    (Workload::UNet, 0.15, 214_392_868, 0x3f74c7d5196af2bd, 120, 3, 2),
+    (Workload::BertBase, 0.1, 34_313_604, 0x3f590766c9f2fa6e, 120, 4, 3),
+    (Workload::VitBase, 0.1, 10_828_164, 0x3f629e383f446990, 120, 5, 3),
+    (Workload::ResNet50, 0.1, 18_622_340, 0x3f69d1531301bd74, 120, 3, 1),
+];
+
+/// Runs the greedy goldens under `paranoia`. Any drift in peak bytes,
+/// latency bits, or the headline counters means search behavior
+/// changed.
+fn greedy_goldens(paranoia: ParanoiaLevel) {
+    for (w, scale, peak, lat_bits, evaluated, expanded, filtered) in GOLDEN {
         let g = w.build(scale).graph;
-        let res = optimize(g.clone(), &config(&g, DriverKind::Greedy, 1));
+        let res = optimize(g.clone(), &config(&g, DriverKind::Greedy, 1).with_paranoia(paranoia));
+        assert_eq!(res.stats.invariant_rejections, 0, "{w:?}: a candidate failed its cross-check");
         assert_eq!(res.best.eval.peak_bytes, peak, "{w:?}: incumbent peak drifted");
         assert_eq!(
             res.best.eval.latency.to_bits(),
@@ -63,6 +70,22 @@ fn greedy_driver_matches_pre_refactor_incumbents() {
         assert_eq!(res.stats.filtered, filtered, "{w:?}: filtered count drifted");
         assert_eq!(res.stats.stop_reason, StopReason::EvalCapReached, "{w:?}");
     }
+}
+
+/// Pins `GreedyDriver` to [`GOLDEN`]: the `SearchDriver` refactor must
+/// not have changed search behavior.
+#[test]
+fn greedy_driver_matches_pre_refactor_incumbents() {
+    greedy_goldens(ParanoiaLevel::default());
+}
+
+/// The same searches with every candidate cross-checked: each carried
+/// hash against `graph_hash`, and each state's latency, computed from
+/// the carried latency table, against an uncached re-simulation. No
+/// candidate may fail either check.
+#[test]
+fn greedy_goldens_pass_every_cross_check() {
+    greedy_goldens(ParanoiaLevel::All);
 }
 
 /// MCTS must produce bit-identical trajectories whatever the worker

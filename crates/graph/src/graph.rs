@@ -112,6 +112,16 @@ impl Node {
         self.meta.size_bytes()
     }
 
+    /// Whether the two differ at most in their successors and names.
+    fn same_but_succs(&self, other: &Node) -> bool {
+        self.op == other.op
+            && self.meta == other.meta
+            && self.inputs == other.inputs
+            && self.keepalive == other.keepalive
+            && self.cost_repeat == other.cost_repeat
+            && self.alloc_with == other.alloc_with
+    }
+
     /// The output metadata after a `parts`-way fission along `dim`
     /// (1-based output dimension; a reduce axis, `dim < 0`, keeps it).
     fn split_meta(&self, parts: u64, dim: i32) -> TensorMeta {
@@ -591,6 +601,35 @@ impl Graph {
     /// instead of wall-clock time.
     pub fn shared_pages_with(&self, other: &Graph) -> usize {
         self.pages.iter().zip(other.pages.iter()).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+    }
+
+    /// Every slot, ascending, whose node differs between the two graphs
+    /// in more than its successor list: live in one only, or live in
+    /// both with another operator, output, input list, keepalive list,
+    /// repeat or allocation anchor. A page the two share is skipped
+    /// whole, and so is a node they share. A successor list changes only
+    /// with a consumer's inputs, and that consumer is listed, so this is
+    /// the whole diff for every pass that reads a node and its inputs —
+    /// the slot-level counterpart of [`Self::shared_pages_with`].
+    pub fn rewritten_slots(&self, other: &Graph) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        if Arc::ptr_eq(&self.pages, &other.pages) {
+            return out;
+        }
+        let rewritten = |i: usize| match (self.slot_shared(i), other.slot_shared(i)) {
+            (Some(a), Some(b)) => !Arc::ptr_eq(a, b) && !a.same_but_succs(b),
+            (a, b) => a.is_some() || b.is_some(),
+        };
+        for pi in 0..self.pages.len().max(other.pages.len()) {
+            if let (Some(a), Some(b)) = (self.pages.get(pi), other.pages.get(pi)) {
+                if Arc::ptr_eq(a, b) {
+                    continue;
+                }
+            }
+            let slots = pi << PAGE_BITS..(pi + 1) << PAGE_BITS;
+            out.extend(slots.filter(|&i| rewritten(i)).map(|i| NodeId(i as u32)));
+        }
+        out
     }
 
     /// Whether `id` is live in both graphs as one shared allocation —

@@ -128,6 +128,9 @@ fn job_span(sink: &Option<Arc<JsonlSink>>, id: u64, name: &str, dur: Duration) {
 
 struct Job {
     spec: JobSpec,
+    /// `spec.cache_key()`, rendered once when the job is made: the
+    /// result cache compares these, under the table lock.
+    key: u64,
     state: JobState,
     dir: PathBuf,
     /// Wall-clock admission (or replay) instant, for the queue-wait
@@ -147,7 +150,8 @@ struct Job {
 impl Job {
     /// A job entering the table now, with no progress yet.
     fn new(spec: JobSpec, state: JobState, dir: PathBuf, trace: Option<Arc<JsonlSink>>) -> Job {
-        Job { spec, state, dir, admitted: Instant::now(), progress: None, trace }
+        let key = spec.cache_key();
+        Job { spec, key, state, dir, admitted: Instant::now(), progress: None, trace }
     }
 }
 
@@ -182,12 +186,9 @@ struct Table {
 }
 
 impl Table {
-    /// The result of the cached job with `spec`'s key, if any.
-    fn cached(&self, spec: &JobSpec) -> Option<JobResult> {
-        if self.cache.is_empty() {
-            return None;
-        }
-        let key = spec.cache_key();
+    /// The result of the cached job with `key` ([`JobSpec::cache_key`]),
+    /// if any.
+    fn cached(&self, key: u64) -> Option<JobResult> {
         let &(_, id) = self.cache.iter().find(|(k, _)| *k == key)?;
         match &self.jobs.get(&id)?.state {
             JobState::Done { result, .. } => Some(result.clone()),
@@ -202,7 +203,7 @@ impl Table {
         if capacity == 0 {
             return;
         }
-        let key = self.jobs[&id].spec.cache_key();
+        let key = self.jobs[&id].key;
         if self.cache.iter().any(|&(k, _)| k == key) {
             return;
         }
@@ -446,6 +447,9 @@ impl Server {
 /// job is always recoverable.
 fn admit(inner: &Inner, spec: JobSpec) -> Result<u64, Json> {
     inner.m.submitted.inc();
+    // The cache key renders the whole spec: made here, before the lock.
+    let mut job = Job::new(spec, JobState::Queued, PathBuf::new(), None);
+    let spec = &job.spec;
     let mut t = inner.table.lock().unwrap();
     if t.draining || inner.stopping() {
         inner.m.rejected_draining.inc();
@@ -468,7 +472,7 @@ fn admit(inner: &Inner, spec: JobSpec) -> Result<u64, Json> {
         return Err(reply::err(429, "per-client concurrent-job cap reached"));
     }
     let id = inner.next_id.fetch_add(1, Ordering::SeqCst);
-    let dir = match journal::record_admission(&inner.cfg.state_dir, id, &spec) {
+    let dir = match journal::record_admission(&inner.cfg.state_dir, id, spec) {
         Ok(d) => d,
         Err(e) => return Err(reply::err(500, &format!("journaling admission: {e}"))),
     };
@@ -477,7 +481,8 @@ fn admit(inner: &Inner, spec: JobSpec) -> Result<u64, Json> {
         let _g = tsink.clone().map(|s| scoped_job(s, id));
         magis_obs::event!("magis_serve", "admitted", id = id, client = spec.client.clone());
     }
-    t.jobs.insert(id, Job::new(spec, JobState::Queued, dir, tsink));
+    (job.dir, job.trace) = (dir, tsink);
+    t.jobs.insert(id, job);
     t.queue.push_back(id);
     inner.m.accepted.inc();
     inner.m.queue_depth.set(t.queue.len() as f64);
@@ -507,11 +512,11 @@ fn worker_loop(inner: &Arc<Inner>) {
             last_progress: Instant::now(),
             stalled: false,
         };
-        let (spec, dir, tsink, admitted) =
-            (j.spec.clone(), j.dir.clone(), j.trace.clone(), j.admitted);
+        let (spec, key, dir, tsink, admitted) =
+            (j.spec.clone(), j.key, j.dir.clone(), j.trace.clone(), j.admitted);
         // An identical submission that already completed
         // deterministically is served its result without a search.
-        let hit = t.cached(&spec);
+        let hit = t.cached(key);
         t.running += 1;
         inner.m.queue_depth.set(t.queue.len() as f64);
         inner.m.running.set(t.running as f64);
@@ -1050,15 +1055,7 @@ mod tests {
             {
                 let mut t = server.inner.table.lock().unwrap();
                 t.closed = closed;
-                let job = Job {
-                    spec: JobSpec::default(),
-                    state,
-                    dir: state_dir.clone(),
-                    admitted: Instant::now(),
-                    progress: None,
-                    trace: None,
-                };
-                t.jobs.insert(1, job);
+                t.jobs.insert(1, Job::new(JobSpec::default(), state, state_dir.clone(), None));
             }
             assert_eq!(status_reply(&server.inner, 1).render(), status);
             assert_eq!(done_line(1), done + "\n");
@@ -1160,7 +1157,7 @@ mod tests {
     #[test]
     fn the_result_cache_keeps_the_first_job_per_key_and_evicts_the_oldest() {
         let mut t = Table::default();
-        let peak = |t: &Table, scale| t.cached(&unet_at(scale)).map(|r| r.peak_bytes);
+        let peak = |t: &Table, scale| t.cached(unet_at(scale).cache_key()).map(|r| r.peak_bytes);
         let settle = |t: &mut Table, id, scale, peak_bytes| {
             let done = JobState::Done { result: capped_result(peak_bytes), cached: false };
             t.jobs.insert(id, Job::new(unet_at(scale), done, PathBuf::new(), None));
@@ -1182,7 +1179,18 @@ mod tests {
         t.jobs.insert(1, Job::new(unet_at(0.1), done, PathBuf::new(), None));
         t.remember(1, 0);
         assert!(t.cache.is_empty());
-        assert_eq!(t.cached(&unet_at(0.1)), None);
+        assert_eq!(t.cached(unet_at(0.1).cache_key()), None);
+    }
+
+    /// The key a job is cached under is its spec's, rendered once at
+    /// admission.
+    #[test]
+    fn an_admitted_job_keeps_its_specs_cache_key() {
+        let (server, state_dir) = bind("keyed");
+        let spec = JobSpec { client: "c".into(), ..unet_at(0.2) };
+        let id = admit(&server.inner, spec.clone()).expect("admitted");
+        assert_eq!(server.inner.table.lock().unwrap().jobs[&id].key, spec.cache_key());
+        let _ = std::fs::remove_dir_all(&state_dir);
     }
 
     fn running(token: CancelToken, since: Instant) -> JobState {
@@ -1216,7 +1224,7 @@ mod tests {
         let status = status_reply(inner, 1).render();
         assert!(status.contains(r#""state":"done","cached":true"#), "{status}");
         assert_eq!(inner.m.completed.get() - completed, 1, "the served job is counted");
-        assert_eq!(inner.table.lock().unwrap().cached(&spec), Some(result));
+        assert_eq!(inner.table.lock().unwrap().cached(spec.cache_key()), Some(result));
         let _ = std::fs::remove_dir_all(&state_dir);
     }
 

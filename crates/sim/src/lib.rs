@@ -54,7 +54,7 @@ pub use plan::{memory_plan, plan_from_lifetimes, MemObjective, MemoryPlan, Plann
 // The two names `benchmark/src/replay.rs` still calls; see their definitions.
 #[doc(hidden)]
 pub use {memory::memory_profile_delta, plan::memory_plan_delta};
-pub use profile::PerfCache;
+pub use profile::{LatencyTable, PerfCache};
 
 use magis_graph::graph::{Graph, NodeId};
 

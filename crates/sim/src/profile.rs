@@ -85,12 +85,46 @@ impl PerfCache {
             return t;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
+        let t = self.model_latency(g, v);
+        self.cache.lock().unwrap().insert(sig, t);
+        t
+    }
+
+    fn model_latency(&self, g: &Graph, v: NodeId) -> f64 {
         let n = g.node(v);
         let inputs: Vec<TensorMeta> =
             n.inputs().iter().map(|&i| g.node(i).meta.clone()).collect();
-        let t = self.model.op_latency(&n.op, &inputs, &n.meta);
-        self.cache.lock().unwrap().insert(sig, t);
-        t
+        self.model.op_latency(&n.op, &inputs, &n.meta)
+    }
+
+    /// [`Self::node_latency`] of each of `nodes` into `slot`, under one
+    /// lock of the cache.
+    fn fill(&self, g: &Graph, nodes: impl IntoIterator<Item = NodeId>, slot: &mut [f64]) {
+        let mut cache = self.cache.lock().unwrap();
+        let (mut hits, mut misses) = (0, 0);
+        for v in nodes {
+            let sig = Self::signature(g, v);
+            let t = match cache.get(&sig) {
+                Some(&t) => {
+                    hits += 1;
+                    t
+                }
+                None => {
+                    misses += 1;
+                    *cache.entry(sig).or_insert(self.model_latency(g, v))
+                }
+            };
+            slot[v.index()] = t * g.node(v).cost_repeat as f64;
+        }
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+    }
+
+    /// Every live node's [`Self::node_latency`] in `g`, as a table.
+    pub fn table(&self, g: &Graph) -> LatencyTable<'_> {
+        let mut slot = vec![0.0; g.capacity()];
+        self.fill(g, g.node_ids(), &mut slot);
+        LatencyTable { perf: self, slot }
     }
 
     /// Node latency including the fission repeat multiplier.
@@ -111,6 +145,58 @@ impl PerfCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.cache.lock().unwrap().is_empty()
+    }
+}
+
+/// Each live node's latency in one graph, by slot (0 at a dead slot):
+/// a [`NodeCost`](crate::NodeCost) that answers with an array read,
+/// bit for bit what its [`PerfCache`] answers. Made by
+/// [`PerfCache::table`], or carried to a graph derived from the
+/// table's by [`LatencyTable::carry`].
+#[derive(Debug, Clone)]
+pub struct LatencyTable<'c> {
+    perf: &'c PerfCache,
+    slot: Vec<f64>,
+}
+
+impl<'c> LatencyTable<'c> {
+    /// The table of `child`, a graph derived from this table's graph,
+    /// where `rewritten` is `child.rewritten_slots(parent)`. A node's
+    /// latency reads its own node and its inputs' metadata, so the
+    /// rewritten live nodes and their consumers are looked up again,
+    /// each once, under one lock; every other entry is copied.
+    pub fn carry(&self, child: &Graph, rewritten: &[NodeId]) -> LatencyTable<'c> {
+        let mut slot = self.slot.clone();
+        slot.resize(slot.len().max(child.capacity()), 0.0);
+        let mut dirty = Vec::with_capacity(2 * rewritten.len());
+        for &v in rewritten {
+            if child.contains(v) {
+                dirty.push(v);
+                dirty.extend_from_slice(child.node(v).succs());
+            } else {
+                slot[v.index()] = 0.0;
+            }
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        slot.truncate(child.capacity());
+        self.perf.fill(child, dirty, &mut slot);
+        LatencyTable { perf: self.perf, slot }
+    }
+
+    /// The latency of each slot.
+    pub fn latencies(&self) -> &[f64] {
+        &self.slot
+    }
+}
+
+impl crate::cost::NodeCost for LatencyTable<'_> {
+    fn node_latency(&self, _g: &Graph, v: NodeId) -> f64 {
+        self.slot[v.index()]
+    }
+
+    fn device(&self) -> &DeviceSpec {
+        self.perf.model.device()
     }
 }
 
