@@ -157,6 +157,17 @@ if [ "$(grep -c 'fn node_digest' <<<"$HASH_SRC")" != 1 ] \
     echo "one digest function: node_digest in hash.rs; candidate.rs calls graph_hash( only to cross-check"
     exit 1
 fi
+# One hasher: graph digests, operator signatures and rule buckets hash
+# with magis_util::hash::MixHasher, whose values do not depend on the
+# toolchain; std's DefaultHasher does not appear outside tests.
+STD_HASHERS="$(for f in $(find crates/graph/src crates/sim/src crates/core/src -name '*.rs'); do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /DefaultHasher/ { print f ":" FNR ": " $0 }' "$f"
+    done)"
+if [ -n "$STD_HASHERS" ]; then
+    echo "$STD_HASHERS"
+    echo "one hasher: magis_util::hash::MixHasher, not DefaultHasher, in crates/{graph,sim,core}/src"
+    exit 1
+fi
 # The daemon keeps each job in one table under one lock: the non-test
 # part of crates/serve/src names `Mutex<` once, spawns threads at two
 # sites (the workers and the connection handlers), and has no per-job

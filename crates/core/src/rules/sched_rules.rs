@@ -11,7 +11,7 @@ use super::{outside_enabled_regions, Applied, ApplyError, RuleConfig, Transform,
 use crate::state::MState;
 use magis_graph::graph::NodeId;
 use magis_graph::op::OpKind;
-use std::collections::hash_map::DefaultHasher;
+use magis_util::hash::MixHasher;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
@@ -96,7 +96,7 @@ pub fn generate(state: &MState, cfg: &RuleConfig, out: &mut Vec<Transform>) {
         if n.op.is_input() || n.op.is_swap() {
             continue;
         }
-        let mut h = DefaultHasher::new();
+        let mut h = MixHasher::default();
         n.op.hash(&mut h);
         n.inputs().hash(&mut h);
         let key = h.finish();

@@ -8,18 +8,20 @@
 //! hash of the (order-insensitive) wrapping sum of node digests. A
 //! search's candidate carries its digests from its parent's
 //! ([`ParentDigests::carry`]) and recomputes only what its rewrite
-//! changed, to the same hash.
+//! changed, to the same hash. Every digest is a
+//! [`MixHasher`] value, fixed across toolchains: a checkpoint's
+//! seen-list stores them.
 
 use crate::graph::{Graph, NodeId};
 use crate::pins::PinCounts;
 use crate::view::GraphView;
+use magis_util::hash::MixHasher;
 use std::cmp::Reverse;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 
 fn node_label<G: GraphView>(g: &G, v: NodeId) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = MixHasher::default();
     let n = g.node(v);
     n.op.hash(&mut h);
     n.meta.hash(&mut h);
@@ -35,7 +37,7 @@ fn node_label<G: GraphView>(g: &G, v: NodeId) -> u64 {
 /// per-node digest of both the full pass and the carried one.
 fn node_digest<G: GraphView>(g: &G, v: NodeId, digest: &[u64], group_ka: &[u64]) -> u64 {
     let n = g.node(v);
-    let mut h = DefaultHasher::new();
+    let mut h = MixHasher::default();
     node_label(g, v).hash(&mut h);
     for &p in n.inputs() {
         digest[p.index()].hash(&mut h);
@@ -61,7 +63,7 @@ pub struct Digests {
 impl Digests {
     /// The graph hash these digests make: [`graph_hash`] of their graph.
     pub fn hash(&self) -> u64 {
-        let mut h = DefaultHasher::new();
+        let mut h = MixHasher::default();
         self.sum.hash(&mut h);
         self.len.hash(&mut h);
         h.finish()

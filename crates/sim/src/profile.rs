@@ -16,6 +16,7 @@ use crate::cost::CostModel;
 use crate::device::DeviceSpec;
 use magis_graph::graph::{Graph, NodeId};
 use magis_graph::tensor::TensorMeta;
+use magis_util::hash::MixHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,8 +66,12 @@ impl PerfCache {
         &self.model
     }
 
+    /// The operator signature, which keys the map as it is. SipHash,
+    /// run for the signature and again for the map, cost more than half
+    /// a simulation. A crafted collision mis-costs only its own job:
+    /// the daemon builds this cache per job.
     fn signature(g: &Graph, v: NodeId) -> u64 {
-        let mut h = SigHasher::default();
+        let mut h = MixHasher::default();
         let n = g.node(v);
         n.op.hash(&mut h);
         for &i in n.inputs() {
@@ -200,45 +205,7 @@ impl crate::cost::NodeCost for LatencyTable<'_> {
     }
 }
 
-/// The operator-signature hasher: FxHash's multiply-rotate step per
-/// word, then MurmurHash3's `fmix64` avalanche, so the signature keys
-/// the map as it is. SipHash, run for the signature and again for the
-/// map, cost more than half a simulation. Not collision-resistant
-/// against a crafted graph, and need not be: the daemon builds this
-/// cache per job, so such a graph mis-costs only its own job.
-#[derive(Default)]
-struct SigHasher(u64);
-
-impl Hasher for SigHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(w));
-        }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.write_u64(i.into());
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.write_u64(i as u64);
-    }
-
-    fn write_u64(&mut self, w: u64) {
-        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        let mut h = self.0;
-        h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^ (h >> 33)
-    }
-}
-
-/// The map's hasher: a key is a [`SigHasher`] output, mixed already,
+/// The map's hasher: a key is a [`MixHasher`] output, mixed already,
 /// and hashes to itself.
 #[derive(Default)]
 struct KeyHasher(u64);

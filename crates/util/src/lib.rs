@@ -17,10 +17,14 @@
 //!   layer of the optimizer,
 //! * [`fault`] — a seeded deterministic fault-injection plan
 //!   ([`fault::FaultPlan`]) used to harden and test the search
-//!   pipeline against panicking rewrites and garbage costs.
+//!   pipeline against panicking rewrites and garbage costs,
+//! * [`hash`] — the one non-cryptographic hasher
+//!   ([`hash::MixHasher`]) behind graph digests, operator signatures
+//!   and rule buckets, with values fixed across toolchains.
 
 pub mod args;
 pub mod fault;
+pub mod hash;
 pub mod parallel;
 pub mod prop;
 pub mod rng;
