@@ -168,6 +168,18 @@ if [ -n "$STD_HASHERS" ]; then
     echo "one hasher: magis_util::hash::MixHasher, not DefaultHasher, in crates/{graph,sim,core}/src"
     exit 1
 fi
+# One overlay id rule: outside tests, only state::overlay_graph sets a
+# transaction's fresh-slot floor (its definition in graph.rs and the
+# GraphTxn forward aside), so every overlay's slices and merges get the
+# ids a checkpoint restore rebuilds.
+FLOORS="$(for f in $(find crates/*/src src -name '*.rs'); do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /fresh_slots_from\(/ { print f ":" FNR ": " $0 }' "$f"
+    done | grep -v -E ': +pub(\(crate\))? fn fresh_slots_from\(|: +self\.g\.fresh_slots_from\(' || true)"
+if [ "$(grep -c . <<<"$FLOORS")" != 1 ] || ! grep -q '^crates/core/src/state\.rs:' <<<"$FLOORS"; then
+    echo "$FLOORS"
+    echo "one overlay id rule: only state::overlay_graph calls fresh_slots_from outside tests"
+    exit 1
+fi
 # The daemon keeps each job in one table under one lock: the non-test
 # part of crates/serve/src names `Mutex<` once, spawns threads at two
 # sites (the workers and the connection handlers), and has no per-job
@@ -342,14 +354,14 @@ if [ $(($(written "$CKPT.resumed") + 1)) != "$(written "$CKPT.straight")" ] \
 fi
 rm -rf "$(dirname "$CKPT")"
 
-# Retired-format gate: v6 is the one checkpoint format; nothing reads,
-# writes or documents its predecessors. One file keeps a v5 header: the
-# fixture that proves a v5 checkpoint is refused by name.
+# Retired-format gate: v7 is the one checkpoint format; nothing reads,
+# writes or documents its predecessors. Two files keep an old header:
+# the fixtures that prove a v5 and a v6 checkpoint are refused by name.
 echo
 echo "==> retired checkpoint format check"
-if grep -rn -E 'magis-checkpoint v[45]\b' --exclude=unet_cap40_v5.ckpt crates src tests \
-    DESIGN.md ARCHITECTURE.md README.md .claude/skills/verify/SKILL.md; then
-    echo "checkpoint formats v4 and v5 are retired: v6 is the only format written or read"
+if grep -rn -E 'magis-checkpoint v[456]\b' --exclude=unet_cap40_v5.ckpt --exclude=unet_cap40_v6.ckpt \
+    crates src tests DESIGN.md ARCHITECTURE.md README.md .claude/skills/verify/SKILL.md; then
+    echo "checkpoint formats v4 to v6 are retired: v7 is the only format written or read"
     exit 1
 fi
 

@@ -69,7 +69,7 @@ use std::fs;
 use std::path::Path;
 use std::str::FromStr;
 
-const CKPT_HEADER: &str = "magis-checkpoint v6";
+const CKPT_HEADER: &str = "magis-checkpoint v7";
 const CKPT_FOOTER: &str = "ckpt-end";
 
 /// Why loading or restoring a checkpoint failed.
@@ -1046,10 +1046,10 @@ mod tests {
     fn decode_rejects_corruption() {
         let s = small_state();
         let text = checkpoint_of(&s).encode();
-        // Bad header: the five retired formats, a version from the
+        // Bad header: the six retired formats, a version from the
         // future and a non-checkpoint first line are refused by name,
         // not parsed.
-        let versions = [1, 2, 3, 4, 5, 9].map(|v| format!("magis-checkpoint v{v}"));
+        let versions = [1, 2, 3, 4, 5, 6, 9].map(|v| format!("magis-checkpoint v{v}"));
         for header in versions.iter().map(String::as_str).chain(["\u{7f}ELF garbage"]) {
             let err = SearchCheckpoint::decode(&text.replacen(CKPT_HEADER, header, 1))
                 .expect_err("old or unknown header decoded");

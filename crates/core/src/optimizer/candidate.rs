@@ -114,10 +114,15 @@ pub(super) struct ParentTables<'c> {
 }
 
 impl<'c> ParentTables<'c> {
-    /// The tables of `parent`'s overlay, and the time each took.
-    pub(super) fn of(parent: &MState, ctx: &'c EvalContext) -> (Self, PhaseTimes) {
+    /// The tables of `parent`'s overlay, and the time each took;
+    /// `digests`, where the caller has them, are `parent`'s already.
+    pub(super) fn of(
+        parent: &MState,
+        ctx: &'c EvalContext,
+        digests: Option<ParentDigests>,
+    ) -> (Self, PhaseTimes) {
         let t0 = Instant::now();
-        let digests = ParentDigests::of(&parent.eval.graph);
+        let digests = digests.unwrap_or_else(|| ParentDigests::of(&parent.eval.graph));
         let hash = t0.elapsed();
         let t0 = Instant::now();
         let latencies = ctx.perf.table(&parent.eval.graph);

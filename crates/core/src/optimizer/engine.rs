@@ -16,7 +16,7 @@ use crate::eval_cache::EvalCache;
 use crate::pareto::ParetoSet;
 use crate::rules::{self, Transform};
 use crate::state::MState;
-use magis_graph::algo::graph_hash;
+use magis_graph::algo::ParentDigests;
 use magis_graph::io::RecordLines;
 use magis_obs::timeline::{SearchTimeline, TimelinePoint};
 use magis_util::parallel;
@@ -113,6 +113,9 @@ pub struct Engine<'a> {
     /// was, which the cache and the frontier may hold too.
     pub(super) best: Arc<MState>,
     pub(super) seen: BTreeSet<u64>,
+    /// The digests [`Engine::admit_pop`] hashed the state it admitted
+    /// with, which that state's fan-out carries its children's from.
+    pub(super) popped: Option<ParentDigests>,
     pub(super) quarantine: Quarantine,
     pub(super) eval_cache: EvalCache,
     pub(super) evals_at_last_ckpt: usize,
@@ -158,6 +161,7 @@ impl<'a> Engine<'a> {
             // expanded before the checkpoint was written, and is not
             // re-pushed.
             seen: from.seen.iter().copied().collect(),
+            popped: None,
             quarantine: Quarantine::new(cfg.quarantine_threshold, &from.quarantine),
             eval_cache: EvalCache::new(cfg.eval_cache),
             stop: None,
@@ -219,16 +223,19 @@ impl<'a> Engine<'a> {
     /// Hashes a popped state and inserts it into the seen-set.
     /// Returns `false` (counting a filtered duplicate) when the state
     /// was already expanded — the greedy driver skips such pops
-    /// without an expansion boundary. Drivers whose frontier never
-    /// revisits states (MCTS) do not call this.
+    /// without an expansion boundary. An admitted state's digests are
+    /// kept for its expansion's fan-out ([`Engine::evaluate`]), so it
+    /// is hashed once. Drivers whose frontier never revisits states
+    /// (MCTS) do not call this.
     pub fn admit_pop(&mut self, state: &MState) -> bool {
         let t0 = Instant::now();
-        let h = graph_hash(&state.eval.graph);
+        let digests = ParentDigests::of(&state.eval.graph);
         self.stats.hash_time += t0.elapsed();
-        if !self.seen.insert(h) {
+        if !self.seen.insert(digests.digests().hash()) {
             self.stats.filtered += 1;
             return false;
         }
+        self.popped = Some(digests);
         true
     }
 
@@ -310,10 +317,12 @@ impl<'a> Engine<'a> {
             None => (0, candidates, self.stats.threads),
         };
         // A batch's children carry their hash and latencies from the
-        // parent's tables, built here once and dropped with the batch; a
+        // parent's tables, built here once (the digests by `admit_pop`,
+        // where it admitted `state`) and dropped with the batch; a
         // rollout step's one child computes both whole.
+        let popped = self.popped.take();
         let tables = only.is_none().then(|| {
-            let (tables, times) = ParentTables::of(state, &cfg.ctx);
+            let (tables, times) = ParentTables::of(state, &cfg.ctx, popped);
             self.stats.hash_time += times.hash;
             self.stats.sched_sim_time += times.sched_sim;
             tables

@@ -399,10 +399,22 @@ pub fn build_overlay_graph(base: &Graph, ftree: &FTree) -> Result<Graph, ApplyEr
 
 /// One transaction and one region workspace for every enabled region,
 /// parents first.
+///
+/// Every slice and merge takes a fresh slot from the first multiple of
+/// 64 above the base's capacity up, never a base tombstone, so a
+/// rewrite that adds or frees a base node leaves the overlay's ids
+/// where its parent's were — the ids Algorithm 2's carried order, the
+/// carried digests and latencies, and the pin table read — unless the
+/// base crosses a 64-slot boundary. The ids stay a pure function of
+/// the base and the tree, so a checkpoint restore rebuilds them.
 fn overlay_graph(base: &Graph, ftree: &FTree, memo: &mut ScaleMemo<'_>) -> Result<Graph, ApplyError> {
     let mut txn = GraphTxn::begin(base);
     let mut ws = RegionWorkspace::default();
-    for i in ftree.enabled_order() {
+    let regions = ftree.enabled_order();
+    if !regions.is_empty() {
+        txn.fresh_slots_from((base.capacity() / 64 + 1) * 64);
+    }
+    for i in regions {
         apply_overlay_in(&mut ws, &mut txn, &ftree.node(i).spec, memo)
             .map_err(|e| ApplyError(e.to_string()))?;
     }

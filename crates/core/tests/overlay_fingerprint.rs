@@ -15,7 +15,8 @@
 //! by `MState::child_overlay` — and the two must agree with each other
 //! and with the committed value, which was captured at the commit named
 //! at [`EXPECTED`], before the overlay moved to the dense region
-//! workspace, and holds in debug and release builds alike.
+//! workspace, re-captured once for the overlay's id rule, and holds in
+//! debug and release builds alike.
 
 use magis_core::rules::{self, RuleConfig, Transform};
 use magis_core::state::{build_overlay_graph, EvalContext, MState};
@@ -26,13 +27,17 @@ use magis_graph::GraphView;
 use magis_models::Workload;
 use std::collections::BTreeSet;
 
-/// `(model, expanded, candidates)`, captured at
-/// 7b96e828741257d6f8d69f1a92c801671b26c1ab (the parent of the region
-/// workspace change), debug and release equal.
+/// `(model, expanded, candidates)`, debug and release equal. Captured
+/// at 7b96e828741257d6f8d69f1a92c801671b26c1ab (the parent of the region
+/// workspace change) and re-captured when the overlay's slices and
+/// merges moved from the base's tombstones to fresh slots above a
+/// 64-slot floor. That moved every candidate digest and BERT's
+/// expanded one; the UNet and ResNet-50 descents expand no state with
+/// an enabled region, so theirs held.
 const EXPECTED: [(&str, u64, u64); 3] = [
-    ("bert@1.0", 0xd857_4a7d_072e_3770, 0x881b_493a_7131_6317),
-    ("unet@0.15", 0x5bfc_ae84_9d17_312f, 0xd95b_e2f8_7516_b117),
-    ("resnet50@0.25", 0xc5fa_1620_9381_088c, 0x9124_4490_a2fa_1634),
+    ("bert@1.0", 0xc1d5_7329_8571_30f4, 0x098b_4c88_c67b_fb86),
+    ("unet@0.15", 0x5bfc_ae84_9d17_312f, 0x6426_7fd5_17cc_d1bc),
+    ("resnet50@0.25", 0xc5fa_1620_9381_088c, 0x7fc8_ed18_c805_0486),
 ];
 
 /// FNV-1a over bytes; 64-bit words little-endian, a length in front of

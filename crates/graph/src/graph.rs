@@ -14,7 +14,10 @@
 //! freed by a committed [`GraphTxn`](crate::txn::GraphTxn) returns to a
 //! free list (smallest slot first) and the next added node takes it, so
 //! long rewrite chains no longer grow [`Graph::capacity`] without
-//! bound. Slots freed *inside* a transaction only become reusable after
+//! bound; a transaction that sets a fresh-slot floor
+//! ([`GraphTxn::fresh_slots_from`](crate::txn::GraphTxn::fresh_slots_from),
+//! the fission overlay's) adds above it instead. Slots freed *inside* a
+//! transaction only become reusable after
 //! the transaction commits, so within one rewrite an id never refers to
 //! two different nodes — the invariant every parent-vs-child delta
 //! comparison in the incremental pipeline relies on.
@@ -583,6 +586,31 @@ impl Graph {
         self.free.sort_unstable_by(|a, b| b.cmp(a));
     }
 
+    /// Every node added from here to the next [`Graph::seal_frees`]
+    /// takes a fresh slot, the first at `floor` (at the capacity, if
+    /// that is higher): the slots below it that hold no node are
+    /// tombstones, reusable once sealed, so the free list stays exactly
+    /// the tombstone set.
+    pub(crate) fn fresh_slots_from(&mut self, floor: usize) {
+        self.pending_free.append(&mut self.free);
+        while self.slots < floor {
+            self.push_tombstone();
+        }
+    }
+
+    /// Appends a tombstone slot, reusable from the next seal.
+    fn push_tombstone(&mut self) {
+        let i = self.slots;
+        let pages = Arc::make_mut(&mut self.pages);
+        if (i >> PAGE_BITS) == pages.len() {
+            pages.push(Arc::new(Vec::with_capacity(PAGE_LEN)));
+        }
+        let last = pages.len() - 1;
+        Arc::make_mut(&mut pages[last]).push(None);
+        self.slots += 1;
+        self.pending_free.push(i as u32);
+    }
+
     /// Number of slots currently reusable (sealed tombstones). Test and
     /// diagnostics hook for the slot-reuse contract.
     pub fn free_slots(&self) -> usize {
@@ -726,18 +754,7 @@ impl Graph {
                         alloc_with: r.alloc_with,
                     });
                 }
-                None => {
-                    // Materialize the tombstone at this slot.
-                    let i = g.slots;
-                    let pages = Arc::make_mut(&mut g.pages);
-                    if (i >> PAGE_BITS) == pages.len() {
-                        pages.push(Arc::new(Vec::with_capacity(PAGE_LEN)));
-                    }
-                    let last = pages.len() - 1;
-                    Arc::make_mut(&mut pages[last]).push(None);
-                    g.slots += 1;
-                    g.pending_free.push(i as u32);
-                }
+                None => g.push_tombstone(),
             }
         }
         g.seal_frees();

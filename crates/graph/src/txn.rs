@@ -20,7 +20,10 @@
 //! - **Deterministic slot assignment.** The sealed free list is a pure
 //!   function of the base graph's occupied slot set (tombstones,
 //!   smallest first), so replaying a transaction — on another thread
-//!   count, or after checkpoint restore — assigns identical ids.
+//!   count, or after checkpoint restore — assigns identical ids. A
+//!   transaction that calls [`GraphTxn::fresh_slots_from`] adds past
+//!   every tombstone instead, at ids that depend on the base's
+//!   capacity alone.
 
 use crate::graph::{Graph, GraphError, Node, NodeId};
 use crate::op::{InputKind, OpKind};
@@ -99,6 +102,16 @@ impl GraphTxn {
     pub fn commit(mut self) -> Graph {
         self.g.seal_frees();
         self.g
+    }
+
+    /// Every node this transaction adds from here on takes a fresh
+    /// slot, the first at `floor` (at the capacity, if that is higher),
+    /// never a tombstone of the base: the ids the adds get then depend
+    /// on the base's capacity alone, not on which of its slots are
+    /// free. The skipped slots are tombstones, reusable after
+    /// [`GraphTxn::commit`] like every other.
+    pub fn fresh_slots_from(&mut self, floor: usize) {
+        self.g.fresh_slots_from(floor);
     }
 
     /// Adds a graph input node with explicit tensor metadata.
@@ -312,6 +325,31 @@ mod tests {
         let mut txn2 = GraphTxn::begin(&g);
         let s = txn2.add(OpKind::Unary(UnaryKind::Gelu), &[ids[1]]).unwrap();
         assert_eq!(s, ids[2], "sealed slot reused by the next txn");
+    }
+
+    #[test]
+    fn fresh_slots_start_at_the_floor_and_pass_every_tombstone() {
+        let (base, ids) = chain();
+        let mut txn = GraphTxn::begin(&base);
+        txn.remove(ids[2]).unwrap();
+        let g = txn.commit();
+        let mut txn = GraphTxn::begin(&g);
+        txn.fresh_slots_from(64);
+        let r = txn.add(OpKind::Unary(UnaryKind::Relu), &[ids[1]]).unwrap();
+        let s = txn.add(OpKind::Unary(UnaryKind::Gelu), &[r]).unwrap();
+        assert_eq!((r.index(), s.index()), (64, 65), "the base's tombstone is passed over");
+        let g = txn.commit();
+        g.validate().unwrap();
+        assert_eq!(g.capacity(), 66);
+        // The free list is exactly the tombstones: slot 2 and 3..64.
+        assert_eq!(g.free_slots(), 62);
+        let mut txn = GraphTxn::begin(&g);
+        let t = txn.add(OpKind::Unary(UnaryKind::Relu), &[ids[0]]).unwrap();
+        assert_eq!(t, ids[2], "the next transaction reuses them, smallest first");
+        // A floor under the capacity adds at the capacity.
+        let mut txn = GraphTxn::begin(&g);
+        txn.fresh_slots_from(10);
+        assert_eq!(txn.add(OpKind::Unary(UnaryKind::Relu), &[ids[0]]).unwrap().index(), 66);
     }
 
     #[test]

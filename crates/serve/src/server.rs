@@ -127,7 +127,10 @@ fn job_span(sink: &Option<Arc<JsonlSink>>, id: u64, name: &str, dur: Duration) {
 }
 
 struct Job {
-    spec: JobSpec,
+    /// Shared with the worker that runs it, which takes a reference,
+    /// not a copy (an inline graph record runs to tens of KB), at the
+    /// pop under the table lock.
+    spec: Arc<JobSpec>,
     /// `spec.cache_key()`, rendered once when the job is made: the
     /// result cache compares these, under the table lock.
     key: u64,
@@ -151,6 +154,7 @@ impl Job {
     /// A job entering the table now, with no progress yet.
     fn new(spec: JobSpec, state: JobState, dir: PathBuf, trace: Option<Arc<JsonlSink>>) -> Job {
         let key = spec.cache_key();
+        let spec = Arc::new(spec);
         Job { spec, key, state, dir, admitted: Instant::now(), progress: None, trace }
     }
 }
@@ -513,7 +517,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             stalled: false,
         };
         let (spec, key, dir, tsink, admitted) =
-            (j.spec.clone(), j.key, j.dir.clone(), j.trace.clone(), j.admitted);
+            (Arc::clone(&j.spec), j.key, j.dir.clone(), j.trace.clone(), j.admitted);
         // An identical submission that already completed
         // deterministically is served its result without a search.
         let hit = t.cached(key);

@@ -1086,12 +1086,13 @@ mod tests {
     #[test]
     fn a_committed_checkpoint_resumes_to_the_uninterrupted_result_through_both_doors() {
         // Written by `magis optimize --workload unet --scale 0.1
-        // --max-candidates 40 --threads 1 --checkpoint F` in format v6.
+        // --max-candidates 40 --threads 1 --checkpoint F` in format v7.
         // Its v5 predecessor (`unet_cap40_v5.ckpt`, written by 65232b2
         // with `--checkpoint-frontier true`) resumed under 65232b2's
         // `magis optimize --resume F --max-candidates 120 --threads 1` to
         // the figures below, those of the uninterrupted 120-candidate
-        // run, and this file must too.
+        // run, as its v6 one (`unet_cap40_v6.ckpt`) did, and this file
+        // must too.
         let fixture =
             concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/unet_cap40_frontier.ckpt");
         let want = ((45_921_476, 0x3f61_4507_7ad3_fbe6), (139, 3));
@@ -1130,7 +1131,13 @@ mod tests {
 
     #[test]
     fn a_retired_format_checkpoint_is_refused_by_name_through_both_doors() {
-        let old = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/unet_cap40_v5.ckpt");
+        let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+        for version in ["v5", "v6"] {
+            refused_through_both_doors(&format!("{fixtures}/unet_cap40_{version}.ckpt"));
+        }
+    }
+
+    fn refused_through_both_doors(old: &str) {
         let text = std::fs::read_to_string(old).unwrap();
         let header = format!("'{}'", text.lines().next().unwrap());
         let refused = |msg: &str| msg.contains("unsupported checkpoint version") && msg.contains(&header);
@@ -1139,11 +1146,11 @@ mod tests {
         match optimize_search(&Args::parse(&flags, table, SWITCHES).unwrap()) {
             Err(CliError::Runtime(msg)) => assert!(refused(&msg), "{msg}"),
             Err(e) => panic!("optimize --resume: {e:?}"),
-            Ok(_) => panic!("optimize --resume accepted a v5 checkpoint"),
+            Ok(_) => panic!("optimize --resume accepted {header}"),
         }
-        // A job journaled with a v5 checkpoint by a daemon of the
-        // format before fails on the first attempt, with the same words.
-        let dir = std::env::temp_dir().join(format!("magis_cli_v5_ckpt_{}", std::process::id()));
+        // A job journaled with an old checkpoint by a daemon of an
+        // earlier format fails on the first attempt, with the same words.
+        let dir = std::env::temp_dir().join(format!("magis_cli_old_ckpt_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::copy(old, dir.join(magis_serve::journal::CKPT_FILE)).unwrap();
@@ -1152,7 +1159,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         match there {
             Err(msg) => assert!(refused(&msg), "{msg}"),
-            Ok(_) => panic!("run_job resumed a v5 checkpoint"),
+            Ok(_) => panic!("run_job resumed {header}"),
         }
     }
 

@@ -749,7 +749,7 @@ fn corrupt_checkpoints_are_rejected_with_typed_errors() {
     // corruption must both fail to parse — never produce a state.
     for corrupt in [
         text[..text.len() / 2].to_string(),
-        text.replacen("magis-checkpoint v6", "magis-checkpoint v9", 1),
+        text.replacen("magis-checkpoint v7", "magis-checkpoint v9", 1),
         text.replacen("ckpt-end", "", 1),
     ] {
         let p2 = scratch("corrupt2");

@@ -28,13 +28,17 @@ use magis_util::rng::{Rng, SeedableRng, SmallRng};
 use std::collections::BTreeSet;
 
 /// Overlays `specs` in order with the rewritten and with the reference
-/// algorithm, each in its own transaction on `base`, and holds every
-/// step and the committed result to identity. Returns the graph, or
-/// `None` when both rejected a region (the transaction is abandoned,
-/// as `build_overlay_graph` does).
+/// algorithm, each in its own transaction on `base` with the fresh-slot
+/// floor `build_overlay_graph` sets, and holds every step and the
+/// committed result to identity. Returns the graph, or `None` when both
+/// rejected a region (the transaction is abandoned, as
+/// `build_overlay_graph` does).
 fn overlay_both(base: &Graph, specs: &[&FissionSpec], what: &str) -> Option<Graph> {
+    let floor = (base.capacity() / 64 + 1) * 64;
     let mut new = GraphTxn::begin(base);
     let mut old = GraphTxn::begin(base);
+    new.fresh_slots_from(floor);
+    old.fresh_slots_from(floor);
     for (k, spec) in specs.iter().enumerate() {
         let a = apply_overlay(&mut new, spec).map(|i| (i.slices, i.merges));
         let b = reference::apply_overlay(&mut old, spec).map(|i| (i.slices, i.merges));
